@@ -1,6 +1,6 @@
 # Convenience targets for the common workflows.
 
-.PHONY: install test chaos chaos-recover bench perf compile-bench \
+.PHONY: install test chaos chaos-recover bench perf \
         validate experiments tune examples trace-demo check soak \
         serve-smoke clean
 
@@ -32,14 +32,6 @@ bench:
 # regenerate the baseline with `repro-bench-perf -o BENCH_perf.json`.
 perf:
 	repro-bench-perf --smoke --baseline BENCH_perf.json
-
-# Compiled-execution gate in isolation (seconds, not minutes): threaded
-# execution through repro.compile's program tables must beat op-by-op
-# interpretation >= 2x with bit-identical buffers on every acceptance
-# config. Writes compile_bench.json (the CI artifact); exit status is
-# the gate.
-compile-bench:
-	python -m repro.bench.compilebench -o compile_bench.json
 
 # End-to-end observability demo: trace one 64-rank allreduce, writing
 # trace.json (open at https://ui.perfetto.dev) plus trace-metrics.json

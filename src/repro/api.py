@@ -29,14 +29,11 @@ The pre-facade spellings (``run_collective``, ``build_schedule``,
 ``execute``) warned for five releases and are now **removed** — the
 implementation modules (:mod:`repro.runtime`, :mod:`repro.simnet`,
 :mod:`repro.core`) they delegated to are unchanged for code that imports
-them directly.  The one remaining shim is the old ``collect_timeline=``
-keyword on :func:`simulate`, which maps onto ``timeline=`` with a single
-:class:`DeprecationWarning` per process.
+them directly.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -94,10 +91,8 @@ def simulate(
     faults=None,
     timeline: bool = False,
     block_map=None,
-    compiled: bool = True,
     engine: str = "auto",
     obs: Optional[Obs] = None,
-    **legacy,
 ) -> SimResult:
     """Time ``schedule`` moving ``nbytes`` total on a simulated ``machine``.
 
@@ -105,8 +100,7 @@ def simulate(
     requests per-message event collection, ``noise`` perturbs link costs,
     ``faults`` injects drops/crashes, and ``obs`` selects an
     observability scope (default: the process-global one — see
-    :mod:`repro.obs`).  ``compiled=False`` disables the cost-identical
-    compiled program feed (see :mod:`repro.compile`).
+    :mod:`repro.obs`).
 
     ``machine`` is a :class:`~repro.simnet.machine.MachineSpec` or a
     registry name such as ``"dragonfly-1024"`` (see
@@ -115,21 +109,7 @@ def simulate(
     ``"collapsed"`` (one representative per rank-equivalence class,
     sublinear in p; bit-identical, with recorded fallback on asymmetric
     runs — see :func:`repro.simnet.simulate.simulate`).
-
-    The pre-facade ``collect_timeline=`` keyword still maps onto
-    ``timeline=`` with one :class:`DeprecationWarning` per process.
     """
-    if "collect_timeline" in legacy:
-        _deprecated(
-            "simulate(..., collect_timeline=...)",
-            "simulate(..., timeline=...)",
-        )
-        timeline = legacy.pop("collect_timeline")
-    if legacy:
-        raise TypeError(
-            f"simulate() got unexpected keyword argument(s) "
-            f"{sorted(legacy)}"
-        )
     return _simulate(
         schedule,
         _resolve_machine(machine),
@@ -138,7 +118,6 @@ def simulate(
         faults=faults,
         collect_timeline=timeline,
         block_map=block_map,
-        compiled=compiled,
         engine=engine,
         obs=obs,
     )
@@ -166,7 +145,6 @@ def execute(
     adapt_policy=None,
     machine=None,
     select: Optional[str] = None,
-    compiled: bool = True,
     obs: Optional[Obs] = None,
 ):
     """Build, run, and check a collective end to end on real data.
@@ -212,11 +190,6 @@ def execute(
     runs.  Mutually exclusive with ``adapt`` — one oracle per run.  The
     served choice is bit-identical to the in-process tuner's, so a run
     through ``select=`` matches a run tuned locally.
-
-    ``compiled=True`` (the default) executes the schedule's compiled
-    program tables (:mod:`repro.compile`) — bit-identical results, just
-    faster; ``compiled=False`` forces op-by-op IR interpretation (the
-    ``--no-compile`` escape hatch on the CLI).
 
     >>> import numpy as np, repro
     >>> run = repro.execute("allreduce", "recursive_multiplying",
@@ -286,7 +259,6 @@ def execute(
             timeout=timeout,
             faults=faults,
             recovery=recovery,
-            compiled=compiled,
             obs=obs,
         )
         return AdaptiveRun(report=report, run=run, choice=choice)
@@ -315,7 +287,6 @@ def execute(
             atol=atol,
             timeout=timeout,
             faults=faults,
-            compiled=compiled,
         )
     if backend == "lockstep":
         if faults is not None:
@@ -332,12 +303,10 @@ def execute(
     inputs = make_inputs(collective, p, count, dtype=dtype, root=root, rng=rng)
     buffers = initial_buffers(schedule, inputs, count, dtype=dtype)
     if backend == "lockstep":
-        _execute_lockstep(schedule, buffers, op=op, compiled=compiled,
-                          obs=obs)
+        _execute_lockstep(schedule, buffers, op=op, obs=obs)
     else:
         _execute_threaded(
             schedule, buffers, op=op, timeout=timeout, faults=faults,
-            compiled=compiled,
         )
     expected = reference_result(collective, inputs, count, op=op, root=root)
     if check:
@@ -346,23 +315,3 @@ def execute(
         schedule=schedule, inputs=inputs, buffers=buffers, expected=expected
     )
 
-
-# ---------------------------------------------------------------------------
-# Once-per-process deprecation shims.  The PR 3-era legacy entry points
-# (build_schedule, run_collective, run_collective_threaded, positional
-# simulate, schedule-first execute) are gone; this mechanism remains for
-# the shims still in their warning window (collect_timeline= above).
-# ---------------------------------------------------------------------------
-
-_warned: set = set()
-
-
-def _deprecated(old: str, new: str) -> None:
-    if old in _warned:
-        return
-    _warned.add(old)
-    warnings.warn(
-        f"repro.{old} is deprecated; use repro.{new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -19,11 +19,7 @@ self-healing wrapper must stay pay-for-what-you-break), **obs**
 (instrumentation disabled must cost nothing, enabled must stay within
 2x), **durability** (journaling plus the disk schedule store must
 stay within 5% of the plain cached sweep, and a warm start from a
-populated store must beat a cold in-process run), and
-**interpreter-vs-compiled** (executing a schedule's compiled program
-tables on the threaded backend must beat op-by-op IR interpretation by
-at least 2x on every acceptance config, with bit-identical result
-buffers — see :mod:`repro.compile`), and **serve** (the tuning
+populated store must beat a cold in-process run), and **serve** (the tuning
 service: N concurrent ``/tune`` requests must coalesce into one sweep,
 a selection-config warm start must beat a cold tune 2x, and every
 served selection must be bit-identical to the in-process tuner — see
@@ -536,93 +532,6 @@ def _bench_durability(machine: MachineSpec, sizes: Sequence[int]) -> Dict:
     }
 
 
-# The compiled-execution acceptance grid: one config per traffic shape
-# the threaded backend exercises (reduction ring, concatenation ring,
-# rooted tree fan-out, all-to-all personalized exchange).
-_COMPILED_CASES = (
-    ("allreduce", "ring", None),
-    ("allgather", "ring", None),
-    ("bcast", "knomial", 3),
-    ("alltoall", "bruck", None),
-)
-
-
-def _bench_interpreter_vs_compiled(
-    machine: MachineSpec, repeats: int
-) -> Dict:
-    """Threaded execution: op-by-op interpretation vs. compiled tables.
-
-    For each acceptance config the same schedule moves the same seeded
-    data through :func:`repro.runtime.threaded.execute_threaded` twice —
-    ``compiled=False`` (the interpreter walks the Step/Op IR) and
-    ``compiled=True`` (tight loops over the preresolved peer/offset
-    tables, staging buffers recycled through the pool).  Timings are
-    best-of-``repeats`` on fresh buffer copies; result buffers must be
-    bit-identical or the tier raises, because a speedup earned by
-    changing answers is worthless.  The one-time lowering cost is
-    reported apart as ``compile_us`` — it is paid once per schedule and
-    amortized by the content-addressed compiled cache.
-    """
-    import numpy as np
-
-    from ..compile import compile_schedule, get_or_compile
-    from ..runtime.buffers import initial_buffers, make_inputs
-    from ..runtime.threaded import execute_threaded
-
-    p, count = 8, 64
-    cases: List[Dict] = []
-    for coll, alg, k in _COMPILED_CASES:
-        entry = info(coll, alg)
-        schedule = entry.build(p, k=k, root=0)
-        rng = np.random.default_rng(0)
-        inputs = make_inputs(coll, p, count, root=0, rng=rng)
-        base = initial_buffers(schedule, inputs, count)
-
-        t0 = time.perf_counter()
-        compile_schedule(schedule)
-        compile_s = time.perf_counter() - t0
-        get_or_compile(schedule)  # warm the compiled cache before timing
-
-        def run(compiled: bool) -> List:
-            bufs = [b.copy() for b in base]
-            execute_threaded(schedule, bufs, compiled=compiled)
-            return bufs
-
-        interp = run(False)
-        compiled_bufs = run(True)
-        identical = all(
-            np.array_equal(a, b) for a, b in zip(interp, compiled_bufs)
-        )
-        if not identical:
-            raise ReproError(
-                f"compiled execution integrity check failed: "
-                f"{coll}/{alg} k={k} produced different buffers than "
-                f"the interpreter"
-            )
-        interp_s = _best_of(lambda: run(False), repeats)
-        compiled_s = _best_of(lambda: run(True), repeats)
-        cases.append({
-            "collective": coll,
-            "algorithm": alg,
-            "p": p,
-            "k": k,
-            "count": count,
-            "compile_us": compile_s * 1e6,
-            "interpreted_us": interp_s * 1e6,
-            "compiled_us": compiled_s * 1e6,
-            "speedup": (
-                interp_s / compiled_s if compiled_s > 0 else float("inf")
-            ),
-            "results_identical": identical,
-        })
-    return {
-        "repeats": repeats,
-        "cases": cases,
-        "min_speedup": min(c["speedup"] for c in cases),
-        "results_identical": all(c["results_identical"] for c in cases),
-    }
-
-
 def _bench_scale(smoke: bool) -> Dict:
     """The scale tier: the class-collapsed engine at paper-scale p.
 
@@ -1020,9 +929,6 @@ def run_perf(
         "recovery": _bench_recovery_overhead(machine, repeats),
         "obs": _bench_obs_overhead(machine, sizes),
         "durability": _bench_durability(machine, sizes),
-        "interpreter_vs_compiled": _bench_interpreter_vs_compiled(
-            machine, repeats * 6
-        ),
         "scale": _bench_scale(smoke),
         "adapt": _bench_adapt(machine, smoke),
         "serve": _bench_serve(smoke),
@@ -1115,33 +1021,6 @@ def check_regression(
                 f"warm start from a populated store is not faster than "
                 f"a cold in-process run "
                 f"({durability['warm_speedup']:.2f}x)"
-            )
-    ivc = current.get("interpreter_vs_compiled")
-    if ivc is not None:
-        # Skip-if-absent like the other late tiers: baselines predating
-        # schema 4 have no compiled section, and the gates below are
-        # self-relative (a ratio within one report), so host speed never
-        # enters.  Compiled execution must beat the interpreter 2x on
-        # every acceptance config with bit-identical buffers.
-        if not ivc.get("results_identical", False):
-            failures.append(
-                "compiled execution produced different buffers than the "
-                "interpreter"
-            )
-        if ivc.get("min_speedup", 0.0) < 2.0:
-            worst = min(
-                ivc.get("cases", []),
-                key=lambda c: c.get("speedup", 0.0),
-                default=None,
-            )
-            where = (
-                f" ({worst['collective']}/{worst['algorithm']} "
-                f"k={worst['k']})" if worst else ""
-            )
-            failures.append(
-                f"compiled execution speedup collapsed to "
-                f"{ivc.get('min_speedup', 0.0):.2f}x{where} "
-                f"(required 2.0x over the interpreter)"
             )
     scale = current.get("scale")
     if scale is not None:
@@ -1343,20 +1222,6 @@ def format_report(report: Dict) -> str:
             f"{obs['on_s']:6.2f} s | {obs['overhead_ratio']:5.2f}x "
             f"({obs['spans']} spans, results identical: "
             f"{obs['results_identical']})"
-        )
-    ivc = report.get("interpreter_vs_compiled")
-    if ivc is not None:
-        for c in ivc["cases"]:
-            name = f"{c['collective']}/{c['algorithm']}"
-            lines.append(
-                f"  compiled exec  : {name:<22} interp "
-                f"{c['interpreted_us']:8.1f} us | compiled "
-                f"{c['compiled_us']:8.1f} us | {c['speedup']:5.2f}x "
-                f"(compile {c['compile_us']:.0f} us)"
-            )
-        lines.append(
-            f"  compiled gate  : min speedup {ivc['min_speedup']:.2f}x, "
-            f"results identical: {ivc['results_identical']}"
         )
     dur = report.get("durability")
     if dur is not None:

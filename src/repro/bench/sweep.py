@@ -221,7 +221,6 @@ def simulate_point(
     noise: Optional[NoiseModel] = None,
     faults: Optional[FaultPlan] = None,
     reuse: bool = True,
-    compiled: bool = True,
     engine: str = "auto",
 ) -> SweepPointResult:
     """Simulate one point, reusing cached schedules and memoized results.
@@ -232,11 +231,10 @@ def simulate_point(
     prove reuse never changes a result.  Raises nothing: errors come back
     in the result record.
 
-    ``compiled`` selects the compiled simulator feed (the default) or
-    op-by-op IR interpretation; ``engine`` the simulation core
+    ``engine`` selects the simulation core
     (:data:`~repro.simnet.simulate.ENGINES`).  The simulated time is
     bit-identical across all of them, which is why the memo key
-    deliberately ignores both.  At large p (≥ ``_LAZY_SWEEP_MIN_RANKS``)
+    deliberately ignores it.  At large p (≥ ``_LAZY_SWEEP_MIN_RANKS``)
     a collapsing-capable engine routes eligible points through the lazy
     generator schedules (:func:`repro.core.lazy.lookup`), skipping the
     per-rank materialization entirely.
@@ -248,12 +246,12 @@ def simulate_point(
     if not OBS.enabled:
         return _simulate_point_impl(
             machine, point, noise=noise, faults=faults, reuse=reuse,
-            compiled=compiled, engine=engine,
+            engine=engine,
         )
     t0 = time.perf_counter()
     res = _simulate_point_impl(
         machine, point, noise=noise, faults=faults, reuse=reuse,
-        compiled=compiled, engine=engine,
+        engine=engine,
     )
     dt = time.perf_counter() - t0
     outcome = (
@@ -273,7 +271,6 @@ def _simulate_point_impl(
     noise: Optional[NoiseModel],
     faults: Optional[FaultPlan],
     reuse: bool,
-    compiled: bool = True,
     engine: str = "auto",
 ) -> SweepPointResult:
     try:
@@ -285,13 +282,13 @@ def _simulate_point_impl(
             if lazy is not None:
                 sim = simulate(
                     lazy, machine, point.nbytes, noise=noise, faults=faults,
-                    compiled=compiled, engine=engine,
+                    engine=engine,
                 )
                 return SweepPointResult(point, sim.time, False)
             schedule = entry.build(machine.nranks, k=point.k, root=root)
             sim = simulate(
                 schedule, machine, point.nbytes, noise=noise, faults=faults,
-                compiled=compiled, engine=engine,
+                engine=engine,
             )
             return SweepPointResult(point, sim.time, False)
         key = (
@@ -313,7 +310,7 @@ def _simulate_point_impl(
         if lazy is not None:
             sim = simulate(
                 lazy, machine, point.nbytes, noise=noise, faults=faults,
-                compiled=compiled, engine=engine,
+                engine=engine,
             )
             hit = False
         else:
@@ -326,7 +323,7 @@ def _simulate_point_impl(
             )
             sim = simulate(
                 schedule, machine, point.nbytes, noise=noise, faults=faults,
-                compiled=compiled, engine=engine,
+                engine=engine,
             )
         if len(_SIM_MEMO) >= _SIM_MEMO_MAX:
             _SIM_MEMO.clear()
@@ -401,7 +398,7 @@ def _maybe_injected_crash(point: SweepPoint) -> None:
 # The trailing TraceContext is None unless the parent sweep is being
 # observed — workers join its trace and ship their records back.
 _ChunkTask = Tuple[MachineSpec, Optional[NoiseModel], Optional[FaultPlan],
-                   bool, bool, str, Tuple[SweepPoint, ...],
+                   bool, str, Tuple[SweepPoint, ...],
                    Optional[TraceContext]]
 
 
@@ -428,7 +425,7 @@ def _run_chunk(task: _ChunkTask):
     Never raises: per-point errors are folded into the results so one
     bad configuration cannot poison the pool or its sibling points.
     """
-    machine, noise, faults, reuse, compiled, engine, points, ctx = task
+    machine, noise, faults, reuse, engine, points, ctx = task
     if ctx is None or ctx.origin_pid == os.getpid():
         # Plain path — or the parent process itself (serial/degenerate
         # pool), where records land directly in the live registry.  The
@@ -440,7 +437,7 @@ def _run_chunk(task: _ChunkTask):
             out.append(
                 simulate_point(
                     machine, pt, noise=noise, faults=faults, reuse=reuse,
-                    compiled=compiled, engine=engine,
+                    engine=engine,
                 )
             )
         return out
@@ -457,7 +454,7 @@ def _run_chunk(task: _ChunkTask):
                 results.append(
                     simulate_point(
                         machine, pt, noise=noise, faults=faults,
-                        reuse=reuse, compiled=compiled, engine=engine,
+                        reuse=reuse, engine=engine,
                     )
                 )
     finally:
@@ -483,7 +480,6 @@ def _chunk_points(
     noise: Optional[NoiseModel],
     faults: Optional[FaultPlan],
     reuse: bool,
-    compiled: bool,
     engine: str,
     points: Sequence[SweepPoint],
     ctx: Optional[TraceContext] = None,
@@ -500,24 +496,22 @@ def _chunk_points(
     for pt in points:
         if group and pt.schedule_params() != group[-1].schedule_params():
             chunks.append(
-                (machine, noise, faults, reuse, compiled, engine,
-                 tuple(group), ctx)
+                (machine, noise, faults, reuse, engine, tuple(group), ctx)
             )
             group = []
         group.append(pt)
     if group:
         chunks.append(
-            (machine, noise, faults, reuse, compiled, engine,
-             tuple(group), ctx)
+            (machine, noise, faults, reuse, engine, tuple(group), ctx)
         )
     return chunks
 
 
 def _split_chunk(task: _ChunkTask) -> List[_ChunkTask]:
     """Split a failing chunk into single-point tasks (poison cornering)."""
-    machine, noise, faults, reuse, compiled, engine, points, ctx = task
+    machine, noise, faults, reuse, engine, points, ctx = task
     return [
-        (machine, noise, faults, reuse, compiled, engine, (pt,), ctx)
+        (machine, noise, faults, reuse, engine, (pt,), ctx)
         for pt in points
     ]
 
@@ -531,7 +525,7 @@ def _chunk_error_records(
     there is no worker traceback to preserve — the process is gone — so
     the record carries the executor's mechanical story instead.
     """
-    points = task[6]
+    points = task[5]
     error = f"ChunkFailure: {failure}"
     note = (
         "worker process lost before a traceback could be captured "
@@ -573,8 +567,8 @@ def sweep_fingerprint(
     dataclasses, which pin every parameter that affects a result.  A
     machine given by registry name hashes as its resolved spec, so
     ``"reference-64"`` and ``reference(64)`` share journals; the engine
-    and ``compiled`` are deliberately absent — they never change a
-    result, so a journal written under one resumes under another.
+    is deliberately absent — it never changes a result, so a journal
+    written under one resumes under another.
     """
     h = hashlib.sha256()
     h.update(repr(resolve_machine(machine)).encode())
@@ -660,7 +654,6 @@ def run_sweep(
     retries: int = 2,
     deadline: Optional[float] = None,
     isolate: bool = False,
-    compiled: bool = True,
     engine: str = "auto",
 ) -> List[SweepPointResult]:
     """Simulate every point on ``machine``; results in point order.
@@ -673,10 +666,7 @@ def run_sweep(
     ``jobs=0``/``1`` runs serially in-process; ``jobs>=2`` fans chunks
     out to a process pool; ``jobs<0`` uses every core.  Output is
     bit-identical across all of them, and — because simulation is pure —
-    across ``reuse`` and ``compiled`` settings too (the compiled
-    simulator feed is cost-transparent by construction, which is why the
-    sweep fingerprint ignores it: a journal written under either mode
-    resumes cleanly under the other).  With observability enabled the whole
+    across ``reuse`` settings too.  With observability enabled the whole
     sweep is one ``sweep`` span; worker spans and metrics merge back into
     it (see :class:`_ObsEnvelope`), and worker utilization lands in
     ``repro_sweep_worker_busy_seconds_total``.
@@ -738,7 +728,7 @@ def run_sweep(
         try:
             computed = _dispatch_sweep(
                 pending, machine, jobs=jobs, noise=noise, faults=faults,
-                reuse=reuse, compiled=compiled, engine=engine,
+                reuse=reuse, engine=engine,
                 writer=writer, retries=retries, deadline=deadline,
                 isolate=isolate,
             )
@@ -769,7 +759,6 @@ def _dispatch_sweep(
     noise: Optional[NoiseModel],
     faults: Optional[FaultPlan],
     reuse: bool,
-    compiled: bool,
     engine: str,
     writer: Optional[JournalWriter],
     retries: int,
@@ -792,8 +781,8 @@ def _dispatch_sweep(
 
     on_done = journal_chunk if writer is not None else None
     if not OBS.enabled:
-        chunks = _chunk_points(machine, noise, faults, reuse, compiled,
-                               engine, points)
+        chunks = _chunk_points(machine, noise, faults, reuse, engine,
+                               points)
         return run_chunks(
             _run_chunk, chunks, jobs=jobs, retries=retries,
             deadline=deadline, on_chunk_error=_chunk_error_records,
@@ -802,8 +791,8 @@ def _dispatch_sweep(
     with OBS.span("sweep", points=len(points), jobs=jobs):
         effective = resolve_jobs(jobs)
         ctx = OBS.tracer.context() if effective >= 2 or isolate else None
-        chunks = _chunk_points(machine, noise, faults, reuse, compiled,
-                               engine, points, ctx)
+        chunks = _chunk_points(machine, noise, faults, reuse, engine,
+                               points, ctx)
         t0 = time.perf_counter()
         raw = run_chunks(
             _run_chunk, chunks, jobs=jobs, retries=retries,

@@ -1,11 +1,12 @@
 """Symbolic-dataflow lint: garbage reads and double-counted reductions.
 
-This pass reuses the contribution-set abstraction of
+This pass walks the contribution-set model of
 :mod:`repro.core.validate` — every ``(rank, block)`` slot tracks which
-ranks' original inputs are folded into it — but collects *findings*
-instead of raising on the first violation, so one run reports every
-garbage send, every double-counted reduction, and every postcondition
-miss in a broken schedule.
+ranks' original inputs are folded into it — and reports *every*
+violation it recorded as a finding (where
+:func:`~repro.core.validate.verify` raises on the first), so one run
+reports every garbage send, every double-counted reduction, and every
+postcondition miss in a broken schedule.
 
 It must only run on schedules the deadlock/channel passes found
 executable (the generic runner drives it, and an unmatched or
@@ -15,108 +16,14 @@ shape-mismatched message would abort the walk); the orchestrator in
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.runner import run_schedule
-from ..core.schedule import CopyOp, RecvOp, Schedule, SendOp
-from ..core.validate import Content, initial_state, postcondition_errors
+from ..core.schedule import RecvOp, Schedule, SendOp
+from ..core.validate import _SymbolicModel, postcondition_errors
 from .findings import Finding
 
 __all__ = ["check_dataflow"]
-
-
-class _LintModel:
-    """Tolerant contribution-set model: records findings, keeps walking.
-
-    Where :class:`repro.core.validate._SymbolicModel` raises, this model
-    appends a :class:`Finding` and picks the least-surprising recovery
-    (garbage stays garbage, overlapping reductions union anyway) so the
-    walk reaches the postcondition check regardless.
-    """
-
-    def __init__(self, schedule: Schedule) -> None:
-        self.schedule = schedule
-        self.state = initial_state(schedule)
-        self.findings: List[Finding] = []
-
-    def snapshot(self, rank: int, op: SendOp) -> Tuple[Content, ...]:
-        payload = tuple(self.state[rank][b] for b in op.blocks)
-        for b, content in zip(op.blocks, payload):
-            if content is None:
-                self.findings.append(
-                    Finding(
-                        code="dataflow-garbage-send",
-                        severity="error",
-                        message=(
-                            f"rank {rank} sends uninitialized (garbage) "
-                            f"block {b} to rank {op.peer}"
-                        ),
-                        rank=rank,
-                        op=f"send{list(op.blocks)}->{op.peer}",
-                    )
-                )
-        return payload
-
-    def apply_recv(
-        self, rank: int, op: RecvOp, payload: Tuple[Content, ...]
-    ) -> None:
-        for b, content in zip(op.blocks, payload):
-            if not op.reduce:
-                self.state[rank][b] = content
-                continue
-            local = self.state[rank][b]
-            if local is None:
-                self.findings.append(
-                    Finding(
-                        code="dataflow-reduce-garbage",
-                        severity="error",
-                        message=(
-                            f"rank {rank} reduces an incoming message "
-                            f"into uninitialized (garbage) block {b}"
-                        ),
-                        rank=rank,
-                        op=f"recv+reduce{list(op.blocks)}<-{op.peer}",
-                    )
-                )
-                self.state[rank][b] = content
-                continue
-            if content is None:
-                # Garbage payload was already reported at the sender.
-                continue
-            overlap = local & content
-            if overlap and not self.schedule.meta.get("idempotent_only"):
-                self.findings.append(
-                    Finding(
-                        code="dataflow-double-count",
-                        severity="error",
-                        message=(
-                            f"rank {rank} block {b} double-counts "
-                            f"contributions {sorted(overlap)} (local "
-                            f"{sorted(local)} ∪ incoming {sorted(content)}) "
-                            f"— corrupts non-idempotent reductions (SUM)"
-                        ),
-                        rank=rank,
-                        op=f"recv+reduce{list(op.blocks)}<-{op.peer}",
-                    )
-                )
-            self.state[rank][b] = local | content
-
-    def apply_copy(self, rank: int, op: CopyOp) -> None:
-        src = self.state[rank][op.src]
-        if src is None:
-            self.findings.append(
-                Finding(
-                    code="dataflow-garbage-copy",
-                    severity="error",
-                    message=(
-                        f"rank {rank} copies uninitialized (garbage) "
-                        f"block {op.src} into block {op.dst}"
-                    ),
-                    rank=rank,
-                    op=f"copy {op.src}->{op.dst}",
-                )
-            )
-        self.state[rank][op.dst] = src
 
 
 def _annotate_steps(schedule: Schedule, findings: List[Finding]) -> None:
@@ -155,9 +62,13 @@ def check_dataflow(schedule: Schedule) -> List[Finding]:
     Precondition: the deadlock/channel passes reported no errors (the
     walk reuses the reference runner, which aborts on those).
     """
-    model = _LintModel(schedule)
+    model = _SymbolicModel(schedule)
     run_schedule(schedule, model)
-    findings = model.findings
+    findings = [
+        Finding(code=code, severity="error", message=message, rank=rank,
+                op=op)
+        for code, rank, op, message in model.violations
+    ]
     for text in postcondition_errors(schedule, model.state):
         rank: Optional[int] = None
         if text.startswith("rank "):

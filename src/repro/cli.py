@@ -225,10 +225,6 @@ def main_tune(argv: Optional[List[str]] = None) -> int:
                         help="statically analyze every candidate schedule "
                         "(repro.check) before sweeping; refuse to tune "
                         "over one with error findings")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="interpret schedules op by op instead of "
-                        "using compiled program tables (repro.compile); "
-                        "winners are identical either way")
     args = parser.parse_args(argv)
 
     from .obs import OBS
@@ -242,8 +238,7 @@ def main_tune(argv: Optional[List[str]] = None) -> int:
         # Tuning every power of two is slow in simulation; every other
         # power of two bounds the sweep while keeping cutoffs tight.
         table = tune(machine, sizes[::2] + [sizes[-1]], jobs=args.jobs,
-                     check=args.check, compiled=not args.no_compile,
-                     engine=args.engine)
+                     check=args.check, engine=args.engine)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1044,10 +1039,6 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
                         help="enable observability for the sweep and "
                         "write a metrics snapshot here (JSON; Prometheus "
                         "text beside it as .prom)")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="interpret schedules op by op instead of "
-                        "using compiled program tables (repro.compile); "
-                        "results are identical either way")
     args = parser.parse_args(argv)
 
     import json as _json
@@ -1098,7 +1089,6 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
             retries=args.retries,
             deadline=args.deadline,
             isolate=args.isolate,
-            compiled=not args.no_compile,
             engine=args.engine,
         )
     except KeyboardInterrupt:
@@ -1351,10 +1341,6 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
                         help="worker processes for the service's sweeps "
                         "(0/1 serial, -1 all cores); selections are "
                         "identical at any job count")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="interpret schedules op by op instead of "
-                        "using compiled program tables; selections are "
-                        "identical either way")
     args = parser.parse_args(argv)
 
     import asyncio
@@ -1380,7 +1366,6 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
             grid=args.grid,
             jobs=args.jobs,
             engine=args.engine,
-            compiled=not args.no_compile,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,9 +5,12 @@ per-block offset arithmetic, per-payload allocation) is the dominant cost
 of small-message execution.  This package lowers a built
 :class:`~repro.core.schedule.Schedule` once into flat, preresolved
 per-rank tables — contiguous peer/offset/size/op/tag arrays plus a
-pooled staging-buffer plan — executed by tight loops in both backends:
-the threaded transport and lockstep runner walk bound action tuples, and
-the simulator's cost accounting consumes a preflattened
+pooled staging-buffer plan — which are the only representation any
+production path walks: the lockstep runner walks bound action tuples
+cooperatively, one blocking per-rank walker
+(:func:`run_compiled_rank`) serves every thread of the threaded
+transport and every :class:`~repro.runtime.session.Session` collective
+call, and the simulator's cost accounting consumes a preflattened
 ``(is_send, peer)`` feed.
 
 Pipeline::
@@ -21,12 +24,14 @@ Pipeline::
 
 Guarantees, in order of importance:
 
-* **Transparency.**  Compiled execution is bit-identical to interpreted
-  execution — result buffers, simulated costs, tuner winners, failure
-  surfaces — pinned by the differential suite
+* **Transparency.**  Compiled execution is bit-identical to the
+  op-by-op reference interpreter
+  (:func:`repro.core.runner.run_schedule` over a
+  :class:`~repro.runtime.executor.NumpyModel`, kept as the test oracle)
+  — result buffers and failure surfaces — and the simulator feed equals
+  the IR's op stream, pinned by the differential suite
   (``tests/properties/test_compile_transparency.py``) across the full
-  registry grid, under fault injection and recovery, serial and
-  parallel.
+  registry grid and under fault injection.
 * **Self-verification.**  Every lowering is checked against its source
   IR by a recompute-everything ladder (:mod:`repro.compile.verify`);
   corrupt tables raise :class:`~repro.errors.CompileError` with
@@ -40,10 +45,6 @@ Guarantees, in order of importance:
   (optionally) on disk next to their schedules (:mod:`repro.compile.cache`),
   keyed by the source schedule's fingerprint; disk loads re-run the full
   verification ladder and quarantine on failure.
-
-``repro.api.execute(..., compiled=True)`` is the default path; pass
-``compiled=False`` (or ``--no-compile`` on the CLI) to fall back to the
-interpreter.
 """
 
 from ..errors import ClassAnalysisError, CompileError
@@ -80,7 +81,7 @@ from .program import (
     StagingPlan,
     StagingPool,
 )
-from .runner import run_compiled_lockstep
+from .runner import run_compiled_lockstep, run_compiled_rank
 from .verify import verify_compiled
 
 __all__ = [
@@ -99,6 +100,7 @@ __all__ = [
     "fused_groups",
     "verify_compiled",
     "run_compiled_lockstep",
+    "run_compiled_rank",
     "CompileError",
     "CompiledCache",
     "global_compiled_cache",

@@ -1,32 +1,40 @@
-"""Tight-loop lockstep execution of bound compiled programs.
+"""The two data walkers over bound compiled programs.
 
-The compiled counterpart of :func:`repro.core.runner.run_schedule`: the
-same cooperative progress loop and FIFO channel matching, but walking
-:class:`~repro.compile.program.BoundSchedule` action tuples (preresolved
-slices, merged ranges, precomputed per-step receive needs) instead of
-interpreting the IR per pass.  Fused step boundaries are used — legal
-fusion is execution-transparent (see :mod:`repro.compile.fuse`), and the
-differential suite pins the final buffers bit-identical to the
-interpreter's.
+Both walk :class:`~repro.compile.program.BoundSchedule` action tuples
+(preresolved slices, merged ranges) instead of interpreting the IR, and
+both are pinned bit-identical to the reference interpreter
+(:func:`repro.core.runner.run_schedule` over a
+:class:`~repro.runtime.executor.NumpyModel`) by the differential suite:
 
-Error behavior matches the interpreter's contract: deadlock raises
-:class:`~repro.errors.ExecutionError` naming the blocked ranks, leftover
-messages raise, and a FIFO-matched message whose blocks disagree with
-the receive op raises the interpreter's diagnosis (precomputed at
-lowering time, reported when the message would be consumed).
+* :func:`run_compiled_lockstep` — every rank under one cooperative
+  progress loop with in-process FIFO deques (fused step boundaries;
+  legal fusion is execution-transparent, see :mod:`repro.compile.fuse`).
+  Deadlock raises :class:`~repro.errors.ExecutionError` naming the
+  blocked ranks, and leftover messages raise.
+* :func:`run_compiled_rank` — *one* rank, blocking on channel receives:
+  the body every thread of the threaded transport and every
+  :class:`~repro.runtime.session.Comm` collective call runs.
+
+Either way a FIFO-matched message whose blocks disagree with the receive
+op raises the interpreter's diagnosis (precomputed at lowering time,
+reported when the message would be consumed), and a payload of the wrong
+size raises before it is applied.
 """
 
 from __future__ import annotations
 
+import threading
+import time
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ExecutionError
-from .program import BoundSchedule
+from ..errors import ExecutionError, FaultError
+from ..faults.channel import ChannelAborted, ChannelBroken, ChannelTimeout
+from .program import BoundSchedule, StagingPool
 
-__all__ = ["run_compiled_lockstep"]
+__all__ = ["run_compiled_lockstep", "run_compiled_rank"]
 
 
 def _gather(buf: np.ndarray, ranges: tuple, total: int) -> np.ndarray:
@@ -160,4 +168,119 @@ def run_compiled_lockstep(
             f"{desc}: {sum(leftovers.values())} message(s) were sent but "
             f"never received: {leftovers}"
         )
+    return moved
+
+
+def run_compiled_rank(
+    rank: int,
+    steps: Sequence[Tuple[tuple, tuple, tuple]],
+    buf: np.ndarray,
+    op,
+    channels: Mapping[Tuple[int, int], Any],
+    pool: StagingPool,
+    timeout: float,
+    abort: threading.Event,
+    *,
+    progress: Optional[List[int]] = None,
+    raw_done: Sequence[int] = (),
+    crash_at: Optional[int] = None,
+    straggle: Optional[float] = None,
+    heartbeat=None,
+) -> Optional[int]:
+    """Walk one rank's bound ``steps`` over ``buf``, blocking on receives.
+
+    Everything that differs between callers arrives as data:
+
+    * ``steps`` — this rank's ``(sends, copies, recvs)`` tuples:
+      ``bound.steps[rank]`` (fused) or ``bound.raw_steps[rank]`` (the
+      schedule's own step numbering, which ``crash_at`` and
+      ``heartbeat`` are expressed in).
+    * ``channels`` — ``(src, dst)`` → an object with ``send(payload)``
+      and ``recv(timeout, abort)`` raising
+      :class:`~repro.faults.channel.ChannelTimeout` /
+      :class:`~repro.faults.channel.ChannelAborted` /
+      :class:`~repro.faults.channel.ChannelBroken`.  A missing channel
+      is diagnosed as a receive with no matching send.
+    * ``pool`` — the payload source.  A pool registered for the bound
+      send sizes recycles consumed payloads; one with no sizes hands out
+      fresh arrays and ignores releases, which is mandatory on lossy
+      channels (a duplicate delivery aliases the payload object).
+    * ``progress[rank]`` is set to ``raw_done[i]`` — raw steps complete
+      once step ``i`` finishes — after every step.
+    * ``crash_at`` (raise an injected-crash
+      :class:`~repro.errors.FaultError` before that step), ``straggle``
+      (seconds slept before every step) and ``heartbeat`` (called as
+      ``heartbeat(rank, now, step=i)`` after every step) are ``None``
+      when no fault plan / detector is present.
+
+    ``abort`` is polled before every step and inside every blocked
+    receive.  Returns the number of elements sent, or ``None`` when the
+    run was aborted elsewhere (the primary failure is another rank's).
+    Receive timeouts raise :class:`~repro.errors.ExecutionError` naming
+    rank, step, peer and blocks; an exhausted retry budget raises
+    ``FaultError(kind="retries_exhausted")``.
+    """
+    moved = 0
+    for i, (sends, copies, recvs) in enumerate(steps):
+        if abort.is_set():
+            return None
+        if crash_at is not None and i == crash_at:
+            raise FaultError(
+                f"rank {rank} crashed before step {i} (injected)",
+                kind="crash",
+                rank=rank,
+                step=i,
+            )
+        if straggle is not None:
+            time.sleep(straggle)
+        for peer, ranges, total in sends:
+            payload = pool.acquire(total)
+            pos = 0
+            for a, b in ranges:
+                n = b - a
+                payload[pos:pos + n] = buf[a:b]
+                pos += n
+            channels[(rank, peer)].send(payload)
+            moved += total
+        for s0, s1, d0, d1 in copies:
+            buf[d0:d1] = buf[s0:s1]
+        for peer, reduce, ranges, total, blocks, mismatch in recvs:
+            try:
+                channel = channels[(peer, rank)]
+            except KeyError:
+                raise ExecutionError(
+                    f"rank {rank} step {i}: no channel {peer}->{rank} "
+                    f"exists (receive with no matching send)"
+                ) from None
+            try:
+                payload = channel.recv(timeout, abort)
+            except ChannelAborted:
+                return None
+            except ChannelTimeout:
+                raise ExecutionError(
+                    f"rank {rank} step {i}: timed out waiting for blocks "
+                    f"{list(blocks)} from rank {peer}"
+                ) from None
+            except ChannelBroken as broken:
+                raise FaultError(
+                    f"rank {rank} step {i}: {broken.failure.describe()}",
+                    kind="retries_exhausted",
+                    rank=rank,
+                    step=i,
+                    peer=peer,
+                    seq=broken.failure.seq,
+                    retries=broken.failure.attempts,
+                ) from None
+            if mismatch is not None:
+                raise ExecutionError(
+                    f"rank {rank} step {i} expected blocks {mismatch[1]} "
+                    f"from rank {peer} but the in-flight message carries "
+                    f"{mismatch[0]}"
+                )
+            _apply_recv(buf, payload, ranges, total, reduce, op, rank, blocks)
+            pool.release(payload)
+        if progress is not None:
+            progress[rank] = raw_done[i]
+        if heartbeat is not None:
+            heartbeat(rank, time.monotonic(), step=i)
     return moved

@@ -131,53 +131,84 @@ def postcondition_errors(
     return errors
 
 
+#: One recorded dataflow violation: ``(code, rank, op text, message)``.
+Violation = Tuple[str, int, str, str]
+
+
 class _SymbolicModel:
-    """Contribution-set data model plugged into the generic runner."""
+    """Contribution-set data model plugged into the generic runner.
+
+    Records every violation in :attr:`violations` and keeps walking with
+    the least-surprising recovery (garbage stays garbage, overlapping
+    reductions union anyway), so one walk reaches the postcondition check
+    and reports every garbage send, reduce-into-garbage, double-count and
+    garbage copy.  :func:`verify` raises on the first record;
+    :func:`repro.check.dataflow.check_dataflow` wraps all of them as
+    findings.
+    """
 
     def __init__(self, schedule: Schedule) -> None:
         self.schedule = schedule
         self.state = initial_state(schedule)
+        self.violations: List[Violation] = []
 
     def snapshot(self, rank: int, op: SendOp) -> Tuple[Content, ...]:
         payload = tuple(self.state[rank][b] for b in op.blocks)
         for b, content in zip(op.blocks, payload):
             if content is None:
-                raise ValidationError(
-                    f"{self.schedule.describe()}: rank {rank} sends garbage "
-                    f"block {b} to rank {op.peer}"
-                )
+                self.violations.append((
+                    "dataflow-garbage-send",
+                    rank,
+                    f"send{list(op.blocks)}->{op.peer}",
+                    f"rank {rank} sends uninitialized (garbage) "
+                    f"block {b} to rank {op.peer}",
+                ))
         return payload
 
     def apply_recv(
         self, rank: int, op: RecvOp, payload: Tuple[Content, ...]
     ) -> None:
         for b, content in zip(op.blocks, payload):
-            if op.reduce:
-                local = self.state[rank][b]
-                if local is None:
-                    raise ValidationError(
-                        f"{self.schedule.describe()}: rank {rank} reduces "
-                        f"into garbage block {b}"
-                    )
-                assert content is not None  # snapshot() already checked
-                overlap = local & content
-                if overlap and not self.schedule.meta.get("idempotent_only"):
-                    raise ValidationError(
-                        f"{self.schedule.describe()}: rank {rank} block {b} "
-                        f"would double-count contributions {sorted(overlap)} "
-                        f"(local {sorted(local)} ∪ incoming {sorted(content)})"
-                    )
-                self.state[rank][b] = local | content
-            else:
+            if not op.reduce:
                 self.state[rank][b] = content
+                continue
+            local = self.state[rank][b]
+            if local is None:
+                self.violations.append((
+                    "dataflow-reduce-garbage",
+                    rank,
+                    f"recv+reduce{list(op.blocks)}<-{op.peer}",
+                    f"rank {rank} reduces an incoming message "
+                    f"into uninitialized (garbage) block {b}",
+                ))
+                self.state[rank][b] = content
+                continue
+            if content is None:
+                # Garbage payload was already reported at the sender.
+                continue
+            overlap = local & content
+            if overlap and not self.schedule.meta.get("idempotent_only"):
+                self.violations.append((
+                    "dataflow-double-count",
+                    rank,
+                    f"recv+reduce{list(op.blocks)}<-{op.peer}",
+                    f"rank {rank} block {b} double-counts "
+                    f"contributions {sorted(overlap)} (local "
+                    f"{sorted(local)} ∪ incoming {sorted(content)}) "
+                    f"— corrupts non-idempotent reductions (SUM)",
+                ))
+            self.state[rank][b] = local | content
 
     def apply_copy(self, rank: int, op: CopyOp) -> None:
         src = self.state[rank][op.src]
         if src is None:
-            raise ValidationError(
-                f"{self.schedule.describe()}: rank {rank} copies garbage "
-                f"block {op.src} to {op.dst}"
-            )
+            self.violations.append((
+                "dataflow-garbage-copy",
+                rank,
+                f"copy {op.src}->{op.dst}",
+                f"rank {rank} copies uninitialized (garbage) "
+                f"block {op.src} into block {op.dst}",
+            ))
         self.state[rank][op.dst] = src
 
 
@@ -199,6 +230,10 @@ def verify(schedule: Schedule) -> ValidationReport:
     """
     model = _SymbolicModel(schedule)
     result: RunResult = run_schedule(schedule, model)
+    if model.violations:
+        raise ValidationError(
+            f"{schedule.describe()}: {model.violations[0][3]}"
+        )
     errors = postcondition_errors(schedule, model.state)
     if errors:
         preview = "\n".join("  " + e for e in errors[:12])

@@ -213,7 +213,6 @@ def execute_with_recovery(
     timeout: float = 30.0,
     faults: Optional[FaultPlan] = None,
     cache: Optional[ScheduleCache] = None,
-    compiled: bool = True,
 ) -> RecoveryRun:
     """Run a collective end to end, healing injected failures.
 
@@ -224,10 +223,6 @@ def execute_with_recovery(
     what failed, what the group shrank to, and how long healing took;
     raises :class:`~repro.errors.RecoveryError` (report attached) when
     the policy gives up.
-
-    ``compiled`` selects compiled-table vs interpreted execution for
-    every round, including reruns on rebuilt (shrunk) schedules —
-    results and the healing trajectory are identical either way.
     """
     policy = normalize_policy(recovery)
     if policy is None:
@@ -303,12 +298,11 @@ def execute_with_recovery(
             )
             try:
                 if backend == "lockstep":
-                    execute_lockstep(schedule, buffers, op=op,
-                                     compiled=compiled)
+                    execute_lockstep(schedule, buffers, op=op)
                 else:
                     execute_threaded(
                         schedule, buffers, op=op, timeout=timeout,
-                        faults=plan, detector=detector, compiled=compiled,
+                        faults=plan, detector=detector,
                     )
             except PartialFailure as exc:
                 now = time.monotonic()

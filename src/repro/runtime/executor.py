@@ -1,8 +1,12 @@
 """Deterministic NumPy executor for collective schedules.
 
-Plugs a concrete array-moving data model into the generic matching engine
-(:mod:`repro.core.runner`), giving real data movement with nonblocking-send
-snapshot semantics.  The high-level entry point
+:func:`execute` runs a schedule's compiled tables under the cooperative
+lockstep loop (:func:`repro.compile.run_compiled_lockstep`), giving real
+data movement with nonblocking-send snapshot semantics.
+:class:`NumpyModel` plugs the same array semantics into the op-by-op
+reference interpreter (:func:`repro.core.runner.run_schedule`) — the
+oracle the differential suite compares every table walker against.  The
+high-level entry point
 :func:`run_collective` builds, executes, and checks a collective in one
 call — the quickest way to see an algorithm move actual bytes:
 
@@ -21,9 +25,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..compile import get_or_compile, run_compiled_lockstep
 from ..core.blocks import BlockMap
 from ..core.registry import build_schedule
-from ..core.runner import run_schedule
 from ..core.schedule import CopyOp, RecvOp, Schedule, SendOp
 from ..errors import ExecutionError
 from ..obs import Obs, get_obs
@@ -112,7 +116,6 @@ def execute(
     *,
     op: ReduceOp = SUM,
     block_map=None,
-    compiled: bool = True,
     obs: Optional[Obs] = None,
 ) -> List[np.ndarray]:
     """Execute ``schedule`` in place over per-rank ``buffers``.
@@ -125,12 +128,11 @@ def execute(
     (gatherv/scatterv) are exactly tree schedules under an uneven map.
     Returns the (mutated) buffer list.
 
-    With ``compiled=True`` (the default) the schedule is lowered to flat
-    per-rank tables (:mod:`repro.compile`, cached by fingerprint) and run
-    by the tight compiled loop; results are bit-identical to the
-    interpreter (pinned by the differential suite).  Pass
-    ``compiled=False`` to force the op-by-op interpreter — the escape
-    hatch when you suspect the compiler.
+    The schedule is lowered to flat per-rank tables (:mod:`repro.compile`,
+    cached by fingerprint) and run by the tight lockstep loop; results
+    are bit-identical to the reference interpreter
+    (``run_schedule(schedule, NumpyModel(...))``), pinned by the
+    differential suite.
     """
     if len(buffers) != schedule.nranks:
         raise ExecutionError(
@@ -155,37 +157,19 @@ def execute(
             f"hold {count}"
         )
     o = get_obs(obs)
-    if compiled:
-        from ..compile import get_or_compile, run_compiled_lockstep
-
-        bound = get_or_compile(schedule).bind(block_map)
-        if o.enabled:
-            with o.span(
-                "execute", schedule=schedule.describe(), backend="lockstep",
-                compiled=True,
-            ):
-                moved = run_compiled_lockstep(bound, buffers, op)
-            m = o.metrics
-            m.counter("repro_executor_runs_total", backend="lockstep").inc()
-            m.counter(
-                "repro_executor_elements_moved_total", backend="lockstep"
-            ).inc(moved)
-        else:
-            run_compiled_lockstep(bound, buffers, op)
-        return buffers
-    model = NumpyModel(block_map, buffers, op)
+    bound = get_or_compile(schedule).bind(block_map)
     if o.enabled:
         with o.span(
-            "execute", schedule=schedule.describe(), backend="lockstep"
+            "execute", schedule=schedule.describe(), backend="lockstep",
         ):
-            run_schedule(schedule, model)
+            moved = run_compiled_lockstep(bound, buffers, op)
         m = o.metrics
         m.counter("repro_executor_runs_total", backend="lockstep").inc()
         m.counter(
             "repro_executor_elements_moved_total", backend="lockstep"
-        ).inc(model.bytes_moved)
+        ).inc(moved)
     else:
-        run_schedule(schedule, model)
+        run_compiled_lockstep(bound, buffers, op)
     return buffers
 
 

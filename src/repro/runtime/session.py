@@ -24,10 +24,12 @@ tuned table changes every collective underneath the application — the
 paper's "one environment variable" user experience.
 
 Implementation notes: schedules are deterministic functions of
-``(collective, algorithm, p, k, root)``, so every rank builds its own copy
-independently — no coordination is needed beyond the message channels
-themselves (per-(src, dst) FIFO queues shared through the session).  Each
-rank walks only its own program; collective calls across ranks match up
+``(collective, algorithm, p, k, root)``; the session builds and compiles
+each one once and shares it, so no coordination is needed beyond the
+message channels themselves (per-(src, dst) FIFO queues shared through
+the session).  Each rank walks only its own compiled program — with
+:func:`repro.compile.run_compiled_rank`, the same body the threaded
+transport's rank threads run; collective calls across ranks match up
 because MPI semantics already require all ranks to issue collectives in
 the same order.
 """
@@ -40,9 +42,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..compile import (
+    CompiledSchedule,
+    StagingPool,
+    get_or_compile,
+    run_compiled_rank,
+)
 from ..core.blocks import BlockMap
 from ..core.registry import build_schedule, info
-from ..core.schedule import CopyOp, RecvOp, Schedule, SendOp
+from ..core.schedule import Schedule
 from ..errors import ExecutionError, FaultError, PartialFailure
 from ..faults.channel import (
     ChannelAborted,
@@ -57,6 +65,19 @@ from ..selection.table import SelectionTable
 from .ops import SUM, ReduceOp
 
 __all__ = ["Session", "Comm"]
+
+
+class _ChannelMap(dict):
+    """``(src, dst)`` → :class:`LossyChannel`, created on first use."""
+
+    def __init__(self, faults: Optional[FaultPlan]) -> None:
+        super().__init__()
+        self.faults = faults
+        self.lock = threading.Lock()
+
+    def __missing__(self, key: Tuple[int, int]) -> LossyChannel:
+        with self.lock:
+            return self.setdefault(key, LossyChannel(*key, self.faults))
 
 
 class _Shared:
@@ -82,9 +103,8 @@ class _Shared:
         # One collective-call counter per rank; each rank thread only ever
         # touches its own slot (crash/straggler faults index by call).
         self.call_counts = [0] * nranks
-        self._channels: Dict[Tuple[int, int], LossyChannel] = {}
-        self._channel_lock = threading.Lock()
-        self._schedules: Dict[Tuple, Schedule] = {}
+        self.channels = _ChannelMap(self.faults)
+        self._schedules: Dict[Tuple, Tuple[Schedule, CompiledSchedule]] = {}
         self._schedule_lock = threading.Lock()
         self.abort = threading.Event()
         # Rendezvous state for Comm.split: per (comm-id, call-index), the
@@ -112,31 +132,30 @@ class _Shared:
         barrier.wait(timeout=self.timeout)
         return table
 
-    def channel(self, src: int, dst: int) -> LossyChannel:
-        key = (src, dst)
-        ch = self._channels.get(key)
-        if ch is None:
-            with self._channel_lock:
-                ch = self._channels.setdefault(
-                    key, LossyChannel(src, dst, self.faults)
-                )
-        return ch
-
     def live_channels(self) -> List[LossyChannel]:
         """Monitor hook: snapshot of the channels created so far."""
-        with self._channel_lock:
-            return list(self._channels.values())
+        with self.channels.lock:
+            return list(self.channels.values())
 
-    def schedule(self, key: Tuple, build: Callable[[], Schedule]) -> Schedule:
-        """Schedules are deterministic, but sharing one copy across ranks
-        keeps memory flat for large sessions."""
-        sched = self._schedules.get(key)
-        if sched is None:
+    def schedule(
+        self, key: Tuple, build: Callable[[], Schedule]
+    ) -> Tuple[Schedule, CompiledSchedule]:
+        """The shared ``(schedule, compiled tables)`` pair for ``key``.
+
+        Built and compiled once per key, not per rank per call: sharing
+        keeps memory flat for large sessions, and the compiled cache is
+        addressed by ``Schedule.fingerprint()``, an O(ops) hash.
+        """
+        entry = self._schedules.get(key)
+        if entry is None:
             with self._schedule_lock:
-                sched = self._schedules.get(key)
-                if sched is None:
-                    sched = self._schedules[key] = build()
-        return sched
+                entry = self._schedules.get(key)
+                if entry is None:
+                    sched = build()
+                    entry = self._schedules[key] = (
+                        sched, get_or_compile(sched)
+                    )
+        return entry
 
 
 class Comm:
@@ -389,12 +408,12 @@ class Comm:
             assert total is not None
             for dst in self._members:
                 if dst != root_g:
-                    shared.channel(root_g, dst).send(
+                    shared.channels[(root_g, dst)].send(
                         np.array([total], dtype=np.int64)
                     )
             return total
         try:
-            msg = shared.channel(root_g, self.global_rank).recv(
+            msg = shared.channels[(root_g, self.global_rank)].recv(
                 shared.timeout, abort=shared.abort
             )
         except ChannelTimeout:
@@ -463,68 +482,20 @@ class Comm:
                 sched = remap_ranks(sched, members, shared.nranks)
             return sched
 
-        sched = shared.schedule(key, build)
-        self._execute_rank_program(sched, buf, op, block_map=block_map)
-        return buf
-
-    def _execute_rank_program(self, sched: Schedule, buf: np.ndarray,
-                              op: ReduceOp, *, block_map=None) -> None:
-        """Walk this rank's program against the session channels."""
-        shared = self._shared
-        blocks = block_map if block_map is not None else sched.block_map(
-            len(buf)
+        sched, compiled = shared.schedule(key, build)
+        bound = compiled.bind(
+            block_map if block_map is not None
+            else sched.block_map(len(buf))
         )
-        rank = self.global_rank
-        for step_idx, step in enumerate(sched.programs[rank].steps):
-            if shared.abort.is_set():
-                raise ExecutionError("session aborted by another rank")
-            for sop in step.ops:
-                if isinstance(sop, SendOp):
-                    payload = np.concatenate(
-                        [buf[slice(*blocks.range_of(b))] for b in sop.blocks]
-                    )
-                    shared.channel(rank, sop.peer).send(payload)
-                elif isinstance(sop, CopyOp):
-                    s0, s1 = blocks.range_of(sop.src)
-                    d0, d1 = blocks.range_of(sop.dst)
-                    buf[d0:d1] = buf[s0:s1]
-            for sop in step.ops:
-                if isinstance(sop, RecvOp):
-                    try:
-                        payload = shared.channel(sop.peer, rank).recv(
-                            shared.timeout, abort=shared.abort
-                        )
-                    except ChannelTimeout:
-                        shared.abort.set()
-                        raise ExecutionError(
-                            f"{sched.describe()}: rank {rank} step "
-                            f"{step_idx} timed out waiting on rank "
-                            f"{sop.peer}"
-                        ) from None
-                    except ChannelAborted:
-                        raise ExecutionError(
-                            "session aborted by another rank"
-                        ) from None
-                    except ChannelBroken as broken:
-                        raise FaultError(
-                            f"{sched.describe()}: rank {rank} step "
-                            f"{step_idx}: {broken.failure.describe()}",
-                            kind="retries_exhausted",
-                            rank=rank,
-                            step=step_idx,
-                            peer=sop.peer,
-                            seq=broken.failure.seq,
-                            retries=broken.failure.attempts,
-                        ) from None
-                    pos = 0
-                    for b in sop.blocks:
-                        start, stop = blocks.range_of(b)
-                        chunk = payload[pos : pos + (stop - start)]
-                        if sop.reduce:
-                            op.apply(buf[start:stop], chunk)
-                        else:
-                            buf[start:stop] = chunk
-                        pos += stop - start
+        # Session channels may be lossy, so payloads are never recycled.
+        done = run_compiled_rank(
+            self.global_rank, bound.raw_steps[self.global_rank], buf, op,
+            shared.channels, StagingPool((), buf.dtype),
+            shared.timeout, shared.abort,
+        )
+        if done is None:
+            raise ExecutionError("session aborted by another rank")
+        return buf
 
 
 class Session:

@@ -26,17 +26,17 @@ Python's GIL serializes the NumPy work, but that is irrelevant for what
 this transport is for: exercising the *ordering* semantics of schedules
 under real asynchrony.  (Timing fidelity is the simulator's job.)
 
-Compiled execution (``compiled=True``, the default) runs the same rank
-workers over preresolved :class:`~repro.compile.program.BoundSchedule`
-action tuples instead of interpreting the IR per op.  On the fault-free,
-detector-free path the transport additionally uses fused step boundaries,
-lean counter-only channels, a persistent worker-thread pool (thread spawn
-costs ~20× a pool dispatch here), and recycled staging buffers — the
-levers behind the interpreter-vs-compiled perf gate.  Under a fault plan
-or a detector it keeps the *raw* step boundaries and the full lossy
-channel machinery, so crash step indexing, heartbeats, retry budgets, and
-abort semantics are untouched; results are bit-identical either way
-(pinned by the differential suite).
+Every rank thread runs the same body — :func:`repro.compile.
+run_compiled_rank` over the schedule's preresolved
+:class:`~repro.compile.program.BoundSchedule` action tuples — and the
+transport only chooses the *data* it walks.  Fault-free and detector-free:
+fused step boundaries, lean counter-only channels and recycled staging
+buffers.  Under a fault plan or a detector: the *raw* step boundaries
+(crash step indexing, heartbeats), the full lossy channel machinery and
+fresh payload arrays.  Rank bodies are dispatched to a persistent
+worker-thread pool when possible (thread spawn costs ~20× a pool
+dispatch here).  Results are bit-identical to the reference interpreter
+either way (pinned by the differential suite).
 """
 
 from __future__ import annotations
@@ -50,21 +50,18 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..compile.runner import _apply_recv as _fast_apply
-from ..compile.runner import _gather
-from ..core.schedule import CopyOp, RecvOp, Schedule, SendOp
+from ..compile import StagingPool, get_or_compile, run_compiled_rank
+from ..core.schedule import Schedule
 from ..errors import ExecutionError, FaultError, PartialFailure
 from ..faults.channel import (
     POLL_SLICE,
     ChannelAborted,
-    ChannelBroken,
     ChannelMonitor,
     ChannelTimeout,
     LossyChannel,
 )
 from ..faults.plan import FaultPlan
 from ..obs import OBS
-from .executor import NumpyModel
 from .ops import SUM, ReduceOp
 
 __all__ = [
@@ -81,16 +78,20 @@ class _RankFailure:
 
 
 class _FastChannel:
-    """Minimal FIFO channel for the fault-free compiled path.
+    """Minimal FIFO channel for the fault-free path.
 
     A :class:`queue.SimpleQueue` plus sent/received counters (each has a
     single writer: the one producer rank, the one consumer rank).  The
     blocking receive wakes the instant a payload arrives; the poll slices
     only bound how fast an abort elsewhere in the job unblocks this rank
-    — the same responsiveness contract as the lossy channel.
+    — the same ``send`` / ``recv`` / ``undelivered`` / ``failure``
+    contract as the lossy channel, minus the loss.
     """
 
     __slots__ = ("_q", "sent", "received")
+
+    #: A reliable channel never exhausts a retry budget.
+    failure = None
 
     def __init__(self) -> None:
         self._q: "queue.SimpleQueue" = queue.SimpleQueue()
@@ -105,7 +106,8 @@ class _FastChannel:
     def recv(self, timeout: float, abort: threading.Event):
         """Next payload in FIFO order.
 
-        Returns ``None`` when the run aborted while waiting; raises
+        Raises :class:`~repro.faults.channel.ChannelAborted` when the run
+        aborted while waiting and
         :class:`~repro.faults.channel.ChannelTimeout` after ``timeout``
         seconds with no message (a deadlocked schedule).
         """
@@ -119,7 +121,7 @@ class _FastChannel:
                     break
                 except queue.Empty:
                     if abort.is_set():
-                        return None
+                        raise ChannelAborted() from None
                     if time.monotonic() >= deadline:
                         raise ChannelTimeout() from None
         self.received += 1
@@ -131,12 +133,12 @@ class _FastChannel:
 
 
 class _WorkerPool:
-    """Persistent daemon rank-workers, reused across compiled runs.
+    """Persistent daemon rank-workers, reused across runs.
 
     Spawning a thread costs ~0.4–0.7 ms on this interpreter; dispatching
     to a parked pool worker ~0.03 ms.  Small-message collectives finish
     in well under a millisecond of actual work, so the pool is the single
-    biggest lever behind the compiled threaded speedup.  Tasks are
+    biggest lever on small-message threaded latency.  Tasks are
     self-catching closures (the transport records failures itself); the
     pool only signals completion.  A pool that misses its deadline is
     marked dead and abandoned — its parked threads are daemons — and the
@@ -238,14 +240,10 @@ class ThreadedTransport:
         it as it completes a step, and structured faults are confirmed on
         it before the transport raises — so a recovery loop wrapping this
         transport sees suspicion state, not just the final exception.
-    compiled:
-        Run the compiled program tables (:mod:`repro.compile`) instead of
-        interpreting the IR per op (default ``True``; bit-identical, see
-        the module docstring).  ``False`` is the escape hatch.
 
     The transport also tracks ``progress`` — per-rank completed-step
-    counts in the *schedule's* (raw) step numbering, whichever execution
-    mode ran — which is the completion state recovery resumes from.
+    counts in the *schedule's* (raw) step numbering, whichever step
+    boundaries ran — which is the completion state recovery resumes from.
     """
 
     def __init__(
@@ -255,26 +253,19 @@ class ThreadedTransport:
         timeout: float = 30.0,
         faults: Optional[FaultPlan] = None,
         detector=None,
-        compiled: bool = True,
     ) -> None:
         self.schedule = schedule
         self.timeout = timeout
         self.faults = faults if faults is not None and faults.is_active else None
         self.detector = detector
-        self.compiled = compiled
         self.progress: List[int] = [0] * schedule.nranks
-        self._channels: Dict[Tuple[int, int], LossyChannel] = {}
-        self._fast_channels: Dict[Tuple[int, int], _FastChannel] = {}
+        # Created up front in run(), so rank workers only ever read it.
+        self._channels: Dict[Tuple[int, int], object] = {}
         self._failures: List[_RankFailure] = []
         self._aborted_ranks: List[int] = []
         self._failure_lock = threading.Lock()
         self._abort = threading.Event()
         self._moved: List[int] = [0] * schedule.nranks
-
-    def _channel(self, src: int, dst: int) -> LossyChannel:
-        # Channels are created up front in run(), so worker threads only
-        # ever read this dict — no lock needed on the hot path.
-        return self._channels[(src, dst)]
 
     def run(
         self, buffers: List[np.ndarray], *, op: ReduceOp = SUM
@@ -285,136 +276,49 @@ class ThreadedTransport:
             raise ExecutionError(
                 f"need {sched.nranks} buffers, got {len(buffers)}"
             )
-        count = len(buffers[0])
-        blocks = sched.block_map(count)
-        if self.compiled:
-            from ..compile import get_or_compile
-
-            bound = get_or_compile(sched).bind(blocks)
-            if self.faults is None and self.detector is None:
-                return self._run_fast(bound, buffers, op)
-            return self._run_channels(buffers, op, blocks, bound=bound)
-        return self._run_channels(buffers, op, blocks, bound=None)
-
-    def _run_channels(
-        self,
-        buffers: List[np.ndarray],
-        op: ReduceOp,
-        blocks,
-        *,
-        bound,
-    ) -> List[np.ndarray]:
-        """Full lossy-channel execution (interpreted or compiled tables).
-
-        With ``bound`` the workers walk the compiled raw-step action
-        tuples; without it they interpret the IR.  Everything else —
-        channel creation, fault monitor, failure collection, detector
-        integration — is shared, so the fault surface cannot drift
-        between the two modes.
-        """
-        sched = self.schedule
-        model = NumpyModel(blocks, buffers, op)
-
-        # Pre-create every channel the schedule uses.
-        for prog in sched.programs:
-            for _, sop in prog.iter_ops():
-                if isinstance(sop, SendOp):
-                    self._channels.setdefault(
-                        (prog.rank, sop.peer),
-                        LossyChannel(prog.rank, sop.peer, self.faults),
-                    )
+        bound = get_or_compile(sched).bind(sched.block_map(len(buffers[0])))
+        faults = self.faults
+        dtype = buffers[0].dtype
+        reliable = faults is None and self.detector is None
+        if reliable:
+            # Every payload has exactly one consumer, so channels need no
+            # loss/ack/retry machinery and staging buffers are recycled.
+            steps, raw_done = bound.steps, bound.fused_raw
+            pool = bound.staging_pool(dtype)
+        else:
+            # Crash steps and heartbeats index the schedule's own steps,
+            # and a lossy channel's duplicate aliases the payload object,
+            # so payloads stay immortal: a pool with no sizes recycles
+            # nothing.
+            steps = bound.raw_steps
+            raw_done = [range(1, len(s) + 1) for s in steps]
+            pool = StagingPool((), dtype)
+        for rank, rank_steps in enumerate(steps):
+            for sends, _, _ in rank_steps:
+                for peer, _, _ in sends:
+                    if (rank, peer) not in self._channels:
+                        self._channels[(rank, peer)] = (
+                            _FastChannel() if reliable
+                            else LossyChannel(rank, peer, faults)
+                        )
 
         monitor: Optional[ChannelMonitor] = None
-        if self.faults is not None and self.faults.has_loss:
+        if faults is not None and faults.has_loss:
             monitor = ChannelMonitor(
                 list(self._channels.values()),
                 on_failure=lambda failure: self._abort.set(),
             )
             monitor.start()
 
-        if bound is not None:
-            workers = [
-                (lambda rank=rank: self._compiled_worker(
-                    rank, bound, buffers, op, model
-                ))
-                for rank in range(sched.nranks)
-            ]
-        else:
-            workers = [
-                (lambda rank=rank: self._worker(rank, model))
-                for rank in range(sched.nranks)
-            ]
-        threads = [
-            threading.Thread(
-                target=workers[rank],
-                name=f"repro-rank-{rank}",
-                daemon=True,
-            )
-            for rank in range(sched.nranks)
-        ]
-        span = (
-            OBS.span(
-                "execute", schedule=sched.describe(), backend="threaded",
-                compiled=bound is not None,
-            )
-            if OBS.enabled
-            else None
-        )
-        if span is not None:
-            span.__enter__()
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=self.timeout + 5.0)
-                if t.is_alive():
-                    self._abort.set()
-                    raise ExecutionError(
-                        f"{sched.describe()}: thread {t.name} failed to finish"
-                    )
-        finally:
-            if monitor is not None:
-                monitor.stop()
-            if span is not None:
-                span.__exit__(None, None, None)
-        moved = model.bytes_moved if bound is None else sum(self._moved)
-        if OBS.enabled:
-            m = OBS.metrics
-            m.counter("repro_executor_runs_total", backend="threaded").inc()
-            m.counter(
-                "repro_executor_elements_moved_total", backend="threaded"
-            ).inc(moved)
-        self._raise_failures()
-        return buffers
-
-    def _run_fast(
-        self, bound, buffers: List[np.ndarray], op: ReduceOp
-    ) -> List[np.ndarray]:
-        """Fault-free compiled execution: fused steps, pool, staging.
-
-        Only reachable with no fault plan and no detector, so channels
-        need no loss/ack/retry machinery and staging buffers can be
-        recycled (a lossy channel's duplicate would alias a recycled
-        payload; here every payload has exactly one consumer).
-        """
-        sched = self.schedule
-        for rank, rank_steps in enumerate(bound.steps):
-            for sends, _, _ in rank_steps:
-                for peer, _, _ in sends:
-                    self._fast_channels.setdefault(
-                        (rank, peer), _FastChannel()
-                    )
-        pool_bufs = bound.staging_pool(buffers[0].dtype)
         workers = [
-            (lambda rank=rank: self._fast_worker(
-                rank, bound, buffers, op, pool_bufs
+            (lambda rank=rank: self._worker(
+                rank, steps[rank], raw_done[rank], buffers[rank], op, pool
             ))
             for rank in range(sched.nranks)
         ]
         span = (
             OBS.span(
                 "execute", schedule=sched.describe(), backend="threaded",
-                compiled=True,
             )
             if OBS.enabled
             else None
@@ -422,14 +326,14 @@ class ThreadedTransport:
         if span is not None:
             span.__enter__()
         try:
-            finished = self._dispatch_fast(workers)
-            if not finished:
+            if not self._dispatch(workers):
                 self._abort.set()
                 raise ExecutionError(
-                    f"{sched.describe()}: compiled worker(s) failed to "
-                    f"finish"
+                    f"{sched.describe()}: rank worker(s) failed to finish"
                 )
         finally:
+            if monitor is not None:
+                monitor.stop()
             if span is not None:
                 span.__exit__(None, None, None)
         if OBS.enabled:
@@ -441,7 +345,7 @@ class ThreadedTransport:
         self._raise_failures()
         return buffers
 
-    def _dispatch_fast(self, workers) -> bool:
+    def _dispatch(self, workers) -> bool:
         """Run rank workers via the persistent pool (or fresh threads).
 
         The pool is only used from the main thread with the pool lock
@@ -542,236 +446,47 @@ class ThreadedTransport:
                 f"{sched.describe()}: rank {first.rank} failed: {first.error}"
             ) from first.error
 
-    def _worker(self, rank: int, model: NumpyModel) -> None:
+    def _worker(
+        self, rank: int, steps, raw_done, buf: np.ndarray, op: ReduceOp,
+        pool: StagingPool,
+    ) -> None:
+        """One rank: walk its steps, record how it ended."""
         faults = self.faults
-        crash_at = faults.crash_step(rank) if faults is not None else None
-        straggle = 0.0
+        crash_at = straggle = None
         if faults is not None:
-            straggle = faults.straggler_step_delay * (
+            crash_at = faults.crash_step(rank)
+            delay = faults.straggler_step_delay * (
                 faults.straggler_factor(rank) - 1.0
             )
+            if delay > 0.0:
+                straggle = delay
         try:
-            for step_idx, step in enumerate(self.schedule.programs[rank].steps):
-                if self._abort.is_set():
-                    with self._failure_lock:
-                        self._aborted_ranks.append(rank)
-                    return
-                if crash_at is not None and step_idx == crash_at:
-                    raise FaultError(
-                        f"rank {rank} crashed before step {step_idx} "
-                        f"(injected)",
-                        kind="crash",
-                        rank=rank,
-                        step=step_idx,
-                    )
-                if straggle > 0.0:
-                    time.sleep(straggle)
-                # Post phase: snapshot + enqueue all sends, apply copies.
-                for sop in step.ops:
-                    if isinstance(sop, SendOp):
-                        self._channel(rank, sop.peer).send(
-                            model.snapshot(rank, sop)
-                        )
-                for sop in step.ops:
-                    if isinstance(sop, CopyOp):
-                        model.apply_copy(rank, sop)
-                # Wait phase: drain receives in op order (FIFO per channel).
-                for sop in step.ops:
-                    if isinstance(sop, RecvOp):
-                        payload = self._recv(
-                            rank, step_idx, sop.peer, sop.blocks
-                        )
-                        if payload is None:
-                            return  # aborted: primary failure is elsewhere
-                        model.apply_recv(rank, sop, payload)
-                self.progress[rank] = step_idx + 1
-                if self.detector is not None:
-                    self.detector.heartbeat(
-                        rank, time.monotonic(), step=step_idx
-                    )
-        except BaseException as exc:  # propagate to run()
-            with self._failure_lock:
-                self._failures.append(_RankFailure(rank=rank, error=exc))
-            self._abort.set()
-
-    def _compiled_worker(
-        self, rank: int, bound, buffers: List[np.ndarray], op: ReduceOp,
-        model: NumpyModel,
-    ) -> None:
-        """One rank over compiled *raw*-step tuples with lossy channels.
-
-        The compiled twin of :meth:`_worker`: identical step indexing
-        (crash injection, progress, heartbeats), identical channel and
-        failure machinery, but the per-op work walks preresolved action
-        tuples.  Payloads are always fresh arrays here — a lossy
-        channel's duplicate delivery aliases the payload object, so
-        staging recycling is illegal under faults.
-        """
-        faults = self.faults
-        crash_at = faults.crash_step(rank) if faults is not None else None
-        straggle = 0.0
-        if faults is not None:
-            straggle = faults.straggler_step_delay * (
-                faults.straggler_factor(rank) - 1.0
+            moved = run_compiled_rank(
+                rank, steps, buf, op, self._channels, pool,
+                self.timeout, self._abort,
+                progress=self.progress,
+                raw_done=raw_done,
+                crash_at=crash_at,
+                straggle=straggle,
+                heartbeat=(
+                    self.detector.heartbeat
+                    if self.detector is not None else None
+                ),
             )
-        buf = buffers[rank]
-        try:
-            for step_idx, (sends, copies, recvs) in enumerate(
-                bound.raw_steps[rank]
-            ):
-                if self._abort.is_set():
-                    with self._failure_lock:
-                        self._aborted_ranks.append(rank)
-                    return
-                if crash_at is not None and step_idx == crash_at:
-                    raise FaultError(
-                        f"rank {rank} crashed before step {step_idx} "
-                        f"(injected)",
-                        kind="crash",
-                        rank=rank,
-                        step=step_idx,
-                    )
-                if straggle > 0.0:
-                    time.sleep(straggle)
-                for peer, ranges, total in sends:
-                    self._channel(rank, peer).send(
-                        _gather(buf, ranges, total)
-                    )
-                    self._moved[rank] += total
-                for s0, s1, d0, d1 in copies:
-                    buf[d0:d1] = buf[s0:s1]
-                for peer, reduce, ranges, total, blocks, mismatch in recvs:
-                    payload = self._recv(rank, step_idx, peer, blocks)
-                    if payload is None:
-                        return  # aborted: primary failure is elsewhere
-                    _fast_apply(
-                        buf, payload, ranges, total, reduce, op, rank, blocks
-                    )
-                self.progress[rank] = step_idx + 1
-                if self.detector is not None:
-                    self.detector.heartbeat(
-                        rank, time.monotonic(), step=step_idx
-                    )
         except BaseException as exc:  # propagate to run()
             with self._failure_lock:
                 self._failures.append(_RankFailure(rank=rank, error=exc))
             self._abort.set()
-
-    def _fast_worker(
-        self, rank: int, bound, buffers: List[np.ndarray], op: ReduceOp,
-        pool_bufs,
-    ) -> None:
-        """One rank over compiled *fused*-step tuples, recycling staging.
-
-        The hot loop: counter-only channels, payload buffers acquired
-        from (and, once fully consumed, released back to) the shared
-        :class:`~repro.compile.program.StagingPool`.  Progress is
-        reported in raw-step numbering via the bound fused→raw map.
-        """
-        steps = bound.steps[rank]
-        fused_raw = bound.fused_raw[rank]
-        buf = buffers[rank]
-        channels = self._fast_channels
-        timeout = self.timeout
-        abort = self._abort
-        try:
-            for step_idx, (sends, copies, recvs) in enumerate(steps):
-                if abort.is_set():
-                    with self._failure_lock:
-                        self._aborted_ranks.append(rank)
-                    return
-                for peer, ranges, total in sends:
-                    payload = pool_bufs.acquire(total)
-                    pos = 0
-                    for a, b in ranges:
-                        n = b - a
-                        payload[pos:pos + n] = buf[a:b]
-                        pos += n
-                    channels[(rank, peer)].send(payload)
-                    self._moved[rank] += total
-                for s0, s1, d0, d1 in copies:
-                    buf[d0:d1] = buf[s0:s1]
-                for peer, reduce, ranges, total, blocks, mismatch in recvs:
-                    ch = channels.get((peer, rank))
-                    if ch is None:
-                        raise ExecutionError(
-                            f"rank {rank} step {step_idx}: no channel "
-                            f"{peer}->{rank} exists (receive with "
-                            f"no matching send)"
-                        )
-                    try:
-                        payload = ch.recv(timeout, abort)
-                    except ChannelTimeout:
-                        raise ExecutionError(
-                            f"rank {rank} step {step_idx}: timed out "
-                            f"waiting for blocks {list(blocks)} "
-                            f"from rank {peer}"
-                        ) from None
-                    if payload is None:
-                        with self._failure_lock:
-                            self._aborted_ranks.append(rank)
-                        return
-                    if mismatch is not None:
-                        raise ExecutionError(
-                            f"{bound.describe_str}: rank {rank} step "
-                            f"{step_idx} expected blocks {mismatch[1]} "
-                            f"from rank {peer} but the in-flight message "
-                            f"carries {mismatch[0]}"
-                        )
-                    _fast_apply(buf, payload, ranges, total, reduce, op,
-                                rank, blocks)
-                    pool_bufs.release(payload)
-                self.progress[rank] = fused_raw[step_idx]
-        except BaseException as exc:  # propagate to run()
-            with self._failure_lock:
-                self._failures.append(_RankFailure(rank=rank, error=exc))
-            self._abort.set()
-
-    def _recv(self, rank: int, step_idx: int, peer: int, blocks):
-        """One receive with sliced polling and structured failure modes.
-
-        Returns the payload, or ``None`` when the run was aborted by a
-        failure on another rank (the worker then exits quietly — the
-        primary diagnosis is already recorded).  ``blocks`` is only for
-        diagnostics, so the interpreted and compiled workers share this
-        path verbatim.
-        """
-        try:
-            channel = self._channel(peer, rank)
-        except KeyError:
-            raise ExecutionError(
-                f"rank {rank} step {step_idx}: no channel "
-                f"{peer}->{rank} exists (receive with "
-                f"no matching send)"
-            ) from None
-        try:
-            return channel.recv(self.timeout, abort=self._abort)
-        except ChannelTimeout:
-            raise ExecutionError(
-                f"rank {rank} step {step_idx}: timed out "
-                f"waiting for blocks {list(blocks)} "
-                f"from rank {peer}"
-            ) from None
-        except ChannelBroken as broken:
-            raise FaultError(
-                f"rank {rank} step {step_idx}: {broken.failure.describe()}",
-                kind="retries_exhausted",
-                rank=rank,
-                step=step_idx,
-                peer=peer,
-                seq=broken.failure.seq,
-                retries=broken.failure.attempts,
-            ) from None
-        except ChannelAborted:
+            return
+        if moved is None:  # aborted: the primary failure is elsewhere
             with self._failure_lock:
                 self._aborted_ranks.append(rank)
-            return None
+        else:
+            self._moved[rank] = moved
 
     def leftover_messages(self) -> int:
         """Messages sent but never received (0 for a matched schedule)."""
-        return sum(ch.undelivered() for ch in self._channels.values()) + sum(
-            ch.undelivered() for ch in self._fast_channels.values()
-        )
+        return sum(ch.undelivered() for ch in self._channels.values())
 
 
 def execute_threaded(
@@ -782,15 +497,11 @@ def execute_threaded(
     timeout: float = 30.0,
     faults: Optional[FaultPlan] = None,
     detector=None,
-    compiled: bool = True,
 ) -> List[np.ndarray]:
     """Convenience wrapper: run ``schedule`` on a fresh threaded transport
-    and verify no messages were left unconsumed.  ``compiled=False``
-    forces op-by-op IR interpretation (see
-    :class:`ThreadedTransport`)."""
+    and verify no messages were left unconsumed."""
     transport = ThreadedTransport(
         schedule, timeout=timeout, faults=faults, detector=detector,
-        compiled=compiled,
     )
     transport.run(buffers, op=op)
     leftovers = transport.leftover_messages()
@@ -815,7 +526,6 @@ def run_collective_threaded(
     timeout: float = 30.0,
     faults: Optional[FaultPlan] = None,
     check: bool = True,
-    compiled: bool = True,
 ) -> List[np.ndarray]:
     """End-to-end: build a schedule, run it over real threads on random
     data, and check the result against the NumPy reference.
@@ -840,7 +550,6 @@ def run_collective_threaded(
     buffers = initial_buffers(schedule, inputs, count)
     execute_threaded(
         schedule, buffers, op=op, timeout=timeout, faults=faults,
-        compiled=compiled,
     )
     if check:
         expected = reference_result(collective, inputs, count, op=op,

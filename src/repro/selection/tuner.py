@@ -157,7 +157,6 @@ def sweep_collective(
     skip: Sequence[str] = ("linear",),
     jobs: int = 0,
     check: bool = False,
-    compiled: bool = True,
     engine: str = "auto",
     priors: Optional[Mapping[Tuple, float]] = None,
 ) -> SweepResult:
@@ -177,13 +176,11 @@ def sweep_collective(
     refuses to tune over one with error findings — a table must never
     recommend a schedule that deadlocks or corrupts data.  Reports
     memoize by fingerprint, so the pre-pass costs each schedule once.
-    ``compiled=False`` forces op-by-op IR interpretation in the
-    simulator; the times — and therefore the winners — are bit-identical
-    either way (see :mod:`repro.compile`).  ``engine`` selects the
-    simulation core per point (:data:`~repro.simnet.simulate.ENGINES`) —
-    also result-transparent, so tables tuned under ``"collapsed"`` match
-    tables tuned under ``"materialized"`` bit for bit.  ``machine`` may
-    be a registry name (:func:`repro.simnet.machines.get`).
+    ``engine`` selects the simulation core per point
+    (:data:`~repro.simnet.simulate.ENGINES`) — result-transparent, so
+    tables tuned under ``"collapsed"`` match tables tuned under
+    ``"materialized"`` bit for bit.  ``machine`` may be a registry name
+    (:func:`repro.simnet.machines.get`).
     ``priors`` warm-starts the sweep from recorded timings — a mapping
     from ``(collective, algorithm, k, root, nbytes)`` to seconds, as
     exported by
@@ -236,7 +233,7 @@ def sweep_collective(
     missing = [pt for i, pt in enumerate(points) if i not in known]
     if missing:
         results = run_sweep(missing, machine, jobs=jobs, noise=noise,
-                            faults=faults, compiled=compiled, engine=engine)
+                            faults=faults, engine=engine)
         errors = sweep_errors(results)
         if errors:
             raise SelectionError(
@@ -322,7 +319,6 @@ def tune(
     name: Optional[str] = None,
     jobs: int = 0,
     check: bool = False,
-    compiled: bool = True,
     engine: str = "auto",
     priors: Optional[Mapping[Tuple, float]] = None,
 ) -> SelectionTable:
@@ -339,12 +335,10 @@ def tune(
     argmin per size — and therefore the emitted table — cannot change.
     ``check=True`` gates every candidate schedule through the static
     analysis suite first (see :func:`sweep_collective`).
-    ``compiled=False`` (the CLI's ``--no-compile``) disables the
-    compiled simulator feed; emitted tables are identical regardless.
-    So is ``engine`` (the CLI's ``--engine``): the collapsed core is
-    bit-identical where eligible and falls back where not, so it can
-    only change tuning wall-clock, never a winner.  And so is
-    ``priors`` (see :func:`sweep_collective`): points covered by a
+    Tables are identical under any ``engine`` (the CLI's ``--engine``)
+    too: the collapsed core is bit-identical where eligible and falls
+    back where not, so it can only change tuning wall-clock, never a
+    winner.  And so are they under ``priors`` (see :func:`sweep_collective`): points covered by a
     recorded timing artifact are served from it instead of
     re-simulated, which is the tuning service's warm start — an
     exported selection config round-trips into a bit-identical table
@@ -360,7 +354,7 @@ def tune(
     for collective in collectives:
         sweeps[collective] = sweep_collective(
             collective, machine, sorted_sizes, noise=noise, faults=faults,
-            jobs=jobs, check=check, compiled=compiled, engine=engine,
+            jobs=jobs, check=check, engine=engine,
             priors=priors,
         )
     return table_from_sweeps(

@@ -125,7 +125,6 @@ class TuningService:
         grid=None,
         jobs: int = 0,
         engine: str = "auto",
-        compiled: bool = True,
         check: bool = False,
         obs: Optional[Obs] = None,
         fsync: bool = False,
@@ -139,7 +138,6 @@ class TuningService:
         self.collectives: Tuple[str, ...] = tuple(collectives)
         self.jobs = jobs
         self.engine = engine
-        self.compiled = compiled
         self.check = check
         self.obs = get_obs(obs)
         self.store_root = str(store) if store is not None else None
@@ -168,7 +166,7 @@ class TuningService:
             self._sweeps[collective] = sweep_collective(
                 collective, self.machine, self.sizes,
                 jobs=self.jobs, check=self.check,
-                compiled=self.compiled, engine=self.engine, priors=priors,
+                engine=self.engine, priors=priors,
             )
         self._rebuild()
         self.sweeps_run = 0
@@ -374,7 +372,7 @@ class TuningService:
             return sweep_collective(
                 collective, self.machine, self.sizes,
                 jobs=self.jobs, check=self.check,
-                compiled=self.compiled, engine=self.engine,
+                engine=self.engine,
             )
 
     # ------------------------------------------------------------------

@@ -282,7 +282,6 @@ def build_config(
     collectives: Sequence[str] = DEFAULT_COLLECTIVES,
     jobs: int = 0,
     check: bool = False,
-    compiled: bool = True,
     engine: str = "auto",
     priors: Optional[Mapping[PriorKey, float]] = None,
     name: Optional[str] = None,
@@ -305,7 +304,7 @@ def build_config(
     for collective in collectives:
         sweeps[collective] = sweep_collective(
             collective, machine, sorted_sizes,
-            jobs=jobs, check=check, compiled=compiled, engine=engine,
+            jobs=jobs, check=check, engine=engine,
             priors=priors,
         )
     return config_from_sweeps(machine, sorted_sizes, sweeps, name=name)

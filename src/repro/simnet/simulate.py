@@ -33,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..core.schedule import CopyOp, RecvOp, Schedule, SendOp
+from ..core.schedule import Schedule, SendOp
 from ..errors import ClassAnalysisError, MachineError
 from ..faults.plan import FaultPlan
 from ..obs import Obs, get_obs
@@ -123,14 +123,12 @@ def _collapse_blockers(
     faults,
     collect_timeline: bool,
     block_map,
-    compiled: bool,
 ) -> Optional[str]:
     """Why this run cannot use the collapsed engine, or ``None``.
 
     Any per-rank asymmetry breaks the class-equivalence argument: noise
     draws per-message factors, fault plans target individual ranks/links,
-    timelines and custom block maps need per-rank identity, and an
-    interpreted (``compiled=False``) run has no flat tables to classify.
+    and timelines and custom block maps need per-rank identity.
     Nonzero roots are rejected by policy — a rooted collective at
     ``root=r`` is isomorphic to ``root=0``, so rather than special-case
     the relabeling the dispatcher routes it to the materialized engine.
@@ -143,8 +141,6 @@ def _collapse_blockers(
         return "timeline collection requested"
     if block_map is not None:
         return "custom block map"
-    if not compiled:
-        return "interpreted feed requested (compiled=False)"
     root = getattr(schedule, "root", None)
     if root not in (None, 0):
         return f"nonzero root {root}"
@@ -162,7 +158,6 @@ def simulate(
     faults: Optional[FaultPlan] = None,
     collect_timeline: bool = False,
     block_map=None,
-    compiled: bool = True,
     engine: str = "auto",
     obs: Optional[Obs] = None,
 ) -> SimResult:
@@ -191,13 +186,13 @@ def simulate(
     host-side Perfetto trace.  Instrumentation never changes a simulated
     cost (pinned by ``tests/properties/test_obs_transparency.py``).
 
-    ``compiled=True`` (the default) feeds the rank processes from the
-    cached compiled program's preflattened ``(is_send, peer)`` step feed
-    (:meth:`repro.compile.program.CompiledSchedule.sim_feed`) instead of
-    re-interpreting the IR per simulated op.  The walk is identical by
-    construction — raw step boundaries, same op order, copies free either
-    way — so every cost, timeline entry, and fault fate is bit-identical
-    (pinned by the differential suite and the golden-cost corpus).
+    The rank processes are fed from the cached compiled program's
+    preflattened ``(is_send, peer)`` step feed
+    (:meth:`repro.compile.program.CompiledSchedule.sim_feed`): raw step
+    boundaries, IR op order, copies dropped (modeled as free — an
+    intra-GPU memcpy is off the critical path at collective
+    granularity).  The differential suite pins the feed equal to the
+    IR's op stream on the whole registry grid.
 
     ``engine`` selects the simulation core.  ``"materialized"`` is the
     classic one-process-per-rank engine described above;
@@ -254,7 +249,6 @@ def simulate(
             faults=faults,
             collect_timeline=collect_timeline,
             block_map=block_map,
-            compiled=compiled,
         )
         attempt = reason is None
         if attempt and engine == "auto" and not lazy and (
@@ -380,71 +374,37 @@ def simulate(
 
     o = machine.injection_overhead
 
-    # Compiled feed: per rank, per raw step, (is_send, peer) tuples with
-    # copies already stripped — the same walk rank_proc does over the IR,
-    # minus the isinstance dispatch.  Cost-transparent by construction.
-    feed = None
-    if compiled:
-        from ..compile import get_or_compile
+    from ..compile import get_or_compile
 
-        feed = get_or_compile(schedule).sim_feed()
+    feed = get_or_compile(schedule).sim_feed()
 
     def rank_proc(rank: int):
-        prog = schedule.programs[rank]
+        rank_feed = feed[rank]
         straggle = faults.straggler_factor(rank) if faults_active else 1.0
         o_r = o * straggle
-        limit = statics.post_limit[rank] if statics else len(prog.steps)
-        if feed is not None:
-            rank_feed = feed[rank]
-            for step_idx in range(limit):
-                waits: List[Event] = []
-                for is_send, peer in rank_feed[step_idx]:
-                    if o_r:
-                        yield Timeout(o_r)
-                    if is_send:
-                        msg = send_q[(rank, peer)].popleft()
-                        msg.send_posted.trigger()
-                        done = msg.send_done
-                    else:
-                        msg = recv_q[(peer, rank)].popleft()
-                        msg.recv_posted.trigger()
-                        done = msg.recv_done
-                    # Doomed messages never complete; a stalled rank posts
-                    # its final step's ops but waits only on the live ones
-                    # (its blocked-forever state is recorded statically).
-                    if statics is None or msg.index not in statics.doomed:
-                        waits.append(done)
-                if waits:
-                    yield AllOf(waits)
-        else:
-            for step_idx in range(limit):
-                step = prog.steps[step_idx]
-                waits = []
-                for op in step.ops:
-                    if isinstance(op, SendOp):
-                        if o_r:
-                            yield Timeout(o_r)
-                        msg = send_q[(rank, op.peer)].popleft()
-                        msg.send_posted.trigger()
-                        # Doomed messages never complete; a stalled rank
-                        # posts its final step's ops but waits only on the
-                        # live ones (its blocked-forever state is recorded
-                        # statically).
-                        if statics is None or msg.index not in statics.doomed:
-                            waits.append(msg.send_done)
-                    elif isinstance(op, RecvOp):
-                        if o_r:
-                            yield Timeout(o_r)
-                        msg = recv_q[(op.peer, rank)].popleft()
-                        msg.recv_posted.trigger()
-                        if statics is None or msg.index not in statics.doomed:
-                            waits.append(msg.recv_done)
-                    # CopyOp: modeled as free (intra-GPU memcpy is off the
-                    # critical path at collective granularity).
-                if waits:
-                    yield AllOf(waits)
+        limit = statics.post_limit[rank] if statics else len(rank_feed)
+        for step_idx in range(limit):
+            waits: List[Event] = []
+            for is_send, peer in rank_feed[step_idx]:
+                if o_r:
+                    yield Timeout(o_r)
+                if is_send:
+                    msg = send_q[(rank, peer)].popleft()
+                    msg.send_posted.trigger()
+                    done = msg.send_done
+                else:
+                    msg = recv_q[(peer, rank)].popleft()
+                    msg.recv_posted.trigger()
+                    done = msg.recv_done
+                # Doomed messages never complete; a stalled rank posts
+                # its final step's ops but waits only on the live ones
+                # (its blocked-forever state is recorded statically).
+                if statics is None or msg.index not in statics.doomed:
+                    waits.append(done)
+            if waits:
+                yield AllOf(waits)
         if statics is not None and not statics.completes(
-            rank, len(prog.steps)
+            rank, len(rank_feed)
         ):
             rank_times[rank] = math.inf
         else:

@@ -3,8 +3,8 @@
 The dispatcher's promise (DESIGN.md §15): an explicit
 ``engine="collapsed"`` request never fails and never changes a result —
 any input the class-equivalence argument cannot cover (noise, faults,
-timelines, custom block maps, interpreted feeds, nonzero roots,
-asymmetric machines) falls back to the materialized engine, records why
+timelines, custom block maps, nonzero roots, asymmetric machines)
+falls back to the materialized engine, records why
 in ``SimResult.fallback``, and produces output bit-identical to asking
 for ``engine="materialized"`` directly.  Hypothesis drives the
 asymmetric inputs; the assertions never sample — equality is exact.
@@ -79,13 +79,6 @@ def test_custom_block_map_forces_exact_fallback():
     col = simulate(SCHEDULE, M8, 4096, block_map=bm, engine="collapsed")
     mat = simulate(SCHEDULE, M8, 4096, block_map=bm, engine="materialized")
     _assert_exact_fallback(col, mat, "custom block map")
-
-
-def test_interpreted_feed_forces_exact_fallback():
-    col = simulate(SCHEDULE, M8, 4096, compiled=False, engine="collapsed")
-    mat = simulate(SCHEDULE, M8, 4096, compiled=False, engine="materialized")
-    _assert_exact_fallback(col, mat,
-                           "interpreted feed requested (compiled=False)")
 
 
 def test_asymmetric_machine_forces_fallback():

@@ -1,37 +1,28 @@
-"""Compiled == interpreted, stated as properties.
+"""Compiled tables == the reference interpreter, stated as properties.
 
-The whole point of :mod:`repro.compile` is that it buys speed and
-*nothing else*: lowering a schedule to flat program tables must never
-change a result buffer, a simulated cost, a tuner winner, or a recovery
-outcome.  This suite is the differential harness that makes the claim
-falsifiable:
+The compiled program tables (:mod:`repro.compile`) are the only
+representation any production path walks; the op-by-op interpreter —
+:func:`repro.core.runner.run_schedule` over a
+:class:`~repro.runtime.executor.NumpyModel` — survives as the oracle.
+This suite is the differential harness that keeps the two honest:
 
 * **Registry grid** — every (collective, algorithm) pair, at several
   rank counts and radices including the degenerate ``k = max_radix``
-  corner, executes bit-identically on the lockstep backend and
-  simulates to bit-identical costs with the compiled feed on and off.
+  corner, executes on the lockstep backend to the oracle's exact
+  buffers, and the compiled simulator feed equals the
+  ``(is_send, peer)`` stream read off the IR with copies dropped — the
+  only thing the simulator takes from the tables.
 * **Randomized configs** — a hypothesis property draws (p, k, root,
   count, seed) freely and re-asserts lockstep bit-identity.
 * **Threaded backend** — fault-free and under a lossy
   :class:`~repro.faults.FaultPlan` (drops, duplicates, delays), the
-  compiled worker path produces the interpreter's exact buffers.
-* **Recovery** — a crash healed by ``recovery="shrink"`` takes the same
-  rounds, keeps the same survivors, and lands the same buffers in both
-  modes.
-* **Sweeps and tuning** — ``run_sweep`` (serial and ``--jobs 2``
-  through a real process pool) and :func:`repro.selection.tuner.tune`
-  are invariant under ``compiled``.
+  rank walker produces the oracle's exact buffers.
 * **Fusion** — on hand-built copy-step schedules (the registry emits
   none, so these are constructed), legal fusion never changes
   :func:`repro.check.run_checks` findings nor execution results.
 * **Degenerate radices** — at ``k = max_radix(p)`` (≈ p−1) the
-  compiled simulator feed stays inside the calibrated
-  ``KNOWN_DIVERGENCES`` model bands: zero model-consistency findings,
-  same as the interpreter it mirrors.
-
-The pool test patches :func:`repro.parallel._available_cpus` (same
-trick as ``test_obs_transparency.py``) so single-core CI runners
-exercise the real ``ProcessPoolExecutor`` instead of the serial clamp.
+  simulator stays inside the calibrated ``KNOWN_DIVERGENCES`` model
+  bands: zero model-consistency findings.
 """
 
 from __future__ import annotations
@@ -42,11 +33,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro.api as api
-import repro.parallel
-from repro.bench.sweep import SweepPoint, clear_sim_memo, run_sweep
 from repro.check import check_model, has_model, run_checks
-from repro.compile import compile_schedule, fuse_schedule
-from repro.core.cache import global_schedule_cache
+from repro.compile import fuse_schedule, get_or_compile
 from repro.core.registry import (
     COLLECTIVES,
     algorithms_for,
@@ -54,25 +42,16 @@ from repro.core.registry import (
     info,
     max_radix,
 )
-from repro.core.schedule import CopyOp, RankProgram, Schedule, Step
-from repro.faults import Crash, FaultPlan
-from repro.runtime.executor import execute as execute_lockstep
-from repro.selection.tuner import tune
-from repro.simnet.machines import reference
-from repro.simnet.simulate import simulate
+from repro.core.runner import run_schedule
+from repro.core.schedule import CopyOp, RankProgram, Schedule, SendOp, Step
+from repro.faults import FaultPlan
+from repro.runtime.buffers import initial_buffers
+from repro.runtime.executor import NumpyModel, execute as execute_lockstep
+from repro.runtime.ops import SUM
 
 GRID = [
     (coll, alg) for coll in COLLECTIVES for alg in algorithms_for(coll)
 ]
-
-
-@pytest.fixture(autouse=True)
-def clean_caches():
-    clear_sim_memo()
-    global_schedule_cache().clear()
-    yield
-    clear_sim_memo()
-    global_schedule_cache().clear()
 
 
 def _radices(coll: str, alg: str, p: int):
@@ -85,14 +64,43 @@ def _radices(coll: str, alg: str, p: int):
     return sorted({k for k in (entry.min_k, 3, mr) if entry.min_k <= k <= mr})
 
 
+def _interpret(schedule, buffers):
+    """The oracle: op-by-op IR interpretation over ``buffers`` in place."""
+    run_schedule(
+        schedule,
+        NumpyModel(schedule.block_map(len(buffers[0])), buffers, SUM),
+    )
+    return buffers
+
+
 def _run_both(coll, alg, *, p, count, k=None, root=0, seed=0, **kwargs):
-    """One config executed compiled and interpreted; returns both runs."""
+    """One config through the production path and through the oracle.
+
+    Returns ``(run, reference_buffers)``: the facade's
+    :class:`~repro.runtime.executor.CollectiveRun` and the buffers the
+    interpreter leaves when started from the same seeded inputs.
+    """
+    run = api.execute(
+        coll, alg, p=p, count=count, k=k, root=root, seed=seed, **kwargs,
+    )
+    reference = _interpret(
+        run.schedule, initial_buffers(run.schedule, run.inputs, count)
+    )
+    return run, reference
+
+
+def _ir_feed(schedule):
+    """The simulator's op stream read straight off the IR."""
     return [
-        api.execute(
-            coll, alg, p=p, count=count, k=k, root=root, seed=seed,
-            compiled=compiled, **kwargs,
-        )
-        for compiled in (True, False)
+        [
+            tuple(
+                (isinstance(op, SendOp), op.peer)
+                for op in step.ops
+                if not isinstance(op, CopyOp)
+            )
+            for step in prog.steps
+        ]
+        for prog in schedule.programs
     ]
 
 
@@ -100,35 +108,32 @@ def _assert_buffers_equal(a, b, label: str) -> None:
     assert len(a) == len(b)
     for rank, (x, y) in enumerate(zip(a, b)):
         assert np.array_equal(x, y), (
-            f"{label}: rank {rank} buffers diverged between compiled "
-            f"and interpreted execution"
+            f"{label}: rank {rank} buffers diverged between the compiled "
+            f"tables and the reference interpreter"
         )
 
 
 class TestRegistryGrid:
-    """Every registered pair, lockstep + simulator, both modes."""
+    """Every registered pair: lockstep buffers and the simulator feed."""
 
     @pytest.mark.parametrize("coll,alg", GRID)
     def test_lockstep_and_sim_bit_identical(self, coll, alg):
         for p in (4, 7, 8):
-            machine = reference(p)
             for k in _radices(coll, alg, p):
                 if coll == "barrier":
                     # Barrier moves no payload, so there are no buffers
-                    # to execute over — the simulator comparison below
-                    # still covers it.
+                    # to execute over — the feed comparison below still
+                    # covers it.
                     schedule = build_schedule(coll, alg, p, k=k)
                 else:
-                    run_c, run_i = _run_both(coll, alg, p=p, count=5, k=k)
+                    run, reference = _run_both(coll, alg, p=p, count=5, k=k)
                     _assert_buffers_equal(
-                        run_c.buffers, run_i.buffers,
-                        f"{coll}/{alg} p={p} k={k}",
+                        run.buffers, reference, f"{coll}/{alg} p={p} k={k}",
                     )
-                    schedule = run_c.schedule
-                sim_c = simulate(schedule, machine, 4096, compiled=True)
-                sim_i = simulate(schedule, machine, 4096, compiled=False)
-                assert sim_c.time == sim_i.time
-                assert sim_c.rank_times == sim_i.rank_times
+                    schedule = run.schedule
+                assert get_or_compile(schedule).sim_feed() == _ir_feed(
+                    schedule
+                ), f"{coll}/{alg} p={p} k={k}: simulator feed != IR op stream"
 
 
 class TestRandomizedConfigs:
@@ -159,17 +164,17 @@ class TestRandomizedConfigs:
         )
         count = data.draw(st.integers(1, 32), label="count")
         seed = data.draw(st.integers(0, 2 ** 16), label="seed")
-        run_c, run_i = _run_both(
+        run, reference = _run_both(
             coll, alg, p=p, count=count, k=k, root=root, seed=seed
         )
         _assert_buffers_equal(
-            run_c.buffers, run_i.buffers,
+            run.buffers, reference,
             f"{coll}/{alg} p={p} k={k} root={root} count={count}",
         )
 
 
-#: One threaded config per traffic shape (the perf tier's acceptance
-#: grid plus a halving pattern).
+#: One threaded config per traffic shape (reduction ring, concatenation
+#: ring, rooted tree fan-out, personalized exchange, halving).
 THREADED_CASES = [
     ("allreduce", "ring", None),
     ("allgather", "ring", None),
@@ -182,88 +187,23 @@ THREADED_CASES = [
 class TestThreadedBackend:
     @pytest.mark.parametrize("coll,alg,k", THREADED_CASES)
     def test_fault_free_bit_identical(self, coll, alg, k):
-        run_c, run_i = _run_both(
+        run, reference = _run_both(
             coll, alg, p=8, count=16, k=k, backend="threaded"
         )
         _assert_buffers_equal(
-            run_c.buffers, run_i.buffers, f"threaded {coll}/{alg}"
+            run.buffers, reference, f"threaded {coll}/{alg}"
         )
 
     def test_lossy_plan_bit_identical(self):
         plan = FaultPlan(drop_rate=0.15, dup_rate=0.1, delay_rate=0.1,
                          seed=7)
-        run_c, run_i = _run_both(
+        run, reference = _run_both(
             "allreduce", "ring", p=6, count=8, backend="threaded",
             faults=plan,
         )
         _assert_buffers_equal(
-            run_c.buffers, run_i.buffers, "threaded lossy allreduce/ring"
+            run.buffers, reference, "threaded lossy allreduce/ring"
         )
-
-    def test_recovery_shrink_same_rounds_and_buffers(self):
-        plan = FaultPlan(crashes=(Crash(rank=2, step=1),), seed=3)
-        run_c, run_i = [
-            api.execute(
-                "allreduce", "ring", p=6, count=8, backend="threaded",
-                faults=plan, recovery="shrink", compiled=compiled,
-                check=False,
-            )
-            for compiled in (True, False)
-        ]
-        assert run_c.survivors == run_i.survivors
-        assert [
-            (r.action, r.nranks, r.survivors, r.succeeded)
-            for r in run_c.report.rounds
-        ] == [
-            (r.action, r.nranks, r.survivors, r.succeeded)
-            for r in run_i.report.rounds
-        ]
-        _assert_buffers_equal(
-            run_c.buffers, run_i.buffers, "recovery shrink allreduce/ring"
-        )
-
-
-class TestSweepsAndTuning:
-    def _points(self):
-        return [
-            SweepPoint(coll, alg, nbytes, k=k)
-            for coll, alg, k in (
-                ("allreduce", "recursive_multiplying", 2),
-                ("bcast", "knomial", 3),
-                ("allgather", "kring", 2),
-            )
-            for nbytes in (256, 65536)
-        ]
-
-    def test_serial_sweep_invariant(self):
-        machine = reference(8)
-        a = run_sweep(self._points(), machine, compiled=True)
-        clear_sim_memo()
-        global_schedule_cache().clear()
-        b = run_sweep(self._points(), machine, compiled=False)
-        assert [(r.time, r.error) for r in a] == [
-            (r.time, r.error) for r in b
-        ]
-
-    def test_jobs2_sweep_invariant(self, monkeypatch):
-        monkeypatch.setattr(repro.parallel, "_available_cpus", lambda: 8)
-        machine = reference(8)
-        a = run_sweep(self._points(), machine, jobs=2, compiled=True)
-        clear_sim_memo()
-        global_schedule_cache().clear()
-        b = run_sweep(self._points(), machine, jobs=2, compiled=False)
-        assert [(r.time, r.error) for r in a] == [
-            (r.time, r.error) for r in b
-        ]
-
-    def test_tuner_winners_invariant(self):
-        machine = reference(8)
-        sizes = [64, 4096, 262144]
-        compiled = tune(machine, sizes, compiled=True).to_json()
-        clear_sim_memo()
-        global_schedule_cache().clear()
-        interpreted = tune(machine, sizes, compiled=False).to_json()
-        assert compiled == interpreted
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +276,23 @@ class TestFusionTransparency:
             for _ in range(schedule.nranks)
         ]
 
-        def run(sched, compiled):
-            bufs = [b.copy() for b in base]
-            execute_lockstep(sched, bufs, compiled=compiled)
-            return bufs
+        def copies():
+            return [b.copy() for b in base]
 
-        raw = run(schedule, False)
-        _assert_buffers_equal(run(fused, False), raw, "fused interpreted")
-        _assert_buffers_equal(run(schedule, True), raw, "compiled (fusing)")
+        raw = _interpret(schedule, copies())
+        _assert_buffers_equal(
+            _interpret(fused, copies()), raw, "fused interpreted"
+        )
+        _assert_buffers_equal(
+            execute_lockstep(schedule, copies()), raw, "compiled (fusing)"
+        )
 
 
 class TestDegenerateRadices:
     def test_max_radix_stays_in_divergence_bands(self):
-        """k = max_radix (≈ p−1): the compiled feed changes no cost, so
-        the calibrated KNOWN_DIVERGENCES bands keep holding — zero
-        model-consistency findings, exactly as the interpreter."""
+        """k = max_radix (≈ p−1): the calibrated KNOWN_DIVERGENCES bands
+        keep holding under the compiled feed — zero model-consistency
+        findings."""
         for coll, alg in GRID:
             entry = info(coll, alg)
             if not entry.takes_k or not has_model(coll, alg):
@@ -360,12 +302,6 @@ class TestDegenerateRadices:
                 if mr < entry.min_k:
                     continue
                 schedule = build_schedule(coll, alg, p, k=mr)
-                machine = reference(p)
-                sim_c = simulate(schedule, machine, 65536, compiled=True)
-                sim_i = simulate(schedule, machine, 65536, compiled=False)
-                assert sim_c.time == sim_i.time, (
-                    f"{coll}/{alg} p={p} k={mr}: compiled feed diverged"
-                )
                 findings = check_model(schedule, 65536)
                 assert not findings, (
                     f"{coll}/{alg} p={p} k={mr} left the calibrated "

@@ -127,7 +127,7 @@ class TestWorkerEnvelope:
         # worker mode off the context's origin pid, not the obs flag.
         ctx = dataclasses.replace(ctx, origin_pid=-1)
         (chunk,) = _chunk_points(
-            machine, None, None, True, True, "auto", points[:3], ctx
+            machine, None, None, True, "auto", points[:3], ctx
         )
         out = _run_chunk(chunk)
         return ctx, points[:3], out
@@ -165,7 +165,7 @@ class TestWorkerEnvelope:
         enveloped."""
         machine, points = _workload()
         (chunk,) = _chunk_points(
-            machine, None, None, True, True, "auto", points[:2]
+            machine, None, None, True, "auto", points[:2]
         )
         out = _run_chunk(chunk)
         assert len(out) == 2

@@ -1,4 +1,4 @@
-"""Tests for the public facade (:mod:`repro.api`) and the deprecated
+"""Tests for the public facade (:mod:`repro.api`) and the removed
 pre-facade spellings."""
 
 from __future__ import annotations
@@ -9,20 +9,9 @@ import numpy as np
 import pytest
 
 import repro
-import repro.api as api
 from repro.core.schedule import Schedule
 from repro.errors import ExecutionError
 from repro.runtime.executor import CollectiveRun
-
-
-@pytest.fixture
-def fresh_warnings():
-    """Reset the warn-once registry so each test observes the warning."""
-    saved = set(api._warned)
-    api._warned.clear()
-    yield
-    api._warned.clear()
-    api._warned.update(saved)
 
 
 class TestBuild:
@@ -137,19 +126,23 @@ class TestLegacyRemoval:
         bufs = run_collective_threaded("bcast", "knomial", 4, 8, k=2)
         assert len(bufs) == 4
 
-    def test_collect_timeline_shim_warns_once(self, fresh_warnings):
+    def test_collect_timeline_shim_warns_once(self):
+        """The last shim is gone too: the facade's ``collect_timeline=``
+        alias (it warned once per process) is now a plain ``TypeError``,
+        and so is the retired ``compiled=`` knob; ``timeline=`` is the
+        spelling."""
         sched = repro.build("bcast", "knomial", p=4, k=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = repro.simulate(sched, repro.reference(4), nbytes=64,
-                                 collect_timeline=True)
+        with pytest.raises(TypeError, match="collect_timeline"):
             repro.simulate(sched, repro.reference(4), nbytes=64,
                            collect_timeline=True)
+        with pytest.raises(TypeError, match="compiled"):
+            repro.simulate(sched, repro.reference(4), nbytes=64,
+                           compiled=False)
+        with pytest.raises(TypeError, match="compiled"):
+            repro.execute("bcast", "knomial", p=4, count=8, compiled=False)
+        res = repro.simulate(sched, repro.reference(4), nbytes=64,
+                             timeline=True)
         assert res.timeline is not None
-        deps = [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1
-        assert "timeline=" in str(deps[0].message)
 
     def test_implementation_modules_do_not_warn(self):
         from repro.runtime.executor import run_collective

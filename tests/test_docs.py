@@ -12,9 +12,16 @@ later snippets may reuse names (``sched``, ``machine``, ``plan``) bound
 by earlier ones, exactly as a reader working top-to-bottom would. Each
 document runs chdir'ed into a temp directory because some snippets write
 files (the README tracing example emits ``trace.json``/``metrics.json``).
+
+The shared namespace is also a hazard: a name bound at paper scale (the
+65 536-rank ``sched``/``machine`` of the large-p fence) once leaked into
+two later fences that silently simulated it materialized, and cost the
+suite five minutes.  Each document therefore runs under a wall-clock
+budget, so a leaked large-p name fails loudly instead.
 """
 
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +35,9 @@ DOCUMENTS = [
     ("README.md", 5),
     ("EXPERIMENTS.md", 1),
 ]
+
+#: Wall-clock budget (seconds) for all of one document's snippets.
+DOC_BUDGET_S = 60.0
 
 _FENCE = re.compile(r"^```python[ \t]*\n(.*?)^```", re.DOTALL | re.MULTILINE)
 
@@ -47,6 +57,7 @@ def test_doc_snippets_execute(doc, min_snippets, tmp_path, monkeypatch):
     )
     monkeypatch.chdir(tmp_path)  # snippets may write trace/metrics files
     namespace = {"__name__": f"doc::{doc}"}
+    started = time.monotonic()
     for index, source in enumerate(snippets):
         code = compile(source, f"{doc} [python snippet #{index}]", "exec")
         try:
@@ -56,6 +67,11 @@ def test_doc_snippets_execute(doc, min_snippets, tmp_path, monkeypatch):
                 f"{doc} python snippet #{index} raised "
                 f"{type(exc).__name__}: {exc}\n--- snippet ---\n{source}"
             )
+    elapsed = time.monotonic() - started
+    assert elapsed < DOC_BUDGET_S, (
+        f"{doc} snippets took {elapsed:.0f} s (budget {DOC_BUDGET_S:.0f} s) "
+        f"— is a later fence re-using a paper-scale name bound earlier?"
+    )
 
 
 @pytest.mark.parametrize("doc", ["README.md", "CONTRIBUTING.md"])

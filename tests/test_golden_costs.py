@@ -73,7 +73,8 @@ def test_simulated_costs_pinned(golden):
 
     Every point is simulated twice — a fresh build + fresh run, and the
     sweep engine's cached path — and the two must agree exactly before
-    being compared against the golden file.
+    being compared against the golden file.  Both walk the compiled
+    simulator feed (the only one), so this is also its golden pass.
     """
     clear_sim_memo()
     actual = {}
@@ -92,35 +93,6 @@ def test_simulated_costs_pinned(golden):
                         f"{_key(coll, alg, p, k, n)}"
                     )
                     actual[_key(coll, alg, p, k, n)] = fresh
-    golden("simulated_costs").check(actual)
-
-
-def test_simulated_costs_pinned_compiled(golden):
-    """The compiled simulator feed reproduces the same golden times.
-
-    Checked against the *same* golden file as the interpreted path —
-    compiled execution is transparent by contract, so it has no numbers
-    of its own to pin.  A divergence here is a compiler bug, not a cost
-    change to regenerate over.
-    """
-    actual = {}
-    for coll, alg in CASES:
-        for p in PS:
-            machine = reference(p)
-            for k in KS:
-                schedule = build_schedule(coll, alg, p, k=k)
-                for n in SIZES:
-                    compiled = simulate(
-                        schedule, machine, n, compiled=True
-                    ).time_us
-                    interpreted = simulate(
-                        schedule, machine, n, compiled=False
-                    ).time_us
-                    assert compiled == interpreted, (
-                        f"compiled feed diverged from the interpreter at "
-                        f"{_key(coll, alg, p, k, n)}"
-                    )
-                    actual[_key(coll, alg, p, k, n)] = compiled
     golden("simulated_costs").check(actual)
 
 

@@ -6,6 +6,8 @@ import pytest
 from repro.core.registry import build_schedule
 from repro.core.schedule import RankProgram, RecvOp, Schedule, SendOp
 from repro.errors import ExecutionError
+from repro.faults import FaultPlan
+from repro.recovery import HeartbeatDetector
 from repro.runtime.buffers import (
     check_outputs,
     initial_buffers,
@@ -107,3 +109,36 @@ def test_buffer_count_checked():
 def test_larger_scale_threaded_run():
     """32 threads moving real data through a composite algorithm."""
     run_both_ways("allreduce", "kring", 32, 64, k=8)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"detector": HeartbeatDetector(2, timeout=5.0)},
+        {"faults": FaultPlan(delay_rate=0.5, seed=1)},
+    ],
+    ids=["fault-free", "detector", "faults"],
+)
+def test_fifo_block_mismatch_diagnosed_on_every_path(kwargs):
+    """A malformed allgather — rank 1 sends block 0 where rank 0 expects
+    block 1 — must be diagnosed, never executed with wrong data, whichever
+    channels and step boundaries the transport picked."""
+    p0 = RankProgram(rank=0)
+    p0.add(SendOp(peer=1, blocks=(0,)), RecvOp(peer=1, blocks=(1,)))
+    p1 = RankProgram(rank=1)
+    p1.add(SendOp(peer=0, blocks=(0,)), RecvOp(peer=0, blocks=(0,)))
+    sched = Schedule(
+        collective="allgather",
+        algorithm="malformed",
+        nranks=2,
+        nblocks=2,
+        programs=[p0, p1],
+    )
+    bufs = [np.arange(4, dtype=np.int64) + 10 * r for r in range(2)]
+    with pytest.raises(ExecutionError) as info:
+        execute_threaded(sched, bufs, timeout=2.0, **kwargs)
+    text = str(info.value)
+    assert "rank 0 step 0" in text
+    assert "expected blocks (1,)" in text
+    assert "carries (0,)" in text
