@@ -2,7 +2,7 @@
 
 .PHONY: install test chaos chaos-recover bench perf \
         validate experiments tune examples trace-demo check soak \
-        serve-smoke clean
+        serve-smoke perfbench-test clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -65,6 +65,13 @@ soak:
 # selection-config artifact CI uploads.
 serve-smoke:
 	python -m repro.server.smoke -o selection_config.json
+
+# The benchmark's contract with src/: perfbench/ is frozen between
+# baselines, so a refactor that renames something it imports (the list
+# is in CONTRIBUTING.md) must fail here, not in the benchmark run.
+# ~25 s; not part of `make test` (tier-1's testpaths exclude it).
+perfbench-test:
+	python -m pytest perfbench/tests -q
 
 experiments:
 	repro-bench all

@@ -28,8 +28,8 @@ Two layers live here:
   journal (:mod:`repro.store.journal`) and ``resume=True`` to replay it,
   re-running only missing or failed points — the merged results carry
   the same ``(point, time, error)`` content as an uninterrupted run.
-  ``store=`` backs schedule builds with a disk-persistent
-  :class:`~repro.store.schedules.PersistentScheduleCache` for the
+  ``store=`` backs schedule builds with a disk-backed
+  :class:`~repro.core.cache.ScheduleCache` for the
   duration of the sweep, and worker crashes are healed by the hardened
   executor (:mod:`repro.parallel`): a poison point that keeps killing
   its worker is quarantined as a structured error record while its
@@ -53,6 +53,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.cache import (
+    ContentCache,
     ScheduleCache,
     global_schedule_cache,
     schedule_key,
@@ -190,16 +191,14 @@ def sweep_stats(results: Sequence[SweepPointResult]) -> SweepStats:
     )
 
 
-# Memo of completed simulations.  simulate() is a pure function of
-# (schedule, machine, nbytes, noise, faults) and every component of the
-# key hashes by value, so replaying a previously seen point returns the
-# identical float by construction — the redundancy this removes is real
-# and large: the Fig. 9 speedup search re-simulates the very same
-# (algorithm, k, size) points the Fig. 8 surfaces already timed.
-_SimKey = Tuple[Tuple[str, str, int, Optional[int], int], MachineSpec,
-                int, Optional[NoiseModel], Optional[FaultPlan]]
-_SIM_MEMO: Dict[_SimKey, float] = {}
-_SIM_MEMO_MAX = 1 << 16
+# Memo of completed simulations, keyed by (schedule_key, machine,
+# nbytes, noise, faults).  simulate() is a pure function of exactly
+# those and every component of the key hashes by value, so replaying a
+# previously seen point returns the identical float by construction —
+# the redundancy this removes is real and large: the Fig. 9 speedup
+# search re-simulates the very same (algorithm, k, size) points the
+# Fig. 8 surfaces already timed.
+_SIM_MEMO = ContentCache("sim", 1 << 16)
 
 #: Rank count from which sweep points route through the lazy generator
 #: schedules (:mod:`repro.core.lazy`) when one covers the point and the
@@ -276,58 +275,42 @@ def _simulate_point_impl(
     try:
         entry = info(point.collective, point.algorithm)
         root = point.root if entry.takes_root else 0
-        lazy = _lazy_route(machine, point, root,
-                           noise=noise, faults=faults, engine=engine)
-        if not reuse:
-            if lazy is not None:
-                sim = simulate(
-                    lazy, machine, point.nbytes, noise=noise, faults=faults,
-                    engine=engine,
+        schedule = _lazy_route(machine, point, root,
+                               noise=noise, faults=faults, engine=engine)
+        hit = False
+        if reuse:
+            key = (
+                schedule_key(
+                    point.collective,
+                    point.algorithm,
+                    machine.nranks,
+                    k=point.k,
+                    root=root,
+                ),
+                machine,
+                point.nbytes,
+                noise,
+                faults,
+            )
+            memo_time = _SIM_MEMO.get(key)
+            if memo_time is not None:
+                return SweepPointResult(point, memo_time, True, sim_hit=True)
+            if schedule is None:
+                schedule, hit = global_schedule_cache().get_or_build(
+                    point.collective,
+                    point.algorithm,
+                    machine.nranks,
+                    k=point.k,
+                    root=root,
                 )
-                return SweepPointResult(point, sim.time, False)
+        elif schedule is None:
             schedule = entry.build(machine.nranks, k=point.k, root=root)
-            sim = simulate(
-                schedule, machine, point.nbytes, noise=noise, faults=faults,
-                engine=engine,
-            )
-            return SweepPointResult(point, sim.time, False)
-        key = (
-            schedule_key(
-                point.collective,
-                point.algorithm,
-                machine.nranks,
-                k=point.k,
-                root=root,
-            ),
-            machine,
-            point.nbytes,
-            noise,
-            faults,
+        sim = simulate(
+            schedule, machine, point.nbytes, noise=noise, faults=faults,
+            engine=engine,
         )
-        memo_time = _SIM_MEMO.get(key)
-        if memo_time is not None:
-            return SweepPointResult(point, memo_time, True, sim_hit=True)
-        if lazy is not None:
-            sim = simulate(
-                lazy, machine, point.nbytes, noise=noise, faults=faults,
-                engine=engine,
-            )
-            hit = False
-        else:
-            schedule, hit = global_schedule_cache().get_or_build(
-                point.collective,
-                point.algorithm,
-                machine.nranks,
-                k=point.k,
-                root=root,
-            )
-            sim = simulate(
-                schedule, machine, point.nbytes, noise=noise, faults=faults,
-                engine=engine,
-            )
-        if len(_SIM_MEMO) >= _SIM_MEMO_MAX:
-            _SIM_MEMO.clear()
-        _SIM_MEMO[key] = sim.time
+        if reuse:
+            _SIM_MEMO.put(key, sim.time)
         return SweepPointResult(point, sim.time, hit)
     except Exception as exc:  # noqa: BLE001 — isolation is the contract
         return SweepPointResult(

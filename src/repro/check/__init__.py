@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..core.cache import cached_build_schedule
+from ..core.cache import ContentCache, cached_build_schedule
 from ..core.schedule import Schedule
 from ..obs import OBS
-from .cache import CheckCache, global_check_cache
+from .cache import global_check_cache
 from .dataflow import check_dataflow
 from .deadlock import check_deadlock
 from .findings import CheckReport, Finding, SEVERITIES, sort_findings
@@ -52,7 +52,6 @@ __all__ = [
     "SEVERITIES",
     "run_checks",
     "check_schedule",
-    "CheckCache",
     "global_check_cache",
     "KNOWN_DIVERGENCES",
 ]
@@ -70,7 +69,7 @@ def run_checks(
     nbytes: int = DEFAULT_NBYTES,
     eager_threshold: Optional[int] = None,
     model: bool = True,
-    cache: Optional[CheckCache] = None,
+    cache: Optional[ContentCache] = None,
 ) -> CheckReport:
     """Run the full static-analysis suite on one schedule.
 
@@ -89,7 +88,7 @@ def run_checks(
         cache = global_check_cache()
     fingerprint = schedule.fingerprint()
     key = (fingerprint, int(nbytes), eager_threshold)
-    report, _ = cache.get_or_run(
+    report, _ = cache.get_or_make(
         key,
         lambda: _analyze(
             schedule,

@@ -5,108 +5,24 @@ visits every registry pair over a (p, k) grid, and the tuner rebuilds
 identical points per collective), while the analysis passes are pure
 functions of the schedule content plus ``(nbytes, eager_threshold)``.
 So reports are cached under
-``(Schedule.fingerprint(), nbytes, eager_threshold)`` — the same
-content-address contract :class:`~repro.core.cache.ScheduleCache` uses
-for builds — and only never-before-seen schedules pay for analysis.
-
-The stats object and the OBS counter names follow the schedule cache's
-conventions (``repro_cache_lookups_total{cache="check"}``), so existing
-dashboards pick the new cache up without changes.
+``(Schedule.fingerprint(), nbytes, eager_threshold)`` in a plain
+:class:`~repro.core.cache.ContentCache` — the same content-address
+contract, stats object and ``repro_cache_lookups_total{cache="check"}``
+counters as every other cache — and only never-before-seen schedules
+pay for analysis.  Reports are immutable (frozen dataclasses over
+tuples), so the cached object is shared between callers.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Callable, Optional, Tuple
+from ..core.cache import ContentCache
 
-from ..core.cache import CacheStats
-from ..errors import ScheduleError
-from ..obs import OBS
-from .findings import CheckReport
+__all__ = ["global_check_cache"]
 
-__all__ = ["CheckCache", "global_check_cache"]
-
-#: (schedule fingerprint, nbytes, eager_threshold)
-CheckKey = Tuple[str, int, Optional[int]]
+_GLOBAL = ContentCache("check", 1024)
 
 
-class CheckCache:
-    """Bounded, thread-safe LRU of :class:`CheckReport` objects."""
-
-    def __init__(self, maxsize: int = 1024, name: str = "check") -> None:
-        if maxsize < 1:
-            raise ScheduleError(f"cache maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self.name = name
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._entries: "OrderedDict[CheckKey, CheckReport]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> CacheStats:
-        """Frozen snapshot of the hit/miss/eviction counters."""
-        return CacheStats(
-            hits=self._hits, misses=self._misses, evictions=self._evictions
-        )
-
-    def get_or_run(
-        self, key: CheckKey, run: Callable[[], CheckReport]
-    ) -> Tuple[CheckReport, bool]:
-        """Return ``(report, hit)``, invoking ``run`` once on a miss.
-
-        Reports are immutable (frozen dataclasses over tuples), so the
-        cached object is shared between callers, like cached schedules.
-        """
-        with self._lock:
-            report = self._entries.get(key)
-            if report is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "repro_cache_lookups_total",
-                        cache=self.name,
-                        outcome="hit",
-                    ).inc()
-                return report, True
-            self._misses += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "repro_cache_lookups_total", cache=self.name, outcome="miss"
-            ).inc()
-        # Analyze outside the lock; the passes are pure, so a racing
-        # duplicate analysis is wasted work, never a wrong answer.
-        report = run()
-        evicted = 0
-        with self._lock:
-            self._entries[key] = report
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                evicted += 1
-        if evicted and OBS.enabled:
-            OBS.metrics.counter(
-                "repro_cache_evictions_total", cache=self.name
-            ).inc(evicted)
-        return report, False
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._hits = self._misses = self._evictions = 0
-
-
-_GLOBAL = CheckCache()
-
-
-def global_check_cache() -> CheckCache:
+def global_check_cache() -> ContentCache:
     """The process-global report cache behind ``repro.check.run_checks``.
 
     Parallel sweep workers each grow their own instance, exactly like

@@ -50,14 +50,11 @@ Guarantees, in order of importance:
 from ..errors import ClassAnalysisError, CompileError
 from .cache import (
     CompiledCache,
-    PersistentCompiledCache,
-    classes_store_key,
     compiled_store_key,
     get_or_classify,
     get_or_compile,
     global_compiled_cache,
     open_compiled_store,
-    set_global_compiled_cache,
 )
 from .classes import (
     ClassProgram,
@@ -104,10 +101,8 @@ __all__ = [
     "CompileError",
     "CompiledCache",
     "global_compiled_cache",
-    "set_global_compiled_cache",
     "get_or_compile",
     "compiled_store_key",
-    "PersistentCompiledCache",
     "open_compiled_store",
     "ClassAnalysisError",
     "ClassProgram",
@@ -116,6 +111,5 @@ __all__ = [
     "counterpart_ops",
     "machine_asymmetry",
     "partition_key",
-    "classes_store_key",
     "get_or_classify",
 ]

@@ -1,171 +1,40 @@
-"""Content-addressed caching of compiled programs.
+"""Content-addressed caching of compiled programs and class partitions.
 
-Compiled artifacts are cached alongside schedules, at both tiers:
+Both are instances of the one cache shape
+(:class:`~repro.core.cache.ContentCache`, DESIGN.md §9):
 
-* :class:`CompiledCache` — in-process LRU keyed by the **source
-  schedule's fingerprint** (content address: two IR-identical schedules
-  share one compiled artifact, whatever parameters built them), with the
-  same hit/miss/eviction accounting and ``repro_cache_lookups_total``
-  counters (``cache="compiled"``) as the schedule cache;
-* :class:`PersistentCompiledCache` — a disk tier underneath, mirroring
-  :class:`~repro.store.schedules.PersistentScheduleCache`: write-through
-  pickled artifacts under ``compiled/…`` keys, byte integrity handled by
-  :class:`~repro.store.disk.DiskStore`'s checksum ladder, and a semantic
-  rung on top — every loaded artifact re-runs the full self-verification
-  ladder against the schedule it is being fetched for, and anything that
-  fails is quarantined and recompiled, never executed.
-
-The process-global instance (swap it with
-:func:`set_global_compiled_cache`) backs the executors' and simulator's
-``compiled=True`` default, so the lowering cost is paid once per
-distinct schedule per process.
+* :class:`CompiledCache` — keyed by the **source schedule's
+  fingerprint** (two IR-identical schedules share one artifact, whatever
+  parameters built them).  With a ``store`` it files ``compiled/…``
+  entries next to their ``schedule/…`` siblings, and every artifact
+  loaded from disk re-runs the full self-verification ladder against
+  the schedule it is fetched for: what fails is quarantined and
+  recompiled, never executed.  The process-global instance backs every
+  executor and the simulator, so lowering is paid once per distinct
+  schedule per process.
+* the class-partition cache behind :func:`get_or_classify`, in process
+  only.
 """
 
 from __future__ import annotations
 
-import base64
-import pickle
-import threading
-from collections import OrderedDict
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
-from ..core.cache import CacheStats
+from ..core.cache import ContentCache, StoreTier
 from ..core.schedule import Schedule
-from ..errors import ReproError, ScheduleError
-from ..obs import OBS
 from .lower import compile_schedule
 from .program import CompiledSchedule
 
 __all__ = [
     "CompiledCache",
     "global_compiled_cache",
-    "set_global_compiled_cache",
     "get_or_compile",
     "compiled_store_key",
-    "PersistentCompiledCache",
     "open_compiled_store",
-    "classes_store_key",
     "get_or_classify",
     "clear_class_cache",
 ]
-
-
-class CompiledCache:
-    """Bounded, thread-safe LRU of compiled programs.
-
-    Keys are source-schedule fingerprints, so the cache is content
-    addressed end to end: equal IR → one artifact, and a drifted builder
-    can never serve a stale lowering.  Stats share the
-    :class:`~repro.core.cache.CacheStats` protocol.
-    """
-
-    def __init__(self, maxsize: int = 256, name: str = "compiled") -> None:
-        if maxsize < 1:
-            raise ScheduleError(f"cache maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self.name = name
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._entries: "OrderedDict[str, CompiledSchedule]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> CacheStats:
-        """Frozen snapshot of the hit/miss/eviction counters."""
-        return CacheStats(
-            hits=self._hits, misses=self._misses, evictions=self._evictions
-        )
-
-    def get_or_compile(
-        self, schedule: Schedule
-    ) -> Tuple[CompiledSchedule, bool]:
-        """Return ``(compiled, hit)`` — lowering and inserting on a miss."""
-        key = schedule.fingerprint()
-        with self._lock:
-            compiled = self._entries.get(key)
-            if compiled is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "repro_cache_lookups_total",
-                        cache=self.name,
-                        outcome="hit",
-                    ).inc()
-                return compiled, True
-            self._misses += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "repro_cache_lookups_total", cache=self.name, outcome="miss"
-            ).inc()
-        # Compile outside the lock: lowering is pure, so a racing
-        # duplicate compile wastes a little work but stays correct.
-        compiled = self._build(schedule, key)
-        self._insert(key, compiled)
-        return compiled, False
-
-    def _build(self, schedule: Schedule, key: str) -> CompiledSchedule:
-        return compile_schedule(schedule)
-
-    def _insert(self, key: str, compiled: CompiledSchedule) -> None:
-        evicted = 0
-        with self._lock:
-            self._entries[key] = compiled
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                evicted += 1
-        if evicted and OBS.enabled:
-            OBS.metrics.counter(
-                "repro_cache_evictions_total", cache=self.name
-            ).inc(evicted)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._hits = self._misses = self._evictions = 0
-
-
-_GLOBAL = CompiledCache()
-
-
-def global_compiled_cache() -> CompiledCache:
-    """The process-global compiled-program cache.
-
-    Backs every ``compiled=True`` execution and simulation; sweep worker
-    processes each grow their own, exactly like the schedule cache.
-    """
-    return _GLOBAL
-
-
-def set_global_compiled_cache(cache: CompiledCache) -> CompiledCache:
-    """Swap the process-global compiled cache; returns the previous one.
-
-    The hook for backing compiled execution with a disk store (a
-    :class:`PersistentCompiledCache` *is a* :class:`CompiledCache`).
-    Callers should restore the previous instance when done so
-    attachment never leaks across runs.
-    """
-    global _GLOBAL
-    if not isinstance(cache, CompiledCache):
-        raise ScheduleError(
-            f"global compiled cache must be a CompiledCache, "
-            f"got {type(cache).__name__}"
-        )
-    previous = _GLOBAL
-    _GLOBAL = cache
-    return previous
-
-
-def get_or_compile(schedule: Schedule) -> CompiledSchedule:
-    """The compiled artifact for ``schedule``, via the global cache."""
-    return _GLOBAL.get_or_compile(schedule)[0]
 
 
 def compiled_store_key(schedule: Schedule) -> str:
@@ -184,118 +53,63 @@ def compiled_store_key(schedule: Schedule) -> str:
     )
 
 
-class PersistentCompiledCache(CompiledCache):
-    """A :class:`CompiledCache` with a disk tier under the memory LRU.
+class CompiledCache(ContentCache):
+    """The cache of compiled programs, keyed by source fingerprint.
 
-    ``get_or_compile`` keeps the exact ``(compiled, hit)`` contract,
-    with ``hit`` true whenever the lowering was avoided — from memory
-    *or* disk.  Disk entries that fail byte checksums are already
-    quarantined misses inside :class:`~repro.store.disk.DiskStore`;
-    entries that decode but fail the self-verification ladder against
-    the requested schedule are quarantined here (``semantic`` rung) and
-    recompiled — damage is never an error and never executes.
+    Content addressed end to end: equal IR → one artifact, and a drifted
+    builder can never serve a stale lowering.  ``store`` adds the disk
+    tier (:func:`open_compiled_store`).
     """
 
-    def __init__(self, store, *, maxsize: int = 256,
-                 name: str = "compiled") -> None:
-        super().__init__(maxsize=maxsize, name=name)
-        self.store = store
+    tier = StoreTier(
+        kind=CompiledSchedule,
+        field="compiled_pickle",
+        store_key=compiled_store_key,
+        # The full self-verification ladder, against the schedule the
+        # artifact is being fetched for.
+        check=lambda compiled, schedule: compiled.verify(schedule),
+        audit=lambda compiled, key: {
+            "source_fingerprint": key,
+            "compiled_fingerprint": compiled.fingerprint(),
+        },
+    )
+
+    def __init__(self, maxsize: int = 256, *, store=None) -> None:
+        super().__init__("compiled", maxsize, store=store)
 
     def get_or_compile(
         self, schedule: Schedule
     ) -> Tuple[CompiledSchedule, bool]:
-        """``(compiled, hit)`` — memory, then disk, then compile+persist."""
-        key = schedule.fingerprint()
-        with self._lock:
-            compiled = self._entries.get(key)
-            if compiled is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return compiled, True
-        compiled = self._load(schedule)
-        if compiled is not None:
-            with self._lock:
-                self._hits += 1
-            self._insert(key, compiled)
-            return compiled, True
-        with self._lock:
-            self._misses += 1
-        compiled = compile_schedule(schedule)
-        blob = pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
-        self.store.put(
-            compiled_store_key(schedule),
-            {
-                "source_fingerprint": key,
-                "compiled_fingerprint": compiled.fingerprint(),
-                "compiled_pickle": base64.b64encode(blob).decode("ascii"),
-            },
+        """Return ``(compiled, hit)`` — lowering and inserting on a miss."""
+        return self.get_or_make(
+            schedule.fingerprint(),
+            lambda: compile_schedule(schedule),
+            schedule,
         )
-        self._insert(key, compiled)
-        return compiled, False
-
-    def _load(self, schedule: Schedule) -> Optional[CompiledSchedule]:
-        """Decode + re-verify one disk entry, or ``None``.
-
-        The full self-verification ladder runs against the schedule the
-        artifact is being fetched for — pickle drift, a stale lowering,
-        or any table corruption that survived the byte checksum reads as
-        a quarantined miss, never an error.
-        """
-        store_key = compiled_store_key(schedule)
-        payload = self.store.get(store_key)
-        if payload is None:
-            return None
-        try:
-            compiled = pickle.loads(
-                base64.b64decode(payload["compiled_pickle"])
-            )
-            if not isinstance(compiled, CompiledSchedule):
-                raise ReproError("entry did not decode to a CompiledSchedule")
-            compiled.verify(schedule)
-        except Exception as exc:  # noqa: BLE001 — quarantine, never crash
-            self.store._quarantine(
-                self.store.path_for(store_key), "semantic"
-            )
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "repro_store_semantic_rejects_total",
-                    store=self.store.name,
-                    error=type(exc).__name__,
-                ).inc()
-            return None
-        return compiled
-
-    def disk_stats(self):
-        """The disk tier's :class:`~repro.store.disk.StoreStats`."""
-        return self.store.stats()
 
 
-# ----------------------------------------------------------------------
-# Class-partition cache: rank-equivalence partitions are derived from a
-# compiled artifact + machine link profile + byte residue, so they ride
-# the same two tiers — an in-process LRU here, and (when the global
-# compiled cache is disk-backed) content-addressed sidecar entries under
-# ``classes/…`` next to their ``compiled/…`` siblings.
-# ----------------------------------------------------------------------
-
-_CLASS_MAXSIZE = 256
-_class_entries: "OrderedDict" = OrderedDict()
-_class_lock = threading.Lock()
+_GLOBAL = CompiledCache()
 
 
-def classes_store_key(schedule: Schedule, key_tuple) -> str:
-    """Disk-store key for one (schedule, machine, residue) partition.
+def global_compiled_cache() -> CompiledCache:
+    """The process-global compiled-program cache.
 
-    ``key_tuple`` is the :func:`repro.compile.classes.partition_key`
-    value — the trailing fingerprint prefix plus the link-profile and
-    residue segments make the key fully content-addressed.
+    Backs every execution and simulation; sweep worker processes each
+    grow their own, exactly like the schedule cache.
     """
-    fp, (nodes, npg), residue = key_tuple
-    return (
-        f"classes/{schedule.collective}/{schedule.algorithm}/"
-        f"p={schedule.nranks}/k={schedule.k}/root={schedule.root}/"
-        f"{fp[:16]}/n{nodes}-g{npg}-r{residue}"
-    )
+    return _GLOBAL
+
+
+def get_or_compile(schedule: Schedule) -> CompiledSchedule:
+    """The compiled artifact for ``schedule``, via the global cache."""
+    return _GLOBAL.get_or_compile(schedule)[0]
+
+
+#: Rank-equivalence partitions by
+#: :func:`~repro.compile.classes.partition_key` (compiled fingerprint,
+#: machine link profile, byte residue).  ``perfbench/`` takes ``len()``
+#: of this name.
+_class_entries = ContentCache("classes", 256)
 
 
 def get_or_classify(schedule: Schedule, machine, nbytes: int):
@@ -304,102 +118,25 @@ def get_or_classify(schedule: Schedule, machine, nbytes: int):
     Compiles (or fetches) the schedule's flat tables, then returns the
     cached :class:`~repro.compile.classes.RankClasses` for
     ``(tables, machine link profile, nbytes % nblocks)`` — classifying
-    on a miss.  When the global compiled cache is disk-backed
-    (:class:`PersistentCompiledCache`), partitions are persisted
-    write-through as ``classes/…`` entries; loaded entries are
-    sanity-checked and quarantined on any mismatch, mirroring the
-    compiled tier's semantic rung.
+    on a miss.
     """
-    from .classes import RankClasses, classify, partition_key
+    from .classes import classify, partition_key
 
     compiled = _GLOBAL.get_or_compile(schedule)[0]
-    key = partition_key(compiled, machine, nbytes)
-    with _class_lock:
-        cached = _class_entries.get(key)
-        if cached is not None:
-            _class_entries.move_to_end(key)
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "repro_cache_lookups_total",
-                    cache="classes",
-                    outcome="hit",
-                ).inc()
-            return cached
-    if OBS.enabled:
-        OBS.metrics.counter(
-            "repro_cache_lookups_total", cache="classes", outcome="miss"
-        ).inc()
-    store = getattr(_GLOBAL, "store", None)
-    store_key = classes_store_key(schedule, key) if store is not None else None
-    if store is not None:
-        payload = store.get(store_key)
-        if payload is not None:
-            try:
-                classes = pickle.loads(
-                    base64.b64decode(payload["classes_pickle"])
-                )
-                if not isinstance(classes, RankClasses):
-                    raise ReproError("entry did not decode to RankClasses")
-                if (
-                    classes.nranks != compiled.nranks
-                    or classes.nblocks != compiled.nblocks
-                    or classes.residue != key[2]
-                    or payload.get("classes_fingerprint")
-                    != classes.fingerprint()
-                ):
-                    raise ReproError("partition does not match its key")
-            except Exception as exc:  # noqa: BLE001 — quarantine, not crash
-                store._quarantine(store.path_for(store_key), "semantic")
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "repro_store_semantic_rejects_total",
-                        store=store.name,
-                        error=type(exc).__name__,
-                    ).inc()
-            else:
-                _class_insert(key, classes)
-                return classes
-    classes = classify(compiled, machine, nbytes)
-    if store is not None:
-        blob = pickle.dumps(classes, protocol=pickle.HIGHEST_PROTOCOL)
-        store.put(
-            store_key,
-            {
-                "source_fingerprint": compiled.fingerprint(),
-                "classes_fingerprint": classes.fingerprint(),
-                "classes_pickle": base64.b64encode(blob).decode("ascii"),
-            },
-        )
-    _class_insert(key, classes)
-    return classes
-
-
-def _class_insert(key, classes) -> None:
-    evicted = 0
-    with _class_lock:
-        _class_entries[key] = classes
-        _class_entries.move_to_end(key)
-        while len(_class_entries) > _CLASS_MAXSIZE:
-            _class_entries.popitem(last=False)
-            evicted += 1
-    if evicted and OBS.enabled:
-        OBS.metrics.counter(
-            "repro_cache_evictions_total", cache="classes"
-        ).inc(evicted)
+    return _class_entries.get_or_make(
+        partition_key(compiled, machine, nbytes),
+        lambda: classify(compiled, machine, nbytes),
+    )[0]
 
 
 def clear_class_cache() -> None:
-    """Drop every in-process class partition (tests, cache swaps)."""
-    with _class_lock:
-        _class_entries.clear()
+    """Drop every in-process class partition (tests, cold benchmarks)."""
+    _class_entries.clear()
 
 
 def open_compiled_store(
-    root: Union[str, Path],
-    *,
-    maxsize: int = 256,
-    fsync: bool = False,
-) -> PersistentCompiledCache:
+    root: Union[str, Path], *, fsync: bool = False
+) -> CompiledCache:
     """Open (creating if needed) a disk-backed compiled cache at ``root``.
 
     The same store root can hold schedule and compiled entries side by
@@ -407,6 +144,4 @@ def open_compiled_store(
     """
     from ..store.disk import DiskStore
 
-    return PersistentCompiledCache(
-        DiskStore(root, fsync=fsync, name="compiled"), maxsize=maxsize
-    )
+    return CompiledCache(store=DiskStore(root, fsync=fsync, name="compiled"))

@@ -15,18 +15,33 @@ schedule-IR library needs:
 The format is deliberately literal (one JSON object per op) rather than
 compressed: schedules are megabytes only at scales where you'd regenerate
 them from the builder anyway.
+
+This is also the one module that knows the **blob codec**
+(:func:`dumps_blob` / :func:`loads_blob`): the opaque, fast encoding of
+whole artifacts that the disk tier (:mod:`repro.core.cache`) files and
+the tuning service ships — a base64 pickle today, and replaceable by a
+raw-table format in this file alone.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import pickle
 from pathlib import Path
 from typing import Dict, List, Union
 
-from ..errors import ScheduleError
+from ..errors import ReproError, ScheduleError
 from .schedule import CopyOp, Op, RankProgram, RecvOp, Schedule, SendOp
 
-__all__ = ["schedule_to_json", "schedule_from_json", "save_schedule", "load_schedule"]
+__all__ = [
+    "schedule_to_json",
+    "schedule_from_json",
+    "save_schedule",
+    "load_schedule",
+    "dumps_blob",
+    "loads_blob",
+]
 
 _FORMAT_VERSION = 1
 
@@ -137,3 +152,27 @@ def save_schedule(schedule: Schedule, path: Union[str, Path]) -> Path:
 def load_schedule(path: Union[str, Path]) -> Schedule:
     """Read a schedule previously written by :func:`save_schedule`."""
     return schedule_from_json(Path(path).read_text())
+
+
+def dumps_blob(value) -> str:
+    """Encode one artifact as the ASCII blob stores and the wire carry."""
+    return base64.b64encode(
+        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    ).decode("ascii")
+
+
+def loads_blob(text: str, kind: type):
+    """Decode a :func:`dumps_blob` string that must hold a ``kind``.
+
+    Raises whatever the codec raises on undecodable text, and
+    :class:`~repro.errors.ReproError` on a wrong type; callers treat
+    every exception alike (disk tier: quarantine; client: contract
+    violation).  Only decode blobs this program or its service wrote —
+    unpickling foreign bytes can run arbitrary code.
+    """
+    value = pickle.loads(base64.b64decode(text))
+    if not isinstance(value, kind):
+        raise ReproError(
+            f"blob decoded to {type(value).__name__}, not {kind.__name__}"
+        )
+    return value

@@ -20,10 +20,10 @@ The endpoint surface (DESIGN.md §17 walks each one):
 ``GET /schedule?...``
     Content-addressed compiled artifact: by build parameters or by
     ``fingerprint=`` (source-schedule fingerprint or the 16-hex prefix
-    used in store keys).  Served through the same
-    :class:`~repro.store.schedules.PersistentScheduleCache` /
-    :class:`~repro.compile.cache.PersistentCompiledCache` pair the
-    sweep engine uses, so a disk store populated by one feeds the other.
+    used in store keys).  Served through the same store-backed
+    :class:`~repro.core.cache.ScheduleCache` /
+    :class:`~repro.compile.cache.CompiledCache` pair the sweep engine
+    uses, so a disk store populated by one feeds the other.
 ``POST /tune``
     Run (or join) an authoritative sweep for one collective.  Requests
     are **coalesced single-flight**: concurrent tunes that hash to the
@@ -48,9 +48,7 @@ broken or misused").
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
-import pickle
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -62,6 +60,7 @@ from ..compile.cache import (
 )
 from ..core.cache import ScheduleCache
 from ..core.registry import info
+from ..core.serialize import dumps_blob
 from ..errors import ReproError, SelectionError, ServerError
 from ..obs import Obs, get_obs
 from ..selection.tuner import (
@@ -196,10 +195,9 @@ class TuningService:
         which is exactly enough to answer ``/schedule?fingerprint=``
         after a restart without loading a single artifact.
         """
-        keys = getattr(self.schedules, "store", None)
-        if keys is None:
+        if self.schedules.store is None:
             return
-        for _path, key in keys.keys_on_disk():
+        for _path, key in self.schedules.store.keys_on_disk():
             if not key:
                 continue
             parts = key.split("/")
@@ -305,8 +303,8 @@ class TuningService:
             "source_fingerprint": fp,
             "compiled_fingerprint": compiled.fingerprint(),
             "store_key": compiled_store_key(schedule),
-            "schedule_pickle": _b64(schedule),
-            "compiled_pickle": _b64(compiled),
+            "schedule_pickle": dumps_blob(schedule),
+            "compiled_pickle": dumps_blob(compiled),
         }
 
     async def _ep_tune(self, body: Dict) -> Dict:
@@ -566,13 +564,6 @@ def _require(query: Dict[str, str], name: str) -> str:
             400, "ServerError", f"missing query parameter {name!r}"
         )
     return value
-
-
-def _b64(obj) -> str:
-    """Pickle an artifact for transport (base64, like the disk store)."""
-    return base64.b64encode(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
 
 
 def _json(payload: Dict) -> bytes:

@@ -5,7 +5,7 @@
 returning the same in-process types the library uses everywhere else —
 ``select`` gives a :class:`~repro.selection.table.Choice`, ``config``
 a :class:`~repro.server.config.SelectionConfig`, ``compiled_schedule``
-the unpickled-and-reverified
+the decoded-and-reverified
 :class:`~repro.compile.program.CompiledSchedule`.  It is what the
 tests, the smoke driver, and ``execute(..., select="http://...")``
 speak through.
@@ -20,14 +20,15 @@ failure surface as :class:`~repro.errors.ServerError`.
 
 from __future__ import annotations
 
-import base64
 import json
-import pickle
 from pathlib import Path
 from typing import Dict, Optional, Union
 from urllib import error as urlerror
 from urllib import request as urlrequest
 
+from ..compile.program import CompiledSchedule
+from ..core.schedule import Schedule
+from ..core.serialize import loads_blob
 from ..errors import SelectionError, ServerError
 from ..selection.table import Choice
 from .config import SelectionConfig
@@ -122,8 +123,8 @@ class TuningClient:
         Query by build parameters (``collective`` + ``algorithm``, with
         ``p``/``k``/``root`` optional) or content-addressed by
         ``fingerprint`` (full source fingerprint or its 16-hex store
-        prefix).  The payload carries both fingerprints and the base64
-        pickles; :meth:`compiled_schedule` decodes and reverifies them.
+        prefix).  The payload carries both fingerprints and the two
+        blobs; :meth:`compiled_schedule` decodes and reverifies them.
         """
         if fingerprint is not None:
             query = f"/schedule?fingerprint={fingerprint}"
@@ -144,21 +145,19 @@ class TuningClient:
         """The decoded ``(schedule, compiled)`` pair for one query.
 
         Same query surface as :meth:`schedule`; the compiled program is
-        re-verified against its source schedule after unpickling, so a
+        re-verified against its source schedule after decoding, so a
         corrupt wire payload can never execute
         (:class:`~repro.errors.CompileError` on mismatch — the same
         ladder the disk store applies).
         """
         payload = self.schedule(**kwargs)
         try:
-            schedule = pickle.loads(
-                base64.b64decode(payload["schedule_pickle"])
-            )
-            compiled = pickle.loads(
-                base64.b64decode(payload["compiled_pickle"])
+            schedule = loads_blob(payload["schedule_pickle"], Schedule)
+            compiled = loads_blob(
+                payload["compiled_pickle"], CompiledSchedule
             )
         except Exception as exc:  # noqa: BLE001 — decode failure is a
-            # service-contract violation, whatever the pickle module says.
+            # service-contract violation, whatever the codec says.
             raise ServerError(
                 f"served schedule payload failed to decode: {exc}"
             ) from exc

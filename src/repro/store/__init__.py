@@ -13,8 +13,9 @@ simulated fabric:
   directory of checksummed JSON entries with atomic temp-file+rename
   writes, a versioned format, and quarantine-instead-of-crash handling
   of every kind of damage;
-* :class:`PersistentScheduleCache` (:mod:`repro.store.schedules`) — the
-  schedule cache extended with a disk tier, fingerprint-verified on
+* :func:`open_schedule_store` (:mod:`repro.store.schedules`) — the
+  schedule cache with a disk tier attached (the generic ladder of
+  :class:`~repro.core.cache.ContentCache`), semantically verified on
   read, sharable across processes via advisory locking;
 * :class:`JournalWriter` / :func:`read_journal`
   (:mod:`repro.store.journal`) — the crash-safe JSONL journal behind
@@ -33,11 +34,7 @@ from __future__ import annotations
 from .disk import FORMAT_VERSION, DiskStore, StoreStats
 from .journal import LINE_VERSION, JournalWriter, journal_header, read_journal
 from .locking import FileLock, have_flock
-from .schedules import (
-    PersistentScheduleCache,
-    open_schedule_store,
-    schedule_store_key,
-)
+from .schedules import open_schedule_store, schedule_store_key
 
 __all__ = [
     "FORMAT_VERSION",
@@ -49,7 +46,6 @@ __all__ = [
     "journal_header",
     "FileLock",
     "have_flock",
-    "PersistentScheduleCache",
     "open_schedule_store",
     "schedule_store_key",
 ]

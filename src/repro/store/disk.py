@@ -25,8 +25,8 @@ contain any characters).  The design rules, in failure-first order:
   concurrent sweep workers and a future tuning service share one store
   directory safely.
 
-The payloads are plain JSON dicts; :mod:`repro.store.schedules` layers
-the schedule-specific encoding (and fingerprint re-verification) on top.
+The payloads are plain JSON dicts; :class:`repro.core.cache.ContentCache`
+layers the per-kind blob encoding (and semantic re-verification) on top.
 """
 
 from __future__ import annotations
@@ -289,6 +289,12 @@ class DiskStore:
                     pass
                 return
 
+    def reject(self, key: str, reason: str) -> None:
+        """Quarantine an entry that passed :meth:`get`'s byte ladder but
+        that its reader found wrong (the cache tier's ``"semantic"``
+        rung).  Never raises, like every other quarantine."""
+        self._quarantine(self.path_for(key), reason)
+
     def sweep_orphans(self) -> int:
         """Quarantine crash-leftover temp files; returns how many.
 
@@ -318,7 +324,7 @@ class DiskStore:
             try:
                 doc = json.loads(path.read_text(encoding="utf-8"))
                 key = doc.get("key") if isinstance(doc, dict) else None
-            except (OSError, json.JSONDecodeError):
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError):
                 key = None
             yield path, key
 

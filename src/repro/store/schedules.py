@@ -1,179 +1,27 @@
 """Disk-backed schedule cache: the tuning pipeline's warm start.
 
-:class:`PersistentScheduleCache` extends the in-process
-:class:`~repro.core.cache.ScheduleCache` with a
-:class:`~repro.store.disk.DiskStore` tier: memory LRU first, then disk,
-then the registry builder — with every build written through, so a
-populated store survives the process and warm-starts the next sweep,
-``repro-tune`` run, or tuning-service worker.
-
-Entries hold a pickled schedule — loading one is meaningfully faster
-than re-running the builder, which is the entire point of a warm start
-(the portable JSON form is still available via ``repro-validate
---dump``).  Integrity is a ladder: the store's byte checksum catches any
-on-disk damage before the pickle is ever touched; after decoding, the
-entry's parameters are verified against the requested key, and the
-recorded semantic :meth:`~repro.core.schedule.Schedule.fingerprint`
-travels with the entry for external auditing.  Anything that fails to
-decode to the schedule it claims to be is quarantined and rebuilt — the
-same never-crash discipline the store applies to byte-level damage.
-Builder *semantics* changes are handled by protocol, not by per-read
-re-hashing: bump :data:`repro.store.disk.FORMAT_VERSION` (see
-CONTRIBUTING.md) and every stale entry reads as a miss.
+:func:`open_schedule_store` is a :class:`~repro.core.cache.ScheduleCache`
+with a :class:`~repro.store.disk.DiskStore` attached: memory LRU first,
+then disk, then the registry builder — with every build written through,
+so a populated store survives the process and warm-starts the next
+sweep, ``repro-tune`` run, or tuning-service worker.  The integrity
+ladder is the generic one in :class:`~repro.core.cache.ContentCache`;
+the portable JSON form of a schedule is still ``repro-validate --dump``.
 """
 
 from __future__ import annotations
 
-import base64
-import pickle
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Union
 
-from ..core.cache import ScheduleCache, ScheduleKey, schedule_key
-from ..core.registry import info
-from ..core.schedule import Schedule
-from ..errors import ReproError
-from ..obs import OBS
+from ..core.cache import ScheduleCache, schedule_store_key
 from .disk import DiskStore
 
-__all__ = ["schedule_store_key", "PersistentScheduleCache", "open_schedule_store"]
-
-
-def schedule_store_key(key: ScheduleKey) -> str:
-    """The store key string for a normalized schedule cache key.
-
-    >>> from repro.core.cache import schedule_key
-    >>> schedule_store_key(schedule_key("allreduce", "knomial", 8))
-    'schedule/allreduce/knomial/p=8/k=2/root=0'
-    """
-    collective, algorithm, p, k, root = key
-    return f"schedule/{collective}/{algorithm}/p={p}/k={k}/root={root}"
-
-
-class PersistentScheduleCache(ScheduleCache):
-    """A :class:`ScheduleCache` with a disk tier under the memory LRU.
-
-    Drop-in anywhere a ``ScheduleCache`` goes (including as the
-    process-global cache via
-    :func:`repro.core.cache.set_global_schedule_cache`): ``get_or_build``
-    keeps the exact ``(schedule, hit)`` contract, where ``hit`` is true
-    whenever the build was avoided — from memory *or* from disk.  Use
-    :meth:`disk_stats` to tell the tiers apart.
-    """
-
-    def __init__(
-        self,
-        store: DiskStore,
-        *,
-        maxsize: int = 512,
-        name: str = "schedule",
-    ) -> None:
-        super().__init__(maxsize=maxsize, name=name)
-        self.store = store
-
-    def get_or_build(
-        self,
-        collective: str,
-        algorithm: str,
-        p: int,
-        *,
-        k: Optional[int] = None,
-        root: int = 0,
-    ) -> Tuple[Schedule, bool]:
-        """``(schedule, hit)`` — memory, then disk, then build+persist."""
-        key = schedule_key(collective, algorithm, p, k=k, root=root)
-        with self._lock:
-            sched = self._entries.get(key)
-            if sched is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return sched, True
-        sched = self._load(key)
-        if sched is not None:
-            self._insert(key, sched, hit=True)
-            return sched, True
-        # Cold everywhere: build (outside the lock — builders are pure)
-        # and write through so the *next* process starts warm.
-        self._misses += 1
-        sched = info(collective, algorithm).build(p, k=k, root=root)
-        blob = pickle.dumps(sched, protocol=pickle.HIGHEST_PROTOCOL)
-        self.store.put(
-            schedule_store_key(key),
-            {
-                "fingerprint": sched.fingerprint(),
-                "schedule_pickle": base64.b64encode(blob).decode("ascii"),
-            },
-        )
-        self._insert(key, sched, hit=False)
-        return sched, False
-
-    def _load(self, key: ScheduleKey) -> Optional[Schedule]:
-        """Decode + structurally verify one disk entry, or ``None``.
-
-        The byte checksum already passed inside :meth:`DiskStore.get`;
-        what remains is semantic: the blob must unpickle to a
-        :class:`Schedule` whose parameters match the key it was filed
-        under.  Anything else is quarantined and rebuilt — never raised.
-        """
-        store_key = schedule_store_key(key)
-        payload = self.store.get(store_key)
-        if payload is None:
-            return None
-        collective, algorithm, p, k, root = key
-        try:
-            sched = pickle.loads(base64.b64decode(payload["schedule_pickle"]))
-            if not isinstance(sched, Schedule):
-                raise ReproError("entry did not decode to a Schedule")
-            # Builders alias at degenerate radices (knomial k=2 returns
-            # a schedule labeled binomial, kring k=1 a ring), so
-            # algorithm and k are not invariants of the entry — but the
-            # collective, rank count, and root must match the key the
-            # entry is filed under.
-            if (
-                sched.collective != collective
-                or sched.nranks != p
-                or (sched.root or 0) != root
-            ):
-                raise ReproError("entry parameters do not match its key")
-        except Exception as exc:  # noqa: BLE001 — quarantine, never crash
-            # The bytes were intact (checksum passed) but the content
-            # does not decode to the schedule it claims to be — same
-            # treatment as byte damage: quarantine and rebuild.
-            self.store._quarantine(
-                self.store.path_for(store_key), "semantic"
-            )
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "repro_store_semantic_rejects_total",
-                    store=self.store.name,
-                    error=type(exc).__name__,
-                ).inc()
-            return None
-        return sched
-
-    def _insert(self, key: ScheduleKey, sched: Schedule, *, hit: bool) -> None:
-        """LRU-insert under the lock, counting the lookup outcome."""
-        with self._lock:
-            if hit:
-                self._hits += 1
-            self._entries[key] = sched
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def disk_stats(self):
-        """The disk tier's :class:`~repro.store.disk.StoreStats`."""
-        return self.store.stats()
+__all__ = ["schedule_store_key", "open_schedule_store"]
 
 
 def open_schedule_store(
-    root: Union[str, Path],
-    *,
-    maxsize: int = 512,
-    fsync: bool = False,
-) -> PersistentScheduleCache:
+    root: Union[str, Path], *, fsync: bool = False
+) -> ScheduleCache:
     """Open (creating if needed) a disk-backed schedule cache at ``root``."""
-    return PersistentScheduleCache(
-        DiskStore(root, fsync=fsync, name="schedule"), maxsize=maxsize
-    )
+    return ScheduleCache(store=DiskStore(root, fsync=fsync, name="schedule"))

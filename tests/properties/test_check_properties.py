@@ -17,9 +17,10 @@ Two families of guarantees:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check import CheckCache, run_checks
+from repro.check import run_checks
 from repro.check.interp import interpret
 from repro.core.analysis import critical_path_rounds, dependency_rounds
+from repro.core.cache import ContentCache
 from repro.core.registry import GENERALIZED_ALGORITHMS, build_schedule, info
 
 PS = st.integers(min_value=1, max_value=24)
@@ -39,7 +40,7 @@ def generalized_configs(draw):
 # One bounded cache for the whole module keeps repeated hypothesis draws
 # of the same configuration from re-analyzing (and keeps the process
 # global cache untouched by the test run).
-_CACHE = CheckCache(maxsize=4096)
+_CACHE = ContentCache("check", 4096)
 
 
 @settings(max_examples=100, deadline=None)

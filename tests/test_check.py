@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.check import (
-    CheckCache,
     Finding,
     global_check_cache,
     run_checks,
@@ -18,6 +17,7 @@ from repro.check.hazards import check_hazards
 from repro.check.interp import OpRef, find_cycle, interpret, match_channels
 from repro.check.modelcheck import check_model, has_model
 from repro.cli import main_check
+from repro.core.cache import ContentCache
 from repro.core.analysis import critical_path_rounds, dependency_rounds
 from repro.core.registry import build_schedule
 from repro.core.schedule import (
@@ -302,24 +302,24 @@ class TestDependencyRounds:
 
 class TestCache:
     def test_hit_miss_eviction_accounting(self):
-        cache = CheckCache(maxsize=2)
+        cache = ContentCache("check", 2)
         reports = {}
 
         def make(tag):
             def run():
                 reports[tag] = run_checks(
                     build_schedule("allreduce", "ring", 4),
-                    cache=CheckCache(),  # throwaway, keep global clean
+                    cache=ContentCache("check", 8),  # throwaway, keep global clean
                 )
                 return reports[tag]
             return run
 
-        r1, hit = cache.get_or_run(("a", 1, None), make("a"))
+        r1, hit = cache.get_or_make(("a", 1, None), make("a"))
         assert not hit
-        r2, hit = cache.get_or_run(("a", 1, None), make("a2"))
+        r2, hit = cache.get_or_make(("a", 1, None), make("a2"))
         assert hit and r2 is r1 and "a2" not in reports
-        cache.get_or_run(("b", 1, None), make("b"))
-        cache.get_or_run(("c", 1, None), make("c"))  # evicts "a"
+        cache.get_or_make(("b", 1, None), make("b"))
+        cache.get_or_make(("c", 1, None), make("c"))  # evicts "a"
         assert len(cache) == 2
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.evictions) == (1, 3, 1)
@@ -327,7 +327,7 @@ class TestCache:
         assert len(cache) == 0 and cache.stats().misses == 0
 
     def test_run_checks_memoizes_by_fingerprint(self):
-        cache = CheckCache()
+        cache = ContentCache("check", 8)
         sched = build_schedule("allreduce", "recursive_doubling", 8)
         first = run_checks(sched, cache=cache)
         again = run_checks(
@@ -368,7 +368,7 @@ class TestRunChecks:
         OBS.reset()
         OBS.enable()
         try:
-            run_checks(send_then_recv(), cache=CheckCache())
+            run_checks(send_then_recv(), cache=ContentCache("check", 8))
             snap = OBS.metrics.snapshot()
             assert snap.value("repro_check_runs_total", outcome="fail") == 1
             assert snap.value(

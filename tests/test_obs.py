@@ -5,10 +5,15 @@ metrics registry, span tracer, Perfetto export, and the shared
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
-from repro.core.cache import CacheStats, ScheduleCache
+import repro.bench.sweep as sweep_mod
+import repro.compile.cache as compile_cache
+from repro.check import global_check_cache, run_checks
+from repro.core.cache import CacheStats, ContentCache, ScheduleCache
 from repro.bench.sweep import SweepPoint, SweepStats, run_sweep, sweep_stats
 from repro.errors import ObsError
 from repro.obs import OBS, Obs, get_obs
@@ -21,6 +26,7 @@ from repro.obs.tracing import SimTimeline, TraceContext, Tracer
 from repro.simnet import reference, simulate
 from repro.simnet.trace import TimelineStats, timeline_stats
 from repro.core.registry import build_schedule
+from repro.store import DiskStore
 
 
 @pytest.fixture(autouse=True)
@@ -278,6 +284,108 @@ class TestStatsProtocol:
         d = stats.to_dict()
         assert d["makespan"] == res.time
         assert json.dumps(d)  # JSON-serializable
+
+    # Five cache kinds, one counting implementation: whatever the
+    # lookups go through — a subclass with or without a disk tier, or a
+    # plain instance behind its real entry point — the /metrics series
+    # equal stats() exactly.  Each row returns (cache, lookup(i)) with
+    # the cache bounded to two entries.
+    BCASTS = [build_schedule("bcast", "binomial", 2 + i) for i in range(3)]
+
+    @staticmethod
+    def _schedule_row(store):
+        cache = ScheduleCache(2, store=store)
+        return cache, lambda i: cache.get_or_build("bcast", "binomial", 2 + i)
+
+    @classmethod
+    def _compiled_row(cls, store):
+        cache = compile_cache.CompiledCache(2, store=store)
+        return cache, lambda i: cache.get_or_compile(cls.BCASTS[i])
+
+    @classmethod
+    def _check_row(cls):
+        return global_check_cache(), lambda i: run_checks(cls.BCASTS[i])
+
+    @staticmethod
+    def _classes_row():
+        sched = build_schedule("allreduce", "ring", 4)  # 4 blocks: 3 residues
+        return compile_cache._class_entries, lambda i: (
+            compile_cache.get_or_classify(sched, reference(4), 1024 + i)
+        )
+
+    @staticmethod
+    def _sim_row():
+        return sweep_mod._SIM_MEMO, lambda i: sweep_mod.simulate_point(
+            reference(4), SweepPoint("bcast", "binomial", 64 << i)
+        )
+
+    @pytest.mark.parametrize("row,disk", [
+        ("schedule", False), ("schedule", True),
+        ("compiled", False), ("compiled", True),
+        ("check", False), ("classes", False), ("sim", False),
+    ])
+    def test_cache_counters_equal_stats(self, tmp_path, monkeypatch, row, disk):
+        make_row = getattr(self, f"_{row}_row")
+        if row in ("schedule", "compiled"):
+            cache, lookup = make_row(DiskStore(tmp_path) if disk else None)
+        else:
+            cache, lookup = make_row()
+            monkeypatch.setattr(cache, "maxsize", 2)
+        assert cache.name == row
+        cache.clear()
+        OBS.enable()
+        # a a b c a: the third key evicts the first, whose re-fetch
+        # evicts the second — and is a hit only where a disk tier kept it.
+        for i in (0, 0, 1, 2, 0):
+            lookup(i)
+        OBS.disable()
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.evictions) == (
+            (2, 3, 2) if disk else (1, 4, 2)
+        )
+        snap = OBS.metrics.snapshot()
+        assert (
+            snap.value("repro_cache_lookups_total", cache=row, outcome="hit"),
+            snap.value("repro_cache_lookups_total", cache=row, outcome="miss"),
+            snap.value("repro_cache_evictions_total", cache=row),
+        ) == (stats.hits, stats.misses, stats.evictions)
+        cache.clear()
+
+    def test_concurrent_lookups_lose_no_count(self):
+        """More threads than cores hammering one small cache: every
+        lookup is counted exactly once, in stats() and in /metrics."""
+        cache = ContentCache("stress", 4)
+        nthreads, rounds = 8, 400
+        OBS.enable()
+
+        def worker(seed):
+            for i in range(rounds):
+                key = (seed * 7 + i * 3) % 10
+                value, _hit = cache.get_or_make(key, lambda: ("made", key))
+                assert value == ("made", key)
+
+        threads = [
+            threading.Thread(target=worker, args=(n,)) for n in range(nthreads)
+        ]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        OBS.disable()
+        assert not any(t.is_alive() for t in threads)
+        stats = cache.stats()
+        assert stats.lookups == nthreads * rounds
+        assert len(cache) <= 4
+        snap = OBS.metrics.snapshot()
+        assert snap.total("repro_cache_lookups_total") == stats.lookups
+        assert snap.value(
+            "repro_cache_evictions_total", cache="stress"
+        ) == stats.evictions
 
     def test_all_to_dicts_are_plain_json(self):
         for d in (

@@ -12,7 +12,9 @@ re-verify against their compiled programs, and N concurrent ``/tune``
 requests share one sweep without changing its result.
 """
 
+import base64
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.sweep import clear_sim_memo
+from repro.core.registry import build_schedule
 from repro.errors import ExecutionError, SelectionError, ServerError
 from repro.server import TuningClient, TuningService, build_config, \
     serve_background
@@ -223,6 +226,25 @@ def test_client_unreachable_is_a_server_error():
         client.info()
 
 
+def test_client_rejects_a_payload_of_the_wrong_type(monkeypatch):
+    """A /schedule payload whose blobs decode, but not to a schedule and
+    its compiled program, is a service-contract violation — a
+    ServerError like every other undecodable payload, never an
+    AttributeError from deep inside verification."""
+    client = TuningClient("http://127.0.0.1:9")
+
+    def blob(obj):  # the wire format, spelled out by hand
+        return base64.b64encode(pickle.dumps(obj)).decode("ascii")
+
+    schedule = build_schedule("allreduce", "ring", P)
+    monkeypatch.setattr(client, "schedule", lambda **_kw: {
+        "schedule_pickle": blob(schedule),
+        "compiled_pickle": blob({"not": "a compiled program"}),
+    })
+    with pytest.raises(ServerError, match="failed to decode"):
+        client.compiled_schedule(collective="allreduce", algorithm="ring")
+
+
 def test_store_backed_fingerprint_index_survives_restart(tmp_path):
     """A /schedule served by one service resolves by fingerprint in a
     *fresh* service over the same store — the index is rebuilt from the
@@ -243,6 +265,32 @@ def test_store_backed_fingerprint_index_survives_restart(tmp_path):
     assert again["source_fingerprint"] == fp
     assert again["compiled_fingerprint"] == payload["compiled_fingerprint"]
     assert again["schedule_pickle"] == payload["schedule_pickle"]
+
+
+def test_boot_over_a_damaged_store_entry(tmp_path):
+    """An entry file that no longer decodes as UTF-8 (one high-bit flip)
+    must not stop the next service booting: the boot-time index skips
+    it, and the first request for it quarantines and remakes it."""
+    query = {"collective": "allreduce",
+             "algorithm": "recursive_multiplying", "k": "4"}
+    first = TuningService(
+        MACHINE, SIZES, collectives=("allreduce",), store=tmp_path
+    )
+    payload = first._ep_schedule(query)
+    path = first.compiled_cache.store.path_for(payload["store_key"])
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] = 0xA8
+    path.write_bytes(bytes(blob))
+
+    second = TuningService(
+        MACHINE, SIZES, collectives=("allreduce",), store=tmp_path
+    )
+    again = second._ep_schedule(query)
+    assert again["compiled_fingerprint"] == payload["compiled_fingerprint"]
+    assert any(
+        "unreadable" in p.name
+        for p in second.compiled_cache.store.quarantined()
+    )
 
 
 def test_grid_warm_start_is_bit_identical(tmp_path, served):

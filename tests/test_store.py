@@ -2,12 +2,12 @@
 
 Every way an entry can be wrong — truncated, bit-flipped (including
 flips that break UTF-8 decoding, not just the checksum), wrong format
-version, mis-filed key, crash-orphaned temp file, pickle that decodes
-to the wrong schedule — must read as a *miss with evidence*: the lookup
-returns ``None``, the damaged file moves to ``quarantine/``, and the
-next ``get_or_build`` heals the store by write-through.  The hypothesis
-property at the bottom drives the same contract with arbitrary byte
-damage at arbitrary offsets.
+version, mis-filed key, crash-orphaned temp file, blob that decodes
+to the wrong schedule or compiled program — must read as a *miss with
+evidence*: the lookup returns ``None``, the damaged file moves to
+``quarantine/``, and the next ``get_or_build`` / ``get_or_compile``
+heals the store by write-through.  The hypothesis property drives the
+same contract with arbitrary byte damage at arbitrary offsets.
 """
 
 from __future__ import annotations
@@ -18,13 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
+from repro.compile import compile_schedule
+from repro.compile.cache import compiled_store_key, open_compiled_store
 from repro.core.cache import schedule_key
 from repro.core.registry import build_schedule
 from repro.errors import StoreError
 from repro.store import (
     FORMAT_VERSION,
     DiskStore,
-    PersistentScheduleCache,
     open_schedule_store,
     schedule_store_key,
 )
@@ -93,6 +96,9 @@ def test_bitflip_breaking_utf8_quarantines(store):
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] = 0xA8
     path.write_bytes(bytes(blob))
+    # Enumeration (the tuning service's boot-time index) reports the
+    # document as keyless instead of raising.
+    assert list(store.keys_on_disk()) == [(path, None)]
     _assert_quarantined_miss(store, "key-u", "unreadable")
 
 
@@ -170,60 +176,86 @@ def test_random_damage_is_a_miss_not_an_error(tmp_path_factory, data):
 
 
 # ----------------------------------------------------------------------
-# The schedule layer on top: semantic verification + heal-by-rebuild
+# The cache tiers on top: semantic verification + heal-by-remake, the
+# same ladder (repro.core.cache.ContentCache) for both persistent kinds
 # ----------------------------------------------------------------------
 
 
-def test_persistent_cache_serves_and_heals(tmp_path):
-    cache = open_schedule_store(tmp_path / "store")
-    sched, hit = cache.get_or_build("allreduce", "knomial", 8, k=3)
-    assert not hit  # cold everywhere: built and written through
-    key = schedule_key("allreduce", "knomial", 8, k=3, root=0)
-    path = cache.store.path_for(schedule_store_key(key))
+def _allreduce(algorithm, p, k=None):
+    return build_schedule("allreduce", algorithm, p, k=k)
+
+
+#: One disk-backed cache kind behind a uniform surface: ``open(root)``,
+#: ``fetch(cache, algorithm, p, k) → (value, hit)``, the ``store_key``
+#: the value is filed under, and ``make`` — the cold reference.
+TIERS = [
+    pytest.param(SimpleNamespace(
+        open=open_schedule_store,
+        fetch=lambda cache, alg, p, k=None:
+            cache.get_or_build("allreduce", alg, p, k=k),
+        store_key=lambda alg, p, k=None:
+            schedule_store_key(schedule_key("allreduce", alg, p, k=k)),
+        make=_allreduce,
+    ), id="schedule"),
+    pytest.param(SimpleNamespace(
+        open=open_compiled_store,
+        fetch=lambda cache, alg, p, k=None:
+            cache.get_or_compile(_allreduce(alg, p, k)),
+        store_key=lambda alg, p, k=None:
+            compiled_store_key(_allreduce(alg, p, k)),
+        make=lambda alg, p, k=None: compile_schedule(_allreduce(alg, p, k)),
+    ), id="compiled"),
+]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_persistent_cache_serves_and_heals(tmp_path, tier):
+    cache = tier.open(tmp_path / "store")
+    made, hit = tier.fetch(cache, "knomial", 8, 3)
+    assert not hit  # cold everywhere: made and written through
+    path = cache.store.path_for(tier.store_key("knomial", 8, 3))
     assert path.exists()
 
     # A fresh cache over the same directory serves from disk.
-    warm = open_schedule_store(tmp_path / "store")
-    served, hit = warm.get_or_build("allreduce", "knomial", 8, k=3)
+    warm = tier.open(tmp_path / "store")
+    served, hit = tier.fetch(warm, "knomial", 8, 3)
     assert hit
-    assert served.fingerprint() == sched.fingerprint()
+    assert served.fingerprint() == made.fingerprint()
 
-    # Damage the entry: the next fresh cache quarantines and rebuilds.
+    # Damage the entry: the next fresh cache quarantines and remakes.
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 3] ^= 0xFF
     path.write_bytes(bytes(blob))
-    healed_cache = open_schedule_store(tmp_path / "store")
-    rebuilt, hit = healed_cache.get_or_build("allreduce", "knomial", 8, k=3)
+    healed_cache = tier.open(tmp_path / "store")
+    remade, hit = tier.fetch(healed_cache, "knomial", 8, 3)
     assert not hit
-    assert rebuilt.fingerprint() == sched.fingerprint()
+    assert remade.fingerprint() == made.fingerprint()
     assert healed_cache.store.quarantined()
     # ... and the write-through healed the entry for the next reader.
-    again = open_schedule_store(tmp_path / "store")
-    _, hit = again.get_or_build("allreduce", "knomial", 8, k=3)
+    again = tier.open(tmp_path / "store")
+    _, hit = tier.fetch(again, "knomial", 8, 3)
     assert hit
 
 
-def test_semantic_mismatch_quarantines(tmp_path):
-    """A byte-perfect entry whose pickle is the wrong schedule is damage.
+@pytest.mark.parametrize("tier", TIERS)
+def test_semantic_mismatch_quarantines(tmp_path, tier):
+    """A byte-perfect entry whose blob is the wrong artifact is damage.
 
     The checksum passes (the bytes are exactly what was written) but the
-    content does not decode to the schedule the key promises — the
-    integrity ladder's last rung.
+    content does not decode to what the key promises — the integrity
+    ladder's last rung: the schedule's parameters must match its key,
+    the compiled program must verify against the requesting schedule.
     """
-    cache = open_schedule_store(tmp_path / "store")
-    cache.get_or_build("allreduce", "ring", 8)
-    key8 = schedule_store_key(schedule_key("allreduce", "ring", 8))
-    key4 = schedule_store_key(schedule_key("allreduce", "ring", 4))
+    cache = tier.open(tmp_path / "store")
+    tier.fetch(cache, "ring", 8)
     # File the p=8 entry under the p=4 key, re-checksummed so the byte
     # ladder passes and only the semantic check can catch it.
-    payload = cache.store.get(key8)
-    cache.store.put(key4, payload)
+    payload = cache.store.get(tier.store_key("ring", 8))
+    cache.store.put(tier.store_key("ring", 4), payload)
 
-    fresh = open_schedule_store(tmp_path / "store")
-    sched, hit = fresh.get_or_build("allreduce", "ring", 4)
-    assert not hit  # rebuilt, not served the wrong schedule
-    assert sched.nranks == 4
-    assert sched.fingerprint() == build_schedule(
-        "allreduce", "ring", 4
-    ).fingerprint()
+    fresh = tier.open(tmp_path / "store")
+    value, hit = tier.fetch(fresh, "ring", 4)
+    assert not hit  # remade, not served the wrong artifact
+    assert value.nranks == 4
+    assert value.fingerprint() == tier.make("ring", 4).fingerprint()
     assert any("semantic" in p.name for p in fresh.store.quarantined())
