@@ -213,10 +213,10 @@ def run_adaptive(
     ``max_candidates`` best — those healthy times are also the bandit's
     warm-start priors.  ``phased`` and ``contention`` drive the drift;
     with neither, every round is healthy and the loop provably never
-    switches (the perf gate pins this).  ``jobs``/``engine`` tune sweep
-    wall-clock only: every number in the report is bit-identical across
-    them.  An ``abort`` from the ladder stops the loop early and sets
-    ``aborted`` on the report — it never raises.
+    switches (``tests/test_adapt.py`` pins this).  ``jobs``/``engine``
+    tune sweep wall-clock only: every number in the report is
+    bit-identical across them.  An ``abort`` from the ladder stops the
+    loop early and sets ``aborted`` on the report — it never raises.
 
     ``priors`` seeds the healthy arm times directly — the
     ``{Choice: seconds}`` mapping

@@ -173,7 +173,7 @@ def contention_scenario(nranks: int, *, seed: int = 0) -> AdaptScenario:
 
 def calm_scenario(nranks: int, *, seed: int = 0) -> AdaptScenario:
     """No drift: a healthy fabric end to end.  The adaptive loop must
-    provably never switch here (the perf gate pins it)."""
+    provably never switch here (``tests/test_adapt.py`` pins it)."""
     _require_ranks("calm", nranks, 2)
     return AdaptScenario(
         name="calm",

@@ -4,7 +4,6 @@ and the per-figure experiment definitions."""
 from .adapt import run_adapt_bench
 from .experiments import ALL_EXPERIMENTS, ExperimentResult, run_experiment
 from .osu import LatencyPoint, default_sizes, osu_latency, osu_latency_schedule
-from .perf import check_regression, load_report, run_perf, write_report
 from .recovery import (
     RecoveryPoint,
     RecoveryRecord,
@@ -38,10 +37,6 @@ __all__ = [
     "simulate_point",
     "sweep_errors",
     "run_adapt_bench",
-    "run_perf",
-    "check_regression",
-    "write_report",
-    "load_report",
     "RecoveryPoint",
     "RecoveryRecord",
     "recovery_curve",

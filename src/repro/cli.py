@@ -34,11 +34,12 @@ Eleven console scripts are installed with the package:
     (``repro-recover --sweep -o recovery_report.json``).
 
 ``repro-bench-perf``
-    Time schedule builds, single simulations, and the combined
-    Fig. 8+9 sweep on the cold vs. cached paths and write
-    ``BENCH_perf.json``; with ``--baseline`` it also gates against a
-    committed report: ``repro-bench-perf -o BENCH_perf.json`` then
-    ``repro-bench-perf --smoke --baseline BENCH_perf.json`` in CI.
+    Run the perf gates — nine timing ratios and wall-clock budgets
+    (cache speedup, recovery / observability / durability overheads,
+    the p=4096 scale sweep, warm-started tunes), each judged inside the
+    run against a fixed bound; exit 0 when all hold, 1 otherwise.  It
+    takes no options: ``repro-bench-perf``.  Perf *claims* come from
+    ``perfbench/``, not from here.
 
 ``repro-trace``
     Run one collective point under full observability and write a
@@ -594,114 +595,31 @@ def main_recover(argv: Optional[List[str]] = None) -> int:
 
 
 def main_bench_perf(argv: Optional[List[str]] = None) -> int:
-    """``repro-bench-perf``: performance-regression benchmark."""
+    """``repro-bench-perf``: the perf gates (DESIGN.md §18)."""
     parser = argparse.ArgumentParser(
         prog="repro-bench-perf",
-        description="Time schedule builds, single simulations, and the "
-        "combined Fig. 8+9 sweep on the cold vs. cached paths; "
-        "optionally gate against a committed baseline report.",
+        description="Run the perf gates: timing ratios and wall-clock "
+        "budgets, each judged inside this run against a fixed bound "
+        "(no baseline, no options). Exits 0 when every gate holds, 1 "
+        "otherwise. Perf claims are perfbench A/B tables, not this.",
     )
-    parser.add_argument("--machine", default="frontier",
-                        help="base machine (frontier/polaris/reference, "
-                        "combined with --nodes/--ppn) or a registry name "
-                        "like dragonfly-1024 (default: frontier)")
-    parser.add_argument("--nodes", type=int, default=16)
-    parser.add_argument("--ppn", type=int, default=1)
-    parser.add_argument("--smoke", action="store_true",
-                        help="trimmed grid for CI (seconds, not minutes)")
-    parser.add_argument("-j", "--jobs", type=int, action="append",
-                        default=None, metavar="N",
-                        help="also time the cached sweep at this job "
-                        "count (repeatable; default: 4)")
-    parser.add_argument("-o", "--output", default=None, metavar="PATH",
-                        help="write the JSON report here "
-                        "(e.g. BENCH_perf.json)")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="committed report to gate against; exits 1 "
-                        "if schedule-build time regresses")
-    parser.add_argument("--factor", type=float, default=2.0,
-                        help="allowed regression factor vs the baseline "
-                        "(default 2.0)")
-    parser.add_argument("--obs-factor", type=float, default=1.05,
-                        help="allowed factor for the instrumentation-"
-                        "disabled sweep vs the baseline (default 1.05 "
-                        "= within 5%%)")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="after the timed (instrumentation-off) "
-                        "sections, re-run the cached sweep with "
-                        "observability on and write its metrics snapshot "
-                        "here (JSON; Prometheus text beside it as .prom)")
-    parser.add_argument("--adapt-out", default=None, metavar="PATH",
-                        help="also write the adapt tier's full drift "
-                        "trail here (adapt_report.json — the same "
-                        "document repro-adapt -o writes)")
-    args = parser.parse_args(argv)
+    parser.parse_args(argv)
 
-    from .bench.perf import (
-        check_regression,
-        format_report,
-        load_report,
-        run_perf,
-        write_report,
-    )
+    from .bench.perf import format_report, run_gates
 
     try:
-        report = run_perf(
-            machine_name=args.machine,
-            nodes=args.nodes,
-            ppn=args.ppn,
-            smoke=args.smoke,
-            jobs_levels=tuple(args.jobs) if args.jobs else (4,),
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        report = run_gates()
     except KeyboardInterrupt:
-        # A partial report would gate CI on numbers from an incomplete
-        # grid — refuse to write one, but leave whatever the obs
-        # section accumulated for --metrics-out.
-        print("\ninterrupted: no report written", file=sys.stderr)
-        if args.metrics_out:
-            from .obs import OBS
-
-            OBS.write_metrics(args.metrics_out)
-            print(f"wrote {args.metrics_out} (+ .prom)", file=sys.stderr)
+        # Rows from the measures that did finish would read as a verdict
+        # on the ones that did not.
+        print("\ninterrupted: no verdict", file=sys.stderr)
         return 130
     print(format_report(report))
-    if args.metrics_out:
-        # run_perf leaves the metrics of its obs-overhead section in the
-        # global scope (disabled but not reset) exactly for this dump.
-        from .obs import OBS
-
-        OBS.write_metrics(args.metrics_out)
-        print(f"wrote {args.metrics_out} (+ .prom)")
-    if args.output:
-        write_report(report, args.output)
-        print(f"wrote {args.output}")
-    if args.adapt_out:
-        import json as _json
-        from pathlib import Path
-
-        Path(args.adapt_out).write_text(
-            _json.dumps(report["adapt"]["flap"], indent=2, sort_keys=True)
-            + "\n"
-        )
-        print(f"wrote {args.adapt_out}")
-    if args.baseline:
-        try:
-            baseline = load_report(args.baseline)
-        except (OSError, ValueError, ReproError) as exc:
-            print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        failures = check_regression(report, baseline, factor=args.factor,
-                                    obs_factor=args.obs_factor)
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.baseline} "
-              f"(factor {args.factor:.1f}x, obs {args.obs_factor:.2f}x)")
-    return 0
+    failed = [row for row in report if not row["ok"]]
+    if failed:
+        print("PERF GATE FAILED:\n" + format_report(failed), file=sys.stderr)
+    print(f"perf gates: {len(report) - len(failed)} of {len(report)} hold")
+    return 1 if failed else 0
 
 
 def main_trace(argv: Optional[List[str]] = None) -> int:

@@ -20,8 +20,8 @@ process boundary, with nothing shared but the URL:
   CI uploads;
 * ``SIGTERM`` — the daemon exits 0 ("stopped cleanly").
 
-The coalescing assertion is made race-free the same way the perf tier
-does it: the boot sweep covers only ``allreduce``, so tuning a cold
+The coalescing assertion is made race-free against a real subprocess:
+the boot sweep covers only ``allreduce``, so tuning a cold
 collective costs a real sweep; the driver fires a leader, polls the
 descriptor's ``inflight`` counter until the leader is visibly in
 flight, then fires the followers into that window.  If a follower

@@ -267,6 +267,12 @@ def test_calm_scenario_never_switches(small_frontier):
     assert report.final_choice == Choice(report.static_algorithm,
                                          report.static_k)
     assert all(r.action == "keep" for r in report.records)
+    # With nothing to adapt to, the loop may not perturb a single
+    # simulated number: every round is the static winner, bit for bit.
+    static = repro.build("allreduce", report.static_algorithm,
+                         p=small_frontier.nranks, k=report.static_k)
+    plain = repro.simulate(static, small_frontier, nbytes=65536)
+    assert all(r.time == plain.time for r in report.records)
 
 
 def test_run_adaptive_validation(small_frontier):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import perf
 from repro.bench.osu import default_sizes, osu_latency, osu_latency_schedule
 from repro.bench.report import format_size, format_table, geomean, speedup_str
 from repro.bench.speedup import policy_latency, speedup_curves
@@ -158,3 +159,62 @@ class TestSpeedup:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ReproError):
             speedup_curves("allreduce", frontier(8, 1), [8], candidates=[])
+
+
+class TestPerfGates:
+    """The gate runner (:mod:`repro.bench.perf`) on synthetic facts; no
+    real measure runs here."""
+
+    @staticmethod
+    def _run(monkeypatch, rows, facts):
+        """``run_gates()`` over a synthetic table: ``rows`` are
+        (measure, fact, op, bound), ``facts`` is {measure: fact dict}."""
+        monkeypatch.setattr(
+            perf, "GATES", tuple(perf._Gate(*row, "why") for row in rows)
+        )
+        monkeypatch.setattr(
+            perf, "_MEASURES", {m: (lambda f=f: f) for m, f in facts.items()}
+        )
+        return perf.run_gates()
+
+    @pytest.mark.parametrize("op,holds,broken", [
+        (">=", (1.0, 1.5), (0.999,)),
+        ("<=", (1.0, 0.5), (1.001,)),
+        (">", (1.001,), (1.0, 0.5)),
+    ])
+    def test_operators_at_the_boundary(self, monkeypatch, op, holds, broken):
+        assert op in {g.op for g in perf.GATES}
+        for value in holds + broken:
+            (row,) = self._run(
+                monkeypatch, [("m", "x", op, 1.0)], {"m": {"x": value}}
+            )
+            assert row["ok"] is (value in holds), (op, value)
+            assert row["value"] == value and row["error"] is None
+
+    def test_missing_fact_fails_naming_the_row(self, monkeypatch):
+        rows = [("m", "x", "<=", 1.0), ("m", "y", "<=", 1.0)]
+        bad, good = self._run(monkeypatch, rows, {"m": {"y": 0.5}})
+        assert good["ok"]
+        assert not bad["ok"] and bad["value"] is None
+        assert "'m'" in bad["error"] and "'x'" in bad["error"]
+        line = perf.format_report([bad])
+        assert line.startswith("m.x") and "FAIL" in line
+
+    def test_table_is_well_formed(self):
+        names = [g.name for g in perf.GATES]
+        assert len(set(names)) == len(names)
+        assert {g.measure for g in perf.GATES} == set(perf._MEASURES)
+
+    def test_bounds_are_pinned(self):
+        # Loosening a bound is a visible edit here, not only in the table.
+        assert [(g.name, g.op, g.bound) for g in perf.GATES] == [
+            ("sweep.cache_speedup", ">=", 1.0),
+            ("recovery.overhead", "<=", 2.0),
+            ("obs.overhead", "<=", 2.0),
+            ("durability.overhead", "<=", 1.05),
+            ("durability.end_to_end", "<=", 1.25),
+            ("durability.warm_speedup", ">", 1.0),
+            ("scale.sweep_wall_s", "<=", 120.0),
+            ("scale.sublinear_ratio", "<=", 256.0),
+            ("serve.warm_speedup", ">=", 2.0),
+        ]

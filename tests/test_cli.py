@@ -206,3 +206,89 @@ class TestMetricsOut:
         assert json.loads(mpath.read_text())
         assert "repro_sweep_points_total" in (
             tmp_path / "tune-metrics.prom").read_text()
+
+
+class TestBenchPerf:
+    """``repro-bench-perf`` with the six measures replaced by canned
+    outcomes: the verb's exit codes and what it prints where."""
+
+    CONFORMING = {
+        "sweep": {"cache_speedup": 2.3},
+        "recovery": {"overhead": 1.1},
+        "obs": {"overhead": 1.1},
+        "durability": {"overhead": 0.98, "end_to_end": 1.08,
+                       "warm_speedup": 1.5},
+        "scale": {"sweep_wall_s": 21.7, "sublinear_ratio": 97.0},
+        "serve": {"warm_speedup": 300.0},
+    }
+
+    @classmethod
+    def _run(cls, monkeypatch, capsys, **outcomes):
+        """Exit code, stdout lines and stderr of ``main_bench_perf([])``;
+        an outcome that is an exception is raised, not returned."""
+        from repro.bench import perf
+        from repro.cli import main_bench_perf
+
+        def measure(outcome):
+            def run():
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                return outcome
+            return run
+
+        outcomes = {**cls.CONFORMING, **outcomes}
+        assert set(outcomes) == set(perf._MEASURES)
+        monkeypatch.setattr(
+            perf, "_MEASURES", {m: measure(o) for m, o in outcomes.items()}
+        )
+        rc = main_bench_perf([])
+        out, err = capsys.readouterr()
+        return rc, out.splitlines(), err
+
+    def test_all_gates_hold(self, monkeypatch, capsys):
+        rc, out, err = self._run(monkeypatch, capsys)
+        assert rc == 0 and err == ""
+        assert len([ln for ln in out if ln.endswith(" ok")]) == 9
+        assert out[-1] == "perf gates: 9 of 9 hold"
+
+    def test_violated_gate_exits_1(self, monkeypatch, capsys):
+        rc, out, err = self._run(
+            monkeypatch, capsys,
+            durability={"overhead": 1.2, "end_to_end": 1.08,
+                        "warm_speedup": 1.5},
+        )
+        assert rc == 1
+        assert "durability.overhead" in err
+        assert "1.2" in err and "1.05" in err
+        assert len([ln for ln in out if ln.endswith(" ok")]) == 8
+
+    def test_identity_violation_fails_only_its_rows(self, monkeypatch,
+                                                    capsys):
+        from repro.errors import ReproError
+
+        rc, out, err = self._run(
+            monkeypatch, capsys,
+            scale=ReproError("engines differ at p=4096"),
+        )
+        assert rc == 1
+        failed = [ln for ln in out if "FAIL" in ln]
+        assert [ln.split()[0] for ln in failed] == [
+            "scale.sweep_wall_s", "scale.sublinear_ratio"]
+        assert all("engines differ at p=4096" in ln for ln in failed)
+        assert len([ln for ln in out if ln.endswith(" ok")]) == 7
+        assert "engines differ at p=4096" in err
+
+    def test_interrupt_exits_130_without_a_verdict(self, monkeypatch,
+                                                   capsys):
+        rc, out, err = self._run(
+            monkeypatch, capsys, obs=KeyboardInterrupt())
+        assert rc == 130
+        assert out == [] and "no verdict" in err
+
+    def test_options_are_usage_errors(self, capsys):
+        from repro.cli import main_bench_perf
+
+        with pytest.raises(SystemExit) as exc:
+            main_bench_perf(["--smoke"])
+        assert exc.value.code == 2
+        assert "--smoke" in capsys.readouterr().err
