@@ -104,14 +104,14 @@ GATES = (
           "builder it bypasses, or it is dead weight"),
     _Gate("scale", "sweep_wall_s", "<=", 120.0,
           "the p=4096 acceptance grid must fit a CI step (measured "
-          "20-30 s)"),
+          "11-30 s)"),
     _Gate("scale", "sublinear_ratio", "<=", 256.0,
           "wall clock over a 1024x rank span (p=2^10..2^20): the "
           "collapsed engine's per-event op is a NumPy vector over class "
           "members, so ~100x measured; per-message cost would read 1024x"),
     _Gate("serve", "warm_speedup", ">=", 2.0,
           "a tune replaying a selection config's recorded timings must "
-          "make boot nearly free (measured 180-360x)"),
+          "make boot nearly free (measured 130-360x)"),
 )
 
 # The sweep-shaped measures (sweep, obs, durability) and recovery share

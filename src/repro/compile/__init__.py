@@ -10,8 +10,8 @@ production path walks: the lockstep runner walks bound action tuples
 cooperatively, one blocking per-rank walker
 (:func:`run_compiled_rank`) serves every thread of the threaded
 transport and every :class:`~repro.runtime.session.Session` collective
-call, and the simulator's cost accounting consumes a preflattened
-``(is_send, peer)`` feed.
+call, and the simulator's kernel walks the matched-message plan
+(:meth:`~repro.compile.program.CompiledSchedule.sim_plan`).
 
 Pipeline::
 
@@ -20,7 +20,11 @@ Pipeline::
                                       ▼
                                   BoundSchedule          (action tuples)
                                       │
-                    executors' tight loops / simulator feed
+                    executors' tight loops
+
+    CompiledSchedule ──.sim_plan()──▶ SimPlan (matched messages, cached)
+                                      │
+                              simulator kernel's table
 
 Guarantees, in order of importance:
 
@@ -28,8 +32,9 @@ Guarantees, in order of importance:
   op-by-op reference interpreter
   (:func:`repro.core.runner.run_schedule` over a
   :class:`~repro.runtime.executor.NumpyModel`, kept as the test oracle)
-  — result buffers and failure surfaces — and the simulator feed equals
-  the IR's op stream, pinned by the differential suite
+  — result buffers and failure surfaces — and the simulator plan equals
+  ``match_messages`` and the IR's op stream, pinned by the differential
+  suite
   (``tests/properties/test_compile_transparency.py``) across the full
   registry grid and under fault injection.
 * **Self-verification.**  Every lowering is checked against its source

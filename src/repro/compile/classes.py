@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ClassAnalysisError
-from ..simnet.machine import MachineSpec
+from ..simnet.machine import LINK_GLOBAL, LINK_INTER, LINK_INTRA, MachineSpec
 from .program import OP_COPY, OP_SEND, CompiledProgram, CompiledSchedule
 
 __all__ = [
@@ -63,11 +63,6 @@ __all__ = [
     "partition_key",
     "machine_asymmetry",
 ]
-
-#: Per-op link classes (values stored in :attr:`ClassProgram.link`).
-LINK_INTRA = 0
-LINK_INTER = 1
-LINK_GLOBAL = 2
 
 
 def machine_asymmetry(machine: MachineSpec) -> Optional[str]:
@@ -126,10 +121,10 @@ class ClassProgram:
     """One equivalence class: its representative's op tables plus the
     per-send redirection targets the collapsed engine consumes.
 
-    ``feed`` mirrors :meth:`~repro.compile.program.CompiledSchedule.sim_feed`
-    for the representative — per raw step, ``(is_send, op_index)`` with
-    copies stripped.  ``send_target[j]`` is ``(class, op_index)`` of the
-    matched receive for send op ``j`` (and ``None`` for non-sends).
+    ``feed`` is the representative's op stream — per raw step,
+    ``(is_send, op_index)`` with copies stripped.  ``send_target[j]`` is
+    ``(class, op_index)`` of the matched receive for send op ``j`` (and
+    ``None`` for non-sends).
     """
 
     rep: int

@@ -39,7 +39,7 @@ from .program import (
 __all__ = ["compile_schedule"]
 
 
-def _lower(schedule: Schedule) -> CompiledSchedule:
+def _lower(schedule: Schedule, source_fingerprint: str) -> CompiledSchedule:
     # Pass 1: per-channel FIFO census of send block tuples.
     chan_sends: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
     for prog in schedule.programs:
@@ -119,7 +119,7 @@ def _lower(schedule: Schedule) -> CompiledSchedule:
         nblocks=schedule.nblocks,
         root=schedule.root,
         k=schedule.k,
-        source_fingerprint=schedule.fingerprint(),
+        source_fingerprint=source_fingerprint,
         programs=tuple(programs),
         staging_plan=StagingPlan(signatures=tuple(sorted(signatures))),
         fifo_mismatches=fifo_mismatches,
@@ -131,8 +131,14 @@ def compile_schedule(
     *,
     verify: bool = True,
     obs: Optional[Obs] = None,
+    source_fingerprint: Optional[str] = None,
 ) -> CompiledSchedule:
     """Lower ``schedule`` to flat per-rank tables (verified by default).
+
+    ``source_fingerprint`` spares the IR walk when the caller has just
+    computed ``schedule.fingerprint()`` (the compiled cache's key); the
+    verification ladder's identity rung recomputes it regardless, so a
+    wrong stamp cannot pass.
 
     With ``verify=True`` the self-verification pass re-derives every
     table from the IR and compares exactly, raising
@@ -145,16 +151,18 @@ def compile_schedule(
     every other subsystem).
     """
     o = get_obs(obs)
+    if source_fingerprint is None:
+        source_fingerprint = schedule.fingerprint()
     if o.enabled:
         with o.span("compile", schedule=schedule.describe()):
-            compiled = _lower(schedule)
+            compiled = _lower(schedule, source_fingerprint)
             if verify:
                 compiled.verify(schedule)
         m = o.metrics
         m.counter("repro_compile_total").inc()
         m.counter("repro_compile_ops_total").inc(compiled.total_ops())
     else:
-        compiled = _lower(schedule)
+        compiled = _lower(schedule, source_fingerprint)
         if verify:
             compiled.verify(schedule)
     return compiled

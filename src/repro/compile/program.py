@@ -27,6 +27,11 @@ The tables are the cached, fingerprinted, disk-persisted artifact.
 :class:`~repro.core.blocks.BlockMap` into per-step action tuples of plain
 Python ints (slice starts/stops, payload sizes) — adjacent blocks merge
 into single slices — which is what the executors' tight loops consume.
+The simulator takes its own view of the same tables,
+:meth:`CompiledSchedule.sim_plan`: every send matched to its receive by
+channel and FIFO tag, as flat per-message columns plus per-rank op
+codes (:class:`SimPlan`) — a runtime cache like the bound schedules,
+rebuilt on demand and never persisted.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ExecutionError
+from ..errors import ExecutionError, MachineError
 
 __all__ = [
     "OP_SEND",
@@ -53,6 +58,7 @@ __all__ = [
     "BoundSchedule",
     "StagingPlan",
     "StagingPool",
+    "SimPlan",
 ]
 
 #: Op codes used in :attr:`CompiledProgram.kinds`.
@@ -249,7 +255,9 @@ class CompiledSchedule:
     _bind_cache: Dict[tuple, BoundSchedule] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _sim_feed: Optional[list] = field(default=None, repr=False, compare=False)
+    _sim_plan: Optional["SimPlan"] = field(
+        default=None, repr=False, compare=False
+    )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -258,7 +266,7 @@ class CompiledSchedule:
         """Pickle only the content (drop runtime caches and the lock)."""
         state = self.__dict__.copy()
         state["_bind_cache"] = {}
-        state["_sim_feed"] = None
+        state["_sim_plan"] = None
         state.pop("_lock", None)
         return state
 
@@ -419,34 +427,148 @@ class CompiledSchedule:
         )
 
     # ------------------------------------------------------------------
-    # Simulator feed
+    # Simulator plan
     # ------------------------------------------------------------------
 
-    def sim_feed(self) -> list:
-        """Per-rank, per-raw-step ``(is_send, peer)`` tuples for the DES.
+    def sim_plan(self) -> "SimPlan":
+        """The matched-message table the DES kernel walks (cached).
 
-        Copies are omitted — the simulator models them as free, so the
-        cost walk is identical to interpreting the IR.  Cached; plain
-        Python ints so the simulator's generator loop stays allocation-
-        free.
+        A runtime cache like the bound schedules: rebuilt from the
+        tables on demand, never pickled, stored or sent.
         """
-        feed = self._sim_feed
-        if feed is None:
-            feed = []
-            for prog in self.programs:
-                kinds = prog.kinds.tolist()
-                peers = prog.peers.tolist()
-                bounds = prog.steps_raw.tolist()
-                rank_feed = []
-                for s in range(len(bounds) - 1):
-                    ops = []
-                    for i in range(bounds[s], bounds[s + 1]):
-                        kind = kinds[i]
-                        if kind == OP_SEND:
-                            ops.append((True, peers[i]))
-                        elif kind != OP_COPY:
-                            ops.append((False, peers[i]))
-                    rank_feed.append(tuple(ops))
-                feed.append(rank_feed)
-            self._sim_feed = feed
-        return feed
+        plan = self._sim_plan
+        if plan is None:
+            plan = self._sim_plan = _build_sim_plan(self)
+        return plan
+
+
+#: Cap on per-plan route entries (distinct machine geometries).
+_ROUTE_CACHE_MAX = 8
+
+
+@dataclass
+class SimPlan:
+    """What the simulator needs of a schedule, as flat columns.
+
+    Message ``i`` is the ``i``-th send in rank order, program order —
+    :func:`repro.faults.sim.match_messages` order — matched to the
+    receive with the same channel and FIFO tag.  Per message: the
+    endpoints ``src`` / ``dst``, the channel sequence number ``seq``,
+    whether the receive reduces, and the block ids it carries (CSR:
+    ``blk_ids[blk_ptr[i]:blk_ptr[i + 1]]``).  Per rank and raw step,
+    ``ops`` holds the op codes ``msg << 1 | is_recv`` in program order,
+    copies dropped (the simulator models them as free).  ``routes``
+    memoizes, per machine geometry, what the simulator derives from the
+    endpoints (link classes, held resources).  Numbers only — never a
+    per-message object.
+    """
+
+    src: List[int]
+    dst: List[int]
+    seq: List[int]
+    reduce: np.ndarray
+    blk_ptr: np.ndarray
+    blk_ids: np.ndarray
+    ops: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    routes: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
+
+    def message_bytes(self, block_sizes: Sequence[int]) -> np.ndarray:
+        """Per-message byte counts under per-block ``block_sizes``: one
+        segment sum over the block-size vector."""
+        sizes = np.asarray(block_sizes, dtype=np.int64)
+        csum = np.concatenate(([0], np.cumsum(sizes[self.blk_ids])))
+        return csum[self.blk_ptr[1:]] - csum[self.blk_ptr[:-1]]
+
+    def route(self, key: tuple, make) -> tuple:
+        """``make()`` memoized under ``key`` (bounded, oldest out)."""
+        entry = self.routes.get(key)
+        if entry is None:
+            if len(self.routes) >= _ROUTE_CACHE_MAX:
+                self.routes.pop(next(iter(self.routes)))
+            entry = self.routes[key] = make()
+        return entry
+
+
+def _build_sim_plan(compiled: CompiledSchedule) -> SimPlan:
+    """Match sends to receives over the concatenated rank tables."""
+    progs = compiled.programs
+    p = compiled.nranks
+
+    def cat(name: str) -> np.ndarray:
+        return np.concatenate([getattr(prog, name) for prog in progs])
+
+    kinds = cat("kinds")
+    peers = cat("peers").astype(np.int64)
+    tags = cat("tags").astype(np.int64)
+    rank = np.repeat(
+        np.asarray([prog.rank for prog in progs], dtype=np.int64),
+        [prog.nops for prog in progs],
+    )
+    is_send = kinds == OP_SEND
+    is_recv = (kinds == OP_RECV) | (kinds == OP_REDUCE_RECV)
+    send_at = np.flatnonzero(is_send)
+    recv_at = np.flatnonzero(is_recv)
+    nmsgs = len(send_at)
+
+    # One integer per (src, dst, tag); a send and its receive share it,
+    # so sorting both sides pairs them up.
+    width = int(tags.max()) + 1 if len(tags) else 1
+    key = np.where(is_send, rank * p + peers, peers * p + rank) * width + tags
+    send_key, recv_key = key[send_at], key[recv_at]
+    send_order = np.argsort(send_key, kind="stable")
+    recv_order = np.argsort(recv_key, kind="stable")
+    if not np.array_equal(send_key[send_order], recv_key[recv_order]):
+        lone = np.flatnonzero(~np.isin(send_key, recv_key))
+        if len(lone):
+            i = send_at[lone[0]]
+            raise MachineError(
+                f"{compiled.describe()}: unmatched send "
+                f"{int(rank[i])}->{int(peers[i])}"
+            )
+        lone = np.flatnonzero(~np.isin(recv_key, send_key))
+        if len(lone):
+            i = recv_at[lone[0]]
+            raise MachineError(
+                f"{compiled.describe()}: unmatched receive on channel "
+                f"{(int(peers[i]), int(rank[i]))}"
+            )
+        raise MachineError(
+            f"{compiled.describe()}: FIFO tags repeat on a channel"
+        )
+    recv_msg = np.empty(nmsgs, dtype=np.int64)
+    recv_msg[recv_order] = send_order
+
+    msg = np.full(len(kinds), -1, dtype=np.int64)
+    msg[send_at] = np.arange(nmsgs)
+    msg[recv_at] = recv_msg
+    reduce = np.zeros(nmsgs, dtype=bool)
+    reduce[recv_msg] = kinds[recv_at] == OP_REDUCE_RECV
+
+    # Op codes per rank per raw step, copies dropped.
+    moves = kinds != OP_COPY
+    codes = tuple(((msg << 1) | is_recv)[moves].tolist())
+    before = np.concatenate(([0], np.cumsum(moves)))
+    ops = []
+    base = 0
+    for prog in progs:
+        cut = before[base + prog.steps_raw].tolist()
+        ops.append(tuple([codes[a:b] for a, b in zip(cut, cut[1:])]))
+        base += prog.nops
+
+    # CSR of the sends' block ids, gathered out of the segment tables.
+    seg_len = np.concatenate([np.diff(prog.seg_bounds) for prog in progs])
+    seg_start = np.cumsum(seg_len) - seg_len
+    blk_ptr = np.concatenate(([0], np.cumsum(seg_len[send_at])))
+    blk_ids = cat("seg_blocks")[
+        np.repeat(seg_start[send_at] - blk_ptr[:-1], seg_len[send_at])
+        + np.arange(blk_ptr[-1])
+    ]
+    return SimPlan(
+        src=rank[send_at].tolist(),
+        dst=peers[send_at].tolist(),
+        seq=tags[send_at].tolist(),
+        reduce=reduce,
+        blk_ptr=blk_ptr,
+        blk_ids=blk_ids,
+        ops=tuple(ops),
+    )

@@ -76,11 +76,12 @@ def verify_compiled(compiled: CompiledSchedule, schedule: Schedule) -> None:
                 f"compiled artifact {field_name}={got!r} does not match "
                 f"schedule {field_name}={want!r}"
             )
-    if compiled.source_fingerprint != schedule.fingerprint():
+    fingerprint = schedule.fingerprint()
+    if compiled.source_fingerprint != fingerprint:
         raise CompileError(
             f"compiled artifact was lowered from a different schedule: "
             f"source fingerprint {compiled.source_fingerprint[:16]}… != "
-            f"{schedule.fingerprint()[:16]}…"
+            f"{fingerprint[:16]}…"
         )
     if len(compiled.programs) != schedule.nranks:
         raise CompileError(

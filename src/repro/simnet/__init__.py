@@ -2,7 +2,7 @@
 Frontier and Polaris hardware (see DESIGN.md §2 for the substitution
 rationale)."""
 
-from .engine import ClassBatch, Engine, Event, Resource, Timeout
+from .collapsed import ClassBatch
 from .machine import DragonflySpec, GiBps, MachineSpec, us
 from .machines import by_name, frontier, get, polaris, reference, resolve
 from .noise import NoiseModel
@@ -10,10 +10,6 @@ from .simulate import ENGINES, SimResult, TrafficSummary, simulate, traffic_summ
 from .trace import TimelineStats, timeline_stats, to_chrome_trace, write_chrome_trace
 
 __all__ = [
-    "Engine",
-    "Event",
-    "Resource",
-    "Timeout",
     "MachineSpec",
     "DragonflySpec",
     "us",

@@ -1,14 +1,15 @@
 """Class-collapsed discrete-event simulation: one representative per
 rank-equivalence class.
 
-The materialized engine (:mod:`repro.simnet.simulate`) spawns one DES
-process per rank and one per message — cost linear in ``p``.  On
-symmetric topologies the partition computed by
+The materialized table (:func:`repro.simnet.simulate.simulate`) has one
+kernel actor per rank and one row per message — cost linear in ``p``.
+On symmetric topologies the partition computed by
 :mod:`repro.compile.classes` proves that all members of a class execute
 isomorphic programs against isomorphic peers, so their event timings are
 identical: it suffices to simulate **one representative rank per class**
-and fan the per-class results back out to all ``p`` ranks with one NumPy
-gather (:class:`~repro.simnet.engine.ClassBatch`).
+— the same kernel (:mod:`repro.simnet.kernel`) over a table whose actors
+are classes — and fan the per-class results back out to all ``p`` ranks
+with one NumPy gather (:class:`ClassBatch`).
 
 Soundness rests on two facts the classifier verifies:
 
@@ -22,84 +23,104 @@ Soundness rests on two facts the classifier verifies:
   redirecting the representative's send to the receiver class's
   representative preserves both endpoints' event structure.
 
-Costs follow the materialized engine's recipe *exactly* (same hold,
-latency, and reduction terms, same acquire order, same trigger points);
+Costs are the materialized table's by construction — both call
+:func:`repro.simnet.simulate.cost_columns` — and rows are numbered the
+way the representatives' traffic is in the materialized table (classes
+ascending, ops in program order), which pins identical tie-breaking;
 the golden-grid suite pins bit-identical results at small ``p``.  The
 asymmetric features — noise, faults, timelines, custom block maps —
 are not modeled here; the dispatcher in
 :func:`repro.simnet.simulate.simulate` routes those runs to the
-materialized engine instead.
+materialized table instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..compile.classes import LINK_GLOBAL, ClassProgram, RankClasses
+from ..compile.classes import RankClasses
 from ..compile.program import OP_RECV, OP_REDUCE_RECV, OP_SEND
 from ..errors import ClassAnalysisError, MachineError
 from ..obs import Obs, get_obs
-from .engine import Acquire, AllOf, ClassBatch, Engine, Event, Resource, Timeout
-from .machine import MachineSpec
-from .simulate import SimResult
+from . import kernel
+from .machine import LINK_GLOBAL, LINK_INTER, LINK_NAMES, MachineSpec
+from .simulate import SimResult, cost_columns
 
-__all__ = ["simulate_collapsed"]
-
-
-class _CMsg:
-    """One representative message: class→class, standing for ``size``
-    identical rank→rank messages."""
-
-    __slots__ = (
-        "nbytes",
-        "reduce",
-        "link",
-        "src_cls",
-        "dst_cls",
-        "send_posted",
-        "recv_posted",
-        "send_done",
-        "recv_done",
-    )
-
-    def __init__(self, engine: Engine, nbytes: int, reduce: bool, link: int,
-                 src_cls: int, dst_cls: int) -> None:
-        self.nbytes = nbytes
-        self.reduce = reduce
-        self.link = link
-        self.src_cls = src_cls
-        self.dst_cls = dst_cls
-        self.send_posted = Event(engine)
-        self.recv_posted = Event(engine)
-        self.send_done = Event(engine)
-        self.recv_done = Event(engine)
+__all__ = ["simulate_collapsed", "ClassBatch"]
 
 
-def _build_messages(
-    engine: Engine, classes: RankClasses, nbytes: int
-) -> Tuple[List[Dict[int, _CMsg]], List[Dict[int, _CMsg]]]:
-    """Per class: op-index → message maps for sends (out) and recvs (in).
+class ClassBatch:
+    """Vectorized fan-out from per-class simulation state to per-rank state.
 
-    Messages are created iterating classes in ascending class order and
-    ops in program order — the same creation order the representatives'
-    traffic would take in the materialized engine, which pins identical
-    FIFO tie-breaking on the event heap.  Raises
+    The class-collapsed simulator runs one kernel actor per
+    rank-equivalence class; everything per-rank it reports is a *batch
+    expansion* of per-class values.  This helper owns that expansion so
+    advancing all members of a class is one NumPy operation (a
+    fancy-indexed gather), never a Python loop over ``p`` ranks — the
+    step that keeps result assembly sublinear-friendly at ``p = 10^6``.
+    """
+
+    __slots__ = ("labels", "sizes")
+
+    def __init__(self, labels: np.ndarray, sizes: np.ndarray) -> None:
+        self.labels = labels          # int32 [nranks]: class id per rank
+        self.sizes = sizes            # int64 [nclasses]: members per class
+
+    @property
+    def nranks(self) -> int:
+        """Total ranks covered by the batch."""
+        return len(self.labels)
+
+    @property
+    def nclasses(self) -> int:
+        """Number of equivalence classes."""
+        return len(self.sizes)
+
+    def expand(self, per_class: np.ndarray) -> np.ndarray:
+        """Per-rank array from a per-class one: one gather, no loop.
+
+        >>> import numpy as np
+        >>> batch = ClassBatch(np.array([0, 1, 0, 1]), np.array([2, 2]))
+        >>> batch.expand(np.array([1.5, 2.5])).tolist()
+        [1.5, 2.5, 1.5, 2.5]
+        """
+        return np.asarray(per_class)[self.labels]
+
+    def total(self, per_class: np.ndarray) -> int:
+        """Population total of a per-class count (weighted by class size).
+
+        >>> import numpy as np
+        >>> batch = ClassBatch(np.array([0, 0, 0, 1]), np.array([3, 1]))
+        >>> batch.total(np.array([2, 5]))
+        11
+        """
+        return int(np.dot(np.asarray(per_class, dtype=np.int64), self.sizes))
+
+
+def _message_table(classes: RankClasses, nbytes: int) -> dict:
+    """One row per (class, send op): the class→class message standing
+    for ``size`` identical rank→rank ones.
+
+    Rows are numbered iterating classes in ascending class order and ops
+    in program order — the order the representatives' traffic takes in
+    the materialized table, which pins identical FIFO tie-breaking on
+    the event heap.  Returns the per-row columns and, per class and raw
+    step, the op codes ``row << 1 | is_recv``.  Raises
     :class:`~repro.errors.ClassAnalysisError` if the redirection tables
     do not cover every receive exactly once (defensive: :func:`classify`
     already verified the bijection).
     """
-    out_msg: List[Dict[int, _CMsg]] = [{} for _ in classes.classes]
-    in_msg: List[Dict[int, _CMsg]] = [{} for _ in classes.classes]
-    per_op_bytes = [
-        c.op_bytes(nbytes, classes.nblocks) for c in classes.classes
-    ]
+    out_row: List[Dict[int, int]] = [{} for _ in classes.classes]
+    in_row: List[Dict[int, int]] = [{} for _ in classes.classes]
+    cols: Dict[str, list] = {
+        "src": [], "dst": [], "nbytes": [], "link": [], "reduce": [],
+    }
     for ci, cls in enumerate(classes.classes):
         kinds = cls.kinds
-        for j in range(cls.nops):
-            if kinds[j] != OP_SEND:
-                continue
+        op_bytes = cls.op_bytes(nbytes, classes.nblocks)
+        for j in np.flatnonzero(kinds == OP_SEND).tolist():
             target = cls.send_target[j]
             if target is None:
                 raise ClassAnalysisError(
@@ -114,28 +135,32 @@ def _build_messages(
                     f"class {ci} send op {j} targets class {tc} op {tj}, "
                     f"which is not a receive"
                 )
-            if tj in in_msg[tc]:
+            if tj in in_row[tc]:
                 raise ClassAnalysisError(
                     f"class {tc} recv op {tj} matched by two sends"
                 )
-            msg = _CMsg(
-                engine,
-                nbytes=int(per_op_bytes[ci][j]),
-                reduce=bool(tkinds[tj] == OP_REDUCE_RECV),
-                link=int(cls.link[j]),
-                src_cls=ci,
-                dst_cls=tc,
-            )
-            out_msg[ci][j] = msg
-            in_msg[tc][tj] = msg
+            out_row[ci][j] = in_row[tc][tj] = len(cols["src"])
+            cols["src"].append(ci)
+            cols["dst"].append(tc)
+            cols["nbytes"].append(int(op_bytes[j]))
+            cols["link"].append(int(cls.link[j]))
+            cols["reduce"].append(bool(tkinds[tj] == OP_REDUCE_RECV))
+    ops = []
     for ci, cls in enumerate(classes.classes):
-        kinds = cls.kinds
-        for j in range(cls.nops):
-            if kinds[j] in (OP_RECV, OP_REDUCE_RECV) and j not in in_msg[ci]:
-                raise ClassAnalysisError(
-                    f"class {ci} recv op {j} is not covered by any send"
+        try:
+            ops.append(tuple(
+                tuple(
+                    out_row[ci][j] << 1 if is_send else in_row[ci][j] << 1 | 1
+                    for is_send, j in step
                 )
-    return out_msg, in_msg
+                for step in cls.feed
+            ))
+        except KeyError as exc:
+            raise ClassAnalysisError(
+                f"class {ci} recv op {exc.args[0]} is not covered by any send"
+            ) from None
+    cols["ops"] = tuple(ops)
+    return cols
 
 
 def simulate_collapsed(
@@ -168,130 +193,66 @@ def simulate_collapsed(
             f"nbytes={nbytes} has residue {nbytes % classes.nblocks}"
         )
     scope = get_obs(obs)
-    engine = Engine(obs=scope)
-    df = machine.dragonfly
     nclasses = classes.nclasses
     sizes = np.array([c.size for c in classes.classes], dtype=np.int64)
     batch = ClassBatch(classes.labels, sizes)
 
-    # Private per-representative resources: eligibility (machine_asymmetry)
-    # guarantees the real machine shares nothing between ranks, so one
-    # send/recv port pool and one compute unit per class is exact.
-    send_ports = [
-        Resource(engine, machine.nic_ports, f"sendport[c{c}]")
-        for c in range(nclasses)
-    ]
-    recv_ports = [
-        Resource(engine, machine.nic_ports, f"recvport[c{c}]")
-        for c in range(nclasses)
-    ]
-    compute = [Resource(engine, 1, f"compute[c{c}]") for c in range(nclasses)]
-
-    out_msg, in_msg = _build_messages(engine, classes, nbytes)
+    table = _message_table(classes, nbytes)
+    src, dst = table["src"], table["dst"]
+    row_bytes = np.array(table["nbytes"], dtype=np.int64)
+    link = np.array(table["link"], dtype=np.int8)
+    costs = cost_columns(
+        machine, row_bytes, link, np.array(table["reduce"], dtype=bool),
+        [len(c.feed) for c in classes.classes],
+    )
 
     # Class-size-weighted traffic accounting (ppn == 1: all inter-node).
-    n_messages = 0
-    stats = {"inter_messages": 0, "global_messages": 0, "inter_bytes": 0}
-    for ci, msgs in enumerate(out_msg):
-        weight = int(sizes[ci])
-        for msg in msgs.values():
-            n_messages += weight
-            stats["inter_messages"] += weight
-            stats["inter_bytes"] += msg.nbytes * weight
-            if msg.link == LINK_GLOBAL:
-                stats["global_messages"] += weight
+    weight = sizes[src]
+    n_messages = int(weight.sum())
+    global_messages = int(weight[link == LINK_GLOBAL].sum())
+    inter_bytes = sum(
+        n * w for n, w in zip(table["nbytes"], weight.tolist())
+    )
 
-    rep_times = np.zeros(nclasses, dtype=np.float64)
-    o = machine.injection_overhead
-
-    def rank_proc(ci: int, cls: ClassProgram):
-        outs = out_msg[ci]
-        ins = in_msg[ci]
-        for step in cls.feed:
-            waits: List[Event] = []
-            for is_send, j in step:
-                if o:
-                    yield Timeout(o)
-                if is_send:
-                    msg = outs[j]
-                    msg.send_posted.trigger()
-                    waits.append(msg.send_done)
-                else:
-                    msg = ins[j]
-                    msg.recv_posted.trigger()
-                    waits.append(msg.recv_done)
-            if waits:
-                yield AllOf(waits)
-        rep_times[ci] = engine.now
-
-    def transfer_proc(msg: _CMsg):
-        yield AllOf([msg.send_posted, msg.recv_posted])
-        # Mirrors the materialized engine's internode recipe exactly
-        # (ppn == 1 rules out the intranode branch; noise/fault factors
-        # are handled by falling back before we get here).
-        hold = machine.port_msg_overhead + msg.nbytes * machine.beta_inter
-        held = [send_ports[msg.src_cls], recv_ports[msg.dst_cls]]
-        alpha = machine.alpha_inter
-        if msg.link == LINK_GLOBAL and df is not None:
-            alpha += df.alpha_global
-        for res in held:
-            yield Acquire(res)
-        yield Timeout(hold)
-        for res in reversed(held):
-            res.release()
-        msg.send_done.trigger()
-        yield Timeout(alpha)
-        if msg.reduce and machine.gamma > 0 and msg.nbytes > 0:
-            yield Acquire(compute[msg.dst_cls])
-            yield Timeout(machine.gamma * msg.nbytes)
-            compute[msg.dst_cls].release()
-        msg.recv_done.trigger()
-
-    # Creation order mirrors the materialized engine: all transfers first
-    # (classes ascending, ops in program order), then the rank processes
-    # in ascending representative-rank order — class ids are already
-    # ordered by representative rank.
-    for ci in range(nclasses):
-        for j in sorted(out_msg[ci]):
-            engine.process(transfer_proc(out_msg[ci][j]), name=f"xfer[c{ci}:{j}]")
-    for ci, cls in enumerate(classes.classes):
-        engine.process(rank_proc(ci, cls), name=f"rank[c{ci}={cls.rep}]")
-
-    if scope.enabled:
-        with scope.span(
-            "simulate",
-            schedule=schedule_desc,
-            machine=machine.name,
-            nbytes=nbytes,
-            engine="collapsed",
-            nclasses=nclasses,
-        ):
-            makespan = engine.run()
+    with scope.span(
+        "simulate",
+        schedule=schedule_desc,
+        machine=machine.name,
+        nbytes=nbytes,
+        engine="collapsed",
+        nclasses=nclasses,
+    ):
+        # Private per-representative resources: eligibility
+        # (machine_asymmetry) guarantees the real machine shares nothing
+        # between ranks, so one send port pool (id c), one receive port
+        # pool (C + c) and one compute unit per class is exact.
+        makespan, rep_times, _, _ = kernel.run(
+            ops=table["ops"], src=src, dst=dst,
+            held=[(s, nclasses + d) for s, d in zip(src, dst)],
+            capacity=[machine.nic_ports] * (2 * nclasses),
+            obs=scope, **costs,
+        )
+        if scope.enabled:
             m = scope.metrics
             m.counter("repro_sim_runs_total").inc()
-            for link, count in (
-                (
-                    "inter",
-                    stats["inter_messages"] - stats["global_messages"],
-                ),
-                ("global", stats["global_messages"]),
+            for name, count in (
+                (LINK_NAMES[LINK_INTER], n_messages - global_messages),
+                (LINK_NAMES[LINK_GLOBAL], global_messages),
             ):
                 if count:
                     m.counter(
-                        "repro_sim_messages_total", link=link
+                        "repro_sim_messages_total", link=name
                     ).inc(count)
-    else:
-        makespan = engine.run()
 
     return SimResult(
         time=makespan,
-        rank_times=batch.expand(rep_times),
+        rank_times=batch.expand(np.array(rep_times, dtype=np.float64)),
         messages=n_messages,
         intra_messages=0,
-        inter_messages=stats["inter_messages"],
-        global_messages=stats["global_messages"],
+        inter_messages=n_messages,
+        global_messages=global_messages,
         intra_bytes=0,
-        inter_bytes=stats["inter_bytes"],
+        inter_bytes=inter_bytes,
         engine="collapsed",
         nclasses=nclasses,
     )

@@ -40,7 +40,23 @@ from typing import Optional
 
 from ..errors import MachineError
 
-__all__ = ["DragonflySpec", "MachineSpec", "us", "GiBps"]
+__all__ = [
+    "DragonflySpec",
+    "MachineSpec",
+    "us",
+    "GiBps",
+    "LINK_INTRA",
+    "LINK_INTER",
+    "LINK_GLOBAL",
+    "LINK_NAMES",
+]
+
+#: Link classes of a message: same node, across nodes, across dragonfly
+#: groups — and the names timelines and metrics spell them with.
+LINK_INTRA = 0
+LINK_INTER = 1
+LINK_GLOBAL = 2
+LINK_NAMES = ("intra", "inter", "global")
 
 
 def us(x: float) -> float:

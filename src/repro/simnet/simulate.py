@@ -1,12 +1,17 @@
 """Simulate a collective schedule on a modeled machine.
 
-Maps the schedule IR onto the DES engine: one process per rank walks its
-program paying per-op injection overhead and waiting on step completions;
-one process per message waits for both endpoints to post, competes for the
-link resources its path needs (NIC ports, intranode fabric channels,
-dragonfly global channels), holds them for the serialization time, and
-delivers after the wire latency, charging receive-side reduction compute
-where applicable.
+Builds the tables the DES kernel (:mod:`repro.simnet.kernel`) walks, in
+three layers, each computed once for what it depends on: the compiled
+artifact's matched-message plan
+(:meth:`~repro.compile.program.CompiledSchedule.sim_plan`), per machine
+geometry the link class and held resources of every message
+(:func:`_route`), and per call the byte counts and cost columns
+(:func:`cost_columns`).  In the kernel each rank walks its program paying
+per-op injection overhead and waiting on step completions; each message
+waits for both endpoints to post, competes for the link resources its
+path needs (NIC ports, intranode fabric channels, dragonfly global
+channels), holds them for the serialization time, and delivers after the
+wire latency, charging receive-side reduction compute where applicable.
 
 Cost recipe per message of ``n`` bytes (all terms from the
 :class:`~repro.simnet.machine.MachineSpec`):
@@ -29,17 +34,24 @@ k-nomial root overlap ``k-1`` small sends (§II-B2) while still charging
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.schedule import Schedule, SendOp
 from ..errors import ClassAnalysisError, MachineError
 from ..faults.plan import FaultPlan
 from ..obs import Obs, get_obs
-from ..faults.sim import analyze, match_messages
-from .engine import Acquire, AllOf, Engine, Event, Resource, Timeout
-from .machine import MachineSpec
+from ..faults.sim import FaultStatics, analyze, match_messages
+from . import kernel
+from .machine import (
+    LINK_GLOBAL,
+    LINK_INTER,
+    LINK_INTRA,
+    LINK_NAMES,
+    MachineSpec,
+)
 from .noise import NoiseModel
 
 __all__ = ["SimResult", "simulate", "traffic_summary", "TrafficSummary",
@@ -85,34 +97,6 @@ class SimResult:
     def complete(self) -> bool:
         """Whether every rank finished (no crash / stall under faults)."""
         return not self.failed_ranks and not self.stalled_ranks
-
-
-class _Msg:
-    __slots__ = (
-        "src",
-        "dst",
-        "nbytes",
-        "reduce",
-        "index",
-        "seq",
-        "send_posted",
-        "recv_posted",
-        "send_done",
-        "recv_done",
-    )
-
-    def __init__(self, engine: Engine, src: int, dst: int, nbytes: int,
-                 reduce: bool, index: int, seq: int) -> None:
-        self.src = src
-        self.dst = dst
-        self.nbytes = nbytes
-        self.reduce = reduce
-        self.index = index
-        self.seq = seq  # per-(src, dst) link FIFO sequence number
-        self.send_posted = Event(engine)
-        self.recv_posted = Event(engine)
-        self.send_done = Event(engine)
-        self.recv_done = Event(engine)
 
 
 def _collapse_blockers(
@@ -186,16 +170,16 @@ def simulate(
     host-side Perfetto trace.  Instrumentation never changes a simulated
     cost (pinned by ``tests/properties/test_obs_transparency.py``).
 
-    The rank processes are fed from the cached compiled program's
-    preflattened ``(is_send, peer)`` step feed
-    (:meth:`repro.compile.program.CompiledSchedule.sim_feed`): raw step
+    The ranks walk the cached compiled program's matched-message plan
+    (:meth:`repro.compile.program.CompiledSchedule.sim_plan`): raw step
     boundaries, IR op order, copies dropped (modeled as free — an
     intra-GPU memcpy is off the critical path at collective
-    granularity).  The differential suite pins the feed equal to the
-    IR's op stream on the whole registry grid.
+    granularity).  The differential suite pins the plan equal to
+    :func:`repro.faults.sim.match_messages` and to the IR's op stream on
+    the whole registry grid.
 
     ``engine`` selects the simulation core.  ``"materialized"`` is the
-    classic one-process-per-rank engine described above;
+    one-actor-per-rank table described above;
     ``"collapsed"`` simulates one representative per rank-equivalence
     class (:mod:`repro.simnet.collapsed`) and fans results back out —
     bit-identical on symmetric inputs, sublinear in ``p``; ``"auto"``
@@ -289,244 +273,70 @@ def simulate(
 
     if lazy:
         schedule = schedule.materialize()
-    if block_map is None:
-        blocks = schedule.block_map(nbytes)
-    else:
-        blocks = block_map
+    blocks = schedule.block_map(nbytes) if block_map is None else block_map
     scope = get_obs(obs)
-    engine = Engine(obs=scope)
-    df = machine.dragonfly
-
-    send_ports = [
-        Resource(engine, machine.nic_ports, f"sendport[{n}]")
-        for n in range(machine.nodes)
-    ]
-    recv_ports = [
-        Resource(engine, machine.nic_ports, f"recvport[{n}]")
-        for n in range(machine.nodes)
-    ]
-    intra_fabric: Optional[List[Resource]] = None
-    if machine.intra_kind == "shared" and machine.ppn > 1:
-        intra_fabric = [
-            Resource(engine, machine.intra_channels, f"fabric[{n}]")
-            for n in range(machine.nodes)
-        ]
-    compute = [Resource(engine, 1, f"compute[{r}]") for r in range(p)]
-    egress: Optional[List[Resource]] = None
-    ingress: Optional[List[Resource]] = None
-    if df is not None and df.global_channels is not None:
-        ngroups = machine.nodes // df.nodes_per_group
-        egress = [
-            Resource(engine, df.global_channels, f"egress[{g}]")
-            for g in range(ngroups)
-        ]
-        ingress = [
-            Resource(engine, df.global_channels, f"ingress[{g}]")
-            for g in range(ngroups)
-        ]
-
-    # ------------------------------------------------------------------
-    # Match sends and receives into messages (FIFO per channel), mirroring
-    # the data executors' matching exactly.  The structural matching lives
-    # in repro.faults.sim.match_messages so the static fault analysis and
-    # the recovery layer's simulated failure detector see the same
-    # messages this engine exchanges.
-    # ------------------------------------------------------------------
-    metas = match_messages(schedule)
-    send_q: Dict[Tuple[int, int], Deque[_Msg]] = {}
-    recv_q: Dict[Tuple[int, int], Deque[_Msg]] = {}
-    messages: List[_Msg] = []
-    for meta in metas:
-        msg = _Msg(
-            engine,
-            src=meta.src,
-            dst=meta.dst,
-            nbytes=blocks.bytes_of(meta.blocks),
-            reduce=meta.reduce,
-            index=meta.index,
-            seq=meta.seq,
-        )
-        messages.append(msg)
-        send_q.setdefault((meta.src, meta.dst), deque()).append(msg)
-        recv_q.setdefault((meta.src, meta.dst), deque()).append(msg)
-
-    # ------------------------------------------------------------------
-    # Fault plan: pre-compute the fate of messages and ranks (decisions
-    # are deterministic, so fate is static even though costs are dynamic).
-    # ------------------------------------------------------------------
-    faults_active = faults is not None and faults.is_active
-    statics = analyze(schedule, faults, metas) if faults_active else None
-    lossy = faults_active and faults.has_loss
-
-    # ------------------------------------------------------------------
-    # Traffic accounting and optional timeline
-    # ------------------------------------------------------------------
-    stats = {
-        "intra_messages": 0,
-        "inter_messages": 0,
-        "global_messages": 0,
-        "intra_bytes": 0,
-        "inter_bytes": 0,
-        "retransmissions": 0,
-    }
-    timeline: Optional[List[Tuple]] = [] if collect_timeline else None
-    rank_times = [0.0] * p
-
-    o = machine.injection_overhead
 
     from ..compile import get_or_compile
 
-    feed = get_or_compile(schedule).sim_feed()
+    plan = get_or_compile(schedule).sim_plan()
+    link, held = _route(plan, machine)
+    sizes = plan.message_bytes(blocks.sizes)
 
-    def rank_proc(rank: int):
-        rank_feed = feed[rank]
-        straggle = faults.straggler_factor(rank) if faults_active else 1.0
-        o_r = o * straggle
-        limit = statics.post_limit[rank] if statics else len(rank_feed)
-        for step_idx in range(limit):
-            waits: List[Event] = []
-            for is_send, peer in rank_feed[step_idx]:
-                if o_r:
-                    yield Timeout(o_r)
-                if is_send:
-                    msg = send_q[(rank, peer)].popleft()
-                    msg.send_posted.trigger()
-                    done = msg.send_done
-                else:
-                    msg = recv_q[(peer, rank)].popleft()
-                    msg.recv_posted.trigger()
-                    done = msg.recv_done
-                # Doomed messages never complete; a stalled rank posts
-                # its final step's ops but waits only on the live ones
-                # (its blocked-forever state is recorded statically).
-                if statics is None or msg.index not in statics.doomed:
-                    waits.append(done)
-            if waits:
-                yield AllOf(waits)
-        if statics is not None and not statics.completes(
-            rank, len(rank_feed)
-        ):
-            rank_times[rank] = math.inf
-        else:
-            rank_times[rank] = engine.now
+    # Fault plan: the fate of messages and ranks is decided before the
+    # run (decisions are deterministic, so fate is static even though
+    # costs are dynamic).  The structural matching behind it lives in
+    # repro.faults.sim.match_messages, which the plan provably equals.
+    if faults is not None and not faults.is_active:
+        faults = None
+    statics = (
+        analyze(schedule, faults, match_messages(schedule))
+        if faults is not None else None
+    )
+    nsteps = [len(steps) for steps in plan.ops]
+    costs = cost_columns(
+        machine, sizes, link, plan.reduce, nsteps,
+        noise=noise, faults=faults, statics=statics,
+        ends=(plan.src, plan.dst, plan.seq),
+    )
+    # Traffic accounting: every live message is delivered (or the kernel
+    # raises), so the counters are sums over the live rows.
+    if statics is not None:
+        live = ~np.asarray(costs["doomed"], dtype=bool)
+        link_live, sizes_live = link[live], sizes[live]
+    else:
+        link_live, sizes_live = link, sizes
+    by_link = np.bincount(link_live, minlength=3).tolist()
+    intra_bytes = int(sizes_live[link_live == LINK_INTRA].sum())
 
-    def transfer_proc(msg: _Msg):
-        if statics is not None and msg.index in statics.doomed:
-            return
-        yield AllOf([msg.send_posted, msg.recv_posted])
-        factor = noise.factor(msg.index) if noise is not None else 1.0
-        if faults_active:
-            factor *= faults.bandwidth_penalty(msg.src, msg.dst)
-            fdelay = faults.delay(msg.src, msg.dst, msg.seq)
-            dups = faults.duplicates(msg.src, msg.dst, msg.seq)
-            attempts = (
-                faults.attempts_needed(msg.src, msg.dst, msg.seq)
-                if lossy
-                else 0
-            )
-        else:
-            fdelay = 1.0
-            dups = 0
-            attempts = 0
-        src_node = machine.node_of(msg.src)
-        dst_node = machine.node_of(msg.dst)
-        held: List[Resource] = []
-        if src_node == dst_node:
-            link = "intra"
-            stats["intra_messages"] += 1
-            stats["intra_bytes"] += msg.nbytes
-            hold = (
-                machine.intra_msg_overhead + msg.nbytes * machine.beta_intra
-            ) * factor
-            if intra_fabric is not None:
-                held = [intra_fabric[src_node]]
-            alpha = machine.alpha_intra * factor
-        else:
-            crossing = machine.crosses_groups(msg.src, msg.dst)
-            link = "global" if crossing else "inter"
-            stats["inter_messages"] += 1
-            stats["inter_bytes"] += msg.nbytes
-            if crossing:
-                stats["global_messages"] += 1
-            hold = (
-                machine.port_msg_overhead + msg.nbytes * machine.beta_inter
-            ) * factor
-            # Fixed global acquisition order prevents hold-and-wait cycles.
-            held = [send_ports[src_node], recv_ports[dst_node]]
-            if crossing and egress is not None and ingress is not None:
-                g_src = machine.group_of(src_node)
-                g_dst = machine.group_of(dst_node)
-                held += [egress[g_src], ingress[g_dst]]
-            alpha = machine.alpha_inter * factor
-            if crossing and df is not None:
-                alpha += df.alpha_global * factor
-        alpha *= fdelay
-        if faults_active:
-            # A straggler host is slow to push messages onto the wire:
-            # sender-side software latency scales with its slowdown.
-            alpha *= faults.straggler_factor(msg.src)
-        # Lost transmissions: each charges its serialization (the bytes
-        # really crossed the wire before vanishing) plus a retransmission
-        # timeout derived from the machine model — one round trip plus the
-        # serialization time, exponentially backed off per the plan's
-        # retry policy.
-        rto = 2.0 * alpha + hold
-        for attempt in range(attempts):
-            for res in held:
-                yield Acquire(res)
-            yield Timeout(hold)
-            for res in reversed(held):
-                res.release()
-            yield Timeout(rto * faults.retry.backoff**attempt)
-            stats["retransmissions"] += 1
-        # The surviving transmission; duplicates ride along, charging
-        # their own serialization on the same links.
-        for res in held:
-            yield Acquire(res)
-        t0 = engine.now
-        yield Timeout(hold * (1 + dups))
-        for res in reversed(held):
-            res.release()
-        msg.send_done.trigger()
-        yield Timeout(alpha)
-        if msg.reduce and machine.gamma > 0 and msg.nbytes > 0:
-            straggle = (
-                faults.straggler_factor(msg.dst) if faults_active else 1.0
-            )
-            yield Acquire(compute[msg.dst])
-            yield Timeout(machine.gamma * msg.nbytes * factor * straggle)
-            compute[msg.dst].release()
-        if timeline is not None:
-            timeline.append((msg.src, msg.dst, msg.nbytes, t0, engine.now, link))
-        msg.recv_done.trigger()
-
-    for msg in messages:
-        engine.process(transfer_proc(msg), name=f"xfer{msg.index}")
-    for rank in range(p):
-        engine.process(rank_proc(rank), name=f"rank{rank}")
-
-    if scope.enabled:
-        with scope.span(
-            "simulate",
-            schedule=schedule.describe(),
-            machine=machine.name,
-            nbytes=nbytes,
-        ):
-            makespan = engine.run()
+    timeline: Optional[List[Tuple]] = None
+    with scope.span(
+        "simulate",
+        schedule=schedule.describe(),
+        machine=machine.name,
+        nbytes=nbytes,
+    ):
+        makespan, rank_times, retransmissions, rows = kernel.run(
+            ops=plan.ops, src=plan.src, dst=plan.dst, held=held,
+            capacity=_capacity(machine), collect=collect_timeline,
+            obs=scope, **costs,
+        )
+        if rows is not None:
+            src, dst, nb, kind = plan.src, plan.dst, sizes.tolist(), link.tolist()
+            timeline = [
+                (src[i], dst[i], nb[i], t0, t1, LINK_NAMES[kind[i]])
+                for i, t0, t1 in rows
+            ]
+        if scope.enabled:
             m = scope.metrics
             m.counter("repro_sim_runs_total").inc()
-            for link, count in (
-                ("intra", stats["intra_messages"]),
-                ("inter", stats["inter_messages"] - stats["global_messages"]),
-                ("global", stats["global_messages"]),
-            ):
+            for name, count in zip(LINK_NAMES, by_link):
                 if count:
                     m.counter(
-                        "repro_sim_messages_total", link=link
+                        "repro_sim_messages_total", link=name
                     ).inc(count)
-            if stats["retransmissions"]:
+            if retransmissions:
                 m.counter("repro_faults_sim_retransmissions_total").inc(
-                    stats["retransmissions"]
+                    retransmissions
                 )
             if timeline is not None:
                 scope.tracer.attach_timeline(
@@ -534,29 +344,191 @@ def simulate(
                     label=f"{schedule.describe()} n={nbytes}",
                     makespan=makespan,
                 )
-    else:
-        makespan = engine.run()
     failed_ranks: Tuple[int, ...] = ()
     stalled_ranks: Tuple[int, ...] = ()
     if statics is not None:
         failed_ranks = tuple(sorted(statics.crashed))
         stalled_ranks = tuple(sorted(statics.stall_step))
+        for rank in range(p):
+            if not statics.completes(rank, nsteps[rank]):
+                rank_times[rank] = math.inf
     return SimResult(
         time=makespan,
         rank_times=rank_times,
-        messages=len(messages),
-        intra_messages=stats["intra_messages"],
-        inter_messages=stats["inter_messages"],
-        global_messages=stats["global_messages"],
-        intra_bytes=stats["intra_bytes"],
-        inter_bytes=stats["inter_bytes"],
+        messages=len(plan.src),
+        intra_messages=by_link[LINK_INTRA],
+        inter_messages=by_link[LINK_INTER] + by_link[LINK_GLOBAL],
+        global_messages=by_link[LINK_GLOBAL],
+        intra_bytes=intra_bytes,
+        inter_bytes=int(sizes_live.sum()) - intra_bytes,
         timeline=timeline,
-        retransmissions=stats["retransmissions"],
+        retransmissions=retransmissions,
         failed_ranks=failed_ranks,
         stalled_ranks=stalled_ranks,
         engine="materialized",
         fallback=fallback,
     )
+
+
+def _route(plan, machine: MachineSpec) -> Tuple[np.ndarray, List[tuple]]:
+    """Per message: its link class and the resource ids it holds.
+
+    A function of the plan and the machine's *geometry* alone, so it is
+    memoized on the plan per geometry.  Resource ids: send port of node
+    ``n`` is ``n``, its receive port ``N + n``, its shared fabric
+    ``2N + n``; group ``g``'s egress pool is ``3N + g``, its ingress
+    pool ``3N + G + g``.  An internode message holds (send port, recv
+    port[, egress, ingress]) — one fixed global acquisition order, which
+    prevents hold-and-wait cycles — an intranode one the node's fabric
+    when it is shared, nothing when links are dedicated.  Tuples are
+    interned per node pair.
+    """
+    nodes = machine.nodes
+    df = machine.dragonfly
+    npg = df.nodes_per_group if df is not None else 0
+    pools = df is not None and df.global_channels is not None
+    fabric = machine.intra_kind == "shared" and machine.ppn > 1
+
+    def make() -> Tuple[np.ndarray, List[tuple]]:
+        src = np.asarray(plan.src, dtype=np.int64)
+        dst = np.asarray(plan.dst, dtype=np.int64)
+        if machine.placement == "round_robin":
+            sn, dn = src % nodes, dst % nodes
+        else:
+            sn, dn = src // machine.ppn, dst // machine.ppn
+        link = np.full(len(src), LINK_INTER, dtype=np.int8)
+        if npg:
+            link[sn // npg != dn // npg] = LINK_GLOBAL
+        link[sn == dn] = LINK_INTRA
+        ngroups = nodes // npg if npg else 0
+        interned: Dict[Tuple[int, int], tuple] = {}
+        held = []
+        for s, d, kind in zip(sn.tolist(), dn.tolist(), link.tolist()):
+            h = interned.get((s, d))
+            if h is None:
+                if kind == LINK_INTRA:
+                    h = (2 * nodes + s,) if fabric else ()
+                elif kind == LINK_GLOBAL and pools:
+                    h = (s, nodes + d, 3 * nodes + s // npg,
+                         3 * nodes + ngroups + d // npg)
+                else:
+                    h = (s, nodes + d)
+                interned[(s, d)] = h
+            held.append(h)
+        return link, held
+
+    return plan.route(
+        (nodes, machine.ppn, machine.placement, npg, pools, fabric), make
+    )
+
+
+def _capacity(machine: MachineSpec) -> list:
+    """Units per resource id, in :func:`_route`'s numbering."""
+    nodes = machine.nodes
+    capacity = [machine.nic_ports] * (2 * nodes)
+    capacity += [machine.intra_channels] * nodes
+    df = machine.dragonfly
+    if df is not None and df.global_channels is not None:
+        capacity += [df.global_channels] * (2 * (nodes // df.nodes_per_group))
+    return capacity
+
+
+def cost_columns(
+    machine: MachineSpec,
+    nbytes: np.ndarray,
+    link: np.ndarray,
+    reduce: np.ndarray,
+    nsteps: Sequence[int],
+    *,
+    noise: Optional[NoiseModel] = None,
+    faults: Optional[FaultPlan] = None,
+    statics: Optional[FaultStatics] = None,
+    ends: Optional[Tuple[Sequence[int], ...]] = None,
+) -> dict:
+    """The cost recipe: every per-message and per-actor constant the
+    kernel charges, as its keyword arguments.
+
+    ``nbytes`` / ``link`` / ``reduce`` are per-message columns, ``nsteps``
+    the step count per actor.  Noise, degraded links, delays, duplicates,
+    stragglers, lost attempts and doomed messages are all constants of a
+    message or a rank, so they are folded in here (``ends`` — the
+    ``(src, dst, seq)`` columns — keys the fault plan's draws) and the
+    kernel never sees a fault plan.  The arithmetic is elementwise and
+    keeps the per-message association order, so every column is
+    bit-identical to computing it one message at a time.
+    """
+    n = nbytes
+    intra = link == LINK_INTRA
+    hold = np.where(
+        intra,
+        machine.intra_msg_overhead + n * machine.beta_intra,
+        machine.port_msg_overhead + n * machine.beta_inter,
+    )
+    alpha = np.where(intra, machine.alpha_intra, machine.alpha_inter)
+    df = machine.dragonfly
+    alpha_global = df.alpha_global if df is not None else 0.0
+    gamma = machine.gamma * n
+    factor = None
+    if noise is not None:
+        factor = np.array([noise.factor(i) for i in range(len(n))])
+    if faults is not None:
+        src, dst, seq = ends
+        # A degraded link slows its own serialization.
+        slow = np.array([faults.bandwidth_penalty(*e) for e in zip(src, dst)])
+        factor = slow if factor is None else factor * slow
+    if factor is not None:
+        hold = hold * factor
+        alpha = alpha * factor
+        alpha_global = alpha_global * factor
+        gamma = gamma * factor
+    alpha = np.where(link == LINK_GLOBAL, alpha + alpha_global, alpha)
+    final_hold = hold
+    cols: dict = {
+        "inject": [machine.injection_overhead] * len(nsteps),
+        "limit": list(nsteps),
+    }
+    if faults is not None:
+        # A straggler host is slow to post, slow to push messages onto
+        # the wire (sender-side software latency) and slow to reduce.
+        straggle = [faults.straggler_factor(r) for r in range(len(nsteps))]
+        cols["inject"] = [machine.injection_overhead * f for f in straggle]
+        straggle = np.array(straggle)
+        triples = list(zip(src, dst, seq))
+        alpha = (
+            alpha * np.array([faults.delay(*t) for t in triples])
+            * straggle[src]
+        )
+        gamma = gamma * straggle[dst]
+        # Duplicates ride along with the surviving transmission,
+        # charging their own serialization on the same links.
+        final_hold = hold * (
+            1 + np.array([faults.duplicates(*t) for t in triples])
+        )
+        if faults.has_loss:
+            # Each lost transmission charges its serialization (the
+            # bytes really crossed the wire before vanishing) plus a
+            # timeout derived from the machine model — one round trip
+            # plus the serialization time — backed off per the plan's
+            # retry policy.  (None: every attempt lost; doomed below.)
+            cols["attempts"] = [
+                faults.attempts_needed(*t) or 0 for t in triples
+            ]
+            cols["rto"] = (2.0 * alpha + hold).tolist()
+            cols["backoff"] = faults.retry.backoff
+    if statics is not None:
+        # Doomed messages never complete; a stalled rank posts its final
+        # step's ops but waits only on the live ones.
+        doomed = [False] * len(n)
+        for i in statics.doomed:
+            doomed[i] = True
+        cols["doomed"] = doomed
+        cols["limit"] = [statics.post_limit[r] for r in range(len(nsteps))]
+    reducing = reduce & (n > 0) if machine.gamma > 0 else False
+    cols["hold"] = hold.tolist()
+    cols["final_hold"] = final_hold.tolist()
+    cols["alpha"] = alpha.tolist()
+    cols["gamma_t"] = np.where(reducing, gamma, -1.0).tolist()
+    return cols
 
 
 @dataclass(frozen=True)

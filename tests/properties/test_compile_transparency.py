@@ -9,9 +9,12 @@ This suite is the differential harness that keeps the two honest:
 * **Registry grid** — every (collective, algorithm) pair, at several
   rank counts and radices including the degenerate ``k = max_radix``
   corner, executes on the lockstep backend to the oracle's exact
-  buffers, and the compiled simulator feed equals the
-  ``(is_send, peer)`` stream read off the IR with copies dropped — the
-  only thing the simulator takes from the tables.
+  buffers, and the compiled simulator plan equals
+  :func:`repro.faults.sim.match_messages` field for field — so the
+  static fault analysis, ``recovery.detect`` and the DES kernel see the
+  same messages — while its op codes decode to the ``(is_send, peer)``
+  stream read off the IR with copies dropped: everything the simulator
+  takes from the tables.
 * **Randomized configs** — a hypothesis property draws (p, k, root,
   count, seed) freely and re-asserts lockstep bit-identity.
 * **Threaded backend** — fault-free and under a lossy
@@ -45,6 +48,7 @@ from repro.core.registry import (
 from repro.core.runner import run_schedule
 from repro.core.schedule import CopyOp, RankProgram, Schedule, SendOp, Step
 from repro.faults import FaultPlan
+from repro.faults.sim import match_messages
 from repro.runtime.buffers import initial_buffers
 from repro.runtime.executor import NumpyModel, execute as execute_lockstep
 from repro.runtime.ops import SUM
@@ -104,6 +108,47 @@ def _ir_feed(schedule):
     ]
 
 
+def _assert_plan_matches_ir(schedule, label: str) -> None:
+    """``sim_plan()`` against ``match_messages`` and the IR op stream."""
+    plan = get_or_compile(schedule).sim_plan()
+    metas = match_messages(schedule)
+    # Where each message sits in its endpoints' programs, read off the
+    # op codes: {msg: step} for the send side and the receive side.
+    step_of = ({}, {})
+    for steps in plan.ops:
+        for s, codes in enumerate(steps):
+            for code in codes:
+                assert step_of[code & 1].setdefault(code >> 1, s) == s
+    got = [
+        (
+            i, plan.src[i], plan.dst[i], plan.seq[i],
+            step_of[0][i], step_of[1][i],
+            tuple(plan.blk_ids[plan.blk_ptr[i]:plan.blk_ptr[i + 1]].tolist()),
+            bool(plan.reduce[i]),
+        )
+        for i in range(len(plan.src))
+    ]
+    want = [
+        (m.index, m.src, m.dst, m.seq, m.send_step, m.recv_step,
+         m.blocks, m.reduce)
+        for m in metas
+    ]
+    assert got == want, f"{label}: simulator plan != match_messages"
+    decoded = [
+        [
+            tuple(
+                (False, plan.src[c >> 1]) if c & 1 else (True, plan.dst[c >> 1])
+                for c in codes
+            )
+            for codes in steps
+        ]
+        for steps in plan.ops
+    ]
+    assert decoded == _ir_feed(schedule), (
+        f"{label}: simulator op codes != IR op stream"
+    )
+
+
 def _assert_buffers_equal(a, b, label: str) -> None:
     assert len(a) == len(b)
     for rank, (x, y) in enumerate(zip(a, b)):
@@ -114,7 +159,7 @@ def _assert_buffers_equal(a, b, label: str) -> None:
 
 
 class TestRegistryGrid:
-    """Every registered pair: lockstep buffers and the simulator feed."""
+    """Every registered pair: lockstep buffers and the simulator plan."""
 
     @pytest.mark.parametrize("coll,alg", GRID)
     def test_lockstep_and_sim_bit_identical(self, coll, alg):
@@ -122,7 +167,7 @@ class TestRegistryGrid:
             for k in _radices(coll, alg, p):
                 if coll == "barrier":
                     # Barrier moves no payload, so there are no buffers
-                    # to execute over — the feed comparison below still
+                    # to execute over — the plan comparison below still
                     # covers it.
                     schedule = build_schedule(coll, alg, p, k=k)
                 else:
@@ -131,9 +176,9 @@ class TestRegistryGrid:
                         run.buffers, reference, f"{coll}/{alg} p={p} k={k}",
                     )
                     schedule = run.schedule
-                assert get_or_compile(schedule).sim_feed() == _ir_feed(
-                    schedule
-                ), f"{coll}/{alg} p={p} k={k}: simulator feed != IR op stream"
+                _assert_plan_matches_ir(
+                    schedule, f"{coll}/{alg} p={p} k={k}"
+                )
 
 
 class TestRandomizedConfigs:

@@ -35,7 +35,6 @@ from repro.runtime.buffers import (
 )
 from repro.runtime.session import Session
 from repro.runtime.threaded import ThreadedTransport, execute_threaded
-from repro.simnet.engine import Engine, Event
 from repro.simnet.machines import reference
 from repro.simnet.noise import NoiseModel
 from repro.simnet.simulate import simulate
@@ -211,19 +210,6 @@ class TestLossyChannel:
         assert failure.seq == 0
         assert failure.attempts == 3  # initial + 2 retries
         assert failures and failures[0] == failure
-
-
-class TestEngineDiagnosis:
-    def test_deadlock_names_processes_and_waitables(self):
-        eng = Engine()
-        ev = Event(eng)
-
-        def proc():
-            yield ev
-
-        eng.process(proc(), name="rank7")
-        with pytest.raises(MachineError, match=r"rank7 waiting on event"):
-            eng.run()
 
 
 class TestThreadedFaults:

@@ -28,14 +28,27 @@ program artifact itself — fingerprint and table shape for the 8-rank
 k-nomial — is frozen in ``tests/golden/compiled_programs.json`` so a
 lowering change that reorders or re-encodes tables is loud even when
 execution results happen to survive it.
+
+The reference machine is contention-free, so a third file pins what it
+cannot: ``tests/golden/des_corners.json`` holds whole ``SimResult``s on
+contended machines — every tie-break, hand-over and release order shows
+in some rank time or timeline row — written by the generator-per-message
+engine the flat kernel (:mod:`repro.simnet.kernel`) replaced.  It is the
+record of that engine's answers: **never regenerate it** for a kernel
+change; a difference there is a bug in the kernel.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.bench.sweep import SweepPoint, clear_sim_memo, simulate_point
 from repro.compile import compile_schedule
-from repro.core.registry import build_schedule
+from repro.core.registry import build_schedule, info
+from repro.core.schedule import SendOp
+from repro.faults.plan import Crash, FaultPlan, LinkFault, RetryPolicy, Straggler
 from repro.models import ModelParams, model_time
+from repro.simnet import DragonflySpec, NoiseModel, frontier, polaris
 from repro.simnet.machines import reference
 from repro.simnet.simulate import simulate
 
@@ -117,3 +130,111 @@ def test_compiled_program_fingerprint_pinned(golden):
                 prog.nsteps for prog in compiled.programs
             )
     golden("compiled_programs").check(actual)
+
+
+#: (collective, algorithm, root) — one algorithm per family, contended.
+CORNER_CASES = [
+    ("bcast", "knomial", 0),
+    ("reduce", "knomial", 3),
+    ("allreduce", "recursive_multiplying", 0),
+    ("allgather", "kring", 0),
+    ("allreduce", "kring", 0),
+    ("alltoall", "pairwise", 0),
+    ("bcast", "pipelined_chain", 0),
+]
+CORNER_PS = [12, 16]
+CORNER_SIZES = [0, 7, 65537]
+
+
+def _corner_machines(p: int) -> dict:
+    """``frontier-Nx4``, its five one-knob variants, and ``polaris-Nx2``."""
+    base = frontier(p // 4, 4)
+    machines = {
+        "frontier": base,
+        "o0": base.with_(injection_overhead=0.0),
+        "1ch1port": base.with_(intra_channels=1, nic_ports=1),
+        "rr": base.with_(placement="round_robin"),
+        "g0": base.with_(gamma=0.0),
+        "polaris": polaris(p // 2, 2),
+    }
+    if base.nodes % 2 == 0:  # two-node groups, one global channel each
+        machines["gc1"] = base.with_(dragonfly=DragonflySpec(
+            nodes_per_group=2,
+            alpha_global=base.dragonfly.alpha_global,
+            global_channels=1,
+        ))
+    return machines
+
+
+def _corner_faults(schedule) -> dict:
+    """Loss with retransmissions, a dead link, crash + straggler."""
+    src, dst = next(
+        (prog.rank, op.peer) for prog in schedule.programs
+        for _, op in prog.iter_ops() if isinstance(op, SendOp)
+    )
+    return {
+        "loss": FaultPlan(drop_rate=0.3, dup_rate=0.1, delay_rate=0.2,
+                          seed=2),
+        "deadlink": FaultPlan(
+            seed=3, links=(LinkFault(src, dst, drop_rate=1.0),),
+            retry=RetryPolicy(max_retries=2),
+        ),
+        "crash": FaultPlan(
+            seed=5, crashes=(Crash(rank=schedule.nranks // 2, step=0),),
+            stragglers=(Straggler(rank=1, factor=3.0),),
+        ),
+    }
+
+
+def _pin(res) -> list:
+    """``[makespan, digest of everything else]`` — two short strings."""
+    rest = (
+        list(res.rank_times), res.messages, res.intra_messages,
+        res.inter_messages, res.global_messages, res.intra_bytes,
+        res.inter_bytes, res.retransmissions, res.failed_ranks,
+        res.stalled_ranks, res.timeline,
+    )
+    return [repr(res.time),
+            hashlib.sha256(repr(rest).encode()).hexdigest()[:16]]
+
+
+def test_simulated_corners_pinned(golden):
+    """Whole results under contention, as the generator engine gave them.
+
+    Every (family, p, k) on every corner machine at three sizes with a
+    timeline, plus a σ = 0.3 noise row and three fault rows per family on
+    the 1-channel / 1-port machine — where release order, the synchronous
+    hand-over and FIFO parking decide the numbers.
+    """
+    actual = {}
+    for coll, alg, root in CORNER_CASES:
+        for p in CORNER_PS:
+            machines = _corner_machines(p)
+            ks = (2, 3, p) if info(coll, alg).takes_k else (None,)
+            for k in ks:
+                schedule = build_schedule(coll, alg, p, k=k, root=root)
+                key = f"{coll}/{alg}/p{p}/k{k or 0}"
+                for mname, machine in machines.items():
+                    for n in CORNER_SIZES:
+                        actual[f"{key}/{mname}/n{n}"] = _pin(simulate(
+                            schedule, machine, n, collect_timeline=True
+                        ))
+                if k != ks[0] or p != CORNER_PS[-1]:
+                    continue  # one noise + three fault rows per family
+                tight = machines["1ch1port"]
+                actual[f"{key}/noise"] = _pin(simulate(
+                    schedule, tight, 65537, collect_timeline=True,
+                    noise=NoiseModel(sigma=0.3, seed=7),
+                ))
+                seen = {}
+                for fname, plan in _corner_faults(schedule).items():
+                    seen[fname] = simulate(
+                        schedule, tight, 65537, collect_timeline=True,
+                        faults=plan,
+                    )
+                    actual[f"{key}/{fname}"] = _pin(seen[fname])
+                assert seen["loss"].retransmissions and seen["loss"].complete
+                assert seen["deadlink"].stalled_ranks, key
+                assert not seen["crash"].complete, key
+    assert 200 <= len(actual) <= 1000
+    golden("des_corners").check(actual)

@@ -243,6 +243,16 @@ class TestValidation:
         with pytest.raises(MachineError, match="unmatched"):
             simulate(sched, reference(2), 8)
 
+    def test_unmatched_receive_detected(self):
+        p1 = RankProgram(rank=1)
+        p1.add(RecvOp(peer=0, blocks=(0,)))
+        sched = Schedule(
+            collective="bcast", algorithm="thirst", nranks=2, nblocks=1,
+            programs=[RankProgram(rank=0), p1], root=0,
+        )
+        with pytest.raises(MachineError, match=r"unmatched receive.*\(0, 1\)"):
+            simulate(sched, reference(2), 8)
+
 
 class TestResultAccounting:
     def test_traffic_summary_matches_simulation(self):
