@@ -42,10 +42,9 @@ Guarantees, in order of importance:
   corrupt tables raise :class:`~repro.errors.CompileError` with
   rank/step-naming diagnostics instead of executing wrong (held to by
   the mutation corpus in ``tests/test_compile_mutations.py``).
-* **Fusion is conservative.**  Build-time fusion only merges copy-only
-  steps into successors with provably disjoint block sets
-  (:mod:`repro.compile.fuse`), which cannot change data, progress, or
-  :func:`repro.check.run_checks` findings.
+* **One step numbering.**  The tables keep the schedule's own step
+  boundaries and nothing else, so a step index means the same thing to
+  the IR, the runners, fault plans, heartbeats and the simulator.
 * **Content-addressed caching.**  Artifacts are cached in process and
   (optionally) on disk next to their schedules (:mod:`repro.compile.cache`),
   keyed by the source schedule's fingerprint; disk loads re-run the full
@@ -69,7 +68,6 @@ from .classes import (
     machine_asymmetry,
     partition_key,
 )
-from .fuse import fuse_schedule, fused_groups
 from .lower import compile_schedule
 from .program import (
     OP_COPY,
@@ -98,8 +96,6 @@ __all__ = [
     "StagingPlan",
     "StagingPool",
     "compile_schedule",
-    "fuse_schedule",
-    "fused_groups",
     "verify_compiled",
     "run_compiled_lockstep",
     "run_compiled_rank",

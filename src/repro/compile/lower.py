@@ -7,8 +7,7 @@ Two passes over the IR:
    to precompute the FIFO block-mismatch diagnoses the interpreter
    raises at runtime);
 2. per rank, a flattening pass writing one table row per op in program
-   order, recording raw step boundaries and the fused boundaries decided
-   by :func:`repro.compile.fuse.fused_groups`.
+   order and recording the schedule's step boundaries.
 
 The lowering is deterministic, so the self-verification pass
 (:mod:`repro.compile.verify`) can re-derive every table from the IR and
@@ -25,7 +24,6 @@ import numpy as np
 
 from ..core.schedule import CopyOp, RecvOp, Schedule, SendOp
 from ..obs import Obs, get_obs
-from .fuse import fused_groups
 from .program import (
     OP_COPY,
     OP_RECV,
@@ -97,9 +95,6 @@ def _lower(schedule: Schedule, source_fingerprint: str) -> CompiledSchedule:
                     seg_blocks.extend((op.src, op.dst))
                 seg_bounds.append(len(seg_blocks))
             steps_raw.append(len(kinds))
-        steps_fused = [0]
-        for group in fused_groups(prog):
-            steps_fused.append(steps_raw[group[-1] + 1])
         programs.append(
             CompiledProgram(
                 rank=rank,
@@ -109,7 +104,6 @@ def _lower(schedule: Schedule, source_fingerprint: str) -> CompiledSchedule:
                 seg_bounds=np.asarray(seg_bounds, dtype=np.int32),
                 seg_blocks=np.asarray(seg_blocks, dtype=np.int32),
                 steps_raw=np.asarray(steps_raw, dtype=np.int32),
-                steps_fused=np.asarray(steps_fused, dtype=np.int32),
             )
         )
     return CompiledSchedule(

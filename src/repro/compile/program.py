@@ -17,9 +17,6 @@ table           dtype  contents (one entry per op, flat program order)
                        ``seg_blocks[seg_bounds[i]:seg_bounds[i+1]]``
 ``seg_blocks``  int32  block ids; a copy stores exactly ``[src, dst]``
 ``steps_raw``   int32  ``[nsteps+1]`` — the schedule's step boundaries
-``steps_fused`` int32  boundaries after legal copy-step fusion
-                       (:mod:`repro.compile.fuse`); a subsequence of
-                       ``steps_raw``
 ==============  =====  =====================================================
 
 The tables are the cached, fingerprinted, disk-persisted artifact.
@@ -39,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import queue
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -86,7 +82,6 @@ class CompiledProgram:
     seg_bounds: np.ndarray
     seg_blocks: np.ndarray
     steps_raw: np.ndarray
-    steps_fused: np.ndarray
 
     @property
     def nops(self) -> int:
@@ -95,7 +90,7 @@ class CompiledProgram:
 
     @property
     def nsteps(self) -> int:
-        """Number of (raw, pre-fusion) steps in this rank's program."""
+        """Number of steps in this rank's program."""
         return len(self.steps_raw) - 1
 
     def table_bytes(self) -> bytes:
@@ -106,7 +101,7 @@ class CompiledProgram:
         """
         parts = [np.ascontiguousarray(self.kinds, dtype="<i1").tobytes()]
         for arr in (self.peers, self.tags, self.seg_bounds,
-                    self.seg_blocks, self.steps_raw, self.steps_fused):
+                    self.seg_blocks, self.steps_raw):
             parts.append(np.ascontiguousarray(arr, dtype="<i4").tobytes())
         return b"|".join(parts)
 
@@ -181,21 +176,18 @@ class BoundSchedule:
     adjacent blocks merged, ``blocks`` keeps the original block ids for
     diagnostics, and ``mismatch`` is the statically-precomputed FIFO
     blocks disagreement the lockstep runner reports exactly like the
-    interpreter would (or ``None``).  ``steps`` uses the fused
-    boundaries, ``raw_steps`` the schedule's original ones (the fault
-    path needs original step indexing for crash/heartbeat semantics).
+    interpreter would (or ``None``).  ``raw_steps[rank][i]`` is step
+    ``i`` of the schedule's own rank program — the numbering crash
+    steps, heartbeats and progress counts are expressed in — and
+    ``needs[rank][i]`` the ``(peer, count)`` messages that step waits
+    for.
     """
 
     describe_str: str
     nranks: int
-    steps: List[List[Tuple[tuple, tuple, tuple]]]
     raw_steps: List[List[Tuple[tuple, tuple, tuple]]]
     needs: List[List[Tuple[Tuple[int, int], ...]]]
     sizes: Tuple[int, ...]
-    #: Per rank, per fused step: the count of *raw* steps completed once
-    #: that fused step finishes — so executors on the fused path can
-    #: report progress in the schedule's own step numbering.
-    fused_raw: List[Tuple[int, ...]]
 
     def staging_pool(self, dtype: np.dtype) -> StagingPool:
         """A fresh :class:`StagingPool` covering every send size."""
@@ -292,8 +284,8 @@ class CompiledSchedule:
         """Stable content hash over the lowered tables and staging plan.
 
         Distinct from :attr:`source_fingerprint` (the IR hash): this pins
-        the *lowering* — a change to table layout, fusion decisions, or
-        the staging plan moves it even when the source IR is unchanged.
+        the *lowering* — a change to table layout or the staging plan
+        moves it even when the source IR is unchanged.
         The 8-rank k-nomial golden in ``tests/golden`` watches it.
         """
         h = hashlib.sha256()
@@ -347,22 +339,24 @@ class CompiledSchedule:
 
     def _bind(self, block_map, stops: Tuple[int, ...]) -> BoundSchedule:
         starts = tuple(block_map.range_of(b)[0] for b in range(self.nblocks))
-        fused_steps: List[List[Tuple[tuple, tuple, tuple]]] = []
         raw_steps: List[List[Tuple[tuple, tuple, tuple]]] = []
         needs: List[List[Tuple[Tuple[int, int], ...]]] = []
-        fused_raw: List[Tuple[int, ...]] = []
         sizes = set()
+        mismatches = self.fifo_mismatches
         for prog in self.programs:
+            rank = prog.rank
             kinds = prog.kinds.tolist()
             peers = prog.peers.tolist()
             seg_bounds = prog.seg_bounds.tolist()
             seg_blocks = prog.seg_blocks.tolist()
-            mismatches = self.fifo_mismatches
-
-            def bind_span(lo: int, hi: int, rank: int):
+            bounds = prog.steps_raw.tolist()
+            steps = []
+            step_needs = []
+            for lo, hi in zip(bounds, bounds[1:]):
                 sends: List[tuple] = []
                 copies: List[tuple] = []
                 recvs: List[tuple] = []
+                per_peer: Dict[int, int] = {}
                 for i in range(lo, hi):
                     kind = kinds[i]
                     blocks = seg_blocks[seg_bounds[i]:seg_bounds[i + 1]]
@@ -378,52 +372,30 @@ class CompiledSchedule:
                         copies.append((s0, s1, d0, d1))
                         continue
                     ranges, total = _merge_ranges(blocks, starts, stops)
+                    peer = peers[i]
                     if kind == OP_SEND:
-                        sends.append((peers[i], ranges, total))
+                        sends.append((peer, ranges, total))
                         sizes.add(total)
                     else:
                         recvs.append((
-                            peers[i],
+                            peer,
                             kind == OP_REDUCE_RECV,
                             ranges,
                             total,
                             tuple(blocks),
                             mismatches.get((rank, i)),
                         ))
-                return tuple(sends), tuple(copies), tuple(recvs)
-
-            rank = prog.rank
-            raw_bounds = prog.steps_raw.tolist()
-            raw = [
-                bind_span(raw_bounds[s], raw_bounds[s + 1], rank)
-                for s in range(len(raw_bounds) - 1)
-            ]
-            fused_bounds = prog.steps_fused.tolist()
-            fused = [
-                bind_span(fused_bounds[s], fused_bounds[s + 1], rank)
-                for s in range(len(fused_bounds) - 1)
-            ]
-            step_needs = []
-            for _, _, recvs in fused:
-                per_peer: Dict[int, int] = {}
-                for entry in recvs:
-                    per_peer[entry[0]] = per_peer.get(entry[0], 0) + 1
+                        per_peer[peer] = per_peer.get(peer, 0) + 1
+                steps.append((tuple(sends), tuple(copies), tuple(recvs)))
                 step_needs.append(tuple(per_peer.items()))
-            raw_steps.append(raw)
-            fused_steps.append(fused)
+            raw_steps.append(steps)
             needs.append(step_needs)
-            fused_raw.append(tuple(
-                bisect_right(raw_bounds, fused_bounds[j + 1]) - 1
-                for j in range(len(fused_bounds) - 1)
-            ))
         return BoundSchedule(
             describe_str=self.describe(),
             nranks=self.nranks,
-            steps=fused_steps,
             raw_steps=raw_steps,
             needs=needs,
             sizes=tuple(sorted(sizes)),
-            fused_raw=fused_raw,
         )
 
     # ------------------------------------------------------------------
@@ -455,7 +427,7 @@ class SimPlan:
     receive with the same channel and FIFO tag.  Per message: the
     endpoints ``src`` / ``dst``, the channel sequence number ``seq``,
     whether the receive reduces, and the block ids it carries (CSR:
-    ``blk_ids[blk_ptr[i]:blk_ptr[i + 1]]``).  Per rank and raw step,
+    ``blk_ids[blk_ptr[i]:blk_ptr[i + 1]]``).  Per rank and step,
     ``ops`` holds the op codes ``msg << 1 | is_recv`` in program order,
     copies dropped (the simulator models them as free).  ``routes``
     memoizes, per machine geometry, what the simulator derives from the
@@ -544,7 +516,7 @@ def _build_sim_plan(compiled: CompiledSchedule) -> SimPlan:
     reduce = np.zeros(nmsgs, dtype=bool)
     reduce[recv_msg] = kinds[recv_at] == OP_REDUCE_RECV
 
-    # Op codes per rank per raw step, copies dropped.
+    # Op codes per rank per step, copies dropped.
     moves = kinds != OP_COPY
     codes = tuple(((msg << 1) | is_recv)[moves].tolist())
     before = np.concatenate(([0], np.cumsum(moves)))

@@ -1,16 +1,17 @@
 """The two data walkers over bound compiled programs.
 
-Both walk :class:`~repro.compile.program.BoundSchedule` action tuples
-(preresolved slices, merged ranges) instead of interpreting the IR, and
-both are pinned bit-identical to the reference interpreter
+Both walk the same action tuples,
+:attr:`BoundSchedule.raw_steps <repro.compile.program.BoundSchedule>`
+(preresolved slices, merged ranges; one entry per step of the schedule's
+own rank program), instead of interpreting the IR, and both are pinned
+bit-identical to the reference interpreter
 (:func:`repro.core.runner.run_schedule` over a
 :class:`~repro.runtime.executor.NumpyModel`) by the differential suite:
 
 * :func:`run_compiled_lockstep` — every rank under one cooperative
-  progress loop with in-process FIFO deques (fused step boundaries;
-  legal fusion is execution-transparent, see :mod:`repro.compile.fuse`).
-  Deadlock raises :class:`~repro.errors.ExecutionError` naming the
-  blocked ranks, and leftover messages raise.
+  progress loop with in-process FIFO deques.  Deadlock raises
+  :class:`~repro.errors.ExecutionError` naming the blocked ranks, and
+  leftover messages raise.
 * :func:`run_compiled_rank` — *one* rank, blocking on channel receives:
   the body every thread of the threaded transport and every
   :class:`~repro.runtime.session.Comm` collective call runs.
@@ -92,7 +93,7 @@ def run_compiled_lockstep(
     messages — the same failure surface as the interpreted runner.
     """
     p = bound.nranks
-    steps = bound.steps
+    steps = bound.raw_steps
     needs = bound.needs
     desc = bound.describe_str
     channels: Dict[Tuple[int, int], Deque[np.ndarray]] = {}
@@ -182,7 +183,6 @@ def run_compiled_rank(
     abort: threading.Event,
     *,
     progress: Optional[List[int]] = None,
-    raw_done: Sequence[int] = (),
     crash_at: Optional[int] = None,
     straggle: Optional[float] = None,
     heartbeat=None,
@@ -191,10 +191,10 @@ def run_compiled_rank(
 
     Everything that differs between callers arrives as data:
 
-    * ``steps`` — this rank's ``(sends, copies, recvs)`` tuples:
-      ``bound.steps[rank]`` (fused) or ``bound.raw_steps[rank]`` (the
-      schedule's own step numbering, which ``crash_at`` and
-      ``heartbeat`` are expressed in).
+    * ``steps`` — this rank's ``(sends, copies, recvs)`` tuples,
+      ``bound.raw_steps[rank]``: the schedule's own step numbering,
+      which ``crash_at``, ``heartbeat`` and ``progress`` are expressed
+      in.
     * ``channels`` — ``(src, dst)`` → an object with ``send(payload)``
       and ``recv(timeout, abort)`` raising
       :class:`~repro.faults.channel.ChannelTimeout` /
@@ -205,8 +205,8 @@ def run_compiled_rank(
       send sizes recycles consumed payloads; one with no sizes hands out
       fresh arrays and ignores releases, which is mandatory on lossy
       channels (a duplicate delivery aliases the payload object).
-    * ``progress[rank]`` is set to ``raw_done[i]`` — raw steps complete
-      once step ``i`` finishes — after every step.
+    * ``progress[rank]`` is set to ``i + 1`` — steps complete — after
+      every step ``i``.
     * ``crash_at`` (raise an injected-crash
       :class:`~repro.errors.FaultError` before that step), ``straggle``
       (seconds slept before every step) and ``heartbeat`` (called as
@@ -280,7 +280,7 @@ def run_compiled_rank(
             _apply_recv(buf, payload, ranges, total, reduce, op, rank, blocks)
             pool.release(payload)
         if progress is not None:
-            progress[rank] = raw_done[i]
+            progress[rank] = i + 1
         if heartbeat is not None:
             heartbeat(rank, time.monotonic(), step=i)
     return moved

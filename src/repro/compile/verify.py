@@ -12,10 +12,7 @@ execute silently wrong):
    are in range;
 3. **recompute** — every table row (op code, peer, FIFO tag, segment
    block ids) is re-derived from the IR and compared exactly;
-4. **fusion** — the fused step boundaries must equal the ones
-   :func:`repro.compile.fuse.fused_groups` independently derives, so an
-   illegally dropped (or invented) fusion barrier is detected;
-5. **plan** — the staging plan's payload signatures match the IR's send
+4. **plan** — the staging plan's payload signatures match the IR's send
    set.
 
 A fifth, out-of-band rung lives in :mod:`repro.compile.cache`: artifacts
@@ -24,7 +21,7 @@ loaded from disk re-run this whole ladder and quarantine on failure (the
 
 The mutation corpus (``tests/test_compile_mutations.py``) holds this
 pass to its promise with hand-broken tables: stale peers, off-by-one
-block offsets, dropped fusion barriers, wrong op codes, corrupted tags.
+block offsets, shifted step boundaries, wrong op codes, corrupted tags.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from typing import Sequence
 
 from ..core.schedule import CopyOp, RecvOp, Schedule, SendOp
 from ..errors import CompileError
-from .fuse import fused_groups
 from .program import (
     OP_COPY,
     OP_NAMES,
@@ -49,7 +45,7 @@ __all__ = ["verify_compiled"]
 
 
 def _step_of(bounds: Sequence[int], op_index: int) -> int:
-    """Raw step index owning flat op ``op_index`` (for diagnostics)."""
+    """Step index owning flat op ``op_index`` (for diagnostics)."""
     return max(0, bisect_right(bounds, op_index) - 1)
 
 
@@ -97,7 +93,7 @@ def verify_compiled(compiled: CompiledSchedule, schedule: Schedule) -> None:
         flat_ops = [op for _, op in src_prog.iter_ops()]
         nops = len(flat_ops)
 
-        # Recompute the expected raw boundaries first: structural
+        # Recompute the expected step boundaries first: structural
         # diagnostics below locate ops through them, so they must be
         # trustworthy even when the artifact's own tables are not.
         exp_raw = [0]
@@ -136,7 +132,7 @@ def verify_compiled(compiled: CompiledSchedule, schedule: Schedule) -> None:
                 min(len(raw), len(exp_raw)) - 1,
             )
             _fail(rank, max(0, s - 1),
-                  f"raw step boundary table {raw} does not match the "
+                  f"step boundary table {raw} does not match the "
                   f"schedule's step layout {exp_raw}")
         bad_blocks = [
             int(b) for b in prog.seg_blocks
@@ -197,21 +193,7 @@ def verify_compiled(compiled: CompiledSchedule, schedule: Schedule) -> None:
                       f"op {i}: segment blocks {got_blocks} do not match "
                       f"the schedule's {want[3]} (offset off-by-one?)")
 
-        # Rung 4: fusion decisions.
-        exp_fused = [0]
-        for group in fused_groups(src_prog):
-            exp_fused.append(exp_raw[group[-1] + 1])
-        fused = prog.steps_fused.tolist()
-        if fused != exp_fused:
-            dropped = sorted(set(exp_fused) - set(fused))
-            extra = sorted(set(fused) - set(exp_fused))
-            at = (dropped or extra or [fused[-1] if fused else 0])[0]
-            _fail(rank, _step_of(exp_raw, max(0, at - 1)),
-                  f"fused step boundaries {fused} disagree with the "
-                  f"legal fusion decision {exp_fused} — a fusion barrier "
-                  f"was dropped or invented")
-
-    # Rung 5: staging plan.
+    # Rung 4: staging plan.
     want_plan = StagingPlan(signatures=tuple(sorted(signatures)))
     if compiled.staging_plan != want_plan:
         raise CompileError(

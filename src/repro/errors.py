@@ -255,7 +255,7 @@ class CompileError(ReproError):
     Raised by :mod:`repro.compile` when lowering produces tables that
     disagree with the schedule (a compiler bug) or when a cached/disk
     artifact is corrupt — stale peer tables, off-by-one block offsets,
-    dropped fusion barriers, wrong op codes.  The message always names
+    shifted step boundaries, wrong op codes.  The message always names
     the offending rank and step so the mutation corpus (and a human
     reading CI) can see *where* the tables went wrong.  A corrupt
     artifact must be caught here; it never executes.

@@ -28,12 +28,12 @@ under real asynchrony.  (Timing fidelity is the simulator's job.)
 
 Every rank thread runs the same body — :func:`repro.compile.
 run_compiled_rank` over the schedule's preresolved
-:class:`~repro.compile.program.BoundSchedule` action tuples — and the
-transport only chooses the *data* it walks.  Fault-free and detector-free:
-fused step boundaries, lean counter-only channels and recycled staging
-buffers.  Under a fault plan or a detector: the *raw* step boundaries
-(crash step indexing, heartbeats), the full lossy channel machinery and
-fresh payload arrays.  Rank bodies are dispatched to a persistent
+:attr:`BoundSchedule.raw_steps <repro.compile.program.BoundSchedule>`
+action tuples, the schedule's own steps — and the transport only chooses
+what carries the payloads.  Fault-free and detector-free: lean
+counter-only channels and recycled staging buffers.  Under a fault plan
+or a detector: the full lossy channel machinery and fresh payload
+arrays.  Rank bodies are dispatched to a persistent
 worker-thread pool when possible (thread spawn costs ~20× a pool
 dispatch here).  Results are bit-identical to the reference interpreter
 either way (pinned by the differential suite).
@@ -242,8 +242,8 @@ class ThreadedTransport:
         transport sees suspicion state, not just the final exception.
 
     The transport also tracks ``progress`` — per-rank completed-step
-    counts in the *schedule's* (raw) step numbering, whichever step
-    boundaries ran — which is the completion state recovery resumes from.
+    counts in the schedule's step numbering — which is the completion
+    state recovery resumes from.
     """
 
     def __init__(
@@ -279,19 +279,16 @@ class ThreadedTransport:
         bound = get_or_compile(sched).bind(sched.block_map(len(buffers[0])))
         faults = self.faults
         dtype = buffers[0].dtype
+        steps = bound.raw_steps
         reliable = faults is None and self.detector is None
         if reliable:
             # Every payload has exactly one consumer, so channels need no
             # loss/ack/retry machinery and staging buffers are recycled.
-            steps, raw_done = bound.steps, bound.fused_raw
             pool = bound.staging_pool(dtype)
         else:
-            # Crash steps and heartbeats index the schedule's own steps,
-            # and a lossy channel's duplicate aliases the payload object,
-            # so payloads stay immortal: a pool with no sizes recycles
+            # A lossy channel's duplicate aliases the payload object, so
+            # payloads stay immortal: a pool with no sizes recycles
             # nothing.
-            steps = bound.raw_steps
-            raw_done = [range(1, len(s) + 1) for s in steps]
             pool = StagingPool((), dtype)
         for rank, rank_steps in enumerate(steps):
             for sends, _, _ in rank_steps:
@@ -312,7 +309,7 @@ class ThreadedTransport:
 
         workers = [
             (lambda rank=rank: self._worker(
-                rank, steps[rank], raw_done[rank], buffers[rank], op, pool
+                rank, steps[rank], buffers[rank], op, pool
             ))
             for rank in range(sched.nranks)
         ]
@@ -447,7 +444,7 @@ class ThreadedTransport:
             ) from first.error
 
     def _worker(
-        self, rank: int, steps, raw_done, buf: np.ndarray, op: ReduceOp,
+        self, rank: int, steps, buf: np.ndarray, op: ReduceOp,
         pool: StagingPool,
     ) -> None:
         """One rank: walk its steps, record how it ended."""
@@ -465,7 +462,6 @@ class ThreadedTransport:
                 rank, steps, buf, op, self._channels, pool,
                 self.timeout, self._abort,
                 progress=self.progress,
-                raw_done=raw_done,
                 crash_at=crash_at,
                 straggle=straggle,
                 heartbeat=(

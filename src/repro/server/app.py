@@ -78,6 +78,11 @@ __all__ = ["TuningService", "ServerHandle", "serve_background"]
 #: so selection misses stay :class:`SelectionError` across the wire.
 _WIRE_ERRORS = {"SelectionError": SelectionError, "ServerError": ServerError}
 
+#: Largest request body read (``POST /tune`` bodies are under 1 kB); a
+#: larger ``Content-Length`` is a ``413`` before any body byte is
+#: awaited, so a client cannot announce 2⁴⁰ bytes and park a connection.
+_MAX_BODY_BYTES = 1 << 20
+
 #: (collective, algorithm, p, k, root) — what a fingerprint resolves to.
 _ScheduleParams = Tuple[str, str, int, Optional[int], int]
 
@@ -383,6 +388,17 @@ class TuningService:
         try:
             method, target, headers = await _read_head(reader)
             length = int(headers.get("content-length", "0"))
+            if length < 0:
+                raise _HttpReply(
+                    400, "ServerError",
+                    f"malformed request: negative Content-Length {length}",
+                )
+            if length > _MAX_BODY_BYTES:
+                raise _HttpReply(
+                    413, "PayloadTooLarge",
+                    f"request body of {length} bytes exceeds the "
+                    f"{_MAX_BODY_BYTES}-byte limit",
+                )
             body = await reader.readexactly(length) if length else b""
             url = urlsplit(target)
             endpoint = url.path
@@ -576,7 +592,8 @@ def _error_body(error: str, message: str) -> bytes:
 
 def _response(status: int, ctype: str, payload: bytes) -> bytes:
     reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-               405: "Method Not Allowed", 500: "Internal Server Error"}
+               405: "Method Not Allowed", 413: "Payload Too Large",
+               500: "Internal Server Error"}
     head = (
         f"HTTP/1.1 {status} {reasons.get(status, 'Error')}\r\n"
         f"Content-Type: {ctype}\r\n"

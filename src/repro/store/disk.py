@@ -51,7 +51,10 @@ __all__ = ["FORMAT_VERSION", "StoreStats", "DiskStore"]
 #: :class:`repro.compile.CompiledSchedule` artifacts) alongside
 #: ``schedule/…`` entries; v1 stores predate compiled execution, so
 #: their schedules must be re-persisted to sit next to fresh artifacts.
-FORMAT_VERSION = 2
+#: v3: a pickled :class:`repro.compile.CompiledProgram` holds six
+#: arrays, not seven (the schedule's own step boundaries are the only
+#: ones).
+FORMAT_VERSION = 3
 
 _ENTRY_SUFFIX = ".json"
 _TMP_MARKER = ".tmp"

@@ -29,11 +29,25 @@ class GoldenFile:
     bit-for-bit, so ``==`` pins costs to the last digit); with
     ``--update-golden`` it rewrites the file instead.  A missing file
     fails with the command that creates it.
+
+    A ``frozen`` file records the answers of an implementation that no
+    longer exists, so nothing can regenerate it: it is compared even
+    under ``--update-golden``, and a difference is a bug in the code
+    under test.
     """
 
-    def __init__(self, name: str, update: bool) -> None:
+    def __init__(self, name: str, update: bool, frozen: bool = False) -> None:
         self.path = GOLDEN_DIR / f"{name}.json"
-        self.update = update
+        self.update = update and not frozen
+        self.hint = (
+            "this file is frozen — it was written by the engine that the "
+            "code under test replaced (des_corners.json: the generator "
+            "engine before PR 20's flat kernel) and --update-golden never "
+            "rewrites it; fix the code"
+            if frozen else
+            "if the change is intentional, rerun with --update-golden and "
+            "explain it in the commit"
+        )
 
     def check(self, actual: dict) -> None:
         if self.update:
@@ -51,8 +65,8 @@ class GoldenFile:
         missing = sorted(set(expected) - set(actual))
         extra = sorted(set(actual) - set(expected))
         assert not missing and not extra, (
-            f"golden key set changed (missing={missing[:5]}, "
-            f"extra={extra[:5]}); rerun with --update-golden if intended"
+            f"golden key set changed in {self.path.name} "
+            f"(missing={missing[:5]}, extra={extra[:5]}); {self.hint}"
         )
         diffs = {
             key: (expected[key], actual[key])
@@ -62,9 +76,7 @@ class GoldenFile:
         assert not diffs, (
             f"{len(diffs)} golden value(s) changed in {self.path.name} "
             f"(first few: {dict(list(diffs.items())[:3])}); simulated "
-            f"costs are pinned to the last digit — if the change is "
-            f"intentional, rerun with --update-golden and explain it in "
-            f"the commit"
+            f"costs are pinned to the last digit — {self.hint}"
         )
 
 
@@ -73,8 +85,8 @@ def golden(request: pytest.FixtureRequest):
     """Factory for :class:`GoldenFile` honoring ``--update-golden``."""
     update = request.config.getoption("--update-golden")
 
-    def _make(name: str) -> GoldenFile:
-        return GoldenFile(name, update)
+    def _make(name: str, frozen: bool = False) -> GoldenFile:
+        return GoldenFile(name, update, frozen)
 
     return _make
 

@@ -20,9 +20,10 @@ This suite is the differential harness that keeps the two honest:
 * **Threaded backend** — fault-free and under a lossy
   :class:`~repro.faults.FaultPlan` (drops, duplicates, delays), the
   rank walker produces the oracle's exact buffers.
-* **Fusion** — on hand-built copy-step schedules (the registry emits
-  none, so these are constructed), legal fusion never changes
-  :func:`repro.check.run_checks` findings nor execution results.
+* **Copy steps** — on hand-built copy-step schedules (the registry
+  emits no :class:`~repro.core.schedule.CopyOp`, so these are
+  constructed), the lockstep and threaded backends equal the oracle: the
+  only ``OP_COPY`` coverage through lowering, bind and both runners.
 * **Degenerate radices** — at ``k = max_radix(p)`` (≈ p−1) the
   simulator stays inside the calibrated ``KNOWN_DIVERGENCES`` model
   bands: zero model-consistency findings.
@@ -36,8 +37,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro.api as api
-from repro.check import check_model, has_model, run_checks
-from repro.compile import fuse_schedule, get_or_compile
+from repro.check import check_model, has_model
+from repro.compile import get_or_compile
 from repro.core.registry import (
     COLLECTIVES,
     algorithms_for,
@@ -52,6 +53,7 @@ from repro.faults.sim import match_messages
 from repro.runtime.buffers import initial_buffers
 from repro.runtime.executor import NumpyModel, execute as execute_lockstep
 from repro.runtime.ops import SUM
+from repro.runtime.threaded import execute_threaded
 
 GRID = [
     (coll, alg) for coll in COLLECTIVES for alg in algorithms_for(coll)
@@ -252,9 +254,10 @@ class TestThreadedBackend:
 
 
 # ---------------------------------------------------------------------------
-# Fusion transparency on hand-built copy-step schedules.  The registry
-# emits no CopyOps (verified by test_no_registry_fusion below), so the
-# only way to exercise the fuser is to construct schedules by hand.
+# Hand-built copy-step schedules.  The registry emits no CopyOps
+# (test_registry_emits_no_copy_ops below), so the only way to carry
+# OP_COPY through lowering, bind and both runners is to construct
+# schedules by hand.
 # ---------------------------------------------------------------------------
 
 
@@ -281,16 +284,18 @@ def copy_schedules(draw):
     return Schedule("bcast", "handbuilt", p, nblocks, programs, root=0)
 
 
-class TestFusionTransparency:
-    def test_no_registry_fusion(self):
-        """The registry grid gives the fuser nothing to do — documented
-        here so the hand-built strategy's existence is justified."""
+class TestCopyStepSchedules:
+    def test_registry_emits_no_copy_ops(self):
+        """No registered builder constructs a CopyOp — why the compiled
+        tables carry the schedule's own steps and no copy-step merging,
+        and why the strategy above builds its schedules by hand."""
         for coll, alg in GRID:
             schedule = build_schedule(coll, alg, 8)
-            fused = fuse_schedule(schedule)
-            assert sum(
-                len(prog.steps) for prog in fused.programs
-            ) == sum(len(prog.steps) for prog in schedule.programs)
+            assert not any(
+                isinstance(op, CopyOp)
+                for prog in schedule.programs
+                for _, op in prog.iter_ops()
+            ), f"{coll}/{alg} emits a CopyOp"
 
     @settings(
         max_examples=50,
@@ -298,20 +303,7 @@ class TestFusionTransparency:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(schedule=copy_schedules(), data=st.data())
-    def test_fusion_preserves_findings_and_results(self, schedule, data):
-        fused = fuse_schedule(schedule)
-        raw_findings = [
-            (f.code, f.severity)
-            for f in run_checks(schedule, model=False).findings
-        ]
-        fused_findings = [
-            (f.code, f.severity)
-            for f in run_checks(fused, model=False).findings
-        ]
-        assert sorted(raw_findings) == sorted(fused_findings), (
-            "legal fusion changed the static-analysis findings"
-        )
-
+    def test_backends_equal_interpreter(self, schedule, data):
         count = data.draw(st.integers(1, 8), label="count")
         seed = data.draw(st.integers(0, 2 ** 16), label="seed")
         rng = np.random.default_rng(seed)
@@ -324,12 +316,12 @@ class TestFusionTransparency:
         def copies():
             return [b.copy() for b in base]
 
-        raw = _interpret(schedule, copies())
+        reference = _interpret(schedule, copies())
         _assert_buffers_equal(
-            _interpret(fused, copies()), raw, "fused interpreted"
+            execute_lockstep(schedule, copies()), reference, "lockstep"
         )
         _assert_buffers_equal(
-            execute_lockstep(schedule, copies()), raw, "compiled (fusing)"
+            execute_threaded(schedule, copies()), reference, "threaded"
         )
 
 

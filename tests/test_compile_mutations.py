@@ -15,8 +15,9 @@ The corpus mirrors the realistic failure modes:
   schedule edit without recompilation would leave behind;
 * **off-by-one offset** — a block id shifted by one in the segment
   table, the classic flattening bug;
-* **dropped fusion barrier** — a fused-step boundary merged away
-  without the fuser's legality proof;
+* **shifted step boundary** — a step boundary moved onto its
+  neighbour, so an op would run (and crash steps, heartbeats and
+  progress would count) one step off;
 * **wrong op code** — a reduce-receive demoted to a plain receive
   (data-corrupting if executed: the reduction would be skipped);
 * **FIFO tag corruption** — a receive tag that no longer matches the
@@ -91,14 +92,14 @@ class TestMutationCorpus:
         ) % schedule.nblocks
         _expect_corrupt(compiled, schedule, "block")
 
-    def test_dropped_fusion_barrier(self):
+    def test_shifted_step_boundary(self):
         schedule, compiled = _fresh()
-        prog = next(p for p in compiled.programs if len(p.steps_fused) > 2)
-        # Merge the first two fused steps by collapsing the interior
-        # boundary onto the next one — monotone, but not what the
-        # fuser's legality analysis produced.
-        prog.steps_fused[1] = prog.steps_fused[2]
-        _expect_corrupt(compiled, schedule, "fusion barrier")
+        prog = next(p for p in compiled.programs if len(p.steps_raw) > 2)
+        # Merge the first two steps by collapsing the interior boundary
+        # onto the next one — monotone and covering every op, but not
+        # the schedule's step layout.
+        prog.steps_raw[1] = prog.steps_raw[2]
+        _expect_corrupt(compiled, schedule, "step boundary")
 
     def test_wrong_op_code(self):
         schedule, compiled = _fresh()

@@ -34,13 +34,17 @@ cannot: ``tests/golden/des_corners.json`` holds whole ``SimResult``s on
 contended machines — every tie-break, hand-over and release order shows
 in some rank time or timeline row — written by the generator-per-message
 engine the flat kernel (:mod:`repro.simnet.kernel`) replaced.  It is the
-record of that engine's answers: **never regenerate it** for a kernel
-change; a difference there is a bug in the kernel.
+record of that engine's answers: it is ``frozen`` — compared, never
+rewritten, even under ``--update-golden`` — because a difference there
+is a bug in the kernel.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import pytest
+from conftest import GoldenFile
 
 from repro.bench.sweep import SweepPoint, clear_sim_memo, simulate_point
 from repro.compile import compile_schedule
@@ -114,7 +118,7 @@ def test_compiled_program_fingerprint_pinned(golden):
 
     The fingerprint hashes every program table (peers, offsets, sizes,
     op codes, tags, step boundaries), so any lowering change — a
-    reordered op, a re-encoded offset, a dropped fusion boundary —
+    reordered op, a re-encoded offset, a shifted step boundary —
     changes it even when execution results survive.  Table counts are
     pinned alongside as the human-readable part of the diff.
     """
@@ -237,4 +241,15 @@ def test_simulated_corners_pinned(golden):
                 assert seen["deadlink"].stalled_ranks, key
                 assert not seen["crash"].complete, key
     assert 200 <= len(actual) <= 1000
-    golden("des_corners").check(actual)
+    golden("des_corners", frozen=True).check(actual)
+
+
+def test_frozen_golden_survives_update(tmp_path):
+    """``--update-golden`` compares a frozen file instead of rewriting."""
+    pinned = GoldenFile("pinned", update=True, frozen=True)
+    pinned.path = tmp_path / "pinned.json"
+    pinned.path.write_text('{"a": 1}\n')
+    pinned.check({"a": 1})
+    with pytest.raises(AssertionError, match="frozen"):
+        pinned.check({"a": 2})
+    assert pinned.path.read_text() == '{"a": 1}\n'

@@ -13,9 +13,11 @@ requests share one sweep without changing its result.
 """
 
 import base64
+import json
 import os
 import pickle
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -126,6 +128,43 @@ def test_tune_rejects_malformed_requests(served):
     _, client, _ = served
     with pytest.raises(ServerError, match="collective"):
         client.tune("")
+
+
+def _announce(handle, content_length: str):
+    """POST /tune announcing ``content_length`` but sending no body:
+    the (status line, decoded error document) the service answers."""
+    service = handle.service
+    with socket.create_connection(
+        (service.host, service.port), timeout=5
+    ) as sock:
+        sock.sendall(
+            b"POST /tune HTTP/1.1\r\nContent-Length: "
+            + content_length.encode() + b"\r\n\r\n"
+        )
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0].decode(), json.loads(body)
+
+
+def test_oversized_body_is_refused_before_it_is_read(served):
+    """A client announcing 2**40 bytes gets a structured 413 while the
+    server has read none of them — it cannot park the connection."""
+    handle, _, _ = served
+    status, doc = _announce(handle, str(1 << 40))
+    assert status == "HTTP/1.1 413 Payload Too Large"
+    assert doc["error"] == "PayloadTooLarge"
+    assert str(1 << 40) in doc["message"]
+
+
+@pytest.mark.parametrize("content_length", ["-1", "ten"])
+def test_malformed_content_length_is_a_400(served, content_length):
+    handle, _, _ = served
+    status, doc = _announce(handle, content_length)
+    assert status == "HTTP/1.1 400 Bad Request"
+    assert doc["error"] == "ServerError"
+    assert "malformed request" in doc["message"]
 
 
 def test_concurrent_tunes_coalesce(served):

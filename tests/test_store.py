@@ -20,11 +20,13 @@ from hypothesis import strategies as st
 
 from types import SimpleNamespace
 
-from repro.compile import compile_schedule
+from repro.compile import compile_schedule, verify_compiled
 from repro.compile.cache import compiled_store_key, open_compiled_store
 from repro.core.cache import schedule_key
 from repro.core.registry import build_schedule
 from repro.errors import StoreError
+from repro.server import TuningService
+from repro.simnet.machines import reference
 from repro.store import (
     FORMAT_VERSION,
     DiskStore,
@@ -259,3 +261,66 @@ def test_semantic_mismatch_quarantines(tmp_path, tier):
     assert value.nranks == 4
     assert value.fingerprint() == tier.make("ring", 4).fingerprint()
     assert any("semantic" in p.name for p in fresh.store.quarantined())
+
+
+# ----------------------------------------------------------------------
+# Format compatibility: a store written before a FORMAT_VERSION bump
+# degrades to cold and heals; it never feeds old bytes to new code
+# ----------------------------------------------------------------------
+
+
+def _age_entries(store, version):
+    """Stamp every entry under ``store`` with an earlier format version
+    (the checksum covers key and payload, so the documents stay
+    byte-valid — exactly what an old writer left behind)."""
+    for path, _key in list(store.keys_on_disk()):
+        doc = json.loads(path.read_text())
+        doc["format"] = version
+        path.write_text(json.dumps(doc))
+
+
+def test_v2_compiled_entry_is_a_quarantined_miss_and_rebuilds(tmp_path):
+    schedule = _allreduce("kring", 8, 2)
+    made, _ = open_compiled_store(tmp_path).get_or_compile(schedule)
+    store = DiskStore(tmp_path)
+    _age_entries(store, 2)
+    assert store.get(compiled_store_key(schedule)) is None
+    assert any("format-2" in p.name for p in store.quarantined())
+
+    rebuilt, hit = open_compiled_store(tmp_path).get_or_compile(schedule)
+    assert not hit
+    verify_compiled(rebuilt, schedule)
+    assert rebuilt.fingerprint() == made.fingerprint()
+    # ... and the write-through filed a current-format entry.
+    _, hit = open_compiled_store(tmp_path).get_or_compile(schedule)
+    assert hit
+
+
+def test_service_boots_cold_over_a_v2_store(tmp_path):
+    """``repro-serve --store`` over a store the previous format wrote:
+    the boot index still reads its keys, every entry is a quarantined
+    miss on first use, and the served artifact is the rebuilt one."""
+    machine, sizes = reference(8), [256, 4096]
+    query = {"collective": "allreduce",
+             "algorithm": "recursive_multiplying", "k": "4"}
+    first = TuningService(
+        machine, sizes, collectives=("allreduce",), store=tmp_path
+    )
+    payload = first._ep_schedule(query)
+    _age_entries(first.compiled_cache.store, 2)
+
+    second = TuningService(
+        machine, sizes, collectives=("allreduce",), store=tmp_path
+    )
+    again = second._ep_schedule(
+        {"fingerprint": payload["source_fingerprint"][:16]}
+    )
+    assert again["compiled_fingerprint"] == payload["compiled_fingerprint"]
+    quarantined = [
+        p.name for p in second.compiled_cache.store.quarantined()
+    ]
+    assert any("format-2" in name for name in quarantined)
+    current = json.loads(
+        second.compiled_cache.store.path_for(payload["store_key"]).read_text()
+    )
+    assert current["format"] == FORMAT_VERSION == 3
