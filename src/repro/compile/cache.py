@@ -81,10 +81,9 @@ class CompiledCache(ContentCache):
         self, schedule: Schedule
     ) -> Tuple[CompiledSchedule, bool]:
         """Return ``(compiled, hit)`` — lowering and inserting on a miss."""
-        fp = schedule.fingerprint()
         return self.get_or_make(
-            fp,
-            lambda: compile_schedule(schedule, source_fingerprint=fp),
+            schedule.fingerprint(),
+            lambda: compile_schedule(schedule),
             schedule,
         )
 

@@ -1,19 +1,23 @@
 """Lower a schedule into :class:`~repro.compile.program.CompiledSchedule`.
 
-Two passes over the IR:
+Lowering does not walk the IR.  A sealed
+:class:`~repro.core.schedule.Schedule` already holds every op as flat
+:class:`~repro.core.schedule.Columns` (its one construction walk), so
+the tables are those columns cut per rank, plus what only the whole
+schedule can say:
 
-1. a channel census collecting, per directed ``(src, dst)`` pair, the
-   FIFO sequence of send block tuples (needed to assign receive tags and
-   to precompute the FIFO block-mismatch diagnoses the interpreter
-   raises at runtime);
-2. per rank, a flattening pass writing one table row per op in program
-   order and recording the schedule's step boundaries.
+* **FIFO tags** — an op's running index on its directed ``(src, dst)``
+  channel, from one stable sort of the channel ids per direction;
+* **FIFO block mismatches** — the diagnoses the interpreter raises at
+  runtime, precomputed: one comparison of every matched send/receive
+  pair's block lists, which only a malformed (hand-built) schedule
+  fails — and only then does the per-op census below run to name them.
 
-The lowering is deterministic, so the self-verification pass
-(:mod:`repro.compile.verify`) can re-derive every table from the IR and
-compare exactly — any disagreement is a compiler bug (or a corrupted
-artifact) and raises :class:`~repro.errors.CompileError` instead of
-executing wrong.
+The self-verification pass (:mod:`repro.compile.verify`) re-derives
+every table from the IR *objects* with counters of its own — an
+independent second derivation — and compares exactly: any disagreement
+is a compiler bug (or a corrupted artifact) and raises
+:class:`~repro.errors.CompileError` instead of executing wrong.
 """
 
 from __future__ import annotations
@@ -22,12 +26,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.schedule import CopyOp, RecvOp, Schedule, SendOp
+from ..core.schedule import Columns, RecvOp, Schedule, SendOp
 from ..obs import Obs, get_obs
 from .program import (
     OP_COPY,
-    OP_RECV,
-    OP_REDUCE_RECV,
     OP_SEND,
     CompiledProgram,
     CompiledSchedule,
@@ -36,9 +38,34 @@ from .program import (
 
 __all__ = ["compile_schedule"]
 
+Mismatches = Dict[Tuple[int, int], Tuple[Tuple[int, ...], Tuple[int, ...]]]
 
-def _lower(schedule: Schedule, source_fingerprint: str) -> CompiledSchedule:
-    # Pass 1: per-channel FIFO census of send block tuples.
+
+def _running_index(chan: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, tags)``: the stable sort of ``chan`` and each entry's
+    running index among the entries equal to it."""
+    order = np.argsort(chan, kind="stable")
+    ranked = chan[order]
+    first = np.ones(len(chan), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(first)
+    run = np.diff(np.append(starts, len(chan)))
+    tags = np.empty(len(chan), dtype=np.int64)
+    tags[order] = np.arange(len(chan)) - np.repeat(starts, run)
+    return order, tags
+
+
+def _gather_blocks(cols: Columns, ops: np.ndarray) -> np.ndarray:
+    """The block ids of ``ops``, concatenated in that order."""
+    lo = cols.seg_bounds[ops]
+    n = cols.seg_bounds[ops + 1] - lo
+    ends = np.cumsum(n)
+    return cols.seg_blocks[np.repeat(lo - (ends - n), n) + np.arange(ends[-1])]
+
+
+def _fifo_census(schedule: Schedule) -> Mismatches:
+    """Receives whose FIFO-matched message carries other blocks, op by
+    op (the slow path: only a malformed schedule gets here)."""
     chan_sends: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
     for prog in schedule.programs:
         for _, op in prog.iter_ops():
@@ -46,77 +73,85 @@ def _lower(schedule: Schedule, source_fingerprint: str) -> CompiledSchedule:
                 chan_sends.setdefault((prog.rank, op.peer), []).append(
                     op.blocks
                 )
-
-    # Pass 2: flatten every rank into tables.
-    programs: List[CompiledProgram] = []
-    send_seq: Dict[Tuple[int, int], int] = {}
     recv_seq: Dict[Tuple[int, int], int] = {}
-    fifo_mismatches: Dict[
-        Tuple[int, int], Tuple[Tuple[int, ...], Tuple[int, ...]]
-    ] = {}
-    signatures = set()
+    mismatches: Mismatches = {}
     for prog in schedule.programs:
-        kinds: List[int] = []
-        peers: List[int] = []
-        tags: List[int] = []
-        seg_bounds: List[int] = [0]
-        seg_blocks: List[int] = []
-        steps_raw: List[int] = [0]
         rank = prog.rank
-        for step in prog.steps:
-            for op in step.ops:
-                if isinstance(op, SendOp):
-                    chan = (rank, op.peer)
-                    seq = send_seq.get(chan, 0)
-                    send_seq[chan] = seq + 1
-                    kinds.append(OP_SEND)
-                    peers.append(op.peer)
-                    tags.append(seq)
-                    seg_blocks.extend(op.blocks)
-                    signatures.add(op.blocks)
-                elif isinstance(op, RecvOp):
-                    chan = (op.peer, rank)
-                    seq = recv_seq.get(chan, 0)
-                    recv_seq[chan] = seq + 1
-                    kinds.append(OP_REDUCE_RECV if op.reduce else OP_RECV)
-                    peers.append(op.peer)
-                    tags.append(seq)
-                    seg_blocks.extend(op.blocks)
-                    sends = chan_sends.get(chan, ())
-                    if seq < len(sends) and sends[seq] != op.blocks:
-                        fifo_mismatches[(rank, len(kinds) - 1)] = (
-                            sends[seq],
-                            op.blocks,
-                        )
-                else:
-                    kinds.append(OP_COPY)
-                    peers.append(-1)
-                    tags.append(-1)
-                    seg_blocks.extend((op.src, op.dst))
-                seg_bounds.append(len(seg_blocks))
-            steps_raw.append(len(kinds))
+        for i, (_, op) in enumerate(prog.iter_ops()):
+            if isinstance(op, RecvOp):
+                chan = (op.peer, rank)
+                seq = recv_seq.get(chan, 0)
+                recv_seq[chan] = seq + 1
+                sends = chan_sends.get(chan, ())
+                if seq < len(sends) and sends[seq] != op.blocks:
+                    mismatches[(rank, i)] = (sends[seq], op.blocks)
+    return mismatches
+
+
+def _lower(schedule: Schedule) -> CompiledSchedule:
+    cols = schedule.columns()
+    p = schedule.nranks
+    kinds, op_ptr = cols.kinds, cols.op_ptr
+    rank = np.repeat(np.arange(p, dtype=np.int64), np.diff(op_ptr))
+    peers = cols.peers.astype(np.int64)
+    is_send = kinds == OP_SEND
+    send_at = np.flatnonzero(is_send)
+    recv_at = np.flatnonzero(~is_send & (kinds != OP_COPY))
+    send_chan = rank[send_at] * p + peers[send_at]
+    recv_chan = peers[recv_at] * p + rank[recv_at]
+    send_order, send_tags = _running_index(send_chan)
+    recv_order, recv_tags = _running_index(recv_chan)
+    tags = np.full(len(kinds), -1, dtype=np.int32)
+    tags[send_at] = send_tags
+    tags[recv_at] = recv_tags
+
+    # Sorted by (channel, tag), message i of the sends is message i of
+    # the receives exactly when every send has its receive; the pairs'
+    # block lists then agree unless the schedule is malformed.
+    sends, recvs = send_at[send_order], recv_at[recv_order]
+    nblk = np.diff(cols.seg_bounds)
+    matched = (
+        np.array_equal(send_chan[send_order], recv_chan[recv_order])
+        and np.array_equal(send_tags[send_order], recv_tags[recv_order])
+        and np.array_equal(nblk[sends], nblk[recvs])
+        and (
+            not len(sends)
+            or np.array_equal(
+                _gather_blocks(cols, sends), _gather_blocks(cols, recvs)
+            )
+        )
+    )
+
+    # Cut per rank, at plain-int offsets, into arrays the artifact owns.
+    programs: List[CompiledProgram] = []
+    seg_bounds = cols.seg_bounds.astype(np.int32)
+    ops = op_ptr.tolist()
+    segs = cols.seg_bounds[op_ptr].tolist()
+    steps = cols.step_ptr.tolist()
+    for r in range(p):
+        lo, hi = ops[r], ops[r + 1]
         programs.append(
             CompiledProgram(
-                rank=rank,
-                kinds=np.asarray(kinds, dtype=np.int8),
-                peers=np.asarray(peers, dtype=np.int32),
-                tags=np.asarray(tags, dtype=np.int32),
-                seg_bounds=np.asarray(seg_bounds, dtype=np.int32),
-                seg_blocks=np.asarray(seg_blocks, dtype=np.int32),
-                steps_raw=np.asarray(steps_raw, dtype=np.int32),
+                rank=r,
+                kinds=kinds[lo:hi].copy(),
+                peers=cols.peers[lo:hi].copy(),
+                tags=tags[lo:hi].copy(),
+                seg_bounds=seg_bounds[lo:hi + 1] - segs[r],
+                seg_blocks=cols.seg_blocks[segs[r]:segs[r + 1]].copy(),
+                steps_raw=cols.steps_raw[steps[r]:steps[r + 1]].copy(),
             )
         )
     return CompiledSchedule(
         collective=schedule.collective,
         algorithm=schedule.algorithm,
-        nranks=schedule.nranks,
+        nranks=p,
         nblocks=schedule.nblocks,
         root=schedule.root,
         k=schedule.k,
-        source_fingerprint=source_fingerprint,
+        source_fingerprint=schedule.fingerprint(),
         programs=tuple(programs),
-        staging_plan=StagingPlan(signatures=tuple(sorted(signatures))),
-        fifo_mismatches=fifo_mismatches,
+        staging_plan=StagingPlan(signatures=tuple(sorted(cols.signatures))),
+        fifo_mismatches={} if matched else _fifo_census(schedule),
     )
 
 
@@ -125,14 +160,8 @@ def compile_schedule(
     *,
     verify: bool = True,
     obs: Optional[Obs] = None,
-    source_fingerprint: Optional[str] = None,
 ) -> CompiledSchedule:
     """Lower ``schedule`` to flat per-rank tables (verified by default).
-
-    ``source_fingerprint`` spares the IR walk when the caller has just
-    computed ``schedule.fingerprint()`` (the compiled cache's key); the
-    verification ladder's identity rung recomputes it regardless, so a
-    wrong stamp cannot pass.
 
     With ``verify=True`` the self-verification pass re-derives every
     table from the IR and compares exactly, raising
@@ -145,18 +174,16 @@ def compile_schedule(
     every other subsystem).
     """
     o = get_obs(obs)
-    if source_fingerprint is None:
-        source_fingerprint = schedule.fingerprint()
     if o.enabled:
         with o.span("compile", schedule=schedule.describe()):
-            compiled = _lower(schedule, source_fingerprint)
+            compiled = _lower(schedule)
             if verify:
                 compiled.verify(schedule)
         m = o.metrics
         m.counter("repro_compile_total").inc()
         m.counter("repro_compile_ops_total").inc(compiled.total_ops())
     else:
-        compiled = _lower(schedule, source_fingerprint)
+        compiled = _lower(schedule)
         if verify:
             compiled.verify(schedule)
     return compiled

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.schedule import OP_COPY, OP_RECV, OP_REDUCE_RECV, OP_SEND
 from ..errors import ExecutionError, MachineError
 
 __all__ = [
@@ -57,11 +58,6 @@ __all__ = [
     "SimPlan",
 ]
 
-#: Op codes used in :attr:`CompiledProgram.kinds`.
-OP_SEND = 0
-OP_RECV = 1
-OP_REDUCE_RECV = 2
-OP_COPY = 3
 
 #: Human names for op codes, used in self-verification diagnostics.
 OP_NAMES = {OP_SEND: "send", OP_RECV: "recv",

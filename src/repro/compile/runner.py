@@ -182,7 +182,6 @@ def run_compiled_rank(
     timeout: float,
     abort: threading.Event,
     *,
-    progress: Optional[List[int]] = None,
     crash_at: Optional[int] = None,
     straggle: Optional[float] = None,
     heartbeat=None,
@@ -193,8 +192,7 @@ def run_compiled_rank(
 
     * ``steps`` — this rank's ``(sends, copies, recvs)`` tuples,
       ``bound.raw_steps[rank]``: the schedule's own step numbering,
-      which ``crash_at``, ``heartbeat`` and ``progress`` are expressed
-      in.
+      which ``crash_at`` and ``heartbeat`` are expressed in.
     * ``channels`` — ``(src, dst)`` → an object with ``send(payload)``
       and ``recv(timeout, abort)`` raising
       :class:`~repro.faults.channel.ChannelTimeout` /
@@ -205,8 +203,6 @@ def run_compiled_rank(
       send sizes recycles consumed payloads; one with no sizes hands out
       fresh arrays and ignores releases, which is mandatory on lossy
       channels (a duplicate delivery aliases the payload object).
-    * ``progress[rank]`` is set to ``i + 1`` — steps complete — after
-      every step ``i``.
     * ``crash_at`` (raise an injected-crash
       :class:`~repro.errors.FaultError` before that step), ``straggle``
       (seconds slept before every step) and ``heartbeat`` (called as
@@ -279,8 +275,6 @@ def run_compiled_rank(
                 )
             _apply_recv(buf, payload, ranges, total, reduce, op, rank, blocks)
             pool.release(payload)
-        if progress is not None:
-            progress[rank] = i + 1
         if heartbeat is not None:
             heartbeat(rank, time.monotonic(), step=i)
     return moved

@@ -27,6 +27,7 @@ block offsets, shifted step boundaries, wrong op codes, corrupted tags.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Sequence
 
 from ..core.schedule import CopyOp, RecvOp, Schedule, SendOp
@@ -90,15 +91,13 @@ def verify_compiled(compiled: CompiledSchedule, schedule: Schedule) -> None:
     signatures = set()
     for prog, src_prog in zip(compiled.programs, schedule.programs):
         rank = src_prog.rank
-        flat_ops = [op for _, op in src_prog.iter_ops()]
+        flat_ops = [op for step in src_prog.steps for op in step.ops]
         nops = len(flat_ops)
 
         # Recompute the expected step boundaries first: structural
         # diagnostics below locate ops through them, so they must be
         # trustworthy even when the artifact's own tables are not.
-        exp_raw = [0]
-        for step in src_prog.steps:
-            exp_raw.append(exp_raw[-1] + len(step.ops))
+        exp_raw = [0, *accumulate(len(step.ops) for step in src_prog.steps)]
 
         # Rung 2: structure.
         if prog.rank != rank:
@@ -120,11 +119,12 @@ def verify_compiled(compiled: CompiledSchedule, schedule: Schedule) -> None:
             _fail(rank, 0,
                   f"segment bounds span [{seg_bounds[0]}, {seg_bounds[-1]}]"
                   f" but the block table holds {len(prog.seg_blocks)} ids")
-        for i in range(nops):
-            if seg_bounds[i] > seg_bounds[i + 1]:
-                _fail(rank, _step_of(exp_raw, i),
-                      f"op {i}: segment bounds decrease "
-                      f"({seg_bounds[i]} > {seg_bounds[i + 1]})")
+        if seg_bounds != sorted(seg_bounds):
+            for i in range(nops):
+                if seg_bounds[i] > seg_bounds[i + 1]:
+                    _fail(rank, _step_of(exp_raw, i),
+                          f"op {i}: segment bounds decrease "
+                          f"({seg_bounds[i]} > {seg_bounds[i + 1]})")
         raw = prog.steps_raw.tolist()
         if raw != exp_raw:
             s = next(
@@ -134,64 +134,74 @@ def verify_compiled(compiled: CompiledSchedule, schedule: Schedule) -> None:
             _fail(rank, max(0, s - 1),
                   f"step boundary table {raw} does not match the "
                   f"schedule's step layout {exp_raw}")
-        bad_blocks = [
-            int(b) for b in prog.seg_blocks
-            if not 0 <= b < schedule.nblocks
-        ]
-        if bad_blocks:
-            idx = next(
-                j for j, b in enumerate(prog.seg_blocks.tolist())
+        seg_blocks = prog.seg_blocks.tolist()
+        if seg_blocks and not (
+            0 <= min(seg_blocks) and max(seg_blocks) < schedule.nblocks
+        ):
+            idx, bad = next(
+                (j, b) for j, b in enumerate(seg_blocks)
                 if not 0 <= b < schedule.nblocks
             )
             op_i = max(0, bisect_right(seg_bounds, idx) - 1)
             _fail(rank, _step_of(exp_raw, op_i),
-                  f"op {op_i}: block id {bad_blocks[0]} out of range "
+                  f"op {op_i}: block id {bad} out of range "
                   f"(nblocks={schedule.nblocks}) — offset table corrupt")
 
         # Rung 3: recompute each row from the IR.
-        kinds = prog.kinds.tolist()
-        peers = prog.peers.tolist()
-        tags = prog.tags.tolist()
-        seg_blocks = prog.seg_blocks.tolist()
-        for i, op in enumerate(flat_ops):
-            step = _step_of(exp_raw, i)
+        want_kinds, want_peers, want_tags = [], [], []
+        want_blocks, want_bounds = [], [0]
+        for op in flat_ops:
             if isinstance(op, SendOp):
                 chan = (rank, op.peer)
                 seq = send_seq.get(chan, 0)
                 send_seq[chan] = seq + 1
-                want = (OP_SEND, op.peer, seq, list(op.blocks))
+                want_kinds.append(OP_SEND)
+                want_peers.append(op.peer)
+                want_tags.append(seq)
+                want_blocks.extend(op.blocks)
                 signatures.add(op.blocks)
             elif isinstance(op, RecvOp):
                 chan = (op.peer, rank)
                 seq = recv_seq.get(chan, 0)
                 recv_seq[chan] = seq + 1
-                want = (
-                    OP_REDUCE_RECV if op.reduce else OP_RECV,
-                    op.peer,
-                    seq,
-                    list(op.blocks),
-                )
+                want_kinds.append(OP_REDUCE_RECV if op.reduce else OP_RECV)
+                want_peers.append(op.peer)
+                want_tags.append(seq)
+                want_blocks.extend(op.blocks)
             else:
                 assert isinstance(op, CopyOp)
-                want = (OP_COPY, -1, -1, [op.src, op.dst])
-            if kinds[i] != want[0]:
-                _fail(rank, step,
+                want_kinds.append(OP_COPY)
+                want_peers.append(-1)
+                want_tags.append(-1)
+                want_blocks.extend((op.src, op.dst))
+            want_bounds.append(len(want_blocks))
+        kinds = prog.kinds.tolist()
+        peers = prog.peers.tolist()
+        tags = prog.tags.tolist()
+        if (kinds == want_kinds and peers == want_peers and tags == want_tags
+                and seg_bounds == want_bounds and seg_blocks == want_blocks):
+            continue
+        # Some row differs: name the first, column by column.
+        for i in range(nops):
+            if kinds[i] != want_kinds[i]:
+                _fail(rank, _step_of(exp_raw, i),
                       f"op {i}: wrong op code — table says "
                       f"{OP_NAMES.get(kinds[i], kinds[i])!r}, schedule "
-                      f"has {OP_NAMES[want[0]]!r}")
-            if peers[i] != want[1]:
-                _fail(rank, step,
+                      f"has {OP_NAMES[want_kinds[i]]!r}")
+            if peers[i] != want_peers[i]:
+                _fail(rank, _step_of(exp_raw, i),
                       f"op {i}: stale peer table — compiled peer "
-                      f"{peers[i]}, schedule says {want[1]}")
-            if tags[i] != want[2]:
-                _fail(rank, step,
+                      f"{peers[i]}, schedule says {want_peers[i]}")
+            if tags[i] != want_tags[i]:
+                _fail(rank, _step_of(exp_raw, i),
                       f"op {i}: FIFO tag {tags[i]} does not match the "
-                      f"channel sequence number {want[2]}")
+                      f"channel sequence number {want_tags[i]}")
             got_blocks = seg_blocks[seg_bounds[i]:seg_bounds[i + 1]]
-            if got_blocks != want[3]:
-                _fail(rank, step,
+            want = want_blocks[want_bounds[i]:want_bounds[i + 1]]
+            if got_blocks != want:
+                _fail(rank, _step_of(exp_raw, i),
                       f"op {i}: segment blocks {got_blocks} do not match "
-                      f"the schedule's {want[3]} (offset off-by-one?)")
+                      f"the schedule's {want} (offset off-by-one?)")
 
     # Rung 4: staging plan.
     want_plan = StagingPlan(signatures=tuple(sorted(signatures)))

@@ -26,6 +26,7 @@ from .primitives import (
     compose,
     dualize_allgather,
     empty_programs,
+    shared_phase,
 )
 from .recursive import recursive_multiplying_allgather
 from .ring import ring_allgather
@@ -126,7 +127,7 @@ def scatter_allgather_bcast(p: int, *, root: int = 0) -> Schedule:
     """Van de Geijn large-message broadcast: binomial scatter + ring
     allgather — MPICH's classic choice above the medium-size cutoff and
     the paper's ``ring`` bcast baseline."""
-    scatter = knomial_scatter(p, 2, root=root)
+    scatter = shared_phase(knomial_scatter, p, 2, root=root)
     allgather = ring_allgather(p)
     return compose("bcast", "scatter_allgather", [scatter, allgather], root=root)
 
@@ -136,7 +137,8 @@ def recursive_halving_reduce_scatter(p: int) -> Schedule:
     recursive doubling allgather (pairwise exchanges of halving extent and
     halving data)."""
     return dualize_allgather(
-        recursive_multiplying_allgather(p, 2), "recursive_halving"
+        shared_phase(recursive_multiplying_allgather, p, 2),
+        "recursive_halving",
     )
 
 
@@ -144,8 +146,8 @@ def reduce_scatter_allgather_allreduce(p: int) -> Schedule:
     """Rabenseifner's allreduce: recursive-halving reduce-scatter followed
     by recursive-doubling allgather — MPICH's large-message allreduce and
     the strongest fixed-radix baseline for paper Fig. 9(d)."""
-    rs = recursive_halving_reduce_scatter(p)
-    ag = recursive_multiplying_allgather(p, 2)
+    rs = shared_phase(recursive_halving_reduce_scatter, p)
+    ag = shared_phase(recursive_multiplying_allgather, p, 2)
     return compose("allreduce", "reduce_scatter_allgather", [rs, ag])
 
 
@@ -159,7 +161,7 @@ def reduce_scatter_gather_reduce(p: int, *, root: int = 0) -> Schedule:
     reduces (Fig. 9a's >4.5× region).
     """
     check_root(root, p)
-    rs = recursive_halving_reduce_scatter(p)
+    rs = shared_phase(recursive_halving_reduce_scatter, p)
     gather = knomial_gather_for_reduce(p, root)
     return compose("reduce", "reduce_scatter_gather", [rs, gather], root=root)
 
@@ -174,13 +176,9 @@ def knomial_gather_for_reduce(p: int, root: int) -> Schedule:
     """
     from .knomial import knomial_gather  # local import avoids a cycle
 
-    gather = knomial_gather(p, 2, root=root)
-    return Schedule(
+    return shared_phase(knomial_gather, p, 2, root=root).relabel(
         collective="reduce",
         algorithm="reduce_scatter_gather",
-        nranks=p,
-        nblocks=p,
-        programs=gather.programs,
-        root=root,
+        k=None,
         meta={"phase": "gather-after-reduce-scatter"},
     )

@@ -23,10 +23,10 @@ is a pure function of its key, so its result can be reused verbatim.
   :func:`repro.core.registry.build_schedule` backed by a process-global
   instance (each parallel-sweep worker process grows its own).
 
-Cached values are shared objects: the IR is immutable by convention
-(ops and steps are frozen dataclasses; nothing in the runtime, simulator,
-or validator mutates a built schedule).  Callers that want to annotate
-``meta`` must copy the schedule first.
+Cached values are shared objects: a :class:`Schedule` is immutable once
+constructed (:mod:`repro.core.schedule`).  Only ``meta`` is a plain
+dict; callers that want to annotate it take a
+:meth:`~repro.core.schedule.Schedule.relabel` copy first.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from ..errors import ReproError, ScheduleError
 from ..obs import OBS
+from .primitives import sharing_phases
 from .registry import info
 from .schedule import Schedule
 from .serialize import dumps_blob, loads_blob
@@ -342,6 +343,14 @@ class ScheduleCache(ContentCache):
     under ``schedule/…`` keys: loading a stored schedule is meaningfully
     faster than re-running its builder, which is the whole point of a
     warm start (:func:`repro.store.open_schedule_store`).
+
+    ``phases`` is the instance's cache of sub-schedules, keyed by
+    builder name and arguments: composite builders running under
+    :meth:`get_or_build` take each distinct phase from it
+    (:func:`~repro.core.primitives.shared_phase`) — one k-ring allgather
+    serves ``allgather/kring``, ``bcast/kring`` and both halves of
+    ``allreduce/kring`` at that ``(p, k)``.  Memory only, dropped by
+    :meth:`clear`.
     """
 
     tier = StoreTier(
@@ -354,6 +363,12 @@ class ScheduleCache(ContentCache):
 
     def __init__(self, maxsize: int = 512, *, store=None) -> None:
         super().__init__("schedule", maxsize, store=store)
+        self.phases = ContentCache("phase", 128)
+
+    def clear(self) -> None:
+        """Drop every in-memory entry, phases included; reset counters."""
+        super().clear()
+        self.phases.clear()
 
     def get_or_build(
         self,
@@ -365,9 +380,12 @@ class ScheduleCache(ContentCache):
         root: int = 0,
     ) -> Tuple[Schedule, bool]:
         """Return ``(schedule, hit)`` — building and inserting on a miss."""
+        def build() -> Schedule:
+            with sharing_phases(self.phases):
+                return info(collective, algorithm).build(p, k=k, root=root)
+
         return self.get_or_make(
-            schedule_key(collective, algorithm, p, k=k, root=root),
-            lambda: info(collective, algorithm).build(p, k=k, root=root),
+            schedule_key(collective, algorithm, p, k=k, root=root), build
         )
 
 

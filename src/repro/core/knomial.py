@@ -34,6 +34,7 @@ from .primitives import (
     compose,
     empty_programs,
     relative_rank,
+    shared_phase,
 )
 from .schedule import Op, RankProgram, RecvOp, Schedule, SendOp
 
@@ -326,18 +327,14 @@ def knomial_scatter(p: int, k: int, *, root: int = 0) -> Schedule:
 def knomial_allgather(p: int, k: int) -> Schedule:
     """K-nomial allgather: gather to rank 0, then k-nomial bcast of the
     assembled buffer (model (3): ``log_k(p)·α + (k-1)n(log_k p + (p-1)/p)β``)."""
-    gather = knomial_gather(p, k, root=0)
+    gather = shared_phase(knomial_gather, p, k, root=0)
     bcast = knomial_bcast(p, k, root=0, nblocks=p)
-    sched = compose("allgather", gather.algorithm, [gather, bcast], k=k)
-    sched.root = None
-    return sched
+    return compose("allgather", gather.algorithm, [gather, bcast], k=k)
 
 
 def knomial_allreduce(p: int, k: int) -> Schedule:
     """K-nomial allreduce: reduce to rank 0, then k-nomial bcast of the
     result (model (3))."""
-    reduce_ = knomial_reduce(p, k, root=0, nblocks=1)
-    bcast = knomial_bcast(p, k, root=0, nblocks=1)
-    sched = compose("allreduce", reduce_.algorithm, [reduce_, bcast], k=k)
-    sched.root = None
-    return sched
+    reduce_ = shared_phase(knomial_reduce, p, k, root=0)
+    bcast = shared_phase(knomial_bcast, p, k, root=0)
+    return compose("allreduce", reduce_.algorithm, [reduce_, bcast], k=k)

@@ -10,7 +10,9 @@ turns any tree-structured allgather into a reduce-scatter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ScheduleError
 from .schedule import CopyOp, Op, RankProgram, RecvOp, Schedule, SendOp
@@ -24,6 +26,8 @@ __all__ = [
     "empty_programs",
     "concat_programs",
     "compose",
+    "shared_phase",
+    "sharing_phases",
     "dualize_allgather",
     "largest_power_leq",
     "ilog",
@@ -81,12 +85,10 @@ def concat_programs(
             f"cannot concatenate programs for {len(first)} and "
             f"{len(second)} ranks"
         )
-    out = []
-    for a, b in zip(first, second):
-        prog = RankProgram(rank=a.rank)
-        prog.steps = list(a.steps) + list(b.steps)
-        out.append(prog)
-    return out
+    return [
+        RankProgram(rank=a.rank, steps=[*a.steps, *b.steps])
+        for a, b in zip(first, second)
+    ]
 
 
 def compose(
@@ -131,6 +133,43 @@ def compose(
     )
 
 
+#: The phase cache of whichever :class:`~repro.core.cache.ScheduleCache`
+#: is running a builder in this context (``None``: nobody is).
+_phase_cache: ContextVar[Optional[object]] = ContextVar(
+    "repro_phase_cache", default=None
+)
+
+
+@contextmanager
+def sharing_phases(cache) -> Iterator[None]:
+    """Route :func:`shared_phase` through ``cache`` (a
+    :class:`~repro.core.cache.ContentCache`) for the body's builds."""
+    token = _phase_cache.set(cache)
+    try:
+        yield
+    finally:
+        _phase_cache.reset(token)
+
+
+def shared_phase(
+    builder: Callable[..., Schedule], *args: int, **kwargs: int
+) -> Schedule:
+    """The sub-schedule ``builder(*args, **kwargs)`` of a composite.
+
+    An allreduce *is* its allgather plus that allgather's dual, a
+    scatter-allgather bcast shares its allgather with both: schedules
+    are immutable, so composites built through one
+    :class:`~repro.core.cache.ScheduleCache` take each distinct phase
+    from its ``phases`` cache instead of rebuilding it.  Called outside
+    such a build, this is the plain builder call.
+    """
+    cache = _phase_cache.get()
+    if cache is None:
+        return builder(*args, **kwargs)
+    key = (builder, args, tuple(sorted(kwargs.items())))
+    return cache.get_or_make(key, lambda: builder(*args, **kwargs))[0]
+
+
 def dualize_allgather(allgather: Schedule, algorithm: str) -> Schedule:
     """Time-reverse an allgather into its dual reduce-scatter.
 
@@ -163,6 +202,19 @@ def dualize_allgather(allgather: Schedule, algorithm: str) -> Schedule:
                             f"{prog.rank} receives block {b} more than once"
                         )
                     seen.add(b)
+    # The dual names its blocks through tuples of its own, aliased among
+    # its ops as the allgather's are among its: the allgather may be a
+    # shared phase that sits beside this dual in one composite, and a
+    # composite pickles (store entries, wire blobs) to the same bytes
+    # whether or not its phases were shared.
+    own: Dict[int, Tuple[int, ...]] = {}
+
+    def own_blocks(blocks: Tuple[int, ...]) -> Tuple[int, ...]:
+        twin = own.get(id(blocks))
+        if twin is None:
+            twin = own[id(blocks)] = (*blocks,)
+        return twin
+
     programs: List[RankProgram] = []
     for prog in allgather.programs:
         dual = RankProgram(rank=prog.rank)
@@ -178,10 +230,16 @@ def dualize_allgather(allgather: Schedule, algorithm: str) -> Schedule:
                             "cannot dualize an allgather containing "
                             "reducing receives"
                         )
-                    ops.append(SendOp(peer=op.peer, blocks=op.blocks))
+                    ops.append(SendOp(peer=op.peer, blocks=own_blocks(op.blocks)))
             for op in step.ops:
                 if isinstance(op, SendOp):
-                    ops.append(RecvOp(peer=op.peer, blocks=op.blocks, reduce=True))
+                    ops.append(
+                        RecvOp(
+                            peer=op.peer,
+                            blocks=own_blocks(op.blocks),
+                            reduce=True,
+                        )
+                    )
                 elif isinstance(op, CopyOp):
                     raise ScheduleError(
                         "cannot dualize an allgather containing local copies"

@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ScheduleError
 from .knomial import knomial_scatter
-from .primitives import check_radix, compose, empty_programs
+from .primitives import check_radix, compose, empty_programs, shared_phase
 from .schedule import Op, RankProgram, RecvOp, Schedule, SendOp
 
 __all__ = [
@@ -273,8 +273,8 @@ def recursive_multiplying_bcast(p: int, k: int, *, root: int = 0) -> Schedule:
     buffer followed by a recursive multiplying allgather (model (6) groups
     both phases: ``α·log_k p + β·n·(p-1)/p``)."""
     check_radix(k)
-    scatter = knomial_scatter(p, k, root=root)
-    allgather = recursive_multiplying_allgather(p, k)
+    scatter = shared_phase(knomial_scatter, p, k, root=root)
+    allgather = shared_phase(recursive_multiplying_allgather, p, k)
     sched = compose(
         "bcast",
         "recursive_multiplying" if k != 2 else "recursive_doubling",
@@ -292,15 +292,15 @@ def recursive_multiplying_bcast(p: int, k: int, *, root: int = 0) -> Schedule:
 def recursive_doubling_allreduce(p: int) -> Schedule:
     """Classic recursive doubling allreduce (model (4)) — radix-2 special
     case of :func:`recursive_multiplying_allreduce`."""
-    return recursive_multiplying_allreduce(p, 2)
+    return shared_phase(recursive_multiplying_allreduce, p, 2)
 
 
 def recursive_doubling_allgather(p: int) -> Schedule:
     """Classic recursive doubling allgather (model (4))."""
-    return recursive_multiplying_allgather(p, 2)
+    return shared_phase(recursive_multiplying_allgather, p, 2)
 
 
 def recursive_doubling_bcast(p: int, *, root: int = 0) -> Schedule:
     """Classic MPICH medium-message broadcast: binomial scatter +
     recursive doubling allgather."""
-    return recursive_multiplying_bcast(p, 2, root=root)
+    return shared_phase(recursive_multiplying_bcast, p, 2, root=root)

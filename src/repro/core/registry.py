@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ScheduleError
 from . import alltoall, baselines, bruck, knomial, pipeline, recursive, ring
-from .primitives import dualize_allgather
+from .primitives import dualize_allgather, shared_phase
 from .schedule import Schedule
 
 __all__ = [
@@ -94,7 +94,7 @@ def _recursive_multiplying_reduce_scatter(p: int, *, k: int) -> Schedule:
     the paper's ten algorithms (its reduce-scatter counterpart), used by
     ablation benchmarks."""
     return dualize_allgather(
-        recursive.recursive_multiplying_allgather(p, k),
+        shared_phase(recursive.recursive_multiplying_allgather, p, k),
         "recursive_multiplying" if k != 2 else "recursive_halving",
     )
 
@@ -125,10 +125,16 @@ def _entry(
 
 
 def _binomial(fn: Callable[..., Schedule]) -> Callable[..., Schedule]:
-    """Fix a k-nomial builder at radix 2 (the classic binomial baseline)."""
+    """Fix a k-nomial builder at radix 2 (the classic binomial baseline).
+
+    Like :func:`_knomial`, through :func:`shared_phase`: the binomial
+    entry *is* its generalized sibling at ``k = 2``, and many of these
+    builders are also phases of composite entries — one build serves
+    every entry that names the same ``fn(p, k, ...)``.
+    """
 
     def build(p: int, **kwargs: object) -> Schedule:
-        return fn(p, 2, **kwargs)
+        return shared_phase(fn, p, 2, **kwargs)
 
     return build
 
@@ -137,7 +143,7 @@ def _knomial(fn: Callable[..., Schedule]) -> Callable[..., Schedule]:
     """Adapt ``fn(p, k, ...)`` to the registry's keyword calling style."""
 
     def build(p: int, *, k: int, **kwargs: object) -> Schedule:
-        return fn(p, k, **kwargs)
+        return shared_phase(fn, p, k, **kwargs)
 
     return build
 

@@ -38,7 +38,12 @@ from typing import List, Sequence, Tuple
 
 from ..errors import ScheduleError
 from .knomial import knomial_scatter
-from .primitives import compose, dualize_allgather, empty_programs
+from .primitives import (
+    compose,
+    dualize_allgather,
+    empty_programs,
+    shared_phase,
+)
 from .schedule import Op, RankProgram, RecvOp, Schedule, SendOp
 
 __all__ = [
@@ -177,8 +182,8 @@ def kring_bcast(p: int, k: int, *, root: int = 0) -> Schedule:
     """K-ring broadcast: binomial scatter of the root buffer, then k-ring
     allgather — the "scatter-allgather" structure the paper reuses for all
     large-message broadcasts (§V-C)."""
-    scatter = knomial_scatter(p, 2, root=root) if p > 1 else knomial_scatter(1, 2)
-    allgather = kring_allgather(p, k)
+    scatter = shared_phase(knomial_scatter, p, 2, root=root if p > 1 else 0)
+    allgather = shared_phase(kring_allgather, p, k)
     return compose(
         "bcast",
         allgather.algorithm,
@@ -191,7 +196,9 @@ def kring_bcast(p: int, k: int, *, root: int = 0) -> Schedule:
 def kring_reduce_scatter(p: int, k: int) -> Schedule:
     """K-ring reduce-scatter: the time-reversed dual of the k-ring
     allgather (each block's distribution path becomes its reduction tree)."""
-    return dualize_allgather(kring_allgather(p, k), "kring" if 1 < k < p else "ring")
+    return dualize_allgather(
+        shared_phase(kring_allgather, p, k), "kring" if 1 < k < p else "ring"
+    )
 
 
 def kring_allreduce(p: int, k: int) -> Schedule:
@@ -199,10 +206,9 @@ def kring_allreduce(p: int, k: int) -> Schedule:
     allgather — the paper's "partitions offset by 1" variant (§V-C), with
     classic ring allreduce (Patarasuk–Yuan) as the ``k ∈ {1, p}`` special
     case."""
-    rs = kring_reduce_scatter(p, k)
-    ag = kring_allgather(p, k)
-    sched = compose("allreduce", ag.algorithm, [rs, ag], k=k)
-    return sched
+    rs = shared_phase(kring_reduce_scatter, p, k)
+    ag = shared_phase(kring_allgather, p, k)
+    return compose("allreduce", ag.algorithm, [rs, ag], k=k)
 
 
 # ----------------------------------------------------------------------
@@ -212,28 +218,20 @@ def kring_allreduce(p: int, k: int) -> Schedule:
 def ring_allgather(p: int) -> Schedule:
     """Classic ring allgather (model (8)/(9)): one group covering all of
     ``p``, i.e. ``kring_allgather(p, k=p)``."""
-    sched = kring_allgather(p, max(p, 1))
-    sched.k = None
-    return sched
+    return shared_phase(kring_allgather, p, max(p, 1)).relabel(k=None)
 
 
 def ring_bcast(p: int, *, root: int = 0) -> Schedule:
     """Classic large-message broadcast: binomial scatter + ring allgather."""
-    sched = kring_bcast(p, max(p, 1), root=root)
-    sched.k = None
-    return sched
+    return shared_phase(kring_bcast, p, max(p, 1), root=root).relabel(k=None)
 
 
 def ring_reduce_scatter(p: int) -> Schedule:
     """Classic ring reduce-scatter (dual of the ring allgather)."""
-    sched = kring_reduce_scatter(p, max(p, 1))
-    sched.k = None
-    return sched
+    return shared_phase(kring_reduce_scatter, p, max(p, 1)).relabel(k=None)
 
 
 def ring_allreduce(p: int) -> Schedule:
     """Classic ring allreduce (Patarasuk–Yuan): ring reduce-scatter + ring
     allgather."""
-    sched = kring_allreduce(p, max(p, 1))
-    sched.k = None
-    return sched
+    return shared_phase(kring_allreduce, p, max(p, 1)).relabel(k=None)

@@ -27,13 +27,37 @@ Semantics contract shared by all executors and the simulator:
    whole program (MPI non-overtaking rule on a single tag/communicator).
 4. Reduction receives are applied in the order they appear within the step,
    making floating-point results deterministic.
+
+A :class:`Schedule` is **immutable once constructed**.  Construction is
+the one full walk of its ops: it seals the object (programs and each
+program's steps become tuples; assigning a field, or adding a step to a
+sealed program, raises :class:`~repro.errors.ScheduleError`), checks
+every peer and block id, and keeps what it saw as flat
+:class:`Columns` — so nothing derived from a schedule (its
+:meth:`~Schedule.fingerprint`, its lowered tables, a cache entry keyed
+by either) can go stale, and sub-schedules can be shared between
+composites.  A variant that differs only in its labels is a
+:meth:`Schedule.relabel` copy, not an edit.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from ..errors import ScheduleError
 from .blocks import BlockMap
@@ -47,7 +71,19 @@ __all__ = [
     "RankProgram",
     "Schedule",
     "ScheduleStats",
+    "Columns",
+    "OP_SEND",
+    "OP_RECV",
+    "OP_REDUCE_RECV",
+    "OP_COPY",
 ]
+
+#: Op codes of the flat ``kinds`` column (here and in
+#: :class:`repro.compile.program.CompiledProgram`).
+OP_SEND = 0
+OP_RECV = 1
+OP_REDUCE_RECV = 2
+OP_COPY = 3
 
 
 @dataclass(frozen=True)
@@ -128,13 +164,38 @@ class Step:
 
 @dataclass
 class RankProgram:
-    """The ordered list of steps one rank executes."""
+    """The ordered steps one rank executes.
+
+    ``steps`` is a list while the program is being built and a tuple
+    once it is *sealed* — which constructing a :class:`Schedule` from it
+    does.  A sealed program takes no more steps and no assignment.
+    """
 
     rank: int
-    steps: List[Step] = field(default_factory=list)
+    steps: Sequence[Step] = field(default_factory=list)
+
+    def _refuse_if_sealed(self, what: str) -> None:
+        if type(self.__dict__.get("steps")) is tuple:
+            raise ScheduleError(
+                f"rank {self.rank}: program is sealed (part of a "
+                f"Schedule) — build a new one instead of {what}"
+            )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        self._refuse_if_sealed(f"assigning {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The pickled layout predates sealing (steps as a list); stores
+        # and the wire keep reading and writing exactly those bytes.
+        return {"rank": self.rank, "steps": list(self.steps)}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state, steps=tuple(state["steps"]))
 
     def add(self, *ops: Op) -> None:
         """Append a step made of ``ops`` (convenience builder)."""
+        self._refuse_if_sealed("adding a step")
         self.steps.append(Step(tuple(ops)))
 
     def add_step(self, ops: Sequence[Op]) -> None:
@@ -146,6 +207,7 @@ class RankProgram:
         """
         ops = tuple(ops)
         if ops:
+            self._refuse_if_sealed("adding a step")
             self.steps.append(Step(ops))
 
     def iter_ops(self) -> Iterator[Tuple[int, Op]]:
@@ -155,9 +217,115 @@ class RankProgram:
                 yield i, op
 
 
+class Columns(NamedTuple):
+    """Every op of a schedule as flat read-only arrays, rank-major in
+    program order — what the one construction walk saw.
+
+    The per-op columns are :class:`~repro.compile.program.CompiledProgram`'s
+    (DESIGN.md §14) without the FIFO tags, all ranks concatenated:
+    rank ``r`` owns ops ``op_ptr[r]:op_ptr[r + 1]`` and entries
+    ``step_ptr[r]:step_ptr[r + 1]`` of ``steps_raw``.
+    """
+
+    kinds: np.ndarray  #: int8 op code per op
+    peers: np.ndarray  #: int32 peer rank per op (−1 for copies)
+    #: int64 ``[nops + 1]``: op ``i`` owns
+    #: ``seg_blocks[seg_bounds[i]:seg_bounds[i + 1]]``
+    seg_bounds: np.ndarray
+    seg_blocks: np.ndarray  #: int32 block ids; a copy stores ``[src, dst]``
+    #: int32: each rank's ``[nsteps + 1]`` step boundaries, counted in
+    #: that rank's own ops
+    steps_raw: np.ndarray
+    op_ptr: np.ndarray  #: int64 ``[nranks + 1]``
+    step_ptr: np.ndarray  #: int64 ``[nranks + 1]``
+    #: Distinct send block tuples (the staging plan's payload signatures).
+    signatures: FrozenSet[Tuple[int, ...]]
+
+
+def _walk(
+    programs: Sequence[RankProgram], nranks: int, nblocks: int
+) -> Optional[Columns]:
+    """Append every op of ``programs`` to flat columns.
+
+    ``None`` when a peer or a block id is out of range or a rank talks
+    to itself — one comparison per column; wording the violation is the
+    caller's per-op loop.
+    """
+    kinds: List[int] = []
+    peers: List[int] = []
+    seg_lens: List[int] = []
+    seg_blocks: List[int] = []
+    steps_raw: List[int] = []
+    op_ptr = [0]
+    step_ptr = [0]
+    signatures: Set[Tuple[int, ...]] = set()
+    add_kind, add_peer = kinds.append, peers.append
+    add_len, add_blocks = seg_lens.append, seg_blocks.extend
+    add_bound = steps_raw.append
+    for prog in programs:
+        base = len(kinds)
+        add_bound(0)
+        for step in prog.steps:
+            for op in step.ops:
+                if isinstance(op, SendOp):
+                    blocks = op.blocks
+                    add_kind(OP_SEND)
+                    add_peer(op.peer)
+                    signatures.add(blocks)
+                elif isinstance(op, RecvOp):
+                    blocks = op.blocks
+                    add_kind(OP_REDUCE_RECV if op.reduce else OP_RECV)
+                    add_peer(op.peer)
+                else:
+                    blocks = (op.src, op.dst)
+                    add_kind(OP_COPY)
+                    add_peer(-1)
+                add_len(len(blocks))
+                add_blocks(blocks)
+            add_bound(len(kinds) - base)
+        op_ptr.append(len(kinds))
+        step_ptr.append(len(steps_raw))
+    try:
+        # Wide first: an id past int32 must fail the comparison below,
+        # not wrap into range.
+        wide_peers = np.asarray(peers, dtype=np.int64)
+        wide_blocks = np.asarray(seg_blocks, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    cols = Columns(
+        kinds=np.asarray(kinds, dtype=np.int8),
+        peers=wide_peers.astype(np.int32),
+        seg_bounds=np.zeros(len(kinds) + 1, dtype=np.int64),
+        seg_blocks=wide_blocks.astype(np.int32),
+        steps_raw=np.asarray(steps_raw, dtype=np.int32),
+        op_ptr=np.asarray(op_ptr, dtype=np.int64),
+        step_ptr=np.asarray(step_ptr, dtype=np.int64),
+        signatures=frozenset(signatures),
+    )
+    np.cumsum(seg_lens, out=cols.seg_bounds[1:])
+    rank = np.repeat(np.arange(nranks), np.diff(cols.op_ptr))
+    if (
+        (cols.kinds != OP_COPY)
+        & ((wide_peers < 0) | (wide_peers >= nranks) | (wide_peers == rank))
+    ).any() or ((wide_blocks < 0) | (wide_blocks >= nblocks)).any():
+        return None
+    for arr in cols[:-1]:
+        arr.setflags(write=False)
+    return cols
+
+
+#: The fields :meth:`Schedule.relabel` may change: labels, not content
+#: that would need checking against the programs.
+_LABELS = frozenset(("collective", "algorithm", "root", "k", "meta"))
+
+
 @dataclass
 class Schedule:
     """A complete collective schedule: one program per rank plus metadata.
+
+    Immutable once constructed (see the module docstring); ``meta`` is
+    a plain annotation dict, not content — it is neither fingerprinted
+    nor frozen.
 
     Attributes
     ----------
@@ -172,6 +340,9 @@ class Schedule:
     nblocks:
         Granularity of the block partition this schedule assumes.  Whole
         buffer tree algorithms use 1, scatter/ring-family use ``nranks``.
+    programs:
+        One :class:`RankProgram` per rank (any sequence; kept as a tuple,
+        and the programs are sealed in place).
     root:
         Root rank for rooted collectives, ``None`` otherwise.
     k:
@@ -182,7 +353,7 @@ class Schedule:
     algorithm: str
     nranks: int
     nblocks: int
-    programs: List[RankProgram]
+    programs: Sequence[RankProgram]
     root: Optional[int] = None
     k: Optional[int] = None
     meta: Dict[str, object] = field(default_factory=dict)
@@ -197,7 +368,64 @@ class Schedule:
         for r, prog in enumerate(self.programs):
             if prog.rank != r:
                 raise ScheduleError(f"program {r} has rank {prog.rank}")
-        self._check_ranges()
+        cols = self._checked_columns()
+        for prog in self.programs:
+            if type(prog.steps) is not tuple:
+                object.__setattr__(prog, "steps", tuple(prog.steps))
+        state = self.__dict__
+        state["programs"] = tuple(self.programs)
+        state["_columns"] = cols
+        state["_sealed"] = True
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if "_sealed" in self.__dict__:
+            raise ScheduleError(
+                f"{self.describe()}: schedules are immutable — derive a "
+                f"relabel()ed copy or build a new Schedule instead of "
+                f"assigning {name!r}"
+            )
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise ScheduleError(
+            f"{self.describe()}: schedules are immutable (del {name!r})"
+        )
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Content only, in the layout that predates sealing (programs as
+        # a list): the columns and the fingerprint memo are rederived on
+        # demand, and stores and the wire keep their exact bytes.
+        state = {
+            name: value
+            for name, value in self.__dict__.items()
+            if not name.startswith("_")
+        }
+        state["programs"] = list(self.programs)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(
+            state, programs=tuple(state["programs"]), _sealed=True
+        )
+
+    def relabel(self, **labels: object) -> "Schedule":
+        """A copy under other labels (``collective``, ``algorithm``,
+        ``root``, ``k``, ``meta``) that shares this schedule's programs.
+
+        How a builder derives a renamed variant of a schedule it already
+        has: nothing is re-walked, and the copy's fingerprint is its own
+        (labels are part of the digest).
+        """
+        unknown = set(labels) - _LABELS
+        if unknown:
+            raise ScheduleError(
+                f"relabel() changes labels only, not {sorted(unknown)}"
+            )
+        labels.setdefault("meta", dict(self.meta))
+        twin = object.__new__(Schedule)
+        twin.__dict__.update(self.__dict__, **labels)
+        twin.__dict__.pop("_fingerprint", None)
+        return twin
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -221,38 +449,99 @@ class Schedule:
             bits.append(f"root={self.root}")
         return " ".join(bits)
 
+    def columns(self) -> Columns:
+        """The flat columns of the construction walk (DESIGN.md §14).
+
+        Kept from construction; an unpickled schedule walks (and is
+        range-checked) once, on first use.
+        """
+        cols = self.__dict__.get("_columns")
+        if cols is None:
+            cols = self.__dict__["_columns"] = self._checked_columns()
+        return cols
+
+    def _checked_columns(self) -> Columns:
+        cols = _walk(self.programs, self.nranks, self.nblocks)
+        if cols is None:
+            self._check_ranges()
+            raise ScheduleError(
+                f"{self.describe()}: peer or block ids out of range"
+            )
+        return cols
+
     def fingerprint(self) -> str:
         """Stable content hash over every step of every rank program.
 
         Two schedules with equal fingerprints are step-for-step identical
         (same ops, same order, same metadata-bearing parameters).  The
         schedule cache's key→content contract and the golden cost tests
-        are checked against this.
+        are checked against this.  Computed at most once per object —
+        a schedule cannot change.
         """
-        # Accumulate-then-hash-once feeds sha256 the exact byte stream
-        # the incremental form did (hash of a concatenation is chunking-
-        # independent), at roughly half the wall clock — this runs on
-        # every disk-store load, where it is the dominant cost.
-        parts = [
+        memo = self.__dict__.get("_fingerprint")
+        if memo is None:
+            memo = self.__dict__["_fingerprint"] = self._digest()
+        return memo
+
+    def _digest(self) -> str:
+        # The digest is sha256 of
+        #   header "|P" {"|S" {op}} ...      one |P per rank, |S per step
+        #   op = "|s<peer>:<b,b,…>" | "|r<peer>:<b,b,…>:<reduce>"
+        #      | "|c<src>:<dst>"
+        # and has been since the first pinned golden.  The text is
+        # assembled from the columns: every token's position is index
+        # arithmetic, the tokens are looked up and joined once.
+        cols = self.columns()
+        kinds, bounds, op_ptr = cols.kinds, cols.seg_bounds, cols.op_ptr
+        nops = len(kinds)
+        nnum = max(self.nranks, self.nblocks)
+        vocab = np.array(
+            [*map(str, range(nnum)),
+             "|P", "|S", "|s", "|r", "|c", ":", ",", ":0", ":1"],
+            dtype=object,
+        )
+        prog_, step_, send_, recv_, copy_, colon, comma, tail0 = range(
+            nnum, nnum + 8
+        )
+        nblk = np.diff(bounds)
+        moves = kinds != OP_COPY
+        recvs = moves & (kinds != OP_SEND)
+        # Tokens in front of an op: "|S" when it opens a step, and one
+        # "|P" per rank begun since the previous op (ranks may be empty).
+        opens = np.zeros(nops, dtype=np.int64)
+        step_start = np.repeat(op_ptr[:-1], np.diff(cols.step_ptr)) \
+            + cols.steps_raw
+        keep = np.ones(len(step_start), dtype=bool)
+        keep[cols.step_ptr[1:] - 1] = False
+        opens[step_start[keep]] = 1
+        busy = np.flatnonzero(np.diff(op_ptr))
+        begun = np.zeros(nops, dtype=np.int64)
+        begun[op_ptr[busy]] = np.diff(busy, prepend=-1)
+        trailing = self.nranks - 1 - (int(busy[-1]) if len(busy) else -1)
+        body = 2 * nblk + 2 * moves + recvs
+        width = begun + opens + body
+        head = np.cumsum(width) - body
+        tok = np.full(int(width.sum()) + trailing, comma, dtype=np.int64)
+        at = np.flatnonzero(begun)
+        tok[np.repeat(head[at] - opens[at] - begun[at], begun[at])
+            + np.arange(begun.sum())
+            - np.repeat(np.cumsum(begun[at]) - begun[at], begun[at])] = prog_
+        tok[len(tok) - trailing:] = prog_
+        tok[head[opens == 1] - 1] = step_
+        tok[head] = np.array([send_, recv_, recv_, copy_])[kinds]
+        tok[head + 2] = colon
+        tok[head[moves] + 1] = cols.peers[moves]
+        tok[head[recvs] + 2 + 2 * nblk[recvs]] = tail0 + (
+            kinds[recvs] == OP_REDUCE_RECV
+        )
+        tok[np.repeat(head + 1 + 2 * moves - 2 * bounds[:-1], nblk)
+            + 2 * np.arange(len(cols.seg_blocks))] = cols.seg_blocks
+        text = (
             f"{self.collective}|{self.algorithm}|{self.nranks}|"
             f"{self.nblocks}|{self.root}|{self.k}"
-        ]
-        add = parts.append
-        for prog in self.programs:
-            add("|P")
-            for step in prog.steps:
-                add("|S")
-                for op in step.ops:
-                    if isinstance(op, SendOp):
-                        add(f"|s{op.peer}:{','.join(map(str, op.blocks))}")
-                    elif isinstance(op, RecvOp):
-                        add(
-                            f"|r{op.peer}:{','.join(map(str, op.blocks))}"
-                            f":{int(op.reduce)}"
-                        )
-                    else:
-                        add(f"|c{op.src}:{op.dst}")
-        return hashlib.sha256("".join(parts).encode()).hexdigest()
+            + "".join(vocab[tok].tolist())
+        )
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def stats(self) -> "ScheduleStats":
         """Aggregate message/step statistics (topology-agnostic)."""
@@ -284,6 +573,8 @@ class Schedule:
     # ------------------------------------------------------------------
 
     def _check_ranges(self) -> None:
+        """Word the first range violation, op by op (the failure path of
+        the column comparisons in :func:`_walk`)."""
         for prog in self.programs:
             for _, op in prog.iter_ops():
                 if isinstance(op, (SendOp, RecvOp)):

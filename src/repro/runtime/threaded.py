@@ -240,10 +240,6 @@ class ThreadedTransport:
         it as it completes a step, and structured faults are confirmed on
         it before the transport raises — so a recovery loop wrapping this
         transport sees suspicion state, not just the final exception.
-
-    The transport also tracks ``progress`` — per-rank completed-step
-    counts in the schedule's step numbering — which is the completion
-    state recovery resumes from.
     """
 
     def __init__(
@@ -258,7 +254,6 @@ class ThreadedTransport:
         self.timeout = timeout
         self.faults = faults if faults is not None and faults.is_active else None
         self.detector = detector
-        self.progress: List[int] = [0] * schedule.nranks
         # Created up front in run(), so rank workers only ever read it.
         self._channels: Dict[Tuple[int, int], object] = {}
         self._failures: List[_RankFailure] = []
@@ -461,7 +456,6 @@ class ThreadedTransport:
             moved = run_compiled_rank(
                 rank, steps, buf, op, self._channels, pool,
                 self.timeout, self._abort,
-                progress=self.progress,
                 crash_at=crash_at,
                 straggle=straggle,
                 heartbeat=(

@@ -224,13 +224,15 @@ class TuningService:
                 continue
             self._fingerprints[parts[6]] = params
 
-    def _register(self, schedule) -> str:
-        """Index a served schedule under its full and prefix fingerprints."""
+    def _register(self, schedule, params: _ScheduleParams) -> str:
+        """Index a served schedule under its full and prefix fingerprints.
+
+        ``params`` are the registry parameters that were *asked* — what
+        rebuilds this schedule — not the names it reports of itself
+        (builders alias: ``allgather/bruck`` calls itself
+        ``bruck_kport``, k-ring at ``k = 1`` calls itself ``ring``).
+        """
         fp = schedule.fingerprint()
-        params: _ScheduleParams = (
-            schedule.collective, schedule.algorithm, schedule.nranks,
-            schedule.k, schedule.root or 0,
-        )
         self._fingerprints[fp] = params
         self._fingerprints[fp[:16]] = params
         return fp
@@ -297,8 +299,20 @@ class TuningService:
         schedule, _hit = self.schedules.get_or_build(
             collective, algorithm, p, k=k, root=root
         )
+        fp = schedule.fingerprint()
+        asked = query.get("fingerprint")
+        if asked is not None and asked not in (fp, fp[:16]):
+            # The index resolved to parameters that build another
+            # schedule (store keys carry self-reported names): say so
+            # rather than serve it.
+            raise _HttpReply(
+                404, "ServerError",
+                f"fingerprint {asked!r} is indexed as "
+                f"{collective}/{algorithm} p={p} k={k} root={root}, which "
+                f"builds {fp[:16]}… — not serving a different schedule",
+            )
         compiled, _chit = self.compiled_cache.get_or_compile(schedule)
-        fp = self._register(schedule)
+        self._register(schedule, (collective, algorithm, p, k, root))
         return {
             "collective": schedule.collective,
             "algorithm": schedule.algorithm,

@@ -33,8 +33,15 @@ from repro.bench.sweep import (
     run_sweep,
     simulate_point,
 )
-from repro.core.cache import ScheduleCache, schedule_key
+from repro.core.cache import (
+    ScheduleCache,
+    global_schedule_cache,
+    schedule_key,
+)
 from repro.core.registry import GENERALIZED_ALGORITHMS, info
+from repro.core.ring import kring_allreduce
+from repro.core.schedule import Schedule
+from repro.core.serialize import dumps_blob
 from repro.faults.plan import FaultPlan
 from repro.simnet.machines import reference
 
@@ -67,6 +74,52 @@ def test_cached_schedule_is_step_for_step_fresh(cfg):
     assert first.nranks == fresh.nranks
     assert first.nblocks == fresh.nblocks
     assert first.programs == fresh.programs  # ops compare by value
+
+
+def test_composites_share_each_phase(monkeypatch):
+    """One k-ring allgather serves ``allgather/kring``, ``bcast/kring``
+    and both halves of ``allreduce/kring`` at one (p, k) — and sharing
+    changes no op and no pickled byte."""
+    built = []
+    seal = Schedule.__post_init__
+
+    def recording(self):
+        seal(self)
+        built.append(self.describe())
+
+    monkeypatch.setattr(Schedule, "__post_init__", recording)
+    cache = ScheduleCache()
+    kring = {
+        c: cache.get_or_build(c, "kring", 12, k=4)[0]
+        for c in ("allreduce", "bcast", "allgather")
+    }
+    assert built.count("allgather kring p=12 k=4") == 1
+    assert len(built) == len(set(built))  # nothing was built twice
+    stats = cache.phases.stats()
+    assert stats.misses == len(cache.phases) and stats.hits >= 3
+    assert cache.stats().misses == 3  # the registry-level count is its own
+
+    for collective, shared in kring.items():
+        cache.clear()  # … and with it every phase
+        assert len(cache.phases) == 0
+        alone, hit = cache.get_or_build(collective, "kring", 12, k=4)
+        assert not hit and alone is not shared
+        assert alone.programs == shared.programs
+        assert alone.fingerprint() == shared.fingerprint()
+        assert dumps_blob(alone) == dumps_blob(shared)
+
+
+def test_phases_belong_to_the_cache_that_builds():
+    """No module-level state: a builder called directly shares nothing,
+    and the global cache's ``clear()`` is a cold start for phases too."""
+    cache = global_schedule_cache()
+    cache.clear()
+    kring_allreduce(8, 2)
+    assert len(cache.phases) == 0
+    cache.get_or_build("allreduce", "kring", 8, k=2)
+    assert len(cache.phases) > 0
+    cache.clear()
+    assert len(cache.phases) == 0 and cache.phases.stats().lookups == 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,11 +6,15 @@ from repro.bench import perf
 from repro.bench.osu import default_sizes, osu_latency, osu_latency_schedule
 from repro.bench.report import format_size, format_table, geomean, speedup_str
 from repro.bench.speedup import policy_latency, speedup_curves
-from repro.bench.sweep import radix_latency_sweep
+from repro.bench.sweep import clear_sim_memo, radix_latency_sweep
+from repro.compile.cache import clear_class_cache, global_compiled_cache
+from repro.core.cache import global_schedule_cache
 from repro.core.registry import build_schedule
+from repro.core.schedule import Schedule
 from repro.errors import ReproError
 from repro.selection.defaults import mpich_policy
-from repro.simnet.machines import frontier, reference
+from repro.server.config import build_config
+from repro.simnet.machines import frontier, reference, resolve
 
 
 class TestReport:
@@ -218,3 +222,48 @@ class TestPerfGates:
             ("scale.sublinear_ratio", "<=", 256.0),
             ("serve.warm_speedup", ">=", 2.0),
         ]
+
+
+class TestColdTuneDoesNothingTwice:
+    """Clock-free guard on the cold ``tune → selection config`` path
+    (perfbench's ``tune_cold``): counts, not times."""
+
+    def test_one_seal_one_digest_one_build_per_schedule(self, monkeypatch):
+        sealed, digests = [], []
+        seal, digest = Schedule.__post_init__, Schedule._digest
+
+        def counting_seal(self):
+            seal(self)
+            sealed.append(self)
+
+        def counting_digest(self):
+            digests.append(self)
+            return digest(self)
+
+        monkeypatch.setattr(Schedule, "__post_init__", counting_seal)
+        monkeypatch.setattr(Schedule, "_digest", counting_digest)
+        schedules = global_schedule_cache()
+        for clear in (clear_sim_memo, schedules.clear, clear_class_cache,
+                      global_compiled_cache().clear):
+            clear()
+        try:
+            build_config(resolve("frontier-2x4"), (1024, 1 << 20))
+            builds = schedules.stats().misses
+            phases = schedules.phases.stats()
+            nphases = len(schedules.phases)
+        finally:
+            schedules.clear()
+            global_compiled_cache().clear()
+            clear_sim_memo()
+
+        # The digest runs at most once per Schedule object, however many
+        # caches, store keys and ladder rungs ask for the fingerprint …
+        assert len(digests) == len({id(s) for s in digests})
+        assert len(digests) <= builds
+        # … each distinct (builder, args) phase is constructed once …
+        assert phases.misses == nphases and phases.evictions == 0
+        assert phases.hits > 0
+        # … and no two constructed schedules are the same schedule:
+        # composites share their phases and aliases (binomial = k-nomial
+        # at k = 2, ring = k-ring at k = p) are relabel() copies.
+        assert len(sealed) == len({digest(s) for s in sealed})

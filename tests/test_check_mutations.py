@@ -11,7 +11,7 @@ program) and hand-builds minimal schedules where the bug needs precise
 construction (double-count, rendezvous cycle, copy collisions).
 """
 
-import copy
+import dataclasses
 
 import pytest
 
@@ -28,9 +28,18 @@ from repro.core.schedule import (
 )
 
 
-def mutated(collective, algorithm, p, k=None):
-    """A private deep copy of a registry schedule, safe to break."""
-    return copy.deepcopy(build_schedule(collective, algorithm, p, k=k))
+def mutated(collective, algorithm, p, k=None, *, edit):
+    """A registry schedule rebuilt from edited programs.
+
+    Schedules are immutable, so a mutant is a new :class:`Schedule`:
+    ``edit`` gets every rank's steps as a list of lists to break.
+    """
+    good = build_schedule(collective, algorithm, p, k=k)
+    steps = [list(prog.steps) for prog in good.programs]
+    edit(steps)
+    return dataclasses.replace(good, programs=[
+        RankProgram(rank=r, steps=s) for r, s in enumerate(steps)
+    ])
 
 
 def handmade(collective, programs, nblocks, root=None):
@@ -75,22 +84,24 @@ class TestRegistryMutations:
     def test_drop_recv(self):
         # Deleting a recv leaves its sender's message orphaned in the
         # channel and shifts every later FIFO match on that channel.
-        s = mutated("allreduce", "ring", 4)
-        step = s.programs[1].steps[0]
-        s.programs[1].steps[0] = Step(
-            tuple(op for op in step.ops if not isinstance(op, RecvOp))
-        )
+        def edit(steps):
+            steps[1][0] = Step(tuple(
+                op for op in steps[1][0].ops if not isinstance(op, RecvOp)
+            ))
+
+        s = mutated("allreduce", "ring", 4, edit=edit)
         f = assert_caught(
             run_checks(s), "channel-orphan-send", "deadlock-rendezvous"
         )
         assert "rank" in f.message
 
     def test_drop_send(self):
-        s = mutated("allreduce", "ring", 4)
-        step = s.programs[1].steps[0]
-        s.programs[1].steps[0] = Step(
-            tuple(op for op in step.ops if not isinstance(op, SendOp))
-        )
+        def edit(steps):
+            steps[1][0] = Step(tuple(
+                op for op in steps[1][0].ops if not isinstance(op, SendOp)
+            ))
+
+        s = mutated("allreduce", "ring", 4, edit=edit)
         f = assert_caught(
             run_checks(s), "channel-starved-recv", "deadlock-eager"
         )
@@ -99,12 +110,14 @@ class TestRegistryMutations:
     def test_swap_peers(self):
         # Rank 0 receives from the wrong neighbor: the real sender's
         # message starves, the phantom channel has no sends at all.
-        s = mutated("allreduce", "ring", 4)
-        ops = list(s.programs[0].steps[0].ops)
-        for i, op in enumerate(ops):
-            if isinstance(op, RecvOp):
-                ops[i] = RecvOp(peer=2, blocks=op.blocks, reduce=op.reduce)
-        s.programs[0].steps[0] = Step(tuple(ops))
+        def edit(steps):
+            ops = list(steps[0][0].ops)
+            for i, op in enumerate(ops):
+                if isinstance(op, RecvOp):
+                    ops[i] = RecvOp(peer=2, blocks=op.blocks, reduce=op.reduce)
+            steps[0][0] = Step(tuple(ops))
+
+        s = mutated("allreduce", "ring", 4, edit=edit)
         assert_caught(
             run_checks(s),
             "channel-starved-recv",
@@ -115,16 +128,16 @@ class TestRegistryMutations:
     def test_reorder_step(self):
         # Swapping two steps on one rank permutes its send order, which
         # the FIFO matching sees as block-shape mismatches downstream.
-        s = mutated("allreduce", "ring", 4)
-        steps = s.programs[0].steps
-        steps[0], steps[1] = steps[1], steps[0]
+        def edit(steps):
+            steps[0][0], steps[0][1] = steps[0][1], steps[0][0]
+
+        s = mutated("allreduce", "ring", 4, edit=edit)
         f = assert_caught(run_checks(s), "channel-shape")
         assert "FIFO" in f.message
 
     def test_truncate_program(self):
         # A rank exits early: its last-step peers hang forever.
-        s = mutated("allreduce", "ring", 4)
-        s.programs[2].steps.pop()
+        s = mutated("allreduce", "ring", 4, edit=lambda steps: steps[2].pop())
         assert_caught(
             run_checks(s),
             "channel-orphan-send",
@@ -135,9 +148,11 @@ class TestRegistryMutations:
     def test_extra_round_breaks_model(self):
         # A redundant extra exchange leaves the data correct but makes
         # the schedule structurally heavier than its analytical model.
-        s = mutated("bcast", "knomial", 8, k=2)
-        s.programs[0].steps.append(Step((SendOp(1, (0,)),)))
-        s.programs[1].steps.append(Step((RecvOp(0, (0,)),)))
+        def edit(steps):
+            steps[0].append(Step((SendOp(1, (0,)),)))
+            steps[1].append(Step((RecvOp(0, (0,)),)))
+
+        s = mutated("bcast", "knomial", 8, k=2, edit=edit)
         report = run_checks(s)
         assert not report.ok
         model = [f for f in report.findings if f.code.startswith("model")]

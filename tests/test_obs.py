@@ -25,7 +25,9 @@ from repro.obs.metrics import (
 from repro.obs.tracing import SimTimeline, TraceContext, Tracer
 from repro.simnet import reference, simulate
 from repro.simnet.trace import TimelineStats, timeline_stats
+from repro.core.primitives import shared_phase, sharing_phases
 from repro.core.registry import build_schedule
+from repro.core.ring import kring_allgather
 from repro.store import DiskStore
 
 
@@ -285,7 +287,7 @@ class TestStatsProtocol:
         assert d["makespan"] == res.time
         assert json.dumps(d)  # JSON-serializable
 
-    # Five cache kinds, one counting implementation: whatever the
+    # Six cache kinds, one counting implementation: whatever the
     # lookups go through — a subclass with or without a disk tier, or a
     # plain instance behind its real entry point — the /metrics series
     # equal stats() exactly.  Each row returns (cache, lookup(i)) with
@@ -296,6 +298,16 @@ class TestStatsProtocol:
     def _schedule_row(store):
         cache = ScheduleCache(2, store=store)
         return cache, lambda i: cache.get_or_build("bcast", "binomial", 2 + i)
+
+    @staticmethod
+    def _phase_row():
+        cache = ScheduleCache().phases
+
+        def lookup(i):
+            with sharing_phases(cache):
+                return shared_phase(kring_allgather, 4 + i, 2)
+
+        return cache, lookup
 
     @classmethod
     def _compiled_row(cls, store):
@@ -323,6 +335,7 @@ class TestStatsProtocol:
         ("schedule", False), ("schedule", True),
         ("compiled", False), ("compiled", True),
         ("check", False), ("classes", False), ("sim", False),
+        ("phase", False),
     ])
     def test_cache_counters_equal_stats(self, tmp_path, monkeypatch, row, disk):
         make_row = getattr(self, f"_{row}_row")

@@ -1,7 +1,13 @@
 """Unit tests for the schedule IR (:mod:`repro.core.schedule`)."""
 
+import hashlib
+import pickle
+import re
+
 import pytest
 
+from repro.core.registry import build_schedule
+from repro.core.serialize import dumps_blob, loads_blob
 from repro.core.schedule import (
     CopyOp,
     RankProgram,
@@ -102,7 +108,10 @@ class TestSchedule:
     def test_peer_out_of_range(self):
         p0 = RankProgram(rank=0)
         p0.add(SendOp(peer=5, blocks=(0,)))
-        with pytest.raises(ScheduleError):
+        with pytest.raises(
+            ScheduleError,
+            match=re.escape("rank 0: peer 5 out of range (p=2)"),
+        ):
             Schedule(
                 collective="bcast",
                 algorithm="t",
@@ -114,7 +123,10 @@ class TestSchedule:
     def test_self_communication_rejected(self):
         p0 = RankProgram(rank=0)
         p0.add(SendOp(peer=0, blocks=(0,)))
-        with pytest.raises(ScheduleError):
+        with pytest.raises(
+            ScheduleError,
+            match=re.escape("rank 0: self-communication is not allowed"),
+        ):
             Schedule(
                 collective="bcast",
                 algorithm="t",
@@ -126,7 +138,10 @@ class TestSchedule:
     def test_block_out_of_range(self):
         p0 = RankProgram(rank=0)
         p0.add(SendOp(peer=1, blocks=(3,)))
-        with pytest.raises(ScheduleError):
+        with pytest.raises(
+            ScheduleError,
+            match=re.escape("rank 0: blocks [3] out of range (nblocks=2)"),
+        ):
             Schedule(
                 collective="bcast",
                 algorithm="t",
@@ -138,7 +153,10 @@ class TestSchedule:
     def test_copy_block_out_of_range(self):
         p0 = RankProgram(rank=0)
         p0.add(CopyOp(src=0, dst=9))
-        with pytest.raises(ScheduleError):
+        with pytest.raises(
+            ScheduleError,
+            match=re.escape("rank 0: copy block 9 out of range"),
+        ):
             Schedule(
                 collective="bcast",
                 algorithm="t",
@@ -175,3 +193,198 @@ class TestSchedule:
         bm = sched.block_map(100)
         assert bm.nblocks == 1
         assert bm.total == 100
+
+
+    def test_first_violation_in_walk_order_is_the_one_named(self):
+        """The comparisons are per column; the message is still the
+        first bad op's, rank-major in program order."""
+        p0 = RankProgram(rank=0)
+        p0.add(RecvOp(peer=1, blocks=(0,)))
+        p0.add(SendOp(peer=1, blocks=(7,)))  # second in walk order
+        p1 = RankProgram(rank=1)
+        p1.add(SendOp(peer=9, blocks=(0,)))  # third
+        with pytest.raises(ScheduleError, match=re.escape("blocks [7]")):
+            Schedule("bcast", "t", 2, 1, [p0, p1])
+
+    def test_an_id_no_column_can_hold_is_still_a_schedule_error(self):
+        p0 = RankProgram(rank=0)
+        p0.add(SendOp(peer=1 << 40, blocks=(0,)))
+        with pytest.raises(ScheduleError, match="out of range"):
+            Schedule("bcast", "t", 2, 1, [p0, RankProgram(rank=1)])
+
+
+def reference_fingerprint(schedule):
+    """The digest as first defined: an op-by-op loop over the IR.
+
+    ``Schedule.fingerprint()`` assembles the same text from the sealed
+    columns; this is the reference it must agree with byte for byte.
+    """
+    parts = [
+        f"{schedule.collective}|{schedule.algorithm}|{schedule.nranks}|"
+        f"{schedule.nblocks}|{schedule.root}|{schedule.k}"
+    ]
+    for prog in schedule.programs:
+        parts.append("|P")
+        for step in prog.steps:
+            parts.append("|S")
+            for op in step.ops:
+                if isinstance(op, SendOp):
+                    parts.append(
+                        f"|s{op.peer}:{','.join(map(str, op.blocks))}"
+                    )
+                elif isinstance(op, RecvOp):
+                    parts.append(
+                        f"|r{op.peer}:{','.join(map(str, op.blocks))}"
+                        f":{int(op.reduce)}"
+                    )
+                else:
+                    parts.append(f"|c{op.src}:{op.dst}")
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
+
+
+class TestSealed:
+    """A constructed schedule is immutable; nothing derived goes stale."""
+
+    def test_programs_and_steps_are_tuples(self):
+        sched = two_rank_schedule()
+        assert type(sched.programs) is tuple
+        assert all(type(p.steps) is tuple for p in sched.programs)
+
+    def test_field_assignment_raises(self):
+        sched = two_rank_schedule()
+        with pytest.raises(ScheduleError, match="immutable"):
+            sched.k = 3
+        with pytest.raises(ScheduleError, match="immutable"):
+            sched.programs = []
+        with pytest.raises(ScheduleError, match="immutable"):
+            del sched.root
+        assert (sched.k, sched.root) == (None, 0)
+
+    def test_step_edits_raise(self):
+        sched = two_rank_schedule()
+        prog = sched.programs[1]
+        step = Step((RecvOp(peer=0, blocks=(0,), reduce=True),))
+        with pytest.raises(TypeError):
+            prog.steps[0] = step
+        with pytest.raises(AttributeError):
+            prog.steps.append(step)
+        with pytest.raises(ScheduleError, match="sealed"):
+            prog.add_step(step.ops)
+        with pytest.raises(ScheduleError, match="sealed"):
+            prog.add(*step.ops)
+        with pytest.raises(ScheduleError, match="sealed"):
+            prog.steps = [step]
+        assert len(prog.steps) == 1 and not prog.steps[0].ops[0].reduce
+
+    def test_a_failed_construction_seals_nothing(self):
+        p0 = RankProgram(rank=0)
+        p0.add(SendOp(peer=5, blocks=(0,)))
+        with pytest.raises(ScheduleError):
+            Schedule("bcast", "t", 2, 1, [p0, RankProgram(rank=1)])
+        p0.add(SendOp(peer=1, blocks=(0,)))  # still open
+        assert len(p0.steps) == 2
+
+    def test_relabel_shares_programs_under_its_own_fingerprint(self):
+        sched = build_schedule("allgather", "kring", 6, k=6)
+        twin = sched.relabel(k=None)
+        assert twin.programs is sched.programs
+        assert (twin.k, sched.k) == (None, 6)
+        assert twin.describe() == "allgather ring p=6"
+        assert twin.fingerprint() != sched.fingerprint()
+        assert twin.fingerprint() == reference_fingerprint(twin)
+        assert twin.meta == sched.meta and twin.meta is not sched.meta
+        with pytest.raises(ScheduleError, match="immutable"):
+            twin.k = 6
+        with pytest.raises(ScheduleError, match="labels only"):
+            sched.relabel(nranks=7)
+
+    def test_fingerprint_is_computed_once(self):
+        sched = build_schedule("allreduce", "recursive_multiplying", 12, k=3)
+        first = sched.fingerprint()
+        assert sched.fingerprint() is first
+        rebuilt = build_schedule("allreduce", "recursive_multiplying", 12, k=3)
+        assert rebuilt is not sched and rebuilt.fingerprint() == first
+
+    @pytest.mark.parametrize("collective, algorithm, p, k, root", [
+        ("allreduce", "kring", 7, 3, 0),  # uneven groups
+        ("allgather", "bruck", 8, 3, 0),  # local copies
+        ("bcast", "knomial", 9, 4, 5),
+        ("reduce", "reduce_scatter_gather", 6, None, 2),
+        ("alltoall", "bruck", 5, 2, 0),
+        ("allreduce", "ring", 1, None, 0),  # no ops at all
+    ])
+    def test_fingerprint_matches_the_reference_loop(
+        self, collective, algorithm, p, k, root
+    ):
+        sched = build_schedule(collective, algorithm, p, k=k, root=root)
+        assert sched.fingerprint() == reference_fingerprint(sched)
+
+    def test_fingerprint_of_ranks_without_ops(self):
+        # "|P" per rank, busy or not: leading, interior, trailing.
+        p1 = RankProgram(rank=1)
+        p1.add(SendOp(peer=3, blocks=(0,)), CopyOp(src=0, dst=1))
+        p3 = RankProgram(rank=3)
+        p3.add(RecvOp(peer=1, blocks=(0,), reduce=True))
+        sched = Schedule("reduce", "t", 5, 2, [
+            RankProgram(rank=0), p1, RankProgram(rank=2), p3,
+            RankProgram(rank=4),
+        ], root=3)
+        assert sched.fingerprint() == reference_fingerprint(sched)
+
+
+#: ``dumps_blob(build_schedule(...))`` as the commit before sealing
+#: wrote it (sha256 of the blob text): stores and the wire keep these
+#: exact bytes — sealing changed neither the layout nor which objects a
+#: pickle shares.
+PARENT_BLOBS = {
+    ("allreduce", "kring", 16, 4, 0):
+        "f71dbf13471ab8ac7b476b448173570eccb2e8ba85b9abbb780cf6a829968d26",
+    ("bcast", "recursive_multiplying", 12, 3, 5):
+        "9ee700d222cf82ee7b4a5d0082523ed5e23c03e8cfeaeada5a646071f9d9ec69",
+    ("allgather", "bruck", 8, 3, 0):
+        "96b1a1432f420cd1b62e24b3e29bc1d0efb26fc502452637ce50f97446e6f274",
+}
+
+#: ``bcast/binomial`` at p = 2, written by that commit.
+PARENT_WRITTEN_BLOB = (
+    "gAWVUAEAAAAAAACME3JlcHJvLmNvcmUuc2NoZWR1bGWUjAhTY2hlZHVsZZSTlCmBlH2UKI"
+    "wKY29sbGVjdGl2ZZSMBWJjYXN0lIwJYWxnb3JpdGhtlIwIYmlub21pYWyUjAZucmFua3OU"
+    "SwKMB25ibG9ja3OUSwGMCHByb2dyYW1zlF2UKGgAjAtSYW5rUHJvZ3JhbZSTlCmBlH2UKI"
+    "wEcmFua5RLAIwFc3RlcHOUXZRoAIwEU3RlcJSTlCmBlH2UjANvcHOUaACMBlNlbmRPcJST"
+    "lCmBlH2UKIwEcGVlcpRLAYwGYmxvY2tzlEsAhZR1YoWUc2JhdWJoDimBlH2UKGgRSwFoEl"
+    "2UaBUpgZR9lGgYaACMBlJlY3ZPcJSTlCmBlH2UKGgdSwBoHmgfjAZyZWR1Y2WUiXVihZRz"
+    "YmF1YmWMBHJvb3SUSwCMAWuUSwKMBG1ldGGUfZR1Yi4="
+)
+
+
+class TestPickle:
+    def test_round_trip_is_sealed_and_carries_no_memo(self):
+        sched = build_schedule("allreduce", "kring", 16, k=4)
+        fp = sched.fingerprint()
+        clone = pickle.loads(pickle.dumps(sched))
+        assert "_fingerprint" not in vars(clone)
+        assert "_columns" not in vars(clone)
+        assert clone == sched
+        with pytest.raises(ScheduleError, match="immutable"):
+            clone.k = 2
+        with pytest.raises(ScheduleError, match="sealed"):
+            clone.programs[0].add(SendOp(peer=1, blocks=(0,)))
+        assert clone.fingerprint() == fp
+
+    @pytest.mark.parametrize("key", sorted(PARENT_BLOBS))
+    def test_blobs_are_byte_identical_to_the_parents(self, key):
+        collective, algorithm, p, k, root = key
+        sched = build_schedule(collective, algorithm, p, k=k, root=root)
+        before = hashlib.sha256(dumps_blob(sched).encode()).hexdigest()
+        assert before == PARENT_BLOBS[key]
+        sched.fingerprint()  # a memo and the columns never reach a blob
+        after = hashlib.sha256(dumps_blob(sched).encode()).hexdigest()
+        assert after == PARENT_BLOBS[key]
+
+    def test_a_blob_written_before_sealing_loads_sealed(self):
+        old = loads_blob(PARENT_WRITTEN_BLOB, Schedule)
+        new = build_schedule("bcast", "binomial", 2)
+        assert old == new and old.fingerprint() == new.fingerprint()
+        assert dumps_blob(old) == PARENT_WRITTEN_BLOB == dumps_blob(new)
+        with pytest.raises(ScheduleError, match="immutable"):
+            old.root = 1

@@ -110,6 +110,57 @@ def test_schedule_normalizes_fixed_radix(served):
     assert again["source_fingerprint"] == schedule.fingerprint()
 
 
+def test_schedule_served_by_params_is_fetchable_by_fingerprint(served):
+    """Builders alias — ``allgather/bruck`` at k = 3 reports itself as
+    ``bruck_kport``, the one-segment pipelined chain bcast as ``chain``
+    — so the index keeps the registry parameters that were asked, which rebuild
+    the schedule, not the names it gives itself."""
+    _, client, _ = served
+    for asked in (
+        dict(collective="allgather", algorithm="bruck", p=P, k=3),
+        dict(collective="bcast", algorithm="pipelined_chain", p=P, k=1),
+    ):
+        schedule, _ = client.compiled_schedule(**asked)
+        assert schedule.algorithm != asked["algorithm"]
+        again = client.schedule(fingerprint=schedule.fingerprint())
+        assert again["source_fingerprint"] == schedule.fingerprint()
+
+
+def test_degenerate_kring_is_served_back_as_itself(served):
+    """k-ring at k = 1 labels itself ``ring`` but keeps ``k = 1`` in its
+    fingerprint; asked for by that fingerprint, the service must not
+    answer with registry ``ring`` (``k = None``, another fingerprint)."""
+    _, client, _ = served
+    schedule, _ = client.compiled_schedule(
+        collective="allgather", algorithm="kring", p=P, k=1
+    )
+    assert (schedule.algorithm, schedule.k) == ("ring", 1)
+    again = client.schedule(fingerprint=schedule.fingerprint())
+    assert again["source_fingerprint"] == schedule.fingerprint()
+
+
+def test_index_entry_that_builds_another_schedule_is_a_404(tmp_path):
+    """The boot-time index comes from store keys, which carry the
+    schedule's self-reported names: for k-ring at k = 1 they resolve to
+    registry ``ring``.  Served is never silently different from asked —
+    the reply is a structured 404 naming both."""
+    from repro.server.app import _HttpReply
+
+    first = TuningService(
+        MACHINE, SIZES, collectives=("allreduce",), store=tmp_path
+    )
+    fp = first._ep_schedule(
+        {"collective": "allgather", "algorithm": "kring", "k": "1"}
+    )["source_fingerprint"]
+
+    second = TuningService(
+        MACHINE, SIZES, collectives=("allreduce",), store=tmp_path
+    )
+    with pytest.raises(_HttpReply, match="not serving a different") as exc:
+        second._ep_schedule({"fingerprint": fp[:16]})
+    assert exc.value.status == 404
+
+
 def test_schedule_unknown_fingerprint_is_a_server_error(served):
     _, client, _ = served
     with pytest.raises(ServerError, match="fingerprint"):

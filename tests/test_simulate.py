@@ -6,6 +6,8 @@ serialization, latency pipelining, intranode links, reduction compute,
 dragonfly adders, and noise determinism.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.registry import build_schedule
@@ -82,9 +84,11 @@ class TestPointToPoint:
         assert res.time == pytest.approx(1e-7 + ALPHA)
 
     def test_reduce_adds_gamma(self):
+        p1 = RankProgram(rank=1)
+        p1.add(RecvOp(peer=0, blocks=(0,), reduce=True))
         sched = ptp_schedule("reduce")
-        sched.programs[1].steps[0] = type(sched.programs[1].steps[0])(
-            (RecvOp(peer=0, blocks=(0,), reduce=True),)
+        sched = dataclasses.replace(
+            sched, programs=[sched.programs[0], p1]
         )
         m = flat_machine(2, gamma=2e-9)
         res = simulate(sched, m, 1000)
