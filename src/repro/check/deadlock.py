@@ -56,7 +56,7 @@ def _op_name(schedule: Schedule, ref: OpRef) -> str:
 
 def check_channels(schedule: Schedule, matching: Matching) -> List[Finding]:
     """Audit the FIFO matching itself: starved recvs, orphan sends,
-    and matched pairs whose block lists disagree."""
+    and matched pairs whose block lists disagree (``matching.mismatched``)."""
     findings: List[Finding] = []
     for ref in matching.unmatched_recvs:
         op = _op(schedule, ref)
@@ -92,40 +92,36 @@ def check_channels(schedule: Schedule, matching: Matching) -> List[Finding]:
                 op=_op_name(schedule, ref),
             )
         )
-    for s_ref, r_ref in sorted(
-        matching.send_to_recv.items(),
-        key=lambda kv: (kv[0].rank, kv[0].step, kv[0].index),
-    ):
+    for s_ref, r_ref in matching.mismatched:
         send = _op(schedule, s_ref)
         recv = _op(schedule, r_ref)
-        if send.blocks != recv.blocks:
-            if len(send.blocks) != len(recv.blocks):
-                detail = (
-                    f"payload shapes differ: send carries "
-                    f"{len(send.blocks)} block(s) {list(send.blocks)}, recv "
-                    f"expects {len(recv.blocks)} block(s) {list(recv.blocks)}"
-                )
-            else:
-                detail = (
-                    f"block ids differ: send carries {list(send.blocks)}, "
-                    f"recv expects {list(recv.blocks)}"
-                )
-            findings.append(
-                Finding(
-                    code="channel-shape",
-                    severity="error",
-                    message=(
-                        f"rank {s_ref.rank} step {s_ref.step} "
-                        f"{_op_name(schedule, s_ref)} matches rank "
-                        f"{r_ref.rank} step {r_ref.step} "
-                        f"{_op_name(schedule, r_ref)} (FIFO order) but "
-                        f"{detail}"
-                    ),
-                    rank=r_ref.rank,
-                    step=r_ref.step,
-                    op=_op_name(schedule, r_ref),
-                )
+        if len(send.blocks) != len(recv.blocks):
+            detail = (
+                f"payload shapes differ: send carries "
+                f"{len(send.blocks)} block(s) {list(send.blocks)}, recv "
+                f"expects {len(recv.blocks)} block(s) {list(recv.blocks)}"
             )
+        else:
+            detail = (
+                f"block ids differ: send carries {list(send.blocks)}, "
+                f"recv expects {list(recv.blocks)}"
+            )
+        findings.append(
+            Finding(
+                code="channel-shape",
+                severity="error",
+                message=(
+                    f"rank {s_ref.rank} step {s_ref.step} "
+                    f"{_op_name(schedule, s_ref)} matches rank "
+                    f"{r_ref.rank} step {r_ref.step} "
+                    f"{_op_name(schedule, r_ref)} (FIFO order) but "
+                    f"{detail}"
+                ),
+                rank=r_ref.rank,
+                step=r_ref.step,
+                op=_op_name(schedule, r_ref),
+            )
+        )
     return findings
 
 

@@ -1,8 +1,9 @@
 """Static message-matching interpreter over the Schedule IR.
 
 This is the engine under :mod:`repro.check`'s deadlock detector.  It
-never moves data and never touches the DES: it resolves, purely from the
-program text, *which send matches which recv* (the MPI non-overtaking
+never moves data and never touches the DES: it reads *which send
+matches which recv* from the schedule's one FIFO matching
+(:meth:`~repro.core.schedule.Schedule.messages` — the MPI non-overtaking
 rule: per ``(src, dst)`` channel, the n-th send matches the n-th recv),
 then runs a monotone fixpoint over per-rank program counters to decide
 how far every rank can get under a chosen send-completion semantics:
@@ -61,38 +62,36 @@ class Matching:
     ``send_to_recv`` / ``recv_to_send`` map matched pairs both ways;
     ``unmatched_sends`` are messages that would sit in a channel forever
     (the runner's "sent but never received" error), ``unmatched_recvs``
-    are waits that can never be satisfied (a guaranteed hang).
+    are waits that can never be satisfied (a guaranteed hang), and
+    ``mismatched`` lists the matched ``(send, recv)`` pairs whose block
+    lists differ, in the sends' program order.
     """
 
     send_to_recv: Dict[OpRef, OpRef] = field(default_factory=dict)
     recv_to_send: Dict[OpRef, OpRef] = field(default_factory=dict)
     unmatched_sends: List[OpRef] = field(default_factory=list)
     unmatched_recvs: List[OpRef] = field(default_factory=list)
+    mismatched: List[Tuple[OpRef, OpRef]] = field(default_factory=list)
 
 
 def match_channels(schedule: Schedule) -> Matching:
-    """Resolve the FIFO send/recv pairing for every directed channel."""
-    sends: Dict[Tuple[int, int], List[OpRef]] = {}
-    recvs: Dict[Tuple[int, int], List[OpRef]] = {}
-    for prog in schedule.programs:
-        for step_idx, step in enumerate(prog.steps):
-            for op_idx, op in enumerate(step.ops):
-                ref = OpRef(prog.rank, step_idx, op_idx)
-                if isinstance(op, SendOp):
-                    sends.setdefault((prog.rank, op.peer), []).append(ref)
-                elif isinstance(op, RecvOp):
-                    recvs.setdefault((op.peer, prog.rank), []).append(ref)
-
-    matching = Matching()
-    for channel in sorted(set(sends) | set(recvs)):
-        ss = sends.get(channel, [])
-        rr = recvs.get(channel, [])
-        for s_ref, r_ref in zip(ss, rr):
-            matching.send_to_recv[s_ref] = r_ref
-            matching.recv_to_send[r_ref] = s_ref
-        matching.unmatched_sends.extend(ss[len(rr):])
-        matching.unmatched_recvs.extend(rr[len(ss):])
-    return matching
+    """The schedule's FIFO send/recv pairing
+    (:meth:`~repro.core.schedule.Schedule.messages`) as :class:`OpRef`
+    locations; unmatched ops are listed channel by channel."""
+    cols, fifo = schedule.columns(), schedule.messages()
+    step, index = cols.steps()
+    refs = list(
+        map(OpRef, cols.ranks().tolist(), step.tolist(), index.tolist())
+    )
+    sends = [refs[i] for i in fifo.send_op.tolist()]
+    recvs = [refs[i] for i in fifo.recv_op.tolist()]
+    return Matching(
+        send_to_recv=dict(zip(sends, recvs)),
+        recv_to_send=dict(zip(recvs, sends)),
+        unmatched_sends=[refs[i] for i in fifo.unmatched_sends.tolist()],
+        unmatched_recvs=[refs[i] for i in fifo.unmatched_recvs.tolist()],
+        mismatched=[(sends[m], recvs[m]) for m in fifo.mismatched.tolist()],
+    )
 
 
 @dataclass
@@ -115,10 +114,6 @@ class InterpResult:
     def deadlocked(self) -> bool:
         """True when at least one rank could not finish its program."""
         return bool(self.stuck)
-
-
-def _op_at(schedule: Schedule, ref: OpRef):
-    return schedule.programs[ref.rank].steps[ref.step].ops[ref.index]
 
 
 def interpret(

@@ -36,9 +36,13 @@ Guarantees, in order of importance:
   ``match_messages`` and the IR's op stream, pinned by the differential
   suite
   (``tests/properties/test_compile_transparency.py``) across the full
-  registry grid and under fault injection.
+  registry grid and under fault injection.  Both read one FIFO matching,
+  :meth:`~repro.core.schedule.Schedule.messages`, which lowering hands
+  to the artifact (:meth:`CompiledSchedule.messages`, runtime-only).
 * **Self-verification.**  Every lowering is checked against its source
-  IR by a recompute-everything ladder (:mod:`repro.compile.verify`);
+  IR by a recompute-everything ladder (:mod:`repro.compile.verify`) —
+  with channel counters of its own, the independent re-derivation of
+  that matching;
   corrupt tables raise :class:`~repro.errors.CompileError` with
   rank/step-naming diagnostics instead of executing wrong (held to by
   the mutation corpus in ``tests/test_compile_mutations.py``).
@@ -64,7 +68,6 @@ from .classes import (
     ClassProgram,
     RankClasses,
     classify,
-    counterpart_ops,
     machine_asymmetry,
     partition_key,
 )
@@ -109,7 +112,6 @@ __all__ = [
     "ClassProgram",
     "RankClasses",
     "classify",
-    "counterpart_ops",
     "machine_asymmetry",
     "partition_key",
     "get_or_classify",

@@ -19,7 +19,8 @@ This module computes that partition from the compiled flat tables
    total iff these agree), the per-op link class on the target machine
    (intra / inter / group-crossing), and the per-op *matched counterpart
    op index* — the position, in the peer's program, of the send/recv
-   this op pairs with under FIFO matching.
+   this op pairs with, read from the schedule's one FIFO matching
+   (:meth:`~repro.compile.program.CompiledSchedule.messages`).
 2. **Refinement** — re-split every class on the class labels of each
    op's peers, iterated to a fixpoint.  Including the counterpart op
    index in the base signature makes the fixpoint strong enough that,
@@ -58,7 +59,6 @@ __all__ = [
     "RankClasses",
     "ClassProgram",
     "classify",
-    "counterpart_ops",
     "link_profile",
     "partition_key",
     "machine_asymmetry",
@@ -203,45 +203,31 @@ class RankClasses:
         )
 
 
-def counterpart_ops(programs: Tuple[CompiledProgram, ...]) -> List[np.ndarray]:
-    """Per rank, per op: the matched op's index in the peer's program.
-
-    FIFO matching per (src, dst) channel, mirroring
-    :func:`repro.faults.sim.match_messages`: the i-th send on a channel
-    pairs with the i-th receive on it.  Copies get ``-1``.  Raises
-    :class:`~repro.errors.ClassAnalysisError` on unmatched traffic
-    (impossible for validated schedules; checked defensively because the
-    collapsed engine trusts this map).
-    """
-    sends: Dict[Tuple[int, int], List[int]] = {}
-    recvs: Dict[Tuple[int, int], List[int]] = {}
-    for prog in programs:
-        r = prog.rank
-        kinds = prog.kinds.tolist()
-        peers = prog.peers.tolist()
-        for j, kind in enumerate(kinds):
-            if kind == OP_COPY:
-                continue
-            if kind == OP_SEND:
-                sends.setdefault((r, peers[j]), []).append(j)
-            else:
-                recvs.setdefault((peers[j], r), []).append(j)
-    out = [np.full(prog.nops, -1, dtype=np.int32) for prog in programs]
-    for chan, send_ops in sends.items():
-        recv_ops = recvs.get(chan, [])
-        if len(recv_ops) != len(send_ops):
-            raise ClassAnalysisError(
-                f"channel {chan}: {len(send_ops)} send(s) vs "
-                f"{len(recv_ops)} receive(s)"
-            )
-        src, dst = chan
-        for sj, rj in zip(send_ops, recv_ops):
-            out[src][sj] = rj
-            out[dst][rj] = sj
-    for chan in recvs:
-        if chan not in sends:
-            raise ClassAnalysisError(f"channel {chan}: receive with no send")
-    return out
+def _counterparts(compiled: CompiledSchedule) -> List[np.ndarray]:
+    """Per rank, per op: the index of its FIFO-matched op in the peer's
+    program (``-1`` for copies).  Unmatched traffic raises
+    :class:`~repro.errors.ClassAnalysisError`: the collapsed engine
+    trusts this map."""
+    cols, fifo = compiled.columns(), compiled.messages()
+    p, rank = compiled.nranks, cols.ranks()
+    lone = np.concatenate((fifo.unmatched_sends, fifo.unmatched_recvs))
+    if len(lone):
+        is_send = cols.kinds == OP_SEND
+        peers = cols.peers.astype(np.int64)
+        chan = np.where(is_send, rank * p + peers, peers * p + rank)
+        first = chan[lone.min()]
+        on = (cols.kinds != OP_COPY) & (chan == first)
+        nsend = int((on & is_send).sum())
+        raise ClassAnalysisError(
+            f"channel {divmod(int(first), p)}: "
+            + (f"{nsend} send(s) vs {int(on.sum()) - nsend} receive(s)"
+               if nsend else "receive with no send")
+        )
+    start = cols.op_ptr[rank]
+    cops = np.full(len(cols.kinds), -1, dtype=np.int32)
+    cops[fifo.send_op] = fifo.recv_op - start[fifo.recv_op]
+    cops[fifo.recv_op] = fifo.send_op - start[fifo.send_op]
+    return np.split(cops, cols.op_ptr[1:-1])
 
 
 def _payload_shape(prog: CompiledProgram, extra: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -319,7 +305,7 @@ def classify(
     programs = compiled.programs
     extra = nbytes % compiled.nblocks
     _, npg = link_profile(machine)
-    cops = counterpart_ops(programs)
+    cops = _counterparts(compiled)
 
     shapes = [_payload_shape(prog, extra) for prog in programs]
     links = [_link_classes(prog, npg) for prog in programs]

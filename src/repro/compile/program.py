@@ -25,10 +25,10 @@ The tables are the cached, fingerprinted, disk-persisted artifact.
 Python ints (slice starts/stops, payload sizes) — adjacent blocks merge
 into single slices — which is what the executors' tight loops consume.
 The simulator takes its own view of the same tables,
-:meth:`CompiledSchedule.sim_plan`: every send matched to its receive by
-channel and FIFO tag, as flat per-message columns plus per-rank op
-codes (:class:`SimPlan`) — a runtime cache like the bound schedules,
-rebuilt on demand and never persisted.
+:meth:`CompiledSchedule.sim_plan`: the schedule's FIFO matching
+(:meth:`CompiledSchedule.messages`) as flat per-message columns plus
+per-rank op codes (:class:`SimPlan`) — a runtime cache like the bound
+schedules, rebuilt on demand and never persisted.
 """
 
 from __future__ import annotations
@@ -41,7 +41,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.schedule import OP_COPY, OP_RECV, OP_REDUCE_RECV, OP_SEND
+from ..core.schedule import (
+    OP_COPY,
+    OP_RECV,
+    OP_REDUCE_RECV,
+    OP_SEND,
+    Columns,
+    Messages,
+    match_fifo,
+)
 from ..errors import ExecutionError, MachineError
 
 __all__ = [
@@ -246,6 +254,9 @@ class CompiledSchedule:
     _sim_plan: Optional["SimPlan"] = field(
         default=None, repr=False, compare=False
     )
+    _messages: Optional[Messages] = field(
+        default=None, repr=False, compare=False
+    )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -255,12 +266,14 @@ class CompiledSchedule:
         state = self.__dict__.copy()
         state["_bind_cache"] = {}
         state["_sim_plan"] = None
+        state.pop("_messages", None)
         state.pop("_lock", None)
         return state
 
     def __setstate__(self, state):
         """Restore content and recreate the runtime-only fields."""
         self.__dict__.update(state)
+        self._messages = None
         self._lock = threading.Lock()
 
     def describe(self) -> str:
@@ -409,6 +422,37 @@ class CompiledSchedule:
             plan = self._sim_plan = _build_sim_plan(self)
         return plan
 
+    def columns(self) -> Columns:
+        """The tables concatenated back into the source schedule's flat
+        :class:`~repro.core.schedule.Columns`."""
+        progs = self.programs
+
+        def cat(name: str) -> np.ndarray:
+            return np.concatenate([getattr(prog, name) for prog in progs])
+
+        seg_len = np.concatenate([np.diff(prog.seg_bounds) for prog in progs])
+        return Columns(
+            kinds=cat("kinds"),
+            peers=cat("peers"),
+            seg_bounds=np.concatenate(([0], np.cumsum(seg_len))),
+            seg_blocks=cat("seg_blocks"),
+            steps_raw=cat("steps_raw"),
+            op_ptr=np.cumsum([0] + [prog.nops for prog in progs]),
+            step_ptr=np.cumsum([0] + [len(prog.steps_raw) for prog in progs]),
+            signatures=frozenset(self.staging_plan.signatures),
+        )
+
+    def messages(self) -> Messages:
+        """The FIFO matching of the tables, runtime-only like
+        :meth:`sim_plan`: lowering hands over the schedule's own
+        :meth:`~repro.core.schedule.Schedule.messages`, an artifact from
+        disk or the wire derives it with the same
+        :func:`~repro.core.schedule.match_fifo`."""
+        fifo = self._messages
+        if fifo is None:
+            fifo = self._messages = match_fifo(self.columns())
+        return fifo
+
 
 #: Cap on per-plan route entries (distinct machine geometries).
 _ROUTE_CACHE_MAX = 8
@@ -418,9 +462,9 @@ _ROUTE_CACHE_MAX = 8
 class SimPlan:
     """What the simulator needs of a schedule, as flat columns.
 
-    Message ``i`` is the ``i``-th send in rank order, program order —
-    :func:`repro.faults.sim.match_messages` order — matched to the
-    receive with the same channel and FIFO tag.  Per message: the
+    Message ``i`` is message ``i`` of the schedule's
+    :class:`~repro.core.schedule.Messages` — the ``i``-th send in rank
+    order, program order, and the receive it matches.  Per message: the
     endpoints ``src`` / ``dst``, the channel sequence number ``seq``,
     whether the receive reduces, and the block ids it carries (CSR:
     ``blk_ids[blk_ptr[i]:blk_ptr[i + 1]]``).  Per rank and step,
@@ -458,85 +502,36 @@ class SimPlan:
 
 
 def _build_sim_plan(compiled: CompiledSchedule) -> SimPlan:
-    """Match sends to receives over the concatenated rank tables."""
-    progs = compiled.programs
-    p = compiled.nranks
-
-    def cat(name: str) -> np.ndarray:
-        return np.concatenate([getattr(prog, name) for prog in progs])
-
-    kinds = cat("kinds")
-    peers = cat("peers").astype(np.int64)
-    tags = cat("tags").astype(np.int64)
-    rank = np.repeat(
-        np.asarray([prog.rank for prog in progs], dtype=np.int64),
-        [prog.nops for prog in progs],
-    )
-    is_send = kinds == OP_SEND
-    is_recv = (kinds == OP_RECV) | (kinds == OP_REDUCE_RECV)
-    send_at = np.flatnonzero(is_send)
-    recv_at = np.flatnonzero(is_recv)
-    nmsgs = len(send_at)
-
-    # One integer per (src, dst, tag); a send and its receive share it,
-    # so sorting both sides pairs them up.
-    width = int(tags.max()) + 1 if len(tags) else 1
-    key = np.where(is_send, rank * p + peers, peers * p + rank) * width + tags
-    send_key, recv_key = key[send_at], key[recv_at]
-    send_order = np.argsort(send_key, kind="stable")
-    recv_order = np.argsort(recv_key, kind="stable")
-    if not np.array_equal(send_key[send_order], recv_key[recv_order]):
-        lone = np.flatnonzero(~np.isin(send_key, recv_key))
-        if len(lone):
-            i = send_at[lone[0]]
-            raise MachineError(
-                f"{compiled.describe()}: unmatched send "
-                f"{int(rank[i])}->{int(peers[i])}"
-            )
-        lone = np.flatnonzero(~np.isin(recv_key, send_key))
-        if len(lone):
-            i = recv_at[lone[0]]
-            raise MachineError(
-                f"{compiled.describe()}: unmatched receive on channel "
-                f"{(int(peers[i]), int(rank[i]))}"
-            )
-        raise MachineError(
-            f"{compiled.describe()}: FIFO tags repeat on a channel"
-        )
-    recv_msg = np.empty(nmsgs, dtype=np.int64)
-    recv_msg[recv_order] = send_order
-
+    """The simulator's view of the tables and their FIFO matching."""
+    cols, fifo = compiled.columns(), compiled.messages()
+    lone = fifo.unmatched(cols)
+    if lone is not None:
+        raise MachineError(f"{compiled.describe()}: {lone}")
+    kinds, peers, rank = cols.kinds, cols.peers, cols.ranks()
+    send_at, recv_at = fifo.send_op, fifo.recv_op
     msg = np.full(len(kinds), -1, dtype=np.int64)
-    msg[send_at] = np.arange(nmsgs)
-    msg[recv_at] = recv_msg
-    reduce = np.zeros(nmsgs, dtype=bool)
-    reduce[recv_msg] = kinds[recv_at] == OP_REDUCE_RECV
+    msg[send_at] = msg[recv_at] = np.arange(len(send_at))
+    is_recv = (kinds == OP_RECV) | (kinds == OP_REDUCE_RECV)
 
     # Op codes per rank per step, copies dropped.
     moves = kinds != OP_COPY
     codes = tuple(((msg << 1) | is_recv)[moves].tolist())
     before = np.concatenate(([0], np.cumsum(moves)))
-    ops = []
-    base = 0
-    for prog in progs:
-        cut = before[base + prog.steps_raw].tolist()
-        ops.append(tuple([codes[a:b] for a, b in zip(cut, cut[1:])]))
-        base += prog.nops
+    cut = before[cols.step_starts()[0]].tolist()
+    bounds = cols.step_ptr.tolist()
+    ops = tuple(
+        tuple([codes[a:b] for a, b in zip(cut[lo:hi], cut[lo + 1:hi])])
+        for lo, hi in zip(bounds, bounds[1:])
+    )
 
-    # CSR of the sends' block ids, gathered out of the segment tables.
-    seg_len = np.concatenate([np.diff(prog.seg_bounds) for prog in progs])
-    seg_start = np.cumsum(seg_len) - seg_len
-    blk_ptr = np.concatenate(([0], np.cumsum(seg_len[send_at])))
-    blk_ids = cat("seg_blocks")[
-        np.repeat(seg_start[send_at] - blk_ptr[:-1], seg_len[send_at])
-        + np.arange(blk_ptr[-1])
-    ]
+    # CSR of the sends' block ids, gathered out of the segment table.
+    blk_len = np.diff(cols.seg_bounds)[send_at]
     return SimPlan(
         src=rank[send_at].tolist(),
         dst=peers[send_at].tolist(),
-        seq=tags[send_at].tolist(),
-        reduce=reduce,
-        blk_ptr=blk_ptr,
-        blk_ids=blk_ids,
-        ops=tuple(ops),
+        seq=fifo.seq[send_at].tolist(),
+        reduce=kinds[recv_at] == OP_REDUCE_RECV,
+        blk_ptr=np.concatenate(([0], np.cumsum(blk_len))),
+        blk_ids=cols.gather(send_at),
+        ops=ops,
     )

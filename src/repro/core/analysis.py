@@ -23,12 +23,12 @@ how the test suite pins each algorithm's structure against its model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from ..errors import ScheduleError
 from ..simnet.machine import MachineSpec
 from ..simnet.simulate import simulate
-from .schedule import RecvOp, Schedule, SendOp
+from .schedule import Schedule, SendOp
 
 __all__ = [
     "critical_path_rounds",
@@ -111,29 +111,31 @@ def dependency_rounds(schedule: Schedule) -> int:
     if p == 1:
         return 0
 
-    # FIFO matching per (src, dst) channel: the n-th send matches the
-    # n-th recv.  recv (rank, step, op_idx) -> (src_rank, src_step).
-    sends: Dict[tuple, list] = {}
-    recvs: Dict[tuple, list] = {}
-    for prog in programs:
-        for step_idx, step in enumerate(prog.steps):
-            for op_idx, op in enumerate(step.ops):
-                if isinstance(op, SendOp):
-                    sends.setdefault((prog.rank, op.peer), []).append(step_idx)
-                elif isinstance(op, RecvOp):
-                    recvs.setdefault((op.peer, prog.rank), []).append(
-                        (prog.rank, step_idx, op_idx)
-                    )
-    match: Dict[tuple, tuple] = {}
-    for channel, rr in recvs.items():
-        ss = sends.get(channel, [])
-        if len(ss) < len(rr):
-            raise ScheduleError(
-                f"{schedule.describe()}: channel {channel} has "
-                f"{len(rr)} recvs but only {len(ss)} sends"
-            )
-        for (r_rank, r_step, r_idx), s_step in zip(rr, ss):
-            match[(r_rank, r_step, r_idx)] = (channel[0], s_step)
+    # Per (rank, step): the (rank, step) of the send each of its
+    # receives matches.  Orphan sends wait on nothing; a starved
+    # receive can never complete.
+    cols, fifo = schedule.columns(), schedule.messages()
+    op_rank, (op_step, _) = cols.ranks(), cols.steps()
+    lone = fifo.unmatched_recvs
+    if len(lone):
+        # A channel's receives are one rank's, in order: its first
+        # starved receive's running index counts the channel's sends.
+        i = lone.min()
+        nsend = int(fifo.seq[i])
+        peers = cols.peers
+        same = (peers[lone] == peers[i]) & (op_rank[lone] == op_rank[i])
+        raise ScheduleError(
+            f"{schedule.describe()}: channel "
+            f"{(int(peers[i]), int(op_rank[i]))} has "
+            f"{nsend + int(same.sum())} recvs but only {nsend} sends"
+        )
+    send, recv = fifo.send_op, fifo.recv_op
+    deps: List[List[list]] = [[[] for _ in prog.steps] for prog in programs]
+    for r, r_step, s, s_step in zip(
+        op_rank[recv].tolist(), op_step[recv].tolist(),
+        op_rank[send].tolist(), op_step[send].tolist(),
+    ):
+        deps[r][r_step].append((s, s_step))
 
     # done[r][j] = depth after rank r completes step j.  A message
     # starts once BOTH endpoints have posted (the simulator's transfer
@@ -151,14 +153,10 @@ def dependency_rounds(schedule: Schedule) -> int:
         for rank in range(p):
             while pc[rank] < lengths[rank]:
                 step_idx = pc[rank]
-                step = programs[rank].steps[step_idx]
                 start = done[rank][step_idx - 1] if step_idx else 0
                 depth = start
                 ready = True
-                for op_idx, op in enumerate(step.ops):
-                    if not isinstance(op, RecvOp):
-                        continue
-                    src_rank, src_step = match[(rank, step_idx, op_idx)]
+                for src_rank, src_step in deps[rank][step_idx]:
                     if pc[src_rank] < src_step:
                         ready = False
                         break

@@ -25,6 +25,8 @@ Semantics contract shared by all executors and the simulator:
    semantics: later local writes don't alter in-flight messages).
 3. Messages between a given (src, dst) pair match in FIFO order across the
    whole program (MPI non-overtaking rule on a single tag/communicator).
+   :func:`match_fifo` pairs them once per schedule
+   (:meth:`Schedule.messages`); every static consumer reads that table.
 4. Reduction receives are applied in the order they appear within the step,
    making floating-point results deterministic.
 
@@ -72,6 +74,8 @@ __all__ = [
     "Schedule",
     "ScheduleStats",
     "Columns",
+    "Messages",
+    "match_fifo",
     "OP_SEND",
     "OP_RECV",
     "OP_REDUCE_RECV",
@@ -241,6 +245,141 @@ class Columns(NamedTuple):
     #: Distinct send block tuples (the staging plan's payload signatures).
     signatures: FrozenSet[Tuple[int, ...]]
 
+    def ranks(self) -> np.ndarray:
+        """int64 per op: the rank whose program holds it."""
+        return np.repeat(np.arange(len(self.op_ptr) - 1), np.diff(self.op_ptr))
+
+    def step_starts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(first, opens)``: every ``steps_raw`` entry as a global op
+        index, and whether it opens a step (each rank's last one closes
+        its program)."""
+        per_rank = np.diff(self.step_ptr)
+        first = np.repeat(self.op_ptr[:-1], per_rank) + self.steps_raw
+        opens = np.ones(len(first), dtype=bool)
+        opens[self.step_ptr[1:] - 1] = False
+        return first, opens
+
+    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per op: the step of its rank's program that holds it, and its
+        index within that step."""
+        first, opens = self.step_starts()
+        lens = np.diff(first)[opens[:-1]]
+        local = np.arange(len(first)) - np.repeat(
+            self.step_ptr[:-1], np.diff(self.step_ptr)
+        )
+        index = np.arange(len(self.kinds)) - np.repeat(first[opens], lens)
+        return np.repeat(local[opens], lens), index
+
+    def gather(self, ops: np.ndarray) -> np.ndarray:
+        """The block ids of ``ops``, concatenated in that order."""
+        lo = self.seg_bounds[ops]
+        n = self.seg_bounds[ops + 1] - lo
+        ends = np.cumsum(n)
+        return self.seg_blocks[np.repeat(lo - (ends - n), n) + np.arange(n.sum())]
+
+    def blocks_of(self, ops: np.ndarray) -> List[Tuple[int, ...]]:
+        """The block ids of each op of ``ops``, one tuple per op."""
+        blocks, bounds = self.seg_blocks.tolist(), self.seg_bounds.tolist()
+        return [tuple(blocks[bounds[i]:bounds[i + 1]]) for i in ops.tolist()]
+
+
+class Messages(NamedTuple):
+    """A schedule's FIFO matching (contract 3) as flat columns of global
+    op indices into :class:`Columns` — computed by :func:`match_fifo`,
+    the one place the rule is written out.  Unmatched traffic (only a
+    malformed hand-built schedule has any) is listed, never refused:
+    each reader raises its own error.
+    """
+
+    #: int32 per op: its running index on its directed channel (−1 for
+    #: copies) — the compiled ``tags`` column
+    seq: np.ndarray
+    #: int64 per message, the i-th matched send in program order: the
+    #: send and the receive it matches
+    send_op: np.ndarray
+    recv_op: np.ndarray
+    mismatched: np.ndarray  #: messages whose two ops name other blocks
+    unmatched_sends: np.ndarray  #: op indices, in channel order
+    unmatched_recvs: np.ndarray  #: op indices, in channel order
+
+    def unmatched(self, cols: Columns) -> Optional[str]:
+        """The first unmatched op in program order, sends before
+        receives, worded as the simulator reports it; ``None`` when every
+        op is matched."""
+        rank, peers = cols.ranks(), cols.peers
+        if len(self.unmatched_sends):
+            i = self.unmatched_sends.min()
+            return f"unmatched send {rank[i]}->{peers[i]}"
+        if len(self.unmatched_recvs):
+            i = self.unmatched_recvs.min()
+            return f"unmatched receive on channel {(int(peers[i]), int(rank[i]))}"
+        return None
+
+
+def _running_index(chan: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, seq)``: the stable sort of ``chan`` and each entry's
+    running index among the entries equal to it."""
+    order = np.argsort(chan, kind="stable")
+    ranked = chan[order]
+    first = np.ones(len(chan), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(first)
+    run = np.diff(np.append(starts, len(chan)))
+    seq = np.empty(len(chan), dtype=np.int64)
+    seq[order] = np.arange(len(chan)) - np.repeat(starts, run)
+    return order, seq
+
+
+def match_fifo(cols: Columns) -> Messages:
+    """Pair every send with its receive: on each directed ``(src, dst)``
+    channel the n-th send matches the n-th receive.
+
+    One stable sort of the channel ids per direction gives each op its
+    running index; a send and its receive share ``(channel, seq)``.
+    """
+    kinds, p = cols.kinds, len(cols.op_ptr) - 1
+    rank, peers = cols.ranks(), cols.peers.astype(np.int64)
+    is_send = kinds == OP_SEND
+    send_at = np.flatnonzero(is_send)
+    recv_at = np.flatnonzero(~is_send & (kinds != OP_COPY))
+    send_chan = rank[send_at] * p + peers[send_at]
+    recv_chan = peers[recv_at] * p + rank[recv_at]
+    send_order, send_seq = _running_index(send_chan)
+    recv_order, recv_seq = _running_index(recv_chan)
+    seq = np.full(len(kinds), -1, dtype=np.int32)
+    seq[send_at] = send_seq
+    seq[recv_at] = recv_seq
+
+    # Receive keys ascending, then a sentinel no send key equals.
+    width = len(kinds) + 1
+    recv_key = np.append((recv_chan * width + recv_seq)[recv_order], -1)
+    send_key = send_chan * width + send_seq
+    at = np.searchsorted(recv_key[:-1], send_key)
+    hit = recv_key[at] == send_key
+    send_op, recv_op = send_at[hit], recv_at[recv_order[at[hit]]]
+    taken = np.zeros(len(recv_at), dtype=bool)
+    taken[at[hit]] = True
+
+    # Matched pairs name the same blocks unless the schedule is malformed.
+    nblk = np.diff(cols.seg_bounds)
+    differ = nblk[send_op] != nblk[recv_op]
+    same = np.flatnonzero(~differ)
+    if len(same):
+        neq = cols.gather(send_op[same]) != cols.gather(recv_op[same])
+        lens = nblk[send_op[same]]
+        differ[same] = np.logical_or.reduceat(neq, np.cumsum(lens) - lens)
+    fifo = Messages(
+        seq=seq,
+        send_op=send_op,
+        recv_op=recv_op,
+        mismatched=np.flatnonzero(differ),
+        unmatched_sends=send_at[send_order][~hit[send_order]],
+        unmatched_recvs=recv_at[recv_order][~taken],
+    )
+    for arr in fifo:
+        arr.setflags(write=False)
+    return fifo
+
 
 def _walk(
     programs: Sequence[RankProgram], nranks: int, nblocks: int
@@ -303,7 +442,7 @@ def _walk(
         signatures=frozenset(signatures),
     )
     np.cumsum(seg_lens, out=cols.seg_bounds[1:])
-    rank = np.repeat(np.arange(nranks), np.diff(cols.op_ptr))
+    rank = cols.ranks()
     if (
         (cols.kinds != OP_COPY)
         & ((wide_peers < 0) | (wide_peers >= nranks) | (wide_peers == rank))
@@ -393,8 +532,8 @@ class Schedule:
 
     def __getstate__(self) -> Dict[str, object]:
         # Content only, in the layout that predates sealing (programs as
-        # a list): the columns and the fingerprint memo are rederived on
-        # demand, and stores and the wire keep their exact bytes.
+        # a list): the columns and the memos are rederived on demand,
+        # and stores and the wire keep their exact bytes.
         state = {
             name: value
             for name, value in self.__dict__.items()
@@ -414,7 +553,8 @@ class Schedule:
 
         How a builder derives a renamed variant of a schedule it already
         has: nothing is re-walked, and the copy's fingerprint is its own
-        (labels are part of the digest).
+        (labels are part of the digest) while its :meth:`messages` are
+        this schedule's (labels do not change the traffic).
         """
         unknown = set(labels) - _LABELS
         if unknown:
@@ -459,6 +599,17 @@ class Schedule:
         if cols is None:
             cols = self.__dict__["_columns"] = self._checked_columns()
         return cols
+
+    def messages(self) -> Messages:
+        """The FIFO matching of this schedule's traffic (:class:`Messages`).
+
+        Computed at most once per object, like the fingerprint; never
+        pickled.
+        """
+        memo = self.__dict__.get("_messages")
+        if memo is None:
+            memo = self.__dict__["_messages"] = match_fifo(self.columns())
+        return memo
 
     def _checked_columns(self) -> Columns:
         cols = _walk(self.programs, self.nranks, self.nblocks)
@@ -509,11 +660,8 @@ class Schedule:
         # Tokens in front of an op: "|S" when it opens a step, and one
         # "|P" per rank begun since the previous op (ranks may be empty).
         opens = np.zeros(nops, dtype=np.int64)
-        step_start = np.repeat(op_ptr[:-1], np.diff(cols.step_ptr)) \
-            + cols.steps_raw
-        keep = np.ones(len(step_start), dtype=bool)
-        keep[cols.step_ptr[1:] - 1] = False
-        opens[step_start[keep]] = 1
+        first, keep = cols.step_starts()
+        opens[first[keep]] = 1
         busy = np.flatnonzero(np.diff(op_ptr))
         begun = np.zeros(nops, dtype=np.int64)
         begun[op_ptr[busy]] = np.diff(busy, prepend=-1)

@@ -19,6 +19,11 @@ transfers are skipped, stalled/crashed ranks record infinite completion
 times, and the engine drains cleanly — a *partial-completion result*
 instead of the blanket deadlock ``MachineError`` the engine would
 otherwise raise.
+
+The messages are the schedule's one FIFO matching
+(:meth:`~repro.core.schedule.Schedule.messages`), which
+:func:`match_messages` reads into per-message metas; the simulator's
+plan numbers its messages from the same table.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..core.schedule import RecvOp, Schedule, SendOp
+from ..core.schedule import OP_REDUCE_RECV, Schedule
 from ..errors import MachineError
 from .plan import FaultPlan
 
@@ -48,53 +53,34 @@ class MsgMeta:
 
 
 def match_messages(schedule: Schedule) -> List[MsgMeta]:
-    """Match every send to its receive (FIFO per channel), statically.
+    """Every message of ``schedule`` as a :class:`MsgMeta`, statically.
 
-    The matching rule is the one every executor implements — per-(src,
-    dst) FIFO order — so the returned metas describe exactly the messages
-    the simulator and the threaded transport will exchange.  Raises
-    :class:`~repro.errors.MachineError` on an unmatched send or receive.
+    Read from the schedule's one FIFO matching
+    (:meth:`~repro.core.schedule.Schedule.messages`) — the rule every
+    executor implements — so the returned metas describe exactly the
+    messages the simulator and the threaded transport will exchange.
+    Raises :class:`~repro.errors.MachineError` on an unmatched send or
+    receive.
     """
-    pending_recvs: Dict[Tuple[int, int], List[Tuple[int, RecvOp]]] = {}
-    for prog in schedule.programs:
-        for step_idx, op in prog.iter_ops():
-            if isinstance(op, RecvOp):
-                pending_recvs.setdefault((op.peer, prog.rank), []).append(
-                    (step_idx, op)
-                )
-    cursor: Dict[Tuple[int, int], int] = {}
-    metas: List[MsgMeta] = []
-    for prog in schedule.programs:
-        for step_idx, op in prog.iter_ops():
-            if isinstance(op, SendOp):
-                key = (prog.rank, op.peer)
-                idx = cursor.get(key, 0)
-                rlist = pending_recvs.get(key, [])
-                if idx >= len(rlist):
-                    raise MachineError(
-                        f"{schedule.describe()}: unmatched send "
-                        f"{prog.rank}->{op.peer}"
-                    )
-                cursor[key] = idx + 1
-                recv_step, rop = rlist[idx]
-                metas.append(
-                    MsgMeta(
-                        index=len(metas),
-                        src=prog.rank,
-                        dst=op.peer,
-                        seq=idx,
-                        send_step=step_idx,
-                        recv_step=recv_step,
-                        blocks=op.blocks,
-                        reduce=rop.reduce,
-                    )
-                )
-    for key, rlist in pending_recvs.items():
-        if cursor.get(key, 0) != len(rlist):
-            raise MachineError(
-                f"{schedule.describe()}: unmatched receive on channel {key}"
-            )
-    return metas
+    cols, fifo = schedule.columns(), schedule.messages()
+    lone = fifo.unmatched(cols)
+    if lone is not None:
+        raise MachineError(f"{schedule.describe()}: {lone}")
+    step, _ = cols.steps()
+    send, recv = fifo.send_op, fifo.recv_op
+    return [
+        MsgMeta(*meta)
+        for meta in zip(
+            range(len(send)),
+            cols.ranks()[send].tolist(),
+            cols.peers[send].tolist(),
+            fifo.seq[send].tolist(),
+            step[send].tolist(),
+            step[recv].tolist(),
+            cols.blocks_of(send),
+            (cols.kinds[recv] == OP_REDUCE_RECV).tolist(),
+        )
+    ]
 
 
 @dataclass(frozen=True)

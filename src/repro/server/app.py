@@ -42,7 +42,10 @@ Errors travel as JSON ``{"error": <class name>, "message": ...}`` so
 :class:`~repro.server.client.TuningClient` can re-raise
 :class:`~repro.errors.SelectionError` ("no rule covers this point")
 distinctly from :class:`~repro.errors.ServerError` ("the service is
-broken or misused").
+broken or misused").  Hostile requests get the same structured answer,
+never a hang: a head over ``_MAX_HEAD_BYTES`` is a ``431``, a body over
+``_MAX_BODY_BYTES`` a ``413``, and a head or body not delivered within
+``_READ_TIMEOUT_S`` a ``408``.
 """
 
 from __future__ import annotations
@@ -82,6 +85,15 @@ _WIRE_ERRORS = {"SelectionError": SelectionError, "ServerError": ServerError}
 #: larger ``Content-Length`` is a ``413`` before any body byte is
 #: awaited, so a client cannot announce 2⁴⁰ bytes and park a connection.
 _MAX_BODY_BYTES = 1 << 20
+
+#: Largest request head (request line + headers) read; a longer one is
+#: a ``431``.
+_MAX_HEAD_BYTES = 1 << 16
+
+#: Seconds a client has to deliver one request's head and body; a
+#: stalled head or a body shorter than its ``Content-Length`` is then a
+#: ``408`` and the connection closes, so no request can hang it.
+_READ_TIMEOUT_S = 10.0
 
 #: (collective, algorithm, p, k, root) — what a fingerprint resolves to.
 _ScheduleParams = Tuple[str, str, int, Optional[int], int]
@@ -400,20 +412,7 @@ class TuningService:
         """One connection: parse, dispatch, respond, close."""
         status, ctype, payload, endpoint = 500, "application/json", b"", "?"
         try:
-            method, target, headers = await _read_head(reader)
-            length = int(headers.get("content-length", "0"))
-            if length < 0:
-                raise _HttpReply(
-                    400, "ServerError",
-                    f"malformed request: negative Content-Length {length}",
-                )
-            if length > _MAX_BODY_BYTES:
-                raise _HttpReply(
-                    413, "PayloadTooLarge",
-                    f"request body of {length} bytes exceeds the "
-                    f"{_MAX_BODY_BYTES}-byte limit",
-                )
-            body = await reader.readexactly(length) if length else b""
+            method, target, body = await _read_request(reader)
             url = urlsplit(target)
             endpoint = url.path
             query = {
@@ -499,7 +498,9 @@ class TuningService:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> "TuningService":
         """Bind the listening socket (``port=0`` picks an ephemeral one)."""
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(
+            self._handle, host, port, limit=_MAX_HEAD_BYTES
+        )
         bound = self._server.sockets[0].getsockname()
         self.host, self.port = bound[0], bound[1]
         return self
@@ -606,7 +607,9 @@ def _error_body(error: str, message: str) -> bytes:
 
 def _response(status: int, ctype: str, payload: bytes) -> bytes:
     reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-               405: "Method Not Allowed", 413: "Payload Too Large",
+               405: "Method Not Allowed", 408: "Request Timeout",
+               413: "Payload Too Large",
+               431: "Request Header Fields Too Large",
                500: "Internal Server Error"}
     head = (
         f"HTTP/1.1 {status} {reasons.get(status, 'Error')}\r\n"
@@ -617,9 +620,58 @@ def _response(status: int, ctype: str, payload: bytes) -> bytes:
     return head.encode("latin-1") + payload
 
 
+async def _read_request(reader) -> Tuple[str, str, bytes]:
+    """``(method, target, body)`` of one HTTP/1.1 request, read within
+    ``_READ_TIMEOUT_S`` or answered with a ``408``.
+
+    A timer cancels this task when the deadline passes — not
+    :func:`asyncio.wait_for`, whose extra task per request shows on the
+    served ``/select`` path.
+    """
+    task = asyncio.current_task()
+    expired: List[bool] = []
+
+    def expire() -> None:
+        expired.append(True)
+        task.cancel()
+
+    timer = asyncio.get_running_loop().call_later(_READ_TIMEOUT_S, expire)
+    try:
+        method, target, headers = await _read_head(reader)
+        length = int(headers.get("content-length", "0"))
+        if length < 0:
+            raise _HttpReply(
+                400, "ServerError",
+                f"malformed request: negative Content-Length {length}",
+            )
+        if length > _MAX_BODY_BYTES:
+            raise _HttpReply(
+                413, "PayloadTooLarge",
+                f"request body of {length} bytes exceeds the "
+                f"{_MAX_BODY_BYTES}-byte limit",
+            )
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.CancelledError:
+        if not expired:
+            raise
+        raise _HttpReply(
+            408, "RequestTimeout",
+            f"request not received within {_READ_TIMEOUT_S:g} s",
+        ) from None
+    finally:
+        timer.cancel()
+    return method, target, body
+
+
 async def _read_head(reader) -> Tuple[str, str, Dict[str, str]]:
     """Parse the request line + headers of one HTTP/1.1 request."""
-    raw = await reader.readuntil(b"\r\n\r\n")
+    try:
+        raw = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.LimitOverrunError:
+        raise _HttpReply(
+            431, "HeaderTooLarge",
+            f"request head exceeds the {_MAX_HEAD_BYTES}-byte limit",
+        ) from None
     lines = raw.decode("latin-1").split("\r\n")
     try:
         method, target, _version = lines[0].split(" ", 2)

@@ -18,6 +18,9 @@ process boundary, with nothing shared but the URL:
 * ``GET /config`` — the selection-config artifact exports, loads back,
   and agrees with the served selections; the saved file is the artifact
   CI uploads;
+* hostile requests — an oversized head, a stalled head and a truncated
+  body each get their structured 4xx (``431``, ``408``, ``408``) within
+  the service's read deadline, and ``/select`` still answers after;
 * ``SIGTERM`` — the daemon exits 0 ("stopped cleanly").
 
 The coalescing assertion is made race-free against a real subprocess:
@@ -37,14 +40,17 @@ CI job stay one-line consumers.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 __all__ = ["run_smoke", "main"]
 
@@ -243,6 +249,58 @@ class _Smoke:
             f"collectives {list(cfg.collectives)})",
         )
 
+    def probe_hostile(self) -> None:
+        """Three requests that must neither hang nor surface as a 500,
+        sent concurrently so the two stalled ones share one deadline."""
+        from .app import _MAX_HEAD_BYTES, _READ_TIMEOUT_S
+
+        probes = {
+            "oversized head": (
+                (431, "HeaderTooLarge"),
+                b"GET /select?" + b"x" * (_MAX_HEAD_BYTES + 4096)
+                + b" HTTP/1.1\r\n\r\n",
+            ),
+            "stalled head": (
+                (408, "RequestTimeout"),
+                b"GET /select HTTP/1.1\r\nHost: smoke\r\n",
+            ),
+            "truncated body": (
+                (408, "RequestTimeout"),
+                b"POST /tune HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",
+            ),
+        }
+        replies: Dict[str, Tuple[object, float]] = {}
+        deadline = _READ_TIMEOUT_S + 10.0
+
+        def send(name: str, request: bytes) -> None:
+            began = time.monotonic()
+            try:
+                reply = _exchange(self.client.url, request, deadline)
+            except (OSError, ValueError) as exc:
+                reply = repr(exc)
+            replies[name] = (reply, time.monotonic() - began)
+
+        threads = [
+            threading.Thread(target=send, args=(name, request))
+            for name, (_, request) in probes.items()
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for name, (want, _) in probes.items():
+            reply, took = replies[name]
+            self.check(
+                reply == want and took < deadline,
+                f"{name} -> {reply} in {took:.1f}s "
+                f"(read deadline {_READ_TIMEOUT_S:g}s)",
+            )
+        choice = self.client.select("allreduce", 8, 4096)
+        self.check(
+            bool(choice.algorithm),
+            "/select still answers after the hostile requests",
+        )
+
     def shutdown(self) -> None:
         self.proc.send_signal(signal.SIGTERM)
         try:
@@ -252,6 +310,21 @@ class _Smoke:
             self.fail("server did not exit within 30s of SIGTERM")
             return
         self.check(rc == 0, f"SIGTERM -> clean exit (rc={rc})")
+
+
+def _exchange(url: str, request: bytes, timeout: float) -> Tuple[int, str]:
+    """Send raw ``request`` bytes to the service at ``url`` and read
+    until it closes: the reply's ``(status, error class)``."""
+    parts = urlsplit(url)
+    with socket.create_connection(
+        (parts.hostname, parts.port), timeout=timeout
+    ) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)["error"]
 
 
 def run_smoke(output: Path, *, followers: int = 7) -> int:
@@ -268,6 +341,7 @@ def run_smoke(output: Path, *, followers: int = 7) -> int:
         smoke.probe_coalescing(info)
         smoke.probe_metrics()
         smoke.probe_config_artifact()
+        smoke.probe_hostile()
         smoke.shutdown()
     finally:
         if smoke.proc.poll() is None:
@@ -286,7 +360,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.server.smoke",
         description="Boot a repro-serve subprocess on an ephemeral port "
         "and smoke-test /select, /schedule, coalesced /tune, /metrics, "
-        "/config, and clean SIGTERM shutdown.",
+        "/config, hostile requests, and clean SIGTERM shutdown.",
     )
     parser.add_argument("-o", "--output", type=Path,
                         default=Path("selection_config.json"),

@@ -174,9 +174,11 @@ def simulate(
     (:meth:`repro.compile.program.CompiledSchedule.sim_plan`): raw step
     boundaries, IR op order, copies dropped (modeled as free — an
     intra-GPU memcpy is off the critical path at collective
-    granularity).  The differential suite pins the plan equal to
-    :func:`repro.faults.sim.match_messages` and to the IR's op stream on
-    the whole registry grid.
+    granularity).  The plan and :func:`repro.faults.sim.match_messages`
+    read one FIFO matching
+    (:meth:`~repro.core.schedule.Schedule.messages`); the differential
+    suite pins the plan equal to both and to the IR's op stream on the
+    whole registry grid.
 
     ``engine`` selects the simulation core.  ``"materialized"`` is the
     one-actor-per-rank table described above;
@@ -284,8 +286,9 @@ def simulate(
 
     # Fault plan: the fate of messages and ranks is decided before the
     # run (decisions are deterministic, so fate is static even though
-    # costs are dynamic).  The structural matching behind it lives in
-    # repro.faults.sim.match_messages, which the plan provably equals.
+    # costs are dynamic).  repro.faults.sim.match_messages and the plan
+    # read the same FIFO matching, Schedule.messages(), so message i is
+    # one message to both.
     if faults is not None and not faults.is_active:
         faults = None
     statics = (

@@ -267,3 +267,58 @@ class TestColdTuneDoesNothingTwice:
         # composites share their phases and aliases (binomial = k-nomial
         # at k = 2, ring = k-ring at k = p) are relabel() copies.
         assert len(sealed) == len({digest(s) for s in sealed})
+
+    def test_one_fifo_matching_per_schedule(self, monkeypatch):
+        import repro.compile.program
+        import repro.core.schedule
+        from repro.check import run_checks
+        from repro.faults import Crash, FaultPlan
+        from repro.recovery.detect import simulated_failures
+        from repro.simnet.simulate import simulate
+
+        sealed, matched = [], []
+        seal, match = Schedule.__post_init__, repro.core.schedule.match_fifo
+
+        def counting_seal(self):
+            seal(self)
+            sealed.append(self)
+
+        def counting_match(cols):
+            matched.append(cols)
+            return match(cols)
+
+        monkeypatch.setattr(Schedule, "__post_init__", counting_seal)
+        for module in (repro.core.schedule, repro.compile.program):
+            monkeypatch.setattr(module, "match_fifo", counting_match)
+        schedules = global_schedule_cache()
+        for clear in (clear_sim_memo, schedules.clear, clear_class_cache,
+                      global_compiled_cache().clear):
+            clear()
+        machine = resolve("frontier-2x4")
+        try:
+            build_config(machine, (1024, 1 << 20))
+            cold = len(matched)
+            # Lowering and sim_plan() share one matching, and relabel()
+            # copies share their original's: at most one per distinct
+            # constructed schedule, each over that schedule's own
+            # columns (copies share them; none is re-derived from
+            # compiled tables).
+            assert cold == len({id(cols) for cols in matched})
+            assert {id(cols) for cols in matched} <= {
+                id(s.columns()) for s in sealed
+            }
+
+            # Every later static reader of a swept schedule reads the
+            # same table: fault statics, the simulated detector, the
+            # channel audit and dependency rounds.
+            sched, hit = schedules.get_or_build("allreduce", "kring", 8, k=4)
+            assert hit
+            plan = FaultPlan(crashes=(Crash(1, 0),))
+            assert not simulate(sched, machine, 1024, faults=plan).complete
+            assert simulated_failures(sched, plan)[0]
+            assert run_checks(sched).ok
+            assert len(matched) == cold
+        finally:
+            schedules.clear()
+            global_compiled_cache().clear()
+            clear_sim_memo()

@@ -388,3 +388,184 @@ class TestPickle:
         assert dumps_blob(old) == PARENT_WRITTEN_BLOB == dumps_blob(new)
         with pytest.raises(ScheduleError, match="immutable"):
             old.root = 1
+
+
+def reference_matching(schedule):
+    """MPI's non-overtaking rule walked op object by op object: on each
+    directed channel the n-th send matches the n-th receive.
+
+    Returns ``(seq, pairs, unmatched_sends, unmatched_recvs,
+    mismatched)`` in :class:`~repro.core.schedule.Messages`' terms —
+    global op indices, pairs in the sends' program order, unmatched ops
+    channel by channel.
+    """
+    seq, blocks = [], []
+    sends, recvs = {}, {}
+    for prog in schedule.programs:
+        for _, op in prog.iter_ops():
+            i = len(seq)
+            if isinstance(op, CopyOp):
+                seq.append(-1)
+                blocks.append(None)
+                continue
+            if isinstance(op, SendOp):
+                chan = sends.setdefault((prog.rank, op.peer), [])
+            else:
+                chan = recvs.setdefault((op.peer, prog.rank), [])
+            seq.append(len(chan))
+            blocks.append(op.blocks)
+            chan.append(i)
+    pairs, lone_sends, lone_recvs = [], [], []
+    for chan in sorted(set(sends) | set(recvs)):
+        ss, rr = sends.get(chan, []), recvs.get(chan, [])
+        pairs.extend(zip(ss, rr))
+        lone_sends.extend(ss[len(rr):])
+        lone_recvs.extend(rr[len(ss):])
+    pairs.sort()
+    mismatched = [m for m, (s, r) in enumerate(pairs) if blocks[s] != blocks[r]]
+    return seq, pairs, lone_sends, lone_recvs, mismatched
+
+
+def assert_matches_reference(schedule):
+    fifo = schedule.messages()
+    seq, pairs, lone_sends, lone_recvs, mismatched = reference_matching(
+        schedule
+    )
+    assert fifo.seq.tolist() == seq
+    assert list(zip(fifo.send_op.tolist(), fifo.recv_op.tolist())) == pairs
+    assert fifo.unmatched_sends.tolist() == lone_sends
+    assert fifo.unmatched_recvs.tolist() == lone_recvs
+    assert fifo.mismatched.tolist() == mismatched
+
+
+def handmade(nranks, nblocks, *programs):
+    """A schedule from ``(rank, [step ops], ...)`` tuples; missing ranks
+    get empty programs."""
+    progs = [RankProgram(rank=r) for r in range(nranks)]
+    for rank, *steps in programs:
+        for ops in steps:
+            progs[rank].add(*ops)
+    return Schedule("allgather", "handmade", nranks, nblocks, progs)
+
+
+def registry_grid(entry):
+    """``entry`` over p ∈ {1, 2, 3, 5, 8, 12, 16} × radices × roots."""
+    from repro.core.registry import max_radix
+
+    for p in (1, 2, 3, 5, 8, 12, 16):
+        ks = [None]
+        if entry.takes_k:
+            cap = max(entry.min_k, max_radix(entry.collective, entry.name, p))
+            ks = range(entry.min_k, cap + 1)
+        roots = sorted({0, p // 2, p - 1}) if entry.takes_root else [0]
+        for k in ks:
+            for root in roots:
+                yield entry.build(p, k=k, root=root)
+
+
+def _registry_entries():
+    from repro.core.registry import _REGISTRY
+
+    return [_REGISTRY[key] for key in sorted(_REGISTRY)]
+
+
+class TestMessages:
+    """``Schedule.messages()`` is the one FIFO matching; pinned here
+    against the rule written out over the IR objects."""
+
+    @pytest.mark.parametrize(
+        "entry", _registry_entries(),
+        ids=lambda e: f"{e.collective}/{e.name}",
+    )
+    def test_registry_grid_matches_the_reference_walk(self, entry):
+        for schedule in registry_grid(entry):
+            assert_matches_reference(schedule)
+            fifo = schedule.messages()
+            assert not len(fifo.unmatched_sends) + len(fifo.unmatched_recvs)
+            assert not len(fifo.mismatched)
+
+    @pytest.mark.parametrize("name, schedule", [
+        ("orphan send", handmade(2, 1, (0, [SendOp(1, (0,))]))),
+        ("starved receive", handmade(2, 1, (1, [RecvOp(0, (0,))]))),
+        ("different blocks", handmade(
+            3, 3,
+            (0, [SendOp(1, (0,)), SendOp(2, (0, 1))], [RecvOp(2, (2,))]),
+            (1, [RecvOp(0, (1,))], [SendOp(2, (1,))]),
+            (2, [SendOp(0, (1,))], [RecvOp(1, (0,)), RecvOp(0, (0, 2))]),
+        )),
+        ("copies", handmade(
+            2, 2,
+            (0, [CopyOp(0, 1), SendOp(1, (1,))], [CopyOp(1, 0)]),
+            (1, [RecvOp(0, (1,), reduce=True)]),
+        )),
+        ("idle ranks", handmade(
+            4, 1, (1, [SendOp(3, (0,))]), (3, [RecvOp(1, (0,))]),
+        )),
+        ("one rank", handmade(1, 2, (0, [CopyOp(0, 1)]))),
+        ("one rank, no ops", handmade(1, 1)),
+        ("orphans out of channel order", handmade(
+            3, 2, (0, [SendOp(2, (0,))], [SendOp(1, (1,))]),
+        )),
+        ("orphan and starved", handmade(
+            3, 2, (0, [SendOp(2, (0,))], [RecvOp(1, (1,))]),
+        )),
+    ])
+    def test_malformed_schedules_are_reported_not_refused(
+        self, name, schedule
+    ):
+        assert_matches_reference(schedule)
+
+    def test_readers_name_the_first_starved_receive(self):
+        # (1, 0) starves on its second receive, (2, 0) on its only one,
+        # which comes first in program order: every reader names (2, 0).
+        from repro.compile import compile_schedule
+        from repro.core.analysis import dependency_rounds
+        from repro.errors import MachineError
+        from repro.faults.sim import match_messages
+
+        schedule = handmade(
+            3, 2,
+            (0, [RecvOp(1, (0,))], [RecvOp(2, (1,))], [RecvOp(1, (1,))]),
+            (1, [SendOp(0, (0,))]),
+        )
+        with pytest.raises(MachineError, match=r"channel \(2, 0\)$"):
+            match_messages(schedule)
+        with pytest.raises(MachineError, match=r"channel \(2, 0\)$"):
+            compile_schedule(schedule).sim_plan()
+        with pytest.raises(
+            ScheduleError, match=r"\(2, 0\) has 1 recvs but only 0 sends"
+        ):
+            dependency_rounds(schedule)
+
+    def test_memoised_and_shared_by_relabel_copies(self):
+        sched = build_schedule("allgather", "kring", 6, k=6)
+        fifo = sched.messages()
+        assert sched.messages() is fifo
+        assert sched.relabel(k=None).messages() is fifo
+        assert all(not arr.flags.writeable for arr in fifo)
+
+    def test_lowering_hands_the_matching_to_the_artifact(self):
+        from repro.compile import compile_schedule
+
+        sched = build_schedule("allreduce", "kring", 12, k=3)
+        compiled = compile_schedule(sched)
+        assert compiled.messages() is sched.messages()
+        assert [prog.tags.tolist() for prog in compiled.programs] == [
+            sched.messages().seq[lo:hi].tolist()
+            for lo, hi in zip(sched.columns().op_ptr[:-1],
+                              sched.columns().op_ptr[1:])
+        ]
+        # An artifact from disk or the wire derives the same table.
+        clone = pickle.loads(pickle.dumps(compiled))
+        assert clone._messages is None
+        for got, want in zip(clone.messages(), sched.messages()):
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("key", sorted(PARENT_BLOBS))
+    def test_the_matching_never_reaches_a_blob(self, key):
+        collective, algorithm, p, k, root = key
+        sched = build_schedule(collective, algorithm, p, k=k, root=root)
+        sched.messages()
+        blob = dumps_blob(sched)
+        assert hashlib.sha256(blob.encode()).hexdigest() == PARENT_BLOBS[key]
+        assert "_messages" not in vars(loads_blob(blob, Schedule))

@@ -181,22 +181,29 @@ def test_tune_rejects_malformed_requests(served):
         client.tune("")
 
 
-def _announce(handle, content_length: str):
-    """POST /tune announcing ``content_length`` but sending no body:
-    the (status line, decoded error document) the service answers."""
+def _exchange(handle, request: bytes):
+    """Send ``request`` as is and read until the service closes: the
+    (status line, decoded error document) it answers.  A service that
+    never answers fails the test on the 5 s socket timeout."""
     service = handle.service
     with socket.create_connection(
         (service.host, service.port), timeout=5
     ) as sock:
-        sock.sendall(
-            b"POST /tune HTTP/1.1\r\nContent-Length: "
-            + content_length.encode() + b"\r\n\r\n"
-        )
+        sock.sendall(request)
         reply = b""
         while chunk := sock.recv(65536):
             reply += chunk
     head, _, body = reply.partition(b"\r\n\r\n")
     return head.split(b"\r\n")[0].decode(), json.loads(body)
+
+
+def _announce(handle, content_length: str):
+    """POST /tune announcing ``content_length`` but sending no body."""
+    return _exchange(
+        handle,
+        b"POST /tune HTTP/1.1\r\nContent-Length: "
+        + content_length.encode() + b"\r\n\r\n",
+    )
 
 
 def test_oversized_body_is_refused_before_it_is_read(served):
@@ -216,6 +223,38 @@ def test_malformed_content_length_is_a_400(served, content_length):
     assert status == "HTTP/1.1 400 Bad Request"
     assert doc["error"] == "ServerError"
     assert "malformed request" in doc["message"]
+
+
+def test_oversized_head_is_a_431(served, monkeypatch):
+    """A 70 kB request line overruns the head limit: a structured 431,
+    not asyncio's internal error as a 500."""
+    monkeypatch.setattr("repro.server.app._READ_TIMEOUT_S", 0.5)
+    handle, client, _ = served
+    status, doc = _exchange(
+        handle, b"GET /select?" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n"
+    )
+    assert status == "HTTP/1.1 431 Request Header Fields Too Large"
+    assert doc["error"] == "HeaderTooLarge"
+    assert client.info()["service"] == "repro-tuning-service"
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GET /select HTTP/1.1\r\nHost: stalled\r\n",
+    b"POST /tune HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",
+], ids=["stalled-head", "truncated-body"])
+def test_undelivered_request_is_a_408(served, monkeypatch, request_bytes):
+    """A head with no blank line, or a body shorter than its
+    Content-Length, gets a structured 408 at the read deadline and the
+    connection closes — it cannot park the service."""
+    monkeypatch.setattr("repro.server.app._READ_TIMEOUT_S", 0.5)
+    handle, client, _ = served
+    began = time.monotonic()
+    status, doc = _exchange(handle, request_bytes)
+    assert status == "HTTP/1.1 408 Request Timeout"
+    assert doc["error"] == "RequestTimeout"
+    assert "0.5 s" in doc["message"]
+    assert 0.5 <= time.monotonic() - began < 5
+    assert client.info()["service"] == "repro-tuning-service"
 
 
 def test_concurrent_tunes_coalesce(served):
