@@ -9,8 +9,10 @@ the cost that keeps the acceptance grid small; grouping ranks into
 equivalence classes and simulating one representative per class makes
 the discrete-event cost track the *class count* instead of ``p``.
 
-This module computes that partition from the compiled flat tables
-(:mod:`repro.compile.program`) by classic partition refinement:
+This module computes that partition by classic partition refinement,
+as a handful of whole-table passes over the schedule's flat columns
+(:meth:`~repro.compile.program.CompiledSchedule.columns`) — no NumPy
+call per rank:
 
 1. **Base signature** — everything about a rank's program that is
    invariant under peer relabeling: op kinds, raw step boundaries, the
@@ -20,17 +22,20 @@ This module computes that partition from the compiled flat tables
    (intra / inter / group-crossing), and the per-op *matched counterpart
    op index* — the position, in the peer's program, of the send/recv
    this op pairs with, read from the schedule's one FIFO matching
-   (:meth:`~repro.compile.program.CompiledSchedule.messages`).
+   (:meth:`~repro.compile.program.CompiledSchedule.messages`).  Each is
+   one pass over all ops, packed into one per-op record table; a rank's
+   key is its byte slice of that table plus its slice of ``steps_raw``.
 2. **Refinement** — re-split every class on the class labels of each
-   op's peers, iterated to a fixpoint.  Including the counterpart op
-   index in the base signature makes the fixpoint strong enough that,
-   for every class ``A`` and send op ``j``, the op-``j`` peers of ``A``'s
-   members form exactly one class ``B`` with ``|B| = |A|`` and a 1:1
-   sender→receiver correspondence — the bijection the collapsed engine
-   (:mod:`repro.simnet.collapsed`) needs to redirect one representative
-   transfer per (class, op) pair.  :func:`classify` verifies this
-   invariant explicitly and raises
-   :class:`~repro.errors.ClassAnalysisError` if any schedule violates it.
+   op's peers (one gather over all ops per round), iterated to a
+   fixpoint.  Including the counterpart op index in the base signature
+   makes the fixpoint strong enough that, for every class ``A`` and send
+   op ``j``, the op-``j`` peers of ``A``'s members form exactly one class
+   ``B`` with ``|B| = |A|`` and a 1:1 sender→receiver correspondence —
+   the bijection the collapsed engine (:mod:`repro.simnet.collapsed`)
+   needs to redirect one representative transfer per (class, op) pair.
+   :func:`classify` verifies this invariant explicitly, in one pass over
+   all sends, and raises :class:`~repro.errors.ClassAnalysisError` at the
+   first (class, op) that violates it.
 
 The partition depends on the total byte count only through
 ``nbytes % nblocks`` (which blocks land in the one-byte-larger prefix of
@@ -44,13 +49,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.schedule import Columns
 from ..errors import ClassAnalysisError
 from ..simnet.machine import LINK_GLOBAL, LINK_INTER, LINK_INTRA, MachineSpec
-from .program import OP_COPY, OP_SEND, CompiledProgram, CompiledSchedule
+from .program import OP_COPY, OP_SEND, CompiledSchedule
 
 __all__ = [
     "LINK_INTRA",
@@ -203,13 +209,14 @@ class RankClasses:
         )
 
 
-def _counterparts(compiled: CompiledSchedule) -> List[np.ndarray]:
-    """Per rank, per op: the index of its FIFO-matched op in the peer's
-    program (``-1`` for copies).  Unmatched traffic raises
+def _counterparts(
+    compiled: CompiledSchedule, cols: Columns, rank: np.ndarray
+) -> np.ndarray:
+    """Per op: the index of its FIFO-matched op in the peer's program
+    (``-1`` for copies).  Unmatched traffic raises
     :class:`~repro.errors.ClassAnalysisError`: the collapsed engine
     trusts this map."""
-    cols, fifo = compiled.columns(), compiled.messages()
-    p, rank = compiled.nranks, cols.ranks()
+    fifo, p = compiled.messages(), compiled.nranks
     lone = np.concatenate((fifo.unmatched_sends, fifo.unmatched_recvs))
     if len(lone):
         is_send = cols.kinds == OP_SEND
@@ -227,51 +234,7 @@ def _counterparts(compiled: CompiledSchedule) -> List[np.ndarray]:
     cops = np.full(len(cols.kinds), -1, dtype=np.int32)
     cops[fifo.send_op] = fifo.recv_op - start[fifo.recv_op]
     cops[fifo.recv_op] = fifo.send_op - start[fifo.send_op]
-    return np.split(cops, cols.op_ptr[1:-1])
-
-
-def _payload_shape(prog: CompiledProgram, extra: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-op ``(block count, large-block count)`` under residue ``extra``."""
-    bounds = prog.seg_bounds
-    nblk = (bounds[1:] - bounds[:-1]).astype(np.int32)
-    if prog.nops == 0:
-        return nblk, np.zeros(0, dtype=np.int32)
-    large = (prog.seg_blocks < extra).astype(np.int32)
-    nlarge = np.add.reduceat(large, bounds[:-1].astype(np.intp)).astype(np.int32)
-    return nblk, nlarge
-
-
-def _link_classes(
-    prog: CompiledProgram, nodes_per_group: int
-) -> np.ndarray:
-    """Per-op link class for a 1-rank-per-node machine (rank == node).
-
-    Self-communication is forbidden by the IR, so every non-copy op is
-    internode; it is group-crossing when the dragonfly group of the rank
-    and the peer differ.  Copies get ``-1``.
-    """
-    link = np.full(prog.nops, LINK_INTER, dtype=np.int8)
-    if nodes_per_group:
-        crossing = (prog.peers // nodes_per_group) != (prog.rank // nodes_per_group)
-        link[crossing] = LINK_GLOBAL
-    link[prog.kinds == OP_COPY] = -1
-    return link
-
-
-def _feed_of(prog: CompiledProgram) -> Tuple[Tuple[Tuple[bool, int], ...], ...]:
-    """Per raw step ``(is_send, op_index)`` with copies stripped."""
-    kinds = prog.kinds.tolist()
-    bounds = prog.steps_raw.tolist()
-    feed = []
-    for s in range(len(bounds) - 1):
-        ops = []
-        for i in range(bounds[s], bounds[s + 1]):
-            kind = kinds[i]
-            if kind == OP_COPY:
-                continue
-            ops.append((kind == OP_SEND, i))
-        feed.append(tuple(ops))
-    return tuple(feed)
+    return cops
 
 
 def classify(
@@ -301,85 +264,103 @@ def classify(
             f"{machine.name} hosts {machine.nranks} ranks but the "
             f"schedule needs {compiled.nranks}"
         )
-    p = compiled.nranks
-    programs = compiled.programs
+    p, cols = compiled.nranks, compiled.columns()
     extra = nbytes % compiled.nblocks
     _, npg = link_profile(machine)
-    cops = _counterparts(compiled)
+    kinds, peers, bounds = cols.kinds, cols.peers, cols.seg_bounds
+    op_ptr = cols.op_ptr
+    rank = cols.ranks()
+    ops, steps = op_ptr.tolist(), cols.step_ptr.tolist()
 
-    shapes = [_payload_shape(prog, extra) for prog in programs]
-    links = [_link_classes(prog, npg) for prog in programs]
-
-    # Base signature: relabeling-invariant program content.
-    base_keys = []
-    for r, prog in enumerate(programs):
-        nblk, nlarge = shapes[r]
-        base_keys.append((
-            prog.kinds.tobytes(),
-            prog.steps_raw.tobytes(),
-            nblk.tobytes(),
-            nlarge.tobytes(),
-            links[r].tobytes(),
-            cops[r].tobytes(),
-        ))
-    labels = _dense_labels(base_keys)
+    # Base signature, one pass per input over every op: payload shape
+    # (blocks, and how many sit in the one-larger prefix), link class
+    # (rank == node, so every message is internode; copies -1) and
+    # counterpart op, packed into one record per op.
+    large = np.concatenate(([0], np.cumsum(cols.seg_blocks < extra)))
+    nblk = np.diff(bounds).astype(np.int32)
+    nlarge = (large[bounds[1:]] - large[bounds[:-1]]).astype(np.int32)
+    link = np.full(len(kinds), LINK_INTER, dtype=np.int8)
+    if npg:
+        link[peers // npg != rank // npg] = LINK_GLOBAL
+    link[kinds == OP_COPY] = -1
+    cops = _counterparts(compiled, cols, rank)
+    record = np.stack((kinds, nblk, nlarge, link, cops), axis=1).astype("<i4")
+    labels = _dense_labels(zip(
+        _cut(record.tobytes(), ops, 20),
+        _cut(cols.steps_raw.tobytes(), steps, 4),
+    ))
 
     # Refinement: split on peer class labels until stable.  Copies carry
-    # peer -1; map them to a fixed sentinel label outside the class space.
-    peer_idx = [prog.peers.astype(np.intp) for prog in programs]
-    copy_mask = [prog.peers < 0 for prog in programs]
+    # peer -1, which gathers the sentinel label -1 past the class space.
+    by_rank = np.full(p + 1, -1, dtype=np.int32)
     for _ in range(p):
-        keys = []
-        for r in range(p):
-            peer_labels = labels[np.where(copy_mask[r], 0, peer_idx[r])]
-            peer_labels = np.where(copy_mask[r], -1, peer_labels)
-            keys.append((int(labels[r]), peer_labels.tobytes()))
-        new_labels = _dense_labels(keys)
+        by_rank[:p] = labels
+        new_labels = _dense_labels(zip(
+            labels.tolist(), _cut(by_rank[peers].tobytes(), ops, 4)
+        ))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
+    counts = np.bincount(labels)
+    reps = np.unique(labels, return_index=True)[1]
 
-    # Assemble per-class programs and verify the bijection invariant.
-    nclasses = int(labels.max()) + 1 if p else 0
-    counts = np.bincount(labels, minlength=nclasses)
+    # Bijection check over every send at once.  A (class, op) pair is
+    # named by its representative's op, ``lead``: lead order is (class,
+    # op) order, so the first flagged lead is the first violation.
+    sends = np.flatnonzero(kinds == OP_SEND)
+    src = labels[rank[sends]]
+    lead = op_ptr[reps[src]] + sends - op_ptr[rank[sends]]
+    dst = labels[peers[lead]]
+    split = np.zeros(len(kinds), dtype=bool)
+    split[lead[labels[peers[sends]] != dst]] = True
+    pairs = np.sort(lead * p + peers[sends])
+    uneven = np.zeros(len(kinds), dtype=bool)
+    uneven[pairs[1:][pairs[1:] == pairs[:-1]] // p] = True
+    uneven[lead[counts[dst] != counts[src]]] = True
+    bad = np.flatnonzero(split | uneven)
+    if len(bad):
+        g = int(bad[0])
+        c, j = int(labels[rank[g]]), g - ops[rank[g]]
+        if split[g]:
+            raise ClassAnalysisError(
+                f"class {c} op {j}: peers span multiple classes"
+            )
+        tc = int(labels[peers[g]])
+        raise ClassAnalysisError(
+            f"class {c} op {j}: sends to class {tc} are not 1:1 "
+            f"({int(counts[c])} sender(s), {int(counts[tc])} receiver(s))"
+        )
+
+    # Each class program is its representative's slices of the columns.
+    # Redirections: (target class, counterpart op) per representative send.
+    targets: List[Optional[Tuple[int, int]]] = [None] * len(kinds)
+    mine = sends[lead == sends]
+    for g, target in zip(mine.tolist(), zip(
+        labels[peers[mine]].tolist(), cops[mine].tolist()
+    )):
+        targets[g] = target
+    # Feed: per raw step, (is_send, op index) of every op but copies.
+    moves = kinds != OP_COPY
+    at = np.flatnonzero(moves)
+    entries = list(zip(
+        (kinds[at] == OP_SEND).tolist(), (at - op_ptr[rank[at]]).tolist()
+    ))
+    before = np.concatenate(([0], np.cumsum(moves)))
+    cut = before[cols.step_starts()[0]].tolist()
     classes: List[ClassProgram] = []
-    members_of = [np.where(labels == c)[0] for c in range(nclasses)]
-    for c in range(nclasses):
-        members = members_of[c]
-        rep = int(members[0])
-        prog = programs[rep]
-        nblk, nlarge = shapes[rep]
-        kinds = prog.kinds
-        send_target: List[Optional[Tuple[int, int]]] = [None] * prog.nops
-        if len(members) > 1:
-            member_peers = np.stack([programs[int(m)].peers for m in members])
-        else:
-            member_peers = prog.peers[None, :]
-        for j in range(prog.nops):
-            if kinds[j] != OP_SEND:
-                continue
-            targets = member_peers[:, j]
-            target_labels = labels[targets]
-            tc = int(target_labels[0])
-            if not np.all(target_labels == tc):
-                raise ClassAnalysisError(
-                    f"class {c} op {j}: peers span multiple classes"
-                )
-            if len(np.unique(targets)) != len(members) or counts[tc] != len(members):
-                raise ClassAnalysisError(
-                    f"class {c} op {j}: sends to class {tc} are not 1:1 "
-                    f"({len(members)} sender(s), {int(counts[tc])} receiver(s))"
-                )
-            send_target[j] = (tc, int(cops[rep][j]))
+    for c, r in enumerate(reps.tolist()):
+        lo, hi, s0, s1 = ops[r], ops[r + 1], steps[r], steps[r + 1]
         classes.append(ClassProgram(
-            rep=rep,
+            rep=r,
             size=int(counts[c]),
-            kinds=kinds,
-            nblk=nblk,
-            nlarge=nlarge,
-            link=links[rep],
-            feed=_feed_of(prog),
-            send_target=tuple(send_target),
+            kinds=kinds[lo:hi],
+            nblk=nblk[lo:hi],
+            nlarge=nlarge[lo:hi],
+            link=link[lo:hi],
+            feed=tuple(
+                tuple(entries[a:b]) for a, b in zip(cut[s0:s1], cut[s0 + 1:s1])
+            ),
+            send_target=tuple(targets[lo:hi]),
         ))
     return RankClasses(
         nranks=p,
@@ -390,10 +371,14 @@ def classify(
     )
 
 
-def _dense_labels(keys: List) -> np.ndarray:
+def _cut(table: bytes, ptr: Sequence[int], width: int) -> List[bytes]:
+    """Per rank, its slice of a per-op (or per-step) byte table."""
+    return [table[a * width:b * width] for a, b in zip(ptr, ptr[1:])]
+
+
+def _dense_labels(keys: Iterable) -> np.ndarray:
     """Dense class ids in order of first occurrence (rep = lowest rank)."""
     table: Dict = {}
-    labels = np.empty(len(keys), dtype=np.int32)
-    for r, key in enumerate(keys):
-        labels[r] = table.setdefault(key, len(table))
-    return labels
+    return np.array(
+        [table.setdefault(key, len(table)) for key in keys], dtype=np.int32
+    )

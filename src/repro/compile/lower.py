@@ -12,13 +12,13 @@ the tables are those columns cut per rank, plus what the matching says:
   runtime, precomputed from the matching's list of pairs whose block
   lists differ (only a malformed, hand-built schedule has any).
 
-The artifact keeps the matching as a runtime-only field for the
-simulator plan and class analysis.  The self-verification pass
-(:mod:`repro.compile.verify`) re-derives every table from the IR
-*objects* with counters of its own — an independent second derivation
-— and compares exactly: any disagreement is a compiler bug (or a
-corrupted artifact) and raises :class:`~repro.errors.CompileError`
-instead of executing wrong.
+The artifact keeps the matching and the columns themselves as
+runtime-only fields for the simulator plan and class analysis.  The
+self-verification pass (:mod:`repro.compile.verify`) re-derives every
+table from the IR *objects* with counters of its own — an independent
+second derivation — and compares exactly: any disagreement is a
+compiler bug (or a corrupted artifact) and raises
+:class:`~repro.errors.CompileError` instead of executing wrong.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ def _lower(schedule: Schedule) -> CompiledSchedule:
         staging_plan=StagingPlan(signatures=tuple(sorted(cols.signatures))),
         fifo_mismatches=mismatches,
         _messages=fifo,
+        _columns=cols,
     )
 
 

@@ -257,6 +257,12 @@ class CompiledSchedule:
     _messages: Optional[Messages] = field(
         default=None, repr=False, compare=False
     )
+    _columns: Optional[Columns] = field(
+        default=None, repr=False, compare=False
+    )
+    _fingerprint: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -266,14 +272,14 @@ class CompiledSchedule:
         state = self.__dict__.copy()
         state["_bind_cache"] = {}
         state["_sim_plan"] = None
-        state.pop("_messages", None)
-        state.pop("_lock", None)
+        for memo in ("_messages", "_columns", "_fingerprint", "_lock"):
+            state.pop(memo, None)
         return state
 
     def __setstate__(self, state):
         """Restore content and recreate the runtime-only fields."""
         self.__dict__.update(state)
-        self._messages = None
+        self._messages = self._columns = self._fingerprint = None
         self._lock = threading.Lock()
 
     def describe(self) -> str:
@@ -296,7 +302,12 @@ class CompiledSchedule:
         the *lowering* — a change to table layout or the staging plan
         moves it even when the source IR is unchanged.
         The 8-rank k-nomial golden in ``tests/golden`` watches it.
+        Computed at most once per object, runtime-only like
+        :meth:`messages` (never pickled).
         """
+        memo = self._fingerprint
+        if memo is not None:
+            return memo
         h = hashlib.sha256()
         h.update(
             f"{self.collective}|{self.algorithm}|{self.nranks}|"
@@ -308,7 +319,8 @@ class CompiledSchedule:
             h.update(prog.table_bytes())
         for sig in self.staging_plan.signatures:
             h.update(("|G" + ",".join(map(str, sig))).encode())
-        return h.hexdigest()
+        self._fingerprint = memo = h.hexdigest()
+        return memo
 
     def verify(self, schedule) -> None:
         """Run the self-verification pass against the source schedule.
@@ -423,15 +435,21 @@ class CompiledSchedule:
         return plan
 
     def columns(self) -> Columns:
-        """The tables concatenated back into the source schedule's flat
-        :class:`~repro.core.schedule.Columns`."""
+        """The tables as the source schedule's flat
+        :class:`~repro.core.schedule.Columns`, runtime-only like
+        :meth:`messages`: lowering hands over the schedule's own sealed
+        columns, an artifact from disk or the wire concatenates its
+        tables once."""
+        cols = self._columns
+        if cols is not None:
+            return cols
         progs = self.programs
 
         def cat(name: str) -> np.ndarray:
             return np.concatenate([getattr(prog, name) for prog in progs])
 
         seg_len = np.concatenate([np.diff(prog.seg_bounds) for prog in progs])
-        return Columns(
+        self._columns = cols = Columns(
             kinds=cat("kinds"),
             peers=cat("peers"),
             seg_bounds=np.concatenate(([0], np.cumsum(seg_len))),
@@ -441,6 +459,7 @@ class CompiledSchedule:
             step_ptr=np.cumsum([0] + [len(prog.steps_raw) for prog in progs]),
             signatures=frozenset(self.staging_plan.signatures),
         )
+        return cols
 
     def messages(self) -> Messages:
         """The FIFO matching of the tables, runtime-only like

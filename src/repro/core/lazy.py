@@ -253,8 +253,10 @@ class LazySchedule:
     def _verify_symmetry(self, t0: _Tables) -> None:
         """Probe ranks must equal rank 0's tables under the relabeling."""
         p = self.nranks
-        probes = sorted({1, 2, 3, p // 2, p // 2 + 1, p - 2, p - 1}
-                        & set(range(1, p)))
+        probes = sorted(
+            r for r in {1, 2, 3, p // 2, p // 2 + 1, p - 2, p - 1}
+            if 0 < r < p
+        )
         for r in probes:
             tr = self._tables(r)
             if not (

@@ -60,6 +60,14 @@ __all__ = ["SimResult", "simulate", "traffic_summary", "TrafficSummary",
 #: Valid values for ``simulate(engine=...)`` and the CLIs' ``--engine``.
 ENGINES = ("auto", "materialized", "collapsed")
 
+#: Why a run ``simulate()`` considered collapsing ran materialized: the
+#: ``reason`` label of ``repro_engine_fallbacks_total``.  The first five
+#: are per-rank asymmetries of the run, ``machine`` a machine that
+#: shares resources between ranks, ``class_analysis`` a refused
+#: partition, ``small_p`` and ``degenerate`` the ``auto`` policy.
+FALLBACK_REASONS = ("noise", "faults", "timeline", "block_map", "root",
+                    "machine", "class_analysis", "small_p", "degenerate")
+
 #: Below this rank count ``engine="auto"`` runs the materialized engine
 #: even when the schedule is collapsible — class analysis overhead beats
 #: the savings at small p, and small-p runs are the compatibility surface
@@ -107,8 +115,10 @@ def _collapse_blockers(
     faults,
     collect_timeline: bool,
     block_map,
-) -> Optional[str]:
-    """Why this run cannot use the collapsed engine, or ``None``.
+) -> Optional[Tuple[str, str]]:
+    """Why this run cannot use the collapsed engine — ``(reason, text)``,
+    the ``repro_engine_fallbacks_total`` label and the words — or
+    ``None``.
 
     Any per-rank asymmetry breaks the class-equivalence argument: noise
     draws per-message factors, fault plans target individual ranks/links,
@@ -118,19 +128,20 @@ def _collapse_blockers(
     the relabeling the dispatcher routes it to the materialized engine.
     """
     if noise is not None:
-        return "noise model active"
+        return "noise", "noise model active"
     if faults is not None:
-        return "fault plan present"
+        return "faults", "fault plan present"
     if collect_timeline:
-        return "timeline collection requested"
+        return "timeline", "timeline collection requested"
     if block_map is not None:
-        return "custom block map"
+        return "block_map", "custom block map"
     root = getattr(schedule, "root", None)
     if root not in (None, 0):
-        return f"nonzero root {root}"
+        return "root", f"nonzero root {root}"
     from ..compile.classes import machine_asymmetry
 
-    return machine_asymmetry(machine)
+    asymmetry = machine_asymmetry(machine)
+    return None if asymmetry is None else ("machine", asymmetry)
 
 
 def simulate(
@@ -190,7 +201,10 @@ def simulate(
     machine) and large enough to profit, materialized otherwise.  An
     explicit ``engine="collapsed"`` request on an asymmetric run does not
     fail: it falls back to the materialized engine and records why in
-    ``SimResult.fallback``.  ``machine`` may also be a registry name
+    ``SimResult.fallback``.  With observability enabled, every
+    ``auto`` / ``collapsed`` run that ends on the materialized engine
+    counts once in ``repro_engine_fallbacks_total{reason}``, ``reason``
+    one of :data:`FALLBACK_REASONS`.  ``machine`` may also be a registry name
     (e.g. ``"dragonfly-1024"``) — resolved via
     :func:`repro.simnet.machines.get`.
 
@@ -227,8 +241,9 @@ def simulate(
     # ------------------------------------------------------------------
     lazy = getattr(schedule, "is_lazy", False)
     fallback: Optional[str] = None
+    refused: Optional[str] = None  # repro_engine_fallbacks_total's reason
     if engine in ("auto", "collapsed"):
-        reason = _collapse_blockers(
+        blocker = _collapse_blockers(
             schedule,
             machine,
             noise=noise,
@@ -236,14 +251,13 @@ def simulate(
             collect_timeline=collect_timeline,
             block_map=block_map,
         )
-        attempt = reason is None
-        if attempt and engine == "auto" and not lazy and (
-            p < _AUTO_COLLAPSE_MIN_RANKS
-        ):
-            attempt = False  # policy choice at small p, not a fallback
-        elif reason is not None and engine == "collapsed":
-            fallback = reason
-        if attempt:
+        if blocker is not None:
+            refused, text = blocker
+            if engine == "collapsed":
+                fallback = text
+        elif engine == "auto" and not lazy and p < _AUTO_COLLAPSE_MIN_RANKS:
+            refused = "small_p"  # policy choice, not a SimResult.fallback
+        else:
             from .collapsed import simulate_collapsed
 
             try:
@@ -270,13 +284,18 @@ def simulate(
                         schedule_desc=schedule.describe(),
                         obs=obs,
                     )
+                refused = "degenerate"
             except ClassAnalysisError as exc:
-                fallback = str(exc)
+                refused, fallback = "class_analysis", str(exc)
 
     if lazy:
         schedule = schedule.materialize()
     blocks = schedule.block_map(nbytes) if block_map is None else block_map
     scope = get_obs(obs)
+    if refused is not None and scope.enabled:
+        scope.metrics.counter(
+            "repro_engine_fallbacks_total", reason=refused
+        ).inc()
 
     from ..compile import get_or_compile
 

@@ -5,9 +5,12 @@ in a class must be timing-indistinguishable from its representative up
 to peer relabeling, and the class graph must stay a bijection (class-c
 sends land 1:1 on a single receiving class).  These tests pin the
 partition's shape on known-symmetric and known-degenerate schedules, the
-cache behavior of :func:`repro.compile.get_or_classify`, and the machine
-preconditions.
+cache behavior of :func:`repro.compile.get_or_classify`, the machine
+preconditions, and the whole-table implementation against the per-rank
+one it replaced (kept below as the reference) over the registry grid.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -115,3 +118,290 @@ class TestMachinePreconditions:
         with pytest.raises(ClassAnalysisError):
             classify(compile_schedule(build_schedule("allgather", "ring", 8)),
                      reference(16), 4096)
+
+
+# ----------------------------------------------------------------------
+# Differential: classify's whole-table passes against the partition as
+# it was first written — one rank, one class and one op at a time.
+# ----------------------------------------------------------------------
+
+
+def reference_classify(compiled, machine, nbytes, forged=None):
+    """The per-rank classify the whole-table passes must reproduce:
+    same partition, same class programs, same first error.  ``forged``
+    replaces the computed partition, to reach the bijection check."""
+    from repro.compile.classes import (
+        LINK_GLOBAL, LINK_INTER, ClassProgram, RankClasses, link_profile,
+    )
+    from repro.compile.program import OP_COPY, OP_SEND
+
+    p, programs = compiled.nranks, compiled.programs
+    extra = nbytes % compiled.nblocks
+    _, npg = link_profile(machine)
+    nops = [prog.nops for prog in programs]
+    start = np.repeat(np.cumsum([0] + nops)[:-1], nops)
+    fifo = compiled.messages()
+    flat = np.full(sum(nops), -1, dtype=np.int32)
+    flat[fifo.send_op] = fifo.recv_op - start[fifo.recv_op]
+    flat[fifo.recv_op] = fifo.send_op - start[fifo.send_op]
+    cops = np.split(flat, np.cumsum(nops)[:-1])
+
+    def shape(prog):
+        bounds = prog.seg_bounds
+        nblk = (bounds[1:] - bounds[:-1]).astype(np.int32)
+        if prog.nops == 0:
+            return nblk, np.zeros(0, dtype=np.int32)
+        large = (prog.seg_blocks < extra).astype(np.int32)
+        return nblk, np.add.reduceat(
+            large, bounds[:-1].astype(np.intp)
+        ).astype(np.int32)
+
+    def link_of(prog):
+        link = np.full(prog.nops, LINK_INTER, dtype=np.int8)
+        if npg:
+            link[(prog.peers // npg) != (prog.rank // npg)] = LINK_GLOBAL
+        link[prog.kinds == OP_COPY] = -1
+        return link
+
+    def feed_of(prog):
+        kinds, bounds = prog.kinds.tolist(), prog.steps_raw.tolist()
+        return tuple(
+            tuple((kinds[i] == OP_SEND, i) for i in range(lo, hi)
+                  if kinds[i] != OP_COPY)
+            for lo, hi in zip(bounds, bounds[1:])
+        )
+
+    def dense(keys):
+        table = {}
+        return np.array([table.setdefault(k, len(table)) for k in keys],
+                        dtype=np.int32)
+
+    shapes = [shape(prog) for prog in programs]
+    links = [link_of(prog) for prog in programs]
+    labels = dense(
+        (prog.kinds.tobytes(), prog.steps_raw.tobytes(),
+         shapes[r][0].tobytes(), shapes[r][1].tobytes(),
+         links[r].tobytes(), cops[r].tobytes())
+        for r, prog in enumerate(programs)
+    )
+    for _ in range(p):
+        keys = []
+        for r, prog in enumerate(programs):
+            copy = prog.peers < 0
+            peer_labels = labels[np.where(copy, 0, prog.peers)]
+            keys.append((int(labels[r]),
+                         np.where(copy, -1, peer_labels).tobytes()))
+        new_labels = dense(keys)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    if forged is not None:
+        labels = np.array(forged, dtype=np.int32)
+
+    counts, label_of = np.bincount(labels).tolist(), labels.tolist()
+    classes = []
+    for c in range(len(counts)):
+        members = np.flatnonzero(labels == c)
+        rep = int(members[0])
+        prog = programs[rep]
+        member_peers = [programs[m].peers.tolist() for m in members]
+        send_target = [None] * prog.nops
+        for j in np.flatnonzero(prog.kinds == OP_SEND).tolist():
+            targets = [peers[j] for peers in member_peers]
+            tc = label_of[targets[0]]
+            if any(label_of[t] != tc for t in targets):
+                raise ClassAnalysisError(
+                    f"class {c} op {j}: peers span multiple classes"
+                )
+            if len(set(targets)) != len(members) or (
+                counts[tc] != len(members)
+            ):
+                raise ClassAnalysisError(
+                    f"class {c} op {j}: sends to class {tc} are not 1:1 "
+                    f"({len(members)} sender(s), {counts[tc]} receiver(s))"
+                )
+            send_target[j] = (tc, int(cops[rep][j]))
+        classes.append(ClassProgram(
+            rep=rep, size=counts[c], kinds=prog.kinds,
+            nblk=shapes[rep][0], nlarge=shapes[rep][1], link=links[rep],
+            feed=feed_of(prog), send_target=tuple(send_target),
+        ))
+    return RankClasses(nranks=p, nblocks=compiled.nblocks, residue=extra,
+                       labels=labels, classes=tuple(classes))
+
+
+def assert_same_classes(got, want):
+    assert got.fingerprint() == want.fingerprint()
+    assert got.labels.tolist() == want.labels.tolist()
+    assert [c.feed for c in got.classes] == [c.feed for c in want.classes]
+    assert [c.send_target for c in got.classes] == [
+        c.send_target for c in want.classes
+    ]
+
+
+def _grid_schedules(entry):
+    """``entry`` over p ∈ {1, 2, 3, 5, 8, 12, 16, 32} × radices × roots
+    0 and 1."""
+    from repro.core.registry import max_radix
+
+    for p in (1, 2, 3, 5, 8, 12, 16, 32):
+        ks = [None]
+        if entry.takes_k:
+            cap = max(entry.min_k, max_radix(entry.collective, entry.name, p))
+            ks = range(entry.min_k, cap + 1)
+        roots = [r for r in (0, 1) if r < p] if entry.takes_root else [0]
+        for k in ks:
+            for root in roots:
+                yield entry.build(p, k=k, root=root)
+
+
+def _dragonfly(p):
+    """One rank per node in dragonfly groups of four (two, one when p
+    is not a multiple) without global channel pools: collapsible, with
+    group-crossing link classes."""
+    from dataclasses import replace
+
+    from repro.simnet.machine import DragonflySpec
+
+    group = next(g for g in (4, 2, 1) if p % g == 0)
+    return replace(reference(p), name=f"dragonfly-{p}-groups-of-{group}",
+                   dragonfly=DragonflySpec(nodes_per_group=group,
+                                           alpha_global=1e-6))
+
+
+def _registry_entries():
+    from repro.core.registry import _REGISTRY
+
+    return [_REGISTRY[key] for key in sorted(_REGISTRY)]
+
+
+def _fan_in():
+    """Ranks 1 and 2 each send rank 0 one block."""
+    from repro.core.schedule import RankProgram, RecvOp, Schedule, SendOp
+
+    progs = [RankProgram(rank=r) for r in range(3)]
+    progs[0].add(RecvOp(1, (0,)), RecvOp(2, (1,)))
+    progs[1].add(SendOp(0, (0,)))
+    progs[2].add(SendOp(0, (1,)))
+    return Schedule("gather", "fan-in", 3, 2, progs)
+
+
+class TestWholeTableDifferential:
+    @pytest.mark.parametrize(
+        "entry", _registry_entries(),
+        ids=lambda e: f"{e.collective}/{e.name}",
+    )
+    def test_registry_grid_matches_the_per_rank_reference(self, entry):
+        for schedule in _grid_schedules(entry):
+            compiled = compile_schedule(schedule, verify=False)
+            p, nb = schedule.nranks, schedule.nblocks
+            # Residue nb // 2 splits the blocks into large and small
+            # (residue 0 when there is one block); 1 makes one large.
+            for machine, nbytes in (
+                (reference(p), 64 * nb + nb // 2),
+                (_dragonfly(p), 64 * nb + 1),
+            ):
+                assert_same_classes(
+                    classify(compiled, machine, nbytes),
+                    reference_classify(compiled, machine, nbytes),
+                )
+
+    def test_artifact_from_the_wire_derives_its_columns_once(self):
+        import pickle
+
+        schedule = build_schedule("allreduce", "knomial", 12, k=3)
+        lowered = compile_schedule(schedule)
+        clone = pickle.loads(pickle.dumps(lowered))
+        assert lowered.columns() is schedule.columns()
+        assert clone.columns() is clone.columns()
+        for name in ("kinds", "peers", "seg_bounds", "seg_blocks",
+                     "steps_raw", "op_ptr", "step_ptr"):
+            assert np.array_equal(getattr(clone.columns(), name),
+                                  getattr(schedule.columns(), name)), name
+        for machine in (reference(12), _dragonfly(12)):
+            assert_same_classes(classify(clone, machine, 4099),
+                                classify(lowered, machine, 4099))
+
+    # A computed fixpoint always satisfies the bijection check, so a
+    # forged partition stands in for a refinement bug: the texts are
+    # pinned here.
+    @pytest.mark.parametrize("schedule, forged, text", [
+        (build_schedule("allgather", "ring", 4), [0, 0, 1, 1],
+         "class 0 op 0: peers span multiple classes"),
+        (_fan_in(), [0, 1, 1],
+         "class 1 op 0: sends to class 0 are not 1:1 "
+         "(2 sender(s), 1 receiver(s))"),
+    ])
+    def test_bijection_violation_texts(self, monkeypatch, schedule, forged,
+                                       text):
+        import repro.compile.classes as classes
+
+        compiled = compile_schedule(schedule)
+        machine = reference(schedule.nranks)
+        exact = f"^{re.escape(text)}$"
+        with pytest.raises(ClassAnalysisError, match=exact):
+            reference_classify(compiled, machine, 64, forged=forged)
+        monkeypatch.setattr(
+            classes, "_dense_labels",
+            lambda keys: np.array(forged, dtype=np.int32),
+        )
+        with pytest.raises(ClassAnalysisError, match=exact):
+            classify(compiled, machine, 64)
+
+
+class TestScaleSimDoesNothingTwice:
+    """Clock-free guard on perfbench's ``scale_sim`` built-then-classified
+    units (build, classify, then two sizes of one residue through
+    ``engine="auto"``): counts, not times."""
+
+    def test_columns_handed_over_and_one_digest_per_artifact(
+        self, monkeypatch
+    ):
+        import repro
+        import repro.compile.program as program
+        from repro.compile.cache import (
+            clear_class_cache, get_or_compile, global_compiled_cache,
+        )
+        from repro.core.cache import global_schedule_cache
+
+        derived, hashed = [], []
+        columns, table_bytes = program.Columns, program.CompiledProgram.table_bytes
+
+        def counting_columns(*args, **kwargs):
+            derived.append(kwargs)
+            return columns(*args, **kwargs)
+
+        def counting_table_bytes(self):
+            hashed.append(self)
+            return table_bytes(self)
+
+        monkeypatch.setattr(program, "Columns", counting_columns)
+        monkeypatch.setattr(program.CompiledProgram, "table_bytes",
+                            counting_table_bytes)
+        clears = (global_schedule_cache().clear, clear_class_cache,
+                  global_compiled_cache().clear)
+        for clear in clears:
+            clear()
+        machine = reference(256)
+        try:
+            compiled, engines = [], []
+            for coll, alg, k in (("allreduce", "recursive_multiplying", 2),
+                                 ("bcast", "knomial", 4)):
+                schedule = repro.build(coll, alg, p=256, k=k)
+                get_or_classify(schedule, machine, 256 * 32)
+                for words in (4, 512):
+                    engines.append(repro.simulate(
+                        schedule, machine, nbytes=256 * 8 * words
+                    ).engine)
+                compiled.append(get_or_compile(schedule))
+        finally:
+            for clear in clears:
+                clear()
+        assert engines == ["collapsed"] * 2 + ["materialized"] * 2
+        # The lowered artifact reads its schedule's own columns …
+        assert not derived
+        # … and is hashed once however many partition keys ask.
+        assert len(hashed) == len({id(prog) for prog in hashed})
+        assert {id(prog) for prog in hashed} == {
+            id(prog) for c in compiled for prog in c.programs
+        }

@@ -112,6 +112,25 @@ class TestMaterialize:
         with pytest.raises(ScheduleError):
             lazy.materialize()
 
+    def test_symmetry_probes_allocate_nothing_of_size_p(self):
+        # Seven probe ranks are picked without a p-element set: at
+        # p = 2^20 the only O(p) allocation left is the 4 MiB label
+        # vector of the result.
+        import tracemalloc
+
+        p = 1 << 20
+        machine = reference(p)
+        tracemalloc.start()
+        try:
+            classes = lookup("allreduce", "recursive_doubling", p).classes(
+                machine, 64
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert classes.nclasses == 1
+        assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_auto_simulates_lazy_without_materializing(self):
         # The whole point: a p=4096 lazy schedule simulates through the
         # collapsed engine without ever expanding per-rank step lists.

@@ -24,6 +24,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import SimTimeline, TraceContext, Tracer
 from repro.simnet import reference, simulate
+from repro.simnet.simulate import FALLBACK_REASONS
 from repro.simnet.trace import TimelineStats, timeline_stats
 from repro.core.primitives import shared_phase, sharing_phases
 from repro.core.registry import build_schedule
@@ -363,6 +364,77 @@ class TestStatsProtocol:
             snap.value("repro_cache_evictions_total", cache=row),
         ) == (stats.hits, stats.misses, stats.evictions)
         cache.clear()
+
+    # Every refusal of the collapsed engine is counted under its reason:
+    # each row is one simulate() that considered collapsing and ran
+    # materialized (explicit requests and auto alike), plus the two
+    # controls that count nothing — a collapsed run and an explicit
+    # materialized one.
+    @staticmethod
+    def _fallback_run(reason):
+        from repro.core.blocks import BlockMap
+        from repro.core.lazy import lookup
+        from repro.faults import Crash, FaultPlan
+        from repro.simnet.machines import frontier
+        from repro.simnet.noise import NoiseModel
+
+        ring, m8 = build_schedule("allgather", "ring", 8), reference(8)
+        return {
+            "noise": lambda: simulate(ring, m8, 4096, engine="collapsed",
+                                      noise=NoiseModel(sigma=0.1, seed=1)),
+            "faults": lambda: simulate(
+                ring, m8, 4096, faults=FaultPlan(crashes=(Crash(1, 0),))
+            ),
+            "timeline": lambda: simulate(ring, m8, 4096, engine="collapsed",
+                                         collect_timeline=True),
+            "block_map": lambda: simulate(ring, m8, 4096, engine="collapsed",
+                                          block_map=BlockMap(4096, 8)),
+            "root": lambda: simulate(
+                build_schedule("bcast", "knomial", 8, k=2, root=3), m8,
+                4096, engine="collapsed",
+            ),
+            "machine": lambda: simulate(ring, frontier(4, 2), 4096,
+                                        engine="collapsed"),
+            # A lazy schedule refuses a total that is not a multiple of
+            # its blocks.
+            "class_analysis": lambda: simulate(
+                lookup("allgather", "ring", 8), m8, 4097
+            ),
+            "small_p": lambda: simulate(ring, m8, 4096),
+            "degenerate": lambda: simulate(
+                build_schedule("bcast", "knomial", 256, k=2),
+                reference(256), 4096,
+            ),
+            None: lambda: simulate(ring, m8, 4096, engine="collapsed"),
+            "explicit": lambda: simulate(ring, m8, 4096,
+                                         engine="materialized"),
+        }[reason]
+
+    @pytest.mark.parametrize("reason", [
+        *FALLBACK_REASONS, None, "explicit",
+    ])
+    def test_engine_fallbacks_counted_by_reason(self, reason):
+        run = self._fallback_run(reason)
+        off = run()
+        assert OBS.metrics.snapshot().total(
+            "repro_engine_fallbacks_total"
+        ) == 0
+        OBS.enable()
+        on = run()
+        OBS.disable()
+        assert (on.engine, on.time, on.fallback) == (
+            off.engine, off.time, off.fallback
+        )
+        assert on.engine == ("materialized" if reason else "collapsed")
+        snap = OBS.metrics.snapshot()
+        counted = reason if reason in FALLBACK_REASONS else None
+        assert snap.total("repro_engine_fallbacks_total") == (
+            1 if counted else 0
+        )
+        if counted:
+            assert snap.value(
+                "repro_engine_fallbacks_total", reason=counted
+            ) == 1
 
     def test_concurrent_lookups_lose_no_count(self):
         """More threads than cores hammering one small cache: every
