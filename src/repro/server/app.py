@@ -4,8 +4,11 @@
 "schedule-tuning-as-a-service" item asks for — the balsam-style shape
 where many client processes share one tuning database instead of each
 re-running ``repro-tune``.  Pure stdlib: :func:`asyncio.start_server`
-plus a hand-rolled HTTP/1.1 exchange (one request per connection,
-``Connection: close``), so the service adds no dependency weight.
+plus a hand-rolled HTTP/1.1 exchange, so the service adds no dependency
+weight.  Connections are persistent: one connection serves request after
+request until the client closes it, sends ``Connection: close`` (or
+speaks HTTP/1.0), or idles past ``_READ_TIMEOUT_S`` between requests —
+an idle connection is closed quietly, with no reply.
 
 The endpoint surface (DESIGN.md §17 walks each one):
 
@@ -32,7 +35,9 @@ The endpoint surface (DESIGN.md §17 walks each one):
     rest await the leader's future and report ``outcome="coalesced"``.
 ``GET /metrics``
     The :mod:`repro.obs` Prometheus exposition, including the service's
-    own ``repro_server_requests_total`` counters.
+    own ``repro_server_requests_total`` and
+    ``repro_server_connections_total`` counters (their ratio is the
+    requests each connection carried).
 ``GET /config``
     The exported MPICH-style selection-config artifact
     (:class:`~repro.server.config.SelectionConfig`), regenerated from
@@ -45,7 +50,8 @@ distinctly from :class:`~repro.errors.ServerError` ("the service is
 broken or misused").  Hostile requests get the same structured answer,
 never a hang: a head over ``_MAX_HEAD_BYTES`` is a ``431``, a body over
 ``_MAX_BODY_BYTES`` a ``413``, and a head or body not delivered within
-``_READ_TIMEOUT_S`` a ``408``.
+``_READ_TIMEOUT_S`` a ``408``.  Those replies, and a ``400`` for a
+request that cannot be parsed, close the connection.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..compile.cache import (
@@ -90,9 +96,11 @@ _MAX_BODY_BYTES = 1 << 20
 #: a ``431``.
 _MAX_HEAD_BYTES = 1 << 16
 
-#: Seconds a client has to deliver one request's head and body; a
-#: stalled head or a body shorter than its ``Content-Length`` is then a
-#: ``408`` and the connection closes, so no request can hang it.
+#: Seconds a connection may sit idle before its next request's first
+#: byte (then it closes quietly), and seconds from that byte to the end
+#: of the request's head and body; a stalled head or a body shorter than
+#: its ``Content-Length`` is then a ``408`` and the connection closes, so
+#: no request can hang it.
 _READ_TIMEOUT_S = 10.0
 
 #: (collective, algorithm, p, k, root) — what a fingerprint resolves to.
@@ -190,6 +198,10 @@ class TuningService:
         self._inflight: Dict[str, "asyncio.Future[SweepResult]"] = {}
         self._sweep_lock = threading.Lock()
         self._server: Optional[asyncio.AbstractServer] = None
+        # Open connections: every handler task, and the writers of those
+        # waiting for a request (what stop() may close at once).
+        self._handlers: Set["asyncio.Task[None]"] = set()
+        self._idle: Set[asyncio.StreamWriter] = set()
         self.host: Optional[str] = None
         self.port: Optional[int] = None
 
@@ -409,10 +421,43 @@ class TuningService:
     # ------------------------------------------------------------------
 
     async def _handle(self, reader, writer) -> None:
-        """One connection: parse, dispatch, respond, close."""
-        status, ctype, payload, endpoint = 500, "application/json", b"", "?"
+        """One connection: serve its requests in turn until it closes."""
+        self.obs.metrics.counter("repro_server_connections_total").inc()
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
-            method, target, body = await _read_request(reader)
+            while await self._exchange(reader, writer):
+                pass
+        except ConnectionError:
+            pass  # client went away mid-reply; nothing to salvage
+        finally:
+            self._handlers.discard(task)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:
+                pass
+
+    async def _exchange(self, reader, writer) -> bool:
+        """Read one request and answer it; whether to read another.
+
+        The connection is kept unless the client asked to close it, the
+        request could not be read in full (a ``400``, ``408``, ``413``
+        or ``431`` closes it), or the service is stopping.  A connection
+        that closes or idles out before a request's first byte gets no
+        reply at all.
+        """
+        status, ctype, payload, endpoint = 500, "application/json", b"", "?"
+        keep_alive = False
+        try:
+            self._idle.add(writer)
+            try:
+                request = await _read_request(reader)
+            finally:
+                self._idle.discard(writer)
+            if request is None:
+                return False
+            method, target, body, keep_alive = request
             url = urlsplit(target)
             endpoint = url.path
             query = {
@@ -437,17 +482,16 @@ class TuningService:
             # take the daemon down; the failure travels to the client.
             status = 500
             payload = _error_body("ServerError", f"internal error: {exc}")
+        if writer.is_closing():
+            return False  # stop() closed it while the request was read
         self.obs.metrics.counter(
             "repro_server_requests_total",
             endpoint=endpoint, status=str(status),
         ).inc()
-        try:
-            writer.write(_response(status, ctype, payload))
-            await writer.drain()
-            writer.close()
-            await writer.wait_closed()
-        except ConnectionError:
-            pass  # client went away mid-reply; nothing to salvage
+        keep_alive = keep_alive and self._server.is_serving()
+        writer.write(_response(status, ctype, payload, keep_alive))
+        await writer.drain()
+        return keep_alive
 
     async def _dispatch(
         self, method: str, path: str, query: Dict[str, str], body: bytes
@@ -506,9 +550,17 @@ class TuningService:
         return self
 
     async def stop(self) -> None:
-        """Close the listening socket and drain open connections."""
+        """Close the listening socket and drain open connections.
+
+        Idle connections close at once; one mid-request answers it and
+        then closes.  The idle ones must go first: from Python 3.12 on,
+        ``wait_closed`` waits for every open connection.
+        """
         if self._server is not None:
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()
+            await asyncio.gather(*self._handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -605,7 +657,9 @@ def _error_body(error: str, message: str) -> bytes:
     return _json({"error": error, "message": message})
 
 
-def _response(status: int, ctype: str, payload: bytes) -> bytes:
+def _response(
+    status: int, ctype: str, payload: bytes, keep_alive: bool
+) -> bytes:
     reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
                405: "Method Not Allowed", 408: "Request Timeout",
                413: "Payload Too Large",
@@ -615,19 +669,25 @@ def _response(status: int, ctype: str, payload: bytes) -> bytes:
         f"HTTP/1.1 {status} {reasons.get(status, 'Error')}\r\n"
         f"Content-Type: {ctype}\r\n"
         f"Content-Length: {len(payload)}\r\n"
-        "Connection: close\r\n\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
     )
     return head.encode("latin-1") + payload
 
 
-async def _read_request(reader) -> Tuple[str, str, bytes]:
-    """``(method, target, body)`` of one HTTP/1.1 request, read within
-    ``_READ_TIMEOUT_S`` or answered with a ``408``.
+async def _read_request(
+    reader,
+) -> Optional[Tuple[str, str, bytes, bool]]:
+    """``(method, target, body, keep_alive)`` of the connection's next
+    request, or ``None`` when the client closes the connection or sends
+    no byte of a request within ``_READ_TIMEOUT_S``.
 
-    A timer cancels this task when the deadline passes — not
+    The deadline restarts at the request's first byte: its head and body
+    then have ``_READ_TIMEOUT_S`` more, or the answer is a ``408``.  A
+    timer cancels this task when a deadline passes — not
     :func:`asyncio.wait_for`, whose extra task per request shows on the
     served ``/select`` path.
     """
+    loop = asyncio.get_running_loop()
     task = asyncio.current_task()
     expired: List[bool] = []
 
@@ -635,9 +695,19 @@ async def _read_request(reader) -> Tuple[str, str, bytes]:
         expired.append(True)
         task.cancel()
 
-    timer = asyncio.get_running_loop().call_later(_READ_TIMEOUT_S, expire)
+    timer = loop.call_later(_READ_TIMEOUT_S, expire)
     try:
-        method, target, headers = await _read_head(reader)
+        try:
+            first = await reader.readexactly(1)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return None  # closed between requests
+        except asyncio.CancelledError:
+            if not expired:
+                raise
+            return None  # idle past the deadline: close, no reply
+        timer.cancel()
+        timer = loop.call_later(_READ_TIMEOUT_S, expire)
+        method, target, version, headers = await _read_head(reader, first)
         length = int(headers.get("content-length", "0"))
         if length < 0:
             raise _HttpReply(
@@ -660,13 +730,20 @@ async def _read_request(reader) -> Tuple[str, str, bytes]:
         ) from None
     finally:
         timer.cancel()
-    return method, target, body
+    keep_alive = version == "HTTP/1.1" and "close" not in headers.get(
+        "connection", ""
+    ).lower()
+    return method, target, body, keep_alive
 
 
-async def _read_head(reader) -> Tuple[str, str, Dict[str, str]]:
-    """Parse the request line + headers of one HTTP/1.1 request."""
+async def _read_head(
+    reader, first: bytes
+) -> Tuple[str, str, str, Dict[str, str]]:
+    """Parse the request line + headers of one HTTP/1.1 request whose
+    ``first`` byte is already read: ``(method, target, version,
+    headers)``, header names lower-cased."""
     try:
-        raw = await reader.readuntil(b"\r\n\r\n")
+        raw = first + await reader.readuntil(b"\r\n\r\n")
     except asyncio.LimitOverrunError:
         raise _HttpReply(
             431, "HeaderTooLarge",
@@ -674,7 +751,7 @@ async def _read_head(reader) -> Tuple[str, str, Dict[str, str]]:
         ) from None
     lines = raw.decode("latin-1").split("\r\n")
     try:
-        method, target, _version = lines[0].split(" ", 2)
+        method, target, version = lines[0].split(" ", 2)
     except ValueError as exc:
         raise _HttpReply(
             400, "ServerError", f"malformed request line: {lines[0]!r}"
@@ -684,4 +761,4 @@ async def _read_head(reader) -> Tuple[str, str, Dict[str, str]]:
         if ":" in line:
             name, _sep, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-    return method, target, headers
+    return method, target, version, headers

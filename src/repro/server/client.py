@@ -1,4 +1,4 @@
-"""Stdlib client for the tuning service (`urllib`, no dependencies).
+"""Stdlib client for the tuning service (`http.client`, no dependencies).
 
 :class:`TuningClient` is the blocking counterpart of
 :class:`~repro.server.app.TuningService`: one method per endpoint,
@@ -16,15 +16,23 @@ Error fidelity across the wire: the server encodes failures as
 point" stays catchable as a selection miss on the client side, while
 transport problems, malformed responses, and every other service
 failure surface as :class:`~repro.errors.ServerError`.
+
+Connections persist: each thread that calls a client keeps one HTTP/1.1
+connection to the service and sends every request on it.  The service
+may close a connection that idled past its read deadline; a request
+whose *reused* connection fails before any status line arrives is sent
+once more on a fresh connection.  That can repeat a ``POST /tune``,
+which single-flight coalescing makes harmless: the repeat joins or
+re-runs the same sweep.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 from pathlib import Path
 from typing import Dict, Optional, Union
-from urllib import error as urlerror
-from urllib import request as urlrequest
 
 from ..compile.program import CompiledSchedule
 from ..core.schedule import Schedule
@@ -36,12 +44,20 @@ from .config import SelectionConfig
 __all__ = ["TuningClient"]
 
 
+#: How a reused connection fails when the service closed it between
+#: requests: the request is then retried once on a fresh connection.
+_STALE_CONNECTION = (
+    http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError
+)
+
+
 class TuningClient:
     """A blocking HTTP client bound to one tuning-service base URL.
 
     ``timeout`` bounds every request (seconds); a server that cannot be
     reached, times out, or answers with something unparseable raises
-    :class:`~repro.errors.ServerError`.
+    :class:`~repro.errors.ServerError`.  One client may be shared by
+    threads: each keeps its own connection.
     """
 
     def __init__(self, url: str, *, timeout: float = 30.0) -> None:
@@ -51,31 +67,55 @@ class TuningClient:
             )
         self.url = url.rstrip("/")
         self.timeout = timeout
+        scheme, _, rest = self.url.partition("://")
+        self._connection_class = (
+            http.client.HTTPSConnection if scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc, slash, path = rest.partition("/")
+        self._base = slash + path
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (opened on first use)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._connection_class(self._netloc, timeout=self.timeout)
+            self._local.conn = conn
+        return conn
 
     def _request(
         self, path: str, *, body: Optional[Dict] = None
     ) -> bytes:
         """One exchange; re-raises wire errors under their real class."""
         data = json.dumps(body).encode("utf-8") if body is not None else None
-        req = urlrequest.Request(
-            self.url + path,
-            data=data,
-            headers={"Content-Type": "application/json"} if data else {},
-            method="POST" if data is not None else "GET",
-        )
+        method = "POST" if data is not None else "GET"
+        headers = {"Content-Type": "application/json"} if data else {}
+        conn = self._connection()
         try:
-            with urlrequest.urlopen(req, timeout=self.timeout) as resp:
-                return resp.read()
-        except urlerror.HTTPError as exc:
-            raise _wire_error(exc) from exc
-        except (urlerror.URLError, OSError) as exc:
+            try:
+                reused = conn.sock is not None
+                conn.request(method, self._base + path, data, headers)
+                resp = conn.getresponse()
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, self._base + path, data, headers)
+                resp = conn.getresponse()
+            payload = resp.read()
+        except (http.client.HTTPException, OSError) as exc:
+            conn.close()
             raise ServerError(
                 f"cannot reach tuning service at {self.url}: {exc}"
             ) from exc
+        if not 200 <= resp.status < 300:
+            raise _wire_error(resp.status, payload)
+        return payload
 
     def _request_json(
         self, path: str, *, body: Optional[Dict] = None
@@ -191,15 +231,15 @@ class TuningClient:
         return self.config().save(path)
 
 
-def _wire_error(exc: "urlerror.HTTPError") -> Exception:
-    """Map an HTTP error body back to the exception class it names."""
+def _wire_error(status: int, body: bytes) -> Exception:
+    """Map an HTTP error reply back to the exception class it names."""
     try:
-        payload = json.loads(exc.read().decode("utf-8"))
+        payload = json.loads(body.decode("utf-8"))
         name = payload.get("error", "ServerError")
-        message = payload.get("message", str(exc))
+        message = payload.get("message", f"HTTP {status}")
     except Exception:  # noqa: BLE001 — an unparseable error body is
         # itself a server failure; fall through to the generic class.
-        name, message = "ServerError", f"HTTP {exc.code}: {exc}"
+        name, message = "ServerError", f"HTTP {status}: {body[:200]!r}"
     if name == "SelectionError":
         return SelectionError(message)
     return ServerError(f"{name}: {message}" if name != "ServerError"

@@ -21,7 +21,10 @@ process boundary, with nothing shared but the URL:
 * hostile requests — an oversized head, a stalled head and a truncated
   body each get their structured 4xx (``431``, ``408``, ``408``) within
   the service's read deadline, and ``/select`` still answers after;
-* ``SIGTERM`` — the daemon exits 0 ("stopped cleanly").
+* keep-alive — 50 ``/select`` calls open at most 2 new connections, by
+  the service's own ``repro_server_connections_total``;
+* ``SIGTERM`` — with the probe client's connection still open and idle,
+  the daemon exits 0 ("stopped cleanly").
 
 The coalescing assertion is made race-free against a real subprocess:
 the boot sweep covers only ``allreduce``, so tuning a cold
@@ -301,6 +304,21 @@ class _Smoke:
             "/select still answers after the hostile requests",
         )
 
+    def probe_keepalive(self) -> None:
+        """50 selections ride the client's kept-alive connection (2 new
+        ones allowed: the service may close an idle one meanwhile)."""
+        before = _connections(self.client.metrics())
+        for i in range(50):
+            self.client.select("allreduce", 8, 64 << (i % 8))
+        after = _connections(self.client.metrics())
+        if before is None or after is None:
+            self.fail("/metrics lacks repro_server_connections_total")
+            return
+        self.check(
+            after - before <= 2,
+            f"50 /select calls opened {after - before:g} new connection(s)",
+        )
+
     def shutdown(self) -> None:
         self.proc.send_signal(signal.SIGTERM)
         try:
@@ -310,6 +328,15 @@ class _Smoke:
             self.fail("server did not exit within 30s of SIGTERM")
             return
         self.check(rc == 0, f"SIGTERM -> clean exit (rc={rc})")
+
+
+def _connections(metrics: str) -> Optional[float]:
+    """``repro_server_connections_total`` in a Prometheus exposition."""
+    for line in metrics.splitlines():
+        name, _, value = line.partition(" ")
+        if name == "repro_server_connections_total":
+            return float(value)
+    return None
 
 
 def _exchange(url: str, request: bytes, timeout: float) -> Tuple[int, str]:
@@ -342,6 +369,7 @@ def run_smoke(output: Path, *, followers: int = 7) -> int:
         smoke.probe_metrics()
         smoke.probe_config_artifact()
         smoke.probe_hostile()
+        smoke.probe_keepalive()
         smoke.shutdown()
     finally:
         if smoke.proc.poll() is None:
@@ -360,7 +388,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.server.smoke",
         description="Boot a repro-serve subprocess on an ephemeral port "
         "and smoke-test /select, /schedule, coalesced /tune, /metrics, "
-        "/config, hostile requests, and clean SIGTERM shutdown.",
+        "/config, hostile requests, keep-alive, and clean SIGTERM "
+        "shutdown.",
     )
     parser.add_argument("-o", "--output", type=Path,
                         default=Path("selection_config.json"),

@@ -257,6 +257,191 @@ def test_undelivered_request_is_a_408(served, monkeypatch, request_bytes):
     assert client.info()["service"] == "repro-tuning-service"
 
 
+def _connect(handle):
+    service = handle.service
+    return socket.create_connection((service.host, service.port), timeout=5)
+
+
+def _read_reply(stream):
+    """One reply from a socket's ``makefile("rb")``: (status line,
+    lower-cased headers, body), framed by its Content-Length."""
+    status = stream.readline().decode().rstrip("\r\n")
+    headers = {}
+    while (line := stream.readline().decode().rstrip("\r\n")):
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, stream.read(int(headers["content-length"]))
+
+
+def _counts(service):
+    """(connections accepted, requests answered) by ``service``."""
+    snap = service.obs.metrics.snapshot()
+    return (snap.total("repro_server_connections_total"),
+            snap.total("repro_server_requests_total"))
+
+
+def test_keepalive_answers_requests_in_order_on_one_socket(served):
+    """Three GETs sent back to back on one socket come back in order on
+    it, kept alive until the last asks to close."""
+    handle, _, _ = served
+    with _connect(handle) as sock, sock.makefile("rb") as stream:
+        sock.sendall(
+            b"GET / HTTP/1.1\r\nHost: t\r\n\r\n"
+            b"GET /select?collective=allreduce&nbytes=256 HTTP/1.1\r\n"
+            b"Host: t\r\n\r\n"
+            b"GET /config HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        replies = [_read_reply(stream) for _ in range(3)]
+        assert stream.read() == b""  # then the service closes
+    assert [status for status, _, _ in replies] == ["HTTP/1.1 200 OK"] * 3
+    assert [h["connection"] for _, h, _ in replies] == [
+        "keep-alive", "keep-alive", "close"
+    ]
+    descriptor, choice, config = (json.loads(b) for _, _, b in replies)
+    assert descriptor["service"] == "repro-tuning-service"
+    assert choice["nbytes"] == 256
+    assert config["machine"] == MACHINE.name
+
+
+def test_keepalive_survives_an_endpoint_error(served):
+    """A request read in full keeps its connection even when the answer
+    is an error."""
+    handle, _, _ = served
+    with _connect(handle) as sock, sock.makefile("rb") as stream:
+        sock.sendall(b"GET /nowhere HTTP/1.1\r\n\r\nGET / HTTP/1.1\r\n\r\n")
+        (missing, h1, _), (found, h2, _) = (_read_reply(stream),
+                                            _read_reply(stream))
+    assert (missing, h1["connection"]) == ("HTTP/1.1 404 Not Found",
+                                           "keep-alive")
+    assert (found, h2["connection"]) == ("HTTP/1.1 200 OK", "keep-alive")
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n",
+    b"GET / HTTP/1.1\r\nConnection: Close\r\n\r\n",
+    b"GET / HTTP/1.0\r\n\r\n",
+], ids=["close", "close-capitalised", "http-1.0"])
+def test_connection_close_is_honoured(served, request_bytes):
+    handle, _, _ = served
+    with _connect(handle) as sock, sock.makefile("rb") as stream:
+        sock.sendall(request_bytes)
+        status, headers, _ = _read_reply(stream)
+        assert stream.read() == b""
+    assert (status, headers["connection"]) == ("HTTP/1.1 200 OK", "close")
+
+
+@pytest.mark.parametrize("request_bytes,status", [
+    (b"POST /tune HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+    (b"GET /select HTTP/1.1\r\nHost: stalled\r\n", 408),
+    (b"POST /tune HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (1 << 40), 413),
+    (b"GET /select?" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n", 431),
+], ids=["400", "408", "413", "431"])
+def test_unreadable_request_closes_connection(served, monkeypatch,
+                                              request_bytes, status):
+    """A request that cannot be read in full is answered and the
+    connection closed: the rest of the stream cannot be framed."""
+    monkeypatch.setattr("repro.server.app._READ_TIMEOUT_S", 0.5)
+    handle, _, _ = served
+    with _connect(handle) as sock, sock.makefile("rb") as stream:
+        sock.sendall(request_bytes)
+        got, headers, _ = _read_reply(stream)
+        assert stream.read() == b""
+    assert got.startswith(f"HTTP/1.1 {status} ")
+    assert headers["connection"] == "close"
+
+
+@pytest.mark.parametrize("requests_first", [0, 1])
+def test_idle_connection_closes_quietly(served, monkeypatch, requests_first):
+    """A connection that sends no byte of a request within the read
+    deadline — fresh, or kept alive after a reply — is closed with no
+    reply at all (a 408 is for a request that started)."""
+    monkeypatch.setattr("repro.server.app._READ_TIMEOUT_S", 0.5)
+    handle, _, _ = served
+    with _connect(handle) as sock, sock.makefile("rb") as stream:
+        for _ in range(requests_first):
+            sock.sendall(b"GET / HTTP/1.1\r\n\r\n")
+            assert _read_reply(stream)[1]["connection"] == "keep-alive"
+        began = time.monotonic()
+        assert stream.read() == b""
+    assert 0.5 <= time.monotonic() - began < 5
+
+
+def test_client_retries_once_after_idle_connection_close(served,
+                                                         monkeypatch):
+    """The service closes a client's idle connection; the client's next
+    call fails on the stale socket before any status line, reconnects
+    once, and succeeds."""
+    monkeypatch.setattr("repro.server.app._READ_TIMEOUT_S", 0.5)
+    handle, _, direct = served
+    client = TuningClient(handle.url)
+    before, _ = _counts(handle.service)
+    assert client.select("allreduce", P, 256) == direct.select(
+        "allreduce", P, 256
+    )
+    time.sleep(1.0)  # the service drops the idle connection meanwhile
+    assert client.select("allreduce", P, 4096) == direct.select(
+        "allreduce", P, 4096
+    )
+    assert _counts(handle.service)[0] - before == 2
+
+
+def test_keepalive_one_connection_per_thread(served):
+    """Threads sharing one client each keep their own connection."""
+    handle, _, _ = served
+    client = TuningClient(handle.url)
+    before, _ = _counts(handle.service)
+    barrier = threading.Barrier(2)
+
+    def work():
+        for _ in range(3):
+            client.info()
+        barrier.wait(timeout=5)  # both connections open at once
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert _counts(handle.service)[0] - before == 2
+
+
+def test_keepalive_metrics_count_connections():
+    """``/metrics`` shows reuse: 20 selections on one client arrive on
+    one connection."""
+    from repro.obs import Obs
+
+    with serve_background(
+        MACHINE, SIZES, collectives=("allreduce",), obs=Obs()
+    ) as handle:
+        client = TuningClient(handle.url)
+        for i in range(20):
+            client.select("allreduce", P, SIZES[i % 2])
+        connections, requests = _counts(handle.service)
+        assert "repro_server_connections_total 1" in client.metrics()
+    assert connections == 1
+    assert requests >= 20
+
+
+def test_close_with_an_idle_client_connection_is_prompt(caplog):
+    """Stopping the service closes idle keep-alive connections rather
+    than waiting on them, and leaves no handler task pending."""
+    import gc
+    import logging
+
+    handle = serve_background(MACHINE, SIZES, collectives=("allreduce",))
+    client = TuningClient(handle.url)
+    client.info()  # leaves this thread's connection open and idle
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        began = time.monotonic()
+        handle.close()
+        took = time.monotonic() - began
+        gc.collect()
+    assert took < 2
+    assert "Task was destroyed but it is pending" not in caplog.text
+    with pytest.raises(ServerError, match="cannot reach"):
+        client.info()
+
+
 def test_concurrent_tunes_coalesce(served):
     """N concurrent /tune requests for one cold sweep share one leader.
 
