@@ -74,7 +74,7 @@ if __name__ == "__main__":
 
     # The same application on a tuned table: different collectives
     # underneath, identical numerics.
-    table = tune(frontier(RANKS, 1), [64, 4096, 65536])
+    table = tune(frontier(RANKS, 1), [64, 4096, 65536]).table
     tuned_results = Session(RANKS, table=table).run(power_iteration)
     assert abs(tuned_results[0] - results[0]) < 1e-9
     choice = table.select("allreduce", RANKS, 8 * 8)

@@ -5,7 +5,7 @@ Latency numbers say k-ring wins; a timeline says why.  This script
 simulates the classic ring and the k-ring broadcast on the 8-ppn Frontier
 model with full timeline collection, then:
 
-1. writes Chrome-trace JSON for both (open at https://ui.perfetto.dev or
+1. writes a Perfetto trace for both (open at https://ui.perfetto.dev or
    chrome://tracing — one row per rank, one bar per message), and
 2. prints the quantitative story: per-link-class busy time and peak
    concurrency, showing the classic ring trickling over the NIC while
@@ -18,7 +18,8 @@ import tempfile
 from pathlib import Path
 
 from repro import build, frontier, simulate
-from repro.simnet import timeline_stats, write_chrome_trace
+from repro.obs import write_perfetto
+from repro.simnet import timeline_stats
 
 machine = frontier(nodes=8, ppn=8)
 p = machine.nranks
@@ -31,8 +32,8 @@ for label, k in (("classic ring", 1), ("k-ring (k = ppn = 8)", 8)):
     sched = build("bcast", "kring", p=p, k=k)
     result = simulate(sched, machine, nbytes=NBYTES, timeline=True)
     stats = timeline_stats(result, p)
-    trace_path = write_chrome_trace(
-        result, out_dir / f"repro-kring-k{k}.trace.json"
+    trace_path = write_perfetto(
+        result, path=out_dir / f"repro-kring-k{k}.trace.json"
     )
     intra = stats.busy_time.get("intra", 0.0) * 1e6
     inter = (

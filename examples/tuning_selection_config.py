@@ -9,7 +9,8 @@ paper's §VI-G workflow end to end:
 1. exhaustively sweep every algorithm × radix × message size on the
    target machine (simulated here),
 2. distill the winners into a compact first-match-wins selection table,
-3. write it as JSON (the tuning file),
+3. write it as the selection-config document (the tuning file — the
+   same file ``repro-tune -o`` writes and ``repro-serve --grid`` reads),
 4. demonstrate the gain: tuned selection vs the stock defaults and the
    vendor MPI stand-in, per collective and size.
 
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from repro.bench import format_size, format_table, geomean
 from repro.bench.speedup import policy_latency
-from repro.selection import SelectionTable, mpich_policy, tune, vendor_policy
+from repro.selection import SelectionConfig, mpich_policy, tune, vendor_policy
 from repro.simnet import frontier
 
 machine = frontier(nodes=32, ppn=1)
@@ -29,15 +30,15 @@ sizes = [8, 128, 2048, 32768, 524288, 4 << 20]
 
 # 1-2. Sweep and distill.
 print(f"tuning {machine.describe()} over {len(sizes)} sizes ...")
-table = tune(machine, sizes)
+config = tune(machine, sizes)
 print()
-print(table.describe())
+print(config.describe())
 print()
 
 # 3. The tuning file a user would point MPICH at.
 out = Path(tempfile.gettempdir()) / "repro-tuned-frontier32.json"
-table.save(out)
-restored = SelectionTable.load(out)  # round-trips losslessly
+config.save(out)
+restored = SelectionConfig.load(out).table  # round-trips losslessly
 print(f"wrote tuning file: {out} ({len(restored.rules)} rules)\n")
 
 # 4. What the user gains, without touching their application.

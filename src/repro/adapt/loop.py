@@ -220,7 +220,7 @@ def run_adaptive(
 
     ``priors`` seeds the healthy arm times directly — the
     ``{Choice: seconds}`` mapping
-    :meth:`repro.server.SelectionConfig.priors_for` exports — replacing
+    :meth:`repro.selection.SelectionConfig.priors_for` exports — replacing
     the loop's own healthy sweep.  Healthy simulation is deterministic,
     so priors recorded on the same machine reproduce exactly the sweep's
     numbers and the whole trail is bit-identical to a cold run; the

@@ -798,7 +798,7 @@ def selection_config(
     """§VI-G: generate the tuned selection configuration and show it beats
     both fixed policies across the sweep."""
     machine = frontier(nodes, 1)
-    table = tune(machine, sizes)
+    table = tune(machine, sizes).table
     mpich = mpich_policy()
     vendor = vendor_policy()
     from .speedup import policy_latency  # late import, same package

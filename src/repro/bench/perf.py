@@ -43,8 +43,7 @@ from ..core.registry import GENERALIZED_ALGORITHMS, info
 from ..errors import ReproError
 from ..obs import OBS
 from ..recovery import simulate_with_recovery
-from ..selection.tuner import radix_grid
-from ..server import build_config
+from ..selection.tuner import radix_grid, tune
 from ..simnet.machine import MachineSpec
 from ..simnet.machines import get as machine_by_name, reference
 from ..simnet.simulate import simulate
@@ -452,22 +451,22 @@ def _measure_scale() -> Dict[str, float]:
 def _measure_serve() -> Dict[str, float]:
     """Cold tune vs. a tune warm-started from a selection config.
 
-    The priors (:meth:`repro.server.SelectionConfig.sweep_priors`)
+    The priors (:meth:`repro.selection.SelectionConfig.sweep_priors`)
     replay recorded timings instead of simulating, so speed is the only
     thing allowed to change: the artifact must come out bit-identical.
     """
     machine = reference(_SERVE_P)
 
-    def tune(**kwargs):
+    def timed_tune(**kwargs):
         _clear_caches()
         t0 = time.perf_counter()
-        config = build_config(
+        config = tune(
             machine, _SERVE_SIZES, collectives=_SERVE_COLLECTIVES, **kwargs
         )
         return config, time.perf_counter() - t0
 
-    cold, cold_s = tune()
-    warm, warm_s = tune(priors=cold.sweep_priors())
+    cold, cold_s = timed_tune()
+    warm, warm_s = timed_tune(priors=cold.sweep_priors())
     if warm.to_json() != cold.to_json():
         raise ReproError(
             "serve integrity check failed: the prior-warmed tune "

@@ -9,8 +9,10 @@ Eleven console scripts are installed with the package:
 
 ``repro-tune``
     Generate a tuned MPICH-style selection configuration for a simulated
-    machine and write it as JSON: ``repro-tune --machine frontier
-    --nodes 32 -o tuned.json``.
+    machine and write it as the selection-config JSON document — the
+    file ``repro-serve --grid`` and :meth:`repro.selection.SelectionConfig
+    .load` read: ``repro-tune --machine frontier --nodes 32 -o
+    tuned.json``.
 
 ``repro-validate``
     Symbolically verify schedules across a parameter grid (the quick
@@ -75,9 +77,9 @@ Eleven console scripts are installed with the package:
     flights, exposes Prometheus ``/metrics``, and exports the
     MPICH-style selection-config artifact at ``/config``:
     ``repro-serve --machine reference --nodes 8 --port 8080``; add
-    ``--grid tuned_config.json`` to warm-start boot from a committed
-    artifact and ``--store DIR`` to persist schedules across restarts.
-    SIGTERM shuts the service down cleanly (rc 0); Ctrl-C exits 130.
+    ``--grid tuned.json`` to warm-start boot from a ``repro-tune``
+    document and ``--store DIR`` to persist schedules across restarts.
+    SIGTERM shuts the service down cleanly (rc 0).
 
 ``repro-check``
     Static schedule analysis — deadlock (eager + rendezvous send
@@ -88,20 +90,28 @@ Eleven console scripts are installed with the package:
     registry over the acceptance grid as the CI gate
     (``repro-check --all --jobs 4``).  ``--json`` emits the machine
     report; ``--strict`` fails on warnings too.
+
+Every verb shares one skeleton: the machine, engine, job-count, size-grid
+and ``--metrics-out`` flags come from one builder each, and one runner
+owns the exit codes — a library error prints ``error: …`` and exits 2,
+Ctrl-C prints what was (not) written and exits 130.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Callable, Iterator, List, Optional
 
 from .bench.experiments import ALL_EXPERIMENTS, run_experiment
 from .bench.osu import default_sizes
 from .core.registry import COLLECTIVES, algorithms_for, build_schedule, info
 from .core.validate import verify
-from .errors import ReproError
-from .selection.tuner import tune
+from .errors import MachineError, ReproError
+from .selection.tuner import DEFAULT_COLLECTIVES, tune
 from .simnet.machines import by_name, get as machine_by_name
 from .simnet.simulate import ENGINES
 
@@ -120,18 +130,117 @@ __all__ = [
 ]
 
 
-def _machine_arg(name: str, nodes: int, ppn: int):
-    """Resolve a ``--machine`` argument.
+def _run(body: Callable[[argparse.Namespace], int],
+         args: argparse.Namespace, interrupted: str) -> int:
+    """Every verb's exit-code contract: ``body(args)``'s code, 2 after
+    ``error: …`` for a :class:`~repro.errors.ReproError`, 130 after the
+    verb's own ``interrupted`` line on Ctrl-C."""
+    try:
+        return body(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print(f"\n{interrupted}", file=sys.stderr)
+        return 130
 
-    A bare base name (``frontier``/``polaris``/``reference``) combines
-    with ``--nodes``/``--ppn``; a self-contained registry name
-    (``dragonfly-1024``, ``frontier-64x8``, ``reference-4096`` — see
-    :func:`repro.simnet.machines.get`) pins its own geometry, so the
-    large-p specs never need geometry flags.
-    """
-    if "-" in name:
-        return machine_by_name(name)
-    return by_name(name, nodes, ppn)
+
+def _machine_flags(parser: argparse.ArgumentParser, default: str,
+                   nodes: Optional[int] = None) -> None:
+    """``--machine`` plus its geometry: ``--nodes``/``--ppn``, or — with
+    ``nodes=None`` — ``--ppn`` beside the verb's own ``--p``."""
+    geometry = "--nodes/--ppn" if nodes is not None else "--p/--ppn"
+    parser.add_argument("--machine", default=default,
+                        help="base machine (frontier/polaris/reference, "
+                        f"combined with {geometry}) or a self-contained "
+                        "registry name like dragonfly-1024 or "
+                        "frontier-64x8 (repro.simnet.machines.get)")
+    if nodes is not None:
+        parser.add_argument("--nodes", type=int, default=nodes)
+    parser.add_argument("--ppn", type=int, default=1,
+                        help="processes per node"
+                        + (" (nodes = p / ppn)" if nodes is None else ""))
+
+
+def _machine(args: argparse.Namespace):
+    """The machine :func:`_machine_flags` names: a registry name with a
+    ``-`` pins its own geometry (:func:`repro.simnet.machines.get`); a
+    base name takes ``--nodes``, or ``--p`` split into whole nodes."""
+    nodes = getattr(args, "nodes", None)
+    if nodes is None:
+        if args.p % args.ppn:
+            raise MachineError(f"p={args.p} not divisible by ppn={args.ppn}")
+        nodes = args.p // args.ppn
+    if "-" in args.machine:
+        return machine_by_name(args.machine)
+    return by_name(args.machine, nodes, args.ppn)
+
+
+def _engine_flag(parser: argparse.ArgumentParser, scope: str,
+                 invariant: str) -> None:
+    """``--engine``, with ``invariant`` identical under every engine."""
+    parser.add_argument("--engine", default="auto", choices=ENGINES,
+                        help=f"simulation core for {scope}: auto "
+                        "(default) picks the class-collapsed engine where "
+                        "eligible, materialized forces per-rank "
+                        "simulation, collapsed requests collapsing with "
+                        f"recorded fallback; {invariant} identical under "
+                        "all three")
+
+
+def _jobs_flag(parser: argparse.ArgumentParser, scope: str,
+               invariant: str = "") -> None:
+    """``-j/--jobs``, with ``invariant`` identical at any job count."""
+    parser.add_argument("-j", "--jobs", type=int, default=0,
+                        help=f"worker processes for {scope} (0/1 serial, "
+                        "-1 all cores)"
+                        + (f"; {invariant} identical at any job count"
+                           if invariant else ""))
+
+
+def _size_flags(parser: argparse.ArgumentParser, max_bytes: int) -> None:
+    parser.add_argument("--min-bytes", type=int, default=8)
+    parser.add_argument("--max-bytes", type=int, default=max_bytes)
+
+
+def _tuning_sizes(args: argparse.Namespace) -> List[int]:
+    """Tuning every power of two is slow in simulation; every other one
+    (plus ``--max-bytes``) bounds the sweep while keeping cutoffs tight."""
+    sizes = default_sizes(args.min_bytes, args.max_bytes)
+    return sizes[::2] + [sizes[-1]]
+
+
+def _metrics_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--metrics-out", default=None, metavar="PATH",
+                        help="enable observability for the sweep and "
+                        "write a metrics snapshot here (JSON; Prometheus "
+                        "text beside it as .prom)")
+
+
+@contextmanager
+def _metrics_out(path: Optional[str]) -> Iterator[None]:
+    """Observe the block; write a metrics snapshot to ``path`` however it
+    ends, so an interrupted or failed run stays inspectable."""
+    if not path:
+        yield
+        return
+    from .obs import OBS
+
+    OBS.reset()
+    OBS.enable()
+    try:
+        yield
+    finally:
+        OBS.write_metrics(path)
+        OBS.disable()
+        print(f"wrote {path} (+ .prom)", file=sys.stderr)
+
+
+def _write_report(path: str, doc, *, sort_keys: bool = False) -> None:
+    """Write a verb's JSON report to ``path`` and say so."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=sort_keys)
+                          + "\n")
+    print(f"wrote {path}")
 
 
 def main_bench(argv: Optional[List[str]] = None) -> int:
@@ -157,8 +266,10 @@ def main_bench(argv: Optional[List[str]] = None) -> int:
         metavar="PATH",
         help="also write the full report to a file",
     )
-    args = parser.parse_args(argv)
+    return _run(_bench, parser.parse_args(argv), "interrupted")
 
+
+def _bench(args: argparse.Namespace) -> int:
     if args.list or args.experiment is None:
         for exp_id in sorted(ALL_EXPERIMENTS):
             print(exp_id)
@@ -168,11 +279,7 @@ def main_bench(argv: Optional[List[str]] = None) -> int:
     failures = 0
     sections = []
     for exp_id in ids:
-        try:
-            result = run_experiment(exp_id)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        result = run_experiment(exp_id)
         summary = result.summary()
         print(summary)
         print()
@@ -180,8 +287,6 @@ def main_bench(argv: Optional[List[str]] = None) -> int:
         if not result.all_ok:
             failures += 1
     if args.output:
-        from pathlib import Path
-
         Path(args.output).write_text("\n\n".join(sections) + "\n")
         print(f"wrote report to {args.output}")
     if failures:
@@ -195,71 +300,37 @@ def main_tune(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-tune",
         description="Exhaustively sweep the simulator and emit an "
-        "MPICH-style selection configuration (paper §VI-G).",
+        "MPICH-style selection configuration (paper §VI-G): the "
+        "selection-config document repro-serve --grid reads.",
     )
-    parser.add_argument("--machine", default="frontier",
-                        help="base machine (frontier/polaris/reference, "
-                        "combined with --nodes/--ppn) or a self-contained "
-                        "registry name like dragonfly-1024 or "
-                        "frontier-64x8 (repro.simnet.machines.get)")
-    parser.add_argument("--nodes", type=int, default=32)
-    parser.add_argument("--ppn", type=int, default=1)
-    parser.add_argument("--min-bytes", type=int, default=8)
-    parser.add_argument("--max-bytes", type=int, default=1 << 22)
-    parser.add_argument("--engine", default="auto", choices=ENGINES,
-                        help="simulation core: auto (default) picks the "
-                        "class-collapsed engine where eligible, "
-                        "materialized forces per-rank simulation, "
-                        "collapsed requests collapsing with recorded "
-                        "fallback; winners are identical under all three")
-    parser.add_argument("-j", "--jobs", type=int, default=0,
-                        help="worker processes for the sweep (0/1 serial, "
-                        "-1 all cores); winners are identical at any "
-                        "job count")
+    _machine_flags(parser, "frontier", nodes=32)
+    _size_flags(parser, max_bytes=1 << 22)
+    _engine_flag(parser, "the sweep", "winners are")
+    _jobs_flag(parser, "the sweep", "winners are")
     parser.add_argument("-o", "--output", default=None,
-                        help="write JSON here (default: stdout)")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="enable observability for the sweep and "
-                        "write a metrics snapshot here (JSON; Prometheus "
-                        "text beside it as .prom)")
+                        help="write the selection-config JSON here "
+                        "(default: stdout)")
+    _metrics_flag(parser)
     parser.add_argument("--check", action="store_true",
                         help="statically analyze every candidate schedule "
                         "(repro.check) before sweeping; refuse to tune "
                         "over one with error findings")
-    args = parser.parse_args(argv)
+    # No partial document is written on Ctrl-C: a truncated selection
+    # config would silently mis-tune.
+    return _run(_tune, parser.parse_args(argv),
+                "interrupted: no configuration written")
 
-    from .obs import OBS
 
-    if args.metrics_out:
-        OBS.reset()
-        OBS.enable()
-    try:
-        machine = _machine_arg(args.machine, args.nodes, args.ppn)
-        sizes = [n for n in default_sizes(args.min_bytes, args.max_bytes)]
-        # Tuning every power of two is slow in simulation; every other
-        # power of two bounds the sweep while keeping cutoffs tight.
-        table = tune(machine, sizes[::2] + [sizes[-1]], jobs=args.jobs,
-                     check=args.check, engine=args.engine)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        # No partial table is written (a truncated selection config
-        # would silently mis-tune) — but the metrics snapshot below
-        # still flushes, so the interrupted sweep stays inspectable.
-        print("\ninterrupted: no configuration written", file=sys.stderr)
-        return 130
-    finally:
-        if args.metrics_out:
-            OBS.write_metrics(args.metrics_out)
-            OBS.disable()
-            print(f"wrote {args.metrics_out} (+ .prom)", file=sys.stderr)
+def _tune(args: argparse.Namespace) -> int:
+    with _metrics_out(args.metrics_out):
+        config = tune(_machine(args), _tuning_sizes(args), jobs=args.jobs,
+                      check=args.check, engine=args.engine)
     if args.output:
-        table.save(args.output)
+        config.save(args.output)
         print(f"wrote {args.output}")
-        print(table.describe())
+        print(config.describe())
     else:
-        print(table.to_json())
+        print(config.to_json())
     return 0
 
 
@@ -282,24 +353,20 @@ def main_validate(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--dump-p", type=int, default=8)
     parser.add_argument("--dump-k", type=int, default=None)
-    args = parser.parse_args(argv)
+    return _run(_validate, parser.parse_args(argv), "interrupted")
 
+
+def _validate(args: argparse.Namespace) -> int:
     if args.dump:
         if not (args.collective and args.algorithm):
-            print("error: --dump needs --collective and --algorithm",
-                  file=sys.stderr)
-            return 2
+            raise ReproError("--dump needs --collective and --algorithm")
         from .core.serialize import save_schedule
 
-        try:
-            sched = build_schedule(
-                args.collective, args.algorithm, args.dump_p, k=args.dump_k
-            )
-            verify(sched)
-            save_schedule(sched, args.dump)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        sched = build_schedule(
+            args.collective, args.algorithm, args.dump_p, k=args.dump_k
+        )
+        verify(sched)
+        save_schedule(sched, args.dump)
         print(f"verified and wrote {sched.describe()} to {args.dump}")
         return 0
 
@@ -308,11 +375,7 @@ def main_validate(argv: Optional[List[str]] = None) -> int:
     for coll in colls:
         algs = [args.algorithm] if args.algorithm else algorithms_for(coll)
         for alg in algs:
-            try:
-                entry = info(coll, alg)
-            except ReproError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            entry = info(coll, alg)
             for p in range(1, args.max_p + 1):
                 ks = [None]
                 if entry.takes_k:
@@ -322,6 +385,9 @@ def main_validate(argv: Optional[List[str]] = None) -> int:
                 roots = [0, p - 1] if entry.takes_root and p > 1 else [0]
                 for k in ks:
                     for root in roots:
+                        # A schedule that fails to build or verify is
+                        # this verb's verdict (exit 1), not a usage
+                        # error (exit 2).
                         try:
                             verify(build_schedule(coll, alg, p, k=k, root=root))
                             count += 1
@@ -359,12 +425,8 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--timeout", type=float, default=10.0,
                         help="per-receive timeout for the threaded "
                         "transport (seconds)")
-    parser.add_argument("--engine", default="auto", choices=ENGINES,
-                        help="simulation core for the sim backend "
-                        "(threaded cases ignore it); classifications "
-                        "are identical under all three — 'collapsed' "
-                        "additionally records why each faulted case "
-                        "fell back to the materialized core")
+    _engine_flag(parser, "the sim backend (threaded cases ignore it)",
+                 "classifications are")
     parser.add_argument("--recover", action="store_true",
                         help="heal unmaskable faults through "
                         "repro.recovery (detect, shrink/substitute, "
@@ -381,8 +443,11 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
                         "partial failures exits 1)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every case, not just the summary")
-    args = parser.parse_args(argv)
+    return _run(_chaos, parser.parse_args(argv),
+                "interrupted mid-sweep: no cases summarized")
 
+
+def _chaos(args: argparse.Namespace) -> int:
     from .faults.chaos import (
         default_recovery_policy,
         default_scenarios,
@@ -404,28 +469,19 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
         if not scenarios:
             known = ", ".join(s.name for s in default_scenarios(args.seed,
                                                                 args.p))
-            print(f"error: unknown scenario {args.scenario!r} "
-                  f"(known: {known})", file=sys.stderr)
-            return 2
+            raise ReproError(f"unknown scenario {args.scenario!r} "
+                             f"(known: {known})")
     backends = [args.backend] if args.backend else ["threaded", "sim"]
-    try:
-        results = run_chaos(
-            scenarios,
-            p=args.p,
-            count=args.count,
-            seed=args.seed,
-            backends=backends,
-            timeout=args.timeout,
-            recover=recover,
-            engine=args.engine,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print("\ninterrupted mid-sweep: no cases summarized",
-              file=sys.stderr)
-        return 130
+    results = run_chaos(
+        scenarios,
+        p=args.p,
+        count=args.count,
+        seed=args.seed,
+        backends=backends,
+        timeout=args.timeout,
+        recover=recover,
+        engine=args.engine,
+    )
     if args.verbose:
         for r in results:
             print(r.describe())
@@ -482,33 +538,28 @@ def main_recover(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--backend", default="both",
                         choices=["threaded", "sim", "both"],
                         help="demo backend(s) (default both)")
-    parser.add_argument("--machine", default="reference",
-                        help="base machine (frontier/polaris/reference) "
-                        "or a registry name like dragonfly-1024 "
-                        "(repro.simnet.machines.get)")
-    parser.add_argument("--ppn", type=int, default=1)
+    _machine_flags(parser, "reference")
     parser.add_argument("--sweep", action="store_true",
                         help="sweep every generalized algorithm across "
                         "the radix grid instead of the single demo")
-    parser.add_argument("-j", "--jobs", type=int, default=0,
-                        help="worker processes for the sweep (0/1 "
-                        "serial, -1 all cores); records are identical "
-                        "at any job count")
+    _jobs_flag(parser, "the sweep", "records are")
     parser.add_argument("-o", "--output", default=None, metavar="PATH",
                         help="write the sweep's JSON report here")
     args = parser.parse_args(argv)
+    # A truncated recovery report would understate time-to-recovery
+    # coverage; an interrupted demo has no verdict to print.
+    return _run(_recover, args, "interrupted: no report written"
+                if args.sweep else "interrupted")
 
+
+def _recover(args: argparse.Namespace) -> int:
     from .errors import RecoveryError
     from .faults.plan import Crash, FaultPlan
     from .recovery import RecoveryPolicy
 
     spares = args.p if args.mode == "spare" else 0
     policy = RecoveryPolicy(mode=args.mode, spares=spares)
-    try:
-        machine = _machine_arg(args.machine, args.p // args.ppn, args.ppn)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    machine = _machine(args)
 
     if args.sweep:
         from .bench.recovery import (
@@ -518,24 +569,15 @@ def main_recover(argv: Optional[List[str]] = None) -> int:
             write_recovery_report,
         )
 
-        try:
-            records = run_recovery_sweep(
-                machine,
-                nbytes=args.nbytes,
-                crash_rank=args.crash_rank,
-                crash_step=args.crash_step,
-                seed=args.seed,
-                recovery=policy,
-                jobs=args.jobs,
-            )
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except KeyboardInterrupt:
-            # A truncated recovery report would understate
-            # time-to-recovery coverage — write nothing.
-            print("\ninterrupted: no report written", file=sys.stderr)
-            return 130
+        records = run_recovery_sweep(
+            machine,
+            nbytes=args.nbytes,
+            crash_rank=args.crash_rank,
+            crash_step=args.crash_step,
+            seed=args.seed,
+            recovery=policy,
+            jobs=args.jobs,
+        )
         print(summarize_recovery(records))
         if args.output:
             write_recovery_report(records, args.output, machine=machine,
@@ -554,43 +596,38 @@ def main_recover(argv: Optional[List[str]] = None) -> int:
                           max_rto=0.1),
     )
     status = 0
-    try:
-        if args.backend in ("sim", "both"):
-            from .recovery import simulate_with_recovery
+    if args.backend in ("sim", "both"):
+        from .recovery import simulate_with_recovery
 
-            res = simulate_with_recovery(
-                args.collective, args.algorithm, machine, args.nbytes,
-                recovery=policy, k=args.k, faults=plan,
+        res = simulate_with_recovery(
+            args.collective, args.algorithm, machine, args.nbytes,
+            recovery=policy, k=args.k, faults=plan,
+        )
+        print(f"sim: {res.report.describe()}")
+        if res.recovered:
+            print(f"sim: total {res.time_us:.1f} us, time-to-recovery "
+                  f"{res.time_to_recovery_us:.1f} us, post-recovery "
+                  f"{res.post_recovery_us:.1f} us")
+        else:
+            status = 1
+    if args.backend in ("threaded", "both"):
+        from .recovery import execute_with_recovery
+
+        # An unrecovered threaded run is this demo's verdict (exit 1),
+        # not an error.
+        try:
+            run = execute_with_recovery(
+                args.collective, args.algorithm, p=args.p,
+                count=args.count, recovery=policy, k=args.k,
+                faults=plan,
             )
-            print(f"sim: {res.report.describe()}")
-            if res.recovered:
-                print(f"sim: total {res.time_us:.1f} us, time-to-recovery "
-                      f"{res.time_to_recovery_us:.1f} us, post-recovery "
-                      f"{res.post_recovery_us:.1f} us")
-            else:
-                status = 1
-        if args.backend in ("threaded", "both"):
-            from .recovery import execute_with_recovery
-
-            try:
-                run = execute_with_recovery(
-                    args.collective, args.algorithm, p=args.p,
-                    count=args.count, recovery=policy, k=args.k,
-                    faults=plan,
-                )
-            except RecoveryError as exc:
-                print(f"threaded: unrecovered: {exc}", file=sys.stderr)
-                status = 1
-            else:
-                print(f"threaded: {run.report.describe()}")
-                print(f"threaded: survivors host slots {list(run.hosts)}; "
-                      "results verified bit-exact over the survivor group")
-    except KeyboardInterrupt:
-        # ^C mid-demo (the threaded transport can sit in its retry
-        # ladder for a while): conventional 128+SIGINT status, no
-        # partial verdict printed as if it were one.
-        print("\ninterrupted", file=sys.stderr)
-        return 130
+        except RecoveryError as exc:
+            print(f"threaded: unrecovered: {exc}", file=sys.stderr)
+            status = 1
+        else:
+            print(f"threaded: {run.report.describe()}")
+            print(f"threaded: survivors host slots {list(run.hosts)}; "
+                  "results verified bit-exact over the survivor group")
     return status
 
 
@@ -603,17 +640,16 @@ def main_bench_perf(argv: Optional[List[str]] = None) -> int:
         "(no baseline, no options). Exits 0 when every gate holds, 1 "
         "otherwise. Perf claims are perfbench A/B tables, not this.",
     )
-    parser.parse_args(argv)
+    # Rows from the measures that did finish would read as a verdict on
+    # the ones that did not: Ctrl-C prints none.
+    return _run(_bench_perf, parser.parse_args(argv),
+                "interrupted: no verdict")
 
+
+def _bench_perf(args: argparse.Namespace) -> int:
     from .bench.perf import format_report, run_gates
 
-    try:
-        report = run_gates()
-    except KeyboardInterrupt:
-        # Rows from the measures that did finish would read as a verdict
-        # on the ones that did not.
-        print("\ninterrupted: no verdict", file=sys.stderr)
-        return 130
+    report = run_gates()
     print(format_report(report))
     failed = [row for row in report if not row["ok"]]
     if failed:
@@ -641,15 +677,8 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--nbytes", type=int, default=65536,
                         help="message size at the traced point "
                         "(default 65536)")
-    parser.add_argument("--machine", default="frontier",
-                        help="base machine (frontier/polaris/reference) "
-                        "or a registry name like dragonfly-1024 "
-                        "(repro.simnet.machines.get)")
-    parser.add_argument("--ppn", type=int, default=1,
-                        help="processes per node (nodes = p / ppn)")
-    parser.add_argument("-j", "--jobs", type=int, default=0,
-                        help="worker processes for the sweep "
-                        "(0/1 serial, -1 all cores)")
+    _machine_flags(parser, "frontier")
+    _jobs_flag(parser, "the sweep")
     parser.add_argument("-o", "--output", default="trace.json",
                         metavar="PATH",
                         help="Perfetto trace path (default trace.json)")
@@ -657,30 +686,20 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
                         help="metrics snapshot path (default: "
                         "<output stem>-metrics.json; Prometheus text "
                         "beside it as .prom)")
-    args = parser.parse_args(argv)
+    return _run(_trace, parser.parse_args(argv),
+                "interrupted: no trace written")
 
-    from pathlib import Path
 
+def _trace(args: argparse.Namespace) -> int:
     from .api import build, simulate
     from .bench.sweep import SweepPoint, run_sweep, sweep_stats
     from .obs import OBS
 
-    if args.p % args.ppn:
-        print(f"error: p={args.p} not divisible by ppn={args.ppn}",
-              file=sys.stderr)
-        return 2
+    machine = _machine(args)
     metrics_out = args.metrics_out or str(
         Path(args.output).with_name(Path(args.output).stem + "-metrics.json")
     )
-    try:
-        machine = _machine_arg(args.machine, args.p // args.ppn, args.ppn)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    OBS.reset()
-    OBS.enable()
-    try:
+    with _metrics_out(metrics_out):
         with OBS.span(
             "trace",
             collective=args.collective,
@@ -706,21 +725,15 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
                           p=args.p, k=args.k, root=args.root)
             res = simulate(sched, machine, nbytes=args.nbytes,
                            timeline=True)
-    except ReproError as exc:
-        OBS.disable()
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    trace_path = OBS.write_trace(
-        args.output,
-        metadata={
-            "tool": "repro-trace",
-            "machine": machine.name,
-            "point": f"{args.collective}/{args.algorithm} "
-                     f"p={args.p} k={args.k} nbytes={args.nbytes}",
-        },
-    )
-    OBS.write_metrics(metrics_out)
-    OBS.disable()
+        trace_path = OBS.write_trace(
+            args.output,
+            metadata={
+                "tool": "repro-trace",
+                "machine": machine.name,
+                "point": f"{args.collective}/{args.algorithm} "
+                         f"p={args.p} k={args.k} nbytes={args.nbytes}",
+            },
+        )
 
     stats = sweep_stats(results)
     print(f"{args.collective}/{args.algorithm} p={args.p} k={args.k} "
@@ -730,7 +743,6 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
           f"build hit rate {stats.build_hit_rate:.0%}")
     print(f"wrote {trace_path} "
           f"(open at https://ui.perfetto.dev or chrome://tracing)")
-    print(f"wrote {metrics_out} (+ .prom)")
     return 1 if stats.errors else 0
 
 
@@ -780,16 +792,15 @@ def main_check(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="print the machine-readable JSON report "
                         "instead of the human summary")
-    parser.add_argument("-j", "--jobs", type=int, default=0,
-                        help="worker processes for --all (0/1 serial, "
-                        "-1 all cores); records are identical at any "
-                        "job count")
+    _jobs_flag(parser, "--all", "records are")
     parser.add_argument("-o", "--output", default=None, metavar="PATH",
                         help="also write the JSON report to a file")
-    args = parser.parse_args(argv)
+    # A partial grid would pass CI on configurations it never analyzed.
+    return _run(_check, parser.parse_args(argv),
+                "interrupted: no report written")
 
-    import json as _json
 
+def _check(args: argparse.Namespace) -> int:
     if args.all:
         from .bench.checksweep import (
             grid_points,
@@ -805,97 +816,68 @@ def main_check(argv: Optional[List[str]] = None) -> int:
             engine=args.engine,
         )
         if not points:
-            print("error: no registry entries match the filter",
-                  file=sys.stderr)
-            return 2
-        try:
-            records = run_check_sweep(points, jobs=args.jobs)
-        except KeyboardInterrupt:
-            # A partial grid would pass CI on configurations it never
-            # analyzed — refuse to summarize or write one.
-            print("\ninterrupted: no report written", file=sys.stderr)
-            return 130
+            raise ReproError("no registry entries match the filter")
+        records = run_check_sweep(points, jobs=args.jobs)
         summary = summarize_check_sweep(records)
         doc = {
             "summary": summary,
             "records": [r.to_dict() for r in records],
         }
-        if args.json:
-            print(_json.dumps(doc, indent=2))
-        else:
-            print(
-                f"checked {summary['points']} configurations: "
-                f"{summary['ok']} ok, {summary['failing']} failing, "
-                f"{summary['warnings']} warning(s)"
+        lines = [
+            f"checked {summary['points']} configurations: "
+            f"{summary['ok']} ok, {summary['failing']} failing, "
+            f"{summary['warnings']} warning(s)"
+        ]
+        if "classes" in summary:
+            cls = summary["classes"]
+            lines.append(
+                f"class analysis: {cls['total_ranks']} ranks collapse "
+                f"to {cls['total_classes']} classes across "
+                f"{cls['points']} configurations"
             )
-            if "classes" in summary:
-                cls = summary["classes"]
-                print(
-                    f"class analysis: {cls['total_ranks']} ranks collapse "
-                    f"to {cls['total_classes']} classes across "
-                    f"{cls['points']} configurations"
-                )
-            for record in records:
-                if record.ok and not (args.strict and record.warnings):
-                    continue
-                where = f"{record.collective}/{record.algorithm} " \
-                        f"p={record.p} k={record.k}"
-                if record.error:
-                    print(f"  FAIL {where}: {record.error}")
-                for finding in record.findings:
-                    print(f"  FAIL {where}: {finding['message']}")
-        if args.output:
-            from pathlib import Path
-
-            Path(args.output).write_text(_json.dumps(doc, indent=2) + "\n")
-            print(f"wrote {args.output}")
-        failing = summary["failing"]
-        if args.strict and summary["warnings"]:
-            failing += summary["warnings"]
-        return 1 if failing else 0
-
-    from .check import run_checks
-
-    try:
-        if args.schedule:
-            from .core.serialize import load_schedule
-
-            sched = load_schedule(args.schedule)
-        elif args.collective and args.algorithm:
-            sched = build_schedule(
-                args.collective, args.algorithm, args.p,
-                k=args.k, root=args.root,
-            )
-        else:
-            print(
-                "error: name a (collective, algorithm) pair, or use "
-                "--schedule PATH / --all",
-                file=sys.stderr,
-            )
-            return 2
-        report = run_checks(
-            sched,
-            nbytes=args.nbytes,
-            eager_threshold=args.eager_threshold,
-        )
-    except (ReproError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print("\ninterrupted: no report written", file=sys.stderr)
-        return 130
-    if args.json:
-        print(_json.dumps(report.to_dict(), indent=2))
+        for record in records:
+            if record.ok and not (args.strict and record.warnings):
+                continue
+            where = f"{record.collective}/{record.algorithm} " \
+                    f"p={record.p} k={record.k}"
+            if record.error:
+                lines.append(f"  FAIL {where}: {record.error}")
+            for finding in record.findings:
+                lines.append(f"  FAIL {where}: {finding['message']}")
+        text = "\n".join(lines)
+        ok = not (summary["failing"]
+                  + (summary["warnings"] if args.strict else 0))
     else:
-        print(report.describe())
-    if args.output:
-        from pathlib import Path
+        from .check import run_checks
 
-        Path(args.output).write_text(
-            _json.dumps(report.to_dict(), indent=2) + "\n"
-        )
-        print(f"wrote {args.output}")
-    return 0 if (report.strict_ok if args.strict else report.ok) else 1
+        if not (args.schedule or (args.collective and args.algorithm)):
+            raise ReproError("name a (collective, algorithm) pair, or use "
+                             "--schedule PATH / --all")
+        # A schedule file is outside input: reading or parsing it can
+        # fail with errors that are not ReproErrors; they exit 2 too.
+        try:
+            if args.schedule:
+                from .core.serialize import load_schedule
+
+                sched = load_schedule(args.schedule)
+            else:
+                sched = build_schedule(
+                    args.collective, args.algorithm, args.p,
+                    k=args.k, root=args.root,
+                )
+            report = run_checks(
+                sched,
+                nbytes=args.nbytes,
+                eager_threshold=args.eager_threshold,
+            )
+        except (OSError, ValueError) as exc:
+            raise ReproError(str(exc)) from exc
+        doc, text = report.to_dict(), report.describe()
+        ok = report.strict_ok if args.strict else report.ok
+    print(json.dumps(doc, indent=2) if args.json else text)
+    if args.output:
+        _write_report(args.output, doc)
+    return 0 if ok else 1
 
 
 def main_sweep(argv: Optional[List[str]] = None) -> int:
@@ -907,27 +889,15 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
         "journaling every completed point so an interrupted run can "
         "resume where it died (--resume) with bit-identical results.",
     )
-    parser.add_argument("--machine", default="frontier",
-                        help="base machine (frontier/polaris/reference, "
-                        "combined with --nodes/--ppn) or a self-contained "
-                        "registry name like dragonfly-1024 "
-                        "(repro.simnet.machines.get)")
-    parser.add_argument("--nodes", type=int, default=16)
-    parser.add_argument("--ppn", type=int, default=1)
-    parser.add_argument("--engine", default="auto", choices=ENGINES,
-                        help="simulation core: auto (default) picks the "
-                        "class-collapsed engine where eligible; results "
-                        "are identical under all three")
+    _machine_flags(parser, "frontier", nodes=16)
+    _engine_flag(parser, "the grid", "results are")
     parser.add_argument("--collective", default="allreduce",
                         choices=COLLECTIVES)
     parser.add_argument("--algorithm", default=None,
                         help="restrict to one algorithm (default: every "
                         "algorithm registered for the collective)")
-    parser.add_argument("--min-bytes", type=int, default=8)
-    parser.add_argument("--max-bytes", type=int, default=1 << 20)
-    parser.add_argument("-j", "--jobs", type=int, default=0,
-                        help="worker processes (0/1 serial, -1 all "
-                        "cores); results are identical at any job count")
+    _size_flags(parser, max_bytes=1 << 20)
+    _jobs_flag(parser, "the grid", "results are")
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="append every completed point to this "
                         "crash-safe JSONL journal as it finishes")
@@ -953,50 +923,45 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("-o", "--output", default=None, metavar="PATH",
                         help="write the results JSON here (default: "
                         "stdout summary only)")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="enable observability for the sweep and "
-                        "write a metrics snapshot here (JSON; Prometheus "
-                        "text beside it as .prom)")
+    _metrics_flag(parser)
     args = parser.parse_args(argv)
+    # The journal already holds every completed point (each record is
+    # flushed before the next chunk lands), so an interrupted run
+    # resumes exactly where it died: same command + --resume.
+    interrupted = "interrupted"
+    if args.journal:
+        interrupted += (f"\njournal {args.journal} holds the completed "
+                        "points; re-run with --resume to continue")
+    return _run(_sweep, args, interrupted)
 
-    import json as _json
-    from pathlib import Path
 
+def _sweep(args: argparse.Namespace) -> int:
     from .bench.sweep import (
         SweepPoint,
         run_sweep,
         sweep_fingerprint,
         sweep_stats,
     )
-    from .obs import OBS
     from .selection.tuner import radix_grid
 
     if args.resume and not args.journal:
-        print("error: --resume requires --journal", file=sys.stderr)
-        return 2
-    try:
-        machine = _machine_arg(args.machine, args.nodes, args.ppn)
-        algorithms = (
-            [args.algorithm] if args.algorithm
-            else algorithms_for(args.collective)
-        )
-        points: List[SweepPoint] = []
-        for alg in algorithms:
-            entry = info(args.collective, alg)
-            ks = radix_grid(machine.nranks) if entry.takes_k else [None]
-            for k in ks:
-                for nbytes in default_sizes(args.min_bytes, args.max_bytes):
-                    points.append(
-                        SweepPoint(args.collective, alg, nbytes, k=k)
-                    )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ReproError("--resume requires --journal")
+    machine = _machine(args)
+    algorithms = (
+        [args.algorithm] if args.algorithm
+        else algorithms_for(args.collective)
+    )
+    points: List[SweepPoint] = []
+    for alg in algorithms:
+        entry = info(args.collective, alg)
+        ks = radix_grid(machine.nranks) if entry.takes_k else [None]
+        for k in ks:
+            for nbytes in default_sizes(args.min_bytes, args.max_bytes):
+                points.append(
+                    SweepPoint(args.collective, alg, nbytes, k=k)
+                )
 
-    if args.metrics_out:
-        OBS.reset()
-        OBS.enable()
-    try:
+    with _metrics_out(args.metrics_out):
         results = run_sweep(
             points,
             machine,
@@ -1009,23 +974,6 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
             isolate=args.isolate,
             engine=args.engine,
         )
-    except KeyboardInterrupt:
-        # The journal already holds every completed point (each record
-        # is flushed before the next chunk lands), so the run resumes
-        # exactly where it died: same command + --resume.
-        print("\ninterrupted", file=sys.stderr)
-        if args.journal:
-            print(f"journal {args.journal} holds the completed points; "
-                  "re-run with --resume to continue", file=sys.stderr)
-        return 130
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if args.metrics_out:
-            OBS.write_metrics(args.metrics_out)
-            OBS.disable()
-            print(f"wrote {args.metrics_out} (+ .prom)", file=sys.stderr)
 
     stats = sweep_stats(results)
     print(f"{args.collective} on {machine.name}: {stats.points} points, "
@@ -1050,10 +998,7 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
                 for r in results
             ],
         }
-        Path(args.output).write_text(
-            _json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.output}")
+        _write_report(args.output, doc, sort_keys=True)
     return 1 if stats.errors else 0
 
 
@@ -1074,13 +1019,7 @@ def main_adapt(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--collective", default="allreduce",
                         choices=COLLECTIVES)
-    parser.add_argument("--machine", default="frontier",
-                        help="base machine (frontier/polaris/reference, "
-                        "combined with --nodes/--ppn) or a self-contained "
-                        "registry name like dragonfly-1024 "
-                        "(repro.simnet.machines.get)")
-    parser.add_argument("--nodes", type=int, default=16)
-    parser.add_argument("--ppn", type=int, default=1)
+    _machine_flags(parser, "frontier", nodes=16)
     parser.add_argument("--nbytes", type=int, default=65536,
                         help="message size the loop re-selects at "
                         "(default 65536)")
@@ -1093,13 +1032,8 @@ def main_adapt(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the scenario and the bandit "
                         "tie-breaks (default 0)")
-    parser.add_argument("--engine", default="auto", choices=ENGINES,
-                        help="simulation core for the underlying sweeps; "
-                        "the trail is identical under all three")
-    parser.add_argument("-j", "--jobs", type=int, default=0,
-                        help="worker processes for the underlying sweeps "
-                        "(0/1 serial, -1 all cores); the trail is "
-                        "identical at any job count")
+    _engine_flag(parser, "the underlying sweeps", "the trail is")
+    _jobs_flag(parser, "the underlying sweeps", "the trail is")
     parser.add_argument("--check-jobs", type=int, default=None,
                         metavar="N",
                         help="re-run the whole loop at this job count "
@@ -1126,54 +1060,41 @@ def main_adapt(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("-o", "--output", default=None, metavar="PATH",
                         help="write the full trail JSON here "
                         "(e.g. adapt_report.json)")
-    args = parser.parse_args(argv)
+    # A truncated trail would misstate regret and time-to-adapt.
+    return _run(_adapt, parser.parse_args(argv),
+                "interrupted: no report written")
 
-    import json as _json
+
+def _adapt(args: argparse.Namespace) -> int:
     from dataclasses import replace
-    from pathlib import Path
 
     from .adapt.selector import DEFAULT_POLICY
     from .bench.adapt import run_adapt_bench
 
-    overrides = {}
-    if args.hysteresis is not None:
-        overrides["hysteresis"] = args.hysteresis
-    if args.switch_cost is not None:
-        overrides["switch_cost"] = args.switch_cost
-    if args.cooldown is not None:
-        overrides["cooldown"] = args.cooldown
-    if args.patience is not None:
-        overrides["patience"] = args.patience
-    if args.max_candidates is not None:
-        overrides["max_candidates"] = args.max_candidates
+    overrides = {
+        name: getattr(args, name)
+        for name in ("hysteresis", "switch_cost", "cooldown", "patience",
+                     "max_candidates")
+        if getattr(args, name) is not None
+    }
     if args.no_telemetry:
         overrides["telemetry"] = False
-    try:
-        policy = (
-            replace(DEFAULT_POLICY, **overrides) if overrides
-            else DEFAULT_POLICY
-        )
-        machine = _machine_arg(args.machine, args.nodes, args.ppn)
-        doc = run_adapt_bench(
-            machine,
-            collective=args.collective,
-            nbytes=args.nbytes,
-            scenario=args.scenario,
-            rounds=args.rounds,
-            policy=policy,
-            jobs=args.jobs,
-            check_jobs=args.check_jobs,
-            engine=args.engine,
-            seed=args.seed,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        # A truncated trail would misstate regret and time-to-adapt —
-        # write nothing.
-        print("\ninterrupted: no report written", file=sys.stderr)
-        return 130
+    policy = (
+        replace(DEFAULT_POLICY, **overrides) if overrides
+        else DEFAULT_POLICY
+    )
+    doc = run_adapt_bench(
+        _machine(args),
+        collective=args.collective,
+        nbytes=args.nbytes,
+        scenario=args.scenario,
+        rounds=args.rounds,
+        policy=policy,
+        jobs=args.jobs,
+        check_jobs=args.check_jobs,
+        engine=args.engine,
+        seed=args.seed,
+    )
 
     static, final = doc["static"], doc["final"]
     print(f"{args.collective} n={doc['nbytes']} on {doc['machine']}: "
@@ -1197,10 +1118,7 @@ def main_adapt(argv: Optional[List[str]] = None) -> int:
         print("ladder ABORTED: fabric too degraded for any candidate",
               file=sys.stderr)
     if args.output:
-        Path(args.output).write_text(
-            _json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.output}")
+        _write_report(args.output, doc, sort_keys=True)
     if doc["aborted"]:
         return 1
     return 0 if doc["jobs_invariant"] else 1
@@ -1227,24 +1145,17 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
                         help="listen port; 0 (default) picks an "
                         "ephemeral one — the chosen URL is printed as "
                         "'serving on http://...' once ready")
-    parser.add_argument("--machine", default="reference",
-                        help="base machine (frontier/polaris/reference, "
-                        "combined with --nodes/--ppn) or a self-contained "
-                        "registry name like dragonfly-1024 "
-                        "(repro.simnet.machines.get)")
-    parser.add_argument("--nodes", type=int, default=8)
-    parser.add_argument("--ppn", type=int, default=1)
+    _machine_flags(parser, "reference", nodes=8)
     parser.add_argument("--collectives", nargs="+", default=None,
                         choices=COLLECTIVES, metavar="COLLECTIVE",
                         help="collectives the boot sweep tunes "
                         "(default: the paper's four — bcast, reduce, "
                         "allgather, allreduce)")
-    parser.add_argument("--min-bytes", type=int, default=8)
-    parser.add_argument("--max-bytes", type=int, default=1 << 18)
+    _size_flags(parser, max_bytes=1 << 18)
     parser.add_argument("--grid", default=None, metavar="PATH",
-                        help="warm-start the boot sweep from a committed "
-                        "selection-config artifact (repro-tune output "
-                        "re-exported via /config, or SelectionConfig."
+                        help="warm-start the boot sweep from a "
+                        "selection-config document (repro-tune -o "
+                        "output, a saved /config, or SelectionConfig."
                         "save); covered points replay recorded timings "
                         "instead of simulating")
     parser.add_argument("--store", default=None, metavar="DIR",
@@ -1252,15 +1163,13 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
                         "artifacts (repro.store); /schedule survives "
                         "restarts and the fingerprint index is rebuilt "
                         "from it at boot")
-    parser.add_argument("--engine", default="auto", choices=ENGINES,
-                        help="simulation core for the service's sweeps; "
-                        "served selections are identical under all three")
-    parser.add_argument("-j", "--jobs", type=int, default=0,
-                        help="worker processes for the service's sweeps "
-                        "(0/1 serial, -1 all cores); selections are "
-                        "identical at any job count")
-    args = parser.parse_args(argv)
+    _engine_flag(parser, "the service's sweeps", "selections are")
+    _jobs_flag(parser, "the service's sweeps", "selections are")
+    return _run(_serve, parser.parse_args(argv),
+                "interrupted during boot sweep")
 
+
+def _serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
@@ -1272,25 +1181,15 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
     # in /metrics — a daemon should be observable by default.
     OBS.reset()
     OBS.enable()
-    try:
-        machine = _machine_arg(args.machine, args.nodes, args.ppn)
-        sizes = [n for n in default_sizes(args.min_bytes, args.max_bytes)]
-        service = TuningService(
-            machine,
-            sizes[::2] + [sizes[-1]],
-            collectives=(tuple(args.collectives) if args.collectives
-                         else ("bcast", "reduce", "allgather", "allreduce")),
-            store=args.store,
-            grid=args.grid,
-            jobs=args.jobs,
-            engine=args.engine,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print("\ninterrupted during boot sweep", file=sys.stderr)
-        return 130
+    service = TuningService(
+        _machine(args),
+        _tuning_sizes(args),
+        collectives=args.collectives or DEFAULT_COLLECTIVES,
+        store=args.store,
+        grid=args.grid,
+        jobs=args.jobs,
+        engine=args.engine,
+    )
 
     async def run() -> None:
         await service.start(args.host, args.port)
@@ -1302,13 +1201,13 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
         await stop.wait()
         await service.stop()
 
-    try:
+    def serve(_args: argparse.Namespace) -> int:
         asyncio.run(run())
-    except KeyboardInterrupt:
-        print("\ninterrupted: tuning service stopped", file=sys.stderr)
-        return 130
-    print("SIGTERM: tuning service stopped cleanly", file=sys.stderr)
-    return 0
+        print("SIGTERM: tuning service stopped cleanly", file=sys.stderr)
+        return 0
+
+    # Booted: Ctrl-C now stops a live service, which says so.
+    return _run(serve, args, "interrupted: tuning service stopped")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation helper

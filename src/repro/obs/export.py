@@ -7,6 +7,9 @@ Merges two kinds of record onto one timebase:
 * **simnet timelines** (:class:`~repro.obs.tracing.SimTimeline`) — the
   simulator's per-message transfer windows, in *simulated* seconds.
 
+A bare :class:`~repro.simnet.simulate.SimResult` simulated with a
+timeline exports the same way, as one timeline with no host spans.
+
 The trace origin is the earliest host span start; every host event is
 expressed in microseconds since that origin.  Each simnet timeline is
 anchored at the host start of the ``simulate`` span that produced it, so
@@ -32,9 +35,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..errors import TraceError
 from .tracing import SimTimeline, SpanRecord
+
+if TYPE_CHECKING:  # simnet imports obs: a runtime import would be circular
+    from ..simnet.simulate import SimResult
 
 __all__ = ["to_perfetto", "write_perfetto"]
 
@@ -42,13 +49,36 @@ _HOST_PID = 1
 _SIM_PID_BASE = 1000
 
 
+def require_timeline(result: "SimResult") -> List[Tuple]:
+    """A simulator result's message timeline, or a :class:`TraceError`
+    when it was simulated without one."""
+    # A missing timeline is a result-shape problem (the caller forgot
+    # collect_timeline=True), not a machine-configuration one.
+    if result.timeline is None:
+        raise TraceError(
+            "SimResult has no timeline — simulate with timeline=True "
+            "(collect_timeline=True at the simnet layer)"
+        )
+    return list(result.timeline)
+
+
 def to_perfetto(
-    spans: Sequence[SpanRecord],
+    spans: Union[Sequence[SpanRecord], "SimResult"],
     timelines: Sequence[SimTimeline] = (),
     *,
     metadata: Optional[Dict[str, object]] = None,
 ) -> Dict:
-    """Build the Chrome trace-event JSON dict from spans + sim timelines."""
+    """Build the Chrome trace-event JSON dict from spans + sim timelines.
+
+    ``spans`` may instead be a bare
+    :class:`~repro.simnet.simulate.SimResult`: its message timeline is
+    exported as the one sim timeline, with no host spans.
+    """
+    if hasattr(spans, "timeline"):
+        timelines = (SimTimeline(span_id="", label="simulated collective",
+                                 events=tuple(require_timeline(spans)),
+                                 makespan=spans.time),)
+        spans = ()
     events: List[Dict] = []
     origin = min((s.t0 for s in spans), default=0.0)
     span_start = {s.span_id: s.t0 for s in spans}
@@ -142,13 +172,14 @@ def to_perfetto(
 
 
 def write_perfetto(
-    spans: Sequence[SpanRecord],
+    spans: Union[Sequence[SpanRecord], "SimResult"],
     timelines: Sequence[SimTimeline] = (),
     path: Union[str, Path] = "trace.json",
     *,
     metadata: Optional[Dict[str, object]] = None,
 ) -> Path:
-    """Write the merged trace to ``path``; open it at ui.perfetto.dev."""
+    """Write the merged trace (or a bare ``SimResult``'s, see
+    :func:`to_perfetto`) to ``path``; open it at ui.perfetto.dev."""
     path = Path(path)
     path.write_text(
         json.dumps(to_perfetto(spans, timelines, metadata=metadata))

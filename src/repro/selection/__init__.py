@@ -1,5 +1,5 @@
-"""Algorithm selection — MPICH-style tuning tables, default policies, and
-the exhaustive tuner (paper §VI-G)."""
+"""Algorithm selection — MPICH-style tuning tables, the selection-config
+document, default policies, and the exhaustive tuner (paper §VI-G)."""
 
 from .defaults import (
     ALLGATHER_CUTOFF,
@@ -11,17 +11,34 @@ from .defaults import (
     mpich_policy,
     vendor_policy,
 )
-from .table import Choice, Rule, SelectionTable
-from .tuner import SweepEntry, radix_grid, sweep_collective, tune
+from .table import (
+    CONFIG_FORMAT,
+    CONFIG_VERSION,
+    Choice,
+    Rule,
+    SelectionConfig,
+    SelectionTable,
+)
+from .tuner import (
+    SweepEntry,
+    config_from_sweeps,
+    radix_grid,
+    sweep_collective,
+    tune,
+)
 
 __all__ = [
     "Choice",
     "Rule",
     "SelectionTable",
+    "SelectionConfig",
+    "CONFIG_FORMAT",
+    "CONFIG_VERSION",
     "mpich_policy",
     "vendor_policy",
     "fixed_policy",
     "tune",
+    "config_from_sweeps",
     "sweep_collective",
     "radix_grid",
     "SweepEntry",

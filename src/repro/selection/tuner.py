@@ -1,4 +1,4 @@
-"""Exhaustive tuner: sweep the simulator, emit a selection table (§VI-G).
+"""Exhaustive tuner: sweep the simulator, emit a selection config (§VI-G).
 
 The paper "exhaustively benchmarked every algorithm in MPICH to determine
 the optimal algorithm-parameters" and distilled the result into a new
@@ -18,7 +18,7 @@ from ..errors import SelectionError
 from ..faults.plan import FaultPlan
 from ..simnet.machine import MachineSpec
 from ..simnet.noise import NoiseModel
-from .table import Choice, Rule, SelectionTable
+from .table import Choice, PriorKey, Rule, SelectionConfig, SelectionTable
 
 __all__ = [
     "DEFAULT_COLLECTIVES",
@@ -26,7 +26,7 @@ __all__ = [
     "sweep_points",
     "sweep_collective",
     "SweepEntry",
-    "table_from_sweeps",
+    "config_from_sweeps",
     "tune",
 ]
 
@@ -184,7 +184,7 @@ def sweep_collective(
     ``priors`` warm-starts the sweep from recorded timings — a mapping
     from ``(collective, algorithm, k, root, nbytes)`` to seconds, as
     exported by
-    :meth:`repro.server.SelectionConfig.sweep_priors` — and only the
+    :meth:`repro.selection.SelectionConfig.sweep_priors` — and only the
     points *absent* from it are simulated.  Simulated times are
     deterministic, so a prior recorded on the same machine equals what
     re-simulation would produce and the entries (and every winner
@@ -257,28 +257,37 @@ def sweep_collective(
     return result
 
 
-def table_from_sweeps(
-    sweeps: Mapping[str, SweepResult],
+def config_from_sweeps(
+    machine,
     sizes: Sequence[int],
+    sweeps: Mapping[str, SweepResult],
     *,
-    name: str = "unnamed",
-) -> SelectionTable:
-    """Distill per-collective sweeps into a selection table.
+    name: Optional[str] = None,
+) -> SelectionConfig:
+    """Distill per-collective sweeps into the selection-config document.
 
     The merge step of :func:`tune`, exposed so any source of
     :class:`SweepResult` values — a fresh sweep, a tuning-service merge
     of incremental ``/tune`` results, or timings replayed from an
-    exported selection-config artifact — distills to the *same* table
-    the one-shot tuner would emit: winner per size, adjacent identical
-    winners merged into byte-range rules (first rule extends to 0, last
-    unbounded), plus the standard fallbacks.  ``sweeps`` maps collective
-    name to its :class:`SweepResult`; iteration order becomes rule
-    order, so pass an ordered mapping.
+    exported document — distills to the *same* document the one-shot
+    tuner would emit.  Per collective: winner per size, then adjacent
+    sizes with identical winners merge into one rule.  The byte-range
+    boundaries sit at the sweep sizes themselves (the winner measured at
+    size ``s`` governs ``[s, next_s)``), the first rule extends to 0 and
+    the last is unbounded — matching how MPICH cutoff tables are
+    written — plus the standard fallbacks.  Every sweep entry becomes
+    one timing row.  ``sweeps`` maps collective name to its
+    :class:`SweepResult`; iteration order becomes rule order, so pass
+    an ordered mapping.
     """
+    from ..simnet.machines import resolve as resolve_machine
+
+    machine = resolve_machine(machine)
     sorted_sizes = sorted(set(int(s) for s in sizes))
     if not sorted_sizes:
-        raise SelectionError("table_from_sweeps needs at least one size")
-    table = SelectionTable(name=name)
+        raise SelectionError("a selection config needs at least one size")
+    table = SelectionTable(name=name or f"tuned-{machine.name}")
+    timings: List[Dict] = []
     for collective, sweep in sweeps.items():
         winners: List[Tuple[int, Choice]] = [
             (n, sweep.best(n).choice) for n in sorted_sizes
@@ -301,12 +310,30 @@ def table_from_sweeps(
                     max_bytes=hi,
                 )
             )
+        timings.extend(
+            {
+                "collective": collective,
+                "algorithm": entry.choice.algorithm,
+                "k": entry.choice.k,
+                "root": 0,
+                "nbytes": entry.nbytes,
+                "time": entry.time,
+            }
+            for entry in sweep.entries
+        )
     table.fallback["gather"] = Choice("binomial")
     table.fallback["scatter"] = Choice("binomial")
     table.fallback["reduce_scatter"] = Choice("recursive_halving")
     table.fallback["barrier"] = Choice("dissemination")
     table.fallback["alltoall"] = Choice("pairwise")
-    return table
+    return SelectionConfig(
+        table=table,
+        machine=machine.name,
+        nranks=machine.nranks,
+        sizes=sorted_sizes,
+        collectives=tuple(sweeps),
+        timings=timings,
+    )
 
 
 def tune(
@@ -314,49 +341,41 @@ def tune(
     sizes: Sequence[int],
     *,
     collectives: Sequence[str] = DEFAULT_COLLECTIVES,
-    noise: Optional[NoiseModel] = None,
-    faults: Optional["FaultPlan"] = None,
     name: Optional[str] = None,
     jobs: int = 0,
     check: bool = False,
     engine: str = "auto",
-    priors: Optional[Mapping[Tuple, float]] = None,
-) -> SelectionTable:
-    """Produce a selection table tuned for ``machine``.
+    priors: Optional[Mapping[PriorKey, float]] = None,
+) -> SelectionConfig:
+    """Sweep ``machine`` and return its selection-config document.
 
-    Per collective: winner per size, then adjacent sizes with identical
-    winners merge into one rule.  The byte-range boundaries sit at the
-    sweep sizes themselves (the winner measured at size ``s`` governs
-    ``[s, next_s)``), the first rule extends to 0 and the last is
-    unbounded — matching how MPICH cutoff tables are written.
+    Runs :func:`sweep_collective` for every collective over the size
+    grid and distills the sweeps with :func:`config_from_sweeps`; the
+    rule list is the document's ``.table``.
 
     ``jobs`` parallelizes the underlying sweeps without affecting the
     chosen winners: times are bit-identical to the serial sweep, so the
-    argmin per size — and therefore the emitted table — cannot change.
+    argmin per size — and therefore the document — cannot change.
     ``check=True`` gates every candidate schedule through the static
     analysis suite first (see :func:`sweep_collective`).
-    Tables are identical under any ``engine`` (the CLI's ``--engine``)
+    Documents are identical under any ``engine`` (the CLI's ``--engine``)
     too: the collapsed core is bit-identical where eligible and falls
     back where not, so it can only change tuning wall-clock, never a
-    winner.  And so are they under ``priors`` (see :func:`sweep_collective`): points covered by a
-    recorded timing artifact are served from it instead of
-    re-simulated, which is the tuning service's warm start — an
-    exported selection config round-trips into a bit-identical table
-    at a fraction of the cold cost.
+    winner.  And so are they under ``priors`` (a previous document's
+    :meth:`~repro.selection.table.SelectionConfig.sweep_priors`): points
+    covered by a recorded timing are served from it instead of
+    re-simulated, which is the tuning service's warm start — an exported
+    document round-trips into a bit-identical one at a fraction of the
+    cold cost.
     """
     from ..simnet.machines import resolve as resolve_machine
 
     machine = resolve_machine(machine)
     sorted_sizes = sorted(set(int(s) for s in sizes))
-    if not sorted_sizes:
-        raise SelectionError("tune needs at least one message size")
     sweeps: Dict[str, SweepResult] = {}
     for collective in collectives:
         sweeps[collective] = sweep_collective(
-            collective, machine, sorted_sizes, noise=noise, faults=faults,
-            jobs=jobs, check=check, engine=engine,
-            priors=priors,
+            collective, machine, sorted_sizes,
+            jobs=jobs, check=check, engine=engine, priors=priors,
         )
-    return table_from_sweeps(
-        sweeps, sorted_sizes, name=name or f"tuned-{machine.name}"
-    )
+    return config_from_sweeps(machine, sorted_sizes, sweeps, name=name)

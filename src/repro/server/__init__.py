@@ -6,15 +6,13 @@ in-process via :func:`serve_background`) that answers tuned-selection
 queries, serves content-addressed compiled schedules from the PR 6 disk
 store, coalesces concurrent identical ``/tune`` sweeps into single
 flights, exposes :mod:`repro.obs` Prometheus metrics, and exports the
-paper's end deliverable — the MPICH-style selection-config artifact
-(:class:`SelectionConfig`), which round-trips back into the tuner as
-priors and into :class:`repro.adapt.OnlineSelector` warm starts.
+paper's end deliverable — the MPICH-style selection-config document
+(:class:`repro.selection.SelectionConfig`), which round-trips back into
+the tuner as priors and into :class:`repro.adapt.OnlineSelector` warm
+starts.
 
-Three modules:
+Two modules:
 
-* :mod:`repro.server.config` — the versioned artifact
-  (:class:`SelectionConfig`, :func:`build_config`,
-  :func:`config_from_sweeps`);
 * :mod:`repro.server.app` — the service itself (:class:`TuningService`,
   :class:`ServerHandle`, :func:`serve_background`);
 * :mod:`repro.server.client` — the blocking stdlib client
@@ -26,22 +24,10 @@ from __future__ import annotations
 
 from .app import ServerHandle, TuningService, serve_background
 from .client import TuningClient
-from .config import (
-    CONFIG_FORMAT,
-    CONFIG_VERSION,
-    SelectionConfig,
-    build_config,
-    config_from_sweeps,
-)
 
 __all__ = [
     "TuningService",
     "ServerHandle",
     "serve_background",
     "TuningClient",
-    "SelectionConfig",
-    "CONFIG_FORMAT",
-    "CONFIG_VERSION",
-    "build_config",
-    "config_from_sweeps",
 ]

@@ -39,8 +39,8 @@ The endpoint surface (DESIGN.md §17 walks each one):
     ``repro_server_connections_total`` counters (their ratio is the
     requests each connection carried).
 ``GET /config``
-    The exported MPICH-style selection-config artifact
-    (:class:`~repro.server.config.SelectionConfig`), regenerated from
+    The exported MPICH-style selection-config document
+    (:class:`~repro.selection.table.SelectionConfig`), regenerated from
     the service's current merged sweeps after every ``/tune``.
 
 Errors travel as JSON ``{"error": <class name>, "message": ...}`` so
@@ -72,6 +72,7 @@ from ..core.registry import info
 from ..core.serialize import dumps_blob
 from ..errors import ReproError, SelectionError, ServerError
 from ..obs import Obs, get_obs
+from ..selection import SelectionConfig, config_from_sweeps
 from ..selection.tuner import (
     DEFAULT_COLLECTIVES,
     SweepResult,
@@ -79,7 +80,6 @@ from ..selection.tuner import (
     sweep_points,
 )
 from ..store.schedules import open_schedule_store
-from .config import SelectionConfig, config_from_sweeps
 
 __all__ = ["TuningService", "ServerHandle", "serve_background"]
 
@@ -122,7 +122,7 @@ class TuningService:
 
     Construction is synchronous and does the expensive part up front:
     it sweeps every collective over the size grid (warm-started from
-    ``grid`` — a :class:`~repro.server.config.SelectionConfig` or a
+    ``grid`` — a :class:`~repro.selection.table.SelectionConfig` or a
     path to one — so a committed artifact makes boot nearly free) and
     distills the selection table.  :meth:`start` then binds the socket;
     requests mutate the table only through ``/tune``'s merge.

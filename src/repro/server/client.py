@@ -4,7 +4,7 @@
 :class:`~repro.server.app.TuningService`: one method per endpoint,
 returning the same in-process types the library uses everywhere else —
 ``select`` gives a :class:`~repro.selection.table.Choice`, ``config``
-a :class:`~repro.server.config.SelectionConfig`, ``compiled_schedule``
+a :class:`~repro.selection.table.SelectionConfig`, ``compiled_schedule``
 the decoded-and-reverified
 :class:`~repro.compile.program.CompiledSchedule`.  It is what the
 tests, the smoke driver, and ``execute(..., select="http://...")``
@@ -38,8 +38,7 @@ from ..compile.program import CompiledSchedule
 from ..core.schedule import Schedule
 from ..core.serialize import loads_blob
 from ..errors import SelectionError, ServerError
-from ..selection.table import Choice
-from .config import SelectionConfig
+from ..selection import Choice, SelectionConfig
 
 __all__ = ["TuningClient"]
 

@@ -240,7 +240,7 @@ class _Smoke:
         )
 
     def probe_config_artifact(self) -> None:
-        from .config import CONFIG_FORMAT, SelectionConfig
+        from ..selection import CONFIG_FORMAT, SelectionConfig
 
         self.client.save_config(self.output)
         cfg = SelectionConfig.load(self.output)

@@ -7,7 +7,7 @@ from .machine import DragonflySpec, GiBps, MachineSpec, us
 from .machines import by_name, frontier, get, polaris, reference, resolve
 from .noise import NoiseModel
 from .simulate import ENGINES, SimResult, TrafficSummary, simulate, traffic_summary
-from .trace import TimelineStats, timeline_stats, to_chrome_trace, write_chrome_trace
+from .trace import TimelineStats, timeline_stats
 
 __all__ = [
     "MachineSpec",
@@ -27,8 +27,6 @@ __all__ = [
     "ClassBatch",
     "traffic_summary",
     "TrafficSummary",
-    "to_chrome_trace",
-    "write_chrome_trace",
     "timeline_stats",
     "TimelineStats",
 ]

@@ -1,88 +1,23 @@
-"""Timeline analysis and Chrome-trace export for simulated collectives.
+"""Timeline analysis for simulated collectives.
 
 ``simulate(..., collect_timeline=True)`` records every message's transfer
-window; this module turns those records into
-
-* a ``chrome://tracing`` / Perfetto-compatible JSON file (one track per
-  rank, message arrows as duration events) for visual inspection of how a
-  schedule fills the network, and
-* quantitative utilization summaries (per-link-class busy time, longest
-  idle gap, per-rank receive load) used by the ablation benchmarks.
+window; this module turns those records into quantitative utilization
+summaries (per-link-class busy time, peak concurrency, per-rank receive
+load) used by the ablation benchmarks.  The visual form — a
+``chrome://tracing`` / Perfetto file, one track per rank — is
+:func:`repro.obs.export.write_perfetto`, which takes a bare
+:class:`~repro.simnet.simulate.SimResult`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
-from ..errors import TraceError
+from ..obs.export import require_timeline
 from .simulate import SimResult
 
-__all__ = ["to_chrome_trace", "write_chrome_trace", "timeline_stats", "TimelineStats"]
-
-TimelineEvent = Tuple[int, int, int, float, float, str]  # src,dst,bytes,t0,t1,link
-
-
-def _require_timeline(result: SimResult) -> List[TimelineEvent]:
-    # A missing timeline is a result-shape problem (the caller forgot
-    # collect_timeline=True), not a machine-configuration one — hence
-    # TraceError, not the MachineError this historically raised.
-    if result.timeline is None:
-        raise TraceError(
-            "SimResult has no timeline — simulate with timeline=True "
-            "(collect_timeline=True at the simnet layer)"
-        )
-    return list(result.timeline)
-
-
-def to_chrome_trace(result: SimResult, *, time_scale: float = 1e6) -> Dict:
-    """Convert a timeline into the Chrome trace-event JSON structure.
-
-    Each message becomes a duration event on its *source* rank's track
-    (pid 0, tid = rank), named ``src->dst (link)``, with byte count and
-    link class in ``args``.  Times are scaled to microseconds by default.
-    """
-    events = []
-    for src, dst, nbytes, t0, t1, link in _require_timeline(result):
-        events.append(
-            {
-                "name": f"{src}->{dst} ({link})",
-                "cat": link,
-                "ph": "X",
-                "ts": t0 * time_scale,
-                "dur": max((t1 - t0) * time_scale, 1e-3),
-                "pid": 0,
-                "tid": src,
-                "args": {"bytes": nbytes, "dst": dst, "link": link},
-            }
-        )
-    for rank, end in enumerate(result.rank_times):
-        events.append(
-            {
-                "name": "rank done",
-                "cat": "completion",
-                "ph": "i",
-                "ts": end * time_scale,
-                "pid": 0,
-                "tid": rank,
-                "s": "t",
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(
-    result: SimResult, path: Union[str, Path], *, time_scale: float = 1e6
-) -> Path:
-    """Write the Chrome trace to ``path``; returns the path.
-
-    Open the file at ``chrome://tracing`` or https://ui.perfetto.dev.
-    """
-    path = Path(path)
-    path.write_text(json.dumps(to_chrome_trace(result, time_scale=time_scale)))
-    return path
+__all__ = ["timeline_stats", "TimelineStats"]
 
 
 @dataclass(frozen=True)
@@ -115,7 +50,7 @@ class TimelineStats:
 
 def timeline_stats(result: SimResult, nranks: int) -> TimelineStats:
     """Compute :class:`TimelineStats` from a collected timeline."""
-    timeline = _require_timeline(result)
+    timeline = require_timeline(result)
     busy: Dict[str, float] = {}
     recv_bytes = [0] * nranks
     boundaries: List[Tuple[float, int]] = []

@@ -20,6 +20,7 @@ from repro.runtime.buffers import (
 )
 from repro.runtime.executor import execute
 from repro.runtime.threaded import execute_threaded
+from repro.selection import SelectionConfig
 from repro.selection.tuner import tune
 from repro.simnet.machines import frontier, polaris, reference
 from repro.simnet.simulate import simulate
@@ -59,10 +60,10 @@ class TestValidateExecuteSimulatePipeline:
 class TestTuneThenUse:
     def test_tuned_table_roundtrips_and_selects(self, tmp_path):
         machine = frontier(8, 1)
-        table = tune(machine, [8, 2048, 1 << 19])
-        path = tmp_path / "frontier8.json"
-        table.save(path)
-        loaded = repro.SelectionTable.load(path)
+        config = tune(machine, [8, 2048, 1 << 19])
+        path = config.save(tmp_path / "frontier8.json")
+        loaded = SelectionConfig.load(path)
+        assert loaded.to_json() == config.to_json()
         for coll in ("bcast", "reduce", "allgather", "allreduce"):
             choice = loaded.select(coll, machine.nranks, 1 << 19)
             # the selected algorithm must actually build and verify
@@ -75,7 +76,7 @@ class TestTuneThenUse:
     def test_tuned_never_worse_than_vendor(self):
         machine = frontier(8, 1)
         sizes = [8, 2048, 1 << 19]
-        table = tune(machine, sizes)
+        table = tune(machine, sizes).table
         vendor = repro.vendor_policy()
         for coll in ("bcast", "reduce", "allgather", "allreduce"):
             for n in sizes:

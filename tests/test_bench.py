@@ -13,7 +13,7 @@ from repro.core.registry import build_schedule
 from repro.core.schedule import Schedule
 from repro.errors import ReproError
 from repro.selection.defaults import mpich_policy
-from repro.server.config import build_config
+from repro.selection.tuner import tune
 from repro.simnet.machines import frontier, reference, resolve
 
 
@@ -247,7 +247,7 @@ class TestColdTuneDoesNothingTwice:
                       global_compiled_cache().clear):
             clear()
         try:
-            build_config(resolve("frontier-2x4"), (1024, 1 << 20))
+            tune(resolve("frontier-2x4"), (1024, 1 << 20))
             builds = schedules.stats().misses
             phases = schedules.phases.stats()
             nphases = len(schedules.phases)
@@ -296,7 +296,7 @@ class TestColdTuneDoesNothingTwice:
             clear()
         machine = resolve("frontier-2x4")
         try:
-            build_config(machine, (1024, 1 << 20))
+            tune(machine, (1024, 1 << 20))
             cold = len(matched)
             # Lowering and sim_plan() share one matching, and relabel()
             # copies share their original's: at most one per distinct

@@ -44,7 +44,7 @@ class TestTune:
         )
         assert rc == 0
         payload = json.loads(out_file.read_text())
-        assert payload["rules"]
+        assert payload["table"]["rules"]
         out = capsys.readouterr().out
         assert "wrote" in out
 
@@ -55,7 +55,7 @@ class TestTune:
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["name"].startswith("tuned-")
+        assert payload["table"]["name"].startswith("tuned-")
 
     def test_bad_machine_rejected(self, capsys):
         rc = main_tune(["--machine", "summit"])
@@ -69,7 +69,7 @@ class TestTune:
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["name"] == "tuned-reference-4"
+        assert payload["table"]["name"] == "tuned-reference-4"
 
     def test_engine_flag_matches_materialized(self, capsys):
         argv = ["--machine", "reference", "--nodes", "4",
@@ -78,12 +78,45 @@ class TestTune:
         collapsed = json.loads(capsys.readouterr().out)
         assert main_tune(argv + ["--engine", "materialized"]) == 0
         materialized = json.loads(capsys.readouterr().out)
-        assert collapsed["rules"] == materialized["rules"]
+        assert collapsed["table"]["rules"] == materialized["table"]["rules"]
 
     def test_reference_requires_ppn_1(self, capsys):
         rc = main_tune(["--machine", "reference", "--ppn", "2"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_output_warm_starts_serve_grid(self, tmp_path, monkeypatch,
+                                           capsys):
+        """repro-tune -o writes the document repro-serve --grid reads:
+        every boot point replays a recorded timing, none simulates, and
+        the service exports the file's bytes back at /config."""
+        import repro.bench.sweep
+        from repro.server import TuningService
+
+        grid = tmp_path / "tuned.json"
+        assert main_tune(["--machine", "reference", "--nodes", "4",
+                          "--min-bytes", "64", "--max-bytes", "1024",
+                          "-o", str(grid)]) == 0
+
+        def no_simulation(points, *args, **kwargs):
+            raise AssertionError(f"warm boot simulated {len(points)} points")
+
+        monkeypatch.setattr(repro.bench.sweep, "run_sweep", no_simulation)
+        service = TuningService("reference-4", [64, 256, 1024], grid=grid)
+        assert service.warm_started
+        assert service.config.to_json() + "\n" == grid.read_text()
+
+
+class TestRecover:
+    def test_indivisible_p_rejected(self, capsys):
+        """--p must split into whole nodes of --ppn, as repro-trace
+        demands, instead of silently simulating p // ppn * ppn ranks."""
+        from repro.cli import main_recover
+
+        rc = main_recover(["allreduce", "knomial", "--p", "10",
+                           "--ppn", "4", "--backend", "sim"])
+        assert rc == 2
+        assert "not divisible" in capsys.readouterr().err
 
 
 class TestValidate:

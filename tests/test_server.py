@@ -7,7 +7,7 @@ subprocesses to pin the signal contract (SIGTERM exits 0, Ctrl-C 130).
 
 The load-bearing promise throughout: anything the service answers must
 be **bit-identical** to what the in-process library produces — served
-selections equal :func:`repro.server.build_config`'s, served schedules
+selections equal :func:`repro.selection.tune`'s, served schedules
 re-verify against their compiled programs, and N concurrent ``/tune``
 requests share one sweep without changing its result.
 """
@@ -29,8 +29,8 @@ import pytest
 from repro.bench.sweep import clear_sim_memo
 from repro.core.registry import build_schedule
 from repro.errors import ExecutionError, SelectionError, ServerError
-from repro.server import TuningClient, TuningService, build_config, \
-    serve_background
+from repro.selection import tune
+from repro.server import TuningClient, TuningService, serve_background
 from repro.simnet.machines import reference
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,7 +47,7 @@ COLD = ("alltoall", "reduce_scatter", "gather")
 @pytest.fixture(scope="module")
 def served():
     """(handle, client, direct config) for one shared background service."""
-    direct = build_config(MACHINE, SIZES, collectives=("allreduce",))
+    direct = tune(MACHINE, SIZES, collectives=("allreduce",))
     with serve_background(
         MACHINE, SIZES, collectives=("allreduce",)
     ) as handle:
@@ -616,7 +616,7 @@ def test_grid_warm_start_is_bit_identical(tmp_path, served):
         MACHINE, SIZES, collectives=("allreduce",), grid=path
     )
     assert warm.warm_started
-    assert warm.config.to_json() == build_config(
+    assert warm.config.to_json() == tune(
         MACHINE, SIZES, collectives=("allreduce",)
     ).to_json()
 

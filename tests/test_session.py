@@ -138,7 +138,7 @@ class TestSelectionIntegration:
     def test_tuned_table_drives_session(self):
         from repro.simnet import frontier
 
-        table = tune(frontier(8, 1), [8, 4096])
+        table = tune(frontier(8, 1), [8, 4096]).table
 
         def worker(comm: Comm):
             return int(comm.allreduce(np.array([2], dtype=np.int64))[0])

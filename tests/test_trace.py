@@ -1,5 +1,5 @@
-"""Tests for timeline analysis and Chrome-trace export
-(:mod:`repro.simnet.trace`)."""
+"""Tests for timeline analysis (:mod:`repro.simnet.trace`) and the
+Perfetto export of a bare simulator result (:mod:`repro.obs.export`)."""
 
 import json
 
@@ -7,12 +7,9 @@ import pytest
 
 from repro.core.registry import build_schedule
 from repro.errors import ReproError, TraceError
+from repro.obs.export import to_perfetto, write_perfetto
 from repro.simnet import frontier, reference, simulate
-from repro.simnet.trace import (
-    timeline_stats,
-    to_chrome_trace,
-    write_chrome_trace,
-)
+from repro.simnet.trace import timeline_stats
 
 
 @pytest.fixture(scope="module")
@@ -26,23 +23,29 @@ class TestChromeTrace:
         sched = build_schedule("bcast", "binomial", 4)
         res = simulate(sched, reference(4), 8)  # no collect_timeline
         with pytest.raises(TraceError, match="timeline"):
-            to_chrome_trace(res)
+            to_perfetto(res)
+        with pytest.raises(TraceError, match="timeline"):
+            timeline_stats(res, 4)
         # TraceError is part of the package hierarchy, so blanket
         # `except ReproError` handlers still catch it.
         assert issubclass(TraceError, ReproError)
 
     def test_timeline_present_no_raise(self, traced_result):
         res, _ = traced_result
-        assert to_chrome_trace(res)["traceEvents"]
+        assert to_perfetto(res)["traceEvents"]
 
     def test_event_structure(self, traced_result):
+        """One simulated track (pid 1000), no host spans: a duration
+        event per message on its source rank's row, and the makespan as
+        the one instant."""
         res, p = traced_result
-        doc = to_chrome_trace(res)
+        doc = to_perfetto(res)
         events = doc["traceEvents"]
         xfers = [e for e in events if e["ph"] == "X"]
         marks = [e for e in events if e["ph"] == "i"]
         assert len(xfers) == res.messages
-        assert len(marks) == p
+        assert [m["name"] for m in marks] == ["makespan"]
+        assert {e["pid"] for e in xfers} == {1000}
         for e in xfers:
             assert e["dur"] >= 0
             assert 0 <= e["tid"] < p
@@ -50,13 +53,13 @@ class TestChromeTrace:
 
     def test_times_scaled_to_microseconds(self, traced_result):
         res, _ = traced_result
-        doc = to_chrome_trace(res)
-        last = max(e["ts"] for e in doc["traceEvents"])
+        doc = to_perfetto(res)
+        last = max(e["ts"] for e in doc["traceEvents"] if "ts" in e)
         assert last == pytest.approx(res.time_us, rel=0.05)
 
     def test_written_file_is_loadable_json(self, traced_result, tmp_path):
         res, _ = traced_result
-        path = write_chrome_trace(res, tmp_path / "trace.json")
+        path = write_perfetto(res, path=tmp_path / "trace.json")
         doc = json.loads(path.read_text())
         assert doc["traceEvents"]
 
