@@ -1,13 +1,13 @@
-"""Compile the hot path: flat per-rank programs for every backend.
+"""Compile the hot path: flat program tables for every backend.
 
 Interpreting the schedule IR per executed op (``isinstance`` dispatch,
 per-block offset arithmetic, per-payload allocation) is the dominant cost
 of small-message execution.  This package lowers a built
-:class:`~repro.core.schedule.Schedule` once into flat, preresolved
-per-rank tables — contiguous peer/offset/size/op/tag arrays plus a
-pooled staging-buffer plan — which are the only representation any
-production path walks: the lockstep runner walks bound action tuples
-cooperatively, one blocking per-rank walker
+:class:`~repro.core.schedule.Schedule` into flat, preresolved tables —
+the schedule's own sealed op/peer/segment/step columns, with FIFO tags
+and a pooled staging-buffer plan derived from them — which are the only
+representation any production path walks: the lockstep runner walks
+bound action tuples cooperatively, one blocking per-rank walker
 (:func:`run_compiled_rank`) serves every thread of the threaded
 transport and every :class:`~repro.runtime.session.Session` collective
 call, and the simulator's kernel walks the matched-message plan
@@ -39,20 +39,22 @@ Guarantees, in order of importance:
   registry grid and under fault injection.  Both read one FIFO matching,
   :meth:`~repro.core.schedule.Schedule.messages`, which lowering hands
   to the artifact (:meth:`CompiledSchedule.messages`, runtime-only).
-* **Self-verification.**  Every lowering is checked against its source
-  IR by a recompute-everything ladder (:mod:`repro.compile.verify`) —
-  with channel counters of its own, the independent re-derivation of
-  that matching;
-  corrupt tables raise :class:`~repro.errors.CompileError` with
-  rank/step-naming diagnostics instead of executing wrong (held to by
-  the mutation corpus in ``tests/test_compile_mutations.py``).
+* **One table layout.**  A lowered artifact *is* its schedule's
+  read-only :class:`~repro.core.schedule.Columns` — nothing is copied,
+  so nothing can drift.  An artifact that arrives as bytes (a disk-tier
+  load, a ``TuningClient`` fetch) is checked column by column against
+  its schedule (:mod:`repro.compile.verify`); corrupt tables raise
+  :class:`~repro.errors.CompileError` with rank/step-naming diagnostics
+  instead of executing wrong (held to by the mutation corpus in
+  ``tests/test_compile_mutations.py``).  The tables' independent
+  re-derivation from the IR objects is a tier-1 test reference.
 * **One step numbering.**  The tables keep the schedule's own step
   boundaries and nothing else, so a step index means the same thing to
   the IR, the runners, fault plans, heartbeats and the simulator.
 * **Content-addressed caching.**  Artifacts are cached in process and
   (optionally) on disk next to their schedules (:mod:`repro.compile.cache`),
-  keyed by the source schedule's fingerprint; disk loads re-run the full
-  verification ladder and quarantine on failure.
+  keyed by the source schedule's fingerprint; disk loads are verified
+  and quarantine on failure.
 """
 
 from ..errors import ClassAnalysisError, CompileError

@@ -7,9 +7,9 @@ Both are instances of the one cache shape
   fingerprint** (two IR-identical schedules share one artifact, whatever
   parameters built them).  With a ``store`` it files ``compiled/…``
   entries next to their ``schedule/…`` siblings, and every artifact
-  loaded from disk re-runs the full self-verification ladder against
-  the schedule it is fetched for: what fails is quarantined and
-  recompiled, never executed.  The process-global instance backs every
+  loaded from disk is verified column by column against the schedule
+  it is fetched for: what fails is quarantined and recompiled, never
+  executed.  The process-global instance backs every
   executor and the simulator, so lowering is paid once per distinct
   schedule per process.
 * the class-partition cache behind :func:`get_or_classify`, in process
@@ -65,7 +65,7 @@ class CompiledCache(ContentCache):
         kind=CompiledSchedule,
         field="compiled_pickle",
         store_key=compiled_store_key,
-        # The full self-verification ladder, against the schedule the
+        # Identity plus column equality, against the schedule the
         # artifact is being fetched for.
         check=lambda compiled, schedule: compiled.verify(schedule),
         audit=lambda compiled, key: {

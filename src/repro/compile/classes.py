@@ -11,7 +11,7 @@ the discrete-event cost track the *class count* instead of ``p``.
 
 This module computes that partition by classic partition refinement,
 as a handful of whole-table passes over the schedule's flat columns
-(:meth:`~repro.compile.program.CompiledSchedule.columns`) — no NumPy
+(:attr:`~repro.compile.program.CompiledSchedule.columns`) — no NumPy
 call per rank:
 
 1. **Base signature** — everything about a rank's program that is
@@ -53,7 +53,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.schedule import Columns
 from ..errors import ClassAnalysisError
 from ..simnet.machine import LINK_GLOBAL, LINK_INTER, LINK_INTRA, MachineSpec
 from .program import OP_COPY, OP_SEND, CompiledSchedule
@@ -209,14 +208,12 @@ class RankClasses:
         )
 
 
-def _counterparts(
-    compiled: CompiledSchedule, cols: Columns, rank: np.ndarray
-) -> np.ndarray:
+def _counterparts(compiled: CompiledSchedule, rank: np.ndarray) -> np.ndarray:
     """Per op: the index of its FIFO-matched op in the peer's program
     (``-1`` for copies).  Unmatched traffic raises
     :class:`~repro.errors.ClassAnalysisError`: the collapsed engine
     trusts this map."""
-    fifo, p = compiled.messages(), compiled.nranks
+    cols, fifo, p = compiled.columns, compiled.messages(), compiled.nranks
     lone = np.concatenate((fifo.unmatched_sends, fifo.unmatched_recvs))
     if len(lone):
         is_send = cols.kinds == OP_SEND
@@ -264,7 +261,7 @@ def classify(
             f"{machine.name} hosts {machine.nranks} ranks but the "
             f"schedule needs {compiled.nranks}"
         )
-    p, cols = compiled.nranks, compiled.columns()
+    p, cols = compiled.nranks, compiled.columns
     extra = nbytes % compiled.nblocks
     _, npg = link_profile(machine)
     kinds, peers, bounds = cols.kinds, cols.peers, cols.seg_bounds
@@ -283,7 +280,7 @@ def classify(
     if npg:
         link[peers // npg != rank // npg] = LINK_GLOBAL
     link[kinds == OP_COPY] = -1
-    cops = _counterparts(compiled, cols, rank)
+    cops = _counterparts(compiled, rank)
     record = np.stack((kinds, nblk, nlarge, link, cops), axis=1).astype("<i4")
     labels = _dense_labels(zip(
         _cut(record.tobytes(), ops, 20),

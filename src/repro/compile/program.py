@@ -1,11 +1,11 @@
-"""Flat per-rank program tables: the compiled form of a schedule.
+"""Flat program tables: the compiled form of a schedule.
 
-A :class:`~repro.core.schedule.Schedule` is a tree of frozen dataclasses
-that every executor pass re-interprets op by op (``isinstance`` dispatch,
-per-block ``range_of`` arithmetic, per-payload allocation).  Lowering
-(:mod:`repro.compile.lower`) flattens each rank's program into contiguous
-NumPy tables — one row per op, in program order — so the hot loops walk
-preresolved integers instead of the IR:
+A :class:`CompiledSchedule` *is* its schedule's sealed, read-only
+:class:`~repro.core.schedule.Columns` under the schedule's labels — one
+table layout, nothing copied — so the hot loops walk preresolved
+integers instead of re-interpreting the IR op by op.  Each rank's
+:class:`CompiledProgram` is a read-only view of it, one row per op in
+program order:
 
 ==============  =====  =====================================================
 table           dtype  contents (one entry per op, flat program order)
@@ -13,14 +13,15 @@ table           dtype  contents (one entry per op, flat program order)
 ``kinds``       int8   op code: 0 send · 1 recv · 2 reduce-recv · 3 copy
 ``peers``       int32  peer rank (−1 for copies)
 ``tags``        int32  per-(src, dst) FIFO sequence number (−1 for copies)
-``seg_bounds``  int32  ``[nops+1]`` — op *i* owns segment span
+``seg_bounds``  int64  ``[nops+1]`` — op *i* owns segment span
                        ``seg_blocks[seg_bounds[i]:seg_bounds[i+1]]``
 ``seg_blocks``  int32  block ids; a copy stores exactly ``[src, dst]``
 ``steps_raw``   int32  ``[nsteps+1]`` — the schedule's step boundaries
 ==============  =====  =====================================================
 
-The tables are the cached, fingerprinted, disk-persisted artifact.
-*Binding* resolves them against a concrete
+Only the columns are stored; ``tags``, the staging plan and the FIFO
+block mismatches derive from :meth:`CompiledSchedule.messages`.
+*Binding* resolves the tables against a concrete
 :class:`~repro.core.blocks.BlockMap` into per-step action tuples of plain
 Python ints (slice starts/stops, payload sizes) — adjacent blocks merge
 into single slices — which is what the executors' tight loops consume.
@@ -36,7 +37,8 @@ from __future__ import annotations
 import hashlib
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,7 +69,7 @@ __all__ = [
 ]
 
 
-#: Human names for op codes, used in self-verification diagnostics.
+#: Human names for op codes, used in verification diagnostics.
 OP_NAMES = {OP_SEND: "send", OP_RECV: "recv",
             OP_REDUCE_RECV: "reduce-recv", OP_COPY: "copy"}
 
@@ -75,9 +77,11 @@ OP_NAMES = {OP_SEND: "send", OP_RECV: "recv",
 _BIND_CACHE_MAX = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledProgram:
-    """One rank's flat op tables (see the module docstring for layout)."""
+    """One rank's read-only view of the flat tables (see the module
+    docstring for layout): slices of the artifact's columns, with
+    ``seg_bounds`` rebased to 0."""
 
     rank: int
     kinds: np.ndarray
@@ -123,10 +127,6 @@ class StagingPlan:
     """
 
     signatures: Tuple[Tuple[int, ...], ...]
-
-    def describe(self) -> str:
-        """One-line summary used in reports."""
-        return f"{len(self.signatures)} distinct payload signature(s)"
 
 
 class StagingPool:
@@ -223,13 +223,14 @@ def _merge_ranges(
 
 @dataclass
 class CompiledSchedule:
-    """A schedule lowered to flat per-rank tables plus a staging plan.
+    """A schedule lowered to flat tables: its labels and its columns.
 
     Produced by :func:`repro.compile.compile_schedule`; content-addressed
     by the source schedule's
     :meth:`~repro.core.schedule.Schedule.fingerprint` in the compiled
-    cache, and carrying its own :meth:`fingerprint` over the lowered
-    tables (pinned by the golden compiled-program test).
+    cache, and carrying its own :meth:`fingerprint` over the per-rank
+    tables (pinned by the golden compiled-program test).  The rest is
+    derived on first use and never pickled.
     """
 
     collective: str
@@ -239,48 +240,34 @@ class CompiledSchedule:
     root: Optional[int]
     k: Optional[int]
     source_fingerprint: str
-    programs: Tuple[CompiledProgram, ...]
-    staging_plan: StagingPlan
-    #: (rank, flat op index) → (in-flight message blocks, recv op blocks)
-    #: for receives whose FIFO-matched message carries different blocks —
-    #: precomputed so the compiled lockstep runner raises exactly where
-    #: the interpreter would.
-    fifo_mismatches: Dict[Tuple[int, int], Tuple[Tuple[int, ...], Tuple[int, ...]]] = field(
-        default_factory=dict
-    )
-    _bind_cache: Dict[tuple, BoundSchedule] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _sim_plan: Optional["SimPlan"] = field(
-        default=None, repr=False, compare=False
-    )
+    columns: Columns
     _messages: Optional[Messages] = field(
         default=None, repr=False, compare=False
     )
-    _columns: Optional[Columns] = field(
-        default=None, repr=False, compare=False
+    _bind_cache: Dict[tuple, BoundSchedule] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _sim_plan: Optional["SimPlan"] = field(
+        default=None, init=False, repr=False, compare=False
     )
     _fingerprint: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
     _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
+        default_factory=threading.Lock, init=False, repr=False, compare=False
     )
 
     def __getstate__(self):
-        """Pickle only the content (drop runtime caches and the lock)."""
-        state = self.__dict__.copy()
-        state["_bind_cache"] = {}
-        state["_sim_plan"] = None
-        for memo in ("_messages", "_columns", "_fingerprint", "_lock"):
-            state.pop(memo, None)
-        return state
+        """Pickle only the content: the labels and the columns."""
+        return {f.name: getattr(self, f.name)
+                for f in fields(self) if not f.name.startswith("_")}
 
     def __setstate__(self, state):
-        """Restore content and recreate the runtime-only fields."""
-        self.__dict__.update(state)
-        self._messages = self._columns = self._fingerprint = None
-        self._lock = threading.Lock()
+        """Rebuild from the content; the decoded columns become read-only,
+        like the sealed ones lowering hands over."""
+        self.__init__(**state)
+        for arr in self.columns[:-1]:
+            arr.setflags(write=False)
 
     def describe(self) -> str:
         """One-line human description (matches the source schedule's)."""
@@ -293,10 +280,57 @@ class CompiledSchedule:
 
     def total_ops(self) -> int:
         """Total op count across every rank's tables."""
-        return sum(prog.nops for prog in self.programs)
+        return len(self.columns.kinds)
+
+    @cached_property
+    def programs(self) -> Tuple[CompiledProgram, ...]:
+        """One read-only :class:`CompiledProgram` view per rank."""
+        cols, tags = self.columns, self.messages().seq
+        ops, steps = cols.op_ptr.tolist(), cols.step_ptr.tolist()
+        segs = cols.seg_bounds[cols.op_ptr].tolist()
+        views = []
+        for r in range(self.nranks):
+            lo, hi = ops[r], ops[r + 1]
+            seg_bounds = cols.seg_bounds[lo:hi + 1] - segs[r]
+            seg_bounds.setflags(write=False)
+            views.append(CompiledProgram(
+                rank=r,
+                kinds=cols.kinds[lo:hi],
+                peers=cols.peers[lo:hi],
+                tags=tags[lo:hi],
+                seg_bounds=seg_bounds,
+                seg_blocks=cols.seg_blocks[segs[r]:segs[r + 1]],
+                steps_raw=cols.steps_raw[steps[r]:steps[r + 1]],
+            ))
+        return tuple(views)
+
+    @cached_property
+    def staging_plan(self) -> StagingPlan:
+        """The distinct send payload signatures, sorted."""
+        return StagingPlan(signatures=tuple(sorted(self.columns.signatures)))
+
+    @cached_property
+    def fifo_mismatches(
+        self,
+    ) -> Dict[Tuple[int, int], Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """(rank, op index in that rank's program) → (in-flight message
+        blocks, recv op blocks) for receives whose FIFO-matched message
+        carries different blocks — so the compiled lockstep runner
+        raises exactly where the interpreter would.  Only a malformed,
+        hand-built schedule has any."""
+        cols, fifo = self.columns, self.messages()
+        if not len(fifo.mismatched):
+            return {}
+        bad = fifo.mismatched[np.argsort(fifo.recv_op[fifo.mismatched])]
+        recv, send = fifo.recv_op[bad], fifo.send_op[bad]
+        rank = cols.ranks()[recv]
+        return dict(zip(
+            zip(rank.tolist(), (recv - cols.op_ptr[rank]).tolist()),
+            zip(cols.blocks_of(send), cols.blocks_of(recv)),
+        ))
 
     def fingerprint(self) -> str:
-        """Stable content hash over the lowered tables and staging plan.
+        """Stable content hash over the per-rank tables and staging plan.
 
         Distinct from :attr:`source_fingerprint` (the IR hash): this pins
         the *lowering* — a change to table layout or the staging plan
@@ -323,7 +357,7 @@ class CompiledSchedule:
         return memo
 
     def verify(self, schedule) -> None:
-        """Run the self-verification pass against the source schedule.
+        """Check an artifact that arrived as bytes against its schedule.
 
         Delegates to :func:`repro.compile.verify.verify_compiled`; raises
         :class:`~repro.errors.CompileError` with rank/step-naming
@@ -434,42 +468,15 @@ class CompiledSchedule:
             plan = self._sim_plan = _build_sim_plan(self)
         return plan
 
-    def columns(self) -> Columns:
-        """The tables as the source schedule's flat
-        :class:`~repro.core.schedule.Columns`, runtime-only like
-        :meth:`messages`: lowering hands over the schedule's own sealed
-        columns, an artifact from disk or the wire concatenates its
-        tables once."""
-        cols = self._columns
-        if cols is not None:
-            return cols
-        progs = self.programs
-
-        def cat(name: str) -> np.ndarray:
-            return np.concatenate([getattr(prog, name) for prog in progs])
-
-        seg_len = np.concatenate([np.diff(prog.seg_bounds) for prog in progs])
-        self._columns = cols = Columns(
-            kinds=cat("kinds"),
-            peers=cat("peers"),
-            seg_bounds=np.concatenate(([0], np.cumsum(seg_len))),
-            seg_blocks=cat("seg_blocks"),
-            steps_raw=cat("steps_raw"),
-            op_ptr=np.cumsum([0] + [prog.nops for prog in progs]),
-            step_ptr=np.cumsum([0] + [len(prog.steps_raw) for prog in progs]),
-            signatures=frozenset(self.staging_plan.signatures),
-        )
-        return cols
-
     def messages(self) -> Messages:
-        """The FIFO matching of the tables, runtime-only like
+        """The FIFO matching of the columns, runtime-only like
         :meth:`sim_plan`: lowering hands over the schedule's own
         :meth:`~repro.core.schedule.Schedule.messages`, an artifact from
         disk or the wire derives it with the same
         :func:`~repro.core.schedule.match_fifo`."""
         fifo = self._messages
         if fifo is None:
-            fifo = self._messages = match_fifo(self.columns())
+            fifo = self._messages = match_fifo(self.columns)
         return fifo
 
 
@@ -522,7 +529,7 @@ class SimPlan:
 
 def _build_sim_plan(compiled: CompiledSchedule) -> SimPlan:
     """The simulator's view of the tables and their FIFO matching."""
-    cols, fifo = compiled.columns(), compiled.messages()
+    cols, fifo = compiled.columns, compiled.messages()
     lone = fifo.unmatched(cols)
     if lone is not None:
         raise MachineError(f"{compiled.describe()}: {lone}")

@@ -1,53 +1,39 @@
-"""Self-verification of compiled programs against their source IR.
+"""Verification of a compiled artifact that arrived as bytes.
 
-The verification ladder (every rung raises
-:class:`~repro.errors.CompileError` with diagnostics naming the rank,
-step, and op involved — a corrupted artifact must be caught here, never
-execute silently wrong):
+A lowered artifact *is* its schedule's sealed columns, so there is
+nothing to check in process.  One decoded from a disk-tier entry or a
+``/schedule`` payload may be stale, misfiled or damaged, so the disk
+tier's semantic check (:mod:`repro.compile.cache`) and
+``TuningClient.compiled_schedule`` run :func:`verify_compiled` before
+first use.  Two rungs, each raising :class:`~repro.errors.CompileError`:
 
-1. **identity** — the artifact's parameters and recorded source
-   fingerprint must match the schedule it claims to compile;
-2. **structure** — table lengths agree, boundary arrays are monotone and
-   cover the op/segment ranges, op codes are known, peers and block ids
-   are in range;
-3. **recompute** — every table row (op code, peer, FIFO tag, segment
-   block ids) is re-derived from the IR and compared exactly;
-4. **plan** — the staging plan's payload signatures match the IR's send
-   set.
+1. **identity** — labels and source fingerprint match the schedule;
+2. **columns** — every column has the schedule's dtype, shape and
+   contents, and the send payload signatures match.  The first
+   difference is located through the schedule's own ``op_ptr`` and
+   ``steps()`` — never an untrusted index — and names rank, step and
+   op: a stale peer table, a wrong op code, wrong segment blocks, a
+   moved step boundary.
 
-A fifth, out-of-band rung lives in :mod:`repro.compile.cache`: artifacts
-loaded from disk re-run this whole ladder and quarantine on failure (the
-``semantic`` rung of the store's integrity ladder).
-
-The mutation corpus (``tests/test_compile_mutations.py``) holds this
-pass to its promise with hand-broken tables: stale peers, off-by-one
-block offsets, shifted step boundaries, wrong op codes, corrupted tags.
+FIFO tags, the staging plan and the FIFO mismatches derive from the
+verified columns.  The independent re-derivation of the tables from the
+IR objects is ``reference_lowering`` in ``tests/test_schedule_ir.py``;
+``tests/test_compile_mutations.py`` is the corruption corpus.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
-from typing import Sequence
+import numpy as np
 
-from ..core.schedule import CopyOp, RecvOp, Schedule, SendOp
+from ..core.schedule import Columns, Schedule
 from ..errors import CompileError
-from .program import (
-    OP_COPY,
-    OP_NAMES,
-    OP_RECV,
-    OP_REDUCE_RECV,
-    OP_SEND,
-    CompiledSchedule,
-    StagingPlan,
-)
+from .program import OP_NAMES, CompiledSchedule
 
 __all__ = ["verify_compiled"]
 
-
-def _step_of(bounds: Sequence[int], op_index: int) -> int:
-    """Step index owning flat op ``op_index`` (for diagnostics)."""
-    return max(0, bisect_right(bounds, op_index) - 1)
+#: The array columns, in the order differences are reported.
+_COLUMNS = ("op_ptr", "step_ptr", "steps_raw", "kinds", "peers",
+            "seg_bounds", "seg_blocks")
 
 
 def _fail(rank: int, step: int, detail: str) -> None:
@@ -56,12 +42,22 @@ def _fail(rank: int, step: int, detail: str) -> None:
     )
 
 
+def _owner(ptr: np.ndarray, index: int) -> int:
+    """The segment of offset table ``ptr`` that holds ``index``."""
+    return int(np.searchsorted(ptr, index, side="right")) - 1
+
+
+def _layout(arr) -> str:
+    if not isinstance(arr, np.ndarray):
+        return type(arr).__name__
+    return f"{arr.dtype}{list(arr.shape)}"
+
+
 def verify_compiled(compiled: CompiledSchedule, schedule: Schedule) -> None:
     """Check ``compiled`` is a faithful lowering of ``schedule``.
 
-    Raises :class:`~repro.errors.CompileError` naming the offending rank
-    and step on the first violation; returns ``None`` when every table
-    matches the recomputed expectation exactly.
+    Raises :class:`~repro.errors.CompileError` on the first violation;
+    returns ``None`` when every column equals the schedule's.
     """
     # Rung 1: identity.
     for field_name in ("collective", "algorithm", "nranks", "nblocks",
@@ -80,134 +76,60 @@ def verify_compiled(compiled: CompiledSchedule, schedule: Schedule) -> None:
             f"source fingerprint {compiled.source_fingerprint[:16]}… != "
             f"{fingerprint[:16]}…"
         )
-    if len(compiled.programs) != schedule.nranks:
-        raise CompileError(
-            f"compiled artifact has {len(compiled.programs)} rank "
-            f"program(s), schedule has {schedule.nranks}"
-        )
 
-    send_seq = {}
-    recv_seq = {}
-    signatures = set()
-    for prog, src_prog in zip(compiled.programs, schedule.programs):
-        rank = src_prog.rank
-        flat_ops = [op for step in src_prog.steps for op in step.ops]
-        nops = len(flat_ops)
-
-        # Recompute the expected step boundaries first: structural
-        # diagnostics below locate ops through them, so they must be
-        # trustworthy even when the artifact's own tables are not.
-        exp_raw = [0, *accumulate(len(step.ops) for step in src_prog.steps)]
-
-        # Rung 2: structure.
-        if prog.rank != rank:
+    # Rung 2: the columns, layout first (a missing one reads as None),
+    # then contents.
+    got, want = compiled.columns, schedule.columns()
+    for name in _COLUMNS:
+        a, b = getattr(got, name, None), getattr(want, name)
+        if _layout(a) != _layout(b):
             raise CompileError(
-                f"compiled program {rank} is labeled rank {prog.rank}"
+                f"compiled {name} column is {_layout(a)}, the schedule's "
+                f"is {_layout(b)}"
             )
-        for name in ("kinds", "peers", "tags"):
-            if len(getattr(prog, name)) != nops:
-                _fail(rank, 0,
-                      f"{name} table has {len(getattr(prog, name))} "
-                      f"row(s) for {nops} op(s)")
-        if len(prog.seg_bounds) != nops + 1:
-            _fail(rank, 0,
-                  f"segment bound table has {len(prog.seg_bounds)} "
-                  f"entries for {nops} op(s)")
-        seg_bounds = prog.seg_bounds.tolist()
-        if seg_bounds and (seg_bounds[0] != 0
-                           or seg_bounds[-1] != len(prog.seg_blocks)):
-            _fail(rank, 0,
-                  f"segment bounds span [{seg_bounds[0]}, {seg_bounds[-1]}]"
-                  f" but the block table holds {len(prog.seg_blocks)} ids")
-        if seg_bounds != sorted(seg_bounds):
-            for i in range(nops):
-                if seg_bounds[i] > seg_bounds[i + 1]:
-                    _fail(rank, _step_of(exp_raw, i),
-                          f"op {i}: segment bounds decrease "
-                          f"({seg_bounds[i]} > {seg_bounds[i + 1]})")
-        raw = prog.steps_raw.tolist()
-        if raw != exp_raw:
-            s = next(
-                (i for i, (a, b) in enumerate(zip(raw, exp_raw)) if a != b),
-                min(len(raw), len(exp_raw)) - 1,
-            )
-            _fail(rank, max(0, s - 1),
-                  f"step boundary table {raw} does not match the "
-                  f"schedule's step layout {exp_raw}")
-        seg_blocks = prog.seg_blocks.tolist()
-        if seg_blocks and not (
-            0 <= min(seg_blocks) and max(seg_blocks) < schedule.nblocks
-        ):
-            idx, bad = next(
-                (j, b) for j, b in enumerate(seg_blocks)
-                if not 0 <= b < schedule.nblocks
-            )
-            op_i = max(0, bisect_right(seg_bounds, idx) - 1)
-            _fail(rank, _step_of(exp_raw, op_i),
-                  f"op {op_i}: block id {bad} out of range "
-                  f"(nblocks={schedule.nblocks}) — offset table corrupt")
-
-        # Rung 3: recompute each row from the IR.
-        want_kinds, want_peers, want_tags = [], [], []
-        want_blocks, want_bounds = [], [0]
-        for op in flat_ops:
-            if isinstance(op, SendOp):
-                chan = (rank, op.peer)
-                seq = send_seq.get(chan, 0)
-                send_seq[chan] = seq + 1
-                want_kinds.append(OP_SEND)
-                want_peers.append(op.peer)
-                want_tags.append(seq)
-                want_blocks.extend(op.blocks)
-                signatures.add(op.blocks)
-            elif isinstance(op, RecvOp):
-                chan = (op.peer, rank)
-                seq = recv_seq.get(chan, 0)
-                recv_seq[chan] = seq + 1
-                want_kinds.append(OP_REDUCE_RECV if op.reduce else OP_RECV)
-                want_peers.append(op.peer)
-                want_tags.append(seq)
-                want_blocks.extend(op.blocks)
-            else:
-                assert isinstance(op, CopyOp)
-                want_kinds.append(OP_COPY)
-                want_peers.append(-1)
-                want_tags.append(-1)
-                want_blocks.extend((op.src, op.dst))
-            want_bounds.append(len(want_blocks))
-        kinds = prog.kinds.tolist()
-        peers = prog.peers.tolist()
-        tags = prog.tags.tolist()
-        if (kinds == want_kinds and peers == want_peers and tags == want_tags
-                and seg_bounds == want_bounds and seg_blocks == want_blocks):
-            continue
-        # Some row differs: name the first, column by column.
-        for i in range(nops):
-            if kinds[i] != want_kinds[i]:
-                _fail(rank, _step_of(exp_raw, i),
-                      f"op {i}: wrong op code — table says "
-                      f"{OP_NAMES.get(kinds[i], kinds[i])!r}, schedule "
-                      f"has {OP_NAMES[want_kinds[i]]!r}")
-            if peers[i] != want_peers[i]:
-                _fail(rank, _step_of(exp_raw, i),
-                      f"op {i}: stale peer table — compiled peer "
-                      f"{peers[i]}, schedule says {want_peers[i]}")
-            if tags[i] != want_tags[i]:
-                _fail(rank, _step_of(exp_raw, i),
-                      f"op {i}: FIFO tag {tags[i]} does not match the "
-                      f"channel sequence number {want_tags[i]}")
-            got_blocks = seg_blocks[seg_bounds[i]:seg_bounds[i + 1]]
-            want = want_blocks[want_bounds[i]:want_bounds[i + 1]]
-            if got_blocks != want:
-                _fail(rank, _step_of(exp_raw, i),
-                      f"op {i}: segment blocks {got_blocks} do not match "
-                      f"the schedule's {want} (offset off-by-one?)")
-
-    # Rung 4: staging plan.
-    want_plan = StagingPlan(signatures=tuple(sorted(signatures)))
-    if compiled.staging_plan != want_plan:
+    for name in _COLUMNS:
+        diff = np.flatnonzero(getattr(got, name) != getattr(want, name))
+        if len(diff):
+            _locate(name, int(diff[0]), got, want)
+    if getattr(got, "signatures", None) != want.signatures:
         raise CompileError(
-            "staging plan does not cover the schedule's send payload "
-            f"signatures ({compiled.staging_plan.describe()} vs expected "
-            f"{want_plan.describe()})"
+            "staging plan does not match the schedule's send payload "
+            "signatures"
         )
+
+
+def _locate(name: str, j: int, got: Columns, want: Columns) -> None:
+    """Word the first difference, entry ``j`` of column ``name``."""
+    if name == "steps_raw":
+        r = _owner(want.step_ptr, j)
+        lo, hi = want.step_ptr[r], want.step_ptr[r + 1]
+        _fail(r, max(0, j - int(lo) - 1),
+              f"step boundary table {got.steps_raw[lo:hi].tolist()} does "
+              f"not match the schedule's step layout "
+              f"{want.steps_raw[lo:hi].tolist()}")
+    # Per-op columns: seg_bounds entry j closes op j - 1, seg_blocks
+    # entry j lies in the op whose segment holds it.
+    i = {"kinds": j, "peers": j, "seg_bounds": max(0, j - 1),
+         "seg_blocks": _owner(want.seg_bounds, j)}.get(name, -1)
+    if not 0 <= i < len(want.kinds):
+        raise CompileError(
+            f"compiled {name} table differs from the schedule's at entry "
+            f"{j} ({getattr(got, name)[j]} != {getattr(want, name)[j]})"
+        )
+    r = _owner(want.op_ptr, i)
+    step, op = int(want.steps()[0][i]), i - int(want.op_ptr[r])
+    if name == "kinds":
+        kind, wkind = int(got.kinds[i]), int(want.kinds[i])
+        _fail(r, step,
+              f"op {op}: wrong op code — table says "
+              f"{OP_NAMES.get(kind, kind)!r}, schedule has "
+              f"{OP_NAMES[wkind]!r}")
+    if name == "peers":
+        _fail(r, step,
+              f"op {op}: stale peer table — compiled peer "
+              f"{int(got.peers[i])}, schedule says {int(want.peers[i])}")
+    blocks = got.seg_blocks[got.seg_bounds[i]:got.seg_bounds[i + 1]]
+    wanted = want.seg_blocks[want.seg_bounds[i]:want.seg_bounds[i + 1]]
+    _fail(r, step,
+          f"op {op}: segment blocks {blocks.tolist()} do not match the "
+          f"schedule's {wanted.tolist()} (offset off-by-one?)")

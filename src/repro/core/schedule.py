@@ -82,8 +82,8 @@ __all__ = [
     "OP_COPY",
 ]
 
-#: Op codes of the flat ``kinds`` column (here and in
-#: :class:`repro.compile.program.CompiledProgram`).
+#: Op codes of the flat ``kinds`` column (here and in its compiled
+#: views, :class:`repro.compile.program.CompiledProgram`).
 OP_SEND = 0
 OP_RECV = 1
 OP_REDUCE_RECV = 2
@@ -225,8 +225,8 @@ class Columns(NamedTuple):
     """Every op of a schedule as flat read-only arrays, rank-major in
     program order — what the one construction walk saw.
 
-    The per-op columns are :class:`~repro.compile.program.CompiledProgram`'s
-    (DESIGN.md §14) without the FIFO tags, all ranks concatenated:
+    A :class:`~repro.compile.program.CompiledSchedule` *is* these
+    columns (DESIGN.md §14), all ranks concatenated:
     rank ``r`` owns ops ``op_ptr[r]:op_ptr[r + 1]`` and entries
     ``step_ptr[r]:step_ptr[r + 1]`` of ``steps_raw``.
     """

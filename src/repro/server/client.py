@@ -183,11 +183,11 @@ class TuningClient:
     def compiled_schedule(self, **kwargs):
         """The decoded ``(schedule, compiled)`` pair for one query.
 
-        Same query surface as :meth:`schedule`; the compiled program is
-        re-verified against its source schedule after decoding, so a
-        corrupt wire payload can never execute
+        Same query surface as :meth:`schedule`; the compiled artifact's
+        columns are compared with its source schedule's after decoding,
+        so a corrupt wire payload can never execute
         (:class:`~repro.errors.CompileError` on mismatch — the same
-        ladder the disk store applies).
+        check the disk store applies).
         """
         payload = self.schedule(**kwargs)
         try:

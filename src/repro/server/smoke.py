@@ -8,8 +8,8 @@ process boundary, with nothing shared but the URL:
 * ``GET /`` — the descriptor answers and advertises the boot grid;
 * ``GET /select`` — a tuned choice comes back and matches ``/config``;
 * ``GET /schedule`` — the compiled artifact round-trips (fetch by
-  parameters, re-fetch by the returned source fingerprint, verify the
-  compiled program against its schedule);
+  parameters, re-fetch by the returned source fingerprint; the client
+  compares the decoded artifact's columns with its schedule's);
 * ``POST /tune`` — N concurrent requests for one *cold* collective
   coalesce into a single sweep (exactly one ``outcome="swept"``, the
   rest ``"coalesced"``);
@@ -176,7 +176,7 @@ class _Smoke:
             by_fp["source_fingerprint"] == schedule.fingerprint(),
             f"/schedule round-trips by fingerprint "
             f"({schedule.fingerprint()[:16]}..., "
-            f"{len(compiled.programs)} programs)",
+            f"{compiled.total_ops()} ops in one verified table)",
         )
 
     def probe_coalescing(self, info: Dict) -> None:

@@ -54,7 +54,11 @@ __all__ = ["FORMAT_VERSION", "StoreStats", "DiskStore"]
 #: v3: a pickled :class:`repro.compile.CompiledProgram` holds six
 #: arrays, not seven (the schedule's own step boundaries are the only
 #: ones).
-FORMAT_VERSION = 3
+#: v4: a pickled :class:`repro.compile.CompiledSchedule` is its labels
+#: plus one flat :class:`repro.core.schedule.Columns`; per-rank programs,
+#: FIFO tags, the staging plan and the FIFO mismatches are no longer
+#: stored.  Schedule pickles are unchanged.
+FORMAT_VERSION = 4
 
 _ENTRY_SUFFIX = ".json"
 _TMP_MARKER = ".tmp"

@@ -293,7 +293,7 @@ class TestWholeTableDifferential:
     )
     def test_registry_grid_matches_the_per_rank_reference(self, entry):
         for schedule in _grid_schedules(entry):
-            compiled = compile_schedule(schedule, verify=False)
+            compiled = compile_schedule(schedule)
             p, nb = schedule.nranks, schedule.nblocks
             # Residue nb // 2 splits the blocks into large and small
             # (residue 0 when there is one block); 1 makes one large.
@@ -312,11 +312,12 @@ class TestWholeTableDifferential:
         schedule = build_schedule("allreduce", "knomial", 12, k=3)
         lowered = compile_schedule(schedule)
         clone = pickle.loads(pickle.dumps(lowered))
-        assert lowered.columns() is schedule.columns()
-        assert clone.columns() is clone.columns()
+        assert lowered.columns is schedule.columns()
         for name in ("kinds", "peers", "seg_bounds", "seg_blocks",
                      "steps_raw", "op_ptr", "step_ptr"):
-            assert np.array_equal(getattr(clone.columns(), name),
+            column = getattr(clone.columns, name)
+            assert not column.flags.writeable, name
+            assert np.array_equal(column,
                                   getattr(schedule.columns(), name)), name
         for machine in (reference(12), _dragonfly(12)):
             assert_same_classes(classify(clone, machine, 4099),
@@ -364,18 +365,13 @@ class TestScaleSimDoesNothingTwice:
         )
         from repro.core.cache import global_schedule_cache
 
-        derived, hashed = [], []
-        columns, table_bytes = program.Columns, program.CompiledProgram.table_bytes
-
-        def counting_columns(*args, **kwargs):
-            derived.append(kwargs)
-            return columns(*args, **kwargs)
+        hashed, schedules = [], []
+        table_bytes = program.CompiledProgram.table_bytes
 
         def counting_table_bytes(self):
             hashed.append(self)
             return table_bytes(self)
 
-        monkeypatch.setattr(program, "Columns", counting_columns)
         monkeypatch.setattr(program.CompiledProgram, "table_bytes",
                             counting_table_bytes)
         clears = (global_schedule_cache().clear, clear_class_cache,
@@ -394,13 +390,15 @@ class TestScaleSimDoesNothingTwice:
                         schedule, machine, nbytes=256 * 8 * words
                     ).engine)
                 compiled.append(get_or_compile(schedule))
+                schedules.append(schedule)
         finally:
             for clear in clears:
                 clear()
         assert engines == ["collapsed"] * 2 + ["materialized"] * 2
-        # The lowered artifact reads its schedule's own columns …
-        assert not derived
-        # … and is hashed once however many partition keys ask.
+        # The lowered artifact is its schedule's own columns …
+        assert all(c.columns is s.columns()
+                   for c, s in zip(compiled, schedules))
+        # … and its views are hashed once however many partition keys ask.
         assert len(hashed) == len({id(prog) for prog in hashed})
         assert {id(prog) for prog in hashed} == {
             id(prog) for c in compiled for prog in c.programs

@@ -3,6 +3,7 @@
 import hashlib
 import pickle
 import re
+from itertools import accumulate
 
 import pytest
 
@@ -448,6 +449,36 @@ def handmade(nranks, nblocks, *programs):
     return Schedule("allgather", "handmade", nranks, nblocks, progs)
 
 
+#: Hand-built schedules no builder emits: FIFO block mismatches,
+#: unmatched traffic, copies, idle ranks, one rank.
+MALFORMED = [
+    ("orphan send", handmade(2, 1, (0, [SendOp(1, (0,))]))),
+    ("starved receive", handmade(2, 1, (1, [RecvOp(0, (0,))]))),
+    ("different blocks", handmade(
+        3, 3,
+        (0, [SendOp(1, (0,)), SendOp(2, (0, 1))], [RecvOp(2, (2,))]),
+        (1, [RecvOp(0, (1,))], [SendOp(2, (1,))]),
+        (2, [SendOp(0, (1,))], [RecvOp(1, (0,)), RecvOp(0, (0, 2))]),
+    )),
+    ("copies", handmade(
+        2, 2,
+        (0, [CopyOp(0, 1), SendOp(1, (1,))], [CopyOp(1, 0)]),
+        (1, [RecvOp(0, (1,), reduce=True)]),
+    )),
+    ("idle ranks", handmade(
+        4, 1, (1, [SendOp(3, (0,))]), (3, [RecvOp(1, (0,))]),
+    )),
+    ("one rank", handmade(1, 2, (0, [CopyOp(0, 1)]))),
+    ("one rank, no ops", handmade(1, 1)),
+    ("orphans out of channel order", handmade(
+        3, 2, (0, [SendOp(2, (0,))], [SendOp(1, (1,))]),
+    )),
+    ("orphan and starved", handmade(
+        3, 2, (0, [SendOp(2, (0,))], [RecvOp(1, (1,))]),
+    )),
+]
+
+
 def registry_grid(entry):
     """``entry`` over p ∈ {1, 2, 3, 5, 8, 12, 16} × radices × roots."""
     from repro.core.registry import max_radix
@@ -484,32 +515,7 @@ class TestMessages:
             assert not len(fifo.unmatched_sends) + len(fifo.unmatched_recvs)
             assert not len(fifo.mismatched)
 
-    @pytest.mark.parametrize("name, schedule", [
-        ("orphan send", handmade(2, 1, (0, [SendOp(1, (0,))]))),
-        ("starved receive", handmade(2, 1, (1, [RecvOp(0, (0,))]))),
-        ("different blocks", handmade(
-            3, 3,
-            (0, [SendOp(1, (0,)), SendOp(2, (0, 1))], [RecvOp(2, (2,))]),
-            (1, [RecvOp(0, (1,))], [SendOp(2, (1,))]),
-            (2, [SendOp(0, (1,))], [RecvOp(1, (0,)), RecvOp(0, (0, 2))]),
-        )),
-        ("copies", handmade(
-            2, 2,
-            (0, [CopyOp(0, 1), SendOp(1, (1,))], [CopyOp(1, 0)]),
-            (1, [RecvOp(0, (1,), reduce=True)]),
-        )),
-        ("idle ranks", handmade(
-            4, 1, (1, [SendOp(3, (0,))]), (3, [RecvOp(1, (0,))]),
-        )),
-        ("one rank", handmade(1, 2, (0, [CopyOp(0, 1)]))),
-        ("one rank, no ops", handmade(1, 1)),
-        ("orphans out of channel order", handmade(
-            3, 2, (0, [SendOp(2, (0,))], [SendOp(1, (1,))]),
-        )),
-        ("orphan and starved", handmade(
-            3, 2, (0, [SendOp(2, (0,))], [RecvOp(1, (1,))]),
-        )),
-    ])
+    @pytest.mark.parametrize("name, schedule", MALFORMED)
     def test_malformed_schedules_are_reported_not_refused(
         self, name, schedule
     ):
@@ -550,11 +556,14 @@ class TestMessages:
         sched = build_schedule("allreduce", "kring", 12, k=3)
         compiled = compile_schedule(sched)
         assert compiled.messages() is sched.messages()
-        assert [prog.tags.tolist() for prog in compiled.programs] == [
-            sched.messages().seq[lo:hi].tolist()
-            for lo, hi in zip(sched.columns().op_ptr[:-1],
-                              sched.columns().op_ptr[1:])
-        ]
+        # Each rank's tags are a read-only view of the matching's seq.
+        seq = sched.messages().seq
+        for prog, lo, hi in zip(compiled.programs,
+                                sched.columns().op_ptr[:-1],
+                                sched.columns().op_ptr[1:]):
+            assert prog.tags.base is seq
+            assert prog.tags.tolist() == seq[lo:hi].tolist()
+            assert not prog.tags.flags.writeable
         # An artifact from disk or the wire derives the same table.
         clone = pickle.loads(pickle.dumps(compiled))
         assert clone._messages is None
@@ -569,3 +578,91 @@ class TestMessages:
         blob = dumps_blob(sched)
         assert hashlib.sha256(blob.encode()).hexdigest() == PARENT_BLOBS[key]
         assert "_messages" not in vars(loads_blob(blob, Schedule))
+
+
+def reference_lowering(schedule):
+    """The compiled tables derived from the IR *objects*, with channel
+    counters of their own — the walk the compile ladder ran on every
+    lowering before an artifact became its schedule's columns.
+
+    Returns ``(tables, signatures)``: per rank a dict of the
+    :class:`~repro.compile.program.CompiledProgram` columns as lists,
+    and the sorted send payload signatures.
+    """
+    from repro.compile.program import OP_COPY, OP_RECV, OP_REDUCE_RECV, OP_SEND
+
+    send_seq = {}
+    recv_seq = {}
+    signatures = set()
+    tables = []
+    for src_prog in schedule.programs:
+        rank = src_prog.rank
+        flat_ops = [op for step in src_prog.steps for op in step.ops]
+        exp_raw = [0, *accumulate(len(step.ops) for step in src_prog.steps)]
+        want_kinds, want_peers, want_tags = [], [], []
+        want_blocks, want_bounds = [], [0]
+        for op in flat_ops:
+            if isinstance(op, SendOp):
+                chan = (rank, op.peer)
+                seq = send_seq.get(chan, 0)
+                send_seq[chan] = seq + 1
+                want_kinds.append(OP_SEND)
+                want_peers.append(op.peer)
+                want_tags.append(seq)
+                want_blocks.extend(op.blocks)
+                signatures.add(op.blocks)
+            elif isinstance(op, RecvOp):
+                chan = (op.peer, rank)
+                seq = recv_seq.get(chan, 0)
+                recv_seq[chan] = seq + 1
+                want_kinds.append(OP_REDUCE_RECV if op.reduce else OP_RECV)
+                want_peers.append(op.peer)
+                want_tags.append(seq)
+                want_blocks.extend(op.blocks)
+            else:
+                assert isinstance(op, CopyOp)
+                want_kinds.append(OP_COPY)
+                want_peers.append(-1)
+                want_tags.append(-1)
+                want_blocks.extend((op.src, op.dst))
+            want_bounds.append(len(want_blocks))
+        tables.append({
+            "kinds": want_kinds, "peers": want_peers, "tags": want_tags,
+            "seg_bounds": want_bounds, "seg_blocks": want_blocks,
+            "steps_raw": exp_raw,
+        })
+    return tables, tuple(sorted(signatures))
+
+
+def assert_lowers_like_the_reference(schedule):
+    from repro.compile import compile_schedule
+
+    compiled = compile_schedule(schedule)
+    tables, signatures = reference_lowering(schedule)
+    assert [prog.rank for prog in compiled.programs] == list(
+        range(schedule.nranks)
+    )
+    for prog, want in zip(compiled.programs, tables):
+        for name, column in want.items():
+            assert getattr(prog, name).tolist() == column, (
+                schedule.describe(), prog.rank, name
+            )
+    assert compiled.staging_plan.signatures == signatures
+
+
+class TestReferenceLowering:
+    """Every rank view of ``compile_schedule(s)`` against
+    :func:`reference_lowering`: the tables' independent derivation, so a
+    wrong ``_walk`` or ``match_fifo`` cannot pass unseen."""
+
+    @pytest.mark.parametrize(
+        "entry", _registry_entries(),
+        ids=lambda e: f"{e.collective}/{e.name}",
+    )
+    def test_registry_grid(self, entry):
+        for schedule in registry_grid(entry):
+            assert_lowers_like_the_reference(schedule)
+
+    @pytest.mark.parametrize("name, schedule", MALFORMED)
+    def test_malformed_schedules(self, name, schedule):
+        assert_lowers_like_the_reference(schedule)

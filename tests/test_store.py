@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from types import SimpleNamespace
 
-from repro.compile import compile_schedule, verify_compiled
+from repro.compile import compile_schedule
 from repro.compile.cache import compiled_store_key, open_compiled_store
 from repro.core.cache import schedule_key
 from repro.core.registry import build_schedule
@@ -279,25 +279,33 @@ def _age_entries(store, version):
         path.write_text(json.dumps(doc))
 
 
-def test_v2_compiled_entry_is_a_quarantined_miss_and_rebuilds(tmp_path):
+#: Every format a store may still hold compiled entries in.
+OLDER_FORMATS = range(2, FORMAT_VERSION)
+
+
+@pytest.mark.parametrize("version", OLDER_FORMATS)
+def test_older_compiled_entry_is_a_quarantined_miss_and_rebuilds(
+    tmp_path, version
+):
     schedule = _allreduce("kring", 8, 2)
     made, _ = open_compiled_store(tmp_path).get_or_compile(schedule)
     store = DiskStore(tmp_path)
-    _age_entries(store, 2)
+    _age_entries(store, version)
     assert store.get(compiled_store_key(schedule)) is None
-    assert any("format-2" in p.name for p in store.quarantined())
+    assert any(f"format-{version}" in p.name for p in store.quarantined())
 
     rebuilt, hit = open_compiled_store(tmp_path).get_or_compile(schedule)
     assert not hit
-    verify_compiled(rebuilt, schedule)
+    assert rebuilt.columns is schedule.columns()
     assert rebuilt.fingerprint() == made.fingerprint()
     # ... and the write-through filed a current-format entry.
     _, hit = open_compiled_store(tmp_path).get_or_compile(schedule)
     assert hit
 
 
-def test_service_boots_cold_over_a_v2_store(tmp_path):
-    """``repro-serve --store`` over a store the previous format wrote:
+@pytest.mark.parametrize("version", OLDER_FORMATS)
+def test_service_boots_cold_over_an_older_store(tmp_path, version):
+    """``repro-serve --store`` over a store an older format wrote:
     the boot index still reads its keys, every entry is a quarantined
     miss on first use, and the served artifact is the rebuilt one."""
     machine, sizes = reference(8), [256, 4096]
@@ -307,7 +315,7 @@ def test_service_boots_cold_over_a_v2_store(tmp_path):
         machine, sizes, collectives=("allreduce",), store=tmp_path
     )
     payload = first._ep_schedule(query)
-    _age_entries(first.compiled_cache.store, 2)
+    _age_entries(first.compiled_cache.store, version)
 
     second = TuningService(
         machine, sizes, collectives=("allreduce",), store=tmp_path
@@ -319,8 +327,24 @@ def test_service_boots_cold_over_a_v2_store(tmp_path):
     quarantined = [
         p.name for p in second.compiled_cache.store.quarantined()
     ]
-    assert any("format-2" in name for name in quarantined)
+    assert any(f"format-{version}" in name for name in quarantined)
     current = json.loads(
         second.compiled_cache.store.path_for(payload["store_key"]).read_text()
     )
-    assert current["format"] == FORMAT_VERSION == 3
+    assert current["format"] == FORMAT_VERSION == 4
+
+
+def test_a_disk_tier_hit_is_read_only(tmp_path):
+    """A loaded artifact sits in the compiled cache for every later run,
+    so like a lowered one it cannot be edited in place."""
+    schedule = _allreduce("kring", 8, 2)
+    open_compiled_store(tmp_path).get_or_compile(schedule)
+    loaded, hit = open_compiled_store(tmp_path).get_or_compile(schedule)
+    assert hit and loaded.columns is not schedule.columns()
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.columns.peers[0] = 1
+    for column in loaded.columns[:-1]:
+        assert not column.flags.writeable
+    for prog in loaded.programs:
+        with pytest.raises(ValueError, match="read-only"):
+            prog.seg_bounds[0] = 1
