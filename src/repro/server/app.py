@@ -50,8 +50,10 @@ distinctly from :class:`~repro.errors.ServerError` ("the service is
 broken or misused").  Hostile requests get the same structured answer,
 never a hang: a head over ``_MAX_HEAD_BYTES`` is a ``431``, a body over
 ``_MAX_BODY_BYTES`` a ``413``, and a head or body not delivered within
-``_READ_TIMEOUT_S`` a ``408``.  Those replies, and a ``400`` for a
-request that cannot be parsed, close the connection.
+``_READ_TIMEOUT_S`` a ``408``.  Bodies are framed by ``Content-Length``
+only: any ``Transfer-Encoding`` is a ``501`` and repeated
+``Content-Length`` headers that disagree are a ``400``.  Those replies,
+and a ``400`` for a request that cannot be parsed, close the connection.
 """
 
 from __future__ import annotations
@@ -442,10 +444,10 @@ class TuningService:
         """Read one request and answer it; whether to read another.
 
         The connection is kept unless the client asked to close it, the
-        request could not be read in full (a ``400``, ``408``, ``413``
-        or ``431`` closes it), or the service is stopping.  A connection
-        that closes or idles out before a request's first byte gets no
-        reply at all.
+        request could not be read in full (a ``400``, ``408``, ``413``,
+        ``431`` or ``501`` closes it), or the service is stopping.  A
+        connection that closes or idles out before a request's first byte
+        gets no reply at all.
         """
         status, ctype, payload, endpoint = 500, "application/json", b"", "?"
         keep_alive = False
@@ -650,7 +652,8 @@ def _require(query: Dict[str, str], name: str) -> str:
 
 
 def _json(payload: Dict) -> bytes:
-    return json.dumps(payload, indent=2).encode("utf-8")
+    # No indent: only compact output goes through the C encoder.
+    return json.dumps(payload).encode("utf-8")
 
 
 def _error_body(error: str, message: str) -> bytes:
@@ -664,7 +667,7 @@ def _response(
                405: "Method Not Allowed", 408: "Request Timeout",
                413: "Payload Too Large",
                431: "Request Header Fields Too Large",
-               500: "Internal Server Error"}
+               500: "Internal Server Error", 501: "Not Implemented"}
     head = (
         f"HTTP/1.1 {status} {reasons.get(status, 'Error')}\r\n"
         f"Content-Type: {ctype}\r\n"
@@ -708,6 +711,12 @@ async def _read_request(
         timer.cancel()
         timer = loop.call_later(_READ_TIMEOUT_S, expire)
         method, target, version, headers = await _read_head(reader, first)
+        if "transfer-encoding" in headers:
+            raise _HttpReply(
+                501, "NotImplemented",
+                f"Transfer-Encoding {headers['transfer-encoding']!r} is not "
+                f"supported: send a Content-Length",
+            )
         length = int(headers.get("content-length", "0"))
         if length < 0:
             raise _HttpReply(
@@ -760,5 +769,12 @@ async def _read_head(
     for line in lines[1:]:
         if ":" in line:
             name, _sep, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _HttpReply(
+                    400, "ServerError",
+                    f"malformed request: conflicting Content-Length "
+                    f"headers {headers[name]!r} and {value!r}",
+                )
+            headers[name] = value
     return method, target, version, headers

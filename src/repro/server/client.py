@@ -1,4 +1,4 @@
-"""Stdlib client for the tuning service (`http.client`, no dependencies).
+"""Stdlib client for the tuning service (plain sockets, no dependencies).
 
 :class:`TuningClient` is the blocking counterpart of
 :class:`~repro.server.app.TuningService`: one method per endpoint,
@@ -18,21 +18,22 @@ transport problems, malformed responses, and every other service
 failure surface as :class:`~repro.errors.ServerError`.
 
 Connections persist: each thread that calls a client keeps one HTTP/1.1
-connection to the service and sends every request on it.  The service
-may close a connection that idled past its read deadline; a request
-whose *reused* connection fails before any status line arrives is sent
-once more on a fresh connection.  That can repeat a ``POST /tune``,
-which single-flight coalescing makes harmless: the repeat joins or
-re-runs the same sweep.
+connection to the service (a socket and its buffered reader) and speaks
+HTTP on it directly.  The service may close a connection that idled past
+its read deadline; a request whose *reused* connection fails before any
+status-line byte arrives is sent once more on a fresh connection.  That
+can repeat a ``POST /tune``, which single-flight coalescing makes
+harmless: the repeat joins or re-runs the same sweep.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import BinaryIO, Dict, Optional, Tuple, Union
+from urllib.parse import quote, urlsplit
 
 from ..compile.program import CompiledSchedule
 from ..core.schedule import Schedule
@@ -42,12 +43,8 @@ from ..selection import Choice, SelectionConfig
 
 __all__ = ["TuningClient"]
 
-
-#: How a reused connection fails when the service closed it between
-#: requests: the request is then retried once on a fresh connection.
-_STALE_CONNECTION = (
-    http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError
-)
+#: Longest reply head (status line + headers) the client reads.
+_MAX_HEAD_BYTES = 1 << 16
 
 
 class TuningClient:
@@ -66,55 +63,108 @@ class TuningClient:
             )
         self.url = url.rstrip("/")
         self.timeout = timeout
-        scheme, _, rest = self.url.partition("://")
-        self._connection_class = (
-            http.client.HTTPSConnection if scheme == "https"
-            else http.client.HTTPConnection
-        )
-        self._netloc, slash, path = rest.partition("/")
-        self._base = slash + path
+        parts = urlsplit(self.url)
+        self._tls = parts.scheme == "https"
+        port = parts.port or (443 if self._tls else 80)
+        self._address = (parts.hostname, port)
+        self._host = parts.netloc
+        self._base = parts.path
         self._local = threading.local()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """The calling thread's connection (opened on first use)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._connection_class(self._netloc, timeout=self.timeout)
-            self._local.conn = conn
-        return conn
+    def _connect(self) -> Tuple[socket.socket, BinaryIO]:
+        """(Re)open the calling thread's connection; ``ssl`` only for TLS."""
+        self._drop()
+        sock = socket.create_connection(self._address, timeout=self.timeout)
+        if self._tls:
+            import ssl
 
-    def _request(
-        self, path: str, *, body: Optional[Dict] = None
-    ) -> bytes:
+            sock = ssl.create_default_context().wrap_socket(
+                sock, server_hostname=self._address[0]
+            )
+        self._local.conn = (sock, sock.makefile("rb"))
+        return self._local.conn
+
+    def _drop(self) -> None:
+        """Close the calling thread's connection, if it has one."""
+        for part in reversed(getattr(self._local, "conn", None) or ()):
+            part.close()
+        self._local.conn = None
+
+    def _request(self, path: str, *, body: Optional[Dict] = None) -> bytes:
         """One exchange; re-raises wire errors under their real class."""
-        data = json.dumps(body).encode("utf-8") if body is not None else None
-        method = "POST" if data is not None else "GET"
-        headers = {"Content-Type": "application/json"} if data else {}
-        conn = self._connection()
+        data = b"" if body is None else json.dumps(body).encode("utf-8")
+        # Quoted, so no caller string can break the request line.
+        target = quote(self._base + path, safe="/?&=%")
+        head = f"{'POST' if data else 'GET'} {target} HTTP/1.1\r\n" \
+            f"Host: {self._host}\r\n"
+        if data:
+            head += "Content-Type: application/json\r\n" \
+                f"Content-Length: {len(data)}\r\n"
+        request = (head + "\r\n").encode("latin-1") + data
+        conn = getattr(self._local, "conn", None)
         try:
-            try:
-                reused = conn.sock is not None
-                conn.request(method, self._base + path, data, headers)
-                resp = conn.getresponse()
-            except _STALE_CONNECTION:
-                if not reused:
-                    raise
-                conn.close()
-                conn.request(method, self._base + path, data, headers)
-                resp = conn.getresponse()
-            payload = resp.read()
-        except (http.client.HTTPException, OSError) as exc:
-            conn.close()
+            reply = self._exchange(conn or self._connect(), request)
+            if reply is None and conn is not None:  # closed while idle
+                reply = self._exchange(self._connect(), request)
+            if reply is None:
+                raise ConnectionError("connection closed before a reply")
+        except BaseException as exc:
+            self._drop()  # a failed exchange leaves no frame boundary
+            if not isinstance(exc, (OSError, ValueError)):
+                raise
+            what = "cannot reach" if isinstance(exc, OSError) \
+                else "malformed reply from"
             raise ServerError(
-                f"cannot reach tuning service at {self.url}: {exc}"
+                f"{what} tuning service at {self.url}: {exc}"
             ) from exc
-        if not 200 <= resp.status < 300:
-            raise _wire_error(resp.status, payload)
+        status, payload = reply
+        if not 200 <= status < 300:
+            raise _wire_error(status, payload)
         return payload
+
+    def _exchange(
+        self, conn: Tuple[socket.socket, BinaryIO], request: bytes
+    ) -> Optional[Tuple[int, bytes]]:
+        """Send ``request`` on ``conn`` and read one reply: (status, body),
+        or ``None`` if the connection ended before any status-line byte.
+
+        The body is framed by ``Content-Length``, or read to EOF without
+        one; then, as after ``Connection: close`` or HTTP/1.0, the
+        connection is dropped."""
+        sock, stream = conn
+        try:
+            sock.sendall(request)
+            line = stream.readline(_MAX_HEAD_BYTES)
+        except (BrokenPipeError, ConnectionResetError):
+            return None
+        if not line:
+            return None
+        version, _, rest = line.partition(b" ")
+        if version not in (b"HTTP/1.0", b"HTTP/1.1") or not rest[:3].isdigit():
+            raise ValueError(f"malformed status line {line[:80]!r}")
+        headers: Dict[str, str] = {}
+        budget = _MAX_HEAD_BYTES - len(line)
+        while line.endswith(b"\n") and budget > 0:
+            line = stream.readline(budget)
+            budget -= len(line)
+            if line in (b"\r\n", b"\n"):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        else:  # a line cut short by EOF or by the head bound
+            raise ValueError("reply head cut short or over its bound")
+        length = int(headers.get("content-length", -1))  # -1: read to EOF
+        body = stream.read(length)
+        if len(body) < length:
+            raise ValueError(f"reply body short of Content-Length {length}")
+        if length < 0 or version != b"HTTP/1.1" \
+                or "close" in headers.get("connection", "").lower():
+            self._drop()
+        return int(rest[:3]), body
 
     def _request_json(
         self, path: str, *, body: Optional[Dict] = None

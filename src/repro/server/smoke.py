@@ -18,9 +18,10 @@ process boundary, with nothing shared but the URL:
 * ``GET /config`` — the selection-config artifact exports, loads back,
   and agrees with the served selections; the saved file is the artifact
   CI uploads;
-* hostile requests — an oversized head, a stalled head and a truncated
-  body each get their structured 4xx (``431``, ``408``, ``408``) within
-  the service's read deadline, and ``/select`` still answers after;
+* hostile requests — an oversized head, a stalled head, a truncated
+  body and a chunked body each get their structured refusal (``431``,
+  ``408``, ``408``, ``501``) within the service's read deadline, and
+  ``/select`` still answers after;
 * keep-alive — 50 ``/select`` calls open at most 2 new connections, by
   the service's own ``repro_server_connections_total``;
 * ``SIGTERM`` — with the probe client's connection still open and idle,
@@ -28,12 +29,15 @@ process boundary, with nothing shared but the URL:
 
 The coalescing assertion is made race-free against a real subprocess:
 the boot sweep covers only ``allreduce``, so tuning a cold
-collective costs a real sweep; the driver fires a leader, polls the
-descriptor's ``inflight`` counter until the leader is visibly in
-flight, then fires the followers into that window.  If a follower
-still straggles past the sweep (a loaded CI host can oversleep
-anything), the attempt retries on the next cold collective rather than
-flaking.
+collective costs a real sweep; each follower opens its connection
+first, the driver fires a leader, polls the descriptor's ``inflight``
+counter until the leader is visibly in flight, then releases the
+followers into that window at once.  If the leader finishes before it
+is seen, or a follower still straggles past the sweep and sweeps itself
+(a loaded CI host can oversleep anything), the attempt is inconclusive
+and retries on the next cold collective rather than flaking; the probe
+fails only when no attempt concludes, so a service that never
+coalesces still fails it.
 
 Exit status is 0 only if every probe passes; failures print one
 ``smoke FAIL:`` line each and exit 1, so the Makefile target and the
@@ -55,16 +59,21 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
+from ..errors import ServerError
+
 __all__ = ["run_smoke", "main"]
 
 #: Collectives the boot sweep deliberately leaves cold, in the order
 #: the coalescing probe tries them.  Each retry needs a fresh one: the
 #: previous attempt's sweep warms the service's simulation memo, which
 #: would make a second attempt on the same collective near-instant.
-_COLD_COLLECTIVES = ("alltoall", "reduce_scatter", "gather")
+#: Slowest sweep first (≈ 80, 65, 50 and 20 ms on the smoke's machine):
+#: the sweep is the window the followers must land in.
+_COLD_COLLECTIVES = ("bcast", "allgather", "reduce_scatter", "alltoall")
 
 _BOOT_TIMEOUT_S = 120.0
 _POLL_INTERVAL_S = 0.005
+_BARRIER_S = 60.0
 
 
 class _Smoke:
@@ -182,8 +191,8 @@ class _Smoke:
     def probe_coalescing(self, info: Dict) -> None:
         for collective in _COLD_COLLECTIVES:
             outcomes = self._coalesce_once(collective)
-            if outcomes is None:
-                continue  # leader won the race; retry on a colder one
+            if outcomes is None or outcomes.count("swept") > 1:
+                continue  # inconclusive; retry on the next cold one
             swept = outcomes.count("swept")
             joined = outcomes.count("coalesced")
             self.check(
@@ -193,25 +202,56 @@ class _Smoke:
             )
             return
         self.fail(
-            "coalescing probe could not catch a sweep in flight on any "
-            f"cold collective {list(_COLD_COLLECTIVES)}"
+            "coalescing probe reached no conclusive attempt (a sweep seen "
+            "in flight and every follower joining it) on any cold "
+            f"collective {list(_COLD_COLLECTIVES)}"
         )
 
     def _coalesce_once(self, collective: str) -> Optional[List[str]]:
         """Leader + followers on one cold collective.
 
-        Returns every request's ``outcome``, or ``None`` when the
-        leader's sweep finished before the descriptor ever showed it in
-        flight — an inconclusive attempt, not a failure.
+        Each follower opens its connection (one ``info()``) and waits at
+        a barrier; the driver releases them all once the leader's sweep
+        shows in ``inflight``.  Returns every request's ``outcome``, or
+        ``None`` when the leader's sweep finished before the descriptor
+        ever showed it in flight or the followers never all connected.
+        A follower that straggles past the sweep reports ``"swept"``;
+        the caller treats that as inconclusive too.
         """
         outcomes: List[str] = []
         lock = threading.Lock()
+        ready = threading.Barrier(self.followers + 1, timeout=_BARRIER_S)
+        release = threading.Barrier(self.followers + 1, timeout=_BARRIER_S)
 
         def tune() -> None:
             out = self.client.tune(collective)
             with lock:
                 outcomes.append(out["outcome"])
 
+        def follow() -> None:
+            try:
+                self.client.info()  # this thread's connection, opened now
+                ready.wait()
+                release.wait()
+            except ServerError as exc:
+                self.fail(f"a /tune follower could not connect: {exc}")
+                ready.abort()
+                return
+            except threading.BrokenBarrierError:
+                return  # the attempt was called off
+            tune()
+
+        crowd = [
+            threading.Thread(target=follow) for _ in range(self.followers)
+        ]
+        for t in crowd:
+            t.start()
+        try:
+            ready.wait()
+        except threading.BrokenBarrierError:
+            for t in crowd:
+                t.join()
+            return None
         leader = threading.Thread(target=tune)
         leader.start()
         seen_inflight = False
@@ -220,17 +260,13 @@ class _Smoke:
                 seen_inflight = True
                 break
             time.sleep(_POLL_INTERVAL_S)
-        if not seen_inflight:
-            leader.join()
-            return None
-        crowd = [
-            threading.Thread(target=tune) for _ in range(self.followers)
-        ]
-        for t in crowd:
-            t.start()
+        if seen_inflight:
+            release.wait()
+        else:
+            release.abort()
         for t in [leader, *crowd]:
             t.join()
-        return outcomes
+        return outcomes if seen_inflight else None
 
     def probe_metrics(self) -> None:
         text = self.client.metrics()
@@ -246,14 +282,14 @@ class _Smoke:
         cfg = SelectionConfig.load(self.output)
         self.check(
             CONFIG_FORMAT in self.output.read_text(encoding="utf-8")
-            and "alltoall" in cfg.collectives,
+            and _COLD_COLLECTIVES[0] in cfg.collectives,
             f"/config artifact saved to {self.output} "
             f"({len(cfg.timings)} timings, "
             f"collectives {list(cfg.collectives)})",
         )
 
     def probe_hostile(self) -> None:
-        """Three requests that must neither hang nor surface as a 500,
+        """Four requests that must neither hang nor surface as a 500,
         sent concurrently so the two stalled ones share one deadline."""
         from .app import _MAX_HEAD_BYTES, _READ_TIMEOUT_S
 
@@ -270,6 +306,12 @@ class _Smoke:
             "truncated body": (
                 (408, "RequestTimeout"),
                 b"POST /tune HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",
+            ),
+            # One refusal, not a second reply to the chunk framing.
+            "chunked body": (
+                (501, "NotImplemented"),
+                b"POST /tune HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n",
             ),
         }
         replies: Dict[str, Tuple[object, float]] = {}

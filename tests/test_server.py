@@ -16,12 +16,14 @@ import base64
 import json
 import os
 import pickle
+import re
 import signal
 import socket
 import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -335,7 +337,14 @@ def test_connection_close_is_honoured(served, request_bytes):
     (b"GET /select HTTP/1.1\r\nHost: stalled\r\n", 408),
     (b"POST /tune HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (1 << 40), 413),
     (b"GET /select?" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n", 431),
-], ids=["400", "408", "413", "431"])
+    # Chunk framing would otherwise be read as a second request.
+    (b"POST /tune HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b"18\r\n{\"collective\": \"gather\"}\r\n0\r\n\r\n", 501),
+    # The last length would otherwise eat the next request's bytes.
+    (b"GET /select?collective=allreduce&nbytes=256 HTTP/1.1\r\n"
+     b"Content-Length: 0\r\nContent-Length: 5\r\n\r\nGET / HTTP/1.1\r\n\r\n",
+     400),
+], ids=["400", "408", "413", "431", "chunked-501", "conflicting-length-400"])
 def test_unreadable_request_closes_connection(served, monkeypatch,
                                               request_bytes, status):
     """A request that cannot be read in full is answered and the
@@ -538,6 +547,82 @@ def test_client_unreachable_is_a_server_error():
     client = TuningClient("http://127.0.0.1:9", timeout=0.5)
     with pytest.raises(ServerError, match="cannot reach"):
         client.info()
+
+
+CANNED_BODY = b'{"service": "canned"}'
+
+
+@contextmanager
+def _canned_service(reply: bytes, *, close: bool):
+    """A socket server on a thread that answers each request head with
+    ``reply`` as is, then closes (``close``) or waits for the client to.
+    Yields ``(url, accepted)``: ``accepted`` lists the connections."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)  # how often the accept loop sees `done`
+    accepted, done = [], threading.Event()
+
+    def serve():
+        while not done.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            accepted.append(conn)
+            with conn:
+                conn.settimeout(5)
+                try:
+                    head = b""
+                    while b"\r\n\r\n" not in head:
+                        chunk = conn.recv(65536)
+                        if not chunk:
+                            raise ConnectionError("no request head")
+                        head += chunk
+                    conn.sendall(reply)
+                    while not close and conn.recv(65536):
+                        pass  # hold the connection until the client drops it
+                except OSError:
+                    pass  # the client gave up on this reply first
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", accepted
+    finally:
+        done.set()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("reply,close,parses", [
+    (b"garbage\r\n\r\n", False, False),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + CANNED_BODY,
+     True, False),
+    (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 100_000 + b"\r\n\r\n"
+     + CANNED_BODY, False, False),
+    (b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + CANNED_BODY,
+     True, True),
+    (b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % len(CANNED_BODY)
+     + CANNED_BODY, False, True),
+], ids=["garbage-status-line", "eof-before-content-length",
+        "header-line-over-bound", "no-length-connection-close",
+        "http-1.0"])
+def test_client_reply_framing(reply, close, parses):
+    """Each canned reply parses, or is a ServerError naming the URL,
+    within the timeout — and the client's next call opens a fresh
+    connection rather than reading on from a stream it cannot frame."""
+    timeout = 2.0
+    with _canned_service(reply, close=close) as (url, accepted):
+        client = TuningClient(url, timeout=timeout)
+        for calls in (1, 2):
+            began = time.monotonic()
+            if parses:
+                assert client.info() == json.loads(CANNED_BODY)
+            else:
+                with pytest.raises(ServerError, match=re.escape(url)):
+                    client.info()
+            assert time.monotonic() - began < timeout
+            assert len(accepted) == calls
 
 
 def test_client_rejects_a_payload_of_the_wrong_type(monkeypatch):
