@@ -52,11 +52,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from ..compile.cache import get_or_compile
 from ..core.cache import (
     ContentCache,
     ScheduleCache,
     global_schedule_cache,
-    schedule_key,
     set_global_schedule_cache,
 )
 from ..core.registry import info
@@ -118,11 +120,16 @@ class SweepPointResult:
     """Outcome of one point: a simulated time or an isolated error.
 
     ``cache_hit`` records whether the schedule build was served by the
-    worker's :class:`~repro.core.cache.ScheduleCache`; ``sim_hit``
-    whether the whole simulation was served by the memo of previously
-    simulated identical points.  Both travel with the result (rather
-    than living in worker-process globals) so hit rates aggregate
-    correctly across any number of pool workers.
+    worker's :class:`~repro.core.cache.ScheduleCache` — the lookup every
+    reusing point makes before it consults the memo, so a memo hit after
+    the schedule cache was emptied is a build miss; it is False for
+    ``reuse=False`` and for lazily routed points, which never look.
+    ``sim_hit`` records whether the kernel run was served by the memo:
+    some earlier point handed the kernel the identical table (possibly
+    under another algorithm name or radix) on the same machine with the
+    same noise and faults.  Both travel with the result (rather than
+    living in worker-process globals) so hit rates aggregate correctly
+    across any number of pool workers.
 
     ``traceback`` preserves the worker-side stack for failed points —
     the worker that raised may be long gone (or dead) by the time the
@@ -155,6 +162,11 @@ class SweepStats:
     :class:`~repro.core.cache.CacheStats` and
     :class:`~repro.simnet.trace.TimelineStats`, so sweep accounting
     drops uniformly into :mod:`repro.obs` snapshots and JSON reports.
+
+    The two counts are independent: ``build_hits`` counts schedule-cache
+    lookups that hit, ``sim_hits`` points whose kernel table was already
+    simulated — including tables first met under another name, such as
+    ``knomial k=2`` after ``binomial``.
     """
 
     points: int
@@ -191,13 +203,10 @@ def sweep_stats(results: Sequence[SweepPointResult]) -> SweepStats:
     )
 
 
-# Memo of completed simulations, keyed by (schedule_key, machine,
-# nbytes, noise, faults).  simulate() is a pure function of exactly
-# those and every component of the key hashes by value, so replaying a
-# previously seen point returns the identical float by construction —
-# the redundancy this removes is real and large: the Fig. 9 speedup
-# search re-simulates the very same (algorithm, k, size) points the
-# Fig. 8 surfaces already timed.
+#: Memo of completed simulations, keyed on what the kernel reads (see
+#: :func:`_table_key`) plus ``(machine, noise, faults)``.  The Fig. 9
+#: speedup search re-simulates the very points the Fig. 8 surfaces
+#: timed, and degenerate radices rebuild the classic algorithms' tables.
 _SIM_MEMO = ContentCache("sim", 1 << 16)
 
 #: Rank count from which sweep points route through the lazy generator
@@ -213,6 +222,44 @@ def clear_sim_memo() -> None:
     _SIM_MEMO.clear()
 
 
+def _table_key(schedule, nbytes: int) -> Tuple:
+    """``(plan digest, message-size digest)``: the schedule half of a
+    :data:`_SIM_MEMO` key.
+
+    Why it is exact.  A materialized run reads the schedule only through
+    its compiled artifact's :class:`~repro.compile.program.SimPlan` and
+    the block sizes: :func:`~repro.simnet.simulate._route` reads
+    ``src`` / ``dst``; :func:`~repro.faults.sim.analyze` the endpoints,
+    ``seq``, each message's send and receive step and the per-rank step
+    counts (all fixed by ``ops``);
+    :func:`~repro.simnet.simulate.cost_columns` the message sizes,
+    ``reduce``, the step counts and ``(src, dst, seq)``; and
+    :func:`~repro.simnet.kernel.run` ``ops`` / ``src`` / ``dst`` plus
+    those columns.  Everything else they read is the machine, the noise
+    model and the fault plan — the rest of the key.  So two points with
+    one key hand the kernel identical tables and get the identical
+    float, whatever their names: ``bcast/knomial k=2`` replays
+    ``bcast/binomial``, ``allreduce/kring k=1`` replays ``ring``.  The
+    collapsed engine is bit-identical to the materialized one, so the
+    engine stays out of the key.  ``tests/test_sim_memo.py`` checks
+    over the registry grid that equal keys mean equal kernel arguments.
+
+    A lazy generator schedule (:mod:`repro.core.lazy`) keys on its own
+    content fingerprint and block sizes, without materializing it.
+    """
+    sizes = schedule.block_map(nbytes).sizes
+    if getattr(schedule, "is_lazy", False):
+        return schedule.fingerprint(), _size_digest(sizes)
+    plan = get_or_compile(schedule).sim_plan()
+    return plan.digest(), _size_digest(plan.message_bytes(sizes))
+
+
+def _size_digest(sizes: Sequence[int]) -> bytes:
+    """A 16-byte blake2b of an integer size column."""
+    data = np.asarray(sizes, dtype="<i8").tobytes()
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
 def simulate_point(
     machine: MachineSpec,
     point: SweepPoint,
@@ -224,6 +271,9 @@ def simulate_point(
 ) -> SweepPointResult:
     """Simulate one point, reusing cached schedules and memoized results.
 
+    A reusing point looks its schedule up in the schedule cache, its
+    tables in the compiled cache, then its kernel table in the memo
+    (:func:`_table_key`); only a memo miss runs the simulator.
     ``reuse=False`` bypasses both the schedule cache and the simulation
     memo (a fresh build and a fresh run) — the perf-regression benchmark
     uses it to measure the cold path, and the property tests use it to
@@ -278,24 +328,8 @@ def _simulate_point_impl(
         schedule = _lazy_route(machine, point, root,
                                noise=noise, faults=faults, engine=engine)
         hit = False
-        if reuse:
-            key = (
-                schedule_key(
-                    point.collective,
-                    point.algorithm,
-                    machine.nranks,
-                    k=point.k,
-                    root=root,
-                ),
-                machine,
-                point.nbytes,
-                noise,
-                faults,
-            )
-            memo_time = _SIM_MEMO.get(key)
-            if memo_time is not None:
-                return SweepPointResult(point, memo_time, True, sim_hit=True)
-            if schedule is None:
+        if schedule is None:
+            if reuse:
                 schedule, hit = global_schedule_cache().get_or_build(
                     point.collective,
                     point.algorithm,
@@ -303,8 +337,14 @@ def _simulate_point_impl(
                     k=point.k,
                     root=root,
                 )
-        elif schedule is None:
-            schedule = entry.build(machine.nranks, k=point.k, root=root)
+            else:
+                schedule = entry.build(machine.nranks, k=point.k, root=root)
+        if reuse:
+            key = (*_table_key(schedule, point.nbytes), machine, noise,
+                   faults)
+            memo_time = _SIM_MEMO.get(key)
+            if memo_time is not None:
+                return SweepPointResult(point, memo_time, hit, sim_hit=True)
         sim = simulate(
             schedule, machine, point.nbytes, noise=noise, faults=faults,
             engine=engine,

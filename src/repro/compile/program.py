@@ -497,7 +497,8 @@ class SimPlan:
     ``ops`` holds the op codes ``msg << 1 | is_recv`` in program order,
     copies dropped (the simulator models them as free).  ``routes``
     memoizes, per machine geometry, what the simulator derives from the
-    endpoints (link classes, held resources).  Numbers only — never a
+    endpoints (link classes, held resources), and ``_digest`` the
+    :meth:`digest`; both are runtime-only.  Numbers only — never a
     per-message object.
     """
 
@@ -509,6 +510,33 @@ class SimPlan:
     blk_ids: np.ndarray
     ops: Tuple[Tuple[Tuple[int, ...], ...], ...]
     routes: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
+    _digest: Optional[bytes] = field(default=None, repr=False)
+
+    def digest(self) -> bytes:
+        """A 16-byte blake2b over everything of the plan the kernel reads
+        (memoized): ``ops`` with its rank and step boundaries, ``src``,
+        ``dst``, ``seq`` and ``reduce``, each framed by its length.
+
+        The bytes are little-endian NumPy ``int64`` / ``uint8`` buffers,
+        never a pickle, so equal tables digest equally however they were
+        made — lowered fresh, or loaded from a store or the wire.
+        """
+        d = self._digest
+        if d is None:
+            steps = [codes for rank in self.ops for codes in rank]
+            h = hashlib.blake2b(digest_size=16)
+            for col in (
+                [len(rank) for rank in self.ops],
+                [len(codes) for codes in steps],
+                [c for codes in steps for c in codes],
+                self.src, self.dst, self.seq,
+            ):
+                arr = np.asarray(col, dtype="<i8")
+                h.update(len(arr).to_bytes(8, "little"))
+                h.update(arr.tobytes())
+            h.update(np.asarray(self.reduce, dtype=np.uint8).tobytes())
+            d = self._digest = h.digest()
+        return d
 
     def message_bytes(self, block_sizes: Sequence[int]) -> np.ndarray:
         """Per-message byte counts under per-block ``block_sizes``: one

@@ -115,6 +115,8 @@ def run(
     parked: List[Optional[deque]] = [None] * len(capacity)
     rows: Optional[list] = [] if collect else None
     retransmissions = 0
+    if doomed is None:
+        doomed = [False] * nmsg
 
     def acquire(i: int) -> None:
         """Take ``held[i]`` in order; park FIFO on the first busy one.
@@ -166,6 +168,9 @@ def run(
         o = inject[a]
         s = step[a]
         j = opi[a]
+        # Starting a transfer (acquire) never completes a post, so the
+        # count stays in a local until the actor stops.
+        out = outstanding[a]
         while s < lim:
             codes = steps[s]
             n = len(codes)
@@ -173,42 +178,30 @@ def run(
                 if o and not paid:
                     step[a] = s
                     opi[a] = j
+                    outstanding[a] = out
                     push(heap, (now + o, seq(), _INJECT, a))
                     return
                 paid = False
                 i = codes[j] >> 1
                 j += 1
-                if doomed is None or not doomed[i]:
-                    outstanding[a] += 1
+                if not doomed[i]:
+                    out += 1
                     if state[i]:
                         state[i] = 2
                         acquire(i)
                     else:
                         state[i] = 1
-            if outstanding[a]:
+            if out:
                 step[a] = s
                 opi[a] = j
+                outstanding[a] = out
                 waiting[a] = True
                 return
             s += 1
             j = 0
         step[a] = s
+        outstanding[a] = 0
         times[a] = now
-
-    def complete(a: int) -> None:
-        """One of actor ``a``'s posts finished; the last one of a step
-        it is parked on sends it into the next."""
-        outstanding[a] -= 1
-        if waiting[a] and not outstanding[a]:
-            waiting[a] = False
-            advance(a, False)
-
-    def deliver(i: int) -> None:
-        """Message ``i`` has arrived: record it, complete the receive."""
-        if rows is not None:
-            rows.append((i, t_start[i], now))
-        state[i] = 3
-        complete(dst[i])
 
     for a in range(nact):
         advance(a, False)
@@ -219,31 +212,75 @@ def run(
         if track and len(heap) > peak:
             peak = len(heap)
         now, _, kind, x = pop(heap)
+        # Completing a post and delivering a message are written out in
+        # the branches below, in DESIGN.md §7's order: the send completes
+        # after the release and before the α push; a delivery appends its
+        # row, marks the message delivered, then completes the receive.
+        # A completion that ends the step its actor waits on advances it.
         if kind == _INJECT:
-            advance(x, True)
+            # advance(x, True) up to its next stop: post the op the
+            # injection paid for, then pay for the next one of the step.
+            codes = ops[x][step[x]]
+            j = opi[x]
+            i = codes[j] >> 1
+            j += 1
+            opi[x] = j
+            if not doomed[i]:
+                outstanding[x] += 1
+                if state[i]:
+                    state[i] = 2
+                    acquire(i)
+                else:
+                    state[i] = 1
+            if j < len(codes):
+                push(heap, (now + inject[x], seq(), _INJECT, x))
+            else:
+                advance(x, False)
         elif kind == _HOLD:
             release(x)
-            complete(src[x])
+            a = src[x]
+            n = outstanding[a] - 1
+            outstanding[a] = n
+            if not n and waiting[a]:
+                waiting[a] = False
+                advance(a, False)
             push(heap, (now + alpha[x], seq(), _ALPHA, x))
         elif kind == _ALPHA:
-            if gamma_t[x] < 0.0:
-                deliver(x)
-            elif busy[dst[x]]:
-                q = compq[dst[x]]
+            a = dst[x]
+            g = gamma_t[x]
+            if g < 0.0:
+                if rows is not None:
+                    rows.append((x, t_start[x], now))
+                state[x] = 3
+                n = outstanding[a] - 1
+                outstanding[a] = n
+                if not n and waiting[a]:
+                    waiting[a] = False
+                    advance(a, False)
+            elif busy[a]:
+                q = compq[a]
                 if q is None:
-                    q = compq[dst[x]] = deque()
+                    q = compq[a] = deque()
                 q.append(x)
             else:
-                busy[dst[x]] = True
-                push(heap, (now + gamma_t[x], seq(), _GAMMA, x))
+                busy[a] = True
+                push(heap, (now + g, seq(), _GAMMA, x))
         elif kind == _GAMMA:
-            q = compq[dst[x]]
+            a = dst[x]
+            q = compq[a]
             if q:  # the unit passes straight to the oldest parked receive
                 j = q.popleft()
                 push(heap, (now + gamma_t[j], seq(), _GAMMA, j))
             else:
-                busy[dst[x]] = False
-            deliver(x)
+                busy[a] = False
+            if rows is not None:
+                rows.append((x, t_start[x], now))
+            state[x] = 3
+            n = outstanding[a] - 1
+            outstanding[a] = n
+            if not n and waiting[a]:
+                waiting[a] = False
+                advance(a, False)
         elif kind == _LOST_HOLD:
             release(x)
             push(heap, (now + rto[x] * backoff ** tries[x], seq(), _RTO, x))
@@ -252,7 +289,7 @@ def run(
             tries[x] += 1
             acquire(x)
 
-    live = nmsg - (sum(doomed) if doomed is not None else 0)
+    live = nmsg - sum(doomed)
     nblocked = times.count(None) + live - state.count(3)
     if track:
         m = obs.metrics
@@ -265,7 +302,7 @@ def run(
             f"xfer{i} (in flight)" if state[i] == 2
             else f"xfer{i} ({state[i]} of 2 posts)"
             for i in range(nmsg)
-            if state[i] != 3 and not (doomed is not None and doomed[i])
+            if state[i] != 3 and not doomed[i]
         ] + [
             f"rank{a} (step {step[a]})"
             for a in range(nact) if times[a] is None
