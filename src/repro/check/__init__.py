@@ -5,7 +5,7 @@ the right answer; this package proves it can *run* and that its model
 tells the truth, all from the program text alone:
 
 * **deadlock** (:mod:`repro.check.deadlock`) — FIFO channel audit plus
-  a progress fixpoint under both eager and rendezvous send semantics,
+  the schedule's step walk under both eager and rendezvous send semantics,
   reporting the exact wait-for cycle (ranks/steps/ops) on a hang.  A
   schedule clean under rendezvous is deadlock-free at any eager
   threshold.
@@ -43,7 +43,6 @@ from .dataflow import check_dataflow
 from .deadlock import check_deadlock
 from .findings import CheckReport, Finding, SEVERITIES, sort_findings
 from .hazards import check_hazards
-from .interp import interpret, match_channels
 from .modelcheck import KNOWN_DIVERGENCES, check_model, has_model
 
 __all__ = [
@@ -113,20 +112,16 @@ def _analyze(
     checks: List[str] = ["channels", "deadlock", "hazards"]
     meta = {}
 
-    matching = match_channels(schedule)
     findings.extend(
         check_deadlock(
-            schedule,
-            nbytes=nbytes,
-            eager_threshold=eager_threshold,
-            matching=matching,
+            schedule, nbytes=nbytes, eager_threshold=eager_threshold
         )
     )
     findings.extend(check_hazards(schedule))
 
-    # The dataflow and model passes execute/walk the schedule with the
-    # reference matching semantics; an unmatched channel or a deadlock
-    # makes that walk abort, so they only run on executable schedules.
+    # The dataflow and model passes evaluate the schedule in its eager
+    # step walk; an unmatched channel or a deadlock makes that walk
+    # abort, so they only run on executable schedules.
     executable = not any(f.severity == "error" for f in findings)
     if executable:
         checks.append("dataflow")

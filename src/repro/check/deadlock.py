@@ -4,15 +4,16 @@ Three families of findings, all error severity:
 
 ``channel-*``
     Structural matching defects visible before any progress question:
-    a recv with no send left to match (``channel-starved-recv``, the
-    runner's guaranteed hang), a send no recv ever consumes
-    (``channel-orphan-send``, the runner's "sent but never received"
-    leftover), and matched pairs whose block lists disagree
-    (``channel-shape``), which the runner rejects at delivery time.
+    a recv with no send left to match (``channel-starved-recv``, a
+    guaranteed hang), a send no recv ever consumes
+    (``channel-orphan-send``, the executors' and ``verify``'s "sent but
+    never received" leftover), and matched pairs whose block lists
+    disagree (``channel-shape``), which the executors reject at delivery
+    time.
 ``deadlock-eager``
     The program cannot finish even with unlimited send buffering — the
-    same condition :func:`repro.core.runner.run_schedule` reports as a
-    deadlock, found here without executing anything.
+    same condition :func:`repro.core.validate.verify` and the executors
+    report as a deadlock, found here without executing anything.
 ``deadlock-rendezvous``
     The program finishes eagerly but hangs once sends must wait for
     their matching recv to be posted — the classic "breaks above the
@@ -189,25 +190,23 @@ def check_deadlock(
     *,
     nbytes: int = 0,
     eager_threshold: Optional[int] = None,
-    matching: Optional[Matching] = None,
 ) -> List[Finding]:
-    """Run the eager and rendezvous fixpoints (plus the mixed-threshold
-    regime when ``eager_threshold`` is given) and report any hang.
+    """Walk the schedule under eager and rendezvous sends (plus the
+    mixed-threshold regime when ``eager_threshold`` is given) and report
+    any hang.
 
     The eager result subsumes the rendezvous one when it already
     deadlocks — a schedule stuck with unlimited buffering is stuck under
     every semantics, so only the strongest finding is emitted.
     """
-    if matching is None:
-        matching = match_channels(schedule)
-    findings = check_channels(schedule, matching)
+    findings = check_channels(schedule, match_channels(schedule))
 
-    eager = interpret(schedule, matching=matching)
+    eager = interpret(schedule)
     if eager.deadlocked:
         findings.append(_deadlock_finding(schedule, eager, "deadlock-eager"))
         return findings
 
-    rendezvous = interpret(schedule, eager_threshold=0, matching=matching)
+    rendezvous = interpret(schedule, eager_threshold=0)
     if rendezvous.deadlocked:
         findings.append(
             _deadlock_finding(schedule, rendezvous, "deadlock-rendezvous")
@@ -218,10 +217,7 @@ def check_deadlock(
             # no mixed pass; a rendezvous-stuck one may still complete
             # in the user's regime — say which.
             mixed = interpret(
-                schedule,
-                eager_threshold=eager_threshold,
-                nbytes=nbytes,
-                matching=matching,
+                schedule, eager_threshold=eager_threshold, nbytes=nbytes
             )
             if mixed.deadlocked:
                 findings.append(

@@ -4,14 +4,16 @@ This is the engine under :mod:`repro.check`'s deadlock detector.  It
 never moves data and never touches the DES: it reads *which send
 matches which recv* from the schedule's one FIFO matching
 (:meth:`~repro.core.schedule.Schedule.messages` — the MPI non-overtaking
-rule: per ``(src, dst)`` channel, the n-th send matches the n-th recv),
-then runs a monotone fixpoint over per-rank program counters to decide
-how far every rank can get under a chosen send-completion semantics:
+rule: per ``(src, dst)`` channel, the n-th send matches the n-th recv)
+and asks the schedule's one step walk
+(:func:`~repro.core.schedule.step_rounds`) how far every rank can get
+under a chosen send-completion semantics:
 
 eager (threshold = ``None``)
     A send completes the moment it is posted (unlimited buffering).
-    This is exactly the contract :func:`repro.core.runner.run_schedule`
-    implements, so a schedule that deadlocks here deadlocks everywhere.
+    This is exactly the contract every executor and
+    :func:`repro.core.validate.verify` implement, so a schedule that
+    deadlocks here deadlocks everywhere.
 rendezvous (threshold = ``0``)
     A send completes only once the receiver has *posted* the matching
     recv — i.e. the receiver's program counter has reached the step
@@ -23,7 +25,7 @@ eager-threshold (threshold = ``t`` bytes)
     rendezvous — the mixed regime real MPI runs in, where "works on my
     laptop" schedules break at scale when payloads cross the limit.
 
-The fixpoint is sound and complete for this IR because progress is
+The walk is sound and complete for this IR because progress is
 monotone: once a rank's counter can advance it never retracts, so the
 set of reachable counters has a unique maximal element regardless of
 visit order.  Any rank left short of program end is genuinely stuck, and
@@ -36,8 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.blocks import BlockMap
-from ..core.schedule import RecvOp, Schedule, SendOp
+import numpy as np
+
+from ..core.schedule import OP_SEND, RecvOp, Schedule, SendOp, step_rounds
 
 __all__ = ["OpRef", "Matching", "match_channels", "InterpResult", "interpret"]
 
@@ -61,7 +64,7 @@ class Matching:
 
     ``send_to_recv`` / ``recv_to_send`` map matched pairs both ways;
     ``unmatched_sends`` are messages that would sit in a channel forever
-    (the runner's "sent but never received" error), ``unmatched_recvs``
+    (``verify``'s "sent but never received" error), ``unmatched_recvs``
     are waits that can never be satisfied (a guaranteed hang), and
     ``mismatched`` lists the matched ``(send, recv)`` pairs whose block
     lists differ, in the sends' program order.
@@ -96,7 +99,7 @@ def match_channels(schedule: Schedule) -> Matching:
 
 @dataclass
 class InterpResult:
-    """Outcome of the fixpoint for one send-completion semantics.
+    """Outcome of the step walk for one send-completion semantics.
 
     ``pc[r]`` is how many steps rank ``r`` completed; ``stuck`` lists the
     ranks whose counter stopped short of program end.  ``deadlocked`` is
@@ -106,7 +109,6 @@ class InterpResult:
     mode: str
     pc: List[int]
     stuck: List[int]
-    matching: Matching
     eager_threshold: Optional[int] = None
     nbytes: int = 0
 
@@ -121,69 +123,29 @@ def interpret(
     *,
     eager_threshold: Optional[int] = None,
     nbytes: int = 0,
-    matching: Optional[Matching] = None,
 ) -> InterpResult:
-    """Run the monotone progress fixpoint under the given send semantics.
+    """How far every rank gets under the given send semantics: the
+    schedule's step walk (:func:`~repro.core.schedule.step_rounds`) with
+    the sends that rendezvous flagged.
 
     ``eager_threshold=None`` is fully eager, ``0`` fully rendezvous, any
     other value the mixed regime (payloads ``<= threshold`` bytes eager).
     ``nbytes`` sizes payloads for the threshold comparison and is unused
     when the threshold is ``None`` or ``0``.
     """
-    if matching is None:
-        matching = match_channels(schedule)
+    cols = schedule.columns()
+    rendezvous = None
+    if eager_threshold is not None:
+        rendezvous = cols.kinds == OP_SEND
+        if eager_threshold > 0:
+            sizes = np.asarray(schedule.block_map(nbytes).sizes, np.int64)
+            rendezvous &= cols.op_sizes(sizes) > eager_threshold
+    done = step_rounds(cols, schedule.messages(), rendezvous)
     p = schedule.nranks
-    programs = schedule.programs
-    blocks: Optional[BlockMap] = (
-        schedule.block_map(nbytes)
-        if eager_threshold not in (None, 0)
-        else None
+    nsteps = np.diff(cols.step_ptr) - 1
+    pc = np.bincount(
+        np.repeat(np.arange(p), nsteps)[done >= 0], minlength=p
     )
-
-    def send_is_rendezvous(op: SendOp) -> bool:
-        if eager_threshold is None:
-            return False
-        if eager_threshold <= 0:
-            return True
-        assert blocks is not None
-        return blocks.bytes_of(op.blocks) > eager_threshold
-
-    # Precompute, per (rank, step): the match refs its completion waits
-    # on.  Recvs always wait on their matching send being posted;
-    # rendezvous sends additionally wait on their matching recv being
-    # posted.  Unmatched ops wait forever (None sentinel).
-    waits: List[List[List[Optional[OpRef]]]] = []
-    for rank in range(p):
-        per_rank: List[List[Optional[OpRef]]] = []
-        for step_idx, step in enumerate(programs[rank].steps):
-            deps: List[Optional[OpRef]] = []
-            for op_idx, op in enumerate(step.ops):
-                ref = OpRef(rank, step_idx, op_idx)
-                if isinstance(op, RecvOp):
-                    deps.append(matching.recv_to_send.get(ref))
-                elif isinstance(op, SendOp) and send_is_rendezvous(op):
-                    deps.append(matching.send_to_recv.get(ref))
-            per_rank.append(deps)
-        waits.append(per_rank)
-
-    pc = [0] * p
-    lengths = [len(programs[r].steps) for r in range(p)]
-    changed = True
-    while changed:
-        changed = False
-        for rank in range(p):
-            # A rank may clear several steps per sweep once its peers
-            # have advanced; loop until this rank blocks again.
-            while pc[rank] < lengths[rank]:
-                deps = waits[rank][pc[rank]]
-                # An op at (q, j) is posted iff rank q has entered step
-                # j, i.e. pc[q] >= j (ops post at step entry).
-                if any(d is None or pc[d.rank] < d.step for d in deps):
-                    break
-                pc[rank] += 1
-                changed = True
-
-    stuck = [r for r in range(p) if pc[r] < lengths[r]]
     mode = (
         "eager"
         if eager_threshold is None
@@ -191,9 +153,8 @@ def interpret(
     )
     return InterpResult(
         mode=mode,
-        pc=pc,
-        stuck=stuck,
-        matching=matching,
+        pc=pc.tolist(),
+        stuck=np.flatnonzero(pc < nsteps).tolist(),
         eager_threshold=eager_threshold,
         nbytes=nbytes,
     )
@@ -214,7 +175,7 @@ class Wait:
 def waits_of(schedule: Schedule, result: InterpResult) -> Dict[int, List[Wait]]:
     """The unsatisfied dependencies of every stuck rank, in op order."""
     out: Dict[int, List[Wait]] = {}
-    matching = result.matching
+    matching = match_channels(schedule)
     for rank in result.stuck:
         step_idx = result.pc[rank]
         step = schedule.programs[rank].steps[step_idx]

@@ -29,9 +29,7 @@ Pipeline::
 Guarantees, in order of importance:
 
 * **Transparency.**  Compiled execution is bit-identical to the
-  op-by-op reference interpreter
-  (:func:`repro.core.runner.run_schedule` over a
-  :class:`~repro.runtime.executor.NumpyModel`, kept as the test oracle)
+  op-by-op reference interpreter (the test oracle, ``tests/oracle.py``)
   — result buffers and failure surfaces — and the simulator plan equals
   ``match_messages`` and the IR's op stream, pinned by the differential
   suite

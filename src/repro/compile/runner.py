@@ -4,9 +4,8 @@ Both walk the same action tuples,
 :attr:`BoundSchedule.raw_steps <repro.compile.program.BoundSchedule>`
 (preresolved slices, merged ranges; one entry per step of the schedule's
 own rank program), instead of interpreting the IR, and both are pinned
-bit-identical to the reference interpreter
-(:func:`repro.core.runner.run_schedule` over a
-:class:`~repro.runtime.executor.NumpyModel`) by the differential suite:
+bit-identical to the op-by-op reference interpreter the differential
+suite keeps as its oracle (``tests/oracle.py``):
 
 * :func:`run_compiled_lockstep` — every rank under one cooperative
   progress loop with in-process FIFO deques.  Deadlock raises
@@ -90,7 +89,8 @@ def run_compiled_lockstep(
     interpreter's ``bytes_moved`` accounting), for the executor's
     observability counters.  Raises :class:`~repro.errors.ExecutionError`
     on deadlock, FIFO block mismatch, payload size mismatch, or leftover
-    messages — the same failure surface as the interpreted runner.
+    messages — the failure surface :func:`repro.core.validate.verify`
+    reports statically, in the same visit order.
     """
     p = bound.nranks
     steps = bound.raw_steps

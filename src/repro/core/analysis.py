@@ -23,12 +23,14 @@ how the test suite pins each algorithm's structure against its model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
+
+import numpy as np
 
 from ..errors import ScheduleError
 from ..simnet.machine import MachineSpec
 from ..simnet.simulate import simulate
-from .schedule import Schedule, SendOp
+from .schedule import OP_SEND, Schedule, step_levels, step_rounds
 
 __all__ = [
     "critical_path_rounds",
@@ -92,9 +94,10 @@ def dependency_rounds(schedule: Schedule) -> int:
     """Longest message dependency chain, computed without the simulator.
 
     The purely static counterpart of :func:`critical_path_rounds`: a
-    longest-path walk over the message DAG (each message is one edge of
+    longest-path pass over the message DAG (each message is one edge of
     unit depth, each step completes at the max of its predecessor step
-    and its incoming messages), evaluated in eager completion order.
+    and its incoming messages), evaluated in the order of the schedule's
+    eager step walk (:func:`~repro.core.schedule.step_rounds`).
     The two agree on every executable schedule — the property test suite
     pins that — but this one is usable from static analysis contexts
     (:mod:`repro.check`) that must not spin up the DES engine.
@@ -107,15 +110,12 @@ def dependency_rounds(schedule: Schedule) -> int:
     3
     """
     p = schedule.nranks
-    programs = schedule.programs
     if p == 1:
         return 0
 
-    # Per (rank, step): the (rank, step) of the send each of its
-    # receives matches.  Orphan sends wait on nothing; a starved
-    # receive can never complete.
+    # Orphan sends wait on nothing; a starved receive can never complete.
     cols, fifo = schedule.columns(), schedule.messages()
-    op_rank, (op_step, _) = cols.ranks(), cols.steps()
+    op_rank = cols.ranks()
     lone = fifo.unmatched_recvs
     if len(lone):
         # A channel's receives are one rank's, in order: its first
@@ -129,53 +129,37 @@ def dependency_rounds(schedule: Schedule) -> int:
             f"{(int(peers[i]), int(op_rank[i]))} has "
             f"{nsend + int(same.sum())} recvs but only {nsend} sends"
         )
-    send, recv = fifo.send_op, fifo.recv_op
-    deps: List[List[list]] = [[[] for _ in prog.steps] for prog in programs]
-    for r, r_step, s, s_step in zip(
-        op_rank[recv].tolist(), op_step[recv].tolist(),
-        op_rank[send].tolist(), op_step[send].tolist(),
-    ):
-        deps[r][r_step].append((s, s_step))
-
-    # done[r][j] = depth after rank r completes step j.  A message
-    # starts once BOTH endpoints have posted (the simulator's transfer
-    # rule: rendezvous timing, eager completion) and flies for one unit:
-    # arrival = max(sender entered its step, receiver entered its step)
-    # + 1.  Evaluate in the eager fixpoint order, which is a topological
-    # order of the step DAG.
-    done = [[0] * len(programs[r].steps) for r in range(p)]
-    pc = [0] * p
-    lengths = [len(programs[r].steps) for r in range(p)]
-    remaining = sum(1 for r in range(p) if lengths[r])
-    changed = True
-    while remaining and changed:
-        changed = False
-        for rank in range(p):
-            while pc[rank] < lengths[rank]:
-                step_idx = pc[rank]
-                start = done[rank][step_idx - 1] if step_idx else 0
-                depth = start
-                ready = True
-                for src_rank, src_step in deps[rank][step_idx]:
-                    if pc[src_rank] < src_step:
-                        ready = False
-                        break
-                    posted_at = done[src_rank][src_step - 1] if src_step else 0
-                    depth = max(depth, max(posted_at, start) + 1)
-                if not ready:
-                    break
-                done[rank][step_idx] = depth
-                pc[rank] += 1
-                changed = True
-                if pc[rank] == lengths[rank]:
-                    remaining -= 1
-    if remaining:
+    done = step_rounds(cols, fifo)
+    nsteps = np.diff(cols.step_ptr) - 1
+    if (done < 0).any():
+        stuck = np.unique(np.repeat(np.arange(p), nsteps)[done < 0])
         raise ScheduleError(
             f"{schedule.describe()}: schedule cannot complete under eager "
-            f"semantics (ranks {[r for r in range(p) if pc[r] < lengths[r]]} "
-            f"stuck) — run repro.check's deadlock pass for the diagnosis"
+            f"semantics (ranks {stuck.tolist()} stuck) — run repro.check's "
+            f"deadlock pass for the diagnosis"
         )
-    return max((row[-1] for row in done if row), default=0)
+
+    # depth[g] = depth once step g completes.  A message starts once
+    # BOTH endpoints have posted (the simulator's transfer rule:
+    # rendezvous timing, eager completion) and flies for one unit, so a
+    # step with receives ends one unit after the later of its own
+    # previous step and its senders' previous steps; a step without
+    # ends with its previous step.  All of those completed in earlier
+    # rounds of the walk, so one max-plus pass, round by round,
+    # evaluates the recurrence.  ``prev`` is −1 for a rank's first step:
+    # the extra last entry of ``depth``, 0, is "before the program".
+    prev = np.arange(len(done)) - 1
+    prev[(cols.step_ptr[:-1] - np.arange(p))[nsteps > 0]] = -1
+    gstep = cols.step_of()
+    into, after = gstep[fifo.recv_op], prev[gstep[fifo.send_op]]
+    depth = np.zeros(len(done) + 1, dtype=np.int64)
+    receives = np.zeros(len(done), dtype=np.int64)
+    receives[into] = 1
+    for these, incoming in step_levels(done, into):
+        depth[these] = depth[prev[these]]
+        np.maximum.at(depth, into[incoming], depth[after[incoming]])
+        depth[these] += receives[these]
+    return int(depth.max())
 
 
 @dataclass(frozen=True)
@@ -200,18 +184,21 @@ class VolumeProfile:
 
 
 def volume_profile(schedule: Schedule, nbytes: int) -> VolumeProfile:
-    """Static per-rank send/receive accounting (no simulation)."""
-    blocks = schedule.block_map(nbytes)
-    sent: Dict[int, int] = {r: 0 for r in range(schedule.nranks)}
-    received: Dict[int, int] = {r: 0 for r in range(schedule.nranks)}
-    msgs: Dict[int, int] = {r: 0 for r in range(schedule.nranks)}
-    for prog in schedule.programs:
-        for _, op in prog.iter_ops():
-            if isinstance(op, SendOp):
-                size = blocks.bytes_of(op.blocks)
-                sent[prog.rank] += size
-                msgs[prog.rank] += 1
-                received[op.peer] += size
+    """Static per-rank send/receive accounting (no simulation), read off
+    the columns."""
+    cols, p = schedule.columns(), schedule.nranks
+    sizes = np.asarray(schedule.block_map(nbytes).sizes, dtype=np.int64)
+    sends = np.flatnonzero(cols.kinds == OP_SEND)
+    size = cols.op_sizes(sizes)[sends]
+    src, dst = cols.ranks()[sends], cols.peers[sends]
+    sent = np.zeros(p, dtype=np.int64)
+    received = np.zeros(p, dtype=np.int64)
+    np.add.at(sent, src, size)
+    np.add.at(received, dst, size)
     return VolumeProfile(
-        sent_bytes=sent, received_bytes=received, messages_sent=msgs
+        sent_bytes=dict(enumerate(sent.tolist())),
+        received_bytes=dict(enumerate(received.tolist())),
+        messages_sent=dict(
+            enumerate(np.bincount(src, minlength=p).tolist())
+        ),
     )

@@ -76,6 +76,8 @@ __all__ = [
     "Columns",
     "Messages",
     "match_fifo",
+    "step_rounds",
+    "step_levels",
     "OP_SEND",
     "OP_RECV",
     "OP_REDUCE_RECV",
@@ -270,6 +272,19 @@ class Columns(NamedTuple):
         index = np.arange(len(self.kinds)) - np.repeat(first[opens], lens)
         return np.repeat(local[opens], lens), index
 
+    def step_of(self) -> np.ndarray:
+        """int64 per op: its step among all ranks' steps, numbered
+        rank-major in program order — rank ``r``'s step ``j`` is
+        ``step_ptr[r] - r + j`` (:func:`step_rounds` indexes by it)."""
+        base = self.step_ptr[:-1] - np.arange(len(self.op_ptr) - 1)
+        return self.steps()[0] + np.repeat(base, np.diff(self.op_ptr))
+
+    def op_sizes(self, block_sizes: np.ndarray) -> np.ndarray:
+        """int64 per op: the summed ``block_sizes`` of its blocks."""
+        run = np.zeros(len(self.seg_blocks) + 1, dtype=np.int64)
+        np.cumsum(block_sizes[self.seg_blocks], out=run[1:])
+        return run[self.seg_bounds[1:]] - run[self.seg_bounds[:-1]]
+
     def gather(self, ops: np.ndarray) -> np.ndarray:
         """The block ids of ``ops``, concatenated in that order."""
         lo = self.seg_bounds[ops]
@@ -379,6 +394,85 @@ def match_fifo(cols: Columns) -> Messages:
     for arr in fifo:
         arr.setflags(write=False)
     return fifo
+
+
+def step_rounds(
+    cols: Columns, fifo: Messages, rendezvous: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The round in which every step completes, or −1 if it never does —
+    the one step-dependency walk over the FIFO matching.
+
+    Steps are numbered rank-major in program order (:meth:`Columns.
+    step_of`).  Ops post when their rank enters a step; a step completes
+    once its rank completed the step before and each of its receives
+    has its matched send posted — and each send flagged in
+    ``rendezvous`` (a bool per op; ``None``: every send is eager) has
+    its matched receive posted.  An op with nothing to match never
+    completes.  In each round every rank whose current step can complete
+    completes it, so a step's round exceeds the rounds of all it waited
+    on: the walk's order is a topological order of the step graph, and
+    the final counters are the unique fixpoint of the progress rule.
+    """
+    p = len(cols.op_ptr) - 1
+    nsteps = np.diff(cols.step_ptr) - 1
+    base = cols.step_ptr[:-1] - np.arange(p)
+    rank, (step, _) = cols.ranks(), cols.steps()
+    gstep = base[rank] + step
+    waiter, on = [fifo.recv_op], [fifo.send_op]
+    lone = [fifo.unmatched_recvs]
+    if rendezvous is not None:
+        waiter.append(fifo.send_op[rendezvous[fifo.send_op]])
+        on.append(fifo.recv_op[rendezvous[fifo.send_op]])
+        lone.append(fifo.unmatched_sends[rendezvous[fifo.unmatched_sends]])
+    waiter, on = np.concatenate(waiter + lone), np.concatenate(on)
+    # Waiter ``i`` may complete once op ``on[i]`` is posted — once its
+    # rank's counter reaches its step; the ``lone`` waiters past the end
+    # of ``on`` have nothing to match and wait on a step no rank reaches.
+    dep_rank = np.zeros(len(waiter), dtype=np.int64)
+    dep_step = np.full(len(waiter), np.iinfo(np.int64).max)
+    dep_rank[:len(on)] = rank[on]
+    dep_step[:len(on)] = step[on]
+    # Grouped by waiting step: step g waits on ``dep_ptr[g]:dep_ptr[g + 1]``.
+    order = np.argsort(gstep[waiter], kind="stable")
+    dep_rank, dep_step = dep_rank[order], dep_step[order]
+    dep_ptr = np.searchsorted(
+        gstep[waiter][order], np.arange(int(nsteps.sum()) + 1)
+    )
+
+    done = np.full(len(dep_ptr) - 1, -1, dtype=np.int64)
+    pc = np.zeros(p, dtype=np.int64)
+    live = np.flatnonzero(nsteps)
+    t = 0
+    while len(live):
+        at = base[live] + pc[live]
+        lo, n = dep_ptr[at], dep_ptr[at + 1] - dep_ptr[at]
+        deps = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+        blocked = np.zeros(len(live), dtype=bool)
+        blocked[np.repeat(np.arange(len(live)), n)[
+            pc[dep_rank[deps]] < dep_step[deps]
+        ]] = True
+        if blocked.all():
+            break
+        done[at[~blocked]] = t
+        pc[live[~blocked]] += 1
+        live = live[pc[live] < nsteps[live]]
+        t += 1
+    return done
+
+
+def step_levels(
+    done: np.ndarray, into: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Round by round of the walk ``done``: the steps that complete in
+    it, and the messages whose receiving step (``into``, per message)
+    is among them — the order of a max-plus pass over the walk."""
+    steps = np.argsort(done, kind="stable")
+    msgs = np.argsort(done[into], kind="stable")
+    rounds = np.arange(int(done.max(initial=-1)) + 2)
+    step_at = np.searchsorted(done[steps], rounds)
+    msg_at = np.searchsorted(done[into][msgs], rounds)
+    for t in rounds[:-1]:
+        yield steps[step_at[t]:step_at[t + 1]], msgs[msg_at[t]:msg_at[t + 1]]
 
 
 def _walk(
@@ -692,28 +786,17 @@ class Schedule:
         return hashlib.sha256(text.encode()).hexdigest()
 
     def stats(self) -> "ScheduleStats":
-        """Aggregate message/step statistics (topology-agnostic)."""
-        total_msgs = 0
-        total_block_units = 0
-        max_steps = 0
-        max_concurrency = 0
-        reduce_msgs = 0
-        for prog in self.programs:
-            max_steps = max(max_steps, len(prog.steps))
-            for step in prog.steps:
-                sends = step.sends
-                recvs = step.recvs
-                total_msgs += len(sends)
-                max_concurrency = max(max_concurrency, len(sends) + len(recvs))
-                for s in sends:
-                    total_block_units += len(s.blocks)
-                reduce_msgs += sum(1 for r in recvs if r.reduce)
+        """Aggregate message/step statistics (topology-agnostic), read
+        off the columns."""
+        cols = self.columns()
+        sends = cols.kinds == OP_SEND
+        moves = cols.step_of()[cols.kinds != OP_COPY]
         return ScheduleStats(
-            messages=total_msgs,
-            blocks_sent=total_block_units,
-            max_steps=max_steps,
-            max_concurrent_ops=max_concurrency,
-            reduce_receives=reduce_msgs,
+            messages=int(sends.sum()),
+            blocks_sent=int(np.diff(cols.seg_bounds)[sends].sum()),
+            max_steps=int((np.diff(cols.step_ptr) - 1).max()),
+            max_concurrent_ops=int(np.bincount(moves).max(initial=0)),
+            reduce_receives=int((cols.kinds == OP_REDUCE_RECV).sum()),
         )
 
     # ------------------------------------------------------------------

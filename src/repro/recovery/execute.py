@@ -20,10 +20,11 @@
 Resume state is *re-contribution*: survivors re-enter the collective
 with their original inputs, so the result over the shrunk group is the
 collective over survivor inputs — bitwise-correct by construction, with
-no partially-reduced buffer surgery.  (The lockstep runner's
-``rank_steps`` completion state says how far each rank got — useful for
-diagnosis and time accounting — but correctness never depends on
-salvaging half-reduced data.)  The two bookkeeping arrays:
+no partially-reduced buffer surgery.  (Each
+:class:`~repro.recovery.detect.RankFailure` names the ``step`` its rank
+died at or was last seen alive at — useful for diagnosis and time
+accounting — but correctness never depends on salvaging half-reduced
+data.)  The two bookkeeping arrays:
 
 * ``slots[i]`` — the original rank whose *input* local slot ``i``
   contributes.  Shrink deletes entries; spare substitution keeps them

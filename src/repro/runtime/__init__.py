@@ -8,7 +8,7 @@ from .buffers import (
     make_inputs,
     reference_result,
 )
-from .executor import CollectiveRun, NumpyModel, execute, run_collective
+from .executor import CollectiveRun, execute, run_collective
 from .session import Comm, Session
 from .ops import (
     ALL_OPS,
@@ -49,7 +49,6 @@ __all__ = [
     "checked_slots",
     "check_outputs",
     "CollectiveData",
-    "NumpyModel",
     "execute",
     "run_collective",
     "CollectiveRun",

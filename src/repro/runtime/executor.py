@@ -2,13 +2,9 @@
 
 :func:`execute` runs a schedule's compiled tables under the cooperative
 lockstep loop (:func:`repro.compile.run_compiled_lockstep`), giving real
-data movement with nonblocking-send snapshot semantics.
-:class:`NumpyModel` plugs the same array semantics into the op-by-op
-reference interpreter (:func:`repro.core.runner.run_schedule`) — the
-oracle the differential suite compares every table walker against.  The
-high-level entry point
-:func:`run_collective` builds, executes, and checks a collective in one
-call — the quickest way to see an algorithm move actual bytes:
+data movement with nonblocking-send snapshot semantics.  The
+high-level entry point :func:`run_collective` builds, executes, and
+checks a collective in one call — the quickest way to see an algorithm move actual bytes:
 
 >>> import numpy as np
 >>> from repro.runtime.executor import run_collective
@@ -21,14 +17,13 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..compile import get_or_compile, run_compiled_lockstep
-from ..core.blocks import BlockMap
 from ..core.registry import build_schedule
-from ..core.schedule import CopyOp, RecvOp, Schedule, SendOp
+from ..core.schedule import Schedule
 from ..errors import ExecutionError
 from ..obs import Obs, get_obs
 from .buffers import (
@@ -39,75 +34,7 @@ from .buffers import (
 )
 from .ops import SUM, ReduceOp
 
-__all__ = ["NumpyModel", "execute", "run_collective", "CollectiveRun"]
-
-
-class NumpyModel:
-    """Array-backed data model for :func:`repro.core.runner.run_schedule`.
-
-    Payloads are contiguous copies of the named blocks (concatenated in
-    block order), exactly what a real MPI message would carry for a
-    non-contiguous datatype built from those blocks.
-    """
-
-    def __init__(
-        self,
-        blocks: BlockMap,
-        buffers: List[np.ndarray],
-        op: ReduceOp = SUM,
-    ) -> None:
-        self.blocks = blocks
-        self.buffers = buffers
-        self.op = op
-        self.bytes_moved = 0  # elements, really; kept for stats
-
-    def _gather_payload(self, rank: int, block_ids: Sequence[int]) -> np.ndarray:
-        buf = self.buffers[rank]
-        parts = [buf[slice(*self.blocks.range_of(b))] for b in block_ids]
-        payload = np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
-        # np.concatenate already copies; the single-block path copies
-        # explicitly so in-flight data never aliases the live buffer
-        # (nonblocking-send snapshot semantics).
-        return payload
-
-    def snapshot(self, rank: int, op: SendOp) -> np.ndarray:
-        payload = self._gather_payload(rank, op.blocks)
-        self.bytes_moved += payload.size
-        return payload
-
-    def apply_recv(self, rank: int, op: RecvOp, payload: np.ndarray) -> None:
-        buf = self.buffers[rank]
-        pos = 0
-        for b in op.blocks:
-            start, stop = self.blocks.range_of(b)
-            size = stop - start
-            chunk = payload[pos : pos + size]
-            if chunk.size != size:
-                raise ExecutionError(
-                    f"rank {rank}: payload for block {b} has {chunk.size} "
-                    f"elements, expected {size}"
-                )
-            if op.reduce:
-                self.op.apply(buf[start:stop], chunk)
-            else:
-                buf[start:stop] = chunk
-            pos += size
-        if pos != payload.size:
-            raise ExecutionError(
-                f"rank {rank}: payload of {payload.size} elements does not "
-                f"match blocks {op.blocks} totalling {pos}"
-            )
-
-    def apply_copy(self, rank: int, op: CopyOp) -> None:
-        buf = self.buffers[rank]
-        s0, s1 = self.blocks.range_of(op.src)
-        d0, d1 = self.blocks.range_of(op.dst)
-        if s1 - s0 != d1 - d0:
-            raise ExecutionError(
-                f"rank {rank}: copy between blocks of different sizes "
-                f"({op.src}→{op.dst})"
-            )
-        buf[d0:d1] = buf[s0:s1]
+__all__ = ["execute", "run_collective", "CollectiveRun"]
 
 
 def execute(
@@ -130,9 +57,8 @@ def execute(
 
     The schedule is lowered to flat per-rank tables (:mod:`repro.compile`,
     cached by fingerprint) and run by the tight lockstep loop; results
-    are bit-identical to the reference interpreter
-    (``run_schedule(schedule, NumpyModel(...))``), pinned by the
-    differential suite.
+    are bit-identical to the op-by-op reference interpreter the
+    differential suite keeps as its oracle (``tests/oracle.py``).
     """
     if len(buffers) != schedule.nranks:
         raise ExecutionError(

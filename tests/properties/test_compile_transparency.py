@@ -2,8 +2,8 @@
 
 The compiled program tables (:mod:`repro.compile`) are the only
 representation any production path walks; the op-by-op interpreter —
-:func:`repro.core.runner.run_schedule` over a
-:class:`~repro.runtime.executor.NumpyModel` — survives as the oracle.
+``run_schedule`` over a ``NumpyModel`` (``tests/oracle.py``) —
+survives as the oracle.
 This suite is the differential harness that keeps the two honest:
 
 * **Registry grid** — every (collective, algorithm) pair, at several
@@ -46,14 +46,15 @@ from repro.core.registry import (
     info,
     max_radix,
 )
-from repro.core.runner import run_schedule
 from repro.core.schedule import CopyOp, RankProgram, Schedule, SendOp, Step
 from repro.faults import FaultPlan
 from repro.faults.sim import match_messages
 from repro.runtime.buffers import initial_buffers
-from repro.runtime.executor import NumpyModel, execute as execute_lockstep
+from repro.runtime.executor import execute as execute_lockstep
 from repro.runtime.ops import SUM
 from repro.runtime.threaded import execute_threaded
+
+from oracle import NumpyModel, run_schedule
 
 GRID = [
     (coll, alg) for coll in COLLECTIVES for alg in algorithms_for(coll)

@@ -1,8 +1,8 @@
-"""Tests for the message-matching engine (:mod:`repro.core.runner`)."""
+"""Tests for the reference interpreter the differential suites keep as
+their oracle (``tests/oracle.py``)."""
 
 import pytest
 
-from repro.core.runner import run_schedule
 from repro.core.schedule import (
     CopyOp,
     RankProgram,
@@ -11,6 +11,8 @@ from repro.core.schedule import (
     SendOp,
 )
 from repro.errors import ExecutionError
+
+from oracle import run_schedule
 
 
 class RecordingModel:

@@ -366,11 +366,13 @@ def test_idle_connection_closes_quietly(served, monkeypatch, requests_first):
     reply at all (a 408 is for a request that started)."""
     monkeypatch.setattr("repro.server.app._READ_TIMEOUT_S", 0.5)
     handle, _, _ = served
+    # The deadline starts when the service accepts or finishes a reply,
+    # both after this instant, so the lower bound below cannot undercut it.
+    began = time.monotonic()
     with _connect(handle) as sock, sock.makefile("rb") as stream:
         for _ in range(requests_first):
             sock.sendall(b"GET / HTTP/1.1\r\n\r\n")
             assert _read_reply(stream)[1]["connection"] == "keep-alive"
-        began = time.monotonic()
         assert stream.read() == b""
     assert 0.5 <= time.monotonic() - began < 5
 
