@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.registry import (
     GENERALIZED_ALGORITHMS,
     TABLE1,
@@ -634,7 +636,7 @@ def eq13_data_volume(p: int = 128, nbytes: int = 1 << 20) -> ExperimentResult:
     versus the classic ring's ``2n(p-1)/p`` — verified by counting, per
     k-ring group, the bytes its schedule actually sends across group
     boundaries."""
-    from ..core.schedule import SendOp  # local import, core only
+    from ..core.schedule import OP_SEND  # local import, core only
 
     rows = []
     checks = []
@@ -644,16 +646,15 @@ def eq13_data_volume(p: int = 128, nbytes: int = 1 << 20) -> ExperimentResult:
     ks = [k for k in (1, 2, 4, 8, 16) if p % k == 0]
     for k in ks:
         sched = build_schedule("allgather", "kring", p, k=k)
-        blocks = sched.block_map(nbytes)
+        cols = sched.columns()
+        sizes = cols.op_sizes(np.asarray(sched.block_map(nbytes).sizes))
         # Bytes group 0 sends + receives across its boundary (all groups
         # are symmetric when k | p).
-        crossing = 0
-        for prog in sched.programs:
-            for _, op in prog.iter_ops():
-                if isinstance(op, SendOp):
-                    src_g, dst_g = prog.rank // k, op.peer // k
-                    if src_g != dst_g and (src_g == 0 or dst_g == 0):
-                        crossing += blocks.bytes_of(op.blocks)
+        sends = np.flatnonzero(cols.kinds == OP_SEND)
+        src_g, dst_g = cols.ranks()[sends] // k, cols.peers[sends] // k
+        crossing = int(sizes[sends][
+            (src_g != dst_g) & ((src_g == 0) | (dst_g == 0))
+        ].sum())
         predicted = kring_inter_group_data(nbytes, p, k)
         rel = crossing / predicted if predicted else float("nan")
         rows.append([f"k={k}", crossing, int(predicted), f"{rel:.3f}"])

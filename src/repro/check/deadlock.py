@@ -23,9 +23,11 @@ Three families of findings, all error severity:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from ..core.schedule import RecvOp, Schedule, SendOp
+import numpy as np
+
+from ..core.schedule import Schedule
 from .findings import Finding
 from .interp import (
     InterpResult,
@@ -35,24 +37,23 @@ from .interp import (
     find_cycle,
     interpret,
     match_channels,
+    op_at,
+    op_name,
     waits_of,
 )
 
 __all__ = ["check_channels", "check_deadlock"]
 
 
-def _op(schedule: Schedule, ref: OpRef):
-    return schedule.programs[ref.rank].steps[ref.step].ops[ref.index]
+def _op(schedule: Schedule, ref: OpRef) -> Tuple[int, List[int]]:
+    """The peer and the block ids of the op ``ref`` names."""
+    cols = schedule.columns()
+    i = op_at(cols, ref)
+    return int(cols.peers[i]), cols.blocks_of(np.array([i]))[0]
 
 
 def _op_name(schedule: Schedule, ref: OpRef) -> str:
-    op = _op(schedule, ref)
-    if isinstance(op, SendOp):
-        return f"send{list(op.blocks)}->{op.peer}"
-    if isinstance(op, RecvOp):
-        kind = "recv+reduce" if op.reduce else "recv"
-        return f"{kind}{list(op.blocks)}<-{op.peer}"
-    return f"copy {op.src}->{op.dst}"
+    return op_name(schedule.columns(), op_at(schedule.columns(), ref))
 
 
 def check_channels(schedule: Schedule, matching: Matching) -> List[Finding]:
@@ -60,14 +61,14 @@ def check_channels(schedule: Schedule, matching: Matching) -> List[Finding]:
     and matched pairs whose block lists disagree (``matching.mismatched``)."""
     findings: List[Finding] = []
     for ref in matching.unmatched_recvs:
-        op = _op(schedule, ref)
+        peer, _ = _op(schedule, ref)
         findings.append(
             Finding(
                 code="channel-starved-recv",
                 severity="error",
                 message=(
                     f"rank {ref.rank} step {ref.step} posts "
-                    f"{_op_name(schedule, ref)} but rank {op.peer} sends "
+                    f"{_op_name(schedule, ref)} but rank {peer} sends "
                     f"fewer messages on this channel than are received — "
                     f"this wait can never be satisfied"
                 ),
@@ -77,14 +78,14 @@ def check_channels(schedule: Schedule, matching: Matching) -> List[Finding]:
             )
         )
     for ref in matching.unmatched_sends:
-        op = _op(schedule, ref)
+        peer, _ = _op(schedule, ref)
         findings.append(
             Finding(
                 code="channel-orphan-send",
                 severity="error",
                 message=(
                     f"rank {ref.rank} step {ref.step} posts "
-                    f"{_op_name(schedule, ref)} but rank {op.peer} never "
+                    f"{_op_name(schedule, ref)} but rank {peer} never "
                     f"receives it — the message would sit in the channel "
                     f"forever (runner reports it as a leftover)"
                 ),
@@ -94,18 +95,18 @@ def check_channels(schedule: Schedule, matching: Matching) -> List[Finding]:
             )
         )
     for s_ref, r_ref in matching.mismatched:
-        send = _op(schedule, s_ref)
-        recv = _op(schedule, r_ref)
-        if len(send.blocks) != len(recv.blocks):
+        sent = list(_op(schedule, s_ref)[1])
+        wanted = list(_op(schedule, r_ref)[1])
+        if len(sent) != len(wanted):
             detail = (
                 f"payload shapes differ: send carries "
-                f"{len(send.blocks)} block(s) {list(send.blocks)}, recv "
-                f"expects {len(recv.blocks)} block(s) {list(recv.blocks)}"
+                f"{len(sent)} block(s) {sent}, recv "
+                f"expects {len(wanted)} block(s) {wanted}"
             )
         else:
             detail = (
-                f"block ids differ: send carries {list(send.blocks)}, "
-                f"recv expects {list(recv.blocks)}"
+                f"block ids differ: send carries {sent}, "
+                f"recv expects {wanted}"
             )
         findings.append(
             Finding(

@@ -35,133 +35,141 @@ k-nomial reduce idiom depends on it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
-from ..core.schedule import CopyOp, RecvOp, Schedule, SendOp, Step
+import numpy as np
+
+from ..core.schedule import OP_COPY, OP_REDUCE_RECV, OP_SEND, Columns, Schedule
 from .findings import Finding
+from .interp import op_name
 
 __all__ = ["check_hazards"]
 
 
-def _op_name(op) -> str:
-    if isinstance(op, SendOp):
-        return f"send{list(op.blocks)}->{op.peer}"
-    if isinstance(op, RecvOp):
-        kind = "recv+reduce" if op.reduce else "recv"
-        return f"{kind}{list(op.blocks)}<-{op.peer}"
-    return f"copy {op.src}->{op.dst}"
-
-
-def _classify(step: Step):
-    """Per-block access sets for one step.
+def _classify(cols: Columns, lo: int, hi: int):
+    """Per-block access sets for the step holding ops ``lo:hi``.
 
     Returns ``(writes, reads)`` where writes maps block -> list of
     (op, kind) with kind in {"recv", "reduce", "copy"} and reads maps
-    block -> list of (op, kind) with kind in {"send", "copy"}.
+    block -> list of (op, kind) with kind in {"send", "copy"}; ops are
+    global op indices, in op order.
     """
-    writes: Dict[int, List[Tuple[object, str]]] = {}
-    reads: Dict[int, List[Tuple[object, str]]] = {}
-    for op in step.ops:
-        if isinstance(op, SendOp):
-            for b in op.blocks:
+    writes: Dict[int, List[Tuple[int, str]]] = {}
+    reads: Dict[int, List[Tuple[int, str]]] = {}
+    kinds = cols.kinds[lo:hi].tolist()
+    bounds = cols.seg_bounds[lo:hi + 1].tolist()
+    ids = cols.seg_blocks[bounds[0]:bounds[-1]].tolist()
+    for i, kind in enumerate(kinds):
+        blocks = ids[bounds[i] - bounds[0]:bounds[i + 1] - bounds[0]]
+        op = lo + i
+        if kind == OP_SEND:
+            for b in blocks:
                 reads.setdefault(b, []).append((op, "send"))
-        elif isinstance(op, RecvOp):
-            kind = "reduce" if op.reduce else "recv"
-            for b in op.blocks:
-                writes.setdefault(b, []).append((op, kind))
-        elif isinstance(op, CopyOp):
-            reads.setdefault(op.src, []).append((op, "copy"))
-            writes.setdefault(op.dst, []).append((op, "copy"))
+        elif kind == OP_COPY:
+            reads.setdefault(blocks[0], []).append((op, "copy"))
+            writes.setdefault(blocks[1], []).append((op, "copy"))
+        else:
+            access = "reduce" if kind == OP_REDUCE_RECV else "recv"
+            for b in blocks:
+                writes.setdefault(b, []).append((op, access))
     return writes, reads
+
+
+def _shared_steps(cols: Columns, nblocks: int) -> np.ndarray:
+    """The steps (numbered as :meth:`Columns.step_of`) in which two
+    accesses name one block — the only ones that can hold a hazard."""
+    owner = np.repeat(np.arange(len(cols.kinds)), np.diff(cols.seg_bounds))
+    key = cols.step_of()[owner] * nblocks + cols.seg_blocks
+    found, count = np.unique(key, return_counts=True)
+    return np.unique(found[count > 1] // nblocks)
 
 
 def check_hazards(schedule: Schedule) -> List[Finding]:
     """Scan every rank's steps for concurrent same-block access pairs."""
     findings: List[Finding] = []
-    for prog in schedule.programs:
-        for step_idx, step in enumerate(prog.steps):
-            if len(step.ops) < 2:
-                continue
-            writes, reads = _classify(step)
-            seen: Set[Tuple[str, int, int, int]] = set()
+    cols = schedule.columns()
+    busy = _shared_steps(cols, schedule.nblocks)
+    if not len(busy):
+        return findings
+    first, opens = cols.step_starts()
+    starts, lens = first[opens], cols.step_lens()
+    rank, (local, _) = cols.ranks(), cols.positions()
+    for g in busy.tolist():
+        lo = int(starts[g])
+        r, step_idx = int(rank[lo]), int(local[lo])
+        writes, reads = _classify(cols, lo, lo + int(lens[g]))
 
-            def emit(code, severity, block, a, b, detail):
-                # One finding per (code, block, op-pair), not per block
-                # permutation, keeps ring-family reports readable.
-                key = (code, block, id(a), id(b))
-                if key in seen:
-                    return
-                seen.add(key)
-                findings.append(
-                    Finding(
-                        code=code,
-                        severity=severity,
-                        message=(
-                            f"rank {prog.rank} step {step_idx} block "
-                            f"{block}: {_op_name(a)} and {_op_name(b)} "
-                            f"{detail}"
-                        ),
-                        rank=prog.rank,
-                        step=step_idx,
-                        op=_op_name(a),
-                    )
+        def emit(code, severity, block, a, b, detail):
+            findings.append(
+                Finding(
+                    code=code,
+                    severity=severity,
+                    message=(
+                        f"rank {r} step {step_idx} block "
+                        f"{block}: {op_name(cols, a)} and "
+                        f"{op_name(cols, b)} {detail}"
+                    ),
+                    rank=r,
+                    step=step_idx,
+                    op=op_name(cols, a),
                 )
+            )
 
-            for block, writers in writes.items():
-                # write/write pairs
-                for i in range(len(writers)):
-                    for j in range(i + 1, len(writers)):
-                        (op_a, kind_a), (op_b, kind_b) = writers[i], writers[j]
-                        kinds = {kind_a, kind_b}
-                        if kinds == {"reduce"}:
-                            continue  # deterministic in-order reduction
-                        if "copy" in kinds and kinds != {"copy"}:
-                            emit(
-                                "hazard-copy-recv", "error", block,
-                                op_a, op_b,
-                                "both write it concurrently (local copy "
-                                "races the incoming message)",
-                            )
-                        elif kinds == {"copy"}:
-                            emit(
-                                "hazard-copy-copy", "error", block,
-                                op_a, op_b,
-                                "are two concurrent copies into the same "
-                                "destination",
-                            )
-                        else:
-                            emit(
-                                "hazard-write-write", "error", block,
-                                op_a, op_b,
-                                "both write it concurrently — last writer "
-                                "wins nondeterministically",
-                            )
-                # read/write pairs
-                for op_r, kind_r in reads.get(block, ()):
-                    for op_w, kind_w in writers:
-                        if op_r is op_w:
-                            continue
-                        if kind_r == "send" and kind_w == "reduce":
-                            emit(
-                                "hazard-send-reduce", "info", block,
-                                op_r, op_w,
-                                "overlap (butterfly exchange idiom: a "
-                                "zero-copy implementation needs a staging "
-                                "buffer for the incoming reduction)",
-                            )
-                        elif kind_r == "send":
-                            emit(
-                                "hazard-read-write", "warning", block,
-                                op_r, op_w,
-                                "overlap: the send reads a block the "
-                                "concurrent write overwrites (safe only "
-                                "under snapshot-at-post semantics)",
-                            )
-                        else:  # copy reads a block something overwrites
-                            emit(
-                                "hazard-copy-read", "warning", block,
-                                op_r, op_w,
-                                "overlap: the copy reads a block the "
-                                "concurrent write overwrites",
-                            )
+        for block, writers in writes.items():
+            # write/write pairs
+            for i in range(len(writers)):
+                for j in range(i + 1, len(writers)):
+                    (op_a, kind_a), (op_b, kind_b) = writers[i], writers[j]
+                    kinds = {kind_a, kind_b}
+                    if kinds == {"reduce"}:
+                        continue  # deterministic in-order reduction
+                    if "copy" in kinds and kinds != {"copy"}:
+                        emit(
+                            "hazard-copy-recv", "error", block,
+                            op_a, op_b,
+                            "both write it concurrently (local copy "
+                            "races the incoming message)",
+                        )
+                    elif kinds == {"copy"}:
+                        emit(
+                            "hazard-copy-copy", "error", block,
+                            op_a, op_b,
+                            "are two concurrent copies into the same "
+                            "destination",
+                        )
+                    else:
+                        emit(
+                            "hazard-write-write", "error", block,
+                            op_a, op_b,
+                            "both write it concurrently — last writer "
+                            "wins nondeterministically",
+                        )
+            # read/write pairs
+            for op_r, kind_r in reads.get(block, ()):
+                for op_w, kind_w in writers:
+                    if op_r == op_w:
+                        continue
+                    if kind_r == "send" and kind_w == "reduce":
+                        emit(
+                            "hazard-send-reduce", "info", block,
+                            op_r, op_w,
+                            "overlap (butterfly exchange idiom: a "
+                            "zero-copy implementation needs a staging "
+                            "buffer for the incoming reduction)",
+                        )
+                    elif kind_r == "send":
+                        emit(
+                            "hazard-read-write", "warning", block,
+                            op_r, op_w,
+                            "overlap: the send reads a block the "
+                            "concurrent write overwrites (safe only "
+                            "under snapshot-at-post semantics)",
+                        )
+                    else:  # copy reads a block something overwrites
+                        emit(
+                            "hazard-copy-read", "warning", block,
+                            op_r, op_w,
+                            "overlap: the copy reads a block the "
+                            "concurrent write overwrites",
+                        )
     return findings

@@ -40,9 +40,25 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.schedule import OP_SEND, RecvOp, Schedule, SendOp, step_rounds
+from ..core.schedule import (
+    OP_COPY,
+    OP_RECV,
+    OP_REDUCE_RECV,
+    OP_SEND,
+    Columns,
+    Schedule,
+    step_rounds,
+)
 
-__all__ = ["OpRef", "Matching", "match_channels", "InterpResult", "interpret"]
+__all__ = [
+    "OpRef",
+    "op_at",
+    "op_name",
+    "Matching",
+    "match_channels",
+    "InterpResult",
+    "interpret",
+]
 
 
 @dataclass(frozen=True)
@@ -56,6 +72,26 @@ class OpRef:
     rank: int
     step: int
     index: int
+
+
+def op_at(cols: Columns, ref: OpRef) -> int:
+    """The global op index (into ``cols``) of the op ``ref`` names."""
+    row = int(cols.step_ptr[ref.rank]) + ref.step
+    return int(cols.op_ptr[ref.rank] + cols.steps_raw[row]) + ref.index
+
+
+def op_name(cols: Columns, i: int) -> str:
+    """Op ``i`` of ``cols`` as diagnostics print it: ``send[b, …]->peer``,
+    ``recv[…]<-peer``, ``recv+reduce[…]<-peer`` or ``copy src->dst``."""
+    kind, peer = int(cols.kinds[i]), int(cols.peers[i])
+    lo, hi = cols.seg_bounds[i], cols.seg_bounds[i + 1]
+    blocks = cols.seg_blocks[lo:hi].tolist()
+    if kind == OP_SEND:
+        return f"send{blocks}->{peer}"
+    if kind == OP_COPY:
+        return f"copy {blocks[0]}->{blocks[1]}"
+    recv = "recv+reduce" if kind == OP_REDUCE_RECV else "recv"
+    return f"{recv}{blocks}<-{peer}"
 
 
 @dataclass
@@ -82,7 +118,7 @@ def match_channels(schedule: Schedule) -> Matching:
     (:meth:`~repro.core.schedule.Schedule.messages`) as :class:`OpRef`
     locations; unmatched ops are listed channel by channel."""
     cols, fifo = schedule.columns(), schedule.messages()
-    step, index = cols.steps()
+    step, index = cols.positions()
     refs = list(
         map(OpRef, cols.ranks().tolist(), step.tolist(), index.tolist())
     )
@@ -134,15 +170,10 @@ def interpret(
     when the threshold is ``None`` or ``0``.
     """
     cols = schedule.columns()
-    rendezvous = None
-    if eager_threshold is not None:
-        rendezvous = cols.kinds == OP_SEND
-        if eager_threshold > 0:
-            sizes = np.asarray(schedule.block_map(nbytes).sizes, np.int64)
-            rendezvous &= cols.op_sizes(sizes) > eager_threshold
+    rendezvous = _rendezvous(schedule, eager_threshold, nbytes)
     done = step_rounds(cols, schedule.messages(), rendezvous)
     p = schedule.nranks
-    nsteps = np.diff(cols.step_ptr) - 1
+    nsteps = cols.nsteps()
     pc = np.bincount(
         np.repeat(np.arange(p), nsteps)[done >= 0], minlength=p
     )
@@ -158,6 +189,22 @@ def interpret(
         eager_threshold=eager_threshold,
         nbytes=nbytes,
     )
+
+
+def _rendezvous(
+    schedule: Schedule, eager_threshold: Optional[int], nbytes: int
+) -> Optional[np.ndarray]:
+    """Per op, whether it is a send that waits for its matched receive
+    to be posted: none eagerly (``None``), every send at threshold
+    ``<= 0``, and otherwise the sends whose payload exceeds it."""
+    if eager_threshold is None:
+        return None
+    cols = schedule.columns()
+    rendezvous = cols.kinds == OP_SEND
+    if eager_threshold > 0:
+        sizes = np.asarray(schedule.block_map(nbytes).sizes, np.int64)
+        rendezvous &= cols.op_sizes(sizes) > eager_threshold
+    return rendezvous
 
 
 @dataclass(frozen=True)
@@ -176,41 +223,25 @@ def waits_of(schedule: Schedule, result: InterpResult) -> Dict[int, List[Wait]]:
     """The unsatisfied dependencies of every stuck rank, in op order."""
     out: Dict[int, List[Wait]] = {}
     matching = match_channels(schedule)
+    cols = schedule.columns()
+    rendezvous = _rendezvous(schedule, result.eager_threshold, result.nbytes)
     for rank in result.stuck:
         step_idx = result.pc[rank]
-        step = schedule.programs[rank].steps[step_idx]
+        lo = op_at(cols, OpRef(rank, step_idx, 0))
+        hi = op_at(cols, OpRef(rank, step_idx + 1, 0))
         pending: List[Wait] = []
-        for op_idx, op in enumerate(step.ops):
-            ref = OpRef(rank, step_idx, op_idx)
-            if isinstance(op, RecvOp):
+        for i, kind in enumerate(cols.kinds[lo:hi].tolist(), start=lo):
+            ref = OpRef(rank, step_idx, i - lo)
+            if kind in (OP_RECV, OP_REDUCE_RECV):
                 dep = matching.recv_to_send.get(ref)
                 if dep is None or result.pc[dep.rank] < dep.step:
                     pending.append(Wait(ref, dep, "recv"))
-            elif isinstance(op, SendOp):
+            elif kind == OP_SEND and rendezvous is not None and rendezvous[i]:
                 dep = matching.send_to_recv.get(ref)
-                if _send_blocked(schedule, result, op, dep):
+                if dep is None or result.pc[dep.rank] < dep.step:
                     pending.append(Wait(ref, dep, "send"))
         out[rank] = pending
     return out
-
-
-def _send_blocked(
-    schedule: Schedule,
-    result: InterpResult,
-    op: SendOp,
-    dep: Optional[OpRef],
-) -> bool:
-    # Mirror interpret()'s classification: eager sends never block;
-    # rendezvous sends block while their matched recv is unposted or
-    # missing.  Threshold mode re-sizes the payload the same way.
-    if result.eager_threshold is None:
-        return False
-    if result.eager_threshold > 0:
-        size = schedule.block_map(result.nbytes).bytes_of(op.blocks)
-        if size <= result.eager_threshold:
-            return False
-    return dep is None or result.pc[dep.rank] < dep.step
-
 
 
 def find_cycle(

@@ -11,13 +11,15 @@ first use.  Two rungs, each raising :class:`~repro.errors.CompileError`:
 2. **columns** — every column has the schedule's dtype, shape and
    contents, and the send payload signatures match.  The first
    difference is located through the schedule's own ``op_ptr`` and
-   ``steps()`` — never an untrusted index — and names rank, step and
-   op: a stale peer table, a wrong op code, wrong segment blocks, a
-   moved step boundary.
+   ``positions()`` — never an untrusted index: a pickled schedule's
+   layout, pointers and ranges were checked when it loaded — and names
+   rank, step and op: a stale peer table, a wrong op code, wrong
+   segment blocks, a moved step boundary.
 
 FIFO tags, the staging plan and the FIFO mismatches derive from the
 verified columns.  The independent re-derivation of the tables from the
-IR objects is ``reference_lowering`` in ``tests/test_schedule_ir.py``;
+op objects of ``Schedule.programs`` is ``reference_lowering`` in
+``tests/test_schedule_ir.py``;
 ``tests/test_compile_mutations.py`` is the corruption corpus.
 """
 
@@ -117,7 +119,7 @@ def _locate(name: str, j: int, got: Columns, want: Columns) -> None:
             f"{j} ({getattr(got, name)[j]} != {getattr(want, name)[j]})"
         )
     r = _owner(want.op_ptr, i)
-    step, op = int(want.steps()[0][i]), i - int(want.op_ptr[r])
+    step, op = int(want.positions()[0][i]), i - int(want.op_ptr[r])
     if name == "kinds":
         kind, wkind = int(got.kinds[i]), int(want.kinds[i])
         _fail(r, step,

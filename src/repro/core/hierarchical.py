@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..errors import ScheduleError
 from .knomial import knomial_bcast, knomial_reduce
 from .primitives import compose, empty_programs
 from .registry import build_schedule, info
-from .schedule import RankProgram, RecvOp, Schedule, SendOp
+from .schedule import OP_COPY, Schedule, assemble, spans
 
 __all__ = ["remap_ranks", "hierarchical_allreduce"]
 
@@ -49,35 +51,55 @@ def remap_ranks(
         if not 0 <= g < nranks:
             raise ScheduleError(f"mapped rank {g} out of range for {nranks}")
 
-    programs = empty_programs(nranks)
-    for local, prog in enumerate(schedule.programs):
-        target = RankProgram(rank=mapping[local])
-        for step in prog.steps:
-            ops = []
-            for op in step.ops:
-                if isinstance(op, SendOp):
-                    ops.append(SendOp(peer=mapping[op.peer], blocks=op.blocks))
-                elif isinstance(op, RecvOp):
-                    ops.append(
-                        RecvOp(
-                            peer=mapping[op.peer],
-                            blocks=op.blocks,
-                            reduce=op.reduce,
-                        )
-                    )
-                else:
-                    ops.append(op)
-            target.add_step(ops)
-        programs[mapping[local]] = target
-    return Schedule(
-        collective=schedule.collective,
-        algorithm=schedule.algorithm,
-        nranks=nranks,
-        nblocks=schedule.nblocks,
-        programs=programs,
+    # Global rank g plays the schedule's rank local[g]; unmapped ranks
+    # read the empty span past the last rank's.
+    cols, n = schedule.columns(), schedule.nranks
+    local = np.full(nranks, n)
+    local[list(mapping)] = np.arange(n)
+
+    def placed(ptr: np.ndarray) -> np.ndarray:
+        ptr = np.append(ptr, ptr[-1])
+        return spans(ptr[local], ptr[local + 1])
+
+    ops = placed(cols.op_ptr)
+    to = np.asarray(mapping, dtype=np.int32)
+    embedded = assemble(
+        cols.kinds[ops],
+        np.where(cols.kinds != OP_COPY, to[cols.peers], -1)[ops],
+        np.diff(cols.seg_bounds)[ops],
+        cols.seg_blocks[placed(cols.seg_bounds[cols.op_ptr])],
+        cols.step_lens()[placed(cols.step_ptr - np.arange(n + 1))],
+        np.append(cols.nsteps(), 0)[local],
+    )
+    return Schedule.from_columns(
+        schedule.collective,
+        schedule.algorithm,
+        nranks,
+        schedule.nblocks,
+        embedded,
         root=mapping[schedule.root] if schedule.root is not None else None,
         k=schedule.k,
         meta={**schedule.meta, "remapped_from": schedule.nranks},
+    )
+
+
+def _on_every_node(local: Schedule, nodes: int) -> Schedule:
+    """``local`` run by every node at once: node ``n``'s ranks
+    ``n·ppn … n·ppn + ppn − 1`` play its ranks ``0 … ppn − 1``."""
+    cols, ppn = local.columns(), local.nranks
+    offset = np.repeat(np.arange(nodes, dtype=np.int32) * ppn, len(cols.kinds))
+    peers = np.tile(cols.peers, nodes)
+    tiled = assemble(
+        np.tile(cols.kinds, nodes),
+        np.where(np.tile(cols.kinds != OP_COPY, nodes), peers + offset, -1),
+        np.tile(np.diff(cols.seg_bounds), nodes),
+        np.tile(cols.seg_blocks, nodes),
+        np.tile(cols.step_lens(), nodes),
+        np.tile(cols.nsteps(), nodes),
+    )
+    # Phase typing; composed below.
+    return Schedule.from_columns(
+        "allreduce", "hierarchical", nodes * ppn, 1, tiled
     )
 
 
@@ -114,21 +136,7 @@ def hierarchical_allreduce(
     # Phase 1: each node's members reduce onto their leader (local rank 0).
     if ppn > 1:
         local_reduce = knomial_reduce(ppn, intra_k, root=0)
-        node_programs = empty_programs(p)
-        for node in range(nodes):
-            members = list(range(node * ppn, (node + 1) * ppn))
-            embedded = remap_ranks(local_reduce, members, p)
-            for r in members:
-                node_programs[r] = embedded.programs[r]
-        phases.append(
-            Schedule(
-                collective="allreduce",  # phase typing; composed below
-                algorithm="hierarchical",
-                nranks=p,
-                nblocks=1,
-                programs=node_programs,
-            )
-        )
+        phases.append(_on_every_node(local_reduce, nodes))
 
     # Phase 2: leaders run the internode allreduce.
     if nodes > 1:
@@ -145,21 +153,7 @@ def hierarchical_allreduce(
     # Phase 3: leaders broadcast the result within their nodes.
     if ppn > 1:
         local_bcast = knomial_bcast(ppn, intra_k, root=0)
-        node_programs = empty_programs(p)
-        for node in range(nodes):
-            members = list(range(node * ppn, (node + 1) * ppn))
-            embedded = remap_ranks(local_bcast, members, p)
-            for r in members:
-                node_programs[r] = embedded.programs[r]
-        phases.append(
-            Schedule(
-                collective="allreduce",
-                algorithm="hierarchical",
-                nranks=p,
-                nblocks=1,
-                programs=node_programs,
-            )
-        )
+        phases.append(_on_every_node(local_bcast, nodes))
 
     if not phases:  # p == 1
         return Schedule(

@@ -5,7 +5,9 @@ The algorithm modules (:mod:`repro.core.knomial`, :mod:`repro.core.recursive`,
 arithmetic for rooted trees, radix validation, schedule concatenation for
 composite algorithms (allgather = gather + bcast, allreduce =
 reduce-scatter + allgather, ...), and the time-reversal *dualization* that
-turns any tree-structured allgather into a reduce-scatter.
+turns any tree-structured allgather into a reduce-scatter.  The two
+composites are whole-array transforms of their parts'
+:class:`~repro.core.schedule.Columns`: no op object is made or walked.
 """
 
 from __future__ import annotations
@@ -14,8 +16,19 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import ScheduleError
-from .schedule import CopyOp, Op, RankProgram, RecvOp, Schedule, SendOp
+from .schedule import (
+    OP_COPY,
+    OP_RECV,
+    OP_REDUCE_RECV,
+    OP_SEND,
+    RankProgram,
+    Schedule,
+    assemble,
+    spans,
+)
 
 __all__ = [
     "check_radix",
@@ -24,7 +37,6 @@ __all__ = [
     "absolute_rank",
     "all_blocks",
     "empty_programs",
-    "concat_programs",
     "compose",
     "shared_phase",
     "sharing_phases",
@@ -70,27 +82,6 @@ def empty_programs(p: int) -> List[RankProgram]:
     return [RankProgram(rank=r) for r in range(p)]
 
 
-def concat_programs(
-    first: Sequence[RankProgram], second: Sequence[RankProgram]
-) -> List[RankProgram]:
-    """Sequential composition: every rank runs ``first`` then ``second``.
-
-    Correct because the runner's per-channel FIFO matching is global across
-    the concatenated program, and each phase is internally matched — phase
-    boundaries therefore never interleave messages across phases for any
-    (src, dst) pair out of order.
-    """
-    if len(first) != len(second):
-        raise ScheduleError(
-            f"cannot concatenate programs for {len(first)} and "
-            f"{len(second)} ranks"
-        )
-    return [
-        RankProgram(rank=a.rank, steps=[*a.steps, *b.steps])
-        for a, b in zip(first, second)
-    ]
-
-
 def compose(
     collective: str,
     algorithm: str,
@@ -103,7 +94,11 @@ def compose(
     """Build a composite schedule from sequential phases.
 
     All phases must agree on ``nranks`` and ``nblocks``.  Phase names are
-    recorded in the composite's ``meta`` for reporting.
+    recorded in the composite's ``meta`` for reporting.  Every rank runs
+    its program of each phase in turn; that is correct because FIFO
+    matching is global across the concatenated program and each phase
+    is matched within itself, so no (src, dst) pair's messages
+    interleave across a phase boundary out of order.
     """
     if not phases:
         raise ScheduleError("compose needs at least one phase")
@@ -115,21 +110,35 @@ def compose(
                 f"phase {ph.describe()} disagrees on geometry with "
                 f"{phases[0].describe()}"
             )
-    programs = phases[0].programs
-    for ph in phases[1:]:
-        programs = concat_programs(programs, ph.programs)
+    # Each per-rank table of the phases, stacked, is read
+    # (rank, phase)-major.
+    cols = [ph.columns() for ph in phases]
+    turns = (np.arange(len(cols)) * p + np.arange(p)[:, None]).ravel()
+
+    def in_turn(ptrs: List[np.ndarray]) -> np.ndarray:
+        base = np.cumsum([0] + [int(ptr[-1]) for ptr in ptrs])
+        stacked = np.append(
+            np.concatenate([ptr[:-1] + b for ptr, b in zip(ptrs, base)]),
+            base[-1],
+        )
+        return spans(stacked[turns], stacked[turns + 1])
+
+    ops = in_turn([c.op_ptr for c in cols])
+    blocks = in_turn([c.seg_bounds[c.op_ptr] for c in cols])
+    steps = in_turn([c.step_ptr - np.arange(p + 1) for c in cols])
+    merged = assemble(
+        np.concatenate([c.kinds for c in cols])[ops],
+        np.concatenate([c.peers for c in cols])[ops],
+        np.concatenate([np.diff(c.seg_bounds) for c in cols])[ops],
+        np.concatenate([c.seg_blocks for c in cols])[blocks],
+        np.concatenate([c.step_lens() for c in cols])[steps],
+        sum(c.nsteps() for c in cols),
+    )
     full_meta: Dict[str, object] = {"phases": [ph.describe() for ph in phases]}
     if meta:
         full_meta.update(meta)
-    return Schedule(
-        collective=collective,
-        algorithm=algorithm,
-        nranks=p,
-        nblocks=nb,
-        programs=programs,
-        root=root,
-        k=k,
-        meta=full_meta,
+    return Schedule.from_columns(
+        collective, algorithm, p, nb, merged, root=root, k=k, meta=full_meta
     )
 
 
@@ -175,11 +184,11 @@ def dualize_allgather(allgather: Schedule, algorithm: str) -> Schedule:
 
     In an allgather, every block travels a tree from its owner to all other
     ranks, and each rank receives each block exactly once.  Reversing time
-    and flipping every ``SendOp`` into a reducing ``RecvOp`` (and vice
+    and flipping every send into a reducing receive (and vice
     versa) turns those distribution trees into reduction trees rooted at
     each block's owner: a communication-identical reduce-scatter.  This is
     the classic ring-allreduce duality (Patarasuk & Yuan) applied
-    mechanically at the IR level; it gives us reduce-scatter variants of
+    mechanically to the columns; it gives us reduce-scatter variants of
     the classic ring, the k-ring, and recursive multiplying for free, with
     correctness guaranteed by the symbolic validator.
     """
@@ -188,71 +197,65 @@ def dualize_allgather(allgather: Schedule, algorithm: str) -> Schedule:
             f"dualize_allgather expects an allgather schedule, got "
             f"{allgather.collective}"
         )
+    cols = allgather.columns()
+    kinds, p = cols.kinds, allgather.nranks
+    rank, (step, _) = cols.ranks(), cols.positions()
     # Structural precondition: each block must reach each rank exactly once,
     # and never return to the rank that contributed it.  (Re-receipt would
-    # reverse into a double-counted reduction.)
-    for prog in allgather.programs:
-        seen = {prog.rank}  # a rank "has" its own block from the start
-        for _, op in prog.iter_ops():
-            if isinstance(op, RecvOp):
-                for b in op.blocks:
-                    if b in seen:
-                        raise ScheduleError(
-                            f"cannot dualize {allgather.describe()}: rank "
-                            f"{prog.rank} receives block {b} more than once"
-                        )
-                    seen.add(b)
-    # The dual names its blocks through tuples of its own, aliased among
-    # its ops as the allgather's are among its: the allgather may be a
-    # shared phase that sits beside this dual in one composite, and a
-    # composite pickles (store entries, wire blobs) to the same bytes
-    # whether or not its phases were shared.
-    own: Dict[int, Tuple[int, ...]] = {}
-
-    def own_blocks(blocks: Tuple[int, ...]) -> Tuple[int, ...]:
-        twin = own.get(id(blocks))
-        if twin is None:
-            twin = own[id(blocks)] = (*blocks,)
-        return twin
-
-    programs: List[RankProgram] = []
-    for prog in allgather.programs:
-        dual = RankProgram(rank=prog.rank)
-        for step in reversed(prog.steps):
-            ops: List[Op] = []
-            # Receives must be flipped to sends first within a step so the
-            # runner snapshots them before any same-step reduction applies;
-            # op ordering within a step has no timing meaning otherwise.
-            for op in step.ops:
-                if isinstance(op, RecvOp):
-                    if op.reduce:
-                        raise ScheduleError(
-                            "cannot dualize an allgather containing "
-                            "reducing receives"
-                        )
-                    ops.append(SendOp(peer=op.peer, blocks=own_blocks(op.blocks)))
-            for op in step.ops:
-                if isinstance(op, SendOp):
-                    ops.append(
-                        RecvOp(
-                            peer=op.peer,
-                            blocks=own_blocks(op.blocks),
-                            reduce=True,
-                        )
-                    )
-                elif isinstance(op, CopyOp):
-                    raise ScheduleError(
-                        "cannot dualize an allgather containing local copies"
-                    )
-            dual.add_step(ops)
-        programs.append(dual)
-    return Schedule(
-        collective="reduce_scatter",
-        algorithm=algorithm,
-        nranks=allgather.nranks,
-        nblocks=allgather.nblocks,
-        programs=programs,
-        root=None,
+    # reverse into a double-counted reduction.)  A rank "has" its own
+    # block from the start: those entries lead, the received ones follow
+    # in program order, and the first repeated (rank, block) is named.
+    recvs = np.flatnonzero((kinds == OP_RECV) | (kinds == OP_REDUCE_RECV))
+    got = spans(cols.seg_bounds[recvs], cols.seg_bounds[recvs + 1])
+    width = max(p, allgather.nblocks)
+    nblk = np.diff(cols.seg_bounds)
+    who = np.concatenate((np.arange(p), np.repeat(rank[recvs], nblk[recvs])))
+    what = np.concatenate((np.arange(p), cols.seg_blocks[got]))
+    _, first = np.unique(who * width + what, return_index=True)
+    again = np.ones(len(who), dtype=bool)
+    again[first] = False
+    if again.any():
+        j = int(np.argmax(again))
+        raise ScheduleError(
+            f"cannot dualize {allgather.describe()}: rank "
+            f"{who[j]} receives block {what[j]} more than once"
+        )
+    # The first rank holding a reducing receive or a copy refuses, at
+    # the last step that holds one (the dual walks steps backwards),
+    # naming a reducing receive before a copy.
+    bad = np.flatnonzero((kinds == OP_REDUCE_RECV) | (kinds == OP_COPY))
+    if len(bad):
+        bad = bad[rank[bad] == rank[bad].min()]
+        bad = bad[step[bad] == step[bad].max()]
+        if (kinds[bad] == OP_REDUCE_RECV).any():
+            raise ScheduleError(
+                "cannot dualize an allgather containing reducing receives"
+            )
+        raise ScheduleError(
+            "cannot dualize an allgather containing local copies"
+        )
+    # Every rank runs its steps backwards.  Receives become sends and
+    # lead their step so the runner snapshots them before any same-step
+    # reduction applies; sends become reducing receives.  Op order
+    # within a step has no timing meaning otherwise.
+    recv = kinds == OP_RECV
+    order = np.lexsort((~recv, -step, rank))
+    nsteps = cols.nsteps()
+    owner = np.repeat(np.arange(p), nsteps)
+    dual = assemble(
+        np.where(recv, OP_SEND, OP_REDUCE_RECV)[order],
+        cols.peers[order],
+        nblk[order],
+        cols.gather(order),
+        cols.step_lens()[np.lexsort((-np.arange(len(owner)), owner))],
+        nsteps,
+    )
+    return Schedule.from_columns(
+        "reduce_scatter",
+        algorithm,
+        allgather.nranks,
+        allgather.nblocks,
+        dual,
         k=allgather.k,
         meta={"dual_of": allgather.describe()},
     )

@@ -30,16 +30,21 @@ Semantics contract shared by all executors and the simulator:
 4. Reduction receives are applied in the order they appear within the step,
    making floating-point results deterministic.
 
-A :class:`Schedule` is **immutable once constructed**.  Construction is
-the one full walk of its ops: it seals the object (programs and each
-program's steps become tuples; assigning a field, or adding a step to a
-sealed program, raises :class:`~repro.errors.ScheduleError`), checks
-every peer and block id, and keeps what it saw as flat
-:class:`Columns` — so nothing derived from a schedule (its
-:meth:`~Schedule.fingerprint`, its lowered tables, a cache entry keyed
-by either) can go stale, and sub-schedules can be shared between
-composites.  A variant that differs only in its labels is a
-:meth:`Schedule.relabel` copy, not an edit.
+A :class:`Schedule` is its labels and its :class:`Columns` — every op
+as flat read-only arrays — and is **immutable once constructed**.  A
+builder's programs are walked once into the columns and not kept; a
+composite (:func:`~repro.core.primitives.compose`,
+:func:`~repro.core.primitives.dualize_allgather`,
+:func:`~repro.core.hierarchical.remap_ranks`) is a whole-array
+transform of its parts' columns (:meth:`Schedule.from_columns`); a
+pickle is the labels and the arrays, checked on load.  Every way in
+checks every peer and block id, and assigning a field raises
+:class:`~repro.errors.ScheduleError` — so nothing derived from a
+schedule (its :meth:`~Schedule.fingerprint`, its lowered tables, a cache
+entry keyed by either) can go stale, and sub-schedules can be shared
+between composites.  :attr:`Schedule.programs` generates the op objects
+back on first read, as a read-only view.  A variant that differs only
+in its labels is a :meth:`Schedule.relabel` copy, not an edit.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -75,6 +79,8 @@ __all__ = [
     "ScheduleStats",
     "Columns",
     "Messages",
+    "assemble",
+    "spans",
     "match_fifo",
     "step_rounds",
     "step_levels",
@@ -172,9 +178,11 @@ class Step:
 class RankProgram:
     """The ordered steps one rank executes.
 
-    ``steps`` is a list while the program is being built and a tuple
-    once it is *sealed* — which constructing a :class:`Schedule` from it
-    does.  A sealed program takes no more steps and no assignment.
+    ``steps`` is a list while a builder appends to it.  Constructing a
+    :class:`Schedule` reads the program and leaves it as it is; the
+    programs a schedule hands out (:attr:`Schedule.programs`) are
+    generated from its columns with ``steps`` as a tuple, and refuse
+    every edit.
     """
 
     rank: int
@@ -183,21 +191,13 @@ class RankProgram:
     def _refuse_if_sealed(self, what: str) -> None:
         if type(self.__dict__.get("steps")) is tuple:
             raise ScheduleError(
-                f"rank {self.rank}: program is sealed (part of a "
+                f"rank {self.rank}: program is sealed (a view of a "
                 f"Schedule) — build a new one instead of {what}"
             )
 
     def __setattr__(self, name: str, value: object) -> None:
         self._refuse_if_sealed(f"assigning {name!r}")
         object.__setattr__(self, name, value)
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The pickled layout predates sealing (steps as a list); stores
-        # and the wire keep reading and writing exactly those bytes.
-        return {"rank": self.rank, "steps": list(self.steps)}
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state, steps=tuple(state["steps"]))
 
     def add(self, *ops: Op) -> None:
         """Append a step made of ``ops`` (convenience builder)."""
@@ -221,6 +221,12 @@ class RankProgram:
         for i, step in enumerate(self.steps):
             for op in step.ops:
                 yield i, op
+
+
+def spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The indices ``lo[0]:hi[0]``, then ``lo[1]:hi[1]``, … concatenated."""
+    n = hi - lo
+    return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
 
 
 class Columns(NamedTuple):
@@ -261,7 +267,16 @@ class Columns(NamedTuple):
         opens[self.step_ptr[1:] - 1] = False
         return first, opens
 
-    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
+    def nsteps(self) -> np.ndarray:
+        """int64 per rank: the number of steps in its program."""
+        return np.diff(self.step_ptr) - 1
+
+    def step_lens(self) -> np.ndarray:
+        """int64 per step, rank-major in program order: its op count."""
+        first, opens = self.step_starts()
+        return np.diff(first)[opens[:-1]]
+
+    def positions(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per op: the step of its rank's program that holds it, and its
         index within that step."""
         first, opens = self.step_starts()
@@ -277,7 +292,7 @@ class Columns(NamedTuple):
         rank-major in program order — rank ``r``'s step ``j`` is
         ``step_ptr[r] - r + j`` (:func:`step_rounds` indexes by it)."""
         base = self.step_ptr[:-1] - np.arange(len(self.op_ptr) - 1)
-        return self.steps()[0] + np.repeat(base, np.diff(self.op_ptr))
+        return self.positions()[0] + np.repeat(base, np.diff(self.op_ptr))
 
     def op_sizes(self, block_sizes: np.ndarray) -> np.ndarray:
         """int64 per op: the summed ``block_sizes`` of its blocks."""
@@ -287,10 +302,8 @@ class Columns(NamedTuple):
 
     def gather(self, ops: np.ndarray) -> np.ndarray:
         """The block ids of ``ops``, concatenated in that order."""
-        lo = self.seg_bounds[ops]
-        n = self.seg_bounds[ops + 1] - lo
-        ends = np.cumsum(n)
-        return self.seg_blocks[np.repeat(lo - (ends - n), n) + np.arange(n.sum())]
+        bounds = self.seg_bounds
+        return self.seg_blocks[spans(bounds[ops], bounds[ops + 1])]
 
     def blocks_of(self, ops: np.ndarray) -> List[Tuple[int, ...]]:
         """The block ids of each op of ``ops``, one tuple per op."""
@@ -414,9 +427,9 @@ def step_rounds(
     the final counters are the unique fixpoint of the progress rule.
     """
     p = len(cols.op_ptr) - 1
-    nsteps = np.diff(cols.step_ptr) - 1
+    nsteps = cols.nsteps()
     base = cols.step_ptr[:-1] - np.arange(p)
-    rank, (step, _) = cols.ranks(), cols.steps()
+    rank, (step, _) = cols.ranks(), cols.positions()
     gstep = base[rank] + step
     waiter, on = [fifo.recv_op], [fifo.send_op]
     lone = [fifo.unmatched_recvs]
@@ -475,36 +488,80 @@ def step_levels(
         yield steps[step_at[t]:step_at[t + 1]], msgs[msg_at[t]:msg_at[t + 1]]
 
 
-def _walk(
-    programs: Sequence[RankProgram], nranks: int, nblocks: int
-) -> Optional[Columns]:
-    """Append every op of ``programs`` to flat columns.
-
-    ``None`` when a peer or a block id is out of range or a rank talks
-    to itself — one comparison per column; wording the violation is the
-    caller's per-op loop.
+def assemble(
+    kinds: np.ndarray,
+    peers: np.ndarray,
+    nblk: np.ndarray,
+    seg_blocks: np.ndarray,
+    step_lens: np.ndarray,
+    nsteps: np.ndarray,
+) -> Columns:
+    """:class:`Columns` from their content, everything rank-major in
+    program order: per op its code, peer and block count, the ops'
+    block ids concatenated, the op count of every step, and the step
+    count of every rank.  The pointers and the payload signatures
+    follow; nothing is checked (:class:`Schedule` checks ranges).
     """
+    p = len(nsteps)
+    seg_bounds = np.zeros(len(kinds) + 1, dtype=np.int64)
+    np.cumsum(nblk, out=seg_bounds[1:])
+    step_ptr = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(np.asarray(nsteps) + 1, out=step_ptr[1:])
+    # Ops are rank-major, so a rank's step boundaries are the running
+    # op count at its steps' ends, less the ops of the ranks before it.
+    run = np.zeros(len(step_lens) + 1, dtype=np.int64)
+    np.cumsum(step_lens, out=run[1:])
+    op_ptr = run[step_ptr - np.arange(p + 1)]
+    owner = np.repeat(np.arange(p), nsteps)
+    steps_raw = np.zeros(int(step_ptr[-1]), dtype=np.int32)
+    steps_raw[np.arange(len(step_lens)) + owner + 1] = run[1:] - op_ptr[owner]
+    return Columns(
+        kinds=np.asarray(kinds, dtype=np.int8),
+        peers=peers,
+        seg_bounds=seg_bounds,
+        seg_blocks=seg_blocks,
+        steps_raw=steps_raw,
+        op_ptr=op_ptr,
+        step_ptr=step_ptr,
+        signatures=_signatures(kinds, seg_bounds, seg_blocks),
+    )
+
+
+def _signatures(
+    kinds: np.ndarray, seg_bounds: np.ndarray, seg_blocks: np.ndarray
+) -> FrozenSet[Tuple[int, ...]]:
+    """The distinct block tuples of the sends."""
+    sends = np.flatnonzero(kinds == OP_SEND)
+    blocks = seg_blocks.tolist()
+    return frozenset(
+        tuple(blocks[lo:hi]) for lo, hi in zip(
+            seg_bounds[sends].tolist(), seg_bounds[sends + 1].tolist()
+        )
+    )
+
+
+def _walk(programs: Sequence[RankProgram]) -> Columns:
+    """Every op of ``programs`` as columns — peers and block ids still
+    int64, so an id past int32 fails the range check instead of
+    wrapping into range."""
     kinds: List[int] = []
     peers: List[int] = []
-    seg_lens: List[int] = []
+    nblk: List[int] = []
     seg_blocks: List[int] = []
-    steps_raw: List[int] = []
-    op_ptr = [0]
-    step_ptr = [0]
-    signatures: Set[Tuple[int, ...]] = set()
+    step_lens: List[int] = []
+    nsteps: List[int] = []
     add_kind, add_peer = kinds.append, peers.append
-    add_len, add_blocks = seg_lens.append, seg_blocks.extend
-    add_bound = steps_raw.append
+    add_len, add_blocks = nblk.append, seg_blocks.extend
+    add_step = step_lens.append
     for prog in programs:
-        base = len(kinds)
-        add_bound(0)
+        nsteps.append(len(prog.steps))
         for step in prog.steps:
+            add_step(len(step.ops))
             for op in step.ops:
                 if isinstance(op, SendOp):
                     blocks = op.blocks
                     add_kind(OP_SEND)
                     add_peer(op.peer)
-                    signatures.add(blocks)
                 elif isinstance(op, RecvOp):
                     blocks = op.blocks
                     add_kind(OP_REDUCE_RECV if op.reduce else OP_RECV)
@@ -515,50 +572,162 @@ def _walk(
                     add_peer(-1)
                 add_len(len(blocks))
                 add_blocks(blocks)
-            add_bound(len(kinds) - base)
-        op_ptr.append(len(kinds))
-        step_ptr.append(len(steps_raw))
     try:
-        # Wide first: an id past int32 must fail the comparison below,
-        # not wrap into range.
         wide_peers = np.asarray(peers, dtype=np.int64)
         wide_blocks = np.asarray(seg_blocks, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError):
-        return None
-    cols = Columns(
-        kinds=np.asarray(kinds, dtype=np.int8),
-        peers=wide_peers.astype(np.int32),
-        seg_bounds=np.zeros(len(kinds) + 1, dtype=np.int64),
-        seg_blocks=wide_blocks.astype(np.int32),
-        steps_raw=np.asarray(steps_raw, dtype=np.int32),
-        op_ptr=np.asarray(op_ptr, dtype=np.int64),
-        step_ptr=np.asarray(step_ptr, dtype=np.int64),
-        signatures=frozenset(signatures),
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ScheduleError(f"peer or block ids out of range: {exc}") from None
+    return assemble(
+        np.asarray(kinds, dtype=np.int8), wide_peers,
+        np.asarray(nblk, dtype=np.int64), wide_blocks,
+        np.asarray(step_lens, dtype=np.int64),
+        np.asarray(nsteps, dtype=np.int64),
     )
-    np.cumsum(seg_lens, out=cols.seg_bounds[1:])
+
+
+def _range_error(cols: Columns, nranks: int, nblocks: int) -> Optional[str]:
+    """The first op, rank-major in program order, whose peer is out of
+    range or its own rank, or whose block ids are — worded; ``None``
+    when there is none.  One comparison per column on the way in."""
+    kinds, peers, blocks = cols.kinds, cols.peers, cols.seg_blocks
+    moves = kinds != OP_COPY
+    bad_peer = moves & ((peers < 0) | (peers >= nranks))
     rank = cols.ranks()
-    if (
-        (cols.kinds != OP_COPY)
-        & ((wide_peers < 0) | (wide_peers >= nranks) | (wide_peers == rank))
-    ).any() or ((wide_blocks < 0) | (wide_blocks >= nblocks)).any():
+    to_self = moves & (peers == rank)
+    bad_block = (blocks < 0) | (blocks >= nblocks)
+    if not (bad_peer.any() or to_self.any() or bad_block.any()):
         return None
-    for arr in cols[:-1]:
-        arr.setflags(write=False)
-    return cols
+    bad = bad_peer | to_self
+    owner = np.repeat(np.arange(len(kinds)), np.diff(cols.seg_bounds))
+    bad[owner[bad_block]] = True
+    i = int(np.argmax(bad))
+    r = int(rank[i])
+    if bad_peer[i]:
+        return f"rank {r}: peer {int(peers[i])} out of range (p={nranks})"
+    if to_self[i]:
+        return f"rank {r}: self-communication is not allowed"
+    lo, hi = cols.seg_bounds[i], cols.seg_bounds[i + 1]
+    out = blocks[lo:hi][bad_block[lo:hi]].tolist()
+    if kinds[i] == OP_COPY:
+        return f"rank {r}: copy block {out[0]} out of range"
+    return f"rank {r}: blocks {out} out of range (nblocks={nblocks})"
+
+
+#: The arrays of :class:`Columns` — what a pickled :class:`Schedule`
+#: carries besides its labels, each as its little-endian dtype tag and
+#: raw bytes (no NumPy object is pickled).
+_ARRAYS = {
+    name: np.dtype(code)
+    for name, code in (
+        ("kinds", "<i1"),
+        ("peers", "<i4"),
+        ("seg_bounds", "<i8"),
+        ("seg_blocks", "<i4"),
+        ("steps_raw", "<i4"),
+        ("op_ptr", "<i8"),
+        ("step_ptr", "<i8"),
+    )
+}
+
+
+def _loaded_columns(state: object, nranks: int) -> Columns:
+    """Columns from the arrays of a pickled :class:`Schedule`, checked
+    before anything indexes through them: every array's dtype and
+    size, every pointer's length, ends and monotonicity, every step
+    boundary, the op codes and the copies' form.  Ranges are the
+    :class:`Schedule`'s own check, run next."""
+
+    def damaged(what: str) -> ScheduleError:
+        return ScheduleError(f"schedule blob is damaged: {what}")
+
+    if not isinstance(state, dict) or set(state) != set(_ARRAYS):
+        raise damaged(f"expected the columns {sorted(_ARRAYS)}")
+    arrays = {}
+    for name, dtype in _ARRAYS.items():
+        entry = state[name]
+        if (not isinstance(entry, tuple) or len(entry) != 2
+                or entry[0] != dtype.str or not isinstance(entry[1], bytes)
+                or len(entry[1]) % dtype.itemsize):
+            raise damaged(f"{name} is not a flat {dtype.str} column")
+        arrays[name] = np.frombuffer(entry[1], dtype=dtype)
+    kinds, peers = arrays["kinds"], arrays["peers"]
+    seg_bounds, seg_blocks = arrays["seg_bounds"], arrays["seg_blocks"]
+    steps_raw, op_ptr, step_ptr = (
+        arrays["steps_raw"], arrays["op_ptr"], arrays["step_ptr"]
+    )
+
+    def pointer(name: str, ptr: np.ndarray, size: int, end: int,
+                rise: int) -> None:
+        if (len(ptr) != size or ptr[0] != 0 or ptr[-1] != end
+                or (np.diff(ptr) < rise).any()):
+            raise damaged(
+                f"{name} is not {size} offsets from 0 to {end}, each "
+                f"at least {rise} past the one before"
+            )
+
+    nops = len(kinds)
+    pointer("op_ptr", op_ptr, nranks + 1, nops, 0)
+    if len(peers) != nops:
+        raise damaged(f"peers has {len(peers)} entries for {nops} ops")
+    pointer("seg_bounds", seg_bounds, nops + 1, len(seg_blocks), 1)
+    pointer("step_ptr", step_ptr, nranks + 1, len(steps_raw), 1)
+    # Each rank's boundaries run from 0 to its op count, every step
+    # holding at least one op.
+    first, last = step_ptr[:-1], step_ptr[1:] - 1
+    rises = np.diff(steps_raw) >= 1
+    rises[last[:-1]] = True
+    if (steps_raw[first].any() or not rises.all()
+            or (steps_raw[last] != np.diff(op_ptr)).any()):
+        raise damaged("steps_raw does not split each rank's ops into steps")
+    if ((kinds < OP_SEND) | (kinds > OP_COPY)).any():
+        raise damaged("kinds holds an unknown op code")
+    copies = kinds == OP_COPY
+    if (np.diff(seg_bounds)[copies] != 2).any() or (peers[copies] != -1).any():
+        raise damaged("a copy is not [src, dst] with peer -1")
+    return Columns(
+        **arrays, signatures=_signatures(kinds, seg_bounds, seg_blocks)
+    )
+
+
+def _programs_of(cols: Columns) -> Tuple[RankProgram, ...]:
+    """The op objects of ``cols``: one sealed :class:`RankProgram` per
+    rank."""
+    blocks = cols.blocks_of(np.arange(len(cols.kinds)))
+    ops: List[Op] = []
+    kinds, peers = cols.kinds.tolist(), cols.peers.tolist()
+    for kind, peer, ids in zip(kinds, peers, blocks):
+        if kind == OP_SEND:
+            ops.append(SendOp(peer=peer, blocks=ids))
+        elif kind == OP_COPY:
+            ops.append(CopyOp(*ids))
+        else:
+            reduce = kind == OP_REDUCE_RECV
+            ops.append(RecvOp(peer=peer, blocks=ids, reduce=reduce))
+    bounds = cols.step_starts()[0].tolist()
+    step_ptr = cols.step_ptr.tolist()
+    return tuple(
+        RankProgram(rank=r, steps=tuple(
+            Step(tuple(ops[a:b]))
+            for a, b in zip(bounds[lo:hi - 1], bounds[lo + 1:hi])
+        ))
+        for r, (lo, hi) in enumerate(zip(step_ptr, step_ptr[1:]))
+    )
 
 
 #: The fields :meth:`Schedule.relabel` may change: labels, not content
-#: that would need checking against the programs.
+#: that would need checking against the columns.
 _LABELS = frozenset(("collective", "algorithm", "root", "k", "meta"))
 
 
-@dataclass
+@dataclass(init=False, eq=False, repr=False)
 class Schedule:
-    """A complete collective schedule: one program per rank plus metadata.
+    """A complete collective schedule: its labels and its columns.
 
     Immutable once constructed (see the module docstring); ``meta`` is
     a plain annotation dict, not content — it is neither fingerprinted
-    nor frozen.
+    nor frozen.  Two entries build one: ``Schedule(…, programs=…)``
+    walks a builder's op objects once, and :meth:`from_columns` takes
+    the columns a composite's transform made.
 
     Attributes
     ----------
@@ -574,8 +743,9 @@ class Schedule:
         Granularity of the block partition this schedule assumes.  Whole
         buffer tree algorithms use 1, scatter/ring-family use ``nranks``.
     programs:
-        One :class:`RankProgram` per rank (any sequence; kept as a tuple,
-        and the programs are sealed in place).
+        One :class:`RankProgram` per rank.  Construction reads them
+        into the columns and keeps nothing of them; reading the
+        attribute generates a read-only view (:attr:`programs`).
     root:
         Root rank for rooted collectives, ``None`` otherwise.
     k:
@@ -591,24 +761,79 @@ class Schedule:
     k: Optional[int] = None
     meta: Dict[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.nranks < 1:
-            raise ScheduleError(f"nranks must be >= 1, got {self.nranks}")
-        if len(self.programs) != self.nranks:
+    def __init__(
+        self,
+        collective: str,
+        algorithm: str,
+        nranks: int,
+        nblocks: int,
+        programs: Sequence[RankProgram],
+        root: Optional[int] = None,
+        k: Optional[int] = None,
+        meta: Optional[Dict[str, object]] = None,
+    ) -> None:
+        if len(programs) != nranks:
             raise ScheduleError(
-                f"expected {self.nranks} rank programs, got {len(self.programs)}"
+                f"expected {nranks} rank programs, got {len(programs)}"
             )
-        for r, prog in enumerate(self.programs):
+        for r, prog in enumerate(programs):
             if prog.rank != r:
                 raise ScheduleError(f"program {r} has rank {prog.rank}")
-        cols = self._checked_columns()
-        for prog in self.programs:
-            if type(prog.steps) is not tuple:
-                object.__setattr__(prog, "steps", tuple(prog.steps))
-        state = self.__dict__
-        state["programs"] = tuple(self.programs)
-        state["_columns"] = cols
-        state["_sealed"] = True
+        self._seal(collective, algorithm, nranks, nblocks, _walk(programs),
+                   root, k, meta)
+
+    @classmethod
+    def from_columns(
+        cls,
+        collective: str,
+        algorithm: str,
+        nranks: int,
+        nblocks: int,
+        columns: Columns,
+        *,
+        root: Optional[int] = None,
+        k: Optional[int] = None,
+        meta: Optional[Dict[str, object]] = None,
+    ) -> "Schedule":
+        """The column entry: a schedule over ``columns`` — what a
+        composite's whole-array transform built — range-checked like
+        a builder's programs."""
+        sched = object.__new__(cls)
+        sched._seal(collective, algorithm, nranks, nblocks, columns, root, k,
+                    meta)
+        return sched
+
+    def _seal(
+        self,
+        collective: str,
+        algorithm: str,
+        nranks: int,
+        nblocks: int,
+        columns: Columns,
+        root: Optional[int],
+        k: Optional[int],
+        meta: Optional[Dict[str, object]],
+    ) -> None:
+        """Take the labels and the columns, range-check the columns, make
+        them read-only (peers and block ids as int32), and refuse
+        assignment from now on — the last step of every way a schedule
+        comes to be."""
+        if nranks < 1:
+            raise ScheduleError(f"nranks must be >= 1, got {nranks}")
+        error = _range_error(columns, nranks, nblocks)
+        if error is not None:
+            raise ScheduleError(error)
+        columns = columns._replace(
+            peers=columns.peers.astype(np.int32, copy=False),
+            seg_blocks=columns.seg_blocks.astype(np.int32, copy=False),
+        )
+        for arr in columns[:-1]:
+            arr.setflags(write=False)
+        self.__dict__.update(
+            collective=collective, algorithm=algorithm, nranks=nranks,
+            nblocks=nblocks, root=root, k=k,
+            meta={} if meta is None else meta, _columns=columns, _sealed=True,
+        )
 
     def __setattr__(self, name: str, value: object) -> None:
         if "_sealed" in self.__dict__:
@@ -624,31 +849,67 @@ class Schedule:
             f"{self.describe()}: schedules are immutable (del {name!r})"
         )
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return (
+            self._labels() == other._labels()
+            and self.meta == other.meta
+            and all(
+                np.array_equal(a, b)
+                for a, b in zip(self.columns()[:-1], other.columns()[:-1])
+            )
+        )
+
+    def __repr__(self) -> str:
+        return f"Schedule({self.describe()})"
+
+    def _labels(self) -> Tuple[object, ...]:
+        return (self.collective, self.algorithm, self.nranks, self.nblocks,
+                self.root, self.k)
+
     def __getstate__(self) -> Dict[str, object]:
-        # Content only, in the layout that predates sealing (programs as
-        # a list): the columns and the memos are rederived on demand,
-        # and stores and the wire keep their exact bytes.
-        state = {
-            name: value
-            for name, value in self.__dict__.items()
-            if not name.startswith("_")
+        # Labels, meta and the column arrays; the payload signatures and
+        # the memos are rederived.
+        cols = self.columns()
+        return {
+            "collective": self.collective, "algorithm": self.algorithm,
+            "nranks": self.nranks, "nblocks": self.nblocks,
+            "root": self.root, "k": self.k, "meta": self.meta,
+            "columns": {
+                name: (dtype.str, getattr(cols, name).astype(dtype).tobytes())
+                for name, dtype in _ARRAYS.items()
+            },
         }
-        state["programs"] = list(self.programs)
-        return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(
-            state, programs=tuple(state["programs"]), _sealed=True
-        )
+        if not isinstance(state, dict) or "columns" not in state:
+            raise ScheduleError(
+                "schedule blob predates the column layout (store format "
+                "5): its op objects are no longer read — rebuild it"
+            )
+        labels = [state.get(name) for name in (
+            "collective", "algorithm", "nranks", "nblocks", "root", "k", "meta"
+        )]
+        collective, algorithm, nranks, nblocks, root, k, meta = labels
+        if not (isinstance(collective, str) and isinstance(algorithm, str)
+                and type(nranks) is type(nblocks) is int and nranks >= 1
+                and all(v is None or type(v) is int for v in (root, k))
+                and isinstance(meta, dict)):
+            raise ScheduleError(f"schedule blob is damaged: labels {labels!r}")
+        self._seal(collective, algorithm, nranks, nblocks,
+                   _loaded_columns(state["columns"], nranks), root, k, meta)
 
     def relabel(self, **labels: object) -> "Schedule":
         """A copy under other labels (``collective``, ``algorithm``,
-        ``root``, ``k``, ``meta``) that shares this schedule's programs.
+        ``root``, ``k``, ``meta``) that shares this schedule's
+        :meth:`columns`.
 
         How a builder derives a renamed variant of a schedule it already
-        has: nothing is re-walked, and the copy's fingerprint is its own
-        (labels are part of the digest) while its :meth:`messages` are
-        this schedule's (labels do not change the traffic).
+        has: nothing is copied or checked again, and the copy's
+        fingerprint is its own (labels are part of the digest) while its
+        :meth:`messages` are this schedule's (labels do not change the
+        traffic).
         """
         unknown = set(labels) - _LABELS
         if unknown:
@@ -664,6 +925,20 @@ class Schedule:
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------
+
+    @property
+    def programs(self) -> Tuple[RankProgram, ...]:
+        """One :class:`RankProgram` per rank, generated from the columns
+        on first use: read-only (edits raise
+        :class:`~repro.errors.ScheduleError`), memoised, never pickled.
+
+        The op objects are for the JSON form, :mod:`repro.core.render`
+        and tests; everything else reads :meth:`columns`.
+        """
+        memo = self.__dict__.get("_programs")
+        if memo is None:
+            memo = self.__dict__["_programs"] = _programs_of(self.columns())
+        return memo
 
     def block_map(self, total: int) -> BlockMap:
         """Partition ``total`` units (bytes or elements) into this
@@ -684,15 +959,11 @@ class Schedule:
         return " ".join(bits)
 
     def columns(self) -> Columns:
-        """The flat columns of the construction walk (DESIGN.md §14).
-
-        Kept from construction; an unpickled schedule walks (and is
-        range-checked) once, on first use.
-        """
-        cols = self.__dict__.get("_columns")
-        if cols is None:
-            cols = self.__dict__["_columns"] = self._checked_columns()
-        return cols
+        """The schedule's content (DESIGN.md §14): every op as flat
+        read-only columns, range-checked when the schedule was made —
+        by walking a builder's programs, by a composite's transform, or
+        by loading a pickle (which also checks the arrays' layout)."""
+        return self.__dict__["_columns"]
 
     def messages(self) -> Messages:
         """The FIFO matching of this schedule's traffic (:class:`Messages`).
@@ -704,15 +975,6 @@ class Schedule:
         if memo is None:
             memo = self.__dict__["_messages"] = match_fifo(self.columns())
         return memo
-
-    def _checked_columns(self) -> Columns:
-        cols = _walk(self.programs, self.nranks, self.nblocks)
-        if cols is None:
-            self._check_ranges()
-            raise ScheduleError(
-                f"{self.describe()}: peer or block ids out of range"
-            )
-        return cols
 
     def fingerprint(self) -> str:
         """Stable content hash over every step of every rank program.
@@ -794,42 +1056,10 @@ class Schedule:
         return ScheduleStats(
             messages=int(sends.sum()),
             blocks_sent=int(np.diff(cols.seg_bounds)[sends].sum()),
-            max_steps=int((np.diff(cols.step_ptr) - 1).max()),
+            max_steps=int(cols.nsteps().max()),
             max_concurrent_ops=int(np.bincount(moves).max(initial=0)),
             reduce_receives=int((cols.kinds == OP_REDUCE_RECV).sum()),
         )
-
-    # ------------------------------------------------------------------
-    # Internal validation
-    # ------------------------------------------------------------------
-
-    def _check_ranges(self) -> None:
-        """Word the first range violation, op by op (the failure path of
-        the column comparisons in :func:`_walk`)."""
-        for prog in self.programs:
-            for _, op in prog.iter_ops():
-                if isinstance(op, (SendOp, RecvOp)):
-                    if not 0 <= op.peer < self.nranks:
-                        raise ScheduleError(
-                            f"rank {prog.rank}: peer {op.peer} out of range "
-                            f"(p={self.nranks})"
-                        )
-                    if op.peer == prog.rank:
-                        raise ScheduleError(
-                            f"rank {prog.rank}: self-communication is not allowed"
-                        )
-                    bad = [b for b in op.blocks if not 0 <= b < self.nblocks]
-                    if bad:
-                        raise ScheduleError(
-                            f"rank {prog.rank}: blocks {bad} out of range "
-                            f"(nblocks={self.nblocks})"
-                        )
-                elif isinstance(op, CopyOp):
-                    for b in (op.src, op.dst):
-                        if not 0 <= b < self.nblocks:
-                            raise ScheduleError(
-                                f"rank {prog.rank}: copy block {b} out of range"
-                            )
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,7 @@ def _refuse_unexecutable(
     """Raise what keeps the lockstep order from running the whole
     schedule: a block mismatch, else a deadlock, else leftover sends."""
     p, kinds, peers = schedule.nranks, cols.kinds, cols.peers
-    rank, gstep, (step, _) = cols.ranks(), cols.step_of(), cols.steps()
+    rank, gstep, (step, _) = cols.ranks(), cols.step_of(), cols.positions()
     if len(fifo.mismatched):
         # The first receive to consume a mismatched message (one in a
         # step that never completes comes last).
@@ -294,7 +294,7 @@ def _contributions(
     first, opens = cols.step_starts()
     lo = first[opens].tolist()  # step g holds ops lo[g]:hi[g]
     hi = first[np.flatnonzero(opens) + 1].tolist()
-    rank, step = cols.ranks().tolist(), cols.steps()[0].tolist()
+    rank, step = cols.ranks().tolist(), cols.positions()[0].tolist()
     kinds, peers = cols.kinds.tolist(), cols.peers.tolist()
     blocks = cols.blocks_of(np.arange(len(kinds)))
     source = np.full(len(kinds), -1, dtype=np.int64)

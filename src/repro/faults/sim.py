@@ -46,8 +46,8 @@ class MsgMeta:
     src: int
     dst: int
     seq: int         # per-(src, dst)-link FIFO sequence number
-    send_step: int   # step index of the SendOp in src's program
-    recv_step: int   # step index of the RecvOp in dst's program
+    send_step: int   # step index of the send in src's program
+    recv_step: int   # step index of the receive in dst's program
     blocks: Tuple[int, ...] = ()   # block ids the send carries
     reduce: bool = False           # whether the matched recv reduces
 
@@ -66,7 +66,7 @@ def match_messages(schedule: Schedule) -> List[MsgMeta]:
     lone = fifo.unmatched(cols)
     if lone is not None:
         raise MachineError(f"{schedule.describe()}: {lone}")
-    step, _ = cols.steps()
+    step, _ = cols.positions()
     send, recv = fifo.send_op, fifo.recv_op
     return [
         MsgMeta(*meta)
@@ -116,7 +116,7 @@ def analyze(
     latency/bandwidth perturbations on the normal path.
     """
     p = schedule.nranks
-    nsteps = [len(schedule.programs[r].steps) for r in range(p)]
+    nsteps = schedule.columns().nsteps().tolist()
 
     failed = set()
     if plan.has_loss:

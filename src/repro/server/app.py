@@ -71,6 +71,7 @@ from ..compile.cache import (
 )
 from ..core.cache import ScheduleCache
 from ..core.registry import info
+from ..core.schedule import Schedule
 from ..core.serialize import dumps_blob
 from ..errors import ReproError, SelectionError, ServerError
 from ..obs import Obs, get_obs
@@ -298,6 +299,17 @@ class TuningService:
         }
 
     def _ep_schedule(self, query: Dict[str, str]) -> Dict:
+        schedule, params, payload = self._schedule_reply(query)
+        self._register(schedule, params)
+        return payload
+
+    def _schedule_reply(
+        self, query: Dict[str, str]
+    ) -> Tuple[Schedule, _ScheduleParams, Dict]:
+        """Look up, build and compile what ``GET /schedule`` asks for:
+        the schedule, the registry parameters that rebuild it, and the
+        reply.  Touches only the locked caches, so it runs off the
+        event loop; :meth:`_register` stays on it."""
         if "fingerprint" in query:
             fp = query["fingerprint"]
             params = self._fingerprints.get(fp) or self._fingerprints.get(
@@ -338,8 +350,7 @@ class TuningService:
                 f"builds {fp[:16]}… — not serving a different schedule",
             )
         compiled, _chit = self.compiled_cache.get_or_compile(schedule)
-        self._register(schedule, (collective, algorithm, p, k, root))
-        return {
+        return schedule, (collective, algorithm, p, k, root), {
             "collective": schedule.collective,
             "algorithm": schedule.algorithm,
             "p": schedule.nranks,
@@ -518,7 +529,17 @@ class TuningService:
         if path == "/select":
             return 200, "application/json", _json(self._ep_select(query))
         if path == "/schedule":
-            return 200, "application/json", _json(self._ep_schedule(query))
+            # A cold build and compile can take seconds: run them (and
+            # the encoding) on a worker thread, as /tune does, so the
+            # loop keeps answering /select meanwhile.
+            def reply() -> Tuple[Schedule, _ScheduleParams, bytes]:
+                schedule, params, payload = self._schedule_reply(query)
+                return schedule, params, _json(payload)
+
+            schedule, params, encoded = await asyncio.get_running_loop(
+            ).run_in_executor(None, reply)
+            self._register(schedule, params)
+            return 200, "application/json", encoded
         if path == "/metrics":
             text = self.obs.prometheus()
             return 200, "text/plain; version=0.0.4", text.encode("utf-8")

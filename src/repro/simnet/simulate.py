@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.schedule import Schedule, SendOp
+from ..core.schedule import OP_SEND, Schedule
 from ..errors import ClassAnalysisError, MachineError
 from ..faults.plan import FaultPlan
 from ..obs import Obs, get_obs
@@ -577,19 +577,15 @@ def traffic_summary(
             f"{machine.name} hosts {machine.nranks} ranks but schedule "
             f"needs {schedule.nranks}"
         )
-    blocks = schedule.block_map(nbytes)
-    msgs = intra_m = inter_m = intra_b = inter_b = 0
-    for prog in schedule.programs:
-        for _, op in prog.iter_ops():
-            if isinstance(op, SendOp):
-                msgs += 1
-                size = blocks.bytes_of(op.blocks)
-                if machine.same_node(prog.rank, op.peer):
-                    intra_m += 1
-                    intra_b += size
-                else:
-                    inter_m += 1
-                    inter_b += size
+    cols = schedule.columns()
+    sends = np.flatnonzero(cols.kinds == OP_SEND)
+    block_sizes = np.asarray(schedule.block_map(nbytes).sizes, np.int64)
+    sizes = cols.op_sizes(block_sizes)
+    node = np.array([machine.node_of(r) for r in range(machine.nranks)])
+    intra = node[cols.ranks()[sends]] == node[cols.peers[sends]]
+    intra_m, intra_b = int(intra.sum()), int(sizes[sends[intra]].sum())
+    msgs = len(sends)
+    inter_m, inter_b = msgs - intra_m, int(sizes[sends].sum()) - intra_b
     return TrafficSummary(
         messages=msgs,
         intra_messages=intra_m,

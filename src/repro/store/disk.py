@@ -58,7 +58,11 @@ __all__ = ["FORMAT_VERSION", "StoreStats", "DiskStore"]
 #: plus one flat :class:`repro.core.schedule.Columns`; per-rank programs,
 #: FIFO tags, the staging plan and the FIFO mismatches are no longer
 #: stored.  Schedule pickles are unchanged.
-FORMAT_VERSION = 4
+#: v5: a pickled :class:`repro.core.schedule.Schedule` is its labels,
+#: ``meta`` and the seven arrays of its columns, checked on load; the
+#: op objects (``RankProgram`` / ``Step`` / ``SendOp`` …) are no longer
+#: stored.  Compiled pickles are unchanged.
+FORMAT_VERSION = 5
 
 _ENTRY_SUFFIX = ".json"
 _TMP_MARKER = ".tmp"

@@ -81,13 +81,13 @@ def test_composites_share_each_phase(monkeypatch):
     and both halves of ``allreduce/kring`` at one (p, k) — and sharing
     changes no op and no pickled byte."""
     built = []
-    seal = Schedule.__post_init__
+    seal = Schedule._seal
 
-    def recording(self):
-        seal(self)
+    def recording(self, *labels_and_columns):
+        seal(self, *labels_and_columns)
         built.append(self.describe())
 
-    monkeypatch.setattr(Schedule, "__post_init__", recording)
+    monkeypatch.setattr(Schedule, "_seal", recording)
     cache = ScheduleCache()
     kring = {
         c: cache.get_or_build(c, "kring", 12, k=4)[0]

@@ -230,17 +230,17 @@ class TestColdTuneDoesNothingTwice:
 
     def test_one_seal_one_digest_one_build_per_schedule(self, monkeypatch):
         sealed, digests = [], []
-        seal, digest = Schedule.__post_init__, Schedule._digest
+        seal, digest = Schedule._seal, Schedule._digest
 
-        def counting_seal(self):
-            seal(self)
+        def counting_seal(self, *labels_and_columns):
+            seal(self, *labels_and_columns)
             sealed.append(self)
 
         def counting_digest(self):
             digests.append(self)
             return digest(self)
 
-        monkeypatch.setattr(Schedule, "__post_init__", counting_seal)
+        monkeypatch.setattr(Schedule, "_seal", counting_seal)
         monkeypatch.setattr(Schedule, "_digest", counting_digest)
         schedules = global_schedule_cache()
         for clear in (clear_sim_memo, schedules.clear, clear_class_cache,
@@ -277,17 +277,17 @@ class TestColdTuneDoesNothingTwice:
         from repro.simnet.simulate import simulate
 
         sealed, matched = [], []
-        seal, match = Schedule.__post_init__, repro.core.schedule.match_fifo
+        seal, match = Schedule._seal, repro.core.schedule.match_fifo
 
-        def counting_seal(self):
-            seal(self)
+        def counting_seal(self, *labels_and_columns):
+            seal(self, *labels_and_columns)
             sealed.append(self)
 
         def counting_match(cols):
             matched.append(cols)
             return match(cols)
 
-        monkeypatch.setattr(Schedule, "__post_init__", counting_seal)
+        monkeypatch.setattr(Schedule, "_seal", counting_seal)
         for module in (repro.core.schedule, repro.compile.program):
             monkeypatch.setattr(module, "match_fifo", counting_match)
         schedules = global_schedule_cache()

@@ -285,10 +285,10 @@ class TestSealed:
         p0.add(SendOp(peer=1, blocks=(0,)))  # still open
         assert len(p0.steps) == 2
 
-    def test_relabel_shares_programs_under_its_own_fingerprint(self):
+    def test_relabel_shares_columns_under_its_own_fingerprint(self):
         sched = build_schedule("allgather", "kring", 6, k=6)
         twin = sched.relabel(k=None)
-        assert twin.programs is sched.programs
+        assert twin.columns() is sched.columns()
         assert (twin.k, sched.k) == (None, 6)
         assert twin.describe() == "allgather ring p=6"
         assert twin.fingerprint() != sched.fingerprint()
@@ -298,6 +298,53 @@ class TestSealed:
             twin.k = 6
         with pytest.raises(ScheduleError, match="labels only"):
             sched.relabel(nranks=7)
+
+    def test_construction_keeps_none_of_the_builders_objects(self):
+        p0, p1 = RankProgram(rank=0), RankProgram(rank=1)
+        p0.add(SendOp(peer=1, blocks=(0,)))
+        p1.add(RecvOp(peer=0, blocks=(0,)))
+        sched = Schedule("bcast", "t", 2, 1, [p0, p1], root=0)
+        before = sched.columns(), sched.fingerprint()
+        assert not {"programs", "_programs"} & set(vars(sched))
+        assert not any(isinstance(value, (RankProgram, Step))
+                       for value in vars(sched).values())
+        # The builder's programs stay open, and editing them changes
+        # nothing the schedule holds.
+        p0.add(SendOp(peer=1, blocks=(0,)))
+        p1.steps.clear()
+        assert (sched.columns(), sched.fingerprint()) == before
+        assert sched.columns().kinds.tolist() == [0, 1]
+        assert sched.programs[0] is not p0
+        assert [len(prog.steps) for prog in sched.programs] == [1, 1]
+
+    def test_programs_view_is_generated_once_and_never_pickled(self):
+        sched = build_schedule("allgather", "bruck", 8, k=3)
+        assert "_programs" not in vars(sched)
+        view = sched.programs
+        assert sched.programs is view and sched.program(3) is view[3]
+        assert Schedule(sched.collective, sched.algorithm, 8, sched.nblocks,
+                        view, root=sched.root, k=sched.k,
+                        meta=sched.meta) == sched
+        blob = pickle.dumps(sched)
+        assert "_programs" not in vars(pickle.loads(blob))
+        for name in (b"RankProgram", b"SendOp", b"RecvOp", b"CopyOp", b"Step"):
+            assert name not in blob
+
+    def test_dataclasses_replace_still_builds(self):
+        import dataclasses
+
+        sched = two_rank_schedule()
+        renamed = dataclasses.replace(sched, algorithm="other")
+        assert renamed.algorithm == "other" and renamed.columns() is not (
+            sched.columns()
+        )
+        assert renamed.fingerprint() != sched.fingerprint()
+        p1 = RankProgram(rank=1)
+        p1.add(RecvOp(peer=0, blocks=(0,), reduce=True))
+        edited = dataclasses.replace(
+            sched, programs=[sched.programs[0], p1]
+        )
+        assert edited.columns().kinds.tolist() == [0, 2]
 
     def test_fingerprint_is_computed_once(self):
         sched = build_schedule("allreduce", "recursive_multiplying", 12, k=3)
@@ -333,21 +380,22 @@ class TestSealed:
         assert sched.fingerprint() == reference_fingerprint(sched)
 
 
-#: ``dumps_blob(build_schedule(...))`` as the commit before sealing
-#: wrote it (sha256 of the blob text): stores and the wire keep these
-#: exact bytes — sealing changed neither the layout nor which objects a
-#: pickle shares.
+#: ``dumps_blob(build_schedule(...))`` in the column layout (store
+#: format 5; sha256 of the blob text): stores and the wire keep these
+#: exact bytes until the next format bump.
 PARENT_BLOBS = {
     ("allreduce", "kring", 16, 4, 0):
-        "f71dbf13471ab8ac7b476b448173570eccb2e8ba85b9abbb780cf6a829968d26",
+        "ba127ae8d0aecc800e1c75ba23596beaac61bd53583c68b7214483dd49618d35",
     ("bcast", "recursive_multiplying", 12, 3, 5):
-        "9ee700d222cf82ee7b4a5d0082523ed5e23c03e8cfeaeada5a646071f9d9ec69",
+        "b2d5118c8394256398d30923b79086c5012bb55699f96d70795b9398e8650daf",
     ("allgather", "bruck", 8, 3, 0):
-        "96b1a1432f420cd1b62e24b3e29bc1d0efb26fc502452637ce50f97446e6f274",
+        "614ca9d0f40cd58622ef70acfe65b0a28febb814e322d2531875487bf65194b9",
 }
 
-#: ``bcast/binomial`` at p = 2, written by that commit.
-PARENT_WRITTEN_BLOB = (
+#: ``bcast/binomial`` at p = 2 as store format 4 wrote it: the
+#: op-object layout (``Schedule.programs`` pickled as ``RankProgram`` /
+#: ``Step`` / ``SendOp`` / ``RecvOp``), which no longer loads.
+PROGRAMS_LAYOUT_BLOB = (
     "gAWVUAEAAAAAAACME3JlcHJvLmNvcmUuc2NoZWR1bGWUjAhTY2hlZHVsZZSTlCmBlH2UKI"
     "wKY29sbGVjdGl2ZZSMBWJjYXN0lIwJYWxnb3JpdGhtlIwIYmlub21pYWyUjAZucmFua3OU"
     "SwKMB25ibG9ja3OUSwGMCHByb2dyYW1zlF2UKGgAjAtSYW5rUHJvZ3JhbZSTlCmBlH2UKI"
@@ -362,10 +410,13 @@ class TestPickle:
     def test_round_trip_is_sealed_and_carries_no_memo(self):
         sched = build_schedule("allreduce", "kring", 16, k=4)
         fp = sched.fingerprint()
+        sched.messages(), sched.programs
         clone = pickle.loads(pickle.dumps(sched))
-        assert "_fingerprint" not in vars(clone)
-        assert "_columns" not in vars(clone)
+        for memo in ("_fingerprint", "_messages", "_programs"):
+            assert memo not in vars(clone)
         assert clone == sched
+        assert all(not arr.flags.writeable for arr in clone.columns()[:-1])
+        assert clone.columns().signatures == sched.columns().signatures
         with pytest.raises(ScheduleError, match="immutable"):
             clone.k = 2
         with pytest.raises(ScheduleError, match="sealed"):
@@ -378,17 +429,14 @@ class TestPickle:
         sched = build_schedule(collective, algorithm, p, k=k, root=root)
         before = hashlib.sha256(dumps_blob(sched).encode()).hexdigest()
         assert before == PARENT_BLOBS[key]
-        sched.fingerprint()  # a memo and the columns never reach a blob
+        sched.fingerprint()  # memos never reach a blob
+        sched.programs
         after = hashlib.sha256(dumps_blob(sched).encode()).hexdigest()
         assert after == PARENT_BLOBS[key]
 
-    def test_a_blob_written_before_sealing_loads_sealed(self):
-        old = loads_blob(PARENT_WRITTEN_BLOB, Schedule)
-        new = build_schedule("bcast", "binomial", 2)
-        assert old == new and old.fingerprint() == new.fingerprint()
-        assert dumps_blob(old) == PARENT_WRITTEN_BLOB == dumps_blob(new)
-        with pytest.raises(ScheduleError, match="immutable"):
-            old.root = 1
+    def test_a_programs_layout_blob_is_refused(self):
+        with pytest.raises(ScheduleError, match="predates the column layout"):
+            loads_blob(PROGRAMS_LAYOUT_BLOB, Schedule)
 
 
 def reference_matching(schedule):
@@ -581,9 +629,11 @@ class TestMessages:
 
 
 def reference_lowering(schedule):
-    """The compiled tables derived from the IR *objects*, with channel
-    counters of their own — the walk the compile ladder ran on every
-    lowering before an artifact became its schedule's columns.
+    """The compiled tables derived from the op *objects* — the
+    :attr:`~repro.core.schedule.Schedule.programs` view, generated back
+    from the columns — with channel counters of their own: the walk the
+    compile ladder ran on every lowering before an artifact became its
+    schedule's columns.
 
     Returns ``(tables, signatures)``: per rank a dict of the
     :class:`~repro.compile.program.CompiledProgram` columns as lists,

@@ -141,6 +141,37 @@ def test_degenerate_kring_is_served_back_as_itself(served):
     assert again["source_fingerprint"] == schedule.fingerprint()
 
 
+def test_a_slow_schedule_build_leaves_select_answering(monkeypatch):
+    """``GET /schedule`` builds and compiles on a worker thread: while a
+    (patched) slow build is in flight, ``/select`` answers at once."""
+    building, release = threading.Event(), threading.Event()
+    with serve_background(
+        MACHINE, SIZES, collectives=("allreduce",)
+    ) as handle:
+        schedules = handle.service.schedules
+        build = schedules.get_or_build
+
+        def slow_build(*args, **kwargs):
+            building.set()
+            release.wait(5)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(schedules, "get_or_build", slow_build)
+        fetch = threading.Thread(target=lambda: TuningClient(handle.url)
+                                 .schedule("allgather", "ring", p=P))
+        fetch.start()
+        try:
+            assert building.wait(5)
+            began = time.monotonic()
+            TuningClient(handle.url).select("allreduce", P, SIZES[0])
+            took = time.monotonic() - began
+        finally:
+            release.set()
+            fetch.join(10)
+    assert not fetch.is_alive()
+    assert took < 1
+
+
 def test_index_entry_that_builds_another_schedule_is_a_404(tmp_path):
     """The boot-time index comes from store keys, which carry the
     schedule's self-reported names: for k-ring at k = 1 they resolve to

@@ -331,7 +331,7 @@ def test_service_boots_cold_over_an_older_store(tmp_path, version):
     current = json.loads(
         second.compiled_cache.store.path_for(payload["store_key"]).read_text()
     )
-    assert current["format"] == FORMAT_VERSION == 4
+    assert current["format"] == FORMAT_VERSION == 5
 
 
 def test_a_disk_tier_hit_is_read_only(tmp_path):
