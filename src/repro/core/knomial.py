@@ -4,45 +4,42 @@ A k-nomial tree generalizes the binomial tree: at every level a node hands
 off to ``k - 1`` children simultaneously instead of one, shrinking the tree
 depth from ``log2(p)`` to ``log_k(p)`` at the price of ``k - 1`` concurrent
 messages per level.  The concurrency is expressed in the schedule IR as a
-single :class:`~repro.core.schedule.Step` holding all ``k - 1`` operations,
-which the simulator maps onto NIC ports and per-message injection overhead
-— exactly the multi-port/message-buffering interplay the paper identifies
-as the mechanism behind the generalization (§II-B2).
+single step holding all ``k - 1`` operations, which the simulator maps
+onto NIC ports and per-message injection overhead — exactly the
+multi-port/message-buffering interplay the paper identifies as the
+mechanism behind the generalization (§II-B2).
 
 Tree structure (relative ranks, root = 0): scanning masks ``1, k, k², …``,
 a node ``r`` attaches to parent ``r - (r mod m·k)`` at the first mask ``m``
 where ``r mod (m·k) != 0``.  Its children at each mask ``m' < M`` (its own
-attach mask) are ``r + i·m'`` for ``i = 1 … k-1``.  With ``k = 2`` this is
+attach mask) are ``r + i·m'`` for ``i = 1 … k-1``, and its subtree is the
+relative ranks ``[r, r + M)`` clipped to ``p``.  With ``k = 2`` this is
 exactly MPICH's binomial tree, which is how the fixed-radix baseline is
 produced (see :mod:`repro.core.registry`).
 
-The module provides the four rooted primitives (bcast, reduce, gather,
-scatter) plus the composite allgather (= gather + bcast) and allreduce
-(= reduce + bcast) the paper's Table I lists, matching cost models (2)–(3).
+All four rooted primitives run that one tree, :func:`knomial_tree`.
+Bcast and scatter run it downward and differ only in payload (the whole
+buffer, or the child's subtree); their programs are expanded into
+columns in one pass, root ≠ 0 being the index map ``(x + root) % p``.
+Reduce and gather run it upward: they are the
+:func:`~repro.core.primitives.time_reversed` bcast and scatter.  The
+composite allgather (= gather + bcast) and allreduce (= reduce + bcast)
+the paper's Table I lists follow, matching cost models (2)–(3).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
-from ..errors import ScheduleError
+import numpy as np
+
 from .primitives import (
-    absolute_rank,
-    all_blocks,
-    check_radix,
-    check_root,
-    compose,
-    empty_programs,
-    relative_rank,
-    shared_phase,
+    check_radix, check_root, compose, shared_phase, time_reversed,
 )
-from .schedule import Op, RankProgram, RecvOp, Schedule, SendOp
+from .schedule import OP_RECV, OP_SEND, Schedule, assemble, spans
 
 __all__ = [
-    "knomial_attach_mask",
-    "knomial_parent",
-    "knomial_children",
-    "knomial_subtree",
+    "knomial_tree",
     "knomial_bcast",
     "knomial_reduce",
     "knomial_gather",
@@ -52,89 +49,88 @@ __all__ = [
 ]
 
 
-# ----------------------------------------------------------------------
-# Tree structure
-# ----------------------------------------------------------------------
+def knomial_tree(p: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(attach, parent)``: every relative rank's attach mask and parent.
 
-def knomial_attach_mask(relr: int, p: int, k: int) -> int:
-    """Mask at which relative rank ``relr`` attaches to its parent.
+    The root's parent is −1 and its mask the first power of ``k``
+    reaching ``p``, so its children enumerate like everyone else's.
+    Fig. 2, the trinomial tree on 9 nodes — 0 roots {1, 2, 3, 6}, 3 roots
+    {4, 5}, 6 roots {7, 8}:
 
-    For the root this is the smallest power of ``k`` that reaches ``p``
-    (i.e. one level above every real child), which makes the children
-    enumeration below uniform for root and non-root nodes.
+    >>> attach, parent = knomial_tree(9, 3)
+    >>> parent.tolist()
+    [-1, 0, 0, 0, 3, 3, 0, 6, 6]
+    >>> attach.tolist()
+    [9, 1, 1, 3, 1, 1, 3, 1, 1]
     """
     check_radix(k)
+    rel = np.arange(p)
+    attach = np.ones(p, dtype=np.int64)
     mask = 1
     while mask < p:
-        if relr % (mask * k) != 0:
-            return mask
+        attach[rel % (mask * k) == 0] = mask * k
         mask *= k
-    return mask
+    return attach, np.where(rel == 0, -1, rel - rel % (attach * k))
 
 
-def knomial_parent(relr: int, p: int, k: int) -> Optional[int]:
-    """Relative parent of ``relr`` in the k-nomial tree, ``None`` for root.
-
-    >>> [knomial_parent(r, 9, 3) for r in range(9)]
-    [None, 0, 0, 0, 3, 3, 0, 6, 6]
-    """
-    if relr == 0:
-        return None
-    mask = knomial_attach_mask(relr, p, k)
-    return relr - (relr % (mask * k))
-
-
-def knomial_children(relr: int, p: int, k: int) -> List[Tuple[int, int]]:
-    """Children of ``relr`` as ``(child_relrank, mask)``, largest mask first.
-
-    Largest-mask-first is the bcast send order: the child that roots the
-    deepest subtree gets its data earliest, minimizing the critical path —
-    the same ordering MPICH's binomial broadcast uses.
-
-    >>> knomial_children(0, 9, 3)
-    [(3, 3), (6, 3), (1, 1), (2, 1)]
-    """
-    attach = knomial_attach_mask(relr, p, k)
-    children = []
-    mask = 1
-    masks = []
-    while mask < attach and mask < p:
-        masks.append(mask)
-        mask *= k
-    for m in reversed(masks):
-        for i in range(1, k):
-            c = relr + i * m
-            if c < p:
-                children.append((c, m))
-    return children
-
-
-def knomial_subtree(relr: int, p: int, k: int) -> Tuple[int, int]:
-    """Half-open relative-rank interval ``[relr, stop)`` of the subtree.
-
-    A node attached at mask ``M`` owns the contiguous relative ranks
-    ``[relr, relr + M)``, clipped to ``p`` — the interval its gather
-    contribution covers and its scatter delivery must fill.
-
-    >>> knomial_subtree(3, 9, 3)
-    (3, 6)
-    >>> knomial_subtree(0, 9, 3)
-    (0, 9)
-    """
-    attach = knomial_attach_mask(relr, p, k)
-    if relr == 0:
-        # Root's interval covers everything; attach may overshoot p.
-        while attach < p:
-            attach *= k
-        return 0, p
-    return relr, min(relr + attach, p)
+def _downward(collective: str, p: int, k: int, root: int,
+              nblocks: int) -> Schedule:
+    """The tree run from the root down: every non-root receives from its
+    parent, then sends to its children one step per mask, largest mask
+    first (the child rooting the deepest subtree gets its data earliest,
+    as MPICH's binomial broadcast orders it).  A bcast moves the whole
+    buffer; a scatter each child's subtree, as absolute block ids."""
+    check_radix(k)
+    check_root(root, p)
+    attach, parent = knomial_tree(p, k)
+    # Each edge is a send on the parent and a receive on the child, both
+    # at the child's mask: the receive opens the child's program (its own
+    # sends use smaller masks), and a parent's sends at one mask are one
+    # step, children in order.
+    edge = np.arange(1, p)
+    owner = (np.concatenate((parent[1:], edge)) + root) % p
+    peer = (np.concatenate((edge, parent[1:])) + root) % p
+    child = np.tile(edge, 2)
+    order = np.lexsort((child, -attach[child], owner))
+    owner, peer, child = owner[order], peer[order], child[order]
+    level = attach[child]
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = (owner[1:] != owner[:-1]) | (level[1:] != level[:-1])
+    starts = np.flatnonzero(opens)
+    if collective == "scatter":
+        # The subtree [child, child + mask) clipped to p, mapped to
+        # absolute ids in ascending order: the part past p wraps to the
+        # front.
+        lo, hi = child + root, np.minimum(child + level, p) + root
+        nblk = hi - lo
+        blocks = spans(
+            np.column_stack((np.maximum(lo, p) - p, np.minimum(lo, p))).ravel(),
+            np.column_stack((np.maximum(hi, p) - p, np.minimum(hi, p))).ravel(),
+        )
+    else:
+        nblk = np.full(len(order), nblocks)
+        blocks = np.tile(np.arange(nblocks), len(order))
+    columns = assemble(
+        np.where(order < p - 1, OP_SEND, OP_RECV),
+        peer,
+        nblk,
+        blocks,
+        np.diff(np.append(starts, len(order))),
+        np.bincount(owner[starts], minlength=p),
+    )
+    return Schedule.from_columns(
+        collective, "knomial" if k != 2 else "binomial", p, nblocks, columns,
+        root=root, k=k,
+    )
 
 
-def _subtree_blocks(relr: int, p: int, k: int, root: int) -> Tuple[int, ...]:
-    """Absolute block ids covered by ``relr``'s subtree (blocks are indexed
-    by absolute rank for gather/scatter semantics)."""
-    lo, hi = knomial_subtree(relr, p, k)
-    return tuple(sorted(absolute_rank(x, root, p) for x in range(lo, hi)))
+def _upward(collective: str, down: Schedule, *, reduce: bool) -> Schedule:
+    """``down`` run backwards: the same tree, from the leaves up."""
+    return Schedule.from_columns(
+        collective, down.algorithm, down.nranks, down.nblocks,
+        time_reversed(down.columns(), reduce=reduce), root=down.root,
+        k=down.k,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -148,37 +144,7 @@ def knomial_bcast(p: int, k: int, *, root: int = 0, nblocks: int = 1) -> Schedul
     buffer (e.g. the bcast phase of a k-nomial allgather); every message
     still carries the whole buffer.
     """
-    check_radix(k)
-    check_root(root, p)
-    payload = all_blocks(nblocks)
-    programs = empty_programs(p)
-    for rank in range(p):
-        relr = relative_rank(rank, root, p)
-        prog = programs[rank]
-        parent = knomial_parent(relr, p, k)
-        if parent is not None:
-            prog.add(RecvOp(peer=absolute_rank(parent, root, p), blocks=payload))
-        # One step per tree level, k-1 concurrent sends per step.
-        level_ops: List[Op] = []
-        current_mask: Optional[int] = None
-        for child, mask in knomial_children(relr, p, k):
-            if current_mask is not None and mask != current_mask:
-                prog.add_step(level_ops)
-                level_ops = []
-            current_mask = mask
-            level_ops.append(
-                SendOp(peer=absolute_rank(child, root, p), blocks=payload)
-            )
-        prog.add_step(level_ops)
-    return Schedule(
-        collective="bcast",
-        algorithm="knomial" if k != 2 else "binomial",
-        nranks=p,
-        nblocks=nblocks,
-        programs=programs,
-        root=root,
-        k=k,
-    )
+    return _downward("bcast", p, k, root, nblocks)
 
 
 def knomial_reduce(p: int, k: int, *, root: int = 0, nblocks: int = 1) -> Schedule:
@@ -187,90 +153,24 @@ def knomial_reduce(p: int, k: int, *, root: int = 0, nblocks: int = 1) -> Schedu
     Each node absorbs its ``k - 1`` same-level children in one concurrent
     step (paying ``(k-1)(β + γ)n`` per level, model (3)), smallest mask
     first so near leaves unblock earliest, then forwards its partial to its
-    parent.
+    parent — the bcast of the same tree, time-reversed, every send a
+    reducing receive.
     """
-    check_radix(k)
-    check_root(root, p)
-    payload = all_blocks(nblocks)
-    programs = empty_programs(p)
-    for rank in range(p):
-        relr = relative_rank(rank, root, p)
-        prog = programs[rank]
-        attach = knomial_attach_mask(relr, p, k)
-        mask = 1
-        while mask < attach and mask < p:
-            ops: List[Op] = []
-            for i in range(1, k):
-                child = relr + i * mask
-                if child < p:
-                    ops.append(
-                        RecvOp(
-                            peer=absolute_rank(child, root, p),
-                            blocks=payload,
-                            reduce=True,
-                        )
-                    )
-            prog.add_step(ops)
-            mask *= k
-        parent = knomial_parent(relr, p, k)
-        if parent is not None:
-            prog.add(SendOp(peer=absolute_rank(parent, root, p), blocks=payload))
-    return Schedule(
-        collective="reduce",
-        algorithm="knomial" if k != 2 else "binomial",
-        nranks=p,
-        nblocks=nblocks,
-        programs=programs,
-        root=root,
-        k=k,
-    )
+    # Asked for as the registry's bcast entry asks, so one tree serves both.
+    whole = {} if nblocks == 1 else {"nblocks": nblocks}
+    bcast = shared_phase(knomial_bcast, p, k, root=root, **whole)
+    return _upward("reduce", bcast, reduce=True)
 
 
 def knomial_gather(p: int, k: int, *, root: int = 0) -> Schedule:
     """K-nomial gather (Fig. 1/2 of the paper): block ``b`` = rank ``b``'s data.
 
-    Identical tree walk to :func:`knomial_reduce`, but payloads are the
+    The scatter of the same tree, time-reversed: payloads are the
     children's whole subtree intervals instead of reduced partials, so the
     data volume grows toward the root: cost ``log_k(p)·α + n·(p-1)/p·β``.
     """
-    check_radix(k)
-    check_root(root, p)
-    programs = empty_programs(p)
-    for rank in range(p):
-        relr = relative_rank(rank, root, p)
-        prog = programs[rank]
-        attach = knomial_attach_mask(relr, p, k)
-        mask = 1
-        while mask < attach and mask < p:
-            ops: List[Op] = []
-            for i in range(1, k):
-                child = relr + i * mask
-                if child < p:
-                    ops.append(
-                        RecvOp(
-                            peer=absolute_rank(child, root, p),
-                            blocks=_subtree_blocks(child, p, k, root),
-                        )
-                    )
-            prog.add_step(ops)
-            mask *= k
-        parent = knomial_parent(relr, p, k)
-        if parent is not None:
-            prog.add(
-                SendOp(
-                    peer=absolute_rank(parent, root, p),
-                    blocks=_subtree_blocks(relr, p, k, root),
-                )
-            )
-    return Schedule(
-        collective="gather",
-        algorithm="knomial" if k != 2 else "binomial",
-        nranks=p,
-        nblocks=p,
-        programs=programs,
-        root=root,
-        k=k,
-    )
+    scatter = shared_phase(knomial_scatter, p, k, root=root)
+    return _upward("gather", scatter, reduce=False)
 
 
 def knomial_scatter(p: int, k: int, *, root: int = 0) -> Schedule:
@@ -280,43 +180,7 @@ def knomial_scatter(p: int, k: int, *, root: int = 0) -> Schedule:
     (classic MPICH "van de Geijn" bcast and our recursive-multiplying and
     k-ring bcasts).
     """
-    check_radix(k)
-    check_root(root, p)
-    programs = empty_programs(p)
-    for rank in range(p):
-        relr = relative_rank(rank, root, p)
-        prog = programs[rank]
-        parent = knomial_parent(relr, p, k)
-        if parent is not None:
-            prog.add(
-                RecvOp(
-                    peer=absolute_rank(parent, root, p),
-                    blocks=_subtree_blocks(relr, p, k, root),
-                )
-            )
-        level_ops: List[Op] = []
-        current_mask: Optional[int] = None
-        for child, mask in knomial_children(relr, p, k):
-            if current_mask is not None and mask != current_mask:
-                prog.add_step(level_ops)
-                level_ops = []
-            current_mask = mask
-            level_ops.append(
-                SendOp(
-                    peer=absolute_rank(child, root, p),
-                    blocks=_subtree_blocks(child, p, k, root),
-                )
-            )
-        prog.add_step(level_ops)
-    return Schedule(
-        collective="scatter",
-        algorithm="knomial" if k != 2 else "binomial",
-        nranks=p,
-        nblocks=p,
-        programs=programs,
-        root=root,
-        k=k,
-    )
+    return _downward("scatter", p, k, root, p)
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,9 @@ The algorithm modules (:mod:`repro.core.knomial`, :mod:`repro.core.recursive`,
 :mod:`repro.core.ring`) all need the same small toolbox: relative-rank
 arithmetic for rooted trees, radix validation, schedule concatenation for
 composite algorithms (allgather = gather + bcast, allreduce =
-reduce-scatter + allgather, ...), and the time-reversal *dualization* that
-turns any tree-structured allgather into a reduce-scatter.  The two
-composites are whole-array transforms of their parts'
+reduce-scatter + allgather, ...), and the one time reversal that turns
+any tree-structured allgather into a reduce-scatter (its *dual*) and a
+tree's bcast into its reduce.  All three are whole-array transforms of
 :class:`~repro.core.schedule.Columns`: no op object is made or walked.
 """
 
@@ -24,6 +24,7 @@ from .schedule import (
     OP_RECV,
     OP_REDUCE_RECV,
     OP_SEND,
+    Columns,
     RankProgram,
     Schedule,
     assemble,
@@ -41,6 +42,7 @@ __all__ = [
     "shared_phase",
     "sharing_phases",
     "dualize_allgather",
+    "time_reversed",
     "largest_power_leq",
     "ilog",
 ]
@@ -187,10 +189,10 @@ def dualize_allgather(allgather: Schedule, algorithm: str) -> Schedule:
     and flipping every send into a reducing receive (and vice
     versa) turns those distribution trees into reduction trees rooted at
     each block's owner: a communication-identical reduce-scatter.  This is
-    the classic ring-allreduce duality (Patarasuk & Yuan) applied
-    mechanically to the columns; it gives us reduce-scatter variants of
-    the classic ring, the k-ring, and recursive multiplying for free, with
-    correctness guaranteed by the symbolic validator.
+    the classic ring-allreduce duality (Patarasuk & Yuan), applied by
+    :func:`time_reversed` once checked; it gives us reduce-scatter
+    variants of the classic ring, the k-ring, and recursive multiplying
+    for free, with correctness guaranteed by the symbolic validator.
     """
     if allgather.collective != "allgather":
         raise ScheduleError(
@@ -234,30 +236,34 @@ def dualize_allgather(allgather: Schedule, algorithm: str) -> Schedule:
         raise ScheduleError(
             "cannot dualize an allgather containing local copies"
         )
-    # Every rank runs its steps backwards.  Receives become sends and
-    # lead their step so the runner snapshots them before any same-step
-    # reduction applies; sends become reducing receives.  Op order
-    # within a step has no timing meaning otherwise.
-    recv = kinds == OP_RECV
-    order = np.lexsort((~recv, -step, rank))
-    nsteps = cols.nsteps()
-    owner = np.repeat(np.arange(p), nsteps)
-    dual = assemble(
-        np.where(recv, OP_SEND, OP_REDUCE_RECV)[order],
-        cols.peers[order],
-        nblk[order],
-        cols.gather(order),
-        cols.step_lens()[np.lexsort((-np.arange(len(owner)), owner))],
-        nsteps,
-    )
     return Schedule.from_columns(
         "reduce_scatter",
         algorithm,
         allgather.nranks,
         allgather.nblocks,
-        dual,
+        time_reversed(cols, reduce=True),
         k=allgather.k,
         meta={"dual_of": allgather.describe()},
+    )
+
+
+def time_reversed(cols: Columns, *, reduce: bool) -> Columns:
+    """``cols`` (sends and plain receives) with every rank's steps run
+    backwards: a receive becomes a send of its blocks, leading its step
+    so the runner snapshots it before any same-step reduction applies;
+    a send becomes a receive, reducing when ``reduce``.  A distribution
+    tree run so is the reduction (or collection) over the same tree."""
+    recv = cols.kinds == OP_RECV
+    order = np.lexsort((~recv, -cols.positions()[0], cols.ranks()))
+    nsteps = cols.nsteps()
+    owner = np.repeat(np.arange(len(nsteps)), nsteps)
+    return assemble(
+        np.where(recv, OP_SEND, OP_REDUCE_RECV if reduce else OP_RECV)[order],
+        cols.peers[order],
+        np.diff(cols.seg_bounds)[order],
+        cols.gather(order),
+        cols.step_lens()[np.lexsort((-np.arange(len(owner)), owner))],
+        nsteps,
     )
 
 

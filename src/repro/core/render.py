@@ -14,14 +14,16 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ScheduleError
-from .knomial import knomial_children
-from .schedule import RecvOp, Schedule, SendOp
+from .knomial import knomial_bcast
+from .schedule import OP_SEND, Schedule, SendOp
 
 __all__ = ["render_knomial_tree", "render_rounds", "render_kring_rounds"]
 
 
 def render_knomial_tree(p: int, k: int, *, root: int = 0) -> str:
-    """Draw the k-nomial tree the way Figs. 1–2 do (root at top).
+    """Draw the k-nomial tree the way Figs. 1–2 do (root at top): each
+    rank's children are its send peers in :func:`knomial_bcast`'s
+    columns, in op order — largest subtree first.
 
     >>> print(render_knomial_tree(6, 3))  # doctest: +NORMALIZE_WHITESPACE
     0
@@ -33,17 +35,22 @@ def render_knomial_tree(p: int, k: int, *, root: int = 0) -> str:
     """
     if p < 1:
         raise ScheduleError(f"p must be >= 1, got {p}")
+    cols = knomial_bcast(p, k, root=root).columns()
+    sends = cols.kinds == OP_SEND
+    children: List[List[int]] = [[] for _ in range(p)]
+    for rank, peer in zip(cols.ranks()[sends].tolist(),
+                          cols.peers[sends].tolist()):
+        children[rank].append(peer)
     lines: List[str] = [str(root)]
 
-    def visit(relr: int, prefix: str) -> None:
-        children = knomial_children(relr, p, k)
-        for idx, (child, _) in enumerate(children):
-            last = idx == len(children) - 1
+    def visit(rank: int, prefix: str) -> None:
+        for idx, child in enumerate(children[rank]):
+            last = idx == len(children[rank]) - 1
             connector = "└── " if last else "├── "
-            lines.append(prefix + connector + str((child + root) % p))
+            lines.append(prefix + connector + str(child))
             visit(child, prefix + ("    " if last else "│   "))
 
-    visit(0, "")
+    visit(root, "")
     return "\n".join(lines)
 
 

@@ -32,13 +32,15 @@ Semantics contract shared by all executors and the simulator:
 
 A :class:`Schedule` is its labels and its :class:`Columns` — every op
 as flat read-only arrays — and is **immutable once constructed**.  A
-builder's programs are walked once into the columns and not kept; a
+builder's programs are walked once into the columns and not kept; the
+k-nomial family expands its tree straight into columns, and a
 composite (:func:`~repro.core.primitives.compose`,
 :func:`~repro.core.primitives.dualize_allgather`,
 :func:`~repro.core.hierarchical.remap_ranks`) is a whole-array
 transform of its parts' columns (:meth:`Schedule.from_columns`); a
 pickle is the labels and the arrays, checked on load.  Every way in
-checks every peer and block id, and assigning a field raises
+refuses an op with no block and a step with no op, checks every peer
+and block id, and assigning a field raises
 :class:`~repro.errors.ScheduleError` — so nothing derived from a
 schedule (its :meth:`~Schedule.fingerprint`, its lowered tables, a cache
 entry keyed by either) can go stale, and sub-schedules can be shared
@@ -585,6 +587,23 @@ def _walk(programs: Sequence[RankProgram]) -> Columns:
     )
 
 
+def _empty_error(cols: Columns) -> Optional[str]:
+    """The first op with no block, else the first step with no op,
+    rank-major — worded as the op objects refuse them; ``None`` when
+    there is none."""
+    empty = np.flatnonzero(np.diff(cols.seg_bounds) < 1)
+    if len(empty):
+        r = int(cols.ranks()[empty[0]])
+        return f"rank {r}: an op must carry at least one block"
+    first, opens = cols.step_starts()
+    empty = np.flatnonzero(opens[:-1] & (np.diff(first) < 1))
+    if len(empty):
+        r = int(np.searchsorted(cols.step_ptr, empty[0], "right")) - 1
+        step = int(empty[0] - cols.step_ptr[r])
+        return f"rank {r}: step {step} must contain at least one op"
+    return None
+
+
 def _range_error(cols: Columns, nranks: int, nblocks: int) -> Optional[str]:
     """The first op, rank-major in program order, whose peer is out of
     range or its own rank, or whose block ids are — worded; ``None``
@@ -634,8 +653,8 @@ def _loaded_columns(state: object, nranks: int) -> Columns:
     """Columns from the arrays of a pickled :class:`Schedule`, checked
     before anything indexes through them: every array's dtype and
     size, every pointer's length, ends and monotonicity, every step
-    boundary, the op codes and the copies' form.  Ranges are the
-    :class:`Schedule`'s own check, run next."""
+    boundary, the op codes and the copies' form.  Empty ops and steps
+    and ranges are the :class:`Schedule`'s own checks, run next."""
 
     def damaged(what: str) -> ScheduleError:
         return ScheduleError(f"schedule blob is damaged: {what}")
@@ -669,12 +688,12 @@ def _loaded_columns(state: object, nranks: int) -> Columns:
     pointer("op_ptr", op_ptr, nranks + 1, nops, 0)
     if len(peers) != nops:
         raise damaged(f"peers has {len(peers)} entries for {nops} ops")
-    pointer("seg_bounds", seg_bounds, nops + 1, len(seg_blocks), 1)
+    pointer("seg_bounds", seg_bounds, nops + 1, len(seg_blocks), 0)
     pointer("step_ptr", step_ptr, nranks + 1, len(steps_raw), 1)
-    # Each rank's boundaries run from 0 to its op count, every step
-    # holding at least one op.
+    # Each rank's boundaries run from 0 to its op count (an empty op or
+    # step is every entry's refusal, :func:`_empty_error`).
     first, last = step_ptr[:-1], step_ptr[1:] - 1
-    rises = np.diff(steps_raw) >= 1
+    rises = np.diff(steps_raw) >= 0
     rises[last[:-1]] = True
     if (steps_raw[first].any() or not rises.all()
             or (steps_raw[last] != np.diff(op_ptr)).any()):
@@ -796,8 +815,8 @@ class Schedule:
         meta: Optional[Dict[str, object]] = None,
     ) -> "Schedule":
         """The column entry: a schedule over ``columns`` — what a
-        composite's whole-array transform built — range-checked like
-        a builder's programs."""
+        builder's or a composite's whole-array expansion built —
+        checked like a builder's programs."""
         sched = object.__new__(cls)
         sched._seal(collective, algorithm, nranks, nblocks, columns, root, k,
                     meta)
@@ -814,13 +833,14 @@ class Schedule:
         k: Optional[int],
         meta: Optional[Dict[str, object]],
     ) -> None:
-        """Take the labels and the columns, range-check the columns, make
-        them read-only (peers and block ids as int32), and refuse
-        assignment from now on — the last step of every way a schedule
-        comes to be."""
+        """Take the labels and the columns, refuse an op with no block
+        or a step with no op, range-check the columns, make them
+        read-only (peers and block ids as int32), and refuse assignment
+        from now on — the last step of every way a schedule comes to
+        be."""
         if nranks < 1:
             raise ScheduleError(f"nranks must be >= 1, got {nranks}")
-        error = _range_error(columns, nranks, nblocks)
+        error = _empty_error(columns) or _range_error(columns, nranks, nblocks)
         if error is not None:
             raise ScheduleError(error)
         columns = columns._replace(

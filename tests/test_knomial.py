@@ -5,14 +5,11 @@ import pytest
 from repro.core.knomial import (
     knomial_allgather,
     knomial_allreduce,
-    knomial_attach_mask,
     knomial_bcast,
-    knomial_children,
     knomial_gather,
-    knomial_parent,
     knomial_reduce,
     knomial_scatter,
-    knomial_subtree,
+    knomial_tree,
 )
 from repro.core.primitives import ilog
 from repro.core.validate import verify
@@ -21,30 +18,48 @@ from repro.errors import ScheduleError
 from conftest import INTERESTING_K, INTERESTING_P
 
 
+def parents(p, k):
+    """Relative parent per relative rank, ``None`` for the root."""
+    return [None if r == 0 else r_parent
+            for r, r_parent in enumerate(knomial_tree(p, k)[1].tolist())]
+
+
+def children(relr, p, k):
+    """``(child, mask)`` of ``relr`` from :func:`knomial_tree`, in the
+    bcast's send order: largest mask first, then by rank."""
+    attach, parent = (a.tolist() for a in knomial_tree(p, k))
+    return sorted(((c, attach[c]) for c in range(1, p) if parent[c] == relr),
+                  key=lambda cm: (-cm[1], cm[0]))
+
+
+def subtree(relr, p, k):
+    """Half-open relative-rank interval of ``relr``'s subtree."""
+    return relr, min(relr + int(knomial_tree(p, k)[0][relr]), p)
+
+
 class TestTreeStructure:
     def test_trinomial_parents_match_paper_figure(self):
         """Fig. 2: trinomial tree on 9 nodes — 0 roots {1,2,3,6}, 3 roots
         {4,5}, 6 roots {7,8}."""
-        parents = [knomial_parent(r, 9, 3) for r in range(9)]
-        assert parents == [None, 0, 0, 0, 3, 3, 0, 6, 6]
+        assert parents(9, 3) == [None, 0, 0, 0, 3, 3, 0, 6, 6]
 
     def test_binomial_parents(self):
-        parents = [knomial_parent(r, 8, 2) for r in range(8)]
-        assert parents == [None, 0, 0, 2, 0, 4, 4, 6]
+        assert parents(8, 2) == [None, 0, 0, 2, 0, 4, 4, 6]
 
     def test_children_inverse_of_parent(self):
         for p in INTERESTING_P:
             for k in INTERESTING_K:
+                parent = parents(p, k)
                 for r in range(p):
-                    for child, _ in knomial_children(r, p, k):
-                        assert knomial_parent(child, p, k) == r
+                    for child, _ in children(r, p, k):
+                        assert parent[child] == r
 
     def test_every_nonroot_has_exactly_one_parent(self):
         for p in INTERESTING_P:
             for k in INTERESTING_K:
                 seen = {}
                 for r in range(p):
-                    for child, _ in knomial_children(r, p, k):
+                    for child, _ in children(r, p, k):
                         assert child not in seen
                         seen[child] = r
                 assert sorted(seen) == list(range(1, p))
@@ -65,12 +80,13 @@ class TestTreeStructure:
 
         for p in INTERESTING_P:
             for k in INTERESTING_K:
+                parent = parents(p, k)
                 depth = 0
                 for r in range(p):
                     d = 0
                     node = r
-                    while (parent := knomial_parent(node, p, k)) is not None:
-                        node = parent
+                    while parent[node] is not None:
+                        node = parent[node]
                         d += 1
                     assert d == nonzero_digits(r, k)
                     depth = max(depth, d)
@@ -81,21 +97,24 @@ class TestTreeStructure:
             for k in INTERESTING_K:
                 # children subtrees of the root partition [1, p)
                 covered = []
-                for child, _ in knomial_children(0, p, k):
-                    lo, hi = knomial_subtree(child, p, k)
+                for child, _ in children(0, p, k):
+                    lo, hi = subtree(child, p, k)
                     covered.extend(range(lo, hi))
                 assert sorted(covered) == list(range(1, p))
 
     def test_root_subtree_is_everything(self):
-        assert knomial_subtree(0, 9, 3) == (0, 9)
-        assert knomial_subtree(0, 17, 4) == (0, 17)
+        assert subtree(0, 9, 3) == (0, 9)
+        assert subtree(0, 17, 4) == (0, 17)
 
     def test_attach_mask_of_root_reaches_p(self):
-        assert knomial_attach_mask(0, 9, 3) >= 9
+        assert knomial_tree(9, 3)[0][0] >= 9
 
     def test_children_ordered_largest_mask_first(self):
-        children = knomial_children(0, 9, 3)
-        masks = [m for _, m in children]
+        """The bcast sends to the root's children in that order."""
+        root = knomial_bcast(9, 3).programs[0]
+        sends = [op.peer for step in root.steps for op in step.ops]
+        assert sends == [c for c, _ in children(0, 9, 3)]
+        masks = [m for _, m in children(0, 9, 3)]
         assert masks == sorted(masks, reverse=True)
 
 

@@ -15,7 +15,17 @@ import pytest
 
 from repro.core.cache import schedule_key
 from repro.core.registry import build_schedule
-from repro.core.schedule import CopyOp, RankProgram, RecvOp, Schedule, SendOp
+from repro.core.schedule import (
+    _ARRAYS,
+    OP_RECV,
+    OP_SEND,
+    CopyOp,
+    RankProgram,
+    RecvOp,
+    Schedule,
+    SendOp,
+    assemble,
+)
 from repro.core.serialize import dumps_blob, loads_blob
 from repro.errors import ScheduleError
 from repro.store import DiskStore, open_schedule_store, schedule_store_key
@@ -101,6 +111,14 @@ def _unknown_op_code(arr, state):
     arr[0] = 7
 
 
+def _empty_first_step(arr, state):
+    arr[1] = 0  # rank 0's first step ends where it starts
+
+
+def _empty_first_op(arr, state):
+    arr[1] = 0  # op 0's blocks end where they start
+
+
 def _copy_with_a_peer(arr, state):
     arr[int(np.flatnonzero(_column(state, "kinds") == 3)[0])] = 0
 
@@ -126,6 +144,10 @@ DAMAGE = [
     ("meta not a dict", KRING, _meta, "labels"),
     ("missing column", KRING, _missing_column, "expected the columns"),
     ("unknown op code", KRING, _edit("kinds", _unknown_op_code), "op code"),
+    ("empty step", KRING, _edit("steps_raw", _empty_first_step),
+     "rank 0: step 0 must contain at least one op"),
+    ("op with no block", KRING, _edit("seg_bounds", _empty_first_op),
+     "rank 0: an op must carry at least one block"),
 ]
 #: Damage only a hand-built schedule can carry.
 COPY_DAMAGE = [
@@ -160,6 +182,40 @@ def test_damage_is_refused_on_load(name, params, damage, message,
     blob = damaged_blob(_build(params), damage, monkeypatch)
     with pytest.raises(ScheduleError, match=message):
         loads_blob(blob, Schedule)
+
+
+#: Columns for two ranks, rank 0 sending block 0 to rank 1, bent into
+#: what no op object can hold.
+EMPTY = [
+    ("op with no block", ([1, 0], [1, 1], [1, 1]),
+     "rank 1: an op must carry at least one block"),
+    ("step with no op", ([1, 1], [1, 0, 1], [2, 1]),
+     "rank 0: step 1 must contain at least one op"),
+]
+
+
+@pytest.mark.parametrize("name, shape, message", EMPTY,
+                         ids=[e[0] for e in EMPTY])
+def test_every_entry_refuses_what_op_objects_refuse(name, shape, message,
+                                                    monkeypatch):
+    nblk, step_lens, nsteps = (np.array(x) for x in shape)
+    cols = assemble(np.array([OP_SEND, OP_RECV]), np.array([1, 0]), nblk,
+                    np.zeros(nblk.sum(), dtype=np.int64), step_lens, nsteps)
+    with pytest.raises(ScheduleError) as built:
+        Schedule.from_columns("bcast", "t", 2, 1, cols, root=0)
+    assert str(built.value) == message
+
+    def swap_in(state):
+        state["columns"] = {
+            name: (dtype.str, getattr(cols, name).astype(dtype).tobytes())
+            for name, dtype in _ARRAYS.items()
+        }
+
+    blob = damaged_blob(build_schedule("bcast", "binomial", 2), swap_in,
+                        monkeypatch)
+    with pytest.raises(ScheduleError) as loaded:
+        loads_blob(blob, Schedule)
+    assert str(loaded.value) == message
 
 
 @pytest.mark.parametrize("params", [KRING, _with_a_copy])
