@@ -106,9 +106,9 @@ def get_or_compile(schedule: Schedule) -> CompiledSchedule:
 
 
 #: Rank-equivalence partitions by
-#: :func:`~repro.compile.classes.partition_key` (compiled fingerprint,
-#: machine link profile, byte residue).  ``perfbench/`` takes ``len()``
-#: of this name.
+#: :func:`~repro.compile.classes.partition_key` (source schedule
+#: fingerprint, machine link profile, byte residue).  ``perfbench/``
+#: takes ``len()`` of this name.
 _class_entries = ContentCache("classes", 256)
 
 
@@ -117,8 +117,8 @@ def get_or_classify(schedule: Schedule, machine, nbytes: int):
 
     Compiles (or fetches) the schedule's flat tables, then returns the
     cached :class:`~repro.compile.classes.RankClasses` for
-    ``(tables, machine link profile, nbytes % nblocks)`` — classifying
-    on a miss.
+    ``(schedule fingerprint, machine link profile, nbytes % nblocks)``
+    — classifying on a miss.
     """
     from .classes import classify, partition_key
 

@@ -40,16 +40,21 @@ call per rank:
 The partition depends on the total byte count only through
 ``nbytes % nblocks`` (which blocks land in the one-byte-larger prefix of
 the MPICH partition), so cached partitions are keyed by that residue,
-the table fingerprint, and the machine's link profile — see
-:func:`partition_key` and the persistent sidecar cache in
-:mod:`repro.compile.cache`.
+the source schedule's fingerprint, and the machine's link profile — see
+:func:`partition_key` and :func:`repro.compile.cache.get_or_classify`,
+which caches them in process only.  The per-class programs are expanded
+from the partition the first time they are read: a caller that only
+counts classes (``engine="auto"`` refusing a degenerate partition) never
+builds one.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -112,10 +117,14 @@ def partition_key(
     and the *shape* of the byte partition — which depends on ``nbytes``
     only through ``nbytes % nblocks`` (the count of one-byte-larger
     blocks in the MPICH partition).  Two simulations differing only in
-    total bytes with the same residue share a partition.
+    total bytes with the same residue share a partition.  The tables
+    are their schedule's columns (DESIGN.md §14; an artifact loaded from
+    bytes is checked against its schedule before use), so the source
+    fingerprint — already computed as the compiled-cache key — names
+    them, and nothing here hashes the tables again.
     """
     return (
-        compiled.fingerprint(),
+        compiled.source_fingerprint,
         link_profile(machine),
         nbytes % compiled.nblocks,
     )
@@ -157,29 +166,49 @@ class ClassProgram:
         return self.nblk.astype(np.int64) * base + self.nlarge
 
 
-@dataclass
 class RankClasses:
     """The rank partition of one compiled schedule on one machine.
 
     ``labels[r]`` is the dense class id of rank ``r``; class ids are
     ordered by representative (lowest member) rank, so ``labels[0] == 0``.
+    ``classes`` holds one :class:`ClassProgram` per class.  It is passed
+    ready, or as a function that expands them from the partition the
+    first time :attr:`classes` is read (the result is kept); counting
+    classes reads only the labels.
     """
 
-    nranks: int
-    nblocks: int
-    residue: int           # nbytes % nblocks the partition was built for
-    labels: np.ndarray     # int32 [nranks]
-    classes: Tuple[ClassProgram, ...]
+    def __init__(
+        self,
+        nranks: int,
+        nblocks: int,
+        residue: int,
+        labels: np.ndarray,
+        classes: Union[Tuple[ClassProgram, ...],
+                       Callable[[], Tuple[ClassProgram, ...]]],
+    ) -> None:
+        self.nranks = nranks
+        self.nblocks = nblocks
+        self.residue = residue  # nbytes % nblocks the partition was built for
+        self.labels = labels    # int32 [nranks]
+        self._classes = classes
+
+    @property
+    def classes(self) -> Tuple[ClassProgram, ...]:
+        """One :class:`ClassProgram` per class, in class order."""
+        classes = self._classes
+        if callable(classes):
+            self._classes = classes = classes()
+        return classes
 
     @property
     def nclasses(self) -> int:
         """Number of equivalence classes."""
-        return len(self.classes)
+        return int(self.labels.max()) + 1
 
     @property
     def reps(self) -> Tuple[int, ...]:
         """Representative (lowest) rank of each class, in class order."""
-        return tuple(c.rep for c in self.classes)
+        return tuple(np.unique(self.labels, return_index=True)[1].tolist())
 
     def fingerprint(self) -> str:
         """Stable content hash of the partition and redirection tables."""
@@ -204,7 +233,7 @@ class RankClasses:
         """One-line summary for reports."""
         return (
             f"{self.nclasses} class(es) over {self.nranks} rank(s), "
-            f"largest {int(max(c.size for c in self.classes))}"
+            f"largest {int(np.bincount(self.labels).max())}"
         )
 
 
@@ -328,43 +357,48 @@ def classify(
             f"({int(counts[c])} sender(s), {int(counts[tc])} receiver(s))"
         )
 
-    # Each class program is its representative's slices of the columns.
-    # Redirections: (target class, counterpart op) per representative send.
-    targets: List[Optional[Tuple[int, int]]] = [None] * len(kinds)
-    mine = sends[lead == sends]
-    for g, target in zip(mine.tolist(), zip(
-        labels[peers[mine]].tolist(), cops[mine].tolist()
-    )):
-        targets[g] = target
-    # Feed: per raw step, (is_send, op index) of every op but copies.
-    moves = kinds != OP_COPY
-    at = np.flatnonzero(moves)
-    entries = list(zip(
-        (kinds[at] == OP_SEND).tolist(), (at - op_ptr[rank[at]]).tolist()
-    ))
-    before = np.concatenate(([0], np.cumsum(moves)))
-    cut = before[cols.step_starts()[0]].tolist()
-    classes: List[ClassProgram] = []
-    for c, r in enumerate(reps.tolist()):
-        lo, hi, s0, s1 = ops[r], ops[r + 1], steps[r], steps[r + 1]
-        classes.append(ClassProgram(
-            rep=r,
-            size=int(counts[c]),
-            kinds=kinds[lo:hi],
-            nblk=nblk[lo:hi],
-            nlarge=nlarge[lo:hi],
-            link=link[lo:hi],
-            feed=tuple(
-                tuple(entries[a:b]) for a, b in zip(cut[s0:s1], cut[s0 + 1:s1])
-            ),
-            send_target=tuple(targets[lo:hi]),
+    def expand() -> Tuple[ClassProgram, ...]:
+        # Each class program is its representative's slices of the
+        # columns.  Redirections: (target class, counterpart op) per
+        # representative send.
+        targets: List[Optional[Tuple[int, int]]] = [None] * len(kinds)
+        mine = sends[lead == sends]
+        for g, target in zip(mine.tolist(), zip(
+            labels[peers[mine]].tolist(), cops[mine].tolist()
+        )):
+            targets[g] = target
+        # Feed: per raw step, (is_send, op index) of every op but copies.
+        moves = kinds != OP_COPY
+        at = np.flatnonzero(moves)
+        entries = list(zip(
+            (kinds[at] == OP_SEND).tolist(), (at - op_ptr[rank[at]]).tolist()
         ))
+        before = np.concatenate(([0], np.cumsum(moves)))
+        cut = before[cols.step_starts()[0]].tolist()
+        classes: List[ClassProgram] = []
+        for c, r in enumerate(reps.tolist()):
+            lo, hi, s0, s1 = ops[r], ops[r + 1], steps[r], steps[r + 1]
+            classes.append(ClassProgram(
+                rep=r,
+                size=int(counts[c]),
+                kinds=kinds[lo:hi],
+                nblk=nblk[lo:hi],
+                nlarge=nlarge[lo:hi],
+                link=link[lo:hi],
+                feed=tuple(
+                    tuple(entries[a:b])
+                    for a, b in zip(cut[s0:s1], cut[s0 + 1:s1])
+                ),
+                send_target=tuple(targets[lo:hi]),
+            ))
+        return tuple(classes)
+
     return RankClasses(
         nranks=p,
         nblocks=compiled.nblocks,
         residue=extra,
         labels=labels,
-        classes=tuple(classes),
+        classes=expand,
     )
 
 

@@ -21,16 +21,25 @@ mirroring the corner-case engineering the paper reports (§VI-A):
    contribution onto a core partner in a pre-step and receive the final
    result in a post-step — the standard MPICH non-power-of-two treatment,
    generalized.
+
+The allreduce and the allgather are one expansion of fold, butterfly and
+unfold into columns (:func:`_butterfly`, no Python call per op); the
+bcast composes the allgather with the k-nomial scatter, and the
+reduce-scatter is the allgather's dual.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from ..errors import ScheduleError
 from .knomial import knomial_scatter
-from .primitives import check_radix, compose, empty_programs, shared_phase
-from .schedule import Op, RankProgram, RecvOp, Schedule, SendOp
+from .primitives import check_radix, compose, shared_phase
+from .schedule import (
+    OP_RECV, OP_REDUCE_RECV, OP_SEND, Schedule, assemble, spans,
+)
 
 __all__ = [
     "smooth_core",
@@ -109,30 +118,89 @@ def radix_schedule(q: int, k: int) -> Tuple[int, ...]:
     return tuple(radices)
 
 
-def _fold_partners(p: int, q: int) -> Dict[int, List[int]]:
-    """Map each core rank to the folded ranks it absorbs.
+def _butterfly(collective: str, p: int, k: int) -> Schedule:
+    """The fold, the mixed-radix butterfly and the unfold, expanded
+    into columns in one pass.
 
-    Folded rank ``r`` (``q <= r < p``) partners with core rank
-    ``(r - q) % q``; a core rank can absorb several folded ranks when
-    ``p - q > q``.
+    Every op is an (owner, step slot, position) triple, sorted into
+    program order: slot 0 folds (folded rank ``r`` sends to core rank
+    ``(r - q) % q``, which receives in ascending ``r``), slot ``1 + i``
+    is round ``i`` (a core rank sends to its group partners — the ranks
+    differing only in the round's digit — in digit order, then receives
+    from them in the same order), and the last slot unfolds.  An
+    allreduce moves block 0 and reduces what the fold and the rounds
+    receive.  An allgather moves block sets, as index arithmetic: before
+    a round of stride ``s`` a core rank ``c`` holds the blocks whose
+    owner shares its digits at ``s`` and above — ``[b, b + s)`` with
+    ``b = c - c % s``, and their folded images ``[q + b, q + b + s)``
+    clipped to ``p`` (a core absorbs at most one rank: ``q > p / 2``,
+    as a power of two is k-smooth).  The unfold hands a folded rank
+    every block but its own, which it kept.
     """
-    partners: Dict[int, List[int]] = {}
-    for r in range(q, p):
-        partners.setdefault((r - q) % q, []).append(r)
-    return partners
-
-
-def _butterfly_groups(rank: int, stride: int, radix: int) -> List[int]:
-    """Partners of ``rank`` in a butterfly round: the other ``radix - 1``
-    members of its group (ranks sharing all mixed-radix digits except the
-    current one)."""
-    digit = (rank // stride) % radix
-    base = rank - digit * stride
-    return [base + j * stride for j in range(radix) if j != digit]
+    check_radix(k)
+    q = smooth_core(p, k)
+    radices = radix_schedule(q, k)
+    take = OP_RECV if collective == "allgather" else OP_REDUCE_RECV
+    f = np.arange(q, p)
+    c = (f - q) % q
+    zero = np.zeros_like(f)
+    last = zero + len(radices) + 1
+    # Fold and unfold, each as the core's op and the folded rank's.
+    owner, peer = [c, f, c, f], [f, c, f, c]
+    slot, pos = [zero, zero, last, last], [f, zero, f, zero]
+    kinds = [zero + take, zero + OP_SEND, zero + OP_SEND, zero + OP_RECV]
+    lo, hi = [f, f, zero, zero], [f + 1, f + 1, f, f]
+    lo2, hi2 = [f + 1] * 4, [f + 1, f + 1, zero + p, zero + p]
+    stride = 1
+    for i, radix in enumerate(radices):
+        me = np.repeat(np.arange(q), radix)
+        j = np.tile(np.arange(radix), q)
+        digit = me // stride % radix
+        them = me + (j - digit) * stride
+        me, j, them = me[j != digit], j[j != digit], them[j != digit]
+        for code, at, held in ((OP_SEND, j, me), (take, radix + j, them)):
+            b = held - held % stride
+            owner.append(me)
+            peer.append(them)
+            slot.append(np.full(len(me), 1 + i))
+            pos.append(at)
+            kinds.append(np.full(len(me), code))
+            lo.append(b)
+            hi.append(b + stride)
+            lo2.append(np.minimum(b + q, p))
+            hi2.append(np.minimum(b + q + stride, p))
+        stride *= radix
+    owner, peer, slot, pos, kinds, lo, hi, lo2, hi2 = (
+        np.concatenate(x) for x in (owner, peer, slot, pos, kinds, lo, hi,
+                                    lo2, hi2)
+    )
+    order = np.lexsort((pos, slot, owner))
+    owner, slot = owner[order], slot[order]
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = (owner[1:] != owner[:-1]) | (slot[1:] != slot[:-1])
+    starts = np.flatnonzero(opens)
+    if take == OP_RECV:
+        lo, hi, lo2, hi2 = lo[order], hi[order], lo2[order], hi2[order]
+        nblk, nblocks = hi - lo + hi2 - lo2, p
+        blocks = spans(np.column_stack((lo, lo2)).ravel(),
+                       np.column_stack((hi, hi2)).ravel())
+    else:
+        nblk, nblocks = np.ones(len(order), dtype=np.int64), 1
+        blocks = np.zeros(len(order), dtype=np.int64)
+    columns = assemble(
+        kinds[order], peer[order], nblk, blocks,
+        np.diff(np.append(starts, len(order))),
+        np.bincount(owner[starts], minlength=p),
+    )
+    return Schedule.from_columns(
+        collective, "recursive_multiplying" if k != 2 else "recursive_doubling",
+        p, nblocks, columns, k=k,
+        meta={"core": q, "folded": p - q, "radices": radices},
+    )
 
 
 # ----------------------------------------------------------------------
-# Allreduce
+# Allreduce and allgather
 # ----------------------------------------------------------------------
 
 def recursive_multiplying_allreduce(p: int, k: int) -> Schedule:
@@ -145,50 +213,8 @@ def recursive_multiplying_allreduce(p: int, k: int) -> Schedule:
     disjoint by construction, so reductions never double-count (checked by
     the symbolic validator for every geometry the tests sweep).
     """
-    check_radix(k)
-    programs = empty_programs(p)
-    q = smooth_core(p, k)
-    folds = _fold_partners(p, q)
-    payload = (0,)
+    return _butterfly("allreduce", p, k)
 
-    # Fold: remainder ranks contribute to their core partner.
-    for core, folded in folds.items():
-        programs[core].add_step(
-            [RecvOp(peer=f, blocks=payload, reduce=True) for f in folded]
-        )
-        for f in folded:
-            programs[f].add(SendOp(peer=core, blocks=payload))
-
-    # Mixed-radix butterfly on the core.
-    stride = 1
-    for radix in radix_schedule(q, k):
-        for rank in range(q):
-            partners = _butterfly_groups(rank, stride, radix)
-            ops: List[Op] = [SendOp(peer=t, blocks=payload) for t in partners]
-            ops += [RecvOp(peer=t, blocks=payload, reduce=True) for t in partners]
-            programs[rank].add_step(ops)
-        stride *= radix
-
-    # Unfold: core partners return the final result.
-    for core, folded in folds.items():
-        programs[core].add_step([SendOp(peer=f, blocks=payload) for f in folded])
-        for f in folded:
-            programs[f].add(RecvOp(peer=core, blocks=payload))
-
-    return Schedule(
-        collective="allreduce",
-        algorithm="recursive_multiplying" if k != 2 else "recursive_doubling",
-        nranks=p,
-        nblocks=1,
-        programs=programs,
-        k=k,
-        meta={"core": q, "folded": p - q, "radices": radix_schedule(q, k)},
-    )
-
-
-# ----------------------------------------------------------------------
-# Allgather
-# ----------------------------------------------------------------------
 
 def recursive_multiplying_allgather(p: int, k: int) -> Schedule:
     """Recursive multiplying allgather (model (6):
@@ -197,70 +223,13 @@ def recursive_multiplying_allgather(p: int, k: int) -> Schedule:
     Block sets multiply by the round radix each round; folded ranks park
     their block with a core partner up front and receive the complete
     buffer at the end (one extra α + βn on each side, the MPICH
-    non-power-of-two trade).
+    non-power-of-two trade).  A folded rank kept its own block (sending
+    is non-destructive), so the unfold omits it — a small bandwidth
+    saving, and essential for the reduce-scatter dual: re-delivering a
+    block the receiver contributed would double-count that contribution
+    under time reversal.
     """
-    check_radix(k)
-    programs = empty_programs(p)
-    q = smooth_core(p, k)
-    folds = _fold_partners(p, q)
-
-    # Fold: remainder ranks park their block with the core partner.
-    for core, folded in folds.items():
-        programs[core].add_step([RecvOp(peer=f, blocks=(f,)) for f in folded])
-        for f in folded:
-            programs[f].add(SendOp(peer=core, blocks=(f,)))
-
-    # Track each core rank's accumulated block set through the butterfly so
-    # receive ops can name exactly the blocks their partner holds.
-    sets: List[Tuple[int, ...]] = [
-        tuple(sorted([c] + folds.get(c, []))) for c in range(q)
-    ]
-    stride = 1
-    for radix in radix_schedule(q, k):
-        new_sets: List[Tuple[int, ...]] = list(sets)
-        for rank in range(q):
-            partners = _butterfly_groups(rank, stride, radix)
-            ops: List[Op] = [SendOp(peer=t, blocks=sets[rank]) for t in partners]
-            ops += [RecvOp(peer=t, blocks=sets[t]) for t in partners]
-            programs[rank].add_step(ops)
-            merged = set(sets[rank])
-            for t in partners:
-                merged.update(sets[t])
-            new_sets[rank] = tuple(sorted(merged))
-        sets = new_sets
-        stride *= radix
-
-    # Unfold: folded ranks receive the assembled buffer.  Each folded rank
-    # kept its own block locally (sending is non-destructive), so the core
-    # partner omits it — a small bandwidth saving, and essential for the
-    # reduce-scatter dual: re-delivering a block the receiver contributed
-    # would double-count that contribution under time reversal.
-    every = tuple(range(p))
-    for core, folded in folds.items():
-        if sets[core] != every:
-            raise ScheduleError(
-                f"internal error: core rank {core} holds {sets[core]}"
-            )
-        programs[core].add_step(
-            [
-                SendOp(peer=f, blocks=tuple(b for b in every if b != f))
-                for f in folded
-            ]
-        )
-        for f in folded:
-            programs[f].add(
-                RecvOp(peer=core, blocks=tuple(b for b in every if b != f))
-            )
-
-    return Schedule(
-        collective="allgather",
-        algorithm="recursive_multiplying" if k != 2 else "recursive_doubling",
-        nranks=p,
-        nblocks=p,
-        programs=programs,
-        k=k,
-        meta={"core": q, "folded": p - q, "radices": radix_schedule(q, k)},
-    )
+    return _butterfly("allgather", p, k)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ is captioned with (tree depths, round counts, who-talks-to-whom).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..errors import ScheduleError
 from .knomial import knomial_bcast
@@ -52,18 +52,6 @@ def render_knomial_tree(p: int, k: int, *, root: int = 0) -> str:
 
     visit(root, "")
     return "\n".join(lines)
-
-
-def _peer_arrows(schedule: Schedule, step_index_by_rank: Dict[int, int]) -> List[str]:
-    arrows = []
-    for rank, idx in step_index_by_rank.items():
-        steps = schedule.programs[rank].steps
-        if idx >= len(steps):
-            continue
-        for op in steps[idx].ops:
-            if isinstance(op, SendOp):
-                arrows.append(f"{rank}→{op.peer}")
-    return arrows
 
 
 def render_rounds(schedule: Schedule, *, max_rounds: Optional[int] = None) -> str:

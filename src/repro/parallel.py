@@ -195,9 +195,16 @@ def _shared_generations(
         pool = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
         broke = False
         try:
-            remaining = {
-                pool.submit(worker, pend.chunk): pend for pend in pending
-            }
+            remaining = {}
+            for pend in pending:
+                try:
+                    remaining[pool.submit(worker, pend.chunk)] = pend
+                except BrokenProcessPool:
+                    # A worker died while chunks were still being handed
+                    # out: the generation is broken, and the chunks never
+                    # submitted wait for the next one, uncharged.
+                    broke = True
+                    break
             while remaining:
                 done, _ = wait(remaining, timeout=deadline,
                                return_when=FIRST_COMPLETED)

@@ -355,32 +355,37 @@ class TestScaleSimDoesNothingTwice:
     units (build, classify, then two sizes of one residue through
     ``engine="auto"``): counts, not times."""
 
-    def test_columns_handed_over_and_one_digest_per_artifact(
-        self, monkeypatch
-    ):
+    def test_columns_handed_over_and_no_table_digest(self, monkeypatch):
         import repro
+        import repro.compile.classes as classes
         import repro.compile.program as program
         from repro.compile.cache import (
             clear_class_cache, get_or_compile, global_compiled_cache,
         )
         from repro.core.cache import global_schedule_cache
 
-        hashed, schedules = [], []
+        hashed, built = [], []
         table_bytes = program.CompiledProgram.table_bytes
 
         def counting_table_bytes(self):
             hashed.append(self)
             return table_bytes(self)
 
+        class CountingClassProgram(classes.ClassProgram):
+            def __init__(self, **fields):
+                super().__init__(**fields)
+                built.append(self.rep)
+
         monkeypatch.setattr(program.CompiledProgram, "table_bytes",
                             counting_table_bytes)
+        monkeypatch.setattr(classes, "ClassProgram", CountingClassProgram)
         clears = (global_schedule_cache().clear, clear_class_cache,
                   global_compiled_cache().clear)
         for clear in clears:
             clear()
         machine = reference(256)
         try:
-            compiled, engines = [], []
+            compiled, engines, programs = [], [], []
             for coll, alg, k in (("allreduce", "recursive_multiplying", 2),
                                  ("bcast", "knomial", 4)):
                 schedule = repro.build(coll, alg, p=256, k=k)
@@ -389,17 +394,45 @@ class TestScaleSimDoesNothingTwice:
                     engines.append(repro.simulate(
                         schedule, machine, nbytes=256 * 8 * words
                     ).engine)
-                compiled.append(get_or_compile(schedule))
-                schedules.append(schedule)
+                compiled.append((get_or_compile(schedule), schedule))
+                programs.append(len(built))
         finally:
             for clear in clears:
                 clear()
         assert engines == ["collapsed"] * 2 + ["materialized"] * 2
         # The lowered artifact is its schedule's own columns …
-        assert all(c.columns is s.columns()
-                   for c, s in zip(compiled, schedules))
-        # … and its views are hashed once however many partition keys ask.
-        assert len(hashed) == len({id(prog) for prog in hashed})
-        assert {id(prog) for prog in hashed} == {
-            id(prog) for c in compiled for prog in c.programs
-        }
+        assert all(c.columns is s.columns() for c, s in compiled)
+        # … the partitions are keyed without hashing its tables …
+        assert hashed == []
+        # … the butterfly's one class program is built once, and the
+        # degenerate tree (256 classes, refused on the count) builds none.
+        assert programs == [1, 1]
+
+    def test_partition_of_a_fresh_artifact_serves_its_blob_round_trip(self):
+        from repro.compile.cache import _class_entries, clear_class_cache
+        from repro.compile.classes import partition_key
+        from repro.compile.program import CompiledSchedule
+        from repro.core.serialize import dumps_blob, loads_blob
+
+        lowered = compile_schedule(
+            build_schedule("allreduce", "recursive_multiplying", 12, k=3)
+        )
+        machine = reference(12)
+        clear_class_cache()
+        try:
+            fresh, hit = _class_entries.get_or_make(
+                partition_key(lowered, machine, 4099),
+                lambda: classify(lowered, machine, 4099),
+            )
+            assert not hit
+            clone = loads_blob(dumps_blob(lowered), CompiledSchedule)
+            cached, hit = _class_entries.get_or_make(
+                partition_key(clone, machine, 4099),
+                lambda: classify(clone, machine, 4099),
+            )
+        finally:
+            clear_class_cache()
+        assert hit and cached is fresh
+        again = classify(clone, machine, 4099)
+        assert again.labels.tolist() == fresh.labels.tolist()
+        assert again.fingerprint() == fresh.fingerprint()

@@ -146,6 +146,56 @@ def test_poison_without_handler_raises_chunk_failure():
     assert excinfo.value.attempts >= 1
 
 
+def _submit_breaks_on_call(monkeypatch, n):
+    """Make the ``n``-th ``pool.submit`` of the run raise
+    :class:`BrokenProcessPool`, as it does when a worker has died before
+    the last chunk of a generation was handed out."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    import repro.parallel
+
+    calls = []
+
+    class BreaksOnSubmit(ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            calls.append(fn)
+            if len(calls) == n:
+                raise BrokenProcessPool("a worker died during submission")
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor",
+                        BreaksOnSubmit)
+
+
+def test_pool_breaking_during_submission_heals(monkeypatch):
+    from repro.parallel import _Pending, _shared_generations
+
+    chunks = [(1, 2), (3, 4), (5, 6)]
+    _submit_breaks_on_call(monkeypatch, 3)
+    out = run_chunks(
+        _square_chunk, chunks, jobs=2, isolate=True, retries=1,
+        deadline=30.0, on_chunk_error=_error_records,
+    )
+    assert out == [1, 4, 9, 16, 25, 36]
+    # With no generation left, the chunk never submitted goes on
+    # uncharged; a submitted one is harvested if it finished first,
+    # else charged as a crash victim.
+    _submit_breaks_on_call(monkeypatch, 3)
+    pending = [_Pending(i, chunk) for i, chunk in enumerate(chunks)]
+    results = [None] * len(chunks)
+    left = _shared_generations(
+        _square_chunk, pending, results, workers=2, retries=0,
+        deadline=30.0, on_chunk_done=None,
+    )
+    assert [pend.index for pend in left] == [
+        i for i, r in enumerate(results) if r is None
+    ]
+    assert left[-1].index == 2 and left[-1].attempts == 0
+    assert [pend.attempts for pend in left[:-1]] == [1] * (len(left) - 1)
+    assert len(left) < len(chunks)
+
+
 def test_hung_chunk_is_killed_at_the_deadline():
     t0 = time.monotonic()
     out = run_chunks(
