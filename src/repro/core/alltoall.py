@@ -26,11 +26,11 @@ transit, which the contribution-set validator checks end to end.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import numpy as np
 
 from ..errors import ScheduleError
-from .primitives import check_radix, empty_programs, ilog
-from .schedule import Op, RecvOp, Schedule, SendOp
+from .primitives import check_radix, expand_messages, ilog
+from .schedule import Schedule
 
 __all__ = ["pairwise_alltoall", "bruck_alltoall", "alltoall_block"]
 
@@ -48,35 +48,23 @@ def alltoall_block(src: int, dst: int, p: int) -> int:
 
 def pairwise_alltoall(p: int) -> Schedule:
     """Pairwise-exchange all-to-all: ``p - 1`` rounds, every block moves
-    exactly once (cost ``(p-1)·(α + β·n/p²)`` per eq.-(8)-style counting)."""
+    exactly once (cost ``(p-1)·(α + β·n/p²)`` per eq.-(8)-style counting).
+
+    Rank ``r``'s round ``t`` sends block ``r·p + (r+t) mod p`` to
+    ``(r+t) mod p``, then receives block ``((r−t) mod p)·p + r`` from
+    ``(r−t) mod p``.
+    """
     if p < 1:
         raise ScheduleError(f"p must be >= 1, got {p}")
-    programs = empty_programs(p)
-    for t in range(1, p):
-        for rank in range(p):
-            to = (rank + t) % p
-            frm = (rank - t) % p
-            programs[rank].add(
-                SendOp(peer=to, blocks=(alltoall_block(rank, to, p),)),
-                RecvOp(peer=frm, blocks=(alltoall_block(frm, rank, p),)),
-            )
-    return Schedule(
-        collective="alltoall",
-        algorithm="pairwise",
-        nranks=p,
-        nblocks=p * p,
-        programs=programs,
+    rank, t = np.repeat(np.arange(p), p - 1), np.tile(np.arange(1, p), p)
+    to = (rank + t) % p
+    columns = expand_messages(
+        p, rank, to, (t, t), (0 * t, 0 * t + 1), 0 * t + 1, rank * p + to
+    )
+    return Schedule.from_columns(
+        "alltoall", "pairwise", p, p * p, columns,
         meta={"rounds": max(p - 1, 0)},
     )
-
-
-def _digits(value: int, k: int, rounds: int) -> List[int]:
-    """Base-k digits of ``value``, least significant first, padded."""
-    out = []
-    for _ in range(rounds):
-        out.append(value % k)
-        value //= k
-    return out
 
 
 def bruck_alltoall(p: int, k: int = 2) -> Schedule:
@@ -88,67 +76,48 @@ def bruck_alltoall(p: int, k: int = 2) -> Schedule:
     ``j``.  Messages aggregate many blocks, so small per-pair payloads
     amortize latency — the small-message regime where [12]'s generalized
     Bruck wins, reproduced by ``bench_alltoall_crossover.py``.
+
+    Where a block is, is index arithmetic: at round ``i`` block
+    ``(s, d)`` with ``D = (d − s) mod p`` sits at rank
+    ``s + (D mod kⁱ)``, and moves ``digit_i(D)·kⁱ`` ahead when that
+    digit is nonzero.  A rank's step sends its messages in digit order,
+    then receives in digit order; each message lists its blocks by id.
     """
     check_radix(k)
     if p < 1:
         raise ScheduleError(f"p must be >= 1, got {p}")
-    programs = empty_programs(p)
     rounds = ilog(k, p)
-    # held[r] = blocks currently at rank r (as (src, dst) pairs).
-    held: List[List[Tuple[int, int]]] = [
-        [(r, d) for d in range(p)] for r in range(p)
-    ]
+    src, disp = np.divmod(np.arange(p * p), p)
+    disp = (disp - src) % p
+    moved, at, digit, slot = [], [], [], []
+    stride = 1
     for i in range(rounds):
-        stride = k**i
-        outgoing: Dict[int, Dict[int, List[Tuple[int, int]]]] = {
-            r: {} for r in range(p)
-        }
-        for r in range(p):
-            keep = []
-            for (s, d) in held[r]:
-                digit = _digits((d - r) % p, k, rounds)[i]
-                if digit == 0:
-                    keep.append((s, d))
-                else:
-                    outgoing[r].setdefault(digit, []).append((s, d))
-            held[r] = keep
-        for r in range(p):
-            ops: List[Op] = []
-            for j in sorted(outgoing[r]):
-                peer = (r + j * stride) % p
-                blocks = tuple(
-                    sorted(alltoall_block(s, d, p) for s, d in outgoing[r][j])
-                )
-                if peer == r:
-                    # wrapped all the way around: the blocks stay local
-                    held[r].extend(outgoing[r][j])
-                    continue
-                ops.append(SendOp(peer=peer, blocks=blocks))
-            for j in sorted(
-                jj for jj in range(1, k)
-                if outgoing[(r - jj * stride) % p].get(jj)
-                and (r - jj * stride) % p != r
-            ):
-                src_rank = (r - j * stride) % p
-                incoming = outgoing[src_rank][j]
-                blocks = tuple(
-                    sorted(alltoall_block(s, d, p) for s, d in incoming)
-                )
-                ops.append(RecvOp(peer=src_rank, blocks=blocks))
-                held[r].extend(incoming)
-            programs[r].add_step(ops)
-    for r in range(p):
-        expect = sorted((s, r) for s in range(p))
-        if sorted(held[r]) != expect:
-            raise ScheduleError(
-                f"internal error: rank {r} ends holding {sorted(held[r])[:4]}..."
-            )
-    return Schedule(
-        collective="alltoall",
-        algorithm="bruck" if k == 2 else "bruck_kport",
-        nranks=p,
-        nblocks=p * p,
-        programs=programs,
-        k=k,
-        meta={"rounds": rounds},
+        d = disp // stride % k
+        block = np.flatnonzero(d)
+        here = (src[block] + disp[block] % stride) % p
+        # Stable: a message's blocks stay in id order.
+        by = np.lexsort((d[block], here))
+        moved.append(block[by])
+        at.append(here[by])
+        digit.append(d[block][by])
+        slot.append(np.full(len(block), i))
+        stride *= k
+    moved, at, digit, slot = (
+        np.concatenate([np.zeros(0, dtype=np.int64)] + x)
+        for x in (moved, at, digit, slot)
+    )
+    # One message per run of equal (round, sender, digit).
+    opens = np.ones(len(moved), dtype=bool)
+    opens[1:] = ((slot[1:] != slot[:-1]) | (at[1:] != at[:-1])
+                 | (digit[1:] != digit[:-1]))
+    lo = np.flatnonzero(opens)
+    n = np.diff(np.append(lo, len(moved)))
+    sender, j, rnd = at[lo], digit[lo], slot[lo]
+    columns = expand_messages(
+        p, sender, (sender + j * k ** rnd) % p, (rnd, rnd), (j, j + k), n,
+        moved,
+    )
+    return Schedule.from_columns(
+        "alltoall", "bruck" if k == 2 else "bruck_kport", p, p * p, columns,
+        k=k, meta={"rounds": rounds},
     )

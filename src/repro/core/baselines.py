@@ -15,22 +15,19 @@ its classic counterpart, which is the property paper Fig. 7 checks.
 
 from __future__ import annotations
 
-from typing import List
+import numpy as np
 
-from ..errors import ScheduleError
 from .knomial import knomial_scatter
 from .primitives import (
-    absolute_rank,
-    all_blocks,
     check_root,
     compose,
     dualize_allgather,
-    empty_programs,
+    expand_messages,
     shared_phase,
 )
 from .recursive import recursive_multiplying_allgather
 from .ring import ring_allgather
-from .schedule import RankProgram, RecvOp, Schedule, SendOp
+from .schedule import OP_RECV, OP_REDUCE_RECV, Schedule
 
 __all__ = [
     "linear_bcast",
@@ -43,6 +40,30 @@ __all__ = [
 ]
 
 
+def _linear(collective: str, p: int, root: int) -> Schedule:
+    """The root exchanging one message with every other rank in turn,
+    in relative-rank order — one step per message on the root, one on
+    the other side.  A bcast or scatter sends from the root, a reduce
+    (reducing) or gather to it; a gather or scatter moves the non-root
+    rank's own block of ``p``, a bcast or reduce block 0 of one."""
+    to_root = collective in ("reduce", "gather")
+    own = collective in ("gather", "scatter")
+    check_root(root, p)
+    leaf = (np.arange(1, p) + root) % p
+    turn, once = np.arange(p - 1), 0 * leaf
+    hub = once + root
+    src, dst = (leaf, hub) if to_root else (hub, leaf)
+    slot = (once, turn) if to_root else (turn, once)
+    columns = expand_messages(
+        p, src, dst, slot, (once, once), once + 1,
+        leaf if own else once,
+        OP_REDUCE_RECV if collective == "reduce" else OP_RECV,
+    )
+    return Schedule.from_columns(
+        collective, "linear", p, p if own else 1, columns, root=root
+    )
+
+
 def linear_bcast(p: int, *, root: int = 0) -> Schedule:
     """Naïve broadcast: the root sends to every rank sequentially.
 
@@ -50,77 +71,23 @@ def linear_bcast(p: int, *, root: int = 0) -> Schedule:
     tree algorithms beat.  Sequential (one step per destination), so the
     simulator charges full serialization.
     """
-    check_root(root, p)
-    programs = empty_programs(p)
-    payload = all_blocks(1)
-    for relr in range(1, p):
-        dst = absolute_rank(relr, root, p)
-        programs[root].add(SendOp(peer=dst, blocks=payload))
-        programs[dst].add(RecvOp(peer=root, blocks=payload))
-    return Schedule(
-        collective="bcast",
-        algorithm="linear",
-        nranks=p,
-        nblocks=1,
-        programs=programs,
-        root=root,
-    )
+    return _linear("bcast", p, root)
 
 
 def linear_reduce(p: int, *, root: int = 0) -> Schedule:
     """Naïve reduction: the root receives and folds every contribution
     sequentially (``(p-1)(α + (β+γ)n)``)."""
-    check_root(root, p)
-    programs = empty_programs(p)
-    payload = all_blocks(1)
-    for relr in range(1, p):
-        src = absolute_rank(relr, root, p)
-        programs[root].add(RecvOp(peer=src, blocks=payload, reduce=True))
-        programs[src].add(SendOp(peer=root, blocks=payload))
-    return Schedule(
-        collective="reduce",
-        algorithm="linear",
-        nranks=p,
-        nblocks=1,
-        programs=programs,
-        root=root,
-    )
+    return _linear("reduce", p, root)
 
 
 def linear_gather(p: int, *, root: int = 0) -> Schedule:
     """Naïve gather: the root receives each rank's block sequentially."""
-    check_root(root, p)
-    programs = empty_programs(p)
-    for relr in range(1, p):
-        src = absolute_rank(relr, root, p)
-        programs[root].add(RecvOp(peer=src, blocks=(src,)))
-        programs[src].add(SendOp(peer=root, blocks=(src,)))
-    return Schedule(
-        collective="gather",
-        algorithm="linear",
-        nranks=p,
-        nblocks=p,
-        programs=programs,
-        root=root,
-    )
+    return _linear("gather", p, root)
 
 
 def linear_scatter(p: int, *, root: int = 0) -> Schedule:
     """Naïve scatter: the root sends each rank its block sequentially."""
-    check_root(root, p)
-    programs = empty_programs(p)
-    for relr in range(1, p):
-        dst = absolute_rank(relr, root, p)
-        programs[root].add(SendOp(peer=dst, blocks=(dst,)))
-        programs[dst].add(RecvOp(peer=root, blocks=(dst,)))
-    return Schedule(
-        collective="scatter",
-        algorithm="linear",
-        nranks=p,
-        nblocks=p,
-        programs=programs,
-        root=root,
-    )
+    return _linear("scatter", p, root)
 
 
 def scatter_allgather_bcast(p: int, *, root: int = 0) -> Schedule:

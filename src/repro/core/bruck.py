@@ -29,11 +29,13 @@ block is received exactly once (so the schedule is also dualizable).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from ..errors import ScheduleError
-from .primitives import check_radix, empty_programs, ilog
-from .schedule import Op, RecvOp, Schedule, SendOp
+from .primitives import check_radix, expand_messages, ilog
+from .schedule import OP_RECV, OP_REDUCE_RECV, Columns, Schedule, spans
 
 __all__ = [
     "bruck_allgather",
@@ -54,6 +56,44 @@ def bruck_window(rank: int, size: int, p: int) -> Tuple[int, ...]:
     return tuple((rank + t) % p for t in range(size))
 
 
+def _partner_rounds(p: int, k: int, toward: int, recv: int) -> Columns:
+    """The exchange both families run, expanded into columns.
+
+    Round ``i`` has stride ``s`` (``1``, then multiplied by ``k`` and
+    clipped to ``p``); its partners sit at distances ``j·s`` for
+    ``j = 1 … k−1`` while ``j·s < min(s·k, p)``.  Every rank's step of
+    the round sends to each partner ``j·s`` ranks ``toward`` (``±1``)
+    of it, then receives from the partner as far the other way, both in
+    ``j`` order.  A Bruck message (``recv`` a plain receive) is the
+    sender's window ``[rank, rank + min(s, s·k clipped − j·s))`` mod
+    ``p``; a dissemination message (``recv`` reducing) is the token
+    block 0.
+    """
+    rnd, dist, take = [], [], []
+    stride = 1
+    while stride < p:
+        target = min(stride * k, p)
+        d = np.arange(1, min(k - 1, (target - 1) // stride) + 1) * stride
+        rnd.append(np.full(len(d), len(rnd)))
+        dist.append(d)
+        take.append(np.minimum(stride, target - d))
+        stride = target
+    # One message per (rank, partner slot).
+    rnd, dist, take = (
+        np.tile(np.concatenate([np.zeros(0, dtype=np.int64)] + x), p)
+        for x in (rnd, dist, take)
+    )
+    src = np.repeat(np.arange(p), len(dist) // p)
+    if recv == OP_RECV:
+        nblk, blocks = take, spans(src, src + take) % p
+    else:
+        nblk, blocks = 0 * take + 1, 0 * take
+    return expand_messages(
+        p, src, (src + toward * dist) % p, (rnd, rnd), (dist, p + dist),
+        nblk, blocks, recv,
+    )
+
+
 def bruck_allgather(p: int, k: int = 2) -> Schedule:
     """K-port Bruck allgather: ``⌈log_k p⌉`` rounds for *any* ``p``.
 
@@ -67,45 +107,9 @@ def bruck_allgather(p: int, k: int = 2) -> Schedule:
     check_radix(k)
     if p < 1:
         raise ScheduleError(f"p must be >= 1, got {p}")
-    programs = empty_programs(p)
-    stride = 1
-    while stride < p:
-        target = min(stride * k, p)
-        for rank in range(p):
-            ops: List[Op] = []
-            # Sends: partner j·stride behind me takes my window prefix.
-            for j in range(1, k):
-                dist = j * stride
-                if dist >= target:
-                    break
-                take = min(stride, target - dist)
-                peer = (rank - dist) % p
-                if peer == rank:
-                    continue  # wrapped all the way: nothing to exchange
-                ops.append(
-                    SendOp(peer=peer, blocks=bruck_window(rank, take, p))
-                )
-            # Receives: partner j·stride ahead extends my window.
-            for j in range(1, k):
-                dist = j * stride
-                if dist >= target:
-                    break
-                take = min(stride, target - dist)
-                peer = (rank + dist) % p
-                if peer == rank:
-                    continue
-                ops.append(
-                    RecvOp(peer=peer, blocks=bruck_window(peer, take, p))
-                )
-            programs[rank].add_step(ops)
-        stride = target
-    return Schedule(
-        collective="allgather",
-        algorithm="bruck" if k == 2 else "bruck_kport",
-        nranks=p,
-        nblocks=p,
-        programs=programs,
-        k=k,
+    return Schedule.from_columns(
+        "allgather", "bruck" if k == 2 else "bruck_kport", p, p,
+        _partner_rounds(p, k, -1, OP_RECV), k=k,
         meta={"rounds": ilog(k, p)},
     )
 
@@ -123,34 +127,8 @@ def dissemination_barrier(p: int, k: int = 2) -> Schedule:
     check_radix(k)
     if p < 1:
         raise ScheduleError(f"p must be >= 1, got {p}")
-    programs = empty_programs(p)
-    stride = 1
-    while stride < p:
-        reach = min(stride * k, p)
-        for rank in range(p):
-            ops: List[Op] = []
-            for j in range(1, k):
-                dist = j * stride
-                if dist >= reach:
-                    break
-                peer = (rank + dist) % p
-                if peer != rank:
-                    ops.append(SendOp(peer=peer, blocks=(0,)))
-            for j in range(1, k):
-                dist = j * stride
-                if dist >= reach:
-                    break
-                peer = (rank - dist) % p
-                if peer != rank:
-                    ops.append(RecvOp(peer=peer, blocks=(0,), reduce=True))
-            programs[rank].add_step(ops)
-        stride = reach
-    return Schedule(
-        collective="barrier",
-        algorithm="dissemination" if k == 2 else "k_dissemination",
-        nranks=p,
-        nblocks=1,
-        programs=programs,
-        k=k,
+    return Schedule.from_columns(
+        "barrier", "dissemination" if k == 2 else "k_dissemination", p, 1,
+        _partner_rounds(p, k, 1, OP_REDUCE_RECV), k=k,
         meta={"rounds": ilog(k, p), "idempotent_only": True},
     )

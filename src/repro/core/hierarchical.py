@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import ScheduleError
 from .knomial import knomial_bcast, knomial_reduce
-from .primitives import compose, empty_programs
+from .primitives import compose
 from .registry import build_schedule, info
 from .schedule import OP_COPY, Schedule, assemble, spans
 
@@ -156,12 +156,10 @@ def hierarchical_allreduce(
         phases.append(_on_every_node(local_bcast, nodes))
 
     if not phases:  # p == 1
-        return Schedule(
-            collective="allreduce",
-            algorithm="hierarchical",
-            nranks=1,
-            nblocks=1,
-            programs=empty_programs(1),
+        none = np.zeros(0, dtype=np.int64)
+        return Schedule.from_columns(
+            "allreduce", "hierarchical", 1, 1,
+            assemble(none, none, none, none, none, np.zeros(1, np.int64)),
         )
     sched = compose(
         "allreduce",

@@ -34,9 +34,10 @@ from typing import Tuple
 import numpy as np
 
 from .primitives import (
-    check_radix, check_root, compose, shared_phase, time_reversed,
+    check_radix, check_root, compose, expand_messages, shared_phase,
+    time_reversed,
 )
-from .schedule import OP_RECV, OP_SEND, Schedule, assemble, spans
+from .schedule import Schedule, spans
 
 __all__ = [
     "knomial_tree",
@@ -83,20 +84,12 @@ def _downward(collective: str, p: int, k: int, root: int,
     check_radix(k)
     check_root(root, p)
     attach, parent = knomial_tree(p, k)
-    # Each edge is a send on the parent and a receive on the child, both
-    # at the child's mask: the receive opens the child's program (its own
-    # sends use smaller masks), and a parent's sends at one mask are one
-    # step, children in order.
-    edge = np.arange(1, p)
-    owner = (np.concatenate((parent[1:], edge)) + root) % p
-    peer = (np.concatenate((edge, parent[1:])) + root) % p
-    child = np.tile(edge, 2)
-    order = np.lexsort((child, -attach[child], owner))
-    owner, peer, child = owner[order], peer[order], child[order]
+    # Each edge is a message from the parent to the child at the child's
+    # mask: the receive opens the child's program (its own sends use
+    # smaller masks), and a parent's sends at one mask are one step,
+    # children in order.
+    child = np.arange(1, p)
     level = attach[child]
-    opens = np.ones(len(order), dtype=bool)
-    opens[1:] = (owner[1:] != owner[:-1]) | (level[1:] != level[:-1])
-    starts = np.flatnonzero(opens)
     if collective == "scatter":
         # The subtree [child, child + mask) clipped to p, mapped to
         # absolute ids in ascending order: the part past p wraps to the
@@ -108,15 +101,11 @@ def _downward(collective: str, p: int, k: int, root: int,
             np.column_stack((np.maximum(hi, p) - p, np.minimum(hi, p))).ravel(),
         )
     else:
-        nblk = np.full(len(order), nblocks)
-        blocks = np.tile(np.arange(nblocks), len(order))
-    columns = assemble(
-        np.where(order < p - 1, OP_SEND, OP_RECV),
-        peer,
-        nblk,
-        blocks,
-        np.diff(np.append(starts, len(order))),
-        np.bincount(owner[starts], minlength=p),
+        nblk = np.full(p - 1, nblocks)
+        blocks = np.tile(np.arange(nblocks), p - 1)
+    columns = expand_messages(
+        p, (parent[1:] + root) % p, (child + root) % p, (-level, -level),
+        (child, child), nblk, blocks,
     )
     return Schedule.from_columns(
         collective, "knomial" if k != 2 else "binomial", p, nblocks, columns,

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import ScheduleError
-from .blocks import BlockMap
-from .primitives import absolute_rank, check_root, empty_programs, relative_rank
-from .schedule import RankProgram, RecvOp, Schedule, SendOp
+from .primitives import check_root, expand_messages
+from .schedule import Schedule
 
 __all__ = ["chain_bcast", "optimal_segments"]
 
@@ -36,41 +37,27 @@ def chain_bcast(p: int, segments: int, *, root: int = 0) -> Schedule:
     more segments hide the chain's ``p - 2`` forwarding latencies behind
     smaller per-hop transfers, at the cost of ``S`` extra message
     latencies.
+
+    Each message is segment ``s`` on the link from relative rank ``x``
+    to ``x + 1``: the sender posts it in its step ``s + 1`` (the root
+    streams one segment per step), the receiver in its step ``s`` (the
+    first receive is a step of its own) after its own send, so a rank
+    double-buffers — the receive for segment ``s + 1`` is already posted
+    while it forwards ``s``, the overlap that gives the pipeline its
+    ``(S + p - 2)``-step steady state.
     """
     check_root(root, p)
     if segments < 1:
         raise ScheduleError(f"segments must be >= 1, got {segments}")
-    programs = empty_programs(p)
-    for rank in range(p):
-        relr = relative_rank(rank, root, p)
-        prev = absolute_rank(relr - 1, root, p) if relr > 0 else None
-        nxt = absolute_rank(relr + 1, root, p) if relr < p - 1 else None
-        prog = programs[rank]
-        if prev is None:
-            # Root: stream every segment downstream back to back.
-            for s in range(segments):
-                if nxt is not None:
-                    prog.add(SendOp(peer=nxt, blocks=(s,)))
-            continue
-        # Interior/tail ranks double-buffer: while forwarding segment s,
-        # the receive for segment s+1 is already posted — the overlap that
-        # gives the pipeline its (S + p - 2)-step steady state.
-        prog.add(RecvOp(peer=prev, blocks=(0,)))
-        for s in range(segments):
-            ops = []
-            if nxt is not None:
-                ops.append(SendOp(peer=nxt, blocks=(s,)))
-            if s + 1 < segments:
-                ops.append(RecvOp(peer=prev, blocks=(s + 1,)))
-            prog.add_step(ops)
-    return Schedule(
-        collective="bcast",
-        algorithm="chain" if segments == 1 else "pipelined_chain",
-        nranks=p,
-        nblocks=segments,
-        programs=programs,
-        root=root,
-        k=segments,
+    x = np.repeat(np.arange(p - 1), segments)
+    seg = np.tile(np.arange(segments), p - 1)
+    columns = expand_messages(
+        p, (x + root) % p, (x + 1 + root) % p, (seg + 1, seg),
+        (0 * seg, 0 * seg + 1), 0 * seg + 1, seg,
+    )
+    return Schedule.from_columns(
+        "bcast", "chain" if segments == 1 else "pipelined_chain", p,
+        segments, columns, root=root, k=segments,
         meta={"segments": segments},
     )
 

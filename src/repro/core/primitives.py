@@ -1,20 +1,24 @@
 """Shared building blocks for collective schedule constructors.
 
 The algorithm modules (:mod:`repro.core.knomial`, :mod:`repro.core.recursive`,
-:mod:`repro.core.ring`) all need the same small toolbox: relative-rank
-arithmetic for rooted trees, radix validation, schedule concatenation for
-composite algorithms (allgather = gather + bcast, allreduce =
-reduce-scatter + allgather, ...), and the one time reversal that turns
-any tree-structured allgather into a reduce-scatter (its *dual*) and a
-tree's bcast into its reduce.  All three are whole-array transforms of
-:class:`~repro.core.schedule.Columns`: no op object is made or walked.
+:mod:`repro.core.ring`, ...) all need the same small toolbox: radix and
+root validation, the expansion that turns a builder's messages into
+program-ordered columns (:func:`expand_messages`), schedule
+concatenation for composite algorithms (allgather = gather + bcast,
+allreduce = reduce-scatter + allgather, ...), and the one time reversal
+that turns any tree-structured allgather into a reduce-scatter (its
+*dual*) and a tree's bcast into its reduce.  All of them are whole-array
+transforms of :class:`~repro.core.schedule.Columns`: no op object is made
+or walked.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -25,7 +29,6 @@ from .schedule import (
     OP_REDUCE_RECV,
     OP_SEND,
     Columns,
-    RankProgram,
     Schedule,
     assemble,
     spans,
@@ -34,16 +37,12 @@ from .schedule import (
 __all__ = [
     "check_radix",
     "check_root",
-    "relative_rank",
-    "absolute_rank",
-    "all_blocks",
-    "empty_programs",
+    "expand_messages",
     "compose",
     "shared_phase",
     "sharing_phases",
     "dualize_allgather",
     "time_reversed",
-    "largest_power_leq",
     "ilog",
 ]
 
@@ -64,24 +63,45 @@ def check_root(root: int, p: int) -> int:
     return root
 
 
-def relative_rank(rank: int, root: int, p: int) -> int:
-    """Rank relative to the root (root becomes 0), MPICH-style."""
-    return (rank - root + p) % p
+def expand_messages(
+    p: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    slot: Tuple[np.ndarray, np.ndarray],
+    pos: Tuple[np.ndarray, np.ndarray],
+    nblk: np.ndarray,
+    blocks: np.ndarray,
+    recv: Union[int, np.ndarray] = OP_RECV,
+) -> Columns:
+    """Columns of point-to-point messages — the expansion every builder
+    ends in.
 
-
-def absolute_rank(relr: int, root: int, p: int) -> int:
-    """Inverse of :func:`relative_rank`."""
-    return (relr + root) % p
-
-
-def all_blocks(nblocks: int) -> Tuple[int, ...]:
-    """Tuple of every block id — whole-buffer sends/recvs."""
-    return tuple(range(nblocks))
-
-
-def empty_programs(p: int) -> List[RankProgram]:
-    """One empty program per rank."""
-    return [RankProgram(rank=r) for r in range(p)]
+    Message ``m`` carries the next ``nblk[m]`` ids of ``blocks`` (every
+    message's ids, in message order) from rank ``src[m]`` to
+    ``dst[m]``: a send on the sender at step slot ``slot[0][m]`` and
+    position ``pos[0][m]``, and a receive — op code ``recv``, or one
+    per message — on the receiver at ``slot[1][m]``, ``pos[1][m]``.
+    The ops go into program order: rank-major, a rank's slots
+    ascending, a slot's ops by position.  The ops of one (rank, slot)
+    are one step, so a slot no op fills is no step.
+    """
+    n = len(src)
+    owner, at = np.concatenate((src, dst)), np.concatenate(slot)
+    order = np.lexsort((np.concatenate(pos), at, owner))
+    owner, at = owner[order], at[order]
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = (owner[1:] != owner[:-1]) | (at[1:] != at[:-1])
+    starts = np.flatnonzero(opens)
+    first, size = np.tile(np.cumsum(nblk) - nblk, 2), np.tile(nblk, 2)
+    first, size = first[order], size[order]
+    return assemble(
+        np.concatenate((np.full(n, OP_SEND), np.broadcast_to(recv, n)))[order],
+        np.concatenate((dst, src))[order],
+        size,
+        blocks[spans(first, first + size)],
+        np.diff(np.append(starts, len(order))),
+        np.bincount(owner[starts], minlength=p),
+    )
 
 
 def compose(
@@ -265,24 +285,6 @@ def time_reversed(cols: Columns, *, reduce: bool) -> Columns:
         cols.step_lens()[np.lexsort((-np.arange(len(owner)), owner))],
         nsteps,
     )
-
-
-def largest_power_leq(k: int, p: int) -> Tuple[int, int]:
-    """Largest ``k**m <= p``; returns ``(k**m, m)``.
-
-    >>> largest_power_leq(3, 10)
-    (9, 2)
-    >>> largest_power_leq(2, 8)
-    (8, 3)
-    """
-    check_radix(k)
-    if p < 1:
-        raise ScheduleError(f"p must be >= 1, got {p}")
-    q, m = 1, 0
-    while q * k <= p:
-        q *= k
-        m += 1
-    return q, m
 
 
 def ilog(k: int, p: int) -> int:

@@ -36,10 +36,8 @@ import numpy as np
 
 from ..errors import ScheduleError
 from .knomial import knomial_scatter
-from .primitives import check_radix, compose, shared_phase
-from .schedule import (
-    OP_RECV, OP_REDUCE_RECV, OP_SEND, Schedule, assemble, spans,
-)
+from .primitives import check_radix, compose, expand_messages, shared_phase
+from .schedule import OP_RECV, OP_REDUCE_RECV, Schedule, spans
 
 __all__ = [
     "smooth_core",
@@ -122,13 +120,13 @@ def _butterfly(collective: str, p: int, k: int) -> Schedule:
     """The fold, the mixed-radix butterfly and the unfold, expanded
     into columns in one pass.
 
-    Every op is an (owner, step slot, position) triple, sorted into
-    program order: slot 0 folds (folded rank ``r`` sends to core rank
-    ``(r - q) % q``, which receives in ascending ``r``), slot ``1 + i``
-    is round ``i`` (a core rank sends to its group partners — the ranks
-    differing only in the round's digit — in digit order, then receives
-    from them in the same order), and the last slot unfolds.  An
-    allreduce moves block 0 and reduces what the fold and the rounds
+    Every message is placed by its sender's and its receiver's step
+    slot and position: slot 0 folds (folded rank ``r`` sends to core
+    rank ``(r - q) % q``, which receives in ascending ``r``), slot
+    ``1 + i`` is round ``i`` (a core rank sends to its group partners —
+    the ranks differing only in the round's digit — in digit order, then
+    receives from them in the same order), and the last slot unfolds.
+    An allreduce moves block 0 and reduces what the fold and the rounds
     receive.  An allgather moves block sets, as index arithmetic: before
     a round of stride ``s`` a core rank ``c`` holds the blocks whose
     owner shares its digits at ``s`` and above — ``[b, b + s)`` with
@@ -145,52 +143,42 @@ def _butterfly(collective: str, p: int, k: int) -> Schedule:
     c = (f - q) % q
     zero = np.zeros_like(f)
     last = zero + len(radices) + 1
-    # Fold and unfold, each as the core's op and the folded rank's.
-    owner, peer = [c, f, c, f], [f, c, f, c]
-    slot, pos = [zero, zero, last, last], [f, zero, f, zero]
-    kinds = [zero + take, zero + OP_SEND, zero + OP_SEND, zero + OP_RECV]
-    lo, hi = [f, f, zero, zero], [f + 1, f + 1, f, f]
-    lo2, hi2 = [f + 1] * 4, [f + 1, f + 1, zero + p, zero + p]
+    # The fold (f to c) and the unfold (c to f).
+    src, dst, slot = [f, c], [c, f], [zero, last]
+    at_src, at_dst, recv = [zero, f], [f, zero], [zero + take, zero + OP_RECV]
+    lo, hi, lo2, hi2 = [f, zero], [f + 1, f], [f + 1] * 2, [f + 1, zero + p]
     stride = 1
     for i, radix in enumerate(radices):
         me = np.repeat(np.arange(q), radix)
         j = np.tile(np.arange(radix), q)
         digit = me // stride % radix
         them = me + (j - digit) * stride
-        me, j, them = me[j != digit], j[j != digit], them[j != digit]
-        for code, at, held in ((OP_SEND, j, me), (take, radix + j, them)):
-            b = held - held % stride
-            owner.append(me)
-            peer.append(them)
-            slot.append(np.full(len(me), 1 + i))
-            pos.append(at)
-            kinds.append(np.full(len(me), code))
-            lo.append(b)
-            hi.append(b + stride)
-            lo2.append(np.minimum(b + q, p))
-            hi2.append(np.minimum(b + q + stride, p))
+        me, j, them, digit = (x[j != digit] for x in (me, j, them, digit))
+        b = me - me % stride
+        src.append(me)
+        dst.append(them)
+        slot.append(np.full(len(me), 1 + i))
+        at_src.append(j)
+        at_dst.append(radix + digit)
+        recv.append(np.full(len(me), take))
+        lo.append(b)
+        hi.append(b + stride)
+        lo2.append(np.minimum(b + q, p))
+        hi2.append(np.minimum(b + q + stride, p))
         stride *= radix
-    owner, peer, slot, pos, kinds, lo, hi, lo2, hi2 = (
-        np.concatenate(x) for x in (owner, peer, slot, pos, kinds, lo, hi,
-                                    lo2, hi2)
+    src, dst, slot, at_src, at_dst, recv, lo, hi, lo2, hi2 = (
+        np.concatenate(x) for x in (src, dst, slot, at_src, at_dst, recv,
+                                    lo, hi, lo2, hi2)
     )
-    order = np.lexsort((pos, slot, owner))
-    owner, slot = owner[order], slot[order]
-    opens = np.ones(len(order), dtype=bool)
-    opens[1:] = (owner[1:] != owner[:-1]) | (slot[1:] != slot[:-1])
-    starts = np.flatnonzero(opens)
     if take == OP_RECV:
-        lo, hi, lo2, hi2 = lo[order], hi[order], lo2[order], hi2[order]
         nblk, nblocks = hi - lo + hi2 - lo2, p
         blocks = spans(np.column_stack((lo, lo2)).ravel(),
                        np.column_stack((hi, hi2)).ravel())
     else:
-        nblk, nblocks = np.ones(len(order), dtype=np.int64), 1
-        blocks = np.zeros(len(order), dtype=np.int64)
-    columns = assemble(
-        kinds[order], peer[order], nblk, blocks,
-        np.diff(np.append(starts, len(order))),
-        np.bincount(owner[starts], minlength=p),
+        nblk, nblocks = np.ones(len(src), dtype=np.int64), 1
+        blocks = np.zeros(len(src), dtype=np.int64)
+    columns = expand_messages(
+        p, src, dst, (slot, slot), (at_src, at_dst), nblk, blocks, recv
     )
     return Schedule.from_columns(
         collective, "recursive_multiplying" if k != 2 else "recursive_doubling",

@@ -11,11 +11,13 @@ is captioned with (tree depths, round counts, who-talks-to-whom).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import ScheduleError
 from .knomial import knomial_bcast
-from .schedule import OP_SEND, Schedule, SendOp
+from .schedule import OP_SEND, Schedule
 
 __all__ = ["render_knomial_tree", "render_rounds", "render_kring_rounds"]
 
@@ -54,6 +56,27 @@ def render_knomial_tree(p: int, k: int, *, root: int = 0) -> str:
     return "\n".join(lines)
 
 
+def _round_sends(
+    schedule: Schedule, max_rounds: Optional[int] = None
+) -> List[List[Tuple[int, int, Tuple[int, ...]]]]:
+    """Round ``t`` of a lockstep schedule is every rank's step ``t``:
+    per round, its sends as ``(src, dst, blocks)``, rank-major in
+    program order — one pass over the columns."""
+    cols = schedule.columns()
+    nsteps = int(cols.nsteps().max())
+    if max_rounds is not None:
+        nsteps = min(nsteps, max_rounds)
+    sends = np.flatnonzero(cols.kinds == OP_SEND)
+    step = cols.positions()[0][sends]
+    by = np.argsort(step, kind="stable")
+    sends = sends[by]
+    cut = np.searchsorted(step[by], np.arange(max(nsteps, 0) + 1)).tolist()
+    src, dst = cols.ranks()[sends].tolist(), cols.peers[sends].tolist()
+    blocks = cols.blocks_of(sends)
+    return [list(zip(src[a:b], dst[a:b], blocks[a:b]))
+            for a, b in zip(cut, cut[1:])]
+
+
 def render_rounds(schedule: Schedule, *, max_rounds: Optional[int] = None) -> str:
     """Render a rank-symmetric schedule round by round (Figs. 3–6 style).
 
@@ -62,26 +85,16 @@ def render_rounds(schedule: Schedule, *, max_rounds: Optional[int] = None) -> st
     butterfly/ring/dissemination families); tree schedules should use
     :func:`render_knomial_tree`.
     """
-    nsteps = max(len(prog.steps) for prog in schedule.programs) if (
-        schedule.programs
-    ) else 0
-    if max_rounds is not None:
-        nsteps = min(nsteps, max_rounds)
     lines = [schedule.describe()]
-    for step in range(nsteps):
-        parts = []
-        for prog in schedule.programs:
-            if step >= len(prog.steps):
-                continue
-            for op in prog.steps[step].ops:
-                if isinstance(op, SendOp):
-                    blocks = (
-                        ""
-                        if schedule.nblocks == 1
-                        else "[" + ",".join(map(str, op.blocks)) + "]"
-                    )
-                    parts.append(f"{prog.rank}→{op.peer}{blocks}")
-        lines.append(f"  round {step + 1}: " + "  ".join(parts))
+    for t, sends in enumerate(_round_sends(schedule, max_rounds)):
+        parts = [
+            f"{src}→{dst}" + (
+                "" if schedule.nblocks == 1
+                else "[" + ",".join(map(str, blocks)) + "]"
+            )
+            for src, dst, blocks in sends
+        ]
+        lines.append(f"  round {t + 1}: " + "  ".join(parts))
     return "\n".join(lines)
 
 
@@ -94,29 +107,15 @@ def render_kring_rounds(p: int, k: int) -> str:
     """
     from .ring import kring_allgather, kring_groups
 
-    sched = kring_allgather(p, k)
     groups = kring_groups(p, k)
-    group_of = {}
-    for gi, grp in enumerate(groups):
-        for r in grp:
-            group_of[r] = gi
-    nsteps = max(len(prog.steps) for prog in sched.programs)
     lines = [f"k-ring allgather p={p} k={k} (groups {groups})"]
-    for step in range(nsteps):
-        parts = []
-        kinds = set()
-        for prog in sched.programs:
-            if step >= len(prog.steps):
-                continue
-            for op in prog.steps[step].ops:
-                if isinstance(op, SendOp):
-                    kind = (
-                        "intra"
-                        if group_of[prog.rank] == group_of[op.peer]
-                        else "inter"
-                    )
-                    kinds.add(kind)
-                    parts.append(f"{prog.rank}→{op.peer}")
+    for t, sends in enumerate(_round_sends(kring_allgather(p, k))):
+        # Groups are runs of k consecutive ranks.
+        kinds = {"intra" if src // k == dst // k else "inter"
+                 for src, dst, _ in sends}
         kind_label = "/".join(sorted(kinds)) if kinds else "idle"
-        lines.append(f"  round {step + 1} ({kind_label}): " + "  ".join(parts))
+        lines.append(
+            f"  round {t + 1} ({kind_label}): "
+            + "  ".join(f"{src}→{dst}" for src, dst, _ in sends)
+        )
     return "\n".join(lines)

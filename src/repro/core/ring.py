@@ -34,17 +34,19 @@ construction expressed mechanically.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
+
+import numpy as np
 
 from ..errors import ScheduleError
 from .knomial import knomial_scatter
 from .primitives import (
     compose,
     dualize_allgather,
-    empty_programs,
+    expand_messages,
     shared_phase,
 )
-from .schedule import Op, RankProgram, RecvOp, Schedule, SendOp
+from .schedule import Schedule, spans
 
 __all__ = [
     "kring_groups",
@@ -77,19 +79,6 @@ def kring_groups(p: int, k: int) -> List[List[int]]:
     return [list(range(lo, min(lo + k, p))) for lo in range(0, p, k)]
 
 
-def _chunk(blocks: Sequence[int], parts: int) -> List[Tuple[int, ...]]:
-    """Split a sorted block set into ``parts`` contiguous chunks, first
-    chunks one longer when sizes don't divide (may yield empty chunks)."""
-    base, extra = divmod(len(blocks), parts)
-    out: List[Tuple[int, ...]] = []
-    pos = 0
-    for i in range(parts):
-        size = base + 1 if i < extra else base
-        out.append(tuple(blocks[pos : pos + size]))
-        pos += size
-    return out
-
-
 def kring_allgather(p: int, k: int) -> Schedule:
     """K-ring allgather (paper Fig. 6; cost model (11)/(12)).
 
@@ -98,83 +87,66 @@ def kring_allgather(p: int, k: int) -> Schedule:
     inter-group rounds.  An intra epoch circulates the block set delivered
     by the previous inter round; an inter round forwards the set the group
     just completed to the next group, chunked per receiving member.
+
+    Expanded into columns as index arithmetic over (epoch, round,
+    position), one message at a time: a rank is member ``i`` of group
+    ``j`` (size ``s``), and a *chunk* ``c`` of group ``h``'s blocks for
+    group ``j`` is the ``c``-th of ``s`` contiguous runs (``divmod``,
+    first runs one longer; runs may be empty when group sizes differ).
+    In epoch ``e`` member ``i`` circulates chunk ``i`` of group
+    ``j − e``'s blocks: in its round ``t`` it sends chunk
+    ``(i − t + 1) mod s`` to member ``i + 1`` and receives chunk
+    ``(i − t) mod s`` from member ``i − 1``.  In inter round ``e``,
+    member ``i`` receives its chunk of group ``j − e``'s blocks from
+    member ``i mod len(prev)`` of the group before, and a sender posts
+    its chunks in order.  Sends precede the receive in a step; a message
+    with an empty chunk is no op, and a step with no op no step.
     """
     groups = kring_groups(p, k)
     g = len(groups)
-    programs = empty_programs(p)
+    size = np.array([len(grp) for grp in groups], dtype=np.int64)
+    first = np.arange(g, dtype=np.int64) * k
+    width = int(size.max())  # slots per epoch: its inter round + rounds
 
-    # portions[j][i] = the block chunk member i of group j circulates in
-    # the current intra epoch.  Epoch 0 seeds each member with its own block.
-    portions: List[List[Tuple[int, ...]]] = [
-        [(rank,) for rank in grp] for grp in groups
-    ]
+    def chunk(h, j, c):
+        """Chunk ``c`` of group ``h``'s blocks for group ``j``: its first
+        block and its length."""
+        base, extra = np.divmod(size[h], size[j])
+        return first[h] + c * base + np.minimum(c, extra), base + (c < extra)
 
-    def intra_epoch() -> None:
-        """Circulate each group's member portions around its intra ring."""
-        for j, grp in enumerate(groups):
-            s = len(grp)
-            if s == 1:
-                continue
-            for t in range(1, s):
-                for i, rank in enumerate(grp):
-                    ops: List[Op] = []
-                    outgoing = portions[j][(i - t + 1) % s]
-                    incoming = portions[j][(i - t) % s]
-                    if outgoing:
-                        ops.append(SendOp(peer=grp[(i + 1) % s], blocks=outgoing))
-                    if incoming:
-                        ops.append(RecvOp(peer=grp[(i - 1) % s], blocks=incoming))
-                    programs[rank].add_step(ops)
+    # Intra messages: (epoch e, group j, round t, member i).
+    e, j = np.divmod(np.arange(g * g), g)
+    s = size[j]
+    per = (s - 1) * s
+    idx = spans(0 * per, per)
+    e, j, s = (np.repeat(x, per) for x in (e, j, s))
+    t, i = idx // s + 1, idx % s
+    lo, n = chunk((j - e) % g, j, (i - t + 1) % s)
+    src, dst = first[j] + i, first[j] + (i + 1) % s
+    slot, at_src, at_dst = e * width + t, 0 * t, 0 * t + 1
+    # Inter messages: (epoch e ≥ 1, receiving group j, member i).
+    e, j = np.divmod(np.arange(g, g * g), g)
+    i = spans(0 * size[j], size[j])
+    e, j = np.repeat(e, size[j]), np.repeat(j, size[j])
+    prev = (j - 1) % g
+    lo2, n2 = chunk((j - e) % g, j, i)
+    src = np.concatenate((src, first[prev] + i % size[prev]))
+    dst = np.concatenate((dst, first[j] + i))
+    slot = np.concatenate((slot, e * width))
+    at_src = np.concatenate((at_src, i))
+    at_dst = np.concatenate((at_dst, 0 * i + width))
+    lo, n = np.concatenate((lo, lo2)), np.concatenate((n, n2))
 
-    # Epoch 0: every group circulates its own blocks.
-    intra_epoch()
-
-    for e in range(1, g):
-        # Inter round e: group j forwards the set it completed in epoch
-        # e-1 (the blocks of group j-(e-1)) to group j+1.
-        new_portions: List[List[Tuple[int, ...]]] = []
-        inter_ops: List[List[Op]] = [[] for _ in range(p)]
-        for j, grp in enumerate(groups):
-            src_group = groups[(j - e) % g]  # what group j will receive now
-            nxt = groups[(j + 1) % g]
-            s = len(grp)
-            # Outgoing: the set completed last epoch, chunked for `nxt`.
-            completed = sorted(b for member in portions[j] for b in member)
-            out_chunks = _chunk(completed, len(nxt))
-            for i_dst, chunk in enumerate(out_chunks):
-                if chunk:
-                    sender = grp[i_dst % s]
-                    inter_ops[sender].append(
-                        SendOp(peer=nxt[i_dst], blocks=chunk)
-                    )
-            # Incoming: group j-1's completed set (blocks of group j-e),
-            # chunked for us.
-            prv = groups[(j - 1) % g]
-            in_chunks = _chunk(sorted(r for r in src_group), s)
-            member_portions: List[Tuple[int, ...]] = []
-            for i, rank in enumerate(grp):
-                chunk = in_chunks[i]
-                if chunk:
-                    sender = prv[i % len(prv)]
-                    inter_ops[rank].append(
-                        RecvOp(peer=sender, blocks=chunk)
-                    )
-                member_portions.append(chunk)
-            new_portions.append(member_portions)
-        for rank in range(p):
-            programs[rank].add_step(inter_ops[rank])
-        portions = new_portions
-        # Epoch e: circulate the freshly received chunks within each group.
-        intra_epoch()
-
-    return Schedule(
-        collective="allgather",
-        algorithm="kring" if 1 < k < p else "ring",
-        nranks=p,
-        nblocks=p,
-        programs=programs,
-        k=k,
-        meta={"groups": [len(grp) for grp in groups]},
+    live = n > 0
+    src, dst, slot, at_src, at_dst, lo, n = (
+        x[live] for x in (src, dst, slot, at_src, at_dst, lo, n)
+    )
+    columns = expand_messages(
+        p, src, dst, (slot, slot), (at_src, at_dst), n, spans(lo, lo + n)
+    )
+    return Schedule.from_columns(
+        "allgather", "kring" if 1 < k < p else "ring", p, p, columns, k=k,
+        meta={"groups": size.tolist()},
     )
 
 

@@ -31,22 +31,25 @@ Semantics contract shared by all executors and the simulator:
    making floating-point results deterministic.
 
 A :class:`Schedule` is its labels and its :class:`Columns` — every op
-as flat read-only arrays — and is **immutable once constructed**.  A
-builder's programs are walked once into the columns and not kept; the
-k-nomial family expands its tree straight into columns, and a
-composite (:func:`~repro.core.primitives.compose`,
+as flat read-only arrays — and is **immutable once constructed**.
+Every builder expands its algorithm straight into columns
+(:meth:`Schedule.from_columns`), and a composite
+(:func:`~repro.core.primitives.compose`,
 :func:`~repro.core.primitives.dualize_allgather`,
 :func:`~repro.core.hierarchical.remap_ranks`) is a whole-array
-transform of its parts' columns (:meth:`Schedule.from_columns`); a
-pickle is the labels and the arrays, checked on load.  Every way in
-refuses an op with no block and a step with no op, checks every peer
-and block id, and assigning a field raises
-:class:`~repro.errors.ScheduleError` — so nothing derived from a
-schedule (its :meth:`~Schedule.fingerprint`, its lowered tables, a cache
-entry keyed by either) can go stale, and sub-schedules can be shared
-between composites.  :attr:`Schedule.programs` generates the op objects
-back on first read, as a read-only view.  A variant that differs only
-in its labels is a :meth:`Schedule.relabel` copy, not an edit.
+transform of its parts' columns.  The op objects above are the
+authoring front end for hand-written schedules (and JSON import):
+``Schedule(…, programs=…)`` walks them once into the columns and keeps
+nothing of them.  A pickle is the labels and the arrays, checked on
+load.  Every way in refuses an op with no block, a step with no op and
+a send or receive naming a block twice, checks every peer and block
+id, and assigning a field raises :class:`~repro.errors.ScheduleError`
+— so nothing derived from a schedule (its :meth:`~Schedule.fingerprint`,
+its lowered tables, a cache entry keyed by either) can go stale, and
+sub-schedules can be shared between composites.
+:attr:`Schedule.programs` generates the op objects back on first read,
+as a read-only view.  A variant that differs only in its labels is a
+:meth:`Schedule.relabel` copy, not an edit.
 """
 
 from __future__ import annotations
@@ -180,7 +183,7 @@ class Step:
 class RankProgram:
     """The ordered steps one rank executes.
 
-    ``steps`` is a list while a builder appends to it.  Constructing a
+    ``steps`` is a list while its author appends to it.  Constructing a
     :class:`Schedule` reads the program and leaves it as it is; the
     programs a schedule hands out (:attr:`Schedule.programs`) are
     generated from its columns with ``steps`` as a tuple, and refuse
@@ -604,6 +607,37 @@ def _empty_error(cols: Columns) -> Optional[str]:
     return None
 
 
+def _duplicate_error(cols: Columns) -> Optional[str]:
+    """The first send or receive, rank-major in program order, that
+    names a block twice — worded as the op objects refuse it; ``None``
+    when there is none.  Copies are exempt (a :class:`CopyOp` may copy
+    a block onto itself).  One pass finds the ops whose ids do not
+    strictly ascend; only those are sorted."""
+    blocks, bounds = cols.seg_blocks, cols.seg_bounds
+    falls = blocks[1:] <= blocks[:-1]
+    falls[bounds[1:-1] - 1] = False  # an op's first id follows another op
+    if not falls.any():
+        return None
+    op = np.searchsorted(bounds, np.flatnonzero(falls) + 1, "right") - 1
+    op = op[np.diff(op, prepend=-1) != 0]
+    op = op[cols.kinds[op] != OP_COPY]
+    if not len(op):
+        return None
+    nblk = np.diff(bounds)[op]
+    owner = np.repeat(np.arange(len(op)), nblk)
+    ids = cols.gather(op)
+    ids = ids[np.lexsort((ids, owner))]
+    twice = owner[1:][(ids[1:] == ids[:-1]) & (owner[1:] == owner[:-1])]
+    if not len(twice):
+        return None
+    i = op[twice.min()]
+    r = int(cols.ranks()[i])
+    named = cols.blocks_of(np.array([i]))[0]
+    if cols.kinds[i] == OP_SEND:
+        return f"rank {r}: a send carries duplicate blocks: {named}"
+    return f"rank {r}: a receive names duplicate blocks: {named}"
+
+
 def _range_error(cols: Columns, nranks: int, nblocks: int) -> Optional[str]:
     """The first op, rank-major in program order, whose peer is out of
     range or its own rank, or whose block ids are — worded; ``None``
@@ -745,8 +779,8 @@ class Schedule:
     Immutable once constructed (see the module docstring); ``meta`` is
     a plain annotation dict, not content — it is neither fingerprinted
     nor frozen.  Two entries build one: ``Schedule(…, programs=…)``
-    walks a builder's op objects once, and :meth:`from_columns` takes
-    the columns a composite's transform made.
+    walks hand-written op objects once, and :meth:`from_columns` takes
+    the columns a builder's expansion or a composite's transform made.
 
     Attributes
     ----------
@@ -816,7 +850,7 @@ class Schedule:
     ) -> "Schedule":
         """The column entry: a schedule over ``columns`` — what a
         builder's or a composite's whole-array expansion built —
-        checked like a builder's programs."""
+        checked like hand-written programs."""
         sched = object.__new__(cls)
         sched._seal(collective, algorithm, nranks, nblocks, columns, root, k,
                     meta)
@@ -833,14 +867,16 @@ class Schedule:
         k: Optional[int],
         meta: Optional[Dict[str, object]],
     ) -> None:
-        """Take the labels and the columns, refuse an op with no block
-        or a step with no op, range-check the columns, make them
+        """Take the labels and the columns, refuse an op with no block,
+        a step with no op or a send or receive that names a block twice,
+        range-check the columns, make them
         read-only (peers and block ids as int32), and refuse assignment
         from now on — the last step of every way a schedule comes to
         be."""
         if nranks < 1:
             raise ScheduleError(f"nranks must be >= 1, got {nranks}")
-        error = _empty_error(columns) or _range_error(columns, nranks, nblocks)
+        error = (_empty_error(columns) or _duplicate_error(columns)
+                 or _range_error(columns, nranks, nblocks))
         if error is not None:
             raise ScheduleError(error)
         columns = columns._replace(
@@ -952,8 +988,9 @@ class Schedule:
         on first use: read-only (edits raise
         :class:`~repro.errors.ScheduleError`), memoised, never pickled.
 
-        The op objects are for the JSON form, :mod:`repro.core.render`
-        and tests; everything else reads :meth:`columns`.
+        Nothing under ``src/`` reads it — the JSON export,
+        :mod:`repro.core.render` and every other reader take
+        :meth:`columns`; it is for tests and hand-written tooling.
         """
         memo = self.__dict__.get("_programs")
         if memo is None:
@@ -981,8 +1018,9 @@ class Schedule:
     def columns(self) -> Columns:
         """The schedule's content (DESIGN.md §14): every op as flat
         read-only columns, range-checked when the schedule was made —
-        by walking a builder's programs, by a composite's transform, or
-        by loading a pickle (which also checks the arrays' layout)."""
+        by walking hand-written programs, by a builder's expansion or
+        a composite's transform, or by loading a pickle (which also
+        checks the arrays' layout)."""
         return self.__dict__["_columns"]
 
     def messages(self) -> Messages:

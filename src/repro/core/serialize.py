@@ -31,8 +31,20 @@ import pickle
 from pathlib import Path
 from typing import Dict, List, Union
 
+import numpy as np
+
 from ..errors import ReproError, ScheduleError
-from .schedule import CopyOp, Op, RankProgram, RecvOp, Schedule, SendOp
+from .schedule import (
+    OP_COPY,
+    OP_REDUCE_RECV,
+    OP_SEND,
+    CopyOp,
+    Op,
+    RankProgram,
+    RecvOp,
+    Schedule,
+    SendOp,
+)
 
 __all__ = [
     "schedule_to_json",
@@ -44,21 +56,6 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
-
-
-def _op_to_dict(op: Op) -> Dict:
-    if isinstance(op, SendOp):
-        return {"op": "send", "peer": op.peer, "blocks": list(op.blocks)}
-    if isinstance(op, RecvOp):
-        return {
-            "op": "recv",
-            "peer": op.peer,
-            "blocks": list(op.blocks),
-            "reduce": op.reduce,
-        }
-    if isinstance(op, CopyOp):
-        return {"op": "copy", "src": op.src, "dst": op.dst}
-    raise ScheduleError(f"cannot serialize op {op!r}")
 
 
 def _op_from_dict(raw: Dict) -> Op:
@@ -78,6 +75,21 @@ def _op_from_dict(raw: Dict) -> Op:
 
 def schedule_to_json(schedule: Schedule) -> str:
     """Serialize a schedule to a JSON string (stable key order)."""
+    cols = schedule.columns()
+    ops: List[Dict] = []
+    kinds, peers = cols.kinds.tolist(), cols.peers.tolist()
+    for kind, peer, ids in zip(
+        kinds, peers, cols.blocks_of(np.arange(len(kinds)))
+    ):
+        if kind == OP_SEND:
+            ops.append({"op": "send", "peer": peer, "blocks": list(ids)})
+        elif kind == OP_COPY:
+            ops.append({"op": "copy", "src": ids[0], "dst": ids[1]})
+        else:
+            ops.append({"op": "recv", "peer": peer, "blocks": list(ids),
+                        "reduce": kind == OP_REDUCE_RECV})
+    bounds = cols.step_starts()[0].tolist()
+    step_ptr = cols.step_ptr.tolist()
     payload = {
         "format": _FORMAT_VERSION,
         "collective": schedule.collective,
@@ -87,9 +99,10 @@ def schedule_to_json(schedule: Schedule) -> str:
         "root": schedule.root,
         "k": schedule.k,
         "meta": _jsonable_meta(schedule.meta),
+        # Rank r's steps open at bounds[step_ptr[r]:step_ptr[r + 1] - 1].
         "programs": [
-            [[_op_to_dict(op) for op in step.ops] for step in prog.steps]
-            for prog in schedule.programs
+            [ops[a:b] for a, b in zip(bounds[lo:hi - 1], bounds[lo + 1:hi])]
+            for lo, hi in zip(step_ptr, step_ptr[1:])
         ],
     }
     return json.dumps(payload, sort_keys=True)

@@ -36,13 +36,41 @@ from typing import (
 import numpy as np
 
 from repro.core.blocks import BlockMap
-from repro.core.schedule import CopyOp, RecvOp, Schedule, SendOp
+from repro.core.schedule import CopyOp, RankProgram, RecvOp, Schedule, SendOp
 from repro.errors import ExecutionError
 from repro.runtime.ops import SUM, ReduceOp
 
-__all__ = ["DataModel", "RunResult", "run_schedule", "NumpyModel"]
+__all__ = [
+    "DataModel", "RunResult", "run_schedule", "NumpyModel", "empty_programs",
+    "relative_rank", "absolute_rank", "all_blocks",
+]
 
 P = TypeVar("P")  # payload type
+
+
+# The op-object reference builders' toolbox (the builders under src/
+# expand into columns and need none of it).
+
+
+def empty_programs(p: int) -> List[RankProgram]:
+    """One empty program per rank — where a hand-written schedule and the
+    op-object reference builders kept under ``tests/`` start."""
+    return [RankProgram(rank=r) for r in range(p)]
+
+
+def relative_rank(rank: int, root: int, p: int) -> int:
+    """Rank relative to the root (root becomes 0), MPICH-style."""
+    return (rank - root + p) % p
+
+
+def absolute_rank(relr: int, root: int, p: int) -> int:
+    """Inverse of :func:`relative_rank`."""
+    return (relr + root) % p
+
+
+def all_blocks(nblocks: int) -> Tuple[int, ...]:
+    """Tuple of every block id — whole-buffer sends/recvs."""
+    return tuple(range(nblocks))
 
 
 class DataModel(Protocol[P]):

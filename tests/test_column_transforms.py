@@ -28,7 +28,7 @@ from repro.bench.checksweep import grid_points
 from repro.core.cache import ScheduleCache
 from repro.core.hierarchical import hierarchical_allreduce, remap_ranks
 from repro.core.knomial import knomial_bcast, knomial_reduce
-from repro.core.primitives import compose, dualize_allgather, empty_programs
+from repro.core.primitives import compose, dualize_allgather
 from repro.core.registry import build_schedule, info
 from repro.core.schedule import (
     Columns,
@@ -40,6 +40,7 @@ from repro.core.schedule import (
     SendOp,
 )
 from repro.errors import ScheduleError
+from oracle import empty_programs
 
 # ----------------------------------------------------------------------
 # The reference: the op-object bodies the transforms replaced

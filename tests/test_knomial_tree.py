@@ -38,12 +38,8 @@ from repro.core.knomial import (
     knomial_tree,
 )
 from repro.core.primitives import (
-    absolute_rank,
-    all_blocks,
     check_radix,
     check_root,
-    empty_programs,
-    relative_rank,
     sharing_phases,
 )
 from repro.core.render import render_knomial_tree
@@ -56,6 +52,7 @@ from repro.core.schedule import (
     Step,
 )
 from repro.errors import ScheduleError
+from oracle import absolute_rank, all_blocks, empty_programs, relative_rank
 from test_column_transforms import CHECK_GRID, HIERARCHICAL, assert_same
 
 # ----------------------------------------------------------------------
@@ -580,4 +577,4 @@ def test_family_builds_make_no_op_object():
                 hierarchical_allreduce(p * 2, 2, leader_algorithm=leader)
             repro.core.baselines.knomial_gather_for_reduce(p, p - 1)
         with pytest.raises(AssertionError, match="op object"):
-            registry.build_schedule("allgather", "ring", 4)
+            reference_knomial_bcast(4, 2)

@@ -26,7 +26,7 @@ import repro.core.recursive
 import repro.core.registry as registry
 from repro.core.cache import ContentCache
 from repro.core.hierarchical import hierarchical_allreduce
-from repro.core.primitives import check_radix, empty_programs, sharing_phases
+from repro.core.primitives import check_radix, sharing_phases
 from repro.core.recursive import radix_schedule, smooth_core
 from repro.core.schedule import (
     Op,
@@ -37,6 +37,7 @@ from repro.core.schedule import (
     Step,
 )
 from repro.errors import ScheduleError
+from oracle import empty_programs
 from test_column_transforms import assert_same
 from test_knomial_tree import assert_same_columns
 

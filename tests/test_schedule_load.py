@@ -185,24 +185,30 @@ def test_damage_is_refused_on_load(name, params, damage, message,
 
 
 #: Columns for two ranks, rank 0 sending block 0 to rank 1, bent into
-#: what no op object can hold.
-EMPTY = [
-    ("op with no block", ([1, 0], [1, 1], [1, 1]),
+#: what no op object can hold: (block count per op, op count per step,
+#: step count per rank, the ops' block ids).
+UNHOLDABLE = [
+    ("op with no block", ([1, 0], [1, 1], [1, 1], [0]),
      "rank 1: an op must carry at least one block"),
-    ("step with no op", ([1, 1], [1, 0, 1], [2, 1]),
+    ("step with no op", ([1, 1], [1, 0, 1], [2, 1], [0, 0]),
      "rank 0: step 1 must contain at least one op"),
+    ("send naming a block twice", ([2, 2], [1, 1], [1, 1], [0, 0, 0, 0]),
+     "rank 0: a send carries duplicate blocks: (0, 0)"),
+    ("receive naming a block twice", ([2, 3], [1, 1], [1, 1],
+                                      [0, 1, 1, 0, 1]),
+     "rank 1: a receive names duplicate blocks: (1, 0, 1)"),
 ]
 
 
-@pytest.mark.parametrize("name, shape, message", EMPTY,
-                         ids=[e[0] for e in EMPTY])
+@pytest.mark.parametrize("name, shape, message", UNHOLDABLE,
+                         ids=[e[0] for e in UNHOLDABLE])
 def test_every_entry_refuses_what_op_objects_refuse(name, shape, message,
                                                     monkeypatch):
-    nblk, step_lens, nsteps = (np.array(x) for x in shape)
+    nblk, step_lens, nsteps, blocks = (np.array(x) for x in shape)
     cols = assemble(np.array([OP_SEND, OP_RECV]), np.array([1, 0]), nblk,
-                    np.zeros(nblk.sum(), dtype=np.int64), step_lens, nsteps)
+                    blocks, step_lens, nsteps)
     with pytest.raises(ScheduleError) as built:
-        Schedule.from_columns("bcast", "t", 2, 1, cols, root=0)
+        Schedule.from_columns("bcast", "t", 2, 2, cols, root=0)
     assert str(built.value) == message
 
     def swap_in(state):
@@ -211,11 +217,21 @@ def test_every_entry_refuses_what_op_objects_refuse(name, shape, message,
             for name, dtype in _ARRAYS.items()
         }
 
-    blob = damaged_blob(build_schedule("bcast", "binomial", 2), swap_in,
+    blob = damaged_blob(build_schedule("scatter", "binomial", 2), swap_in,
                         monkeypatch)
     with pytest.raises(ScheduleError) as loaded:
         loads_blob(blob, Schedule)
     assert str(loaded.value) == message
+
+
+def test_a_copy_may_name_one_block_twice():
+    p0, p1 = RankProgram(rank=0), RankProgram(rank=1)
+    p0.add(CopyOp(src=1, dst=1), SendOp(peer=1, blocks=(1, 0)))
+    p1.add(RecvOp(peer=0, blocks=(1, 0)))
+    sched = Schedule("bcast", "t", 2, 2, [p0, p1], root=0)
+    assert Schedule.from_columns("bcast", "t", 2, 2, sched.columns(),
+                                 root=0) == sched
+    assert loads_blob(dumps_blob(sched), Schedule) == sched
 
 
 @pytest.mark.parametrize("params", [KRING, _with_a_copy])
