@@ -235,8 +235,10 @@ def _table_key(schedule, nbytes: int) -> Tuple:
     :func:`~repro.simnet.simulate.cost_columns` the message sizes,
     ``reduce``, the step counts and ``(src, dst, seq)``; and
     :func:`~repro.simnet.kernel.run` ``ops`` / ``src`` / ``dst`` plus
-    those columns.  Everything else they read is the machine, the noise
-    model and the fault plan — the rest of the key.  So two points with
+    those columns (the plan's contention hint aside: it only decides
+    whether the kernel tries its certified shortcut, never a result).
+    Everything else they read is the machine, the noise model and the
+    fault plan — the rest of the key.  So two points with
     one key hand the kernel identical tables and get the identical
     float, whatever their names: ``bcast/knomial k=2`` replays
     ``bcast/binomial``, ``allreduce/kring k=1`` replays ``ring``.  The

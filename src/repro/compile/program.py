@@ -497,7 +497,8 @@ class SimPlan:
     ``ops`` holds the op codes ``msg << 1 | is_recv`` in program order,
     copies dropped (the simulator models them as free).  ``routes``
     memoizes, per machine geometry, what the simulator derives from the
-    endpoints (link classes, held resources), and ``_digest`` the
+    endpoints (link classes, held resources, flattened and as tuples)
+    and the kernel's contention hint, and ``_digest`` the
     :meth:`digest`; both are runtime-only.  Numbers only — never a
     per-message object.
     """

@@ -7,6 +7,11 @@ subsystem's counters under stable Prometheus-style names —
 the tuner, the perf benchmark, and the ``repro-trace`` CLI all read one
 shape instead of four incompatible per-subsystem stat dicts.
 
+The DES kernel counts every run in ``repro_engine_runs_total`` and its
+heap events in ``repro_engine_events_total``; a run answered by a
+certified capacity-free timeline, with no event loop, also counts in
+``repro_engine_certified_total`` and adds no event.
+
 Design points:
 
 * **Labeled series.**  A metric name plus a sorted ``(key, value)`` label

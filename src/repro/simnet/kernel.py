@@ -28,19 +28,34 @@ posting, starting a transfer, handing a released unit to the oldest
 parked message, advancing an actor into its next step — happens
 synchronously, in the order written here.  ``tests/golden/
 des_corners.json`` pins that order on contended machines.
+
+Most runs never exercise that order: where no transfer finds its
+resources full and no reduction finds its receiver's compute unit busy,
+nothing waits, and every time is the plain α-β-γ recurrence.  So
+:func:`run` first evaluates the table's *capacity-free timeline*
+(:func:`capacity_free`: one heap-free pass over the actors, the same
+float additions in the same order as the loop's ``now + cost`` pushes)
+and *certifies* it: one sort of every resource's and compute unit's
+holding intervals, with intervals that merely touch counted as
+overlapping.  A certified timeline is the loop's own result and is
+returned as is; a table with loss, doomed messages, a collected
+timeline, an unfinished actor or a failed certificate runs the loop
+(DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from itertools import count
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain, count
+from typing import List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..errors import MachineError
 from ..obs import Obs
 
-__all__ = ["run"]
+__all__ = ["run", "capacity_free", "flatten_held"]
 
 # Heap record kinds.  The value never orders two records (``seq`` is
 # unique), it only selects the branch.
@@ -70,6 +85,8 @@ def run(
     backoff: float = 1.0,
     doomed: Optional[Sequence[bool]] = None,
     collect: bool = False,
+    held_ids: Optional[np.ndarray] = None,
+    contended: Optional[Set[tuple]] = None,
     obs: Obs,
 ) -> Tuple[float, List[float], int, Optional[List[Tuple[int, float, float]]]]:
     """Run one simulation to completion.
@@ -91,7 +108,29 @@ def run(
     when ``collect`` is set.  A drained heap with an actor unfinished or
     a live message undelivered raises
     :class:`~repro.errors.MachineError`.
+
+    Without loss, doomed messages or ``collect``, a certified
+    :func:`capacity_free` timeline is returned without the event loop.
+    ``held_ids`` is ``held`` flattened (:func:`flatten_held`; derived
+    here when absent).  ``contended`` is a hint the caller keeps per
+    table: the capacity vectors under which this table failed a
+    certificate.  Such a run goes straight to the loop, and a failure
+    adds its vector; no result depends on it.
     """
+    if not collect and attempts is None and doomed is None:
+        key = tuple(capacity)
+        if contended is None or key not in contended:
+            makespan, times, certified = capacity_free(
+                ops=ops, limit=limit, inject=inject, src=src, dst=dst,
+                held=held, capacity=capacity, final_hold=final_hold,
+                alpha=alpha, gamma_t=gamma_t, held_ids=held_ids,
+            )
+            if certified:
+                if obs.enabled:
+                    _count(obs, events=0, peak=0, blocked=0, certified=True)
+                return makespan, times, 0, None
+            if contended is not None:
+                contended.add(key)
     nact = len(ops)
     nmsg = len(src)
     now = 0.0
@@ -292,11 +331,8 @@ def run(
     live = nmsg - sum(doomed)
     nblocked = times.count(None) + live - state.count(3)
     if track:
-        m = obs.metrics
-        m.counter("repro_engine_runs_total").inc()
-        m.counter("repro_engine_events_total").inc(seq() - 1)
-        m.gauge("repro_engine_heap_depth_peak").set_max(peak)
-        m.gauge("repro_engine_blocked_processes").set_max(nblocked)
+        _count(obs, events=seq() - 1, peak=peak, blocked=nblocked,
+               certified=False)
     if nblocked:
         blocked = [
             f"xfer{i} (in flight)" if state[i] == 2
@@ -315,3 +351,173 @@ def run(
             f"blocked at t={now}: {shown}"
         )
     return now, times, retransmissions, rows
+
+
+def _count(obs: Obs, *, events: int, peak: int, blocked: int,
+           certified: bool) -> None:
+    """One run's engine metrics (every run counts, certified or not)."""
+    m = obs.metrics
+    m.counter("repro_engine_runs_total").inc()
+    if certified:
+        m.counter("repro_engine_certified_total").inc()
+    m.counter("repro_engine_events_total").inc(events)
+    m.gauge("repro_engine_heap_depth_peak").set_max(peak)
+    m.gauge("repro_engine_blocked_processes").set_max(blocked)
+
+
+def flatten_held(held: Sequence[Tuple[int, ...]]) -> np.ndarray:
+    """``held`` as one ``(2, K)`` int32 array: row 0 every held resource
+    id, row 1 the message holding it, messages in order.
+
+    >>> flatten_held([(0, 3), (), (1,)]).tolist()
+    [[0, 3, 1], [0, 0, 2]]
+    """
+    lens = np.fromiter(map(len, held), dtype=np.int32, count=len(held))
+    ids = np.fromiter(chain.from_iterable(held), dtype=np.int32,
+                      count=int(lens.sum()))
+    owner = np.repeat(np.arange(len(held), dtype=np.int32), lens)
+    return np.stack((ids, owner))
+
+
+def capacity_free(
+    *,
+    ops: Sequence[Sequence[Sequence[int]]],
+    limit: Sequence[int],
+    inject: Sequence[float],
+    src: Sequence[int],
+    dst: Sequence[int],
+    held: Sequence[Tuple[int, ...]],
+    capacity: Sequence[int],
+    final_hold: Sequence[float],
+    alpha: Sequence[float],
+    gamma_t: Sequence[float],
+    held_ids: Optional[np.ndarray] = None,
+) -> Tuple[float, Optional[List[float]], bool]:
+    """The loss-free table's timeline with every capacity removed, and
+    whether the kernel would wait nowhere on it.
+
+    The recurrence is the event loop's with no resource and no compute
+    unit: a step starting at ``B`` posts op ``j`` at ``((B + o) + o)…``;
+    a transfer starts at the later post, its send completes at ``start
+    + final_hold``, it delivers at ``(start + final_hold) + alpha`` and
+    a reducing receive completes at ``delivery + gamma_t``; a step ends
+    at its latest completion; an actor's time is the end of its last
+    non-empty step (``0.0`` with none) and the makespan the latest
+    actor time.  These are the loop's own float additions, so whenever
+    nothing waits its times *are* these.  Nothing waits when every
+    resource ``r`` is held by at most ``capacity[r]`` transfers and
+    every receiver by at most one reduction at any instant, intervals
+    that merely touch counted as overlapping (the order of same-time
+    events is never consulted) — that is ``certified``.  Each time is a
+    lower bound on the loop's whether or not it certifies.
+
+    Returns ``(makespan, times, certified)``, or ``(0.0, None, False)``
+    when some actor never finishes (the loop raises the deadlock).
+    """
+    nact = len(ops)
+    nmsg = len(src)
+    first: List[Optional[float]] = [None] * nmsg  # the first post's time
+    owner = [0] * nmsg          # the actor that posted first
+    start = [0.0] * nmsg
+    sent = [0.0] * nmsg         # send completion
+    reductions: List[Tuple[int, float, float]] = []  # (receiver, from, to)
+    step = [0] * nact
+    pending = [0] * nact        # ops of the current step not yet matched
+    end = [0.0] * nact          # the current step's latest completion yet
+    parked = [False] * nact
+    times: List[Optional[float]] = [None] * nact
+    work = list(range(nact - 1, -1, -1))
+    while work:
+        a = work.pop()
+        steps = ops[a]
+        lim = limit[a]
+        o = inject[a]
+        s = step[a]
+        t = 0.0
+        if parked[a]:  # every op of step s has completed: it ends
+            parked[a] = False
+            t = end[a]
+            s += 1
+        while s < lim:
+            codes = steps[s]
+            if not codes:
+                s += 1
+                continue
+            end[a] = e = 0.0
+            out = 0  # first posts: ops that complete when matched
+            for c in codes:
+                if o:
+                    t = t + o
+                i = c >> 1
+                p = first[i]
+                if p is None:
+                    first[i] = t
+                    owner[i] = a
+                    out += 1
+                    continue
+                begin = p if p > t else t
+                done = begin + final_hold[i]
+                got = done + alpha[i]
+                g = gamma_t[i]
+                if g >= 0.0:
+                    wire = got
+                    got = wire + g
+                    reductions.append((dst[i], wire, got))
+                start[i] = begin
+                sent[i] = done
+                # Both ops complete now: this actor's at ``done``, the
+                # first poster's at ``got`` — which may unpark it.
+                f = owner[i]
+                if c & 1:
+                    done, got = got, done
+                if done > e:
+                    e = done
+                if got > end[f]:
+                    end[f] = got
+                n = pending[f] - 1
+                pending[f] = n
+                if not n and parked[f]:
+                    work.append(f)
+            if end[a] > e:
+                e = end[a]
+            n = pending[a] + out  # less what this walk matched itself
+            pending[a] = n
+            if n:
+                end[a] = e
+                step[a] = s
+                parked[a] = True
+                break
+            t = e
+            s += 1
+        else:
+            times[a] = t
+    if None in times:
+        return 0.0, None, False
+    makespan = max(times, default=0.0)
+
+    # The certificate: per resource (compute units after the shared
+    # ones), +1 at each interval's start and -1 at its end; starts sort
+    # before ends at equal times, so touching intervals overlap.
+    if held_ids is None:
+        held_ids = flatten_held(held)
+    res, msg = held_ids[0], held_ids[1]
+    lo = np.asarray(start)[msg]
+    hi = np.asarray(sent)[msg]
+    if reductions:
+        at, begins, ends = zip(*reductions)
+        res = np.concatenate((res, len(capacity) + np.asarray(at)))
+        lo = np.concatenate((lo, begins))
+        hi = np.concatenate((hi, ends))
+    cap = np.concatenate((np.asarray(capacity, dtype=np.int64),
+                          np.ones(nact, dtype=np.int64)))
+    # Only a resource with more intervals than units can overflow.
+    crowded = np.bincount(res, minlength=len(cap)) > cap
+    keep = crowded[res]
+    if not keep.any():
+        return makespan, times, True
+    res, lo, hi = res[keep], lo[keep], hi[keep]
+    n = len(res)
+    res = np.concatenate((res, res))
+    order = np.lexsort((np.concatenate((lo, hi)), res))
+    level = np.cumsum(np.where(order < n, 1, -1))
+    return makespan, times, bool((level <= cap[res[order]]).all())

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -234,6 +234,10 @@ def simulate(
             f"block map has {block_map.nblocks} blocks but the "
             f"schedule uses {schedule.nblocks}"
         )
+    # A plan that injects nothing is no plan: it neither blocks collapse
+    # nor reaches the fault analysis.
+    if faults is not None and not faults.is_active:
+        faults = None
 
     # ------------------------------------------------------------------
     # Engine dispatch: try the class-collapsed core when requested and
@@ -300,7 +304,7 @@ def simulate(
     from ..compile import get_or_compile
 
     plan = get_or_compile(schedule).sim_plan()
-    link, held = _route(plan, machine)
+    link, held, held_ids, contended = _route(plan, machine)
     sizes = plan.message_bytes(blocks.sizes)
 
     # Fault plan: the fate of messages and ranks is decided before the
@@ -308,8 +312,6 @@ def simulate(
     # costs are dynamic).  repro.faults.sim.match_messages and the plan
     # read the same FIFO matching, Schedule.messages(), so message i is
     # one message to both.
-    if faults is not None and not faults.is_active:
-        faults = None
     statics = (
         analyze(schedule, faults, match_messages(schedule))
         if faults is not None else None
@@ -339,8 +341,9 @@ def simulate(
     ):
         makespan, rank_times, retransmissions, rows = kernel.run(
             ops=plan.ops, src=plan.src, dst=plan.dst, held=held,
-            capacity=_capacity(machine), collect=collect_timeline,
-            obs=scope, **costs,
+            held_ids=held_ids, capacity=_capacity(machine),
+            contended=contended, collect=collect_timeline, obs=scope,
+            **costs,
         )
         if rows is not None:
             src, dst, nb, kind = plan.src, plan.dst, sizes.tolist(), link.tolist()
@@ -392,8 +395,13 @@ def simulate(
     )
 
 
-def _route(plan, machine: MachineSpec) -> Tuple[np.ndarray, List[tuple]]:
-    """Per message: its link class and the resource ids it holds.
+def _route(
+    plan, machine: MachineSpec
+) -> Tuple[np.ndarray, List[tuple], np.ndarray, Set[tuple]]:
+    """Per message: its link class and the resource ids it holds (as
+    tuples, and flattened for the kernel's certificate by
+    :func:`~repro.simnet.kernel.flatten_held`), plus the table's
+    ``contended`` hint for :func:`~repro.simnet.kernel.run`.
 
     A function of the plan and the machine's *geometry* alone, so it is
     memoized on the plan per geometry.  Resource ids: send port of node
@@ -403,7 +411,9 @@ def _route(plan, machine: MachineSpec) -> Tuple[np.ndarray, List[tuple]]:
     port[, egress, ingress]) — one fixed global acquisition order, which
     prevents hold-and-wait cycles — an intranode one the node's fabric
     when it is shared, nothing when links are dedicated.  Tuples are
-    interned per node pair.
+    interned per node pair.  The hint starts empty; the kernel fills it
+    (it holds the capacity vectors under which this table failed a
+    certificate, so their later runs skip the capacity-free pass).
     """
     nodes = machine.nodes
     df = machine.dragonfly
@@ -411,7 +421,7 @@ def _route(plan, machine: MachineSpec) -> Tuple[np.ndarray, List[tuple]]:
     pools = df is not None and df.global_channels is not None
     fabric = machine.intra_kind == "shared" and machine.ppn > 1
 
-    def make() -> Tuple[np.ndarray, List[tuple]]:
+    def make() -> Tuple[np.ndarray, List[tuple], np.ndarray, Set[tuple]]:
         src = np.asarray(plan.src, dtype=np.int64)
         dst = np.asarray(plan.dst, dtype=np.int64)
         if machine.placement == "round_robin":
@@ -437,7 +447,7 @@ def _route(plan, machine: MachineSpec) -> Tuple[np.ndarray, List[tuple]]:
                     h = (s, nodes + d)
                 interned[(s, d)] = h
             held.append(h)
-        return link, held
+        return link, held, kernel.flatten_held(held), set()
 
     return plan.route(
         (nodes, machine.ppn, machine.placement, npg, pools, fabric), make

@@ -436,6 +436,25 @@ class TestStatsProtocol:
                 "repro_engine_fallbacks_total", reason=counted
             ) == 1
 
+    def test_inactive_fault_plan_is_no_fault_plan(self):
+        """A ``FaultPlan`` that injects nothing neither blocks the
+        collapsed engine nor counts a ``faults`` fallback."""
+        from repro.faults import FaultPlan
+
+        ring, m8 = build_schedule("allgather", "ring", 8), reference(8)
+        plain = simulate(ring, m8, 4096, engine="collapsed")
+        OBS.enable()
+        idle = simulate(ring, m8, 4096, engine="collapsed",
+                        faults=FaultPlan())
+        OBS.disable()
+        assert (idle.engine, idle.fallback) == ("collapsed", None)
+        assert (idle.time, list(idle.rank_times)) == (
+            plain.time, list(plain.rank_times)
+        )
+        assert OBS.metrics.snapshot().total(
+            "repro_engine_fallbacks_total"
+        ) == 0
+
     def test_concurrent_lookups_lose_no_count(self):
         """More threads than cores hammering one small cache: every
         lookup is counted exactly once, in stats() and in /metrics."""
