@@ -40,9 +40,10 @@ Quickstart::
 
 Machines are addressable by registry name (``repro.simnet.machines.get``
 — e.g. ``repro.simulate(sched, "dragonfly-1024", nbytes=65536)``), and
-``simulate`` takes ``engine="auto"|"materialized"|"collapsed"`` to select
-the class-collapsed large-p simulation core (see
-:mod:`repro.simnet.collapsed`).
+``simulate`` picks its simulation core itself (``engine="auto"``: the
+class-collapsed large-p core of :mod:`repro.simnet.collapsed` where it is
+exact); ``engine="materialized"|"collapsed"`` forces one, and no sweep,
+tuner or service above it takes the option.
 
 The pre-facade spellings (``repro.run_collective``,
 ``repro.build_schedule``, ``repro.execute_threaded``, schedule-first

@@ -25,8 +25,8 @@ Time-varying conditions themselves are declared in
 :class:`~repro.faults.plan.ContentionModel`) and charged by the
 simulator exactly like static fault plans.  Everything downstream is a
 pure function of seeds and plans, so adaptive runs are bit-identical at
-any ``--jobs`` and across simulation engines — and with ``adapt`` off,
-no code in this package runs at all.
+any ``--jobs`` — and with ``adapt`` off, no code in this package runs at
+all.
 """
 
 from .loop import AdaptiveRun, AdaptReport, RoundRecord, run_adaptive

@@ -10,7 +10,7 @@ Each round it:
 1. resolves the round's effective fault plan and simulates the
    incumbent ``(algorithm, k)`` under it (the simulator *is* the
    observation — simulation is pure, so the loop is bit-identical at
-   any ``jobs`` and under any engine);
+   any ``jobs``);
 2. feeds the observed time and the degraded-link telemetry
    (:func:`repro.recovery.detect.simulated_failures`) into the
    :class:`~repro.adapt.monitor.HealthMonitor`;
@@ -202,7 +202,6 @@ def run_adaptive(
     root: int = 0,
     policy: AdaptPolicy = DEFAULT_POLICY,
     jobs: int = 0,
-    engine: str = "auto",
     seed: int = 0,
     priors: Optional[Mapping[Choice, float]] = None,
 ) -> AdaptReport:
@@ -213,10 +212,10 @@ def run_adaptive(
     ``max_candidates`` best — those healthy times are also the bandit's
     warm-start priors.  ``phased`` and ``contention`` drive the drift;
     with neither, every round is healthy and the loop provably never
-    switches (``tests/test_adapt.py`` pins this).  ``jobs``/``engine``
-    tune sweep wall-clock only: every number in the report is
-    bit-identical across them.  An ``abort`` from the ladder stops the
-    loop early and sets ``aborted`` on the report — it never raises.
+    switches (``tests/test_adapt.py`` pins this).  ``jobs`` tunes sweep
+    wall-clock only: every number in the report is bit-identical across
+    it.  An ``abort`` from the ladder stops the loop early and sets
+    ``aborted`` on the report — it never raises.
 
     ``priors`` seeds the healthy arm times directly — the
     ``{Choice: seconds}`` mapping
@@ -252,7 +251,6 @@ def run_adaptive(
                 root=root,
                 faults=plan,
                 jobs=jobs,
-                engine=engine,
             )
             cache[plan] = {
                 e.choice: e.time

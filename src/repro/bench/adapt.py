@@ -41,7 +41,6 @@ def run_adapt_bench(
     policy: AdaptPolicy = DEFAULT_POLICY,
     jobs: int = 0,
     check_jobs: Optional[int] = 2,
-    engine: str = "auto",
     seed: int = 0,
 ) -> dict:
     """Run the adaptive loop through ``scenario``; return the report dict.
@@ -71,7 +70,6 @@ def run_adapt_bench(
             contention=sc.contention,
             policy=policy,
             jobs=njobs,
-            engine=engine,
             seed=seed,
         )
 
@@ -86,7 +84,6 @@ def run_adapt_bench(
     reached = [v for v in tta.values() if v is not None]
     out = report.to_dict()
     out["scenario"] = scenario
-    out["engine"] = engine
     out["jobs"] = jobs
     out["jobs_invariant"] = jobs_invariant
     out["regret_ratio"] = (

@@ -410,7 +410,7 @@ def _measure_scale() -> Dict[str, float]:
         SweepPoint(coll, alg, _SCALE_NBYTES, k=None, root=0)
         for coll, alg in _SCALE_LAZY_FAMILIES
     ]
-    results, wall_s = _timed_sweep(points, reference(_SCALE_P), engine="auto")
+    results, wall_s = _timed_sweep(points, reference(_SCALE_P))
     errors = sweep_errors(results)
     if errors:
         raise ReproError(

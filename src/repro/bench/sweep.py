@@ -69,7 +69,7 @@ from ..parallel import ChunkFailure, resolve_jobs, run_chunks
 from ..simnet.machine import MachineSpec
 from ..simnet.machines import resolve as resolve_machine
 from ..simnet.noise import NoiseModel
-from ..simnet.simulate import ENGINES, simulate
+from ..simnet.simulate import simulate
 from ..selection.tuner import radix_grid
 from ..store.journal import JournalWriter, journal_header, read_journal
 from ..store.schedules import open_schedule_store
@@ -210,8 +210,8 @@ def sweep_stats(results: Sequence[SweepPointResult]) -> SweepStats:
 _SIM_MEMO = ContentCache("sim", 1 << 16)
 
 #: Rank count from which sweep points route through the lazy generator
-#: schedules (:mod:`repro.core.lazy`) when one covers the point and the
-#: engine allows collapsing — above it, materializing p per-rank op lists
+#: schedules (:mod:`repro.core.lazy`) when one covers the point and its
+#: class analysis collapses — above it, materializing p per-rank op lists
 #: dominates the sweep's wall clock, below it the build cache is cheap
 #: enough that bypassing it buys nothing.
 _LAZY_SWEEP_MIN_RANKS = 2048
@@ -242,8 +242,8 @@ def _table_key(schedule, nbytes: int) -> Tuple:
     one key hand the kernel identical tables and get the identical
     float, whatever their names: ``bcast/knomial k=2`` replays
     ``bcast/binomial``, ``allreduce/kring k=1`` replays ``ring``.  The
-    collapsed engine is bit-identical to the materialized one, so the
-    engine stays out of the key.  ``tests/test_sim_memo.py`` checks
+    key names no simulation core: ``simulate`` picks one itself, and the
+    cores are bit-identical.  ``tests/test_sim_memo.py`` checks
     over the registry grid that equal keys mean equal kernel arguments.
 
     A lazy generator schedule (:mod:`repro.core.lazy`) keys on its own
@@ -269,7 +269,6 @@ def simulate_point(
     noise: Optional[NoiseModel] = None,
     faults: Optional[FaultPlan] = None,
     reuse: bool = True,
-    engine: str = "auto",
 ) -> SweepPointResult:
     """Simulate one point, reusing cached schedules and memoized results.
 
@@ -282,11 +281,10 @@ def simulate_point(
     prove reuse never changes a result.  Raises nothing: errors come back
     in the result record.
 
-    ``engine`` selects the simulation core
-    (:data:`~repro.simnet.simulate.ENGINES`).  The simulated time is
-    bit-identical across all of them, which is why the memo key
-    deliberately ignores it.  At large p (≥ ``_LAZY_SWEEP_MIN_RANKS``)
-    a collapsing-capable engine routes eligible points through the lazy
+    :func:`~repro.simnet.simulate.simulate` picks the simulation core
+    (``engine="auto"``); the cores are bit-identical, which is why the
+    memo key ignores the choice.  At large p (≥
+    ``_LAZY_SWEEP_MIN_RANKS``) eligible points route through the lazy
     generator schedules (:func:`repro.core.lazy.lookup`), skipping the
     per-rank materialization entirely.
 
@@ -297,12 +295,10 @@ def simulate_point(
     if not OBS.enabled:
         return _simulate_point_impl(
             machine, point, noise=noise, faults=faults, reuse=reuse,
-            engine=engine,
         )
     t0 = time.perf_counter()
     res = _simulate_point_impl(
         machine, point, noise=noise, faults=faults, reuse=reuse,
-        engine=engine,
     )
     dt = time.perf_counter() - t0
     outcome = (
@@ -322,13 +318,12 @@ def _simulate_point_impl(
     noise: Optional[NoiseModel],
     faults: Optional[FaultPlan],
     reuse: bool,
-    engine: str = "auto",
 ) -> SweepPointResult:
     try:
         entry = info(point.collective, point.algorithm)
         root = point.root if entry.takes_root else 0
         schedule = _lazy_route(machine, point, root,
-                               noise=noise, faults=faults, engine=engine)
+                               noise=noise, faults=faults)
         hit = False
         if schedule is None:
             if reuse:
@@ -349,7 +344,6 @@ def _simulate_point_impl(
                 return SweepPointResult(point, memo_time, hit, sim_hit=True)
         sim = simulate(
             schedule, machine, point.nbytes, noise=noise, faults=faults,
-            engine=engine,
         )
         if reuse:
             _SIM_MEMO.put(key, sim.time)
@@ -371,18 +365,15 @@ def _lazy_route(
     *,
     noise: Optional[NoiseModel],
     faults: Optional[FaultPlan],
-    engine: str,
 ):
     """The lazy generator schedule for ``point``, or None to build normally.
 
-    Routing is opt-in by scale: only collapsing-capable engines at
-    p ≥ ``_LAZY_SWEEP_MIN_RANKS`` on symmetric runs, and only when the
-    class analysis actually succeeds — so a routed point is guaranteed to
-    take the collapsed core rather than falling back to a materialization
-    that might exceed the lazy op-count guard.
+    Routing is opt-in by scale: only at p ≥ ``_LAZY_SWEEP_MIN_RANKS`` on
+    symmetric runs, and only when the class analysis actually succeeds —
+    so a routed point is guaranteed to take the collapsed core rather
+    than falling back to a materialization that might exceed the lazy
+    op-count guard.
     """
-    if engine not in ("auto", "collapsed"):
-        return None
     if machine.nranks < _LAZY_SWEEP_MIN_RANKS:
         return None
     if noise is not None or faults is not None:
@@ -423,7 +414,7 @@ def _maybe_injected_crash(point: SweepPoint) -> None:
 # The trailing TraceContext is None unless the parent sweep is being
 # observed — workers join its trace and ship their records back.
 _ChunkTask = Tuple[MachineSpec, Optional[NoiseModel], Optional[FaultPlan],
-                   bool, str, Tuple[SweepPoint, ...],
+                   bool, Tuple[SweepPoint, ...],
                    Optional[TraceContext]]
 
 
@@ -450,7 +441,7 @@ def _run_chunk(task: _ChunkTask):
     Never raises: per-point errors are folded into the results so one
     bad configuration cannot poison the pool or its sibling points.
     """
-    machine, noise, faults, reuse, engine, points, ctx = task
+    machine, noise, faults, reuse, points, ctx = task
     if ctx is None or ctx.origin_pid == os.getpid():
         # Plain path — or the parent process itself (serial/degenerate
         # pool), where records land directly in the live registry.  The
@@ -462,7 +453,6 @@ def _run_chunk(task: _ChunkTask):
             out.append(
                 simulate_point(
                     machine, pt, noise=noise, faults=faults, reuse=reuse,
-                    engine=engine,
                 )
             )
         return out
@@ -479,7 +469,7 @@ def _run_chunk(task: _ChunkTask):
                 results.append(
                     simulate_point(
                         machine, pt, noise=noise, faults=faults,
-                        reuse=reuse, engine=engine,
+                        reuse=reuse,
                     )
                 )
     finally:
@@ -505,7 +495,6 @@ def _chunk_points(
     noise: Optional[NoiseModel],
     faults: Optional[FaultPlan],
     reuse: bool,
-    engine: str,
     points: Sequence[SweepPoint],
     ctx: Optional[TraceContext] = None,
 ) -> List[_ChunkTask]:
@@ -521,24 +510,19 @@ def _chunk_points(
     for pt in points:
         if group and pt.schedule_params() != group[-1].schedule_params():
             chunks.append(
-                (machine, noise, faults, reuse, engine, tuple(group), ctx)
+                (machine, noise, faults, reuse, tuple(group), ctx)
             )
             group = []
         group.append(pt)
     if group:
-        chunks.append(
-            (machine, noise, faults, reuse, engine, tuple(group), ctx)
-        )
+        chunks.append((machine, noise, faults, reuse, tuple(group), ctx))
     return chunks
 
 
 def _split_chunk(task: _ChunkTask) -> List[_ChunkTask]:
     """Split a failing chunk into single-point tasks (poison cornering)."""
-    machine, noise, faults, reuse, engine, points, ctx = task
-    return [
-        (machine, noise, faults, reuse, engine, (pt,), ctx)
-        for pt in points
-    ]
+    machine, noise, faults, reuse, points, ctx = task
+    return [(machine, noise, faults, reuse, (pt,), ctx) for pt in points]
 
 
 def _chunk_error_records(
@@ -550,7 +534,7 @@ def _chunk_error_records(
     there is no worker traceback to preserve — the process is gone — so
     the record carries the executor's mechanical story instead.
     """
-    points = task[5]
+    points = task[4]
     error = f"ChunkFailure: {failure}"
     note = (
         "worker process lost before a traceback could be captured "
@@ -591,9 +575,7 @@ def sweep_fingerprint(
     silently corrupt science.  All components hash by ``repr`` of frozen
     dataclasses, which pin every parameter that affects a result.  A
     machine given by registry name hashes as its resolved spec, so
-    ``"reference-64"`` and ``reference(64)`` share journals; the engine
-    is deliberately absent — it never changes a result, so a journal
-    written under one resumes under another.
+    ``"reference-64"`` and ``reference(64)`` share journals.
     """
     h = hashlib.sha256()
     h.update(repr(resolve_machine(machine)).encode())
@@ -679,14 +661,11 @@ def run_sweep(
     retries: int = 2,
     deadline: Optional[float] = None,
     isolate: bool = False,
-    engine: str = "auto",
 ) -> List[SweepPointResult]:
     """Simulate every point on ``machine``; results in point order.
 
     ``machine`` is a spec or a registry name
-    (:func:`repro.simnet.machines.get`); ``engine`` selects the
-    simulation core per point (:data:`~repro.simnet.simulate.ENGINES`)
-    without affecting any result bit.
+    (:func:`repro.simnet.machines.get`).
 
     ``jobs=0``/``1`` runs serially in-process; ``jobs>=2`` fans chunks
     out to a process pool; ``jobs<0`` uses every core.  Output is
@@ -725,10 +704,6 @@ def run_sweep(
         on single-core hosts (crash isolation needs a process boundary).
     """
     machine = resolve_machine(machine)
-    if engine not in ENGINES:
-        raise ReproError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
     if store is not None and not isinstance(store, ScheduleCache):
         store = open_schedule_store(store)
     previous_cache = None
@@ -753,8 +728,7 @@ def run_sweep(
         try:
             computed = _dispatch_sweep(
                 pending, machine, jobs=jobs, noise=noise, faults=faults,
-                reuse=reuse, engine=engine,
-                writer=writer, retries=retries, deadline=deadline,
+                reuse=reuse, writer=writer, retries=retries, deadline=deadline,
                 isolate=isolate,
             )
         finally:
@@ -784,7 +758,6 @@ def _dispatch_sweep(
     noise: Optional[NoiseModel],
     faults: Optional[FaultPlan],
     reuse: bool,
-    engine: str,
     writer: Optional[JournalWriter],
     retries: int,
     deadline: Optional[float],
@@ -806,8 +779,7 @@ def _dispatch_sweep(
 
     on_done = journal_chunk if writer is not None else None
     if not OBS.enabled:
-        chunks = _chunk_points(machine, noise, faults, reuse, engine,
-                               points)
+        chunks = _chunk_points(machine, noise, faults, reuse, points)
         return run_chunks(
             _run_chunk, chunks, jobs=jobs, retries=retries,
             deadline=deadline, on_chunk_error=_chunk_error_records,
@@ -816,8 +788,7 @@ def _dispatch_sweep(
     with OBS.span("sweep", points=len(points), jobs=jobs):
         effective = resolve_jobs(jobs)
         ctx = OBS.tracer.context() if effective >= 2 or isolate else None
-        chunks = _chunk_points(machine, noise, faults, reuse, engine,
-                               points, ctx)
+        chunks = _chunk_points(machine, noise, faults, reuse, points, ctx)
         t0 = time.perf_counter()
         raw = run_chunks(
             _run_chunk, chunks, jobs=jobs, retries=retries,
@@ -921,15 +892,13 @@ def radix_latency_sweep(
     root: int = 0,
     noise: Optional[NoiseModel] = None,
     jobs: int = 0,
-    engine: str = "auto",
 ) -> RadixSweep:
     """Simulate a generalized algorithm across a (k × size) grid.
 
     With ``ks=None`` the grid is :func:`repro.selection.tuner.radix_grid`
     over the machine's rank count — the same grid the tuner and the
     analytical profiles use.  ``jobs`` fans the grid out over worker
-    processes and ``engine`` selects the simulation core, neither
-    changing a single result (see :func:`run_sweep`).
+    processes without changing a single result (see :func:`run_sweep`).
     """
     machine = resolve_machine(machine)
     entry = info(collective, algorithm)
@@ -958,8 +927,7 @@ def radix_latency_sweep(
         for k in grid
         for nbytes in sizes
     ]
-    results = run_sweep(points, machine, jobs=jobs, noise=noise,
-                        engine=engine)
+    results = run_sweep(points, machine, jobs=jobs, noise=noise)
     errors = sweep_errors(results)
     if errors:
         raise ReproError(

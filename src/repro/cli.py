@@ -91,8 +91,8 @@ Eleven console scripts are installed with the package:
     (``repro-check --all --jobs 4``).  ``--json`` emits the machine
     report; ``--strict`` fails on warnings too.
 
-Every verb shares one skeleton: the machine, engine, job-count, size-grid
-and ``--metrics-out`` flags come from one builder each, and one runner
+Every verb shares one skeleton: the machine, job-count, size-grid and
+``--metrics-out`` flags come from one builder each, and one runner
 owns the exit codes — a library error prints ``error: …`` and exits 2,
 Ctrl-C prints what was (not) written and exits 130.
 """
@@ -166,6 +166,8 @@ def _machine(args: argparse.Namespace):
     """The machine :func:`_machine_flags` names: a registry name with a
     ``-`` pins its own geometry (:func:`repro.simnet.machines.get`); a
     base name takes ``--nodes``, or ``--p`` split into whole nodes."""
+    if args.ppn < 1:
+        raise MachineError(f"ppn must be >= 1, got {args.ppn}")
     nodes = getattr(args, "nodes", None)
     if nodes is None:
         if args.p % args.ppn:
@@ -174,18 +176,6 @@ def _machine(args: argparse.Namespace):
     if "-" in args.machine:
         return machine_by_name(args.machine)
     return by_name(args.machine, nodes, args.ppn)
-
-
-def _engine_flag(parser: argparse.ArgumentParser, scope: str,
-                 invariant: str) -> None:
-    """``--engine``, with ``invariant`` identical under every engine."""
-    parser.add_argument("--engine", default="auto", choices=ENGINES,
-                        help=f"simulation core for {scope}: auto "
-                        "(default) picks the class-collapsed engine where "
-                        "eligible, materialized forces per-rank "
-                        "simulation, collapsed requests collapsing with "
-                        f"recorded fallback; {invariant} identical under "
-                        "all three")
 
 
 def _jobs_flag(parser: argparse.ArgumentParser, scope: str,
@@ -305,7 +295,6 @@ def main_tune(argv: Optional[List[str]] = None) -> int:
     )
     _machine_flags(parser, "frontier", nodes=32)
     _size_flags(parser, max_bytes=1 << 22)
-    _engine_flag(parser, "the sweep", "winners are")
     _jobs_flag(parser, "the sweep", "winners are")
     parser.add_argument("-o", "--output", default=None,
                         help="write the selection-config JSON here "
@@ -324,7 +313,7 @@ def main_tune(argv: Optional[List[str]] = None) -> int:
 def _tune(args: argparse.Namespace) -> int:
     with _metrics_out(args.metrics_out):
         config = tune(_machine(args), _tuning_sizes(args), jobs=args.jobs,
-                      check=args.check, engine=args.engine)
+                      check=args.check)
     if args.output:
         config.save(args.output)
         print(f"wrote {args.output}")
@@ -425,8 +414,6 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--timeout", type=float, default=10.0,
                         help="per-receive timeout for the threaded "
                         "transport (seconds)")
-    _engine_flag(parser, "the sim backend (threaded cases ignore it)",
-                 "classifications are")
     parser.add_argument("--recover", action="store_true",
                         help="heal unmaskable faults through "
                         "repro.recovery (detect, shrink/substitute, "
@@ -480,7 +467,6 @@ def _chaos(args: argparse.Namespace) -> int:
         backends=backends,
         timeout=args.timeout,
         recover=recover,
-        engine=args.engine,
     )
     if args.verbose:
         for r in results:
@@ -890,7 +876,6 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
         "resume where it died (--resume) with bit-identical results.",
     )
     _machine_flags(parser, "frontier", nodes=16)
-    _engine_flag(parser, "the grid", "results are")
     parser.add_argument("--collective", default="allreduce",
                         choices=COLLECTIVES)
     parser.add_argument("--algorithm", default=None,
@@ -972,7 +957,6 @@ def _sweep(args: argparse.Namespace) -> int:
             retries=args.retries,
             deadline=args.deadline,
             isolate=args.isolate,
-            engine=args.engine,
         )
 
     stats = sweep_stats(results)
@@ -1032,7 +1016,6 @@ def main_adapt(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the scenario and the bandit "
                         "tie-breaks (default 0)")
-    _engine_flag(parser, "the underlying sweeps", "the trail is")
     _jobs_flag(parser, "the underlying sweeps", "the trail is")
     parser.add_argument("--check-jobs", type=int, default=None,
                         metavar="N",
@@ -1092,7 +1075,6 @@ def _adapt(args: argparse.Namespace) -> int:
         policy=policy,
         jobs=args.jobs,
         check_jobs=args.check_jobs,
-        engine=args.engine,
         seed=args.seed,
     )
 
@@ -1163,7 +1145,6 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
                         "artifacts (repro.store); /schedule survives "
                         "restarts and the fingerprint index is rebuilt "
                         "from it at boot")
-    _engine_flag(parser, "the service's sweeps", "selections are")
     _jobs_flag(parser, "the service's sweeps", "selections are")
     return _run(_serve, parser.parse_args(argv),
                 "interrupted during boot sweep")
@@ -1188,7 +1169,6 @@ def _serve(args: argparse.Namespace) -> int:
         store=args.store,
         grid=args.grid,
         jobs=args.jobs,
-        engine=args.engine,
     )
 
     async def run() -> None:

@@ -87,11 +87,6 @@ class ChaosResult:
     detail: str = ""
     retransmissions: int = 0
     elapsed: float = 0.0
-    #: Why an ``engine="collapsed"`` request fell back to the
-    #: materialized core (``SimResult.fallback``), ``None`` otherwise.
-    #: Fault plans always block collapsing, so every sim case run with
-    #: the collapsed engine records ``"fault plan present"`` here.
-    fallback: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -105,8 +100,6 @@ class ChaosResult:
 
     def describe(self) -> str:
         tail = f" [{self.detail}]" if self.detail else ""
-        if self.fallback:
-            tail += f" (collapsed fell back: {self.fallback})"
         case = f"{self.collective}/{self.algorithm}"
         return (
             f"{self.scenario:<14} {case:<36} {self.backend:<8} "
@@ -212,7 +205,6 @@ def run_case(
     timeout: float = 10.0,
     machine=None,
     recover=None,
-    engine: str = "auto",
 ) -> ChaosResult:
     """Run one algorithm under one plan and classify the outcome.
 
@@ -220,19 +212,13 @@ def run_case(
     :class:`~repro.recovery.RecoveryPolicy`: unmaskable faults then go
     through the self-healing loop and classify as ``recovered`` /
     ``unrecovered`` instead of ``fault``.
-
-    ``engine`` selects the simulation core for the ``"sim"`` backend
-    (the threaded transport has no simulation engine).  Outcomes are
-    identical under every engine; what changes is the recorded
-    :attr:`ChaosResult.fallback` — fault plans are collapse blockers,
-    so ``engine="collapsed"`` always falls back and says why.
     """
     if backend == "threaded":
         return _run_threaded(collective, algorithm, plan, scenario, p, count,
                              timeout, recover)
     if backend == "sim":
         return _run_sim(collective, algorithm, plan, scenario, p, count,
-                        machine, recover, engine)
+                        machine, recover)
     raise ExecutionError(f"unknown chaos backend {backend!r}")
 
 
@@ -362,7 +348,6 @@ def _run_sim(
     count: int,
     machine,
     recover=None,
-    engine: str = "auto",
 ) -> ChaosResult:
     from ..simnet.machines import reference
     from ..simnet.simulate import simulate
@@ -371,8 +356,7 @@ def _run_sim(
         machine = reference(p)
     start = time.perf_counter()
 
-    def done(outcome: str, detail: str = "", retx: int = 0,
-             fallback: Optional[str] = None) -> ChaosResult:
+    def done(outcome: str, detail: str = "", retx: int = 0) -> ChaosResult:
         return ChaosResult(
             scenario=scenario,
             collective=collective,
@@ -382,7 +366,6 @@ def _run_sim(
             detail=detail,
             retransmissions=retx,
             elapsed=time.perf_counter() - start,
-            fallback=fallback,
         )
 
     if recover is not None:
@@ -412,22 +395,20 @@ def _run_sim(
 
     sched = build_schedule(collective, algorithm, p)
     try:
-        res = simulate(sched, machine, count * 8, faults=plan, engine=engine)
+        res = simulate(sched, machine, count * 8, faults=plan)
     except ReproError as exc:
         return done("FAIL", f"unstructured error: {exc}")
     if res.complete:
         return done("ok", f"t={res.time * 1e6:.2f}us",
-                    retx=res.retransmissions, fallback=res.fallback)
+                    retx=res.retransmissions)
     if res.failed_ranks or res.stalled_ranks:
         return done(
             "fault",
             f"failed={list(res.failed_ranks)} "
             f"stalled={list(res.stalled_ranks)}",
             retx=res.retransmissions,
-            fallback=res.fallback,
         )
-    return done("FAIL", "incomplete result with no fault diagnosis",
-                fallback=res.fallback)
+    return done("FAIL", "incomplete result with no fault diagnosis")
 
 
 def run_chaos(
@@ -440,14 +421,12 @@ def run_chaos(
     algorithms: Sequence[Tuple[str, str]] = GENERALIZED_ALGORITHMS,
     timeout: float = 10.0,
     recover=None,
-    engine: str = "auto",
 ) -> List[ChaosResult]:
     """The full sweep: scenarios x Table I algorithms x backends.
 
     ``recover=True`` heals with :func:`default_recovery_policy`; a mode
     string or :class:`~repro.recovery.RecoveryPolicy` picks the policy
-    explicitly.  ``engine`` is forwarded to every simulated case (see
-    :func:`run_case`); classifications are engine-invariant.
+    explicitly.
     """
     if scenarios is None:
         scenarios = default_scenarios(seed, p)
@@ -468,7 +447,6 @@ def run_chaos(
                         count=count,
                         timeout=timeout,
                         recover=recover,
-                        engine=engine,
                     )
                 )
     return results

@@ -157,7 +157,6 @@ def sweep_collective(
     skip: Sequence[str] = ("linear",),
     jobs: int = 0,
     check: bool = False,
-    engine: str = "auto",
     priors: Optional[Mapping[Tuple, float]] = None,
 ) -> SweepResult:
     """Simulate every (algorithm, radix, size) combination.
@@ -176,10 +175,7 @@ def sweep_collective(
     refuses to tune over one with error findings — a table must never
     recommend a schedule that deadlocks or corrupts data.  Reports
     memoize by fingerprint, so the pre-pass costs each schedule once.
-    ``engine`` selects the simulation core per point
-    (:data:`~repro.simnet.simulate.ENGINES`) — result-transparent, so
-    tables tuned under ``"collapsed"`` match tables tuned under
-    ``"materialized"`` bit for bit.  ``machine`` may be a registry name
+    ``machine`` may be a registry name
     (:func:`repro.simnet.machines.get`).
     ``priors`` warm-starts the sweep from recorded timings — a mapping
     from ``(collective, algorithm, k, root, nbytes)`` to seconds, as
@@ -233,7 +229,7 @@ def sweep_collective(
     missing = [pt for i, pt in enumerate(points) if i not in known]
     if missing:
         results = run_sweep(missing, machine, jobs=jobs, noise=noise,
-                            faults=faults, engine=engine)
+                            faults=faults)
         errors = sweep_errors(results)
         if errors:
             raise SelectionError(
@@ -344,7 +340,6 @@ def tune(
     name: Optional[str] = None,
     jobs: int = 0,
     check: bool = False,
-    engine: str = "auto",
     priors: Optional[Mapping[PriorKey, float]] = None,
 ) -> SelectionConfig:
     """Sweep ``machine`` and return its selection-config document.
@@ -358,10 +353,7 @@ def tune(
     argmin per size — and therefore the document — cannot change.
     ``check=True`` gates every candidate schedule through the static
     analysis suite first (see :func:`sweep_collective`).
-    Documents are identical under any ``engine`` (the CLI's ``--engine``)
-    too: the collapsed core is bit-identical where eligible and falls
-    back where not, so it can only change tuning wall-clock, never a
-    winner.  And so are they under ``priors`` (a previous document's
+    Documents are identical under ``priors`` too (a previous document's
     :meth:`~repro.selection.table.SelectionConfig.sweep_priors`): points
     covered by a recorded timing are served from it instead of
     re-simulated, which is the tuning service's warm start — an exported
@@ -376,6 +368,6 @@ def tune(
     for collective in collectives:
         sweeps[collective] = sweep_collective(
             collective, machine, sorted_sizes,
-            jobs=jobs, check=check, engine=engine, priors=priors,
+            jobs=jobs, check=check, priors=priors,
         )
     return config_from_sweeps(machine, sorted_sizes, sweeps, name=name)

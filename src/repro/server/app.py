@@ -151,7 +151,6 @@ class TuningService:
         store=None,
         grid=None,
         jobs: int = 0,
-        engine: str = "auto",
         check: bool = False,
         obs: Optional[Obs] = None,
         fsync: bool = False,
@@ -164,7 +163,6 @@ class TuningService:
             raise ServerError("a tuning service needs a non-empty size grid")
         self.collectives: Tuple[str, ...] = tuple(collectives)
         self.jobs = jobs
-        self.engine = engine
         self.check = check
         self.obs = get_obs(obs)
         self.store_root = str(store) if store is not None else None
@@ -192,8 +190,7 @@ class TuningService:
         for collective in self.collectives:
             self._sweeps[collective] = sweep_collective(
                 collective, self.machine, self.sizes,
-                jobs=self.jobs, check=self.check,
-                engine=self.engine, priors=priors,
+                jobs=self.jobs, check=self.check, priors=priors,
             )
         self._rebuild()
         self.sweeps_run = 0
@@ -276,7 +273,6 @@ class TuningService:
             "nranks": self.machine.nranks,
             "sizes": self.sizes,
             "collectives": list(self.collectives),
-            "engine": self.engine,
             "jobs": self.jobs,
             "store": self.store_root,
             "warm_started": self.warm_started,
@@ -426,7 +422,6 @@ class TuningService:
             return sweep_collective(
                 collective, self.machine, self.sizes,
                 jobs=self.jobs, check=self.check,
-                engine=self.engine,
             )
 
     # ------------------------------------------------------------------

@@ -57,7 +57,10 @@ from .noise import NoiseModel
 __all__ = ["SimResult", "simulate", "traffic_summary", "TrafficSummary",
            "ENGINES"]
 
-#: Valid values for ``simulate(engine=...)`` and the CLIs' ``--engine``.
+#: Valid values for ``simulate(engine=...)``, the one place a simulation
+#: core is chosen: every sweep, tuner, adapt loop, chaos run and service
+#: above it runs ``auto``.  ``repro-check --engine`` reuses the names for
+#: its static class count (it never simulates).
 ENGINES = ("auto", "materialized", "collapsed")
 
 #: Why a run ``simulate()`` considered collapsing ran materialized: the
@@ -78,10 +81,16 @@ _AUTO_COLLAPSE_MIN_RANKS = 256
 
 @dataclass
 class SimResult:
-    """Outcome of one simulated collective."""
+    """Outcome of one simulated collective.
+
+    ``rank_times`` holds each rank's completion time: a ``list`` from the
+    materialized core, a ``numpy`` array from the collapsed one
+    (``engine`` names which ran).  ``engine="auto"`` picks the core, so a
+    caller that needs a ``list`` converts.
+    """
 
     time: float                      # makespan (seconds)
-    rank_times: List[float]          # per-rank completion times
+    rank_times: Sequence[float]      # per-rank completion times
     messages: int                    # point-to-point messages delivered
     intra_messages: int
     inter_messages: int

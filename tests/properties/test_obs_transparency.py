@@ -126,9 +126,7 @@ class TestWorkerEnvelope:
         # Pretend the chunk landed in another process: _run_chunk keys
         # worker mode off the context's origin pid, not the obs flag.
         ctx = dataclasses.replace(ctx, origin_pid=-1)
-        (chunk,) = _chunk_points(
-            machine, None, None, True, "auto", points[:3], ctx
-        )
+        (chunk,) = _chunk_points(machine, None, None, True, points[:3], ctx)
         out = _run_chunk(chunk)
         return ctx, points[:3], out
 
@@ -164,9 +162,7 @@ class TestWorkerEnvelope:
         """With ctx=None (serial sweep) results come back bare, not
         enveloped."""
         machine, points = _workload()
-        (chunk,) = _chunk_points(
-            machine, None, None, True, "auto", points[:2]
-        )
+        (chunk,) = _chunk_points(machine, None, None, True, points[:2])
         out = _run_chunk(chunk)
         assert len(out) == 2
         assert not isinstance(out[0], _ObsEnvelope)

@@ -71,15 +71,6 @@ class TestTune:
         payload = json.loads(capsys.readouterr().out)
         assert payload["table"]["name"] == "tuned-reference-4"
 
-    def test_engine_flag_matches_materialized(self, capsys):
-        argv = ["--machine", "reference", "--nodes", "4",
-                "--min-bytes", "8", "--max-bytes", "512"]
-        assert main_tune(argv + ["--engine", "collapsed"]) == 0
-        collapsed = json.loads(capsys.readouterr().out)
-        assert main_tune(argv + ["--engine", "materialized"]) == 0
-        materialized = json.loads(capsys.readouterr().out)
-        assert collapsed["table"]["rules"] == materialized["table"]["rules"]
-
     def test_reference_requires_ppn_1(self, capsys):
         rc = main_tune(["--machine", "reference", "--ppn", "2"])
         assert rc == 2
@@ -222,6 +213,22 @@ class TestTrace:
         ])
         assert rc == 2
         assert "divisible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ppn", ["0", "-2"])
+@pytest.mark.parametrize("verb", ["trace", "recover"])
+def test_ppn_below_one_is_an_error_not_a_traceback(verb, ppn, tmp_path,
+                                                    capsys):
+    """A ppn below 1 is refused before ``--p`` is split into nodes."""
+    from repro import cli
+
+    argv = ["allreduce", "ring", "--p", "8", "--ppn", ppn]
+    if verb == "trace":
+        argv += ["-o", str(tmp_path / "t.json")]
+    else:
+        argv += ["--backend", "sim"]
+    assert getattr(cli, f"main_{verb}")(argv) == 2
+    assert f"error: ppn must be >= 1, got {ppn}" in capsys.readouterr().err
 
 
 class TestMetricsOut:

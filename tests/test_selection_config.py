@@ -10,7 +10,7 @@ The document (:class:`repro.selection.SelectionConfig`) is the paper's
 * tuner priors — re-tuning warm-started from :meth:`~repro.selection.
   SelectionConfig.sweep_priors` replays recorded timings instead of
   simulating, and the resulting document is bit-identical at any
-  ``--jobs`` level and under either simulation engine;
+  ``--jobs`` level, whichever simulation core recorded the priors;
 * online selection — :meth:`~repro.selection.SelectionConfig.priors_for`
   warm-starts :class:`repro.adapt.OnlineSelector` /
   :func:`repro.adapt.run_adaptive` with exactly the healthy times the
@@ -28,6 +28,7 @@ import json
 import pytest
 
 from repro.adapt import OnlineSelector, run_adaptive
+from repro.core.registry import info
 from repro.errors import SelectionError
 from repro.selection import (
     CONFIG_FORMAT,
@@ -37,6 +38,7 @@ from repro.selection import (
     tune,
 )
 from repro.simnet.machines import reference
+from repro.simnet.simulate import simulate
 
 P = 8
 SIZES = [256, 4096]
@@ -249,10 +251,20 @@ def test_foreign_documents_refuse_to_load(cfg):
 @pytest.mark.parametrize("engine", ["materialized", "collapsed"])
 def test_prior_warmed_retune_is_bit_identical(cfg, jobs, engine):
     """Export → reimport as priors → winners (and the whole document)
-    identical, at any jobs level and under either simulation engine."""
+    identical, at any jobs level.  Every other prior is re-recorded from
+    one named core of :func:`~repro.simnet.simulate.simulate` and the
+    rest re-simulate inside the sweep, so timings taken under either
+    core mix with the tuner's own without moving a single float."""
+    recorded = cfg.sweep_priors()
+    priors = {}
+    for key in list(recorded)[::2]:
+        collective, algorithm, k, root, nbytes = key
+        schedule = info(collective, algorithm).build(P, k=k, root=root)
+        priors[key] = simulate(schedule, MACHINE, nbytes, engine=engine).time
+    assert priors == {key: recorded[key] for key in priors}
     warm = tune(
         MACHINE, SIZES, collectives=COLLECTIVES,
-        priors=cfg.sweep_priors(), jobs=jobs, engine=engine,
+        priors=priors, jobs=jobs,
     )
     assert warm.to_json() == cfg.to_json()
 
