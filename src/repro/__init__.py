@@ -41,8 +41,8 @@ Quickstart::
 Machines are addressable by registry name (``repro.simnet.machines.get``
 — e.g. ``repro.simulate(sched, "dragonfly-1024", nbytes=65536)``), and
 ``simulate`` picks its simulation core itself (``engine="auto"``: the
-class-collapsed large-p core of :mod:`repro.simnet.collapsed` where it is
-exact); ``engine="materialized"|"collapsed"`` forces one, and no sweep,
+class-collapsed large-p core — one actor per rank-equivalence class,
+:mod:`repro.compile.classes` — where it is exact); ``engine="materialized"|"collapsed"`` forces one, and no sweep,
 tuner or service above it takes the option.
 
 The pre-facade spellings (``repro.run_collective``,

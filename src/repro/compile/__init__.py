@@ -23,8 +23,12 @@ Pipeline::
                     executors' tight loops
 
     CompiledSchedule ──.sim_plan()──▶ SimPlan (matched messages, cached)
+    RankClasses ──────.plan─────────▶ SimPlan (class representatives)
                                       │
                               simulator kernel's table
+
+Both plans come from one builder, :func:`~repro.compile.program.
+build_sim_plan`.
 
 Guarantees, in order of importance:
 
@@ -65,7 +69,6 @@ from .cache import (
     open_compiled_store,
 )
 from .classes import (
-    ClassProgram,
     RankClasses,
     classify,
     machine_asymmetry,
@@ -109,7 +112,6 @@ __all__ = [
     "compiled_store_key",
     "open_compiled_store",
     "ClassAnalysisError",
-    "ClassProgram",
     "RankClasses",
     "classify",
     "machine_asymmetry",

@@ -31,8 +31,8 @@ call per rank:
    makes the fixpoint strong enough that, for every class ``A`` and send
    op ``j``, the op-``j`` peers of ``A``'s members form exactly one class
    ``B`` with ``|B| = |A|`` and a 1:1 sender→receiver correspondence —
-   the bijection the collapsed engine (:mod:`repro.simnet.collapsed`)
-   needs to redirect one representative transfer per (class, op) pair.
+   the bijection the collapsed core needs to redirect one
+   representative transfer per (class, op) pair.
    :func:`classify` verifies this invariant explicitly, in one pass over
    all sends, and raises :class:`~repro.errors.ClassAnalysisError` at the
    first (class, op) that violates it.
@@ -42,16 +42,17 @@ The partition depends on the total byte count only through
 the MPICH partition), so cached partitions are keyed by that residue,
 the source schedule's fingerprint, and the machine's link profile — see
 :func:`partition_key` and :func:`repro.compile.cache.get_or_classify`,
-which caches them in process only.  The per-class programs are expanded
-from the partition the first time they are read: a caller that only
-counts classes (``engine="auto"`` refusing a degenerate partition) never
-builds one.
+which caches them in process only.  The class plan — the
+:class:`~repro.compile.program.SimPlan` over the class representatives
+that :func:`repro.simnet.simulate.simulate` runs, made by the same
+:func:`~repro.compile.program.build_sim_plan` as the per-rank plan —
+is built from the partition the first time it is read: a caller that
+only counts classes (``engine="auto"`` refusing a degenerate partition)
+never builds one.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
@@ -60,14 +61,15 @@ import numpy as np
 
 from ..errors import ClassAnalysisError
 from ..simnet.machine import LINK_GLOBAL, LINK_INTER, LINK_INTRA, MachineSpec
-from .program import OP_COPY, OP_SEND, CompiledSchedule
+from .program import (
+    OP_COPY, OP_SEND, CompiledSchedule, SimPlan, build_sim_plan,
+)
 
 __all__ = [
     "LINK_INTRA",
     "LINK_INTER",
     "LINK_GLOBAL",
     "RankClasses",
-    "ClassProgram",
     "classify",
     "link_profile",
     "partition_key",
@@ -130,51 +132,16 @@ def partition_key(
     )
 
 
-@dataclass
-class ClassProgram:
-    """One equivalence class: its representative's op tables plus the
-    per-send redirection targets the collapsed engine consumes.
-
-    ``feed`` is the representative's op stream — per raw step,
-    ``(is_send, op_index)`` with copies stripped.  ``send_target[j]`` is
-    ``(class, op_index)`` of the matched receive for send op ``j`` (and
-    ``None`` for non-sends).
-    """
-
-    rep: int
-    size: int
-    kinds: np.ndarray      # int8 per op
-    nblk: np.ndarray       # int32 per op: blocks in the payload
-    nlarge: np.ndarray     # int32 per op: payload blocks in the +1 prefix
-    link: np.ndarray       # int8 per op: LINK_INTRA/INTER/GLOBAL
-    feed: Tuple[Tuple[Tuple[bool, int], ...], ...]
-    send_target: Tuple[Optional[Tuple[int, int]], ...]
-
-    @property
-    def nops(self) -> int:
-        """Op count of the representative's program."""
-        return len(self.kinds)
-
-    def op_bytes(self, total: int, nblocks: int) -> np.ndarray:
-        """Per-op payload bytes under ``BlockMap(total, nblocks)``.
-
-        A payload of ``nblk`` blocks, ``nlarge`` of them in the MPICH
-        partition's one-unit-larger prefix, carries exactly
-        ``nblk·(total // nblocks) + nlarge`` units.
-        """
-        base = total // nblocks
-        return self.nblk.astype(np.int64) * base + self.nlarge
-
-
 class RankClasses:
     """The rank partition of one compiled schedule on one machine.
 
     ``labels[r]`` is the dense class id of rank ``r``; class ids are
-    ordered by representative (lowest member) rank, so ``labels[0] == 0``.
-    ``classes`` holds one :class:`ClassProgram` per class.  It is passed
-    ready, or as a function that expands them from the partition the
-    first time :attr:`classes` is read (the result is kept); counting
-    classes reads only the labels.
+    ordered by representative (lowest member) rank, so ``labels[0] ==
+    0``, and ``sizes[c]`` is class ``c``'s member count.  :attr:`plan`
+    is the *class plan*, the table the collapsed core simulates.  It is
+    passed ready, or as a function that builds it the first time
+    :attr:`plan` is read (the result is kept); counting classes reads
+    only ``sizes``.
     """
 
     def __init__(
@@ -183,57 +150,43 @@ class RankClasses:
         nblocks: int,
         residue: int,
         labels: np.ndarray,
-        classes: Union[Tuple[ClassProgram, ...],
-                       Callable[[], Tuple[ClassProgram, ...]]],
+        sizes: np.ndarray,
+        plan: Union[SimPlan, Callable[[], SimPlan]],
     ) -> None:
         self.nranks = nranks
         self.nblocks = nblocks
         self.residue = residue  # nbytes % nblocks the partition was built for
         self.labels = labels    # int32 [nranks]
-        self._classes = classes
+        self.sizes = sizes      # int64 [nclasses]
+        self._plan = plan
 
     @property
-    def classes(self) -> Tuple[ClassProgram, ...]:
-        """One :class:`ClassProgram` per class, in class order."""
-        classes = self._classes
-        if callable(classes):
-            self._classes = classes = classes()
-        return classes
+    def plan(self) -> SimPlan:
+        """A :class:`~repro.compile.program.SimPlan` whose actors are the
+        class representatives in class order: message ``i`` is the
+        ``i``-th representative send (class order, then program order),
+        delivered to its counterpart receive in the receiver class's
+        representative, with the link class of the real message."""
+        plan = self._plan
+        if callable(plan):
+            self._plan = plan = plan()
+        return plan
 
     @property
     def nclasses(self) -> int:
         """Number of equivalence classes."""
-        return int(self.labels.max()) + 1
+        return len(self.sizes)
 
     @property
     def reps(self) -> Tuple[int, ...]:
         """Representative (lowest) rank of each class, in class order."""
         return tuple(np.unique(self.labels, return_index=True)[1].tolist())
 
-    def fingerprint(self) -> str:
-        """Stable content hash of the partition and redirection tables."""
-        h = hashlib.sha256()
-        h.update(f"{self.nranks}|{self.nblocks}|{self.residue}".encode())
-        h.update(np.ascontiguousarray(self.labels, dtype="<i4").tobytes())
-        for c in self.classes:
-            h.update(f"|C{c.rep},{c.size}".encode())
-            h.update(np.ascontiguousarray(c.kinds, dtype="<i1").tobytes())
-            for arr in (c.nblk, c.nlarge):
-                h.update(np.ascontiguousarray(arr, dtype="<i4").tobytes())
-            h.update(np.ascontiguousarray(c.link, dtype="<i1").tobytes())
-            h.update(
-                ("|T" + ";".join(
-                    "-" if t is None else f"{t[0]},{t[1]}"
-                    for t in c.send_target
-                )).encode()
-            )
-        return h.hexdigest()
-
     def describe(self) -> str:
         """One-line summary for reports."""
         return (
             f"{self.nclasses} class(es) over {self.nranks} rank(s), "
-            f"largest {int(np.bincount(self.labels).max())}"
+            f"largest {int(self.sizes.max())}"
         )
 
 
@@ -357,48 +310,26 @@ def classify(
             f"({int(counts[c])} sender(s), {int(counts[tc])} receiver(s))"
         )
 
-    def expand() -> Tuple[ClassProgram, ...]:
-        # Each class program is its representative's slices of the
-        # columns.  Redirections: (target class, counterpart op) per
-        # representative send.
-        targets: List[Optional[Tuple[int, int]]] = [None] * len(kinds)
-        mine = sends[lead == sends]
-        for g, target in zip(mine.tolist(), zip(
-            labels[peers[mine]].tolist(), cops[mine].tolist()
-        )):
-            targets[g] = target
-        # Feed: per raw step, (is_send, op index) of every op but copies.
-        moves = kinds != OP_COPY
-        at = np.flatnonzero(moves)
-        entries = list(zip(
-            (kinds[at] == OP_SEND).tolist(), (at - op_ptr[rank[at]]).tolist()
-        ))
-        before = np.concatenate(([0], np.cumsum(moves)))
-        cut = before[cols.step_starts()[0]].tolist()
-        classes: List[ClassProgram] = []
-        for c, r in enumerate(reps.tolist()):
-            lo, hi, s0, s1 = ops[r], ops[r + 1], steps[r], steps[r + 1]
-            classes.append(ClassProgram(
-                rep=r,
-                size=int(counts[c]),
-                kinds=kinds[lo:hi],
-                nblk=nblk[lo:hi],
-                nlarge=nlarge[lo:hi],
-                link=link[lo:hi],
-                feed=tuple(
-                    tuple(entries[a:b])
-                    for a, b in zip(cut[s0:s1], cut[s0 + 1:s1])
-                ),
-                send_target=tuple(targets[lo:hi]),
-            ))
-        return tuple(classes)
+    def plan() -> SimPlan:
+        # The representatives' programs; each representative send goes
+        # to its counterpart op in the receiver class's representative.
+        actors = cols.take(reps)
+        mine = lead == sends
+        at = sends[mine]
+        return build_sim_plan(
+            actors,
+            actors.op_ptr[dst[mine]] + cops[at],
+            compiled.messages().seq[at],
+            link[at],
+        )
 
     return RankClasses(
         nranks=p,
         nblocks=compiled.nblocks,
         residue=extra,
         labels=labels,
-        classes=expand,
+        sizes=counts,
+        plan=plan,
     )
 
 

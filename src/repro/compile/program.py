@@ -52,7 +52,7 @@ from ..core.schedule import (
     Messages,
     match_fifo,
 )
-from ..errors import ExecutionError, MachineError
+from ..errors import ClassAnalysisError, ExecutionError, MachineError
 
 __all__ = [
     "OP_SEND",
@@ -66,6 +66,7 @@ __all__ = [
     "StagingPlan",
     "StagingPool",
     "SimPlan",
+    "build_sim_plan",
 ]
 
 
@@ -465,7 +466,13 @@ class CompiledSchedule:
         """
         plan = self._sim_plan
         if plan is None:
-            plan = self._sim_plan = _build_sim_plan(self)
+            cols, fifo = self.columns, self.messages()
+            lone = fifo.unmatched(cols)
+            if lone is not None:
+                raise MachineError(f"{self.describe()}: {lone}")
+            plan = self._sim_plan = build_sim_plan(
+                cols, fifo.recv_op, fifo.seq[fifo.send_op]
+            )
         return plan
 
     def messages(self) -> Messages:
@@ -488,19 +495,25 @@ _ROUTE_CACHE_MAX = 8
 class SimPlan:
     """What the simulator needs of a schedule, as flat columns.
 
-    Message ``i`` is message ``i`` of the schedule's
+    The actors are the schedule's ranks (:meth:`CompiledSchedule.
+    sim_plan`: message ``i`` is message ``i`` of the schedule's
     :class:`~repro.core.schedule.Messages` — the ``i``-th send in rank
-    order, program order, and the receive it matches.  Per message: the
-    endpoints ``src`` / ``dst``, the channel sequence number ``seq``,
-    whether the receive reduces, and the block ids it carries (CSR:
-    ``blk_ids[blk_ptr[i]:blk_ptr[i + 1]]``).  Per rank and step,
-    ``ops`` holds the op codes ``msg << 1 | is_recv`` in program order,
-    copies dropped (the simulator models them as free).  ``routes``
-    memoizes, per machine geometry, what the simulator derives from the
-    endpoints (link classes, held resources, flattened and as tuples)
-    and the kernel's contention hint, and ``_digest`` the
-    :meth:`digest`; both are runtime-only.  Numbers only — never a
-    per-message object.
+    order, program order, and the receive it matches) or, in a *class
+    plan* (:attr:`repro.compile.classes.RankClasses.plan`), the class
+    representatives in class order, each send delivered to its
+    counterpart receive in the receiver class's representative.  Per
+    message: the endpoints ``src`` / ``dst``, the channel sequence
+    number ``seq``, whether the receive reduces, and the block ids it
+    carries (CSR: ``blk_ids[blk_ptr[i]:blk_ptr[i + 1]]``).  Per actor
+    and step, ``ops`` holds the op codes ``msg << 1 | is_recv`` in
+    program order, copies dropped (the simulator models them as free).
+    ``link`` is set on a class plan only: each message's link class,
+    fixed by the real ranks it stands for.  ``routes`` memoizes, per
+    machine geometry, what the simulator derives from the endpoints
+    (link classes, held resources, flattened and as tuples) and the
+    kernel's contention hint, and ``_digest`` the :meth:`digest`; both
+    are runtime-only.  Numbers only — never a per-message object.
+    Built only by :func:`build_sim_plan`.
     """
 
     src: List[int]
@@ -510,15 +523,17 @@ class SimPlan:
     blk_ptr: np.ndarray
     blk_ids: np.ndarray
     ops: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    link: Optional[np.ndarray] = None
     routes: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
     _digest: Optional[bytes] = field(default=None, repr=False)
 
     def digest(self) -> bytes:
         """A 16-byte blake2b over everything of the plan the kernel reads
-        (memoized): ``ops`` with its rank and step boundaries, ``src``,
-        ``dst``, ``seq`` and ``reduce``, each framed by its length.
+        (memoized): ``ops`` with its actor and step boundaries, ``src``,
+        ``dst``, ``seq``, ``reduce`` and a class plan's ``link``, each
+        framed by its length.
 
-        The bytes are little-endian NumPy ``int64`` / ``uint8`` buffers,
+        The bytes are little-endian NumPy ``int64`` / ``(u)int8`` buffers,
         never a pickle, so equal tables digest equally however they were
         made — lowered fresh, or loaded from a store or the wire.
         """
@@ -536,6 +551,8 @@ class SimPlan:
                 h.update(len(arr).to_bytes(8, "little"))
                 h.update(arr.tobytes())
             h.update(np.asarray(self.reduce, dtype=np.uint8).tobytes())
+            if self.link is not None:
+                h.update(np.asarray(self.link, dtype=np.int8).tobytes())
             d = self._digest = h.digest()
         return d
 
@@ -556,19 +573,45 @@ class SimPlan:
         return entry
 
 
-def _build_sim_plan(compiled: CompiledSchedule) -> SimPlan:
-    """The simulator's view of the tables and their FIFO matching."""
-    cols, fifo = compiled.columns, compiled.messages()
-    lone = fifo.unmatched(cols)
-    if lone is not None:
-        raise MachineError(f"{compiled.describe()}: {lone}")
-    kinds, peers, rank = cols.kinds, cols.peers, cols.ranks()
-    send_at, recv_at = fifo.send_op, fifo.recv_op
+def build_sim_plan(
+    cols: Columns,
+    recv_at: np.ndarray,
+    seq: np.ndarray,
+    link: Optional[np.ndarray] = None,
+) -> SimPlan:
+    """The one way a :class:`SimPlan` is made: actor programs plus where
+    each send is delivered.
+
+    ``cols`` holds one program per actor, actor-major (a schedule's
+    ranks, or the class representatives, :meth:`Columns.take`).
+    Message ``i`` is its ``i``-th send in program order, delivered to
+    op ``recv_at[i]``, with channel sequence number ``seq[i]`` and, on
+    a class plan, link class ``link[i]``.  Every receive must be the
+    target of exactly one send and nothing else a target, or
+    :class:`~repro.errors.ClassAnalysisError` names the first op that
+    is not.
+    """
+    kinds, actor = cols.kinds, cols.ranks()
+    recv_at = np.asarray(recv_at, dtype=np.int64)
+    send_at = np.flatnonzero(kinds == OP_SEND)
+    is_recv = (kinds == OP_RECV) | (kinds == OP_REDUCE_RECV)
+    bad = np.flatnonzero(np.bincount(recv_at, minlength=len(kinds)) != is_recv)
+    if len(bad):
+        g = int(bad[0])
+        a = int(actor[g])
+        where = f"actor {a} op {g - int(cols.op_ptr[a])}"
+        if not is_recv[g]:
+            raise ClassAnalysisError(
+                f"{where} is not a receive but a send targets it"
+            )
+        raise ClassAnalysisError(
+            f"{where}: {int(np.sum(recv_at == g))} sends deliver to this "
+            f"receive, not one"
+        )
     msg = np.full(len(kinds), -1, dtype=np.int64)
     msg[send_at] = msg[recv_at] = np.arange(len(send_at))
-    is_recv = (kinds == OP_RECV) | (kinds == OP_REDUCE_RECV)
 
-    # Op codes per rank per step, copies dropped.
+    # Op codes per actor per step, copies dropped.
     moves = kinds != OP_COPY
     codes = tuple(((msg << 1) | is_recv)[moves].tolist())
     before = np.concatenate(([0], np.cumsum(moves)))
@@ -582,11 +625,12 @@ def _build_sim_plan(compiled: CompiledSchedule) -> SimPlan:
     # CSR of the sends' block ids, gathered out of the segment table.
     blk_len = np.diff(cols.seg_bounds)[send_at]
     return SimPlan(
-        src=rank[send_at].tolist(),
-        dst=peers[send_at].tolist(),
-        seq=fifo.seq[send_at].tolist(),
+        src=actor[send_at].tolist(),
+        dst=actor[recv_at].tolist(),
+        seq=np.asarray(seq).tolist(),
         reduce=kinds[recv_at] == OP_REDUCE_RECV,
         blk_ptr=np.concatenate(([0], np.cumsum(blk_len))),
         blk_ids=cols.gather(send_at),
         ops=ops,
+        link=link,
     )

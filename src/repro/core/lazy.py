@@ -11,12 +11,12 @@ to a peer/block relabeling, so the whole schedule is determined by rank
 exactly that — a closed-form table generator per rank and the symmetry
 maps — and produces:
 
-* ``program(rank)`` / ``materialize()`` — the explicit IR on demand
-  (small p only; used by the faithfulness tests, which pin the generator
-  formulas to the real builders' output);
+* ``materialize()`` — the explicit schedule on demand, via the registry
+  builder (small p only; the faithfulness tests pin the generated
+  tables to that build's columns);
 * ``classes(machine, nbytes)`` — a single-class
-  :class:`~repro.compile.classes.RankClasses` for the collapsed engine
-  (:mod:`repro.simnet.collapsed`), built in O(ops of one rank) without
+  :class:`~repro.compile.classes.RankClasses` whose class plan the
+  collapsed core simulates, built in O(ops of one rank) without
   compiling anything, after *verifying* the claimed symmetry with probe
   ranks: the generated tables of sampled ranks must equal rank 0's
   tables pushed through the relabeling maps.
@@ -40,6 +40,7 @@ import numpy as np
 
 from ..errors import ClassAnalysisError, ScheduleError
 from .blocks import BlockMap
+from .schedule import Columns
 
 __all__ = ["LazySchedule", "lookup", "LAZY_FAMILIES"]
 
@@ -133,30 +134,6 @@ class LazySchedule:
 
     # -- Explicit IR (small p) ---------------------------------------------
 
-    def program(self, rank: int):
-        """Rank ``rank``'s explicit :class:`~repro.core.schedule.RankProgram`."""
-        from .schedule import RankProgram, RecvOp, SendOp
-
-        t = self._tables(rank)
-        prog = RankProgram(rank)
-        kinds = t.kinds.tolist()
-        peers = t.peers.tolist()
-        block = t.block.tolist()
-        bounds = t.steps_raw.tolist()
-        for s in range(len(bounds) - 1):
-            ops = []
-            for i in range(bounds[s], bounds[s + 1]):
-                if kinds[i] == _SEND:
-                    ops.append(SendOp(peer=peers[i], blocks=(block[i],)))
-                else:
-                    ops.append(RecvOp(
-                        peer=peers[i],
-                        blocks=(block[i],),
-                        reduce=kinds[i] == _REDUCE_RECV,
-                    ))
-            prog.add_step(ops)
-        return prog
-
     def materialize(self):
         """The equivalent explicit :class:`Schedule`, via the registry
         builder — refused above ``_MATERIALIZE_MAX_OPS`` total ops."""
@@ -183,14 +160,16 @@ class LazySchedule:
         claimed rank symmetry via probe ranks.  Raises
         :class:`~repro.errors.ClassAnalysisError` on any violation, which
         the engine dispatcher converts into a materialized fallback.
+        The class plan is built here, from rank 0's tables, by the same
+        :func:`~repro.compile.program.build_sim_plan` as every plan.
         """
         from ..compile.classes import (
             LINK_INTER,
-            ClassProgram,
             RankClasses,
             link_profile,
             machine_asymmetry,
         )
+        from ..compile.program import build_sim_plan
 
         p = self.nranks
         reason = machine_asymmetry(machine)
@@ -219,33 +198,28 @@ class LazySchedule:
 
         t0 = self._tables(0)
         self._verify_symmetry(t0)
-        send_target = self._send_targets(t0)
-
-        nops = len(t0.kinds)
-        feed: List[Tuple[Tuple[bool, int], ...]] = []
-        bounds = t0.steps_raw.tolist()
-        kinds_list = t0.kinds.tolist()
-        for s in range(len(bounds) - 1):
-            feed.append(tuple(
-                (kinds_list[i] == _SEND, i)
-                for i in range(bounds[s], bounds[s + 1])
-            ))
-        cls = ClassProgram(
-            rep=0,
-            size=p,
+        recv_at, seq = self._send_targets(t0)
+        nops, nbounds = len(t0.kinds), len(t0.steps_raw)
+        rank0 = Columns(
             kinds=t0.kinds,
-            nblk=np.ones(nops, dtype=np.int32),
-            nlarge=np.zeros(nops, dtype=np.int32),
-            link=np.full(nops, LINK_INTER, dtype=np.int8),
-            feed=tuple(feed),
-            send_target=tuple(send_target),
+            peers=t0.peers,
+            seg_bounds=np.arange(nops + 1),
+            seg_blocks=t0.block,
+            steps_raw=t0.steps_raw,
+            op_ptr=np.array([0, nops]),
+            step_ptr=np.array([0, nbounds]),
+            signatures=frozenset(),
         )
         out = RankClasses(
             nranks=p,
             nblocks=self.nblocks,
             residue=residue,
             labels=np.zeros(p, dtype=np.int32),
-            classes=(cls,),
+            sizes=np.array([p], dtype=np.int64),
+            plan=build_sim_plan(
+                rank0, recv_at, seq,
+                np.full(len(recv_at), LINK_INTER, dtype=np.int8),
+            ),
         )
         self._classes_cache[residue] = out
         return out
@@ -270,28 +244,28 @@ class LazySchedule:
                     f"rank 0 — generator symmetry violated"
                 )
 
-    def _send_targets(self, t0: _Tables):
-        """Redirect each rank-0 send to its FIFO-matched recv op index.
+    def _send_targets(self, t0: _Tables) -> Tuple[List[int], List[int]]:
+        """Per rank-0 send, in program order: the op index of its
+        FIFO-matched receive, and its sequence number on its channel.
 
         For send op ``j`` to peer ``t``, the real message lands at the
         FIFO position of rank 0's sends on channel (0→t) among t's
         receives from 0; by the verified symmetry that op index is the
-        same at every class member, so the collapsed engine can deliver
-        it to the representative's own recv op.  The resulting targets
-        must cover rank 0's receives exactly once.
+        same at every class member, so the collapsed core can deliver
+        it to the representative's own receive op.  That the targets
+        cover rank 0's receives exactly once is checked by
+        :func:`~repro.compile.program.build_sim_plan`.
         """
         kinds = t0.kinds.tolist()
         peers = t0.peers.tolist()
         peer_recv_from_0: Dict[int, List[int]] = {}
         for t in set(peers):
             tt = self._tables(t)
-            t_kinds = tt.kinds
-            t_peers = tt.peers
-            idx = np.nonzero((t_kinds != _SEND) & (t_peers == 0))[0]
+            idx = np.nonzero((tt.kinds != _SEND) & (tt.peers == 0))[0]
             peer_recv_from_0[t] = idx.tolist()
         fifo_pos: Dict[int, int] = {}
-        send_target: List[Optional[Tuple[int, int]]] = [None] * len(kinds)
-        covered = set()
+        recv_at: List[int] = []
+        seq: List[int] = []
         for j, kind in enumerate(kinds):
             if kind != _SEND:
                 continue
@@ -304,20 +278,9 @@ class LazySchedule:
                     f"{self.describe()}: send op {j} to {t} has no "
                     f"matching receive"
                 )
-            tj = int(matches[pos])
-            if tj in covered:
-                raise ClassAnalysisError(
-                    f"{self.describe()}: recv op {tj} matched twice"
-                )
-            covered.add(tj)
-            send_target[j] = (0, tj)
-        recv_ops = {j for j, kind in enumerate(kinds) if kind != _SEND}
-        if covered != recv_ops:
-            raise ClassAnalysisError(
-                f"{self.describe()}: sends cover {len(covered)} of "
-                f"{len(recv_ops)} receive ops"
-            )
-        return send_target
+            recv_at.append(matches[pos])
+            seq.append(pos)
+        return recv_at, seq
 
 
 # ----------------------------------------------------------------------

@@ -54,9 +54,9 @@ class AlgorithmInfo:
     collective: str
     name: str
     builder: Callable[..., Schedule]
-    takes_k: bool
-    takes_root: bool
-    generalized: bool
+    takes_k: bool = False
+    takes_root: bool = False
+    generalized: bool = False
     default_k: Optional[int] = None
     kernel: Optional[str] = None  # base communication kernel (Table I row)
     min_k: int = 2
@@ -99,31 +99,6 @@ def _recursive_multiplying_reduce_scatter(p: int, *, k: int) -> Schedule:
     )
 
 
-def _entry(
-    collective: str,
-    name: str,
-    builder: Callable[..., Schedule],
-    *,
-    takes_k: bool = False,
-    takes_root: bool = False,
-    generalized: bool = False,
-    default_k: Optional[int] = None,
-    kernel: Optional[str] = None,
-    min_k: int = 2,
-) -> AlgorithmInfo:
-    return AlgorithmInfo(
-        collective=collective,
-        name=name,
-        builder=builder,
-        takes_k=takes_k,
-        takes_root=takes_root,
-        generalized=generalized,
-        default_k=default_k,
-        kernel=kernel,
-        min_k=min_k,
-    )
-
-
 def _binomial(fn: Callable[..., Schedule]) -> Callable[..., Schedule]:
     """Fix a k-nomial builder at radix 2 (the classic binomial baseline).
 
@@ -159,135 +134,144 @@ def _register(entry: AlgorithmInfo) -> None:
 
 
 # --- bcast -------------------------------------------------------------
-_register(_entry("bcast", "linear", baselines.linear_bcast, takes_root=True,
-                 kernel="linear"))
-_register(_entry("bcast", "binomial", _binomial(knomial.knomial_bcast),
-                 takes_root=True, kernel="binomial"))
-_register(_entry("bcast", "knomial", _knomial(knomial.knomial_bcast),
-                 takes_k=True, takes_root=True, generalized=True,
-                 default_k=2, kernel="binomial"))
-_register(_entry("bcast", "recursive_doubling",
-                 recursive.recursive_doubling_bcast, takes_root=True,
-                 kernel="recursive_doubling"))
-_register(_entry("bcast", "recursive_multiplying",
-                 _knomial(recursive.recursive_multiplying_bcast),
-                 takes_k=True, takes_root=True, generalized=True,
-                 default_k=2, kernel="recursive_doubling"))
-_register(_entry("bcast", "scatter_allgather",
-                 baselines.scatter_allgather_bcast, takes_root=True,
-                 kernel="ring"))
-_register(_entry("bcast", "ring", ring.ring_bcast, takes_root=True,
-                 kernel="ring"))
-_register(_entry("bcast", "kring", _knomial(ring.kring_bcast),
-                 takes_k=True, takes_root=True, generalized=True,
-                 default_k=1, kernel="ring", min_k=1))
+_register(AlgorithmInfo("bcast", "linear", baselines.linear_bcast,
+                        takes_root=True, kernel="linear"))
+_register(AlgorithmInfo("bcast", "binomial", _binomial(knomial.knomial_bcast),
+                        takes_root=True, kernel="binomial"))
+_register(AlgorithmInfo("bcast", "knomial", _knomial(knomial.knomial_bcast),
+                        takes_k=True, takes_root=True, generalized=True,
+                        default_k=2, kernel="binomial"))
+_register(AlgorithmInfo("bcast", "recursive_doubling",
+                        recursive.recursive_doubling_bcast, takes_root=True,
+                        kernel="recursive_doubling"))
+_register(AlgorithmInfo("bcast", "recursive_multiplying",
+                        _knomial(recursive.recursive_multiplying_bcast),
+                        takes_k=True, takes_root=True, generalized=True,
+                        default_k=2, kernel="recursive_doubling"))
+_register(AlgorithmInfo("bcast", "scatter_allgather",
+                        baselines.scatter_allgather_bcast, takes_root=True,
+                        kernel="ring"))
+_register(AlgorithmInfo("bcast", "ring", ring.ring_bcast, takes_root=True,
+                        kernel="ring"))
+_register(AlgorithmInfo("bcast", "kring", _knomial(ring.kring_bcast),
+                        takes_k=True, takes_root=True, generalized=True,
+                        default_k=1, kernel="ring", min_k=1))
 # Extension beyond Table I: the segmented chain pipeline; its "radix" is
 # the segment count (see repro.core.pipeline).
-_register(_entry("bcast", "pipelined_chain",
-                 lambda p, *, k, root=0: pipeline.chain_bcast(p, k, root=root),
-                 takes_k=True, takes_root=True, default_k=1,
-                 kernel="chain", min_k=1))
+_register(AlgorithmInfo("bcast", "pipelined_chain",
+                        lambda p, *, k, root=0:
+                        pipeline.chain_bcast(p, k, root=root),
+                        takes_k=True, takes_root=True, default_k=1,
+                        kernel="chain", min_k=1))
 
 # --- reduce ------------------------------------------------------------
-_register(_entry("reduce", "linear", baselines.linear_reduce,
-                 takes_root=True, kernel="linear"))
-_register(_entry("reduce", "binomial", _binomial(knomial.knomial_reduce),
-                 takes_root=True, kernel="binomial"))
-_register(_entry("reduce", "knomial", _knomial(knomial.knomial_reduce),
-                 takes_k=True, takes_root=True, generalized=True,
-                 default_k=2, kernel="binomial"))
-_register(_entry("reduce", "reduce_scatter_gather",
-                 baselines.reduce_scatter_gather_reduce, takes_root=True,
-                 kernel="recursive_doubling"))
+_register(AlgorithmInfo("reduce", "linear", baselines.linear_reduce,
+                        takes_root=True, kernel="linear"))
+_register(AlgorithmInfo("reduce", "binomial",
+                        _binomial(knomial.knomial_reduce), takes_root=True,
+                        kernel="binomial"))
+_register(AlgorithmInfo("reduce", "knomial", _knomial(knomial.knomial_reduce),
+                        takes_k=True, takes_root=True, generalized=True,
+                        default_k=2, kernel="binomial"))
+_register(AlgorithmInfo("reduce", "reduce_scatter_gather",
+                        baselines.reduce_scatter_gather_reduce,
+                        takes_root=True, kernel="recursive_doubling"))
 
 # --- gather / scatter ---------------------------------------------------
-_register(_entry("gather", "linear", baselines.linear_gather,
-                 takes_root=True, kernel="linear"))
-_register(_entry("gather", "binomial", _binomial(knomial.knomial_gather),
-                 takes_root=True, kernel="binomial"))
-_register(_entry("gather", "knomial", _knomial(knomial.knomial_gather),
-                 takes_k=True, takes_root=True, generalized=True,
-                 default_k=2, kernel="binomial"))
-_register(_entry("scatter", "linear", baselines.linear_scatter,
-                 takes_root=True, kernel="linear"))
-_register(_entry("scatter", "binomial", _binomial(knomial.knomial_scatter),
-                 takes_root=True, kernel="binomial"))
-_register(_entry("scatter", "knomial", _knomial(knomial.knomial_scatter),
-                 takes_k=True, takes_root=True, generalized=True,
-                 default_k=2, kernel="binomial"))
+_register(AlgorithmInfo("gather", "linear", baselines.linear_gather,
+                        takes_root=True, kernel="linear"))
+_register(AlgorithmInfo("gather", "binomial",
+                        _binomial(knomial.knomial_gather), takes_root=True,
+                        kernel="binomial"))
+_register(AlgorithmInfo("gather", "knomial", _knomial(knomial.knomial_gather),
+                        takes_k=True, takes_root=True, generalized=True,
+                        default_k=2, kernel="binomial"))
+_register(AlgorithmInfo("scatter", "linear", baselines.linear_scatter,
+                        takes_root=True, kernel="linear"))
+_register(AlgorithmInfo("scatter", "binomial",
+                        _binomial(knomial.knomial_scatter), takes_root=True,
+                        kernel="binomial"))
+_register(AlgorithmInfo("scatter", "knomial",
+                        _knomial(knomial.knomial_scatter), takes_k=True,
+                        takes_root=True, generalized=True, default_k=2,
+                        kernel="binomial"))
 
 # --- allgather ----------------------------------------------------------
-_register(_entry("allgather", "binomial",
-                 _binomial(knomial.knomial_allgather), kernel="binomial"))
-_register(_entry("allgather", "knomial",
-                 _knomial(knomial.knomial_allgather), takes_k=True,
-                 generalized=True, default_k=2, kernel="binomial"))
-_register(_entry("allgather", "recursive_doubling",
-                 recursive.recursive_doubling_allgather,
-                 kernel="recursive_doubling"))
-_register(_entry("allgather", "recursive_multiplying",
-                 _knomial(recursive.recursive_multiplying_allgather),
-                 takes_k=True, generalized=True, default_k=2,
-                 kernel="recursive_doubling"))
-_register(_entry("allgather", "ring", ring.ring_allgather, kernel="ring"))
-_register(_entry("allgather", "kring", _knomial(ring.kring_allgather),
-                 takes_k=True, generalized=True, default_k=1,
-                 kernel="ring", min_k=1))
+_register(AlgorithmInfo("allgather", "binomial",
+                        _binomial(knomial.knomial_allgather),
+                        kernel="binomial"))
+_register(AlgorithmInfo("allgather", "knomial",
+                        _knomial(knomial.knomial_allgather), takes_k=True,
+                        generalized=True, default_k=2, kernel="binomial"))
+_register(AlgorithmInfo("allgather", "recursive_doubling",
+                        recursive.recursive_doubling_allgather,
+                        kernel="recursive_doubling"))
+_register(AlgorithmInfo("allgather", "recursive_multiplying",
+                        _knomial(recursive.recursive_multiplying_allgather),
+                        takes_k=True, generalized=True, default_k=2,
+                        kernel="recursive_doubling"))
+_register(AlgorithmInfo("allgather", "ring", ring.ring_allgather,
+                        kernel="ring"))
+_register(AlgorithmInfo("allgather", "kring", _knomial(ring.kring_allgather),
+                        takes_k=True, generalized=True, default_k=1,
+                        kernel="ring", min_k=1))
 # Extension beyond Table I: the rotation-based Bruck exchange, generalized
 # over its port count — handles any p with no fold/unfold (see
 # repro.core.bruck).
-_register(_entry("allgather", "bruck", _knomial(bruck.bruck_allgather),
-                 takes_k=True, default_k=2, kernel="bruck"))
+_register(AlgorithmInfo("allgather", "bruck", _knomial(bruck.bruck_allgather),
+                        takes_k=True, default_k=2, kernel="bruck"))
 
 # --- allreduce ----------------------------------------------------------
-_register(_entry("allreduce", "binomial",
-                 _binomial(knomial.knomial_allreduce), kernel="binomial"))
-_register(_entry("allreduce", "knomial",
-                 _knomial(knomial.knomial_allreduce), takes_k=True,
-                 generalized=True, default_k=2, kernel="binomial"))
-_register(_entry("allreduce", "recursive_doubling",
-                 recursive.recursive_doubling_allreduce,
-                 kernel="recursive_doubling"))
-_register(_entry("allreduce", "recursive_multiplying",
-                 _knomial(recursive.recursive_multiplying_allreduce),
-                 takes_k=True, generalized=True, default_k=2,
-                 kernel="recursive_doubling"))
-_register(_entry("allreduce", "ring", ring.ring_allreduce, kernel="ring"))
-_register(_entry("allreduce", "kring", _knomial(ring.kring_allreduce),
-                 takes_k=True, generalized=True, default_k=1,
-                 kernel="ring", min_k=1))
-_register(_entry("allreduce", "reduce_scatter_allgather",
-                 baselines.reduce_scatter_allgather_allreduce,
-                 kernel="recursive_doubling"))
+_register(AlgorithmInfo("allreduce", "binomial",
+                        _binomial(knomial.knomial_allreduce),
+                        kernel="binomial"))
+_register(AlgorithmInfo("allreduce", "knomial",
+                        _knomial(knomial.knomial_allreduce), takes_k=True,
+                        generalized=True, default_k=2, kernel="binomial"))
+_register(AlgorithmInfo("allreduce", "recursive_doubling",
+                        recursive.recursive_doubling_allreduce,
+                        kernel="recursive_doubling"))
+_register(AlgorithmInfo("allreduce", "recursive_multiplying",
+                        _knomial(recursive.recursive_multiplying_allreduce),
+                        takes_k=True, generalized=True, default_k=2,
+                        kernel="recursive_doubling"))
+_register(AlgorithmInfo("allreduce", "ring", ring.ring_allreduce,
+                        kernel="ring"))
+_register(AlgorithmInfo("allreduce", "kring", _knomial(ring.kring_allreduce),
+                        takes_k=True, generalized=True, default_k=1,
+                        kernel="ring", min_k=1))
+_register(AlgorithmInfo("allreduce", "reduce_scatter_allgather",
+                        baselines.reduce_scatter_allgather_allreduce,
+                        kernel="recursive_doubling"))
 
 # --- reduce_scatter -----------------------------------------------------
-_register(_entry("reduce_scatter", "recursive_halving",
-                 baselines.recursive_halving_reduce_scatter,
-                 kernel="recursive_doubling"))
-_register(_entry("reduce_scatter", "recursive_multiplying",
-                 _recursive_multiplying_reduce_scatter, takes_k=True,
-                 generalized=True, default_k=2,
-                 kernel="recursive_doubling"))
-_register(_entry("reduce_scatter", "ring", ring.ring_reduce_scatter,
-                 kernel="ring"))
-_register(_entry("reduce_scatter", "kring",
-                 _knomial(ring.kring_reduce_scatter), takes_k=True,
-                 generalized=True, default_k=1, kernel="ring", min_k=1))
+_register(AlgorithmInfo("reduce_scatter", "recursive_halving",
+                        baselines.recursive_halving_reduce_scatter,
+                        kernel="recursive_doubling"))
+_register(AlgorithmInfo("reduce_scatter", "recursive_multiplying",
+                        _recursive_multiplying_reduce_scatter, takes_k=True,
+                        generalized=True, default_k=2,
+                        kernel="recursive_doubling"))
+_register(AlgorithmInfo("reduce_scatter", "ring", ring.ring_reduce_scatter,
+                        kernel="ring"))
+_register(AlgorithmInfo("reduce_scatter", "kring",
+                        _knomial(ring.kring_reduce_scatter), takes_k=True,
+                        generalized=True, default_k=1, kernel="ring", min_k=1))
 
 # --- alltoall (extension: the Fan et al. [12] generalized-Bruck lineage) -
-_register(_entry("alltoall", "pairwise", alltoall.pairwise_alltoall,
-                 kernel="pairwise"))
-_register(_entry("alltoall", "bruck",
-                 lambda p, *, k: alltoall.bruck_alltoall(p, k),
-                 takes_k=True, default_k=2, kernel="bruck"))
+_register(AlgorithmInfo("alltoall", "pairwise", alltoall.pairwise_alltoall,
+                        kernel="pairwise"))
+_register(AlgorithmInfo("alltoall", "bruck",
+                        lambda p, *, k: alltoall.bruck_alltoall(p, k),
+                        takes_k=True, default_k=2, kernel="bruck"))
 
 # --- barrier (extension: Hoefler's n-way dissemination, cited as [19]) --
-_register(_entry("barrier", "dissemination",
-                 lambda p: bruck.dissemination_barrier(p, 2),
-                 kernel="dissemination"))
-_register(_entry("barrier", "k_dissemination",
-                 _knomial(bruck.dissemination_barrier), takes_k=True,
-                 default_k=2, kernel="dissemination"))
+_register(AlgorithmInfo("barrier", "dissemination",
+                        lambda p: bruck.dissemination_barrier(p, 2),
+                        kernel="dissemination"))
+_register(AlgorithmInfo("barrier", "k_dissemination",
+                        _knomial(bruck.dissemination_barrier), takes_k=True,
+                        default_k=2, kernel="dissemination"))
 
 
 #: Paper Table I — the ten generalized implementations.

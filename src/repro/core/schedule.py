@@ -315,6 +315,25 @@ class Columns(NamedTuple):
         blocks, bounds = self.seg_blocks.tolist(), self.seg_bounds.tolist()
         return [tuple(blocks[bounds[i]:bounds[i + 1]]) for i in ops.tolist()]
 
+    def take(self, ranks: np.ndarray) -> "Columns":
+        """The programs of ``ranks`` alone, in that order (peers keep
+        their rank numbers; no staging signatures)."""
+        lo, hi = self.op_ptr[ranks], self.op_ptr[ranks + 1]
+        s0, s1 = self.step_ptr[ranks], self.step_ptr[ranks + 1]
+        ops = spans(lo, hi)
+        return Columns(
+            kinds=self.kinds[ops],
+            peers=self.peers[ops],
+            seg_bounds=np.concatenate(
+                ([0], np.cumsum(np.diff(self.seg_bounds)[ops]))
+            ),
+            seg_blocks=self.gather(ops),
+            steps_raw=self.steps_raw[spans(s0, s1)],
+            op_ptr=np.concatenate(([0], np.cumsum(hi - lo))),
+            step_ptr=np.concatenate(([0], np.cumsum(s1 - s0))),
+            signatures=frozenset(),
+        )
+
 
 class Messages(NamedTuple):
     """A schedule's FIFO matching (contract 3) as flat columns of global

@@ -2,7 +2,6 @@
 Frontier and Polaris hardware (see DESIGN.md §2 for the substitution
 rationale)."""
 
-from .collapsed import ClassBatch
 from .machine import DragonflySpec, GiBps, MachineSpec, us
 from .machines import by_name, frontier, get, polaris, reference, resolve
 from .noise import NoiseModel
@@ -24,7 +23,6 @@ __all__ = [
     "simulate",
     "SimResult",
     "ENGINES",
-    "ClassBatch",
     "traffic_summary",
     "TrafficSummary",
     "timeline_stats",

@@ -9,9 +9,10 @@ an index into ``in_use[]`` / ``capacity[]`` / a FIFO deque of parked
 message ids, an *actor* (a rank, or a rank-class representative) is four
 integers ``(step, op, outstanding, waiting)``, and a heap record is a
 ``(time, seq, kind, id)`` tuple of plain numbers dispatched by one
-``if``/``elif`` over six kinds.  Two table builders feed it:
-:func:`repro.simnet.simulate.simulate` (one actor per rank) and
-:func:`repro.simnet.collapsed.simulate_collapsed` (one per class).
+``if``/``elif`` over six kinds.  One caller feeds it,
+:func:`repro.simnet.simulate.simulate`, from one kind of table — a
+:class:`~repro.compile.program.SimPlan`, whose actors are the ranks or,
+in a class plan, the rank classes' representatives.
 
 A message's life: both endpoints *post* it (each post costs the poster
 its injection overhead, serially); the second post starts the transfer,

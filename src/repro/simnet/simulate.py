@@ -1,13 +1,20 @@
 """Simulate a collective schedule on a modeled machine.
 
 Builds the tables the DES kernel (:mod:`repro.simnet.kernel`) walks, in
-three layers, each computed once for what it depends on: the compiled
-artifact's matched-message plan
-(:meth:`~repro.compile.program.CompiledSchedule.sim_plan`), per machine
-geometry the link class and held resources of every message
-(:func:`_route`), and per call the byte counts and cost columns
-(:func:`cost_columns`).  In the kernel each rank walks its program paying
-per-op injection overhead and waiting on step completions; each message
+three layers, each computed once for what it depends on: a
+:class:`~repro.compile.program.SimPlan` — the compiled artifact's
+matched-message plan
+(:meth:`~repro.compile.program.CompiledSchedule.sim_plan`, one actor per
+rank) or, where the ranks collapse into equivalence classes, the class
+plan (:attr:`~repro.compile.classes.RankClasses.plan`, one actor per
+class representative) — then per machine geometry the link class and
+held resources of every message (:func:`_route`), and per call the byte
+counts and cost columns (:func:`cost_columns`).  Both plans take the one
+path below: a class plan's traffic counters weigh each message by its
+sender's class size, and its actor times fan out to the ranks with one
+gather over the class labels.  In the kernel each actor walks its
+program paying per-op injection overhead and waiting on step
+completions; each message
 waits for both endpoints to post, competes for the link resources its
 path needs (NIC ports, intranode fabric channels, dragonfly global
 channels), holds them for the serialization time, and delivers after the
@@ -203,8 +210,9 @@ def simulate(
     ``engine`` selects the simulation core.  ``"materialized"`` is the
     one-actor-per-rank table described above;
     ``"collapsed"`` simulates one representative per rank-equivalence
-    class (:mod:`repro.simnet.collapsed`) and fans results back out —
-    bit-identical on symmetric inputs, sublinear in ``p``; ``"auto"``
+    class (the class plan of :mod:`repro.compile.classes`) and fans
+    results back out — bit-identical on symmetric inputs, sublinear in
+    ``p``; ``"auto"``
     (the default) picks collapsed when the run is symmetric (no noise,
     faults, timeline, custom block map, or nonzero root; an eligible
     machine) and large enough to profit, materialized otherwise.  An
@@ -249,10 +257,11 @@ def simulate(
         faults = None
 
     # ------------------------------------------------------------------
-    # Engine dispatch: try the class-collapsed core when requested and
-    # eligible; fall back to the materialized engine below, recording why.
+    # Engine decision: the class plan when requested, eligible and
+    # worth it; otherwise the per-rank plan, recording why.
     # ------------------------------------------------------------------
     lazy = getattr(schedule, "is_lazy", False)
+    classes = None
     fallback: Optional[str] = None
     refused: Optional[str] = None  # repro_engine_fallbacks_total's reason
     if engine in ("auto", "collapsed"):
@@ -271,8 +280,6 @@ def simulate(
         elif engine == "auto" and not lazy and p < _AUTO_COLLAPSE_MIN_RANKS:
             refused = "small_p"  # policy choice, not a SimResult.fallback
         else:
-            from .collapsed import simulate_collapsed
-
             try:
                 if lazy:
                     classes = schedule.classes(machine, nbytes)
@@ -282,39 +289,38 @@ def simulate(
                     classes = get_or_classify(schedule, machine, nbytes)
                 # Auto policy: when the partition is degenerate (every
                 # rank its own class — butterfly exchanges whose partner
-                # *order* is rank-dependent), the collapsed core would
-                # just re-enact the materialized run with extra batching
-                # overhead.  Simulation cost should track class count,
-                # so a partition that doesn't collapse isn't worth the
-                # detour.  An explicit engine="collapsed" request still
-                # runs it (the caller asked for that core, and results
-                # are bit-identical either way).
+                # *order* is rank-dependent), the class plan would just
+                # re-enact the per-rank one.  Simulation cost should
+                # track class count, so a partition that doesn't
+                # collapse isn't worth the detour.  An explicit
+                # engine="collapsed" request still runs it (the caller
+                # asked for that core, and results are bit-identical
+                # either way).
                 if engine == "collapsed" or classes.nclasses < p:
-                    return simulate_collapsed(
-                        classes,
-                        machine,
-                        nbytes,
-                        schedule_desc=schedule.describe(),
-                        obs=obs,
-                    )
-                refused = "degenerate"
+                    plan = classes.plan
+                else:
+                    classes, refused = None, "degenerate"
             except ClassAnalysisError as exc:
+                classes = None
                 refused, fallback = "class_analysis", str(exc)
 
-    if lazy:
-        schedule = schedule.materialize()
-    blocks = schedule.block_map(nbytes) if block_map is None else block_map
     scope = get_obs(obs)
-    if refused is not None and scope.enabled:
-        scope.metrics.counter(
-            "repro_engine_fallbacks_total", reason=refused
-        ).inc()
+    if classes is None:
+        if lazy:
+            schedule = schedule.materialize()
+        if refused is not None and scope.enabled:
+            scope.metrics.counter(
+                "repro_engine_fallbacks_total", reason=refused
+            ).inc()
+        from ..compile import get_or_compile
 
-    from ..compile import get_or_compile
-
-    plan = get_or_compile(schedule).sim_plan()
+        plan = get_or_compile(schedule).sim_plan()
+    blocks = schedule.block_map(nbytes) if block_map is None else block_map
     link, held, held_ids, contended = _route(plan, machine)
     sizes = plan.message_bytes(blocks.sizes)
+    # A class plan's message stands for one per member of its sender's
+    # class: the traffic counters weigh it by the class size.
+    weight = None if classes is None else classes.sizes[plan.src]
 
     # Fault plan: the fate of messages and ranks is decided before the
     # run (decisions are deterministic, so fate is static even though
@@ -338,19 +344,27 @@ def simulate(
         link_live, sizes_live = link[live], sizes[live]
     else:
         link_live, sizes_live = link, sizes
-    by_link = np.bincount(link_live, minlength=3).tolist()
+    if weight is not None:  # a class plan never runs under faults
+        sizes_live = sizes * weight
+    by_link = np.bincount(
+        link_live, weights=weight, minlength=3
+    ).astype(np.int64).tolist()
     intra_bytes = int(sizes_live[link_live == LINK_INTRA].sum())
 
     timeline: Optional[List[Tuple]] = None
+    attrs = {} if classes is None else {
+        "engine": "collapsed", "nclasses": classes.nclasses,
+    }
     with scope.span(
         "simulate",
         schedule=schedule.describe(),
         machine=machine.name,
         nbytes=nbytes,
+        **attrs,
     ):
         makespan, rank_times, retransmissions, rows = kernel.run(
             ops=plan.ops, src=plan.src, dst=plan.dst, held=held,
-            held_ids=held_ids, capacity=_capacity(machine),
+            held_ids=held_ids, capacity=_capacity(machine, plan),
             contended=contended, collect=collect_timeline, obs=scope,
             **costs,
         )
@@ -386,10 +400,12 @@ def simulate(
         for rank in range(p):
             if not statics.completes(rank, nsteps[rank]):
                 rank_times[rank] = math.inf
+    if classes is not None:  # one gather fans the classes out to ranks
+        rank_times = np.array(rank_times, dtype=np.float64)[classes.labels]
     return SimResult(
         time=makespan,
         rank_times=rank_times,
-        messages=len(plan.src),
+        messages=len(plan.src) if weight is None else int(weight.sum()),
         intra_messages=by_link[LINK_INTRA],
         inter_messages=by_link[LINK_INTER] + by_link[LINK_GLOBAL],
         global_messages=by_link[LINK_GLOBAL],
@@ -399,8 +415,9 @@ def simulate(
         retransmissions=retransmissions,
         failed_ranks=failed_ranks,
         stalled_ranks=stalled_ranks,
-        engine="materialized",
+        engine="materialized" if classes is None else "collapsed",
         fallback=fallback,
+        nclasses=None if classes is None else classes.nclasses,
     )
 
 
@@ -429,18 +446,25 @@ def _route(
     npg = df.nodes_per_group if df is not None else 0
     pools = df is not None and df.global_channels is not None
     fabric = machine.intra_kind == "shared" and machine.ppn > 1
+    if plan.link is not None:
+        # A class plan: each representative is a node of its own (the
+        # partition needs one rank per node and no channel pools), and
+        # the plan carries the link classes of the real messages.
+        nodes, npg, pools, fabric = len(plan.ops), 0, False, False
 
     def make() -> Tuple[np.ndarray, List[tuple], np.ndarray, Set[tuple]]:
-        src = np.asarray(plan.src, dtype=np.int64)
-        dst = np.asarray(plan.dst, dtype=np.int64)
-        if machine.placement == "round_robin":
-            sn, dn = src % nodes, dst % nodes
-        else:
-            sn, dn = src // machine.ppn, dst // machine.ppn
-        link = np.full(len(src), LINK_INTER, dtype=np.int8)
-        if npg:
-            link[sn // npg != dn // npg] = LINK_GLOBAL
-        link[sn == dn] = LINK_INTRA
+        sn = np.asarray(plan.src, dtype=np.int64)
+        dn = np.asarray(plan.dst, dtype=np.int64)
+        link = plan.link
+        if link is None:
+            if machine.placement == "round_robin":
+                sn, dn = sn % nodes, dn % nodes
+            else:
+                sn, dn = sn // machine.ppn, dn // machine.ppn
+            link = np.full(len(sn), LINK_INTER, dtype=np.int8)
+            if npg:
+                link[sn // npg != dn // npg] = LINK_GLOBAL
+            link[sn == dn] = LINK_INTRA
         ngroups = nodes // npg if npg else 0
         interned: Dict[Tuple[int, int], tuple] = {}
         held = []
@@ -463,8 +487,11 @@ def _route(
     )
 
 
-def _capacity(machine: MachineSpec) -> list:
-    """Units per resource id, in :func:`_route`'s numbering."""
+def _capacity(machine: MachineSpec, plan) -> list:
+    """Units per resource id, in :func:`_route`'s numbering: a class
+    plan's representatives own one send and one receive port pool each."""
+    if plan.link is not None:
+        return [machine.nic_ports] * (2 * len(plan.ops))
     nodes = machine.nodes
     capacity = [machine.nic_ports] * (2 * nodes)
     capacity += [machine.intra_channels] * nodes

@@ -294,6 +294,43 @@ class TestContentionHint:
         assert len(passes) == 2 and contended == {(1,)}
         assert wide[0] == 1.0
 
+    def test_a_class_plan_keeps_its_route_memo(self, monkeypatch):
+        """A contended partition's class plan is built once and memoises
+        its held ids and contention hint: the second collapsed run skips
+        the capacity-free pass and changes nothing."""
+        from repro.compile.cache import clear_class_cache
+
+        schedule = build_schedule("allreduce", "recursive_multiplying", 64,
+                                  k=4)
+        machine = reference(64)
+        assert machine.nic_ports == 1
+        passes = []
+        real = kernel.capacity_free
+
+        def spy(**kw):
+            passes.append(kw["capacity"])
+            return real(**kw)
+
+        monkeypatch.setattr(kernel, "capacity_free", spy)
+        clear_class_cache()
+        try:
+            first = simulate(schedule, machine, 1 << 16, engine="collapsed")
+            again = simulate(schedule, machine, 1 << 16, engine="collapsed")
+        finally:
+            clear_class_cache()
+        assert first.engine == "collapsed"
+        assert len(passes) == 1
+
+        def fields(res):
+            return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                    for k, v in vars(res).items()}
+
+        assert fields(again) == fields(first)
+        loop = simulate(schedule, machine, 1 << 16, collect_timeline=True)
+        assert (first.time, first.rank_times.tolist()) == (
+            loop.time, loop.rank_times
+        )
+
     def test_simulate_keeps_the_hint_on_the_plan(self, kernel_calls):
         """A materialized k-nomial root on a one-port machine never
         certifies: the hint lives in the plan's route memo."""

@@ -32,8 +32,8 @@ class TestPartitionShape:
         c = _classify("allgather", "ring", 8)
         assert c.nclasses == 1
         assert c.labels.tolist() == [0] * 8
-        assert c.classes[0].size == 8
-        assert c.classes[0].rep == 0
+        assert c.sizes.tolist() == [8]
+        assert c.reps == (0,)
 
     def test_symmetric_butterflies_are_one_class(self):
         for coll, alg, k in [
@@ -61,26 +61,27 @@ class TestPartitionShape:
         assert len(c.labels) == 16
         sizes = np.bincount(c.labels, minlength=c.nclasses)
         assert int(sizes.sum()) == 16
-        assert all(cls.size == int(sizes[i]) for i, cls in
-                   enumerate(c.classes))
+        assert c.sizes.tolist() == sizes.tolist()
 
     def test_rep_is_lowest_member(self):
         c = _classify("allgather", "ring", 12)
-        for label, cls in enumerate(c.classes):
+        for label, rep in enumerate(c.reps):
             members = np.where(c.labels == label)[0]
-            assert cls.rep == int(members[0])
+            assert rep == int(members[0])
 
 
 class TestFingerprint:
+    """A partition's fingerprint is its class plan's digest."""
+
     def test_deterministic(self):
         a = _classify("allreduce", "ring", 8)
         b = _classify("allreduce", "ring", 8)
-        assert a.fingerprint() == b.fingerprint()
+        assert a.plan.digest() == b.plan.digest()
 
     def test_distinguishes_schedules(self):
         a = _classify("allgather", "ring", 8)
         b = _classify("allgather", "ring", 12)
-        assert a.fingerprint() != b.fingerprint()
+        assert a.plan.digest() != b.plan.digest()
 
 
 class TestClassCache:
@@ -128,12 +129,11 @@ class TestMachinePreconditions:
 
 def reference_classify(compiled, machine, nbytes, forged=None):
     """The per-rank classify the whole-table passes must reproduce:
-    same partition, same class programs, same first error.  ``forged``
-    replaces the computed partition, to reach the bijection check."""
-    from repro.compile.classes import (
-        LINK_GLOBAL, LINK_INTER, ClassProgram, RankClasses, link_profile,
-    )
-    from repro.compile.program import OP_COPY, OP_SEND
+    same partition, same class plan columns (:func:`plan_columns`), same
+    first error.  ``forged`` replaces the computed partition, to reach
+    the bijection check."""
+    from repro.compile.classes import LINK_GLOBAL, LINK_INTER, link_profile
+    from repro.compile.program import OP_COPY, OP_REDUCE_RECV, OP_SEND
 
     p, programs = compiled.nranks, compiled.programs
     extra = nbytes % compiled.nblocks
@@ -163,14 +163,6 @@ def reference_classify(compiled, machine, nbytes, forged=None):
         link[prog.kinds == OP_COPY] = -1
         return link
 
-    def feed_of(prog):
-        kinds, bounds = prog.kinds.tolist(), prog.steps_raw.tolist()
-        return tuple(
-            tuple((kinds[i] == OP_SEND, i) for i in range(lo, hi)
-                  if kinds[i] != OP_COPY)
-            for lo, hi in zip(bounds, bounds[1:])
-        )
-
     def dense(keys):
         table = {}
         return np.array([table.setdefault(k, len(table)) for k in keys],
@@ -199,7 +191,7 @@ def reference_classify(compiled, machine, nbytes, forged=None):
         labels = np.array(forged, dtype=np.int32)
 
     counts, label_of = np.bincount(labels).tolist(), labels.tolist()
-    classes = []
+    reps, targets = [], []
     for c in range(len(counts)):
         members = np.flatnonzero(labels == c)
         rep = int(members[0])
@@ -207,13 +199,13 @@ def reference_classify(compiled, machine, nbytes, forged=None):
         member_peers = [programs[m].peers.tolist() for m in members]
         send_target = [None] * prog.nops
         for j in np.flatnonzero(prog.kinds == OP_SEND).tolist():
-            targets = [peers[j] for peers in member_peers]
-            tc = label_of[targets[0]]
-            if any(label_of[t] != tc for t in targets):
+            targets_j = [peers[j] for peers in member_peers]
+            tc = label_of[targets_j[0]]
+            if any(label_of[t] != tc for t in targets_j):
                 raise ClassAnalysisError(
                     f"class {c} op {j}: peers span multiple classes"
                 )
-            if len(set(targets)) != len(members) or (
+            if len(set(targets_j)) != len(members) or (
                 counts[tc] != len(members)
             ):
                 raise ClassAnalysisError(
@@ -221,22 +213,65 @@ def reference_classify(compiled, machine, nbytes, forged=None):
                     f"({len(members)} sender(s), {counts[tc]} receiver(s))"
                 )
             send_target[j] = (tc, int(cops[rep][j]))
-        classes.append(ClassProgram(
-            rep=rep, size=counts[c], kinds=prog.kinds,
-            nblk=shapes[rep][0], nlarge=shapes[rep][1], link=links[rep],
-            feed=feed_of(prog), send_target=tuple(send_target),
+        reps.append(rep)
+        targets.append(send_target)
+
+    # The class plan, one message at a time: representative sends in
+    # class order, then program order, each delivered to its
+    # counterpart receive in the receiver class's representative.
+    want = {"labels": labels.tolist(), "sizes": counts, "src": [],
+            "dst": [], "seq": [], "reduce": [], "blocks": [], "link": []}
+    out_row, in_row = {}, {}
+    for c, rep in enumerate(reps):
+        prog = programs[rep]
+        for j, target in enumerate(targets[c]):
+            if target is None:
+                continue
+            tc, tj = target
+            out_row[c, j] = in_row[tc, tj] = len(want["src"])
+            bounds = prog.seg_bounds
+            want["src"].append(c)
+            want["dst"].append(tc)
+            want["seq"].append(int(prog.tags[j]))
+            want["reduce"].append(
+                bool(programs[reps[tc]].kinds[tj] == OP_REDUCE_RECV)
+            )
+            want["blocks"].append(tuple(
+                prog.seg_blocks[bounds[j]:bounds[j + 1]].tolist()
+            ))
+            want["link"].append(int(links[rep][j]))
+    ops = []
+    for c, rep in enumerate(reps):
+        kinds, bounds = programs[rep].kinds, programs[rep].steps_raw
+        ops.append(tuple(
+            tuple(
+                out_row[c, i] << 1 if kinds[i] == OP_SEND
+                else in_row[c, i] << 1 | 1
+                for i in range(lo, hi) if kinds[i] != OP_COPY
+            )
+            for lo, hi in zip(bounds.tolist(), bounds.tolist()[1:])
         ))
-    return RankClasses(nranks=p, nblocks=compiled.nblocks, residue=extra,
-                       labels=labels, classes=tuple(classes))
+    want["ops"] = tuple(ops)
+    return want
 
 
-def assert_same_classes(got, want):
-    assert got.fingerprint() == want.fingerprint()
-    assert got.labels.tolist() == want.labels.tolist()
-    assert [c.feed for c in got.classes] == [c.feed for c in want.classes]
-    assert [c.send_target for c in got.classes] == [
-        c.send_target for c in want.classes
-    ]
+def plan_columns(classes):
+    """A partition's labels, sizes and class plan columns, as plain
+    Python values in :func:`reference_classify`'s layout."""
+    plan = classes.plan
+    ptr = plan.blk_ptr.tolist()
+    return {
+        "labels": classes.labels.tolist(),
+        "sizes": classes.sizes.tolist(),
+        "src": plan.src,
+        "dst": plan.dst,
+        "seq": plan.seq,
+        "reduce": plan.reduce.tolist(),
+        "blocks": [tuple(plan.blk_ids[a:b].tolist())
+                   for a, b in zip(ptr, ptr[1:])],
+        "link": plan.link.tolist(),
+        "ops": plan.ops,
+    }
 
 
 def _grid_schedules(entry):
@@ -301,10 +336,9 @@ class TestWholeTableDifferential:
                 (reference(p), 64 * nb + nb // 2),
                 (_dragonfly(p), 64 * nb + 1),
             ):
-                assert_same_classes(
-                    classify(compiled, machine, nbytes),
-                    reference_classify(compiled, machine, nbytes),
-                )
+                assert plan_columns(
+                    classify(compiled, machine, nbytes)
+                ) == reference_classify(compiled, machine, nbytes)
 
     def test_artifact_from_the_wire_derives_its_columns_once(self):
         import pickle
@@ -320,8 +354,10 @@ class TestWholeTableDifferential:
             assert np.array_equal(column,
                                   getattr(schedule.columns(), name)), name
         for machine in (reference(12), _dragonfly(12)):
-            assert_same_classes(classify(clone, machine, 4099),
-                                classify(lowered, machine, 4099))
+            got = classify(clone, machine, 4099)
+            want = classify(lowered, machine, 4099)
+            assert plan_columns(got) == plan_columns(want)
+            assert got.plan.digest() == want.plan.digest()
 
     # A computed fixpoint always satisfies the bijection check, so a
     # forged partition stands in for a refinement bug: the texts are
@@ -350,6 +386,33 @@ class TestWholeTableDifferential:
             classify(compiled, machine, 64)
 
 
+class TestPlanBuilder:
+    """``build_sim_plan`` refuses deliveries that do not cover every
+    receive exactly once — the check behind every class plan."""
+
+    # Rank 0 of a 4-rank ring allgather: send, recv × 3 steps, so flat
+    # ops 1, 3 and 5 are its receives and op 0 a send.
+    @pytest.mark.parametrize("damage, text", [
+        (lambda at: np.where(at == 3, 1, at),
+         "actor 0 op 1: 2 sends deliver to this receive, not one"),
+        (lambda at: np.where(at == 1, 3, at),
+         "actor 0 op 1: 0 sends deliver to this receive, not one"),
+        (lambda at: np.where(at == 1, 0, at),
+         "actor 0 op 0 is not a receive but a send targets it"),
+    ])
+    def test_refusal_texts(self, damage, text):
+        from repro.compile.program import build_sim_plan
+
+        compiled = compile_schedule(build_schedule("allgather", "ring", 4))
+        fifo = compiled.messages()
+        plan = build_sim_plan(compiled.columns, fifo.recv_op,
+                              fifo.seq[fifo.send_op])
+        assert plan.digest() == compiled.sim_plan().digest()
+        with pytest.raises(ClassAnalysisError, match=f"^{re.escape(text)}$"):
+            build_sim_plan(compiled.columns, damage(fifo.recv_op),
+                           fifo.seq[fifo.send_op])
+
+
 class TestScaleSimDoesNothingTwice:
     """Clock-free guard on perfbench's ``scale_sim`` built-then-classified
     units (build, classify, then two sizes of one residue through
@@ -366,26 +429,27 @@ class TestScaleSimDoesNothingTwice:
 
         hashed, built = [], []
         table_bytes = program.CompiledProgram.table_bytes
+        build_sim_plan = classes.build_sim_plan
 
         def counting_table_bytes(self):
             hashed.append(self)
             return table_bytes(self)
 
-        class CountingClassProgram(classes.ClassProgram):
-            def __init__(self, **fields):
-                super().__init__(**fields)
-                built.append(self.rep)
+        def counting_build_sim_plan(*args):
+            built.append(args)
+            return build_sim_plan(*args)
 
         monkeypatch.setattr(program.CompiledProgram, "table_bytes",
                             counting_table_bytes)
-        monkeypatch.setattr(classes, "ClassProgram", CountingClassProgram)
+        monkeypatch.setattr(classes, "build_sim_plan",
+                            counting_build_sim_plan)
         clears = (global_schedule_cache().clear, clear_class_cache,
                   global_compiled_cache().clear)
         for clear in clears:
             clear()
         machine = reference(256)
         try:
-            compiled, engines, programs = [], [], []
+            compiled, engines, plans = [], [], []
             for coll, alg, k in (("allreduce", "recursive_multiplying", 2),
                                  ("bcast", "knomial", 4)):
                 schedule = repro.build(coll, alg, p=256, k=k)
@@ -395,7 +459,7 @@ class TestScaleSimDoesNothingTwice:
                         schedule, machine, nbytes=256 * 8 * words
                     ).engine)
                 compiled.append((get_or_compile(schedule), schedule))
-                programs.append(len(built))
+                plans.append(len(built))
         finally:
             for clear in clears:
                 clear()
@@ -404,9 +468,9 @@ class TestScaleSimDoesNothingTwice:
         assert all(c.columns is s.columns() for c, s in compiled)
         # … the partitions are keyed without hashing its tables …
         assert hashed == []
-        # … the butterfly's one class program is built once, and the
-        # degenerate tree (256 classes, refused on the count) builds none.
-        assert programs == [1, 1]
+        # … the butterfly's class plan is built once, and the degenerate
+        # tree (256 classes, refused on the count) builds none.
+        assert plans == [1, 1]
 
     def test_partition_of_a_fresh_artifact_serves_its_blob_round_trip(self):
         from repro.compile.cache import _class_entries, clear_class_cache
@@ -435,4 +499,4 @@ class TestScaleSimDoesNothingTwice:
         assert hit and cached is fresh
         again = classify(clone, machine, 4099)
         assert again.labels.tolist() == fresh.labels.tolist()
-        assert again.fingerprint() == fresh.fingerprint()
+        assert again.plan.digest() == fresh.plan.digest()

@@ -8,14 +8,18 @@ and fanning out must reproduce the materialized engine's makespan,
 per-rank completion times, and traffic accounting exactly.  The grid
 covers every generalized (collective, algorithm) pair plus the ring/
 recursive-doubling families the lazy generators mirror, across radices
-and sizes, at p up to 32.
+and sizes, at p up to 32, on ``reference(p)`` and — at p = 16 and 32 —
+on the flat Frontier dragonfly (``frontier-P-flat``: latency groups of
+16 nodes, no channel pools), the one collapse-eligible shape whose
+messages cross groups (a class plan's link column and weighted
+``global_messages``).
 """
 
 import pytest
 
 from repro.core.registry import GENERALIZED_ALGORITHMS, info
 from repro.selection.tuner import radix_grid
-from repro.simnet.machines import reference
+from repro.simnet.machines import get, reference
 from repro.simnet.simulate import simulate
 
 #: Non-generalized families on the grid: the ones the lazy generator
@@ -49,25 +53,36 @@ def _assert_identical(mat, col, label):
     assert col.messages == mat.messages, label
     assert col.intra_messages == mat.intra_messages, label
     assert col.inter_messages == mat.inter_messages, label
+    assert col.global_messages == mat.global_messages, label
     assert col.intra_bytes == mat.intra_bytes, label
     assert col.inter_bytes == mat.inter_bytes, label
 
 
-@pytest.mark.parametrize("coll,alg,p,k", list(_grid()))
-def test_collapsed_matches_materialized(coll, alg, p, k):
-    entry = info(coll, alg)
-    schedule = entry.build(p, k=k, root=0)
-    machine = reference(p)
+def _check_point(coll, alg, p, k, machine):
+    schedule = info(coll, alg).build(p, k=k, root=0)
     for nbytes in (64, 4096, 1 << 16) if p == 16 else (64, 4096):
         mat = simulate(schedule, machine, nbytes, engine="materialized")
         col = simulate(schedule, machine, nbytes, engine="collapsed")
-        label = f"{coll}/{alg} p={p} k={k} n={nbytes}"
+        label = f"{coll}/{alg} p={p} k={k} n={nbytes} on {machine.name}"
         # An explicit collapsed request on this grid must actually run
         # the collapsed core (symmetric machine, root 0, no noise).
+        assert (mat.engine, mat.nclasses) == ("materialized", None), label
         assert col.engine == "collapsed", (label, col.fallback)
         assert col.fallback is None, label
-        assert col.nclasses is not None and col.nclasses >= 1
+        assert 1 <= col.nclasses <= p, label
         _assert_identical(mat, col, label)
+
+
+@pytest.mark.parametrize("coll,alg,p,k", list(_grid()))
+def test_collapsed_matches_materialized(coll, alg, p, k):
+    _check_point(coll, alg, p, k, reference(p))
+
+
+@pytest.mark.parametrize(
+    "coll,alg,p,k", [point for point in _grid() if point[2] in (16, 32)]
+)
+def test_collapsed_matches_materialized_across_groups(coll, alg, p, k):
+    _check_point(coll, alg, p, k, get(f"frontier-{p}-flat"))
 
 
 class TestAutoPolicy:

@@ -5,7 +5,7 @@ a rank-symmetric schedule: per-rank tables are generated on demand, the
 class partition is a single class by construction, and ``materialize()``
 recovers the explicit registry schedule when small enough.  The tests
 pin (a) the lookup scope, (b) generator faithfulness — the generated
-per-rank programs match the registry builder's op for op, and the
+per-rank tables match the registry build's columns, and the
 simulated costs match bit for bit through both engines — and (c) the
 materialization guard that keeps "expand 4M ops" requests from defeating
 the point.
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.lazy import LAZY_FAMILIES, _MATERIALIZE_MAX_OPS, lookup
 from repro.core.registry import build_schedule
-from repro.core.schedule import RecvOp, SendOp
 from repro.errors import ScheduleError
 from repro.simnet.machines import reference
 from repro.simnet.simulate import simulate
@@ -49,29 +48,28 @@ class TestLookupScope:
         assert lazy.block_map(4096).nblocks == lazy.nblocks
 
 
-def _ops(prog):
-    out = []
-    for step in prog.steps:
-        ops = []
-        for op in step.ops:
-            if isinstance(op, SendOp):
-                ops.append(("send", op.peer, tuple(op.blocks)))
-            elif isinstance(op, RecvOp):
-                ops.append(("recv", op.peer, tuple(op.blocks), op.reduce))
-        out.append(tuple(ops))
-    return tuple(out)
-
-
 class TestGeneratorFaithfulness:
     @pytest.mark.parametrize("coll,alg", sorted(LAZY_FAMILIES))
     def test_programs_match_registry_builder(self, coll, alg):
         p = 8
         lazy = lookup(coll, alg, p)
-        built = build_schedule(coll, alg, p)
+        cols = build_schedule(coll, alg, p).columns()
         for r in range(p):
-            assert _ops(lazy.program(r)) == _ops(built.programs[r]), (
-                f"{coll}/{alg} rank {r}: generated program diverges "
-                f"from the registry builder"
+            t = lazy._tables(r)
+            lo, hi = cols.op_ptr[r], cols.op_ptr[r + 1]
+            seg = cols.seg_bounds[lo:hi + 1]
+            got = (t.kinds.tolist(), t.peers.tolist(),
+                   [[b] for b in t.block.tolist()], t.steps_raw.tolist())
+            want = (
+                cols.kinds[lo:hi].tolist(),
+                cols.peers[lo:hi].tolist(),
+                [cols.seg_blocks[a:b].tolist()
+                 for a, b in zip(seg.tolist(), seg[1:].tolist())],
+                cols.steps_raw[cols.step_ptr[r]:cols.step_ptr[r + 1]].tolist(),
+            )
+            assert got == want, (
+                f"{coll}/{alg} rank {r}: generated tables diverge "
+                f"from the registry builder's columns"
             )
 
     @pytest.mark.parametrize("coll,alg", sorted(LAZY_FAMILIES))
