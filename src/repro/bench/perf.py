@@ -106,8 +106,8 @@ GATES = (
           "11-30 s)"),
     _Gate("scale", "sublinear_ratio", "<=", 256.0,
           "wall clock over a 1024x rank span (p=2^10..2^20): the "
-          "collapsed engine's per-event op is a NumPy vector over class "
-          "members, so ~100x measured; per-message cost would read 1024x"),
+          "collapsed engine walks one class and keeps its result at "
+          "class size, so ~1.7x measured; per-rank cost would read 1024x"),
     _Gate("serve", "warm_speedup", ">=", 2.0,
           "a tune replaying a selection config's recorded timings must "
           "make boot nearly free (measured 130-360x)"),

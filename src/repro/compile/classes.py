@@ -269,10 +269,15 @@ def classify(
         _cut(cols.steps_raw.tobytes(), steps, 4),
     ))
 
-    # Refinement: split on peer class labels until stable.  Copies carry
-    # peer -1, which gathers the sentinel label -1 past the class space.
+    # Refinement: split on peer class labels until stable, or until
+    # every rank is its own class — no round splits a singleton, and
+    # first-occurrence ids reach p - 1 only when all p are distinct.
+    # Copies carry peer -1, which gathers the sentinel label -1 past
+    # the class space.
     by_rank = np.full(p + 1, -1, dtype=np.int32)
     for _ in range(p):
+        if labels[-1] == p - 1:
+            break
         by_rank[:p] = labels
         new_labels = _dense_labels(zip(
             labels.tolist(), _cut(by_rank[peers].tobytes(), ops, 4)

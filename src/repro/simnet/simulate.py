@@ -11,8 +11,9 @@ class representative) — then per machine geometry the link class and
 held resources of every message (:func:`_route`), and per call the byte
 counts and cost columns (:func:`cost_columns`).  Both plans take the one
 path below: a class plan's traffic counters weigh each message by its
-sender's class size, and its actor times fan out to the ranks with one
-gather over the class labels.  In the kernel each actor walks its
+sender's class size, and its actor times stay per class in the result,
+fanned out over the class labels only when a caller reads
+:attr:`SimResult.rank_times`.  In the kernel each actor walks its
 program paying per-op injection overhead and waiting on step
 completions; each message
 waits for both endpoints to post, competes for the link resources its
@@ -40,6 +41,7 @@ k-nomial root overlap ``k-1`` small sends (§II-B2) while still charging
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -90,14 +92,15 @@ _AUTO_COLLAPSE_MIN_RANKS = 256
 class SimResult:
     """Outcome of one simulated collective.
 
-    ``rank_times`` holds each rank's completion time: a ``list`` from the
-    materialized core, a ``numpy`` array from the collapsed one
-    (``engine`` names which ran).  ``engine="auto"`` picks the core, so a
-    caller that needs a ``list`` converts.
+    ``actor_times`` holds the kernel's completion time per actor: per
+    rank from the materialized core, per class from the collapsed one,
+    whose ``labels`` map each rank to its class (``None`` otherwise).
+    :attr:`rank_times` expands them to ranks on its first read, so a
+    caller that reads only ``time`` pays nothing of size ``p``.
     """
 
     time: float                      # makespan (seconds)
-    rank_times: Sequence[float]      # per-rank completion times
+    actor_times: Sequence[float]     # per-actor (rank or class) completion times
     messages: int                    # point-to-point messages delivered
     intra_messages: int
     inter_messages: int
@@ -111,6 +114,18 @@ class SimResult:
     engine: str = "materialized"     # engine that produced this result
     fallback: Optional[str] = None   # why a collapsed request fell back
     nclasses: Optional[int] = None   # class count (collapsed engine only)
+    labels: Optional[np.ndarray] = None  # rank -> class (collapsed engine only)
+
+    @functools.cached_property
+    def rank_times(self) -> Sequence[float]:
+        """Each rank's completion time: the kernel's ``list`` from the
+        materialized core, a ``float64`` array gathered over ``labels``
+        from the collapsed one (``engine`` names which ran).
+        ``engine="auto"`` picks the core, so a caller that needs a
+        ``list`` converts.  Computed once, on the first read."""
+        if self.labels is None:
+            return self.actor_times
+        return np.array(self.actor_times, dtype=np.float64)[self.labels]
 
     @property
     def time_us(self) -> float:
@@ -210,8 +225,10 @@ def simulate(
     ``engine`` selects the simulation core.  ``"materialized"`` is the
     one-actor-per-rank table described above;
     ``"collapsed"`` simulates one representative per rank-equivalence
-    class (the class plan of :mod:`repro.compile.classes`) and fans
-    results back out — bit-identical on symmetric inputs, sublinear in
+    class (the class plan of :mod:`repro.compile.classes`) and keeps
+    its result per class, fanned back out to ranks when
+    ``rank_times`` is read — bit-identical on symmetric inputs, and
+    with the partition cached its cost tracks the class count, not
     ``p``; ``"auto"``
     (the default) picks collapsed when the run is symmetric (no noise,
     faults, timeline, custom block map, or nonzero root; an eligible
@@ -362,7 +379,7 @@ def simulate(
         nbytes=nbytes,
         **attrs,
     ):
-        makespan, rank_times, retransmissions, rows = kernel.run(
+        makespan, actor_times, retransmissions, rows = kernel.run(
             ops=plan.ops, src=plan.src, dst=plan.dst, held=held,
             held_ids=held_ids, capacity=_capacity(machine, plan),
             contended=contended, collect=collect_timeline, obs=scope,
@@ -399,12 +416,10 @@ def simulate(
         stalled_ranks = tuple(sorted(statics.stall_step))
         for rank in range(p):
             if not statics.completes(rank, nsteps[rank]):
-                rank_times[rank] = math.inf
-    if classes is not None:  # one gather fans the classes out to ranks
-        rank_times = np.array(rank_times, dtype=np.float64)[classes.labels]
+                actor_times[rank] = math.inf
     return SimResult(
         time=makespan,
-        rank_times=rank_times,
+        actor_times=actor_times,
         messages=len(plan.src) if weight is None else int(weight.sum()),
         intra_messages=by_link[LINK_INTRA],
         inter_messages=by_link[LINK_INTER] + by_link[LINK_GLOBAL],
@@ -418,6 +433,7 @@ def simulate(
         engine="materialized" if classes is None else "collapsed",
         fallback=fallback,
         nclasses=None if classes is None else classes.nclasses,
+        labels=None if classes is None else classes.labels,
     )
 
 

@@ -472,6 +472,26 @@ class TestScaleSimDoesNothingTwice:
         # tree (256 classes, refused on the count) builds none.
         assert plans == [1, 1]
 
+    def test_refinement_stops_at_singletons(self, monkeypatch):
+        # A degenerate k-nomial tree reaches p classes and stops there:
+        # no confirming round after the one that split the last class.
+        # The registry differential above pins the labels themselves.
+        import repro.compile.classes as classes
+
+        counts = []
+        dense_labels = classes._dense_labels
+
+        def counting_dense_labels(keys):
+            labels = dense_labels(keys)
+            counts.append(len(np.unique(labels)))
+            return labels
+
+        monkeypatch.setattr(classes, "_dense_labels", counting_dense_labels)
+        c = _classify("bcast", "knomial", 256, k=4)
+        assert c.nclasses == 256
+        assert len(counts) > 1 and counts[-1] == 256
+        assert counts.count(256) == 1, counts
+
     def test_partition_of_a_fresh_artifact_serves_its_blob_round_trip(self):
         from repro.compile.cache import _class_entries, clear_class_cache
         from repro.compile.classes import partition_key

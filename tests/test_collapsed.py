@@ -12,7 +12,9 @@ and sizes, at p up to 32, on ``reference(p)`` and — at p = 16 and 32 —
 on the flat Frontier dragonfly (``frontier-P-flat``: latency groups of
 16 nodes, no channel pools), the one collapse-eligible shape whose
 messages cross groups (a class plan's link column and weighted
-``global_messages``).
+``global_messages``).  Bruck and k-dissemination on a one-port machine,
+where the collapse is not exact yet, are strict expected failures
+(ROADMAP item 2).
 """
 
 import pytest
@@ -116,3 +118,32 @@ class TestAutoPolicy:
         res = simulate(schedule, reference(16), 4096, engine="collapsed")
         assert res.engine == "collapsed"
         assert res.nclasses == 1
+
+
+#: Contended partitions the class plan gets wrong today: on a one-port
+#: machine these collapse to one class, yet the materialized ranks of
+#: that class finish at different times (same-time requests on a full
+#: port park in rank-id order, which a class plan cannot reproduce).
+CONTENDED = (
+    ("barrier", "k_dissemination", 8),
+    ("allgather", "bruck", 3),
+    ("allgather", "bruck", 4),
+    ("alltoall", "bruck", 4),
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: collapse is exact or it is refused — the "
+    "collapsed core undercuts the materialized one on contended "
+    "single-class partitions",
+)
+@pytest.mark.parametrize("nbytes", [4096, 1 << 16])
+@pytest.mark.parametrize("coll,alg,k", CONTENDED)
+def test_contended_collapse_matches_materialized(coll, alg, k, nbytes):
+    schedule = info(coll, alg).build(64, k=k, root=0)
+    machine = reference(64)  # one NIC port
+    mat = simulate(schedule, machine, nbytes, engine="materialized")
+    col = simulate(schedule, machine, nbytes, engine="collapsed")
+    _assert_identical(mat, col, f"{coll}/{alg} k={k} n={nbytes}")

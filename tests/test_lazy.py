@@ -112,8 +112,8 @@ class TestMaterialize:
 
     def test_symmetry_probes_allocate_nothing_of_size_p(self):
         # Seven probe ranks are picked without a p-element set: at
-        # p = 2^20 the only O(p) allocation left is the 4 MiB label
-        # vector of the result.
+        # p = 2^20 the only O(p) allocation left is the partition's
+        # 4 MiB label vector.
         import tracemalloc
 
         p = 1 << 20
@@ -128,6 +128,29 @@ class TestMaterialize:
             tracemalloc.stop()
         assert classes.nclasses == 1
         assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_collapsed_run_allocates_nothing_of_size_p(self):
+        # With the partition warm, a collapsed run costs its classes:
+        # the per-rank times are expanded only when read (8 MiB of
+        # float64 at p = 2^20 when every run gathered them).
+        import tracemalloc
+
+        p = 1 << 20
+        machine = reference(p)
+        lazy = lookup("allreduce", "recursive_doubling", p)
+        simulate(lazy, machine, 64)
+        tracemalloc.start()
+        try:
+            res = simulate(lazy, machine, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.engine, res.nclasses) == ("collapsed", 1)
+        assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
+        times = res.rank_times
+        assert len(times) == p
+        assert (times == res.time).all()
+        assert res.rank_times is times
 
     def test_auto_simulates_lazy_without_materializing(self):
         # The whole point: a p=4096 lazy schedule simulates through the
