@@ -16,7 +16,7 @@ Run:  python examples/data_movement_demo.py
 import numpy as np
 
 from repro.core import build_schedule, verify
-from repro.core.schedule import RecvOp, SendOp
+from repro.core.schedule import OP_COPY, OP_SEND
 from repro.runtime import (
     execute,
     execute_threaded,
@@ -32,17 +32,19 @@ P, K, COUNT = 6, 3, 12
 # ----------------------------------------------------------------------
 sched = build_schedule("allgather", "kring", P, k=K)
 print(f"{sched.describe()} — groups of {sched.meta['groups']}\n")
-for prog in sched.programs:
-    parts = []
-    for step in prog.steps:
-        ops = []
-        for op in step.ops:
-            if isinstance(op, SendOp):
-                ops.append(f"send{list(op.blocks)}→{op.peer}")
-            elif isinstance(op, RecvOp):
-                ops.append(f"recv{list(op.blocks)}←{op.peer}")
-        parts.append(" + ".join(ops))
-    print(f"rank {prog.rank}: " + "  |  ".join(parts))
+# A schedule is its columns: every op rank-major in program order.
+cols = sched.columns()
+step_of = cols.positions()[0]  # per op: its step in its rank's program
+blocks = cols.blocks_of(np.arange(len(cols.kinds)))
+for rank in range(P):
+    parts = [[] for _ in range(cols.nsteps()[rank])]
+    for i in range(cols.op_ptr[rank], cols.op_ptr[rank + 1]):
+        kind, peer = cols.kinds[i], cols.peers[i]
+        if kind == OP_SEND:
+            parts[step_of[i]].append(f"send{list(blocks[i])}→{peer}")
+        elif kind != OP_COPY:
+            parts[step_of[i]].append(f"recv{list(blocks[i])}←{peer}")
+    print(f"rank {rank}: " + "  |  ".join(" + ".join(ops) for ops in parts))
 report = verify(sched)
 print(f"\nsymbolic verification: OK ({report.delivered_messages} messages)\n")
 

@@ -17,20 +17,19 @@ Run:  python examples/model_validation.py
 """
 
 from repro.bench import format_size, format_table
-from repro.core import build_schedule
-from repro.core.schedule import RankProgram, RecvOp, Schedule, SendOp
+from repro.core import build_schedule, schedule_from_json
 from repro.models import ModelParams, fit_ptp, model_time
 from repro.simnet import frontier, reference, simulate
 
 # ----------------------------------------------------------------------
 # 1. Calibrate α and β from ping measurements (one message, two ranks).
 # ----------------------------------------------------------------------
-p0 = RankProgram(rank=0)
-p0.add(SendOp(peer=1, blocks=(0,)))
-p1 = RankProgram(rank=1)
-p1.add(RecvOp(peer=0, blocks=(0,)))
-ping = Schedule(collective="bcast", algorithm="ping", nranks=2, nblocks=1,
-                programs=[p0, p1], root=0)
+ping = schedule_from_json("""{
+  "format": 1, "collective": "bcast", "algorithm": "ping",
+  "nranks": 2, "nblocks": 1, "root": 0,
+  "programs": [[[{"op": "send", "peer": 1, "blocks": [0]}]],
+               [[{"op": "recv", "peer": 0, "blocks": [0]}]]]
+}""")
 
 machine = reference(2)
 sizes = [2**i for i in range(3, 22)]

@@ -1,8 +1,9 @@
 """Intra-step buffer-hazard detection.
 
-All ops inside a :class:`~repro.core.schedule.Step` post concurrently
-and complete together at the waitall; within that window, two ops that
-touch the same block on the same rank can race on a real transport.
+All ops inside one step of a rank's program (:mod:`repro.core.schedule`)
+post concurrently and complete together at the waitall; within that
+window, two ops that touch the same block on the same rank can race on
+a real transport.
 The IR's reference semantics (sends snapshot at step start, copies
 apply at step start, recvs apply at step end in op order) make many of
 these overlaps well-defined *here* — the severity ladder encodes which

@@ -65,8 +65,10 @@ __all__ = [
 class OpRef:
     """Location of one op inside a schedule: ``(rank, step, index)``.
 
-    ``index`` is the position within ``Step.ops`` — together the triple
-    names an op unambiguously, which is what every diagnostic prints.
+    ``index`` is the position within the step's ops, in program order
+    (:meth:`Columns.positions <repro.core.schedule.Columns.positions>`)
+    — together the triple names an op unambiguously, which is what every
+    diagnostic prints.
     """
 
     rank: int

@@ -49,7 +49,8 @@ Guarantees, in order of importance:
   :class:`~repro.errors.CompileError` with rank/step-naming diagnostics
   instead of executing wrong (held to by the mutation corpus in
   ``tests/test_compile_mutations.py``).  The tables' independent
-  re-derivation from the op objects is a tier-1 test reference.
+  re-derivation from the test oracle's op objects (``tests/oracle.py``)
+  is a tier-1 test reference.
 * **One step numbering.**  The tables keep the schedule's own step
   boundaries and nothing else, so a step index means the same thing to
   the IR, the runners, fault plans, heartbeats and the simulator.

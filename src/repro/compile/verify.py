@@ -18,8 +18,8 @@ first use.  Two rungs, each raising :class:`~repro.errors.CompileError`:
 
 FIFO tags, the staging plan and the FIFO mismatches derive from the
 verified columns.  The independent re-derivation of the tables from the
-op objects of ``Schedule.programs`` is ``reference_lowering`` in
-``tests/test_schedule_ir.py``;
+test oracle's op objects (``tests/oracle.py``) is ``reference_lowering``
+in ``tests/test_schedule_ir.py``;
 ``tests/test_compile_mutations.py`` is the corruption corpus.
 """
 

@@ -58,18 +58,13 @@ from .ring import (
     ring_bcast,
     ring_reduce_scatter,
 )
-from .schedule import CopyOp, RankProgram, RecvOp, Schedule, SendOp, Step
+from .schedule import Schedule
 from .serialize import load_schedule, save_schedule, schedule_from_json, schedule_to_json
 from .validate import ValidationReport, verify
 
 __all__ = [
     # IR
     "Schedule",
-    "RankProgram",
-    "Step",
-    "SendOp",
-    "RecvOp",
-    "CopyOp",
     "BlockMap",
     "ExplicitBlockMap",
     "block_sizes",

@@ -1,21 +1,23 @@
 """Schedule intermediate representation (IR) for collective algorithms.
 
 Every collective algorithm in this package compiles to an explicit,
-static, per-rank *program*: a sequence of :class:`Step` objects, where each
-step posts a set of nonblocking operations concurrently and then waits for
-all of them (the ``isend``/``irecv``/``waitall`` idiom the paper's MPICH
+static, per-rank *program*: a sequence of steps, where each step posts
+a set of nonblocking operations concurrently and then waits for all of
+them (the ``isend``/``irecv``/``waitall`` idiom the paper's MPICH
 implementations use to exploit multi-port NICs and message buffering,
 §II-B2).
 
-The IR is deliberately tiny — three operation kinds cover every algorithm
-in the paper:
+The IR is deliberately tiny — three operation kinds, the op codes of
+the ``kinds`` column, cover every algorithm in the paper:
 
-* :class:`SendOp` — send the named blocks to a peer.
-* :class:`RecvOp` — receive the named blocks from a peer; with
-  ``reduce=True`` the incoming data is combined into the local blocks with
-  the collective's reduction operator instead of overwriting them.
-* :class:`CopyOp` — local block-to-block copy (used by e.g. gather roots
-  placing their own contribution, and Bruck-style rotations).
+* ``OP_SEND`` — send the named blocks to a peer.
+* ``OP_RECV`` / ``OP_REDUCE_RECV`` — receive the named blocks from a
+  peer; the reducing receive combines the incoming data into the local
+  blocks with the collective's reduction operator instead of
+  overwriting them.
+* ``OP_COPY`` — local block-to-block copy (used by e.g. gather roots
+  placing their own contribution, and Bruck-style rotations); its
+  blocks are ``[src, dst]``.
 
 Semantics contract shared by all executors and the simulator:
 
@@ -32,30 +34,29 @@ Semantics contract shared by all executors and the simulator:
 
 A :class:`Schedule` is its labels and its :class:`Columns` — every op
 as flat read-only arrays — and is **immutable once constructed**.
-Every builder expands its algorithm straight into columns
-(:meth:`Schedule.from_columns`), and a composite
+There is one way in: labels plus columns, checked by
+``Schedule._seal``.  Every builder expands its algorithm straight into
+columns (:meth:`Schedule.from_columns`), and a composite
 (:func:`~repro.core.primitives.compose`,
 :func:`~repro.core.primitives.dualize_allgather`,
 :func:`~repro.core.hierarchical.remap_ranks`) is a whole-array
-transform of its parts' columns.  The op objects above are the
-authoring front end for hand-written schedules (and JSON import):
-``Schedule(…, programs=…)`` walks them once into the columns and keeps
-nothing of them.  A pickle is the labels and the arrays, checked on
-load.  Every way in refuses an op with no block, a step with no op and
-a send or receive naming a block twice, checks every peer and block
-id, and assigning a field raises :class:`~repro.errors.ScheduleError`
-— so nothing derived from a schedule (its :meth:`~Schedule.fingerprint`,
-its lowered tables, a cache entry keyed by either) can go stale, and
-sub-schedules can be shared between composites.
-:attr:`Schedule.programs` generates the op objects back on first read,
-as a read-only view.  A variant that differs only in its labels is a
-:meth:`Schedule.relabel` copy, not an edit.
+transform of its parts' columns.  A pickle is the labels and the
+arrays, checked on load; a JSON document
+(:func:`~repro.core.serialize.schedule_from_json`, the way to write a
+schedule by hand) is read straight into columns.  Every way in refuses
+an op with no block, a step with no op and a send or receive naming a
+block twice, checks every peer and block id, and assigning a field
+raises :class:`~repro.errors.ScheduleError` — so nothing derived from a
+schedule (its :meth:`~Schedule.fingerprint`, its lowered tables, a
+cache entry keyed by either) can go stale, and sub-schedules can be
+shared between composites.  A variant that differs only in its labels
+is a :meth:`Schedule.relabel` copy, not an edit.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
@@ -63,9 +64,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -74,12 +73,6 @@ from ..errors import ScheduleError
 from .blocks import BlockMap
 
 __all__ = [
-    "SendOp",
-    "RecvOp",
-    "CopyOp",
-    "Op",
-    "Step",
-    "RankProgram",
     "Schedule",
     "ScheduleStats",
     "Columns",
@@ -103,131 +96,6 @@ OP_REDUCE_RECV = 2
 OP_COPY = 3
 
 
-@dataclass(frozen=True)
-class SendOp:
-    """Send ``blocks`` to ``peer``.
-
-    ``blocks`` is an ordered tuple of block ids; the wire message is their
-    concatenation in that order.  The matching :class:`RecvOp` must name
-    block tuples of identical total size (ids may differ only for
-    ``reduce`` receives of re-homed partials; for plain copies they must
-    match element-for-element so positional semantics hold).
-    """
-
-    peer: int
-    blocks: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ScheduleError("SendOp must carry at least one block")
-        if len(set(self.blocks)) != len(self.blocks):
-            raise ScheduleError(f"SendOp carries duplicate blocks: {self.blocks}")
-
-
-@dataclass(frozen=True)
-class RecvOp:
-    """Receive ``blocks`` from ``peer``.
-
-    With ``reduce=False`` the payload overwrites the local blocks.  With
-    ``reduce=True`` it is combined into them with the collective's
-    reduction operator (the receiving rank pays the γ·bytes compute cost in
-    the simulator).
-    """
-
-    peer: int
-    blocks: Tuple[int, ...]
-    reduce: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ScheduleError("RecvOp must name at least one block")
-        if len(set(self.blocks)) != len(self.blocks):
-            raise ScheduleError(f"RecvOp names duplicate blocks: {self.blocks}")
-
-
-@dataclass(frozen=True)
-class CopyOp:
-    """Local copy of block ``src`` into block ``dst`` (no network traffic)."""
-
-    src: int
-    dst: int
-
-
-Op = Union[SendOp, RecvOp, CopyOp]
-
-
-@dataclass(frozen=True)
-class Step:
-    """A set of operations posted concurrently, then waited on together."""
-
-    ops: Tuple[Op, ...]
-
-    def __post_init__(self) -> None:
-        if not self.ops:
-            raise ScheduleError("Step must contain at least one op")
-
-    @property
-    def sends(self) -> Tuple[SendOp, ...]:
-        return tuple(op for op in self.ops if isinstance(op, SendOp))
-
-    @property
-    def recvs(self) -> Tuple[RecvOp, ...]:
-        return tuple(op for op in self.ops if isinstance(op, RecvOp))
-
-    @property
-    def copies(self) -> Tuple[CopyOp, ...]:
-        return tuple(op for op in self.ops if isinstance(op, CopyOp))
-
-
-@dataclass
-class RankProgram:
-    """The ordered steps one rank executes.
-
-    ``steps`` is a list while its author appends to it.  Constructing a
-    :class:`Schedule` reads the program and leaves it as it is; the
-    programs a schedule hands out (:attr:`Schedule.programs`) are
-    generated from its columns with ``steps`` as a tuple, and refuse
-    every edit.
-    """
-
-    rank: int
-    steps: Sequence[Step] = field(default_factory=list)
-
-    def _refuse_if_sealed(self, what: str) -> None:
-        if type(self.__dict__.get("steps")) is tuple:
-            raise ScheduleError(
-                f"rank {self.rank}: program is sealed (a view of a "
-                f"Schedule) — build a new one instead of {what}"
-            )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        self._refuse_if_sealed(f"assigning {name!r}")
-        object.__setattr__(self, name, value)
-
-    def add(self, *ops: Op) -> None:
-        """Append a step made of ``ops`` (convenience builder)."""
-        self._refuse_if_sealed("adding a step")
-        self.steps.append(Step(tuple(ops)))
-
-    def add_step(self, ops: Sequence[Op]) -> None:
-        """Append a step from a sequence of ops; empty sequences are ignored.
-
-        Algorithms frequently build op lists conditionally (e.g. "send to
-        children that exist"); tolerating empty lists here keeps their code
-        free of boilerplate guards.
-        """
-        ops = tuple(ops)
-        if ops:
-            self._refuse_if_sealed("adding a step")
-            self.steps.append(Step(ops))
-
-    def iter_ops(self) -> Iterator[Tuple[int, Op]]:
-        """Yield ``(step_index, op)`` over the whole program."""
-        for i, step in enumerate(self.steps):
-            for op in step.ops:
-                yield i, op
-
-
 def spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The indices ``lo[0]:hi[0]``, then ``lo[1]:hi[1]``, … concatenated."""
     n = hi - lo
@@ -236,7 +104,7 @@ def spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 class Columns(NamedTuple):
     """Every op of a schedule as flat read-only arrays, rank-major in
-    program order — what the one construction walk saw.
+    program order.
 
     A :class:`~repro.compile.program.CompiledSchedule` *is* these
     columns (DESIGN.md §14), all ranks concatenated:
@@ -564,55 +432,9 @@ def _signatures(
     )
 
 
-def _walk(programs: Sequence[RankProgram]) -> Columns:
-    """Every op of ``programs`` as columns — peers and block ids still
-    int64, so an id past int32 fails the range check instead of
-    wrapping into range."""
-    kinds: List[int] = []
-    peers: List[int] = []
-    nblk: List[int] = []
-    seg_blocks: List[int] = []
-    step_lens: List[int] = []
-    nsteps: List[int] = []
-    add_kind, add_peer = kinds.append, peers.append
-    add_len, add_blocks = nblk.append, seg_blocks.extend
-    add_step = step_lens.append
-    for prog in programs:
-        nsteps.append(len(prog.steps))
-        for step in prog.steps:
-            add_step(len(step.ops))
-            for op in step.ops:
-                if isinstance(op, SendOp):
-                    blocks = op.blocks
-                    add_kind(OP_SEND)
-                    add_peer(op.peer)
-                elif isinstance(op, RecvOp):
-                    blocks = op.blocks
-                    add_kind(OP_REDUCE_RECV if op.reduce else OP_RECV)
-                    add_peer(op.peer)
-                else:
-                    blocks = (op.src, op.dst)
-                    add_kind(OP_COPY)
-                    add_peer(-1)
-                add_len(len(blocks))
-                add_blocks(blocks)
-    try:
-        wide_peers = np.asarray(peers, dtype=np.int64)
-        wide_blocks = np.asarray(seg_blocks, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ScheduleError(f"peer or block ids out of range: {exc}") from None
-    return assemble(
-        np.asarray(kinds, dtype=np.int8), wide_peers,
-        np.asarray(nblk, dtype=np.int64), wide_blocks,
-        np.asarray(step_lens, dtype=np.int64),
-        np.asarray(nsteps, dtype=np.int64),
-    )
-
-
 def _empty_error(cols: Columns) -> Optional[str]:
     """The first op with no block, else the first step with no op,
-    rank-major — worded as the op objects refuse them; ``None`` when
-    there is none."""
+    rank-major, worded with its rank; ``None`` when there is none."""
     empty = np.flatnonzero(np.diff(cols.seg_bounds) < 1)
     if len(empty):
         r = int(cols.ranks()[empty[0]])
@@ -628,10 +450,10 @@ def _empty_error(cols: Columns) -> Optional[str]:
 
 def _duplicate_error(cols: Columns) -> Optional[str]:
     """The first send or receive, rank-major in program order, that
-    names a block twice — worded as the op objects refuse it; ``None``
-    when there is none.  Copies are exempt (a :class:`CopyOp` may copy
-    a block onto itself).  One pass finds the ops whose ids do not
-    strictly ascend; only those are sorted."""
+    names a block twice, worded with its rank; ``None`` when there is
+    none.  Copies are exempt (a copy may copy a block onto itself).
+    One pass finds the ops whose ids do not strictly ascend; only those
+    are sorted."""
     blocks, bounds = cols.seg_blocks, cols.seg_bounds
     falls = blocks[1:] <= blocks[:-1]
     falls[bounds[1:-1] - 1] = False  # an op's first id follows another op
@@ -761,45 +583,48 @@ def _loaded_columns(state: object, nranks: int) -> Columns:
     )
 
 
-def _programs_of(cols: Columns) -> Tuple[RankProgram, ...]:
-    """The op objects of ``cols``: one sealed :class:`RankProgram` per
-    rank."""
-    blocks = cols.blocks_of(np.arange(len(cols.kinds)))
-    ops: List[Op] = []
-    kinds, peers = cols.kinds.tolist(), cols.peers.tolist()
-    for kind, peer, ids in zip(kinds, peers, blocks):
-        if kind == OP_SEND:
-            ops.append(SendOp(peer=peer, blocks=ids))
-        elif kind == OP_COPY:
-            ops.append(CopyOp(*ids))
-        else:
-            reduce = kind == OP_REDUCE_RECV
-            ops.append(RecvOp(peer=peer, blocks=ids, reduce=reduce))
-    bounds = cols.step_starts()[0].tolist()
-    step_ptr = cols.step_ptr.tolist()
-    return tuple(
-        RankProgram(rank=r, steps=tuple(
-            Step(tuple(ops[a:b]))
-            for a, b in zip(bounds[lo:hi - 1], bounds[lo + 1:hi])
-        ))
-        for r, (lo, hi) in enumerate(zip(step_ptr, step_ptr[1:]))
-    )
-
-
 #: The fields :meth:`Schedule.relabel` may change: labels, not content
 #: that would need checking against the columns.
 _LABELS = frozenset(("collective", "algorithm", "root", "k", "meta"))
 
 
-@dataclass(init=False, eq=False, repr=False)
+#: The refusal of a blob pickled before schedules were their columns.
+_OLD_LAYOUT = (
+    "schedule blob predates the column layout (store format 5): its op "
+    "objects are no longer read — rebuild it"
+)
+
+#: The labels a schedule carries beside its columns, in order.
+_LABEL_NAMES = ("collective", "algorithm", "nranks", "nblocks", "root", "k",
+                "meta")
+
+
+def _checked_labels(raw: Dict[str, object], what: str) -> Dict[str, object]:
+    """The labels of ``raw`` — a pickle's state or a JSON document —
+    by name, refused as ``what`` unless the names are strings, the
+    sizes ints with at least one rank, ``root`` ``None`` or a rank,
+    ``k`` ``None`` or an int and ``meta`` a dict (a ``bool`` is not an
+    int here)."""
+    labels = {name: raw.get(name) for name in _LABEL_NAMES}
+    collective, algorithm, nranks, nblocks, root, k, meta = labels.values()
+    if not (isinstance(collective, str) and isinstance(algorithm, str)
+            and type(nranks) is type(nblocks) is int and nranks >= 1
+            and all(v is None or type(v) is int for v in (root, k))
+            and (root is None or 0 <= root < nranks)
+            and isinstance(meta, dict)):
+        raise ScheduleError(f"{what}: labels {list(labels.values())!r}")
+    return labels
+
+
 class Schedule:
     """A complete collective schedule: its labels and its columns.
 
     Immutable once constructed (see the module docstring); ``meta`` is
     a plain annotation dict, not content — it is neither fingerprinted
-    nor frozen.  Two entries build one: ``Schedule(…, programs=…)``
-    walks hand-written op objects once, and :meth:`from_columns` takes
-    the columns a builder's expansion or a composite's transform made.
+    nor frozen.  There is no constructor: :meth:`from_columns` takes
+    the columns a builder's expansion, a composite's transform or the
+    JSON import made, and unpickling checks the arrays it reads — both
+    end in ``_seal``.
 
     Attributes
     ----------
@@ -814,45 +639,22 @@ class Schedule:
     nblocks:
         Granularity of the block partition this schedule assumes.  Whole
         buffer tree algorithms use 1, scatter/ring-family use ``nranks``.
-    programs:
-        One :class:`RankProgram` per rank.  Construction reads them
-        into the columns and keeps nothing of them; reading the
-        attribute generates a read-only view (:attr:`programs`).
     root:
         Root rank for rooted collectives, ``None`` otherwise.
     k:
         Radix / group-size parameter, ``None`` for fixed algorithms.
+    meta:
+        Annotations (phase counts, radices, …), ``{}`` when there are
+        none.
     """
 
     collective: str
     algorithm: str
     nranks: int
     nblocks: int
-    programs: Sequence[RankProgram]
-    root: Optional[int] = None
-    k: Optional[int] = None
-    meta: Dict[str, object] = field(default_factory=dict)
-
-    def __init__(
-        self,
-        collective: str,
-        algorithm: str,
-        nranks: int,
-        nblocks: int,
-        programs: Sequence[RankProgram],
-        root: Optional[int] = None,
-        k: Optional[int] = None,
-        meta: Optional[Dict[str, object]] = None,
-    ) -> None:
-        if len(programs) != nranks:
-            raise ScheduleError(
-                f"expected {nranks} rank programs, got {len(programs)}"
-            )
-        for r, prog in enumerate(programs):
-            if prog.rank != r:
-                raise ScheduleError(f"program {r} has rank {prog.rank}")
-        self._seal(collective, algorithm, nranks, nblocks, _walk(programs),
-                   root, k, meta)
+    root: Optional[int]
+    k: Optional[int]
+    meta: Dict[str, object]
 
     @classmethod
     def from_columns(
@@ -867,9 +669,9 @@ class Schedule:
         k: Optional[int] = None,
         meta: Optional[Dict[str, object]] = None,
     ) -> "Schedule":
-        """The column entry: a schedule over ``columns`` — what a
-        builder's or a composite's whole-array expansion built —
-        checked like hand-written programs."""
+        """A schedule over ``columns`` — what a builder's or a
+        composite's whole-array expansion, or the JSON import, built —
+        checked like every way in."""
         sched = object.__new__(cls)
         sched._seal(collective, algorithm, nranks, nblocks, columns, root, k,
                     meta)
@@ -959,21 +761,10 @@ class Schedule:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         if not isinstance(state, dict) or "columns" not in state:
-            raise ScheduleError(
-                "schedule blob predates the column layout (store format "
-                "5): its op objects are no longer read — rebuild it"
-            )
-        labels = [state.get(name) for name in (
-            "collective", "algorithm", "nranks", "nblocks", "root", "k", "meta"
-        )]
-        collective, algorithm, nranks, nblocks, root, k, meta = labels
-        if not (isinstance(collective, str) and isinstance(algorithm, str)
-                and type(nranks) is type(nblocks) is int and nranks >= 1
-                and all(v is None or type(v) is int for v in (root, k))
-                and isinstance(meta, dict)):
-            raise ScheduleError(f"schedule blob is damaged: labels {labels!r}")
-        self._seal(collective, algorithm, nranks, nblocks,
-                   _loaded_columns(state["columns"], nranks), root, k, meta)
+            raise ScheduleError(_OLD_LAYOUT)
+        labels = _checked_labels(state, "schedule blob is damaged")
+        self._seal(columns=_loaded_columns(state["columns"], labels["nranks"]),
+                   **labels)
 
     def relabel(self, **labels: object) -> "Schedule":
         """A copy under other labels (``collective``, ``algorithm``,
@@ -1001,29 +792,10 @@ class Schedule:
     # Introspection helpers
     # ------------------------------------------------------------------
 
-    @property
-    def programs(self) -> Tuple[RankProgram, ...]:
-        """One :class:`RankProgram` per rank, generated from the columns
-        on first use: read-only (edits raise
-        :class:`~repro.errors.ScheduleError`), memoised, never pickled.
-
-        Nothing under ``src/`` reads it — the JSON export,
-        :mod:`repro.core.render` and every other reader take
-        :meth:`columns`; it is for tests and hand-written tooling.
-        """
-        memo = self.__dict__.get("_programs")
-        if memo is None:
-            memo = self.__dict__["_programs"] = _programs_of(self.columns())
-        return memo
-
     def block_map(self, total: int) -> BlockMap:
         """Partition ``total`` units (bytes or elements) into this
         schedule's blocks."""
         return BlockMap(total, self.nblocks)
-
-    def program(self, rank: int) -> RankProgram:
-        """The per-rank step program executed by ``rank``."""
-        return self.programs[rank]
 
     def describe(self) -> str:
         """One-line human description used in reports and tracebacks."""
@@ -1037,9 +809,9 @@ class Schedule:
     def columns(self) -> Columns:
         """The schedule's content (DESIGN.md §14): every op as flat
         read-only columns, range-checked when the schedule was made —
-        by walking hand-written programs, by a builder's expansion or
-        a composite's transform, or by loading a pickle (which also
-        checks the arrays' layout)."""
+        by a builder's expansion, a composite's transform or the JSON
+        import, or by loading a pickle (which also checks the arrays'
+        layout)."""
         return self.__dict__["_columns"]
 
     def messages(self) -> Messages:

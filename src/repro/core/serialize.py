@@ -14,7 +14,11 @@ schedule-IR library needs:
 
 The format is deliberately literal (one JSON object per op) rather than
 compressed: schedules are megabytes only at scales where you'd regenerate
-them from the builder anyway.
+them from the builder anyway.  Being literal, it is also the way to
+write a schedule by hand: :func:`schedule_from_json` reads the ops
+straight into the schedule's columns
+(:meth:`~repro.core.schedule.Schedule.from_columns`), and refuses every
+malformed document with :class:`~repro.errors.ScheduleError`.
 
 This is also the one module that knows the **blob codec**
 (:func:`dumps_blob` / :func:`loads_blob`): the opaque, fast encoding of
@@ -26,24 +30,25 @@ raw-table format in this file alone.
 from __future__ import annotations
 
 import base64
+import io
 import json
 import pickle
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
 from ..errors import ReproError, ScheduleError
+from . import schedule as _schedule_module
 from .schedule import (
+    _OLD_LAYOUT,
     OP_COPY,
+    OP_RECV,
     OP_REDUCE_RECV,
     OP_SEND,
-    CopyOp,
-    Op,
-    RankProgram,
-    RecvOp,
     Schedule,
-    SendOp,
+    _checked_labels,
+    assemble,
 )
 
 __all__ = [
@@ -56,21 +61,6 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
-
-
-def _op_from_dict(raw: Dict) -> Op:
-    kind = raw.get("op")
-    if kind == "send":
-        return SendOp(peer=raw["peer"], blocks=tuple(raw["blocks"]))
-    if kind == "recv":
-        return RecvOp(
-            peer=raw["peer"],
-            blocks=tuple(raw["blocks"]),
-            reduce=bool(raw.get("reduce", False)),
-        )
-    if kind == "copy":
-        return CopyOp(src=raw["src"], dst=raw["dst"])
-    raise ScheduleError(f"unknown op kind {kind!r} in serialized schedule")
 
 
 def schedule_to_json(schedule: Schedule) -> str:
@@ -121,10 +111,52 @@ def _jsonable_meta(meta: Dict) -> Dict:
     return out
 
 
+def _malformed(where: str, what: str) -> ScheduleError:
+    return ScheduleError(f"malformed schedule JSON: {where}: {what}")
+
+
+def _is_int(value: object) -> bool:
+    return type(value) is int  # JSON's true/false are not ids
+
+
+def _read_op(raw: object, where: str) -> Tuple[int, int, List[int]]:
+    """One op dict as ``(op code, peer, block ids)``; a copy's peer is
+    −1 and its blocks are ``[src, dst]``."""
+    if not isinstance(raw, dict):
+        raise _malformed(where, f"an op must be an object, got {raw!r}")
+    kind = raw.get("op")
+    if kind == "copy":
+        ids = [raw.get("src"), raw.get("dst")]
+        if not all(map(_is_int, ids)):
+            raise _malformed(where, f"copy src/dst must be ints, got {ids}")
+        return OP_COPY, -1, ids
+    if kind not in ("send", "recv"):
+        raise ScheduleError(f"unknown op kind {kind!r} in serialized schedule")
+    peer, ids = raw.get("peer"), raw.get("blocks")
+    if not _is_int(peer):
+        raise _malformed(where, f"peer must be an int, got {peer!r}")
+    if not isinstance(ids, list) or not all(map(_is_int, ids)):
+        raise _malformed(where, f"blocks must be a list of ints, got {ids!r}")
+    if kind == "send":
+        return OP_SEND, peer, ids
+    reduce = raw.get("reduce", False)
+    if type(reduce) is not bool:
+        raise _malformed(where,
+                         f"reduce must be true or false, got {reduce!r}")
+    return (OP_REDUCE_RECV if reduce else OP_RECV), peer, ids
+
+
 def schedule_from_json(text: str) -> Schedule:
-    """Reconstruct a schedule; raises :class:`ScheduleError` on malformed
-    input (including structurally invalid schedules — the Schedule
-    constructor re-validates ranges)."""
+    """Reconstruct a schedule, reading its ops straight into columns.
+
+    Raises :class:`ScheduleError` on every malformed document — bad
+    JSON, another format, a label of the wrong type (the test a
+    pickle's labels pass), a ``programs``, step or ``blocks`` that is
+    not a list, an op field that is not an int — and on a structurally
+    invalid schedule: :meth:`Schedule.from_columns` refuses empty ops
+    and steps, duplicate blocks and ids out of range in the words it
+    uses for every way in.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -132,27 +164,58 @@ def schedule_from_json(text: str) -> Schedule:
     if not isinstance(payload, dict) or "programs" not in payload:
         raise ScheduleError("schedule JSON must be an object with 'programs'")
     version = payload.get("format")
-    if version != _FORMAT_VERSION:
+    if type(version) is not int or version != _FORMAT_VERSION:
         raise ScheduleError(
             f"unsupported schedule format {version!r} "
             f"(this build reads version {_FORMAT_VERSION})"
         )
-    programs: List[RankProgram] = []
-    for rank, raw_prog in enumerate(payload["programs"]):
-        prog = RankProgram(rank=rank)
-        for raw_step in raw_prog:
-            prog.add_step([_op_from_dict(raw) for raw in raw_step])
-        programs.append(prog)
-    return Schedule(
-        collective=payload["collective"],
-        algorithm=payload["algorithm"],
-        nranks=payload["nranks"],
-        nblocks=payload["nblocks"],
-        programs=programs,
-        root=payload.get("root"),
-        k=payload.get("k"),
-        meta=payload.get("meta", {}),
+    labels = _checked_labels({"meta": {}, **payload},
+                             "malformed schedule JSON")
+    programs = payload["programs"]
+    if not isinstance(programs, list):
+        raise ScheduleError(
+            f"schedule JSON 'programs' must be a list, got {programs!r}"
+        )
+    if len(programs) != labels["nranks"]:
+        raise ScheduleError(
+            f"expected {labels['nranks']} rank programs, got {len(programs)}"
+        )
+    kinds: List[int] = []
+    peers: List[int] = []
+    nblk: List[int] = []
+    seg_blocks: List[int] = []
+    step_lens: List[int] = []
+    nsteps: List[int] = []
+    for rank, steps in enumerate(programs):
+        if not isinstance(steps, list):
+            raise _malformed(f"rank {rank}",
+                             "a program must be a list of steps")
+        nsteps.append(len(steps))
+        for s, ops in enumerate(steps):
+            if not isinstance(ops, list):
+                raise _malformed(f"rank {rank} step {s}",
+                                 "a step must be a list of ops")
+            step_lens.append(len(ops))
+            for i, raw in enumerate(ops):
+                kind, peer, ids = _read_op(raw, f"rank {rank} step {s} op {i}")
+                kinds.append(kind)
+                peers.append(peer)
+                nblk.append(len(ids))
+                seg_blocks.extend(ids)
+    # Ids stay int64 here, so one past int32 fails the range check
+    # instead of wrapping into range.
+    try:
+        wide_peers = np.asarray(peers, dtype=np.int64)
+        wide_blocks = np.asarray(seg_blocks, dtype=np.int64)
+    except OverflowError as exc:
+        raise ScheduleError(f"peer or block ids out of range: {exc}") from None
+    columns = assemble(
+        np.asarray(kinds, dtype=np.int8), wide_peers,
+        np.asarray(nblk, dtype=np.int64), wide_blocks,
+        np.asarray(step_lens, dtype=np.int64),
+        np.asarray(nsteps, dtype=np.int64),
     )
+    return Schedule.from_columns(columns=columns, **labels)
 
 
 def save_schedule(schedule: Schedule, path: Union[str, Path]) -> Path:
@@ -174,6 +237,19 @@ def dumps_blob(value) -> str:
     ).decode("ascii")
 
 
+class _BlobUnpickler(pickle.Unpickler):
+    """``pickle.loads`` that refuses a schedule blob of the op-object
+    layout (store format 4) by name: its classes are gone from
+    :mod:`repro.core.schedule`, and an ``AttributeError`` would not
+    say why."""
+
+    def find_class(self, module: str, name: str):
+        if (module == _schedule_module.__name__
+                and not hasattr(_schedule_module, name)):
+            raise ScheduleError(_OLD_LAYOUT)
+        return super().find_class(module, name)
+
+
 def loads_blob(text: str, kind: type):
     """Decode a :func:`dumps_blob` string that must hold a ``kind``.
 
@@ -183,7 +259,7 @@ def loads_blob(text: str, kind: type):
     violation).  Only decode blobs this program or its service wrote —
     unpickling foreign bytes can run arbitrary code.
     """
-    value = pickle.loads(base64.b64decode(text))
+    value = _BlobUnpickler(io.BytesIO(base64.b64decode(text))).load()
     if not isinstance(value, kind):
         raise ReproError(
             f"blob decoded to {type(value).__name__}, not {kind.__name__}"

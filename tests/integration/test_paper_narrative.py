@@ -11,6 +11,7 @@ from repro.core.analysis import critical_path_rounds
 from repro.core.registry import build_schedule
 from repro.models import ModelParams, model_time
 from repro.simnet import frontier, reference, simulate
+from oracle import programs_of
 
 
 class TestSectionII:
@@ -20,7 +21,7 @@ class TestSectionII:
         one other process at a time'."""
         for coll, alg in (("bcast", "binomial"),):
             sched = build_schedule(coll, alg, 16)
-            for prog in sched.programs:
+            for prog in programs_of(sched):
                 for step in prog.steps:
                     assert len(step.sends) <= 1
 
@@ -29,7 +30,7 @@ class TestSectionII:
         sched = build_schedule("bcast", "knomial", 16, k=8)
         widest = max(
             len(step.sends)
-            for prog in sched.programs
+            for prog in programs_of(sched)
             for step in prog.steps
         )
         assert widest == 7

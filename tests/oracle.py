@@ -1,4 +1,13 @@
-"""The op-by-op reference interpreter: the test oracle.
+"""The op-object IR and the op-by-op reference interpreter: the test
+oracle.
+
+:class:`SendOp`, :class:`RecvOp`, :class:`CopyOp`, :class:`Step` and
+:class:`RankProgram` spell a schedule op by op.  The package never does:
+a :class:`~repro.core.schedule.Schedule` is its columns.  The reference
+builders and hand-written schedules under ``tests/`` author programs as
+objects and walk them into columns (:func:`from_programs`); the
+references that read a schedule op by op generate the objects back
+(:func:`programs_of`).
 
 :func:`run_schedule` walks every rank's IR program concurrently
 (cooperatively, in a progress loop), matching messages between (src,
@@ -28,19 +37,24 @@ contract):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
-    Any, Deque, Dict, Generic, List, Protocol, Sequence, Tuple, TypeVar,
+    Any, Deque, Dict, Generic, Iterator, List, Optional, Protocol, Sequence,
+    Tuple, TypeVar, Union,
 )
 
 import numpy as np
 
 from repro.core.blocks import BlockMap
-from repro.core.schedule import CopyOp, RankProgram, RecvOp, Schedule, SendOp
-from repro.errors import ExecutionError
+from repro.core.schedule import (
+    OP_COPY, OP_RECV, OP_REDUCE_RECV, OP_SEND, Columns, Schedule, assemble,
+)
+from repro.errors import ExecutionError, ScheduleError
 from repro.runtime.ops import SUM, ReduceOp
 
 __all__ = [
+    "SendOp", "RecvOp", "CopyOp", "Op", "Step", "RankProgram",
+    "walk", "from_programs", "programs_of",
     "DataModel", "RunResult", "run_schedule", "NumpyModel", "empty_programs",
     "relative_rank", "absolute_rank", "all_blocks",
 ]
@@ -48,8 +62,230 @@ __all__ = [
 P = TypeVar("P")  # payload type
 
 
-# The op-object reference builders' toolbox (the builders under src/
-# expand into columns and need none of it).
+# The op-object IR: the reference builders, the hand-written schedules
+# and the op-by-op walks under tests/ author and read schedules as these
+# objects.  A schedule itself is its columns (repro.core.schedule); the
+# two meet in :func:`walk` (objects → columns) and :func:`programs_of`
+# (columns → objects).
+
+
+@dataclass(frozen=True)
+class SendOp:
+    """Send ``blocks`` to ``peer``.
+
+    ``blocks`` is an ordered tuple of block ids; the wire message is their
+    concatenation in that order.  The matching :class:`RecvOp` must name
+    block tuples of identical total size (ids may differ only for
+    ``reduce`` receives of re-homed partials; for plain copies they must
+    match element-for-element so positional semantics hold).
+    """
+
+    peer: int
+    blocks: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.blocks:
+            raise ScheduleError("SendOp must carry at least one block")
+        if len(set(self.blocks)) != len(self.blocks):
+            raise ScheduleError(f"SendOp carries duplicate blocks: {self.blocks}")
+
+
+@dataclass(frozen=True)
+class RecvOp:
+    """Receive ``blocks`` from ``peer``.
+
+    With ``reduce=False`` the payload overwrites the local blocks.  With
+    ``reduce=True`` it is combined into them with the collective's
+    reduction operator (the receiving rank pays the γ·bytes compute cost in
+    the simulator).
+    """
+
+    peer: int
+    blocks: Tuple[int, ...]
+    reduce: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.blocks:
+            raise ScheduleError("RecvOp must name at least one block")
+        if len(set(self.blocks)) != len(self.blocks):
+            raise ScheduleError(f"RecvOp names duplicate blocks: {self.blocks}")
+
+
+@dataclass(frozen=True)
+class CopyOp:
+    """Local copy of block ``src`` into block ``dst`` (no network traffic)."""
+
+    src: int
+    dst: int
+
+
+Op = Union[SendOp, RecvOp, CopyOp]
+
+
+@dataclass(frozen=True)
+class Step:
+    """A set of operations posted concurrently, then waited on together."""
+
+    ops: Tuple[Op, ...]
+
+    def __post_init__(self) -> None:
+        if not self.ops:
+            raise ScheduleError("Step must contain at least one op")
+
+    @property
+    def sends(self) -> Tuple[SendOp, ...]:
+        return tuple(op for op in self.ops if isinstance(op, SendOp))
+
+    @property
+    def recvs(self) -> Tuple[RecvOp, ...]:
+        return tuple(op for op in self.ops if isinstance(op, RecvOp))
+
+    @property
+    def copies(self) -> Tuple[CopyOp, ...]:
+        return tuple(op for op in self.ops if isinstance(op, CopyOp))
+
+
+@dataclass
+class RankProgram:
+    """The ordered steps one rank executes.
+
+    ``steps`` is a list while its author appends to it.  Walking it into
+    a schedule (:func:`from_programs`) reads the program and leaves it as
+    it is; the programs :func:`programs_of` generates from a schedule's
+    columns hold ``steps`` as a tuple, and refuse every edit.
+    """
+
+    rank: int
+    steps: Sequence[Step] = field(default_factory=list)
+
+    def _refuse_if_sealed(self, what: str) -> None:
+        if type(self.__dict__.get("steps")) is tuple:
+            raise ScheduleError(
+                f"rank {self.rank}: program is sealed (a view of a "
+                f"Schedule) — build a new one instead of {what}"
+            )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        self._refuse_if_sealed(f"assigning {name!r}")
+        object.__setattr__(self, name, value)
+
+    def add(self, *ops: Op) -> None:
+        """Append a step made of ``ops`` (convenience builder)."""
+        self._refuse_if_sealed("adding a step")
+        self.steps.append(Step(tuple(ops)))
+
+    def add_step(self, ops: Sequence[Op]) -> None:
+        """Append a step from a sequence of ops; empty sequences are ignored.
+
+        Algorithms frequently build op lists conditionally (e.g. "send to
+        children that exist"); tolerating empty lists here keeps their code
+        free of boilerplate guards.
+        """
+        ops = tuple(ops)
+        if ops:
+            self._refuse_if_sealed("adding a step")
+            self.steps.append(Step(ops))
+
+    def iter_ops(self) -> Iterator[Tuple[int, Op]]:
+        """Yield ``(step_index, op)`` over the whole program."""
+        for i, step in enumerate(self.steps):
+            for op in step.ops:
+                yield i, op
+
+
+def walk(programs: Sequence[RankProgram]) -> Columns:
+    """Every op of ``programs`` as columns — peers and block ids still
+    int64, so an id past int32 fails the range check instead of
+    wrapping into range."""
+    kinds: List[int] = []
+    peers: List[int] = []
+    nblk: List[int] = []
+    seg_blocks: List[int] = []
+    step_lens: List[int] = []
+    nsteps: List[int] = []
+    add_kind, add_peer = kinds.append, peers.append
+    add_len, add_blocks = nblk.append, seg_blocks.extend
+    add_step = step_lens.append
+    for prog in programs:
+        nsteps.append(len(prog.steps))
+        for step in prog.steps:
+            add_step(len(step.ops))
+            for op in step.ops:
+                if isinstance(op, SendOp):
+                    blocks = op.blocks
+                    add_kind(OP_SEND)
+                    add_peer(op.peer)
+                elif isinstance(op, RecvOp):
+                    blocks = op.blocks
+                    add_kind(OP_REDUCE_RECV if op.reduce else OP_RECV)
+                    add_peer(op.peer)
+                else:
+                    blocks = (op.src, op.dst)
+                    add_kind(OP_COPY)
+                    add_peer(-1)
+                add_len(len(blocks))
+                add_blocks(blocks)
+    try:
+        wide_peers = np.asarray(peers, dtype=np.int64)
+        wide_blocks = np.asarray(seg_blocks, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ScheduleError(f"peer or block ids out of range: {exc}") from None
+    return assemble(
+        np.asarray(kinds, dtype=np.int8), wide_peers,
+        np.asarray(nblk, dtype=np.int64), wide_blocks,
+        np.asarray(step_lens, dtype=np.int64),
+        np.asarray(nsteps, dtype=np.int64),
+    )
+
+
+def from_programs(
+    collective: str,
+    algorithm: str,
+    nranks: int,
+    nblocks: int,
+    programs: Sequence[RankProgram],
+    root: Optional[int] = None,
+    k: Optional[int] = None,
+    meta: Optional[Dict[str, object]] = None,
+) -> Schedule:
+    """A schedule from hand-written op objects: one program per rank,
+    in rank order, walked once into columns
+    (:meth:`~repro.core.schedule.Schedule.from_columns` checks the rest)."""
+    if len(programs) != nranks:
+        raise ScheduleError(
+            f"expected {nranks} rank programs, got {len(programs)}"
+        )
+    for r, prog in enumerate(programs):
+        if prog.rank != r:
+            raise ScheduleError(f"program {r} has rank {prog.rank}")
+    return Schedule.from_columns(collective, algorithm, nranks, nblocks,
+                                 walk(programs), root=root, k=k, meta=meta)
+
+
+def programs_of(schedule: Schedule) -> Tuple[RankProgram, ...]:
+    """The op objects of ``schedule``'s columns: one sealed
+    :class:`RankProgram` per rank."""
+    cols = schedule.columns()
+    blocks = cols.blocks_of(np.arange(len(cols.kinds)))
+    ops: List[Op] = []
+    kinds, peers = cols.kinds.tolist(), cols.peers.tolist()
+    for kind, peer, ids in zip(kinds, peers, blocks):
+        if kind == OP_SEND:
+            ops.append(SendOp(peer=peer, blocks=ids))
+        elif kind == OP_COPY:
+            ops.append(CopyOp(*ids))
+        else:
+            reduce = kind == OP_REDUCE_RECV
+            ops.append(RecvOp(peer=peer, blocks=ids, reduce=reduce))
+    bounds = cols.step_starts()[0].tolist()
+    step_ptr = cols.step_ptr.tolist()
+    return tuple(
+        RankProgram(rank=r, steps=tuple(
+            Step(tuple(ops[a:b]))
+            for a, b in zip(bounds[lo:hi - 1], bounds[lo + 1:hi])
+        ))
+        for r, (lo, hi) in enumerate(zip(step_ptr, step_ptr[1:]))
+    )
 
 
 def empty_programs(p: int) -> List[RankProgram]:
@@ -113,7 +349,7 @@ class RunResult:
 def run_schedule(schedule: Schedule, model: DataModel[P]) -> RunResult:
     """Run ``schedule`` against ``model``; raises on deadlock or mismatch."""
     p = schedule.nranks
-    programs = schedule.programs
+    programs = programs_of(schedule)
     channels: Dict[Tuple[int, int], Deque[_Message[P]]] = {}
     pc = [0] * p  # next step index per rank
     posted = [False] * p
@@ -221,7 +457,7 @@ def _describe_blocked(
 ) -> str:
     """Build a human-readable deadlock report."""
     lines = []
-    for rank, prog in enumerate(schedule.programs):
+    for rank, prog in enumerate(programs_of(schedule)):
         if pc[rank] >= len(prog.steps):
             continue
         step = prog.steps[pc[rank]]

@@ -46,7 +46,6 @@ from repro.core.registry import (
     info,
     max_radix,
 )
-from repro.core.schedule import CopyOp, RankProgram, Schedule, SendOp, Step
 from repro.faults import FaultPlan
 from repro.faults.sim import match_messages
 from repro.runtime.buffers import initial_buffers
@@ -54,7 +53,16 @@ from repro.runtime.executor import execute as execute_lockstep
 from repro.runtime.ops import SUM
 from repro.runtime.threaded import execute_threaded
 
-from oracle import NumpyModel, run_schedule
+from oracle import (
+    CopyOp,
+    NumpyModel,
+    RankProgram,
+    SendOp,
+    Step,
+    from_programs,
+    programs_of,
+    run_schedule,
+)
 
 GRID = [
     (coll, alg) for coll in COLLECTIVES for alg in algorithms_for(coll)
@@ -107,7 +115,7 @@ def _ir_feed(schedule):
             )
             for step in prog.steps
         ]
-        for prog in schedule.programs
+        for prog in programs_of(schedule)
     ]
 
 
@@ -282,7 +290,7 @@ def copy_schedules(draw):
                 ops.append(CopyOp(src, dst))
             steps.append(Step(ops=tuple(ops)))
         programs.append(RankProgram(rank, steps=steps))
-    return Schedule("bcast", "handbuilt", p, nblocks, programs, root=0)
+    return from_programs("bcast", "handbuilt", p, nblocks, programs, root=0)
 
 
 class TestCopyStepSchedules:
@@ -294,7 +302,7 @@ class TestCopyStepSchedules:
             schedule = build_schedule(coll, alg, 8)
             assert not any(
                 isinstance(op, CopyOp)
-                for prog in schedule.programs
+                for prog in programs_of(schedule)
                 for _, op in prog.iter_ops()
             ), f"{coll}/{alg} emits a CopyOp"
 

@@ -8,8 +8,8 @@ from repro.core.alltoall import bruck_alltoall, pairwise_alltoall
 from repro.core.bruck import bruck_allgather, dissemination_barrier
 from repro.core.hierarchical import hierarchical_allreduce
 from repro.core.pipeline import chain_bcast
-from repro.core.schedule import SendOp
 from repro.core.validate import verify
+from oracle import SendOp, programs_of
 
 
 @settings(max_examples=60, deadline=None)
@@ -48,10 +48,10 @@ def test_alltoall_always_verifies(p, k):
 def test_bruck_alltoall_conserves_blocks(p, k):
     """Digit routing must deliver each (src, dst) block exactly once to
     its destination — total receive volume equals the off-local blocks."""
-    from repro.core.schedule import RecvOp
+    from oracle import RecvOp
 
     sched = bruck_alltoall(p, k)
-    for prog in sched.programs:
+    for prog in programs_of(sched):
         got = []
         for _, op in prog.iter_ops():
             if isinstance(op, RecvOp):
@@ -103,7 +103,7 @@ def test_hierarchical_internode_traffic_is_leader_only(nodes, ppn):
     p = nodes * ppn
     sched = hierarchical_allreduce(p, ppn)
     leaders = {node * ppn for node in range(nodes)}
-    for prog in sched.programs:
+    for prog in programs_of(sched):
         for _, op in prog.iter_ops():
             if isinstance(op, SendOp):
                 same_node = prog.rank // ppn == op.peer // ppn

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from repro.core.blocks import BlockMap, block_sizes
 from repro.core.registry import GENERALIZED_ALGORITHMS, build_schedule, info
-from repro.core.schedule import RecvOp, SendOp
 from repro.core.validate import verify
+from oracle import RecvOp, SendOp, programs_of
 
 # Keep individual examples fast: validation cost grows with p².
 PS = st.integers(min_value=1, max_value=40)
@@ -45,7 +45,7 @@ def test_send_recv_counts_balance(cfg):
     coll, alg, p, k, root = cfg
     sched = build_schedule(coll, alg, p, k=k, root=root)
     balance = {}
-    for prog in sched.programs:
+    for prog in programs_of(sched):
         for _, op in prog.iter_ops():
             if isinstance(op, SendOp):
                 key = (prog.rank, op.peer)
@@ -64,7 +64,7 @@ def test_message_payloads_match_pairwise(cfg):
     coll, alg, p, k, root = cfg
     sched = build_schedule(coll, alg, p, k=k, root=root)
     sends, recvs = {}, {}
-    for prog in sched.programs:
+    for prog in programs_of(sched):
         for _, op in prog.iter_ops():
             if isinstance(op, SendOp):
                 sends.setdefault((prog.rank, op.peer), []).append(op.blocks)
@@ -115,7 +115,7 @@ def test_kring_has_exactly_p_minus_1_logical_rounds(p, k):
     """Every rank in a k | p ring runs exactly p-1 steps (eq. (12))."""
     sched = build_schedule("allgather", "kring", p, k=max(1, min(k, p)))
     if p % max(1, min(k, p)) == 0:
-        for prog in sched.programs:
+        for prog in programs_of(sched):
             assert len(prog.steps) == p - 1
 
 
@@ -128,8 +128,8 @@ def test_serialization_roundtrip_preserves_programs(cfg):
     coll, alg, p, k, root = cfg
     sched = build_schedule(coll, alg, p, k=k, root=root)
     restored = schedule_from_json(schedule_to_json(sched))
-    assert [pr.steps for pr in restored.programs] == [
-        pr.steps for pr in sched.programs
+    assert [pr.steps for pr in programs_of(restored)] == [
+        pr.steps for pr in programs_of(sched)
     ]
     assert restored.describe() == sched.describe()
 
@@ -143,7 +143,7 @@ def test_critical_path_bounded_by_program_length(cfg):
     coll, alg, p, k, root = cfg
     sched = build_schedule(coll, alg, p, k=k, root=root)
     max_steps = max(
-        (len(prog.steps) for prog in sched.programs), default=0
+        (len(prog.steps) for prog in programs_of(sched)), default=0
     )
     rounds = critical_path_rounds(sched)
     assert 0 <= rounds
@@ -151,4 +151,4 @@ def test_critical_path_bounded_by_program_length(cfg):
     # phases composed back to back may chain across programs, so the
     # global bound is the SUM of phase lengths ≤ total steps over ranks;
     # the per-rank bound still holds for single-phase symmetric schedules.
-    assert rounds <= sum(len(prog.steps) for prog in sched.programs) + 1
+    assert rounds <= sum(len(prog.steps) for prog in programs_of(sched)) + 1

@@ -5,11 +5,11 @@ import pytest
 
 from repro.core.alltoall import alltoall_block, bruck_alltoall, pairwise_alltoall
 from repro.core.primitives import ilog
-from repro.core.schedule import RecvOp, SendOp
 from repro.core.validate import verify
 from repro.errors import ScheduleError
 from repro.runtime.executor import run_collective
 from repro.runtime.session import Session
+from oracle import SendOp, programs_of
 
 
 class TestBlockIds:
@@ -36,7 +36,7 @@ class TestPairwise:
         p = 8
         sched = pairwise_alltoall(p)
         sent = []
-        for prog in sched.programs:
+        for prog in programs_of(sched):
             for _, op in prog.iter_ops():
                 if isinstance(op, SendOp):
                     sent.extend(op.blocks)
@@ -51,7 +51,7 @@ class TestPairwise:
 
     def test_round_count(self):
         sched = pairwise_alltoall(7)
-        for prog in sched.programs:
+        for prog in programs_of(sched):
             assert len(prog.steps) == 6
 
 
@@ -69,7 +69,7 @@ class TestBruck:
     def test_round_count_is_log_k_p(self):
         for p, k in [(16, 2), (16, 4), (13, 3), (100, 10)]:
             sched = bruck_alltoall(p, k)
-            for prog in sched.programs:
+            for prog in programs_of(sched):
                 assert len(prog.steps) == ilog(k, p)
 
     def test_forwarding_volume_exceeds_pairwise(self):
@@ -78,7 +78,7 @@ class TestBruck:
         def total_blocks(sched):
             return sum(
                 len(op.blocks)
-                for prog in sched.programs
+                for prog in programs_of(sched)
                 for _, op in prog.iter_ops()
                 if isinstance(op, SendOp)
             )
@@ -97,7 +97,7 @@ class TestBruck:
         sched = bruck_alltoall(16, 2)
         sizes = [
             len(op.blocks)
-            for prog in sched.programs
+            for prog in programs_of(sched)
             for _, op in prog.iter_ops()
             if isinstance(op, SendOp)
         ]

@@ -14,6 +14,7 @@ from repro.core.baselines import (
 )
 from repro.core.validate import verify
 from repro.errors import ScheduleError
+from oracle import programs_of
 
 
 class TestLinear:
@@ -29,7 +30,7 @@ class TestLinear:
         """The naive bcast sends one message per step — no overlap at all
         (that's what makes it the (p-1)(α+βn) strawman of §III-B)."""
         sched = linear_bcast(6)
-        root_prog = sched.programs[0]
+        root_prog = programs_of(sched)[0]
         assert len(root_prog.steps) == 5
         for step in root_prog.steps:
             assert len(step.ops) == 1
@@ -38,7 +39,7 @@ class TestLinear:
         sched = linear_reduce(4)
         recvs = [
             op
-            for _, op in sched.programs[0].iter_ops()
+            for _, op in programs_of(sched)[0].iter_ops()
         ]
         assert all(getattr(op, "reduce", False) for op in recvs)
 
@@ -75,7 +76,7 @@ class TestComposites:
         """The whole point of Rabenseifner: the root's inbound data drops
         from the binomial tree's log2(p)·n to ~2n(p-1)/p."""
         from repro.core.knomial import knomial_reduce
-        from repro.core.schedule import RecvOp
+        from oracle import RecvOp
 
         n = 8 * 64
 
@@ -83,7 +84,7 @@ class TestComposites:
             bm = sched.block_map(n)
             return sum(
                 bm.bytes_of(op.blocks)
-                for _, op in sched.programs[0].iter_ops()
+                for _, op in programs_of(sched)[0].iter_ops()
                 if isinstance(op, RecvOp)
             )
 

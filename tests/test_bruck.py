@@ -5,10 +5,10 @@ import pytest
 from repro.core.bruck import bruck_allgather, bruck_window, dissemination_barrier
 from repro.core.primitives import dualize_allgather, ilog
 from repro.core.registry import build_schedule
-from repro.core.schedule import RecvOp
 from repro.core.validate import verify
 from repro.errors import ScheduleError
 from repro.runtime.executor import run_collective
+from oracle import programs_of
 
 
 class TestWindow:
@@ -42,14 +42,14 @@ class TestBruckAllgather:
         for e.g. p = 17."""
         for p, k in [(17, 4), (13, 2), (100, 3)]:
             sched = bruck_allgather(p, k)
-            for prog in sched.programs:
+            for prog in programs_of(sched):
                 assert len(prog.steps) == ilog(k, p)
 
     def test_fewer_rounds_than_folded_recmul_on_awkward_p(self):
         p, k = 17, 4
-        bruck_steps = len(bruck_allgather(p, k).programs[0].steps)
+        bruck_steps = len(programs_of(bruck_allgather(p, k))[0].steps)
         recmul = build_schedule("allgather", "recursive_multiplying", p, k=k)
-        recmul_steps = max(len(prog.steps) for prog in recmul.programs)
+        recmul_steps = max(len(prog.steps) for prog in programs_of(recmul))
         assert bruck_steps < recmul_steps
 
     def test_each_block_received_once_makes_it_dualizable(self):
@@ -63,7 +63,7 @@ class TestBruckAllgather:
         sched = bruck_allgather(12, 3)
         shapes = {
             tuple(len(step.ops) for step in prog.steps)
-            for prog in sched.programs
+            for prog in programs_of(sched)
         }
         assert len(shapes) == 1
 
@@ -73,7 +73,7 @@ class TestBruckAllgather:
 
     def test_single_rank(self):
         sched = bruck_allgather(1, 2)
-        assert all(not prog.steps for prog in sched.programs)
+        assert all(not prog.steps for prog in programs_of(sched))
 
 
 class TestDisseminationBarrier:
@@ -85,7 +85,7 @@ class TestDisseminationBarrier:
     def test_round_count(self):
         for p, k in [(8, 2), (9, 3), (17, 4), (100, 10)]:
             sched = dissemination_barrier(p, k)
-            for prog in sched.programs:
+            for prog in programs_of(sched):
                 assert len(prog.steps) == ilog(k, p)
 
     def test_marked_idempotent_only(self):

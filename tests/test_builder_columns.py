@@ -42,22 +42,27 @@ from repro.core.primitives import (
 )
 from repro.core.render import render_kring_rounds, render_rounds
 from repro.core.ring import kring_allgather, kring_groups
-from repro.core.schedule import (
-    CopyOp,
-    Op,
-    RankProgram,
-    RecvOp,
-    Schedule,
-    SendOp,
-    Step,
-)
+from repro.core.schedule import Schedule
 from repro.core.serialize import (
     _FORMAT_VERSION,
     _jsonable_meta,
     schedule_to_json,
 )
 from repro.errors import ScheduleError
-from oracle import absolute_rank, all_blocks, empty_programs, relative_rank
+from oracle import (
+    CopyOp,
+    Op,
+    RankProgram,
+    RecvOp,
+    SendOp,
+    Step,
+    absolute_rank,
+    all_blocks,
+    empty_programs,
+    from_programs,
+    programs_of,
+    relative_rank,
+)
 from test_column_transforms import assert_same
 from test_knomial_tree import assert_same_columns
 
@@ -156,7 +161,7 @@ def reference_kring_allgather(p: int, k: int) -> Schedule:
         # Epoch e: circulate the freshly received chunks within each group.
         intra_epoch()
 
-    return Schedule(
+    return from_programs(
         collective="allgather",
         algorithm="kring" if 1 < k < p else "ring",
         nranks=p,
@@ -212,7 +217,7 @@ def reference_bruck_allgather(p: int, k: int = 2) -> Schedule:
                 )
             programs[rank].add_step(ops)
         stride = target
-    return Schedule(
+    return from_programs(
         collective="allgather",
         algorithm="bruck" if k == 2 else "bruck_kport",
         nranks=p,
@@ -258,7 +263,7 @@ def reference_dissemination_barrier(p: int, k: int = 2) -> Schedule:
                     ops.append(RecvOp(peer=peer, blocks=(0,), reduce=True))
             programs[rank].add_step(ops)
         stride = reach
-    return Schedule(
+    return from_programs(
         collective="barrier",
         algorithm="dissemination" if k == 2 else "k_dissemination",
         nranks=p,
@@ -283,7 +288,7 @@ def reference_pairwise_alltoall(p: int) -> Schedule:
                 SendOp(peer=to, blocks=(alltoall_block(rank, to, p),)),
                 RecvOp(peer=frm, blocks=(alltoall_block(frm, rank, p),)),
             )
-    return Schedule(
+    return from_programs(
         collective="alltoall",
         algorithm="pairwise",
         nranks=p,
@@ -366,7 +371,7 @@ def reference_bruck_alltoall(p: int, k: int = 2) -> Schedule:
             raise ScheduleError(
                 f"internal error: rank {r} ends holding {sorted(held[r])[:4]}..."
             )
-    return Schedule(
+    return from_programs(
         collective="alltoall",
         algorithm="bruck" if k == 2 else "bruck_kport",
         nranks=p,
@@ -416,7 +421,7 @@ def reference_chain_bcast(p: int, segments: int, *, root: int = 0) -> Schedule:
             if s + 1 < segments:
                 ops.append(RecvOp(peer=prev, blocks=(s + 1,)))
             prog.add_step(ops)
-    return Schedule(
+    return from_programs(
         collective="bcast",
         algorithm="chain" if segments == 1 else "pipelined_chain",
         nranks=p,
@@ -442,7 +447,7 @@ def reference_linear_bcast(p: int, *, root: int = 0) -> Schedule:
         dst = absolute_rank(relr, root, p)
         programs[root].add(SendOp(peer=dst, blocks=payload))
         programs[dst].add(RecvOp(peer=root, blocks=payload))
-    return Schedule(
+    return from_programs(
         collective="bcast",
         algorithm="linear",
         nranks=p,
@@ -462,7 +467,7 @@ def reference_linear_reduce(p: int, *, root: int = 0) -> Schedule:
         src = absolute_rank(relr, root, p)
         programs[root].add(RecvOp(peer=src, blocks=payload, reduce=True))
         programs[src].add(SendOp(peer=root, blocks=payload))
-    return Schedule(
+    return from_programs(
         collective="reduce",
         algorithm="linear",
         nranks=p,
@@ -480,7 +485,7 @@ def reference_linear_gather(p: int, *, root: int = 0) -> Schedule:
         src = absolute_rank(relr, root, p)
         programs[root].add(RecvOp(peer=src, blocks=(src,)))
         programs[src].add(SendOp(peer=root, blocks=(src,)))
-    return Schedule(
+    return from_programs(
         collective="gather",
         algorithm="linear",
         nranks=p,
@@ -498,7 +503,7 @@ def reference_linear_scatter(p: int, *, root: int = 0) -> Schedule:
         dst = absolute_rank(relr, root, p)
         programs[root].add(SendOp(peer=dst, blocks=(dst,)))
         programs[dst].add(RecvOp(peer=root, blocks=(dst,)))
-    return Schedule(
+    return from_programs(
         collective="scatter",
         algorithm="linear",
         nranks=p,
@@ -516,15 +521,14 @@ def reference_render_rounds(schedule: Schedule, *, max_rounds: Optional[int] = N
     butterfly/ring/dissemination families); tree schedules should use
     :func:`render_knomial_tree`.
     """
-    nsteps = max(len(prog.steps) for prog in schedule.programs) if (
-        schedule.programs
-    ) else 0
+    programs = programs_of(schedule)
+    nsteps = max(len(prog.steps) for prog in programs) if programs else 0
     if max_rounds is not None:
         nsteps = min(nsteps, max_rounds)
     lines = [schedule.describe()]
     for step in range(nsteps):
         parts = []
-        for prog in schedule.programs:
+        for prog in programs:
             if step >= len(prog.steps):
                 continue
             for op in prog.steps[step].ops:
@@ -552,12 +556,13 @@ def reference_render_kring_rounds(p: int, k: int) -> str:
     for gi, grp in enumerate(groups):
         for r in grp:
             group_of[r] = gi
-    nsteps = max(len(prog.steps) for prog in sched.programs)
+    programs = programs_of(sched)
+    nsteps = max(len(prog.steps) for prog in programs)
     lines = [f"k-ring allgather p={p} k={k} (groups {groups})"]
     for step in range(nsteps):
         parts = []
         kinds = set()
-        for prog in sched.programs:
+        for prog in programs:
             if step >= len(prog.steps):
                 continue
             for op in prog.steps[step].ops:
@@ -602,7 +607,7 @@ def reference_schedule_to_json(schedule: Schedule) -> str:
         "meta": _jsonable_meta(schedule.meta),
         "programs": [
             [[_op_to_dict(op) for op in step.ops] for step in prog.steps]
-            for prog in schedule.programs
+            for prog in programs_of(schedule)
         ],
     }
     return json.dumps(payload, sort_keys=True)
@@ -610,7 +615,7 @@ def reference_schedule_to_json(schedule: Schedule) -> str:
 
 def reference_hierarchical_allreduce_at_one_rank() -> Schedule:
     """``hierarchical_allreduce``'s ``p == 1`` branch."""
-    return Schedule(
+    return from_programs(
         collective="allreduce",
         algorithm="hierarchical",
         nranks=1,
@@ -824,7 +829,8 @@ def test_render_and_json_read_the_columns():
     copies = [RankProgram(rank=0), RankProgram(rank=1)]
     copies[0].add(CopyOp(src=0, dst=1), SendOp(peer=1, blocks=(1, 0)))
     copies[1].add(RecvOp(peer=0, blocks=(1, 0), reduce=True))
-    hand = Schedule("bcast", "t", 2, 2, copies, root=0, meta={"m": (1, 2)})
+    hand = from_programs("bcast", "t", 2, 2, copies, root=0,
+                         meta={"m": (1, 2)})
     assert render_rounds(hand) == reference_render_rounds(hand)
     assert schedule_to_json(hand) == reference_schedule_to_json(hand)
 

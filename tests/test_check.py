@@ -20,19 +20,12 @@ from repro.cli import main_check
 from repro.core.cache import ContentCache
 from repro.core.analysis import critical_path_rounds, dependency_rounds
 from repro.core.registry import build_schedule
-from repro.core.schedule import (
-    CopyOp,
-    RankProgram,
-    RecvOp,
-    Schedule,
-    SendOp,
-    Step,
-)
 from repro.errors import ScheduleError
+from oracle import CopyOp, RankProgram, RecvOp, SendOp, Step, from_programs
 
 
 def handmade(collective, programs, nblocks, root=None):
-    return Schedule(
+    return from_programs(
         collective=collective,
         algorithm="handmade",
         nranks=len(programs),

@@ -11,20 +11,19 @@ program) and hand-builds minimal schedules where the bug needs precise
 construction (double-count, rendezvous cycle, copy collisions).
 """
 
-import dataclasses
-
 import pytest
 
 from repro.check import run_checks
 from repro.check.deadlock import check_deadlock
 from repro.core.registry import build_schedule
-from repro.core.schedule import (
+from oracle import (
     CopyOp,
     RankProgram,
     RecvOp,
-    Schedule,
     SendOp,
     Step,
+    from_programs,
+    programs_of,
 )
 
 
@@ -35,15 +34,17 @@ def mutated(collective, algorithm, p, k=None, *, edit):
     ``edit`` gets every rank's steps as a list of lists to break.
     """
     good = build_schedule(collective, algorithm, p, k=k)
-    steps = [list(prog.steps) for prog in good.programs]
+    steps = [list(prog.steps) for prog in programs_of(good)]
     edit(steps)
-    return dataclasses.replace(good, programs=[
-        RankProgram(rank=r, steps=s) for r, s in enumerate(steps)
-    ])
+    return from_programs(
+        good.collective, good.algorithm, p, good.nblocks,
+        [RankProgram(rank=r, steps=s) for r, s in enumerate(steps)],
+        root=good.root, k=good.k, meta=good.meta,
+    )
 
 
 def handmade(collective, programs, nblocks, root=None):
-    return Schedule(
+    return from_programs(
         collective=collective,
         algorithm="handmade",
         nranks=len(programs),

@@ -312,13 +312,13 @@ def _registry_entries():
 
 def _fan_in():
     """Ranks 1 and 2 each send rank 0 one block."""
-    from repro.core.schedule import RankProgram, RecvOp, Schedule, SendOp
+    from oracle import RankProgram, RecvOp, SendOp, from_programs
 
     progs = [RankProgram(rank=r) for r in range(3)]
     progs[0].add(RecvOp(1, (0,)), RecvOp(2, (1,)))
     progs[1].add(SendOp(0, (0,)))
     progs[2].add(SendOp(0, (1,)))
-    return Schedule("gather", "fan-in", 3, 2, progs)
+    return from_programs("gather", "fan-in", 3, 2, progs)
 
 
 class TestWholeTableDifferential:

@@ -133,6 +133,32 @@ class TestValidate:
         assert rc == 2
 
 
+class TestCheckSchedule:
+    """``repro-check --schedule PATH``: a damaged document is one
+    ``error: …`` line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: doc.pop("collective"),
+        lambda doc: doc.update(root="0"),
+        lambda doc: doc.update(root=9),
+    ], ids=["no collective", "root a string", "root not a rank"])
+    def test_a_damaged_document_is_one_error_line(self, damage, tmp_path,
+                                                  capsys):
+        from repro.cli import main_check
+        from repro.core.registry import build_schedule
+        from repro.core.serialize import schedule_to_json
+
+        doc = json.loads(schedule_to_json(build_schedule("bcast", "binomial",
+                                                         4)))
+        damage(doc)
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(doc))
+        assert main_check(["--schedule", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "labels" in err
+
+
 class TestValidateDump:
     def test_dump_writes_verified_schedule(self, tmp_path, capsys):
         import json

@@ -32,15 +32,19 @@ from repro.core.primitives import compose, dualize_allgather
 from repro.core.registry import build_schedule, info
 from repro.core.schedule import (
     Columns,
+    Schedule,
+)
+from repro.errors import ScheduleError
+from oracle import (
     CopyOp,
     Op,
     RankProgram,
     RecvOp,
-    Schedule,
     SendOp,
+    empty_programs,
+    from_programs,
+    programs_of,
 )
-from repro.errors import ScheduleError
-from oracle import empty_programs
 
 # ----------------------------------------------------------------------
 # The reference: the op-object bodies the transforms replaced
@@ -92,13 +96,13 @@ def reference_compose(
                 f"phase {ph.describe()} disagrees on geometry with "
                 f"{phases[0].describe()}"
             )
-    programs = phases[0].programs
+    programs = programs_of(phases[0])
     for ph in phases[1:]:
-        programs = reference_concat_programs(programs, ph.programs)
+        programs = reference_concat_programs(programs, programs_of(ph))
     full_meta: Dict[str, object] = {"phases": [ph.describe() for ph in phases]}
     if meta:
         full_meta.update(meta)
-    return Schedule(
+    return from_programs(
         collective=collective,
         algorithm=algorithm,
         nranks=p,
@@ -120,7 +124,7 @@ def reference_dualize_allgather(allgather: Schedule, algorithm: str) -> Schedule
     # Structural precondition: each block must reach each rank exactly once,
     # and never return to the rank that contributed it.  (Re-receipt would
     # reverse into a double-counted reduction.)
-    for prog in allgather.programs:
+    for prog in programs_of(allgather):
         seen = {prog.rank}  # a rank "has" its own block from the start
         for _, op in prog.iter_ops():
             if isinstance(op, RecvOp):
@@ -145,7 +149,7 @@ def reference_dualize_allgather(allgather: Schedule, algorithm: str) -> Schedule
         return twin
 
     programs: List[RankProgram] = []
-    for prog in allgather.programs:
+    for prog in programs_of(allgather):
         dual = RankProgram(rank=prog.rank)
         for step in reversed(prog.steps):
             ops: List[Op] = []
@@ -175,7 +179,7 @@ def reference_dualize_allgather(allgather: Schedule, algorithm: str) -> Schedule
                     )
             dual.add_step(ops)
         programs.append(dual)
-    return Schedule(
+    return from_programs(
         collective="reduce_scatter",
         algorithm=algorithm,
         nranks=allgather.nranks,
@@ -203,7 +207,7 @@ def reference_remap_ranks(
             raise ScheduleError(f"mapped rank {g} out of range for {nranks}")
 
     programs = empty_programs(nranks)
-    for local, prog in enumerate(schedule.programs):
+    for local, prog in enumerate(programs_of(schedule)):
         target = RankProgram(rank=mapping[local])
         for step in prog.steps:
             ops = []
@@ -222,7 +226,7 @@ def reference_remap_ranks(
                     ops.append(op)
             target.add_step(ops)
         programs[mapping[local]] = target
-    return Schedule(
+    return from_programs(
         collective=schedule.collective,
         algorithm=schedule.algorithm,
         nranks=nranks,
@@ -264,11 +268,13 @@ def reference_hierarchical_allreduce(
         node_programs = empty_programs(p)
         for node in range(nodes):
             members = list(range(node * ppn, (node + 1) * ppn))
-            embedded = reference_remap_ranks(local_reduce, members, p)
+            embedded = programs_of(
+                reference_remap_ranks(local_reduce, members, p)
+            )
             for r in members:
-                node_programs[r] = embedded.programs[r]
+                node_programs[r] = embedded[r]
         phases.append(
-            Schedule(
+            from_programs(
                 collective="allreduce",  # phase typing; composed below
                 algorithm="hierarchical",
                 nranks=p,
@@ -295,11 +301,13 @@ def reference_hierarchical_allreduce(
         node_programs = empty_programs(p)
         for node in range(nodes):
             members = list(range(node * ppn, (node + 1) * ppn))
-            embedded = reference_remap_ranks(local_bcast, members, p)
+            embedded = programs_of(
+                reference_remap_ranks(local_bcast, members, p)
+            )
             for r in members:
-                node_programs[r] = embedded.programs[r]
+                node_programs[r] = embedded[r]
         phases.append(
-            Schedule(
+            from_programs(
                 collective="allreduce",
                 algorithm="hierarchical",
                 nranks=p,
@@ -309,7 +317,7 @@ def reference_hierarchical_allreduce(
         )
 
     if not phases:  # p == 1
-        return Schedule(
+        return from_programs(
             collective="allreduce",
             algorithm="hierarchical",
             nranks=1,
@@ -460,7 +468,7 @@ def _allgather(nranks: int, nblocks: int, *programs) -> Schedule:
     for rank, *steps in programs:
         for ops in steps:
             progs[rank].add(*ops)
-    return Schedule("allgather", "t", nranks, nblocks, progs)
+    return from_programs("allgather", "t", nranks, nblocks, progs)
 
 
 UNDUALIZABLE = [

@@ -7,9 +7,9 @@ from repro.core.knomial import knomial_allgather
 from repro.core.primitives import dualize_allgather
 from repro.core.recursive import recursive_multiplying_allgather
 from repro.core.ring import kring_allgather, ring_allgather
-from repro.core.schedule import RankProgram, RecvOp, Schedule, SendOp
 from repro.core.validate import verify
 from repro.errors import ScheduleError
+from oracle import RankProgram, RecvOp, SendOp, from_programs, programs_of
 
 
 class TestDualization:
@@ -34,7 +34,7 @@ class TestDualization:
 
     def test_all_dual_receives_reduce(self):
         dual = dualize_allgather(ring_allgather(6), "ring_dual")
-        for prog in dual.programs:
+        for prog in programs_of(dual):
             for _, op in prog.iter_ops():
                 if isinstance(op, RecvOp):
                     assert op.reduce
@@ -42,7 +42,7 @@ class TestDualization:
     def test_step_order_reversed(self):
         ag = ring_allgather(5)
         dual = dualize_allgather(ag, "d")
-        for prog, dprog in zip(ag.programs, dual.programs):
+        for prog, dprog in zip(programs_of(ag), programs_of(dual)):
             assert len(prog.steps) == len(dprog.steps)
             # first allgather send becomes last dual receive
             first_send = prog.steps[0].sends[0]
@@ -72,7 +72,7 @@ class TestDualization:
         p0.add(RecvOp(peer=1, blocks=(1,)))
         p0.add(SendOp(peer=1, blocks=(0,)))
         p1.add(RecvOp(peer=0, blocks=(0,)))
-        sched = Schedule(
+        sched = from_programs(
             collective="allgather",
             algorithm="redundant",
             nranks=2,

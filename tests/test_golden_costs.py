@@ -49,12 +49,12 @@ from conftest import GoldenFile
 from repro.bench.sweep import SweepPoint, clear_sim_memo, simulate_point
 from repro.compile import compile_schedule
 from repro.core.registry import build_schedule, info
-from repro.core.schedule import SendOp
 from repro.faults.plan import Crash, FaultPlan, LinkFault, RetryPolicy, Straggler
 from repro.models import ModelParams, model_time
 from repro.simnet import DragonflySpec, NoiseModel, frontier, polaris
 from repro.simnet.machines import reference
 from repro.simnet.simulate import simulate
+from oracle import SendOp, programs_of
 
 #: (collective, algorithm) — one generalized algorithm per family.
 CASES = [
@@ -173,7 +173,7 @@ def _corner_machines(p: int) -> dict:
 def _corner_faults(schedule) -> dict:
     """Loss with retransmissions, a dead link, crash + straggler."""
     src, dst = next(
-        (prog.rank, op.peer) for prog in schedule.programs
+        (prog.rank, op.peer) for prog in programs_of(schedule)
         for _, op in prog.iter_ops() if isinstance(op, SendOp)
     )
     return {

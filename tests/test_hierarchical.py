@@ -16,6 +16,7 @@ from repro.runtime.buffers import (
 )
 from repro.runtime.executor import execute
 from repro.simnet import frontier, simulate
+from oracle import programs_of
 
 
 class TestRemap:
@@ -25,20 +26,21 @@ class TestRemap:
         assert big.nranks == 8
         assert big.root == 4
         # unmapped ranks are idle
+        programs = programs_of(big)
         for r in (0, 2, 3, 5, 7):
-            assert not big.programs[r].steps
+            assert not programs[r].steps
         # peers follow the mapping
         peers = {
             op.peer
-            for _, op in big.programs[4].iter_ops()
+            for _, op in programs[4].iter_ops()
         }
         assert peers <= {1, 6}
 
     def test_identity_mapping_preserves_schedule(self):
         sched = knomial_bcast(4, 2)
         same = remap_ranks(sched, [0, 1, 2, 3], 4)
-        assert [p.steps for p in same.programs] == [
-            p.steps for p in sched.programs
+        assert [p.steps for p in programs_of(same)] == [
+            p.steps for p in programs_of(sched)
         ]
 
     def test_non_injective_rejected(self):
@@ -103,13 +105,13 @@ class TestHierarchicalAllreduce:
     def test_only_leaders_touch_the_network(self):
         """Every internode message must be between node leaders — the
         point of the composition."""
-        from repro.core.schedule import SendOp
+        from oracle import SendOp
 
         ppn = 4
         machine = frontier(4, ppn)
         sched = hierarchical_allreduce(16, ppn)
         leaders = {0, 4, 8, 12}
-        for prog in sched.programs:
+        for prog in programs_of(sched):
             for _, op in prog.iter_ops():
                 if isinstance(op, SendOp) and not machine.same_node(
                     prog.rank, op.peer

@@ -11,10 +11,10 @@ the 1-channel / 1-port machine is what pins them.
 
 import pytest
 
-from repro.core.schedule import RankProgram, RecvOp, Schedule, SendOp
 from repro.errors import MachineError
 from repro.obs import Obs
 from repro.simnet import kernel, reference, simulate
+from oracle import RankProgram, RecvOp, SendOp, from_programs
 
 
 def _run(ops, msgs, *, capacity=(), o=0.0, obs=None, **extra):
@@ -132,8 +132,8 @@ def _exchange_wrong_way_round():
         prog.add(RecvOp(peer=1 - rank, blocks=(0,)))
         prog.add(SendOp(peer=1 - rank, blocks=(0,)))
         programs.append(prog)
-    return Schedule(collective="allgather", algorithm="stuck", nranks=2,
-                    nblocks=1, programs=programs)
+    return from_programs(collective="allgather", algorithm="stuck",
+                         nranks=2, nblocks=1, programs=programs)
 
 
 class TestDeadlock:

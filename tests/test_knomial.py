@@ -14,6 +14,7 @@ from repro.core.knomial import (
 from repro.core.primitives import ilog
 from repro.core.validate import verify
 from repro.errors import ScheduleError
+from oracle import programs_of
 
 from conftest import INTERESTING_K, INTERESTING_P
 
@@ -111,7 +112,7 @@ class TestTreeStructure:
 
     def test_children_ordered_largest_mask_first(self):
         """The bcast sends to the root's children in that order."""
-        root = knomial_bcast(9, 3).programs[0]
+        root = programs_of(knomial_bcast(9, 3))[0]
         sends = [op.peer for step in root.steps for op in step.ops]
         assert sends == [c for c, _ in children(0, 9, 3)]
         masks = [m for _, m in children(0, 9, 3)]
@@ -153,14 +154,14 @@ class TestSchedules:
         for p in [16, 27]:
             for k in [3, 4]:
                 sched = knomial_bcast(p, k)
-                for prog in sched.programs:
+                for prog in programs_of(sched):
                     for step in prog.steps:
                         assert len(step.sends) <= k - 1
 
     def test_radix_of_p_gives_flat_tree(self):
         """k >= p: root sends to everyone in one concurrent step."""
         sched = knomial_bcast(8, 8)
-        root_prog = sched.programs[0]
+        root_prog = programs_of(sched)[0]
         assert len(root_prog.steps) == 1
         assert len(root_prog.steps[0].sends) == 7
 
@@ -180,10 +181,10 @@ class TestSchedules:
         sched = knomial_bcast(4, 2, nblocks=4)
         assert sched.nblocks == 4
         # every message carries all four blocks
-        for prog in sched.programs:
+        for prog in programs_of(sched):
             for _, op in prog.iter_ops():
                 assert op.blocks == (0, 1, 2, 3)
 
     def test_single_rank_is_empty(self):
         sched = knomial_bcast(1, 2)
-        assert all(not prog.steps for prog in sched.programs)
+        assert all(not prog.steps for prog in programs_of(sched))

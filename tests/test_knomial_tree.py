@@ -43,16 +43,20 @@ from repro.core.primitives import (
     sharing_phases,
 )
 from repro.core.render import render_knomial_tree
-from repro.core.schedule import (
+from repro.core.schedule import Schedule
+from repro.errors import ScheduleError
+from oracle import (
     Op,
     RankProgram,
     RecvOp,
-    Schedule,
     SendOp,
     Step,
+    absolute_rank,
+    all_blocks,
+    empty_programs,
+    from_programs,
+    relative_rank,
 )
-from repro.errors import ScheduleError
-from oracle import absolute_rank, all_blocks, empty_programs, relative_rank
 from test_column_transforms import CHECK_GRID, HIERARCHICAL, assert_same
 
 # ----------------------------------------------------------------------
@@ -169,7 +173,7 @@ def reference_knomial_bcast(p: int, k: int, *, root: int = 0, nblocks: int = 1) 
                 SendOp(peer=absolute_rank(child, root, p), blocks=payload)
             )
         prog.add_step(level_ops)
-    return Schedule(
+    return from_programs(
         collective="bcast",
         algorithm="knomial" if k != 2 else "binomial",
         nranks=p,
@@ -214,7 +218,7 @@ def reference_knomial_reduce(p: int, k: int, *, root: int = 0, nblocks: int = 1)
         parent = knomial_parent(relr, p, k)
         if parent is not None:
             prog.add(SendOp(peer=absolute_rank(parent, root, p), blocks=payload))
-    return Schedule(
+    return from_programs(
         collective="reduce",
         algorithm="knomial" if k != 2 else "binomial",
         nranks=p,
@@ -261,7 +265,7 @@ def reference_knomial_gather(p: int, k: int, *, root: int = 0) -> Schedule:
                     blocks=_subtree_blocks(relr, p, k, root),
                 )
             )
-    return Schedule(
+    return from_programs(
         collective="gather",
         algorithm="knomial" if k != 2 else "binomial",
         nranks=p,
@@ -307,7 +311,7 @@ def reference_knomial_scatter(p: int, k: int, *, root: int = 0) -> Schedule:
                 )
             )
         prog.add_step(level_ops)
-    return Schedule(
+    return from_programs(
         collective="scatter",
         algorithm="knomial" if k != 2 else "binomial",
         nranks=p,

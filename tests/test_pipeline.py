@@ -8,6 +8,7 @@ from repro.errors import ScheduleError
 from repro.models import ModelParams, chain_bcast_time
 from repro.runtime.executor import run_collective
 from repro.simnet import reference, simulate
+from oracle import programs_of
 
 
 class TestSchedule:
@@ -26,9 +27,9 @@ class TestSchedule:
     def test_chain_structure(self):
         """Rank r only ever talks to r-1 and r+1 (relative to the root)."""
         sched = chain_bcast(6, 3)
-        from repro.core.schedule import RecvOp, SendOp
+        from oracle import RecvOp, SendOp
 
-        for prog in sched.programs:
+        for prog in programs_of(sched):
             for _, op in prog.iter_ops():
                 if isinstance(op, (SendOp, RecvOp)):
                     assert abs(op.peer - prog.rank) == 1

@@ -14,6 +14,7 @@ from repro.core.recursive import (
 )
 from repro.core.validate import verify
 from repro.errors import ScheduleError
+from oracle import programs_of
 
 from conftest import INTERESTING_K, INTERESTING_P
 
@@ -100,7 +101,7 @@ class TestSchedules:
         """On k^m ranks every rank runs exactly m butterfly steps."""
         sched = recursive_multiplying_allreduce(27, 3)
         assert sched.meta["radices"] == (3, 3, 3)
-        for prog in sched.programs:
+        for prog in programs_of(sched):
             assert len(prog.steps) == 3
 
     def test_fold_adds_pre_and_post_steps(self):
@@ -108,9 +109,9 @@ class TestSchedules:
         fold and an unfold step; the folded rank has exactly 2 steps."""
         sched = recursive_multiplying_allreduce(17, 4)
         assert sched.meta == {"core": 16, "folded": 1, "radices": (4, 4)}
-        folded_prog = sched.programs[16]
+        folded_prog = programs_of(sched)[16]
         assert len(folded_prog.steps) == 2  # fold send + unfold recv
-        partner_prog = sched.programs[0]
+        partner_prog = programs_of(sched)[0]
         assert len(partner_prog.steps) == 4  # fold + 2 rounds + unfold
 
     def test_heavily_folded_case(self):
@@ -127,10 +128,10 @@ class TestSchedules:
     def test_allgather_message_volume_is_optimal(self):
         """Total blocks received per rank = p-1 for power-of-k p (each
         block enters each rank exactly once — no redundant traffic)."""
-        from repro.core.schedule import RecvOp
+        from oracle import RecvOp
 
         sched = recursive_multiplying_allgather(16, 4)
-        for prog in sched.programs:
+        for prog in programs_of(sched):
             got = []
             for _, op in prog.iter_ops():
                 if isinstance(op, RecvOp):
@@ -148,4 +149,4 @@ class TestSchedules:
 
     def test_single_rank(self):
         sched = recursive_multiplying_allreduce(1, 4)
-        assert all(not prog.steps for prog in sched.programs)
+        assert all(not prog.steps for prog in programs_of(sched))

@@ -28,16 +28,17 @@ from repro.core.cache import ContentCache
 from repro.core.hierarchical import hierarchical_allreduce
 from repro.core.primitives import check_radix, sharing_phases
 from repro.core.recursive import radix_schedule, smooth_core
-from repro.core.schedule import (
+from repro.core.schedule import Schedule
+from repro.errors import ScheduleError
+from oracle import (
     Op,
     RankProgram,
     RecvOp,
-    Schedule,
     SendOp,
     Step,
+    empty_programs,
+    from_programs,
 )
-from repro.errors import ScheduleError
-from oracle import empty_programs
 from test_column_transforms import assert_same
 from test_knomial_tree import assert_same_columns
 
@@ -108,7 +109,7 @@ def reference_recursive_multiplying_allreduce(p: int, k: int) -> Schedule:
         for f in folded:
             programs[f].add(RecvOp(peer=core, blocks=payload))
 
-    return Schedule(
+    return from_programs(
         collective="allreduce",
         algorithm="recursive_multiplying" if k != 2 else "recursive_doubling",
         nranks=p,
@@ -181,7 +182,7 @@ def reference_recursive_multiplying_allgather(p: int, k: int) -> Schedule:
                 RecvOp(peer=core, blocks=tuple(b for b in every if b != f))
             )
 
-    return Schedule(
+    return from_programs(
         collective="allgather",
         algorithm="recursive_multiplying" if k != 2 else "recursive_doubling",
         nranks=p,

@@ -13,6 +13,7 @@ from repro.core.registry import (
     max_radix,
 )
 from repro.errors import ScheduleError
+from oracle import programs_of
 
 
 class TestLookup:
@@ -94,8 +95,8 @@ class TestBuildSchedule:
         for coll, gen, classic in pairs:
             g = build_schedule(coll, gen, 12)
             c = build_schedule(coll, classic, 12)
-            assert [prog.steps for prog in g.programs] == [
-                prog.steps for prog in c.programs
+            assert [prog.steps for prog in programs_of(g)] == [
+                prog.steps for prog in programs_of(c)
             ], (coll, gen)
 
 

@@ -13,9 +13,9 @@ from repro.core.ring import (
     ring_bcast,
     ring_reduce_scatter,
 )
-from repro.core.schedule import RecvOp, SendOp
 from repro.core.validate import verify
 from repro.errors import ScheduleError
+from oracle import RecvOp, SendOp, programs_of
 
 from conftest import INTERESTING_P
 
@@ -56,7 +56,7 @@ class TestKRingAllgather:
         """p = 6, k = 3 (paper Fig. 6): every rank runs 5 rounds —
         2 intra, 1 inter, 2 intra."""
         sched = kring_allgather(6, 3)
-        for prog in sched.programs:
+        for prog in programs_of(sched):
             assert len(prog.steps) == 5
 
     def test_k1_and_kp_both_reduce_to_classic_ring(self):
@@ -65,7 +65,7 @@ class TestKRingAllgather:
         for k in (1, 6):
             sched = kring_allgather(6, k)
             assert sched.algorithm == "ring"
-            for prog in sched.programs:
+            for prog in programs_of(sched):
                 assert len(prog.steps) == 5
                 for step in prog.steps:
                     sends = step.sends
@@ -94,7 +94,7 @@ class TestKRingAllgather:
                     if i2 % len(grp) == i:
                         neighbor_ok.add((r, nxt[i2]))
         sched = kring_allgather(p, k)
-        for prog in sched.programs:
+        for prog in programs_of(sched):
             for _, op in prog.iter_ops():
                 if isinstance(op, SendOp):
                     assert (prog.rank, op.peer) in neighbor_ok
@@ -102,7 +102,7 @@ class TestKRingAllgather:
     def test_each_block_received_exactly_once(self):
         for p, k in [(8, 4), (9, 4), (7, 3), (12, 5)]:
             sched = kring_allgather(p, k)
-            for prog in sched.programs:
+            for prog in programs_of(sched):
                 got = []
                 for _, op in prog.iter_ops():
                     if isinstance(op, RecvOp):
@@ -153,5 +153,5 @@ class TestClassicRing:
     def test_ring_allreduce_is_2p_minus_2_rounds(self):
         """Patarasuk–Yuan: (p-1) reduce-scatter + (p-1) allgather rounds."""
         sched = ring_allreduce(6)
-        for prog in sched.programs:
+        for prog in programs_of(sched):
             assert len(prog.steps) == 10

@@ -3,16 +3,16 @@ their oracle (``tests/oracle.py``)."""
 
 import pytest
 
-from repro.core.schedule import (
+from repro.errors import ExecutionError
+
+from oracle import (
     CopyOp,
     RankProgram,
     RecvOp,
-    Schedule,
     SendOp,
+    from_programs,
+    run_schedule,
 )
-from repro.errors import ExecutionError
-
-from oracle import run_schedule
 
 
 class RecordingModel:
@@ -33,7 +33,7 @@ class RecordingModel:
 
 
 def make(programs, nranks, nblocks=4, collective="bcast"):
-    return Schedule(
+    return from_programs(
         collective=collective,
         algorithm="test",
         nranks=nranks,

@@ -9,15 +9,17 @@ import pytest
 
 from repro.core.registry import build_schedule
 from repro.core.serialize import dumps_blob, loads_blob
-from repro.core.schedule import (
+from repro.core.schedule import Schedule
+from repro.errors import ScheduleError
+from oracle import (
     CopyOp,
     RankProgram,
     RecvOp,
-    Schedule,
     SendOp,
     Step,
+    from_programs,
+    programs_of,
 )
-from repro.errors import ScheduleError
 
 
 def two_rank_schedule():
@@ -26,7 +28,7 @@ def two_rank_schedule():
     p0.add(SendOp(peer=1, blocks=(0,)))
     p1 = RankProgram(rank=1)
     p1.add(RecvOp(peer=0, blocks=(0,)))
-    return Schedule(
+    return from_programs(
         collective="bcast",
         algorithm="test",
         nranks=2,
@@ -88,7 +90,7 @@ class TestSchedule:
 
     def test_program_count_must_match(self):
         with pytest.raises(ScheduleError):
-            Schedule(
+            from_programs(
                 collective="bcast",
                 algorithm="t",
                 nranks=3,
@@ -98,7 +100,7 @@ class TestSchedule:
 
     def test_program_rank_mismatch(self):
         with pytest.raises(ScheduleError):
-            Schedule(
+            from_programs(
                 collective="bcast",
                 algorithm="t",
                 nranks=2,
@@ -113,7 +115,7 @@ class TestSchedule:
             ScheduleError,
             match=re.escape("rank 0: peer 5 out of range (p=2)"),
         ):
-            Schedule(
+            from_programs(
                 collective="bcast",
                 algorithm="t",
                 nranks=2,
@@ -128,7 +130,7 @@ class TestSchedule:
             ScheduleError,
             match=re.escape("rank 0: self-communication is not allowed"),
         ):
-            Schedule(
+            from_programs(
                 collective="bcast",
                 algorithm="t",
                 nranks=2,
@@ -143,7 +145,7 @@ class TestSchedule:
             ScheduleError,
             match=re.escape("rank 0: blocks [3] out of range (nblocks=2)"),
         ):
-            Schedule(
+            from_programs(
                 collective="bcast",
                 algorithm="t",
                 nranks=2,
@@ -158,7 +160,7 @@ class TestSchedule:
             ScheduleError,
             match=re.escape("rank 0: copy block 9 out of range"),
         ):
-            Schedule(
+            from_programs(
                 collective="bcast",
                 algorithm="t",
                 nranks=1,
@@ -179,7 +181,7 @@ class TestSchedule:
         p0.add(RecvOp(peer=1, blocks=(0,), reduce=True))
         p1 = RankProgram(rank=1)
         p1.add(SendOp(peer=0, blocks=(0,)))
-        sched = Schedule(
+        sched = from_programs(
             collective="reduce",
             algorithm="t",
             nranks=2,
@@ -205,13 +207,13 @@ class TestSchedule:
         p1 = RankProgram(rank=1)
         p1.add(SendOp(peer=9, blocks=(0,)))  # third
         with pytest.raises(ScheduleError, match=re.escape("blocks [7]")):
-            Schedule("bcast", "t", 2, 1, [p0, p1])
+            from_programs("bcast", "t", 2, 1, [p0, p1])
 
     def test_an_id_no_column_can_hold_is_still_a_schedule_error(self):
         p0 = RankProgram(rank=0)
         p0.add(SendOp(peer=1 << 40, blocks=(0,)))
         with pytest.raises(ScheduleError, match="out of range"):
-            Schedule("bcast", "t", 2, 1, [p0, RankProgram(rank=1)])
+            from_programs("bcast", "t", 2, 1, [p0, RankProgram(rank=1)])
 
 
 def reference_fingerprint(schedule):
@@ -224,7 +226,7 @@ def reference_fingerprint(schedule):
         f"{schedule.collective}|{schedule.algorithm}|{schedule.nranks}|"
         f"{schedule.nblocks}|{schedule.root}|{schedule.k}"
     ]
-    for prog in schedule.programs:
+    for prog in programs_of(schedule):
         parts.append("|P")
         for step in prog.steps:
             parts.append("|S")
@@ -247,9 +249,10 @@ class TestSealed:
     """A constructed schedule is immutable; nothing derived goes stale."""
 
     def test_programs_and_steps_are_tuples(self):
+        # The oracle's view of a schedule is as sealed as the schedule.
         sched = two_rank_schedule()
-        assert type(sched.programs) is tuple
-        assert all(type(p.steps) is tuple for p in sched.programs)
+        assert type(programs_of(sched)) is tuple
+        assert all(type(p.steps) is tuple for p in programs_of(sched))
 
     def test_field_assignment_raises(self):
         sched = two_rank_schedule()
@@ -263,7 +266,7 @@ class TestSealed:
 
     def test_step_edits_raise(self):
         sched = two_rank_schedule()
-        prog = sched.programs[1]
+        prog = programs_of(sched)[1]
         step = Step((RecvOp(peer=0, blocks=(0,), reduce=True),))
         with pytest.raises(TypeError):
             prog.steps[0] = step
@@ -281,7 +284,7 @@ class TestSealed:
         p0 = RankProgram(rank=0)
         p0.add(SendOp(peer=5, blocks=(0,)))
         with pytest.raises(ScheduleError):
-            Schedule("bcast", "t", 2, 1, [p0, RankProgram(rank=1)])
+            from_programs("bcast", "t", 2, 1, [p0, RankProgram(rank=1)])
         p0.add(SendOp(peer=1, blocks=(0,)))  # still open
         assert len(p0.steps) == 2
 
@@ -303,7 +306,7 @@ class TestSealed:
         p0, p1 = RankProgram(rank=0), RankProgram(rank=1)
         p0.add(SendOp(peer=1, blocks=(0,)))
         p1.add(RecvOp(peer=0, blocks=(0,)))
-        sched = Schedule("bcast", "t", 2, 1, [p0, p1], root=0)
+        sched = from_programs("bcast", "t", 2, 1, [p0, p1], root=0)
         before = sched.columns(), sched.fingerprint()
         assert not {"programs", "_programs"} & set(vars(sched))
         assert not any(isinstance(value, (RankProgram, Step))
@@ -314,37 +317,15 @@ class TestSealed:
         p1.steps.clear()
         assert (sched.columns(), sched.fingerprint()) == before
         assert sched.columns().kinds.tolist() == [0, 1]
-        assert sched.programs[0] is not p0
-        assert [len(prog.steps) for prog in sched.programs] == [1, 1]
+        assert programs_of(sched)[0] is not p0
+        assert [len(prog.steps) for prog in programs_of(sched)] == [1, 1]
 
-    def test_programs_view_is_generated_once_and_never_pickled(self):
+    def test_the_oracles_objects_walk_back_to_the_schedule(self):
         sched = build_schedule("allgather", "bruck", 8, k=3)
-        assert "_programs" not in vars(sched)
-        view = sched.programs
-        assert sched.programs is view and sched.program(3) is view[3]
-        assert Schedule(sched.collective, sched.algorithm, 8, sched.nblocks,
-                        view, root=sched.root, k=sched.k,
-                        meta=sched.meta) == sched
-        blob = pickle.dumps(sched)
-        assert "_programs" not in vars(pickle.loads(blob))
-        for name in (b"RankProgram", b"SendOp", b"RecvOp", b"CopyOp", b"Step"):
-            assert name not in blob
-
-    def test_dataclasses_replace_still_builds(self):
-        import dataclasses
-
-        sched = two_rank_schedule()
-        renamed = dataclasses.replace(sched, algorithm="other")
-        assert renamed.algorithm == "other" and renamed.columns() is not (
-            sched.columns()
-        )
-        assert renamed.fingerprint() != sched.fingerprint()
-        p1 = RankProgram(rank=1)
-        p1.add(RecvOp(peer=0, blocks=(0,), reduce=True))
-        edited = dataclasses.replace(
-            sched, programs=[sched.programs[0], p1]
-        )
-        assert edited.columns().kinds.tolist() == [0, 2]
+        assert from_programs(
+            sched.collective, sched.algorithm, 8, sched.nblocks,
+            programs_of(sched), root=sched.root, k=sched.k, meta=sched.meta,
+        ) == sched
 
     def test_fingerprint_is_computed_once(self):
         sched = build_schedule("allreduce", "recursive_multiplying", 12, k=3)
@@ -373,7 +354,7 @@ class TestSealed:
         p1.add(SendOp(peer=3, blocks=(0,)), CopyOp(src=0, dst=1))
         p3 = RankProgram(rank=3)
         p3.add(RecvOp(peer=1, blocks=(0,), reduce=True))
-        sched = Schedule("reduce", "t", 5, 2, [
+        sched = from_programs("reduce", "t", 5, 2, [
             RankProgram(rank=0), p1, RankProgram(rank=2), p3,
             RankProgram(rank=4),
         ], root=3)
@@ -410,17 +391,18 @@ class TestPickle:
     def test_round_trip_is_sealed_and_carries_no_memo(self):
         sched = build_schedule("allreduce", "kring", 16, k=4)
         fp = sched.fingerprint()
-        sched.messages(), sched.programs
-        clone = pickle.loads(pickle.dumps(sched))
-        for memo in ("_fingerprint", "_messages", "_programs"):
+        sched.messages()
+        blob = pickle.dumps(sched)
+        for name in (b"RankProgram", b"SendOp", b"RecvOp", b"CopyOp", b"Step"):
+            assert name not in blob
+        clone = pickle.loads(blob)
+        for memo in ("_fingerprint", "_messages"):
             assert memo not in vars(clone)
         assert clone == sched
         assert all(not arr.flags.writeable for arr in clone.columns()[:-1])
         assert clone.columns().signatures == sched.columns().signatures
         with pytest.raises(ScheduleError, match="immutable"):
             clone.k = 2
-        with pytest.raises(ScheduleError, match="sealed"):
-            clone.programs[0].add(SendOp(peer=1, blocks=(0,)))
         assert clone.fingerprint() == fp
 
     @pytest.mark.parametrize("key", sorted(PARENT_BLOBS))
@@ -430,7 +412,6 @@ class TestPickle:
         before = hashlib.sha256(dumps_blob(sched).encode()).hexdigest()
         assert before == PARENT_BLOBS[key]
         sched.fingerprint()  # memos never reach a blob
-        sched.programs
         after = hashlib.sha256(dumps_blob(sched).encode()).hexdigest()
         assert after == PARENT_BLOBS[key]
 
@@ -450,7 +431,7 @@ def reference_matching(schedule):
     """
     seq, blocks = [], []
     sends, recvs = {}, {}
-    for prog in schedule.programs:
+    for prog in programs_of(schedule):
         for _, op in prog.iter_ops():
             i = len(seq)
             if isinstance(op, CopyOp):
@@ -494,7 +475,7 @@ def handmade(nranks, nblocks, *programs):
     for rank, *steps in programs:
         for ops in steps:
             progs[rank].add(*ops)
-    return Schedule("allgather", "handmade", nranks, nblocks, progs)
+    return from_programs("allgather", "handmade", nranks, nblocks, progs)
 
 
 #: Hand-built schedules no builder emits: FIFO block mismatches,
@@ -630,8 +611,8 @@ class TestMessages:
 
 def reference_lowering(schedule):
     """The compiled tables derived from the op *objects* — the
-    :attr:`~repro.core.schedule.Schedule.programs` view, generated back
-    from the columns — with channel counters of their own: the walk the
+    oracle's :func:`~oracle.programs_of`, generated back from the
+    columns — with channel counters of their own: the walk the
     compile ladder ran on every lowering before an artifact became its
     schedule's columns.
 
@@ -645,7 +626,7 @@ def reference_lowering(schedule):
     recv_seq = {}
     signatures = set()
     tables = []
-    for src_prog in schedule.programs:
+    for src_prog in programs_of(schedule):
         rank = src_prog.rank
         flat_ops = [op for step in src_prog.steps for op in step.ops]
         exp_raw = [0, *accumulate(len(step.ops) for step in src_prog.steps)]
@@ -703,7 +684,7 @@ def assert_lowers_like_the_reference(schedule):
 class TestReferenceLowering:
     """Every rank view of ``compile_schedule(s)`` against
     :func:`reference_lowering`: the tables' independent derivation, so a
-    wrong ``_walk`` or ``match_fifo`` cannot pass unseen."""
+    wrong column or ``match_fifo`` cannot pass unseen."""
 
     @pytest.mark.parametrize(
         "entry", _registry_entries(),

@@ -19,16 +19,13 @@ from repro.core.schedule import (
     _ARRAYS,
     OP_RECV,
     OP_SEND,
-    CopyOp,
-    RankProgram,
-    RecvOp,
     Schedule,
-    SendOp,
     assemble,
 )
 from repro.core.serialize import dumps_blob, loads_blob
 from repro.errors import ScheduleError
 from repro.store import DiskStore, open_schedule_store, schedule_store_key
+from oracle import CopyOp, RankProgram, RecvOp, SendOp, from_programs
 from test_schedule_ir import PROGRAMS_LAYOUT_BLOB
 
 #: (collective, algorithm, p, k): k-ring moves many blocks per rank.
@@ -40,7 +37,7 @@ def _with_a_copy() -> Schedule:
     p0, p1 = RankProgram(rank=0), RankProgram(rank=1)
     p0.add(CopyOp(src=0, dst=1), SendOp(peer=1, blocks=(1,)))
     p1.add(RecvOp(peer=0, blocks=(1,)))
-    return Schedule("bcast", "t", 2, 2, [p0, p1], root=0)
+    return from_programs("bcast", "t", 2, 2, [p0, p1], root=0)
 
 
 def _column(state, name):
@@ -103,6 +100,10 @@ def _meta(state):
     state["meta"] = ["phases"]
 
 
+def _root(state):
+    state["root"] = state["nranks"]
+
+
 def _missing_column(state):
     del state["columns"]["steps_raw"]
 
@@ -142,6 +143,7 @@ DAMAGE = [
     ("truncated step_ptr", KRING, _truncated("step_ptr"), "step_ptr"),
     ("no ranks", KRING, _nranks, "labels"),
     ("meta not a dict", KRING, _meta, "labels"),
+    ("root not a rank", KRING, _root, "labels"),
     ("missing column", KRING, _missing_column, "expected the columns"),
     ("unknown op code", KRING, _edit("kinds", _unknown_op_code), "op code"),
     ("empty step", KRING, _edit("steps_raw", _empty_first_step),
@@ -228,7 +230,7 @@ def test_a_copy_may_name_one_block_twice():
     p0, p1 = RankProgram(rank=0), RankProgram(rank=1)
     p0.add(CopyOp(src=1, dst=1), SendOp(peer=1, blocks=(1, 0)))
     p1.add(RecvOp(peer=0, blocks=(1, 0)))
-    sched = Schedule("bcast", "t", 2, 2, [p0, p1], root=0)
+    sched = from_programs("bcast", "t", 2, 2, [p0, p1], root=0)
     assert Schedule.from_columns("bcast", "t", 2, 2, sched.columns(),
                                  root=0) == sched
     assert loads_blob(dumps_blob(sched), Schedule) == sched

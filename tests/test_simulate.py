@@ -6,17 +6,15 @@ serialization, latency pipelining, intranode links, reduction compute,
 dragonfly adders, and noise determinism.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.core.registry import build_schedule
-from repro.core.schedule import RankProgram, RecvOp, Schedule, SendOp
 from repro.errors import MachineError
 from repro.simnet.machine import DragonflySpec, MachineSpec
 from repro.simnet.machines import frontier, reference
 from repro.simnet.noise import NoiseModel
 from repro.simnet.simulate import simulate, traffic_summary
+from oracle import RankProgram, RecvOp, SendOp, from_programs, programs_of
 
 ALPHA = 1e-6
 BETA = 1e-9  # 1 ns per byte
@@ -47,7 +45,7 @@ def ptp_schedule(collective="bcast"):
     p0.add(SendOp(peer=1, blocks=(0,)))
     p1 = RankProgram(rank=1)
     p1.add(RecvOp(peer=0, blocks=(0,)))
-    return Schedule(
+    return from_programs(
         collective=collective, algorithm="ptp", nranks=2, nblocks=1,
         programs=[p0, p1], root=0,
     )
@@ -62,7 +60,7 @@ def fanout_schedule(fanout):
         pr = RankProgram(rank=i)
         pr.add(RecvOp(peer=0, blocks=(0,)))
         progs.append(pr)
-    return Schedule(
+    return from_programs(
         collective="bcast", algorithm="fanout", nranks=fanout + 1,
         nblocks=1, programs=progs, root=0,
     )
@@ -87,8 +85,10 @@ class TestPointToPoint:
         p1 = RankProgram(rank=1)
         p1.add(RecvOp(peer=0, blocks=(0,), reduce=True))
         sched = ptp_schedule("reduce")
-        sched = dataclasses.replace(
-            sched, programs=[sched.programs[0], p1]
+        sched = from_programs(
+            sched.collective, sched.algorithm, 2, sched.nblocks,
+            [programs_of(sched)[0], p1], root=sched.root, k=sched.k,
+            meta=sched.meta,
         )
         m = flat_machine(2, gamma=2e-9)
         res = simulate(sched, m, 1000)
@@ -172,7 +172,7 @@ class TestDragonfly:
         p0.add(SendOp(peer=2, blocks=(0,)))
         p2 = RankProgram(rank=2)
         p2.add(RecvOp(peer=0, blocks=(0,)))
-        sched = Schedule(
+        sched = from_programs(
             collective="bcast", algorithm="cross", nranks=4, nblocks=1,
             programs=[p0, RankProgram(rank=1), p2, RankProgram(rank=3)],
             root=0,
@@ -195,7 +195,7 @@ class TestDragonfly:
         progs = [p0] + [RankProgram(rank=r) for r in range(1, 8)]
         for i in (4, 5, 6):
             progs[i].add(RecvOp(peer=0, blocks=(0,)))
-        sched = Schedule(
+        sched = from_programs(
             collective="bcast", algorithm="x", nranks=8, nblocks=1,
             programs=progs, root=0,
         )
@@ -240,7 +240,7 @@ class TestValidation:
     def test_unmatched_send_detected(self):
         p0 = RankProgram(rank=0)
         p0.add(SendOp(peer=1, blocks=(0,)))
-        sched = Schedule(
+        sched = from_programs(
             collective="bcast", algorithm="leak", nranks=2, nblocks=1,
             programs=[p0, RankProgram(rank=1)], root=0,
         )
@@ -250,7 +250,7 @@ class TestValidation:
     def test_unmatched_receive_detected(self):
         p1 = RankProgram(rank=1)
         p1.add(RecvOp(peer=0, blocks=(0,)))
-        sched = Schedule(
+        sched = from_programs(
             collective="bcast", algorithm="thirst", nranks=2, nblocks=1,
             programs=[RankProgram(rank=0), p1], root=0,
         )

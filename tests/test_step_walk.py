@@ -33,7 +33,7 @@ import pytest
 from repro.check.dataflow import check_dataflow
 from repro.check.interp import OpRef, interpret, match_channels
 from repro.core.registry import _REGISTRY, max_radix
-from repro.core.schedule import RecvOp, Schedule, SendOp, Step
+from repro.core.schedule import Schedule
 from repro.core.validate import (
     _contributions,
     initial_state,
@@ -42,7 +42,7 @@ from repro.core.validate import (
 )
 from repro.errors import ExecutionError, ValidationError
 
-from oracle import run_schedule
+from oracle import RecvOp, SendOp, Step, programs_of, run_schedule
 from test_check_mutations import mutated
 from test_schedule_ir import MALFORMED, handmade
 
@@ -55,7 +55,7 @@ def reference_interpret(
     ran before the step walk, verbatim."""
     matching = match_channels(schedule)
     p = schedule.nranks
-    programs = schedule.programs
+    programs = programs_of(schedule)
     blocks = (
         schedule.block_map(nbytes)
         if eager_threshold not in (None, 0)

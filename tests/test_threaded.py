@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.registry import build_schedule
-from repro.core.schedule import RankProgram, RecvOp, Schedule, SendOp
 from repro.errors import ExecutionError
 from repro.faults import FaultPlan
 from repro.recovery import HeartbeatDetector
@@ -16,6 +15,7 @@ from repro.runtime.buffers import (
 )
 from repro.runtime.executor import execute
 from repro.runtime.threaded import ThreadedTransport, execute_threaded
+from oracle import RankProgram, RecvOp, SendOp, from_programs
 
 
 def run_both_ways(collective, algorithm, p, count, k=None, root=0, seed=0):
@@ -69,7 +69,7 @@ def test_deadlocked_schedule_times_out():
     p0 = RankProgram(rank=0)
     p0.add(RecvOp(peer=1, blocks=(0,)))
     p1 = RankProgram(rank=1)
-    sched = Schedule(
+    sched = from_programs(
         collective="bcast",
         algorithm="broken",
         nranks=2,
@@ -86,7 +86,7 @@ def test_leftover_messages_detected():
     p0 = RankProgram(rank=0)
     p0.add(SendOp(peer=1, blocks=(0,)))
     p1 = RankProgram(rank=1)
-    sched = Schedule(
+    sched = from_programs(
         collective="bcast",
         algorithm="leaky",
         nranks=2,
@@ -128,7 +128,7 @@ def test_fifo_block_mismatch_diagnosed_on_every_path(kwargs):
     p0.add(SendOp(peer=1, blocks=(0,)), RecvOp(peer=1, blocks=(1,)))
     p1 = RankProgram(rank=1)
     p1.add(SendOp(peer=0, blocks=(0,)), RecvOp(peer=0, blocks=(0,)))
-    sched = Schedule(
+    sched = from_programs(
         collective="allgather",
         algorithm="malformed",
         nranks=2,

@@ -9,13 +9,13 @@ initial-state/postcondition logic.
 import pytest
 
 from repro.core.registry import build_schedule
-from repro.core.schedule import RankProgram, RecvOp, Schedule, SendOp
 from repro.core.validate import initial_state, postcondition_errors, verify
 from repro.errors import ValidationError
+from oracle import RankProgram, RecvOp, SendOp, from_programs
 
 
 def make(programs, nranks, nblocks, collective, root=None):
-    return Schedule(
+    return from_programs(
         collective=collective,
         algorithm="test",
         nranks=nranks,
