@@ -45,11 +45,11 @@ class-collapsed large-p core — one actor per rank-equivalence class,
 :mod:`repro.compile.classes` — where it is exact); ``engine="materialized"|"collapsed"`` forces one, and no sweep,
 tuner or service above it takes the option.
 
-The pre-facade spellings (``repro.run_collective``,
+The pre-facade spellings (the build-run-check helpers,
 ``repro.build_schedule``, ``repro.execute_threaded``, schedule-first
 ``repro.execute``, positional-``nbytes`` ``repro.simulate``) have been
-removed after their five-release deprecation window; the implementation
-modules they delegated to are unchanged.
+removed after their five-release deprecation window; ``repro.execute``
+is the one build → run → check pipeline.
 """
 
 from .api import (

@@ -11,10 +11,9 @@ points, re-exported from :mod:`repro`:
   against the collective's reference semantics, on either the lockstep
   or the genuinely threaded backend.
 
-Keyword-only parameters are deliberate: the historical entry points grew
-positionally (``run_collective("allreduce", "rm", 16, 1024)``) until the
-third and fourth arguments were guess-what-this-is integers.  The facade
-makes every count/radix/root explicit at the call site::
+Keyword-only parameters are deliberate: positional counts, radices and
+roots read as guess-what-this-is integers.  The facade makes every
+count/radix/root explicit at the call site::
 
     import repro
 
@@ -24,12 +23,13 @@ makes every count/radix/root explicit at the call site::
     run = repro.execute("allreduce", "recursive_multiplying",
                         p=16, count=1024, k=4)
 
-The pre-facade spellings (``run_collective``, ``build_schedule``,
+The pre-facade spellings (the build-run-check helpers, ``build_schedule``,
 ``execute_threaded``, positional-``nbytes`` ``simulate``, schedule-first
-``execute``) warned for five releases and are now **removed** — the
-implementation modules (:mod:`repro.runtime`, :mod:`repro.simnet`,
-:mod:`repro.core`) they delegated to are unchanged for code that imports
-them directly.
+``execute``) are **removed**.  :func:`execute` is the one pipeline from a
+request to checked buffers: the implementation modules keep the pieces
+it is made of (:func:`repro.runtime.execute`,
+:func:`repro.runtime.execute_threaded`, the buffer helpers), not a second
+copy of it.
 """
 
 from __future__ import annotations
@@ -42,23 +42,13 @@ from .core.registry import build_schedule as _build_schedule
 from .core.schedule import Schedule
 from .errors import ExecutionError
 from .obs import Obs
-from .runtime.buffers import (
-    check_outputs,
-    initial_buffers,
-    make_inputs,
-    reference_result,
-)
-from .runtime.executor import CollectiveRun, execute as _execute_lockstep
+from .runtime.buffers import make_inputs
+from .runtime.executor import BACKENDS, _check_backend, _run_checked
 from .runtime.ops import SUM, ReduceOp
-from .runtime.threaded import execute_threaded as _execute_threaded
 from .simnet.simulate import ENGINES, SimResult, simulate as _simulate
 from .simnet.machines import resolve as _resolve_machine
 
 __all__ = ["build", "simulate", "execute", "BACKENDS", "ENGINES"]
-
-#: Execution backends accepted by :func:`execute`.
-BACKENDS = ("lockstep", "threaded")
-
 
 def build(
     collective: str,
@@ -149,11 +139,12 @@ def execute(
 ):
     """Build, run, and check a collective end to end on real data.
 
-    Replaces the ``run_collective`` / ``run_collective_threaded`` split
-    with one entry point: ``backend="lockstep"`` runs the deterministic
-    matching engine in-process, ``backend="threaded"`` runs one real
-    thread per rank over channels (``timeout`` and ``faults`` apply only
-    there).  Inputs are seeded (``seed``) so runs are reproducible;
+    The package's one build → run → check pipeline, on either backend:
+    ``backend="lockstep"`` runs the deterministic matching engine
+    in-process, ``backend="threaded"`` runs one real thread per rank over
+    channels (``timeout`` and ``faults`` apply only there; anything else
+    is an :class:`~repro.errors.ExecutionError`, with or without
+    ``recovery``).  Inputs are seeded (``seed``) so runs are reproducible;
     ``check=True`` verifies every rank's output against the collective's
     reference semantics.  Returns a
     :class:`~repro.runtime.executor.CollectiveRun` with the schedule,
@@ -197,10 +188,7 @@ def execute(
     >>> bool(np.array_equal(run.buffers[0], run.expected[0]))
     True
     """
-    if backend not in BACKENDS:
-        raise ExecutionError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
+    _check_backend(backend, timeout=timeout, faults=faults)
     if select is not None:
         if adapt is not None:
             raise ExecutionError(
@@ -288,30 +276,11 @@ def execute(
             timeout=timeout,
             faults=faults,
         )
-    if backend == "lockstep":
-        if faults is not None:
-            raise ExecutionError(
-                "faults require backend='threaded' (the lockstep engine "
-                "has no wire to lose messages on)"
-            )
-        if timeout != 30.0:
-            raise ExecutionError(
-                "timeout applies only to backend='threaded'"
-            )
     schedule = build(collective, algorithm, p=p, k=k, root=root)
     rng = np.random.default_rng(seed)
     inputs = make_inputs(collective, p, count, dtype=dtype, root=root, rng=rng)
-    buffers = initial_buffers(schedule, inputs, count, dtype=dtype)
-    if backend == "lockstep":
-        _execute_lockstep(schedule, buffers, op=op, obs=obs)
-    else:
-        _execute_threaded(
-            schedule, buffers, op=op, timeout=timeout, faults=faults,
-        )
-    expected = reference_result(collective, inputs, count, op=op, root=root)
-    if check:
-        check_outputs(schedule, buffers, expected, count, rtol=rtol, atol=atol)
-    return CollectiveRun(
-        schedule=schedule, inputs=inputs, buffers=buffers, expected=expected
+    return _run_checked(
+        schedule, inputs, count, backend=backend, op=op, dtype=dtype,
+        check=check, rtol=rtol, atol=atol, timeout=timeout, faults=faults,
+        obs=obs,
     )
-

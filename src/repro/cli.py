@@ -604,8 +604,8 @@ def _recover(args: argparse.Namespace) -> int:
         try:
             run = execute_with_recovery(
                 args.collective, args.algorithm, p=args.p,
-                count=args.count, recovery=policy, k=args.k,
-                faults=plan,
+                count=args.count, recovery=policy, backend="threaded",
+                k=args.k, faults=plan,
             )
         except RecoveryError as exc:
             print(f"threaded: unrecovered: {exc}", file=sys.stderr)

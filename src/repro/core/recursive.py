@@ -183,7 +183,7 @@ def _butterfly(collective: str, p: int, k: int) -> Schedule:
     return Schedule.from_columns(
         collective, "recursive_multiplying" if k != 2 else "recursive_doubling",
         p, nblocks, columns, k=k,
-        meta={"core": q, "folded": p - q, "radices": radices},
+        meta={"core": q, "folded": p - q, "radices": list(radices)},
     )
 
 

@@ -616,6 +616,12 @@ def _checked_labels(raw: Dict[str, object], what: str) -> Dict[str, object]:
     return labels
 
 
+def _check_root(root: Optional[int], nranks: int) -> None:
+    """Refuse a ``root`` that is neither ``None`` nor a rank."""
+    if root is not None and not 0 <= root < nranks:
+        raise ScheduleError(f"root {root} is not a rank of {nranks}")
+
+
 class Schedule:
     """A complete collective schedule: its labels and its columns.
 
@@ -696,6 +702,7 @@ class Schedule:
         be."""
         if nranks < 1:
             raise ScheduleError(f"nranks must be >= 1, got {nranks}")
+        _check_root(root, nranks)
         error = (_empty_error(columns) or _duplicate_error(columns)
                  or _range_error(columns, nranks, nblocks))
         if error is not None:
@@ -772,16 +779,17 @@ class Schedule:
         :meth:`columns`.
 
         How a builder derives a renamed variant of a schedule it already
-        has: nothing is copied or checked again, and the copy's
-        fingerprint is its own (labels are part of the digest) while its
-        :meth:`messages` are this schedule's (labels do not change the
-        traffic).
+        has: nothing is copied and only a new ``root`` is checked again.
+        The copy's fingerprint is its own (labels are part of the digest)
+        while its :meth:`messages` are this schedule's (labels do not
+        change the traffic).
         """
         unknown = set(labels) - _LABELS
         if unknown:
             raise ScheduleError(
                 f"relabel() changes labels only, not {sorted(unknown)}"
             )
+        _check_root(labels.get("root", self.root), self.nranks)
         labels.setdefault("meta", dict(self.meta))
         twin = object.__new__(Schedule)
         twin.__dict__.update(self.__dict__, **labels)

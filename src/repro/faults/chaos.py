@@ -240,8 +240,6 @@ def _run_threaded(
         make_inputs,
         reference_result,
     )
-    from ..runtime.threaded import execute_threaded
-
     if recover is not None:
         return _run_threaded_recover(collective, algorithm, plan, scenario,
                                      p, count, timeout, recover)

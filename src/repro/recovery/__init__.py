@@ -15,8 +15,8 @@ shrink recovery natural here).
 Entry points:
 
 * :func:`~repro.recovery.execute.execute_with_recovery` — real data,
-  threaded backend, wall-clock recovery (also reachable as
-  ``repro.execute(..., recovery=...)``);
+  wall-clock recovery; faults travel on ``backend="threaded"`` (also
+  reachable as ``repro.execute(..., recovery=...)``);
 * :func:`~repro.recovery.sim.simulate_with_recovery` — simulated
   time-to-recovery on a modeled machine, deterministic and
   sweep-friendly;

@@ -51,15 +51,9 @@ from ..core.schedule import Schedule
 from ..errors import ExecutionError, PartialFailure, RecoveryError
 from ..faults.plan import FaultPlan
 from ..obs import OBS
-from ..runtime.buffers import (
-    check_outputs,
-    initial_buffers,
-    make_inputs,
-    reference_result,
-)
-from ..runtime.executor import execute as execute_lockstep
+from ..runtime.buffers import make_inputs
+from ..runtime.executor import _check_backend, _run_checked
 from ..runtime.ops import SUM, ReduceOp
-from ..runtime.threaded import execute_threaded
 from .detect import (
     HeartbeatDetector,
     emit_notifications,
@@ -202,7 +196,7 @@ def execute_with_recovery(
     p: int,
     count: int,
     recovery: Union[str, RecoveryPolicy] = "shrink",
-    backend: str = "threaded",
+    backend: str = "lockstep",
     k: Optional[int] = None,
     root: int = 0,
     op: ReduceOp = SUM,
@@ -217,13 +211,15 @@ def execute_with_recovery(
 ) -> RecoveryRun:
     """Run a collective end to end, healing injected failures.
 
-    The self-healing counterpart of :func:`repro.api.execute` — same
-    build/run/check pipeline, but a :class:`~repro.errors.PartialFailure`
-    triggers the policy's detect→shrink→rebuild→rerun loop instead of
-    propagating.  Returns a :class:`RecoveryRun` whose ``report`` says
-    what failed, what the group shrank to, and how long healing took;
-    raises :class:`~repro.errors.RecoveryError` (report attached) when
-    the policy gives up.
+    The self-healing counterpart of :func:`repro.api.execute`: the same
+    argument check and the same round (build buffers, run ``backend``,
+    check), but a :class:`~repro.errors.PartialFailure` triggers the
+    policy's detect→shrink→rebuild→rerun loop instead of propagating.
+    Faults travel only on ``backend="threaded"``.  Returns a
+    :class:`RecoveryRun` whose ``report`` says what failed, what the
+    group shrank to, and how long healing took; raises
+    :class:`~repro.errors.RecoveryError` (report attached) when the
+    policy gives up.
     """
     policy = normalize_policy(recovery)
     if policy is None:
@@ -231,15 +227,7 @@ def execute_with_recovery(
             "execute_with_recovery needs a recovery policy; "
             "use repro.execute for the unrecovered path"
         )
-    if backend not in ("lockstep", "threaded"):
-        raise ExecutionError(
-            f"unknown backend {backend!r}; expected 'lockstep' or 'threaded'"
-        )
-    if backend == "lockstep" and faults is not None:
-        raise ExecutionError(
-            "faults require backend='threaded' (the lockstep engine has "
-            "no wire to lose messages on)"
-        )
+    _check_backend(backend, timeout=timeout, faults=faults)
     cache = cache or global_schedule_cache()
     rng = np.random.default_rng(seed)
     inputs = make_inputs(collective, p, count, dtype=dtype, root=root, rng=rng)
@@ -286,9 +274,6 @@ def execute_with_recovery(
                 algorithm=algorithm,
                 k=schedule.k,
             )
-            buffers = initial_buffers(
-                schedule, local_inputs, local_count, dtype=dtype
-            )
             # A fresh heartbeat detector per round: workers beat it as
             # they complete steps, and the transport confirms structured
             # faults on it before raising.
@@ -298,13 +283,11 @@ def execute_with_recovery(
                 now=time.monotonic(),
             )
             try:
-                if backend == "lockstep":
-                    execute_lockstep(schedule, buffers, op=op)
-                else:
-                    execute_threaded(
-                        schedule, buffers, op=op, timeout=timeout,
-                        faults=plan, detector=detector,
-                    )
+                run = _run_checked(
+                    schedule, local_inputs, local_count, backend=backend,
+                    op=op, dtype=dtype, check=check, rtol=rtol, atol=atol,
+                    timeout=timeout, faults=plan, detector=detector,
+                )
             except PartialFailure as exc:
                 now = time.monotonic()
                 if first_failure_at is None:
@@ -348,15 +331,6 @@ def execute_with_recovery(
                     ]
                     plan = shrink_plan(plan, survivors_local)
                 continue
-            # Success.
-            expected = reference_result(
-                collective, local_inputs, local_count, op=op, root=local_root
-            )
-            if check:
-                check_outputs(
-                    schedule, buffers, expected, local_count,
-                    rtol=rtol, atol=atol,
-                )
             report.rounds.append(dc_replace(record, succeeded=True))
             report.recovered = True
             if first_failure_at is not None:
@@ -369,9 +343,9 @@ def execute_with_recovery(
                 ).inc()
             return RecoveryRun(
                 schedule=schedule,
-                inputs=local_inputs,
-                buffers=buffers,
-                expected=expected,
+                inputs=run.inputs,
+                buffers=run.buffers,
+                expected=run.expected,
                 slots=tuple(slots),
                 hosts=tuple(hosts),
                 report=report,

@@ -1,14 +1,13 @@
 """Execution substrates that move real bytes through collective schedules."""
 
 from .buffers import (
-    CollectiveData,
     check_outputs,
     checked_slots,
     initial_buffers,
     make_inputs,
     reference_result,
 )
-from .executor import CollectiveRun, execute, run_collective
+from .executor import CollectiveRun, execute
 from .session import Comm, Session
 from .ops import (
     ALL_OPS,
@@ -24,11 +23,7 @@ from .ops import (
     ReduceOp,
     by_name,
 )
-from .threaded import (
-    ThreadedTransport,
-    execute_threaded,
-    run_collective_threaded,
-)
+from .threaded import ThreadedTransport, execute_threaded
 
 __all__ = [
     "ReduceOp",
@@ -48,13 +43,10 @@ __all__ = [
     "reference_result",
     "checked_slots",
     "check_outputs",
-    "CollectiveData",
     "execute",
-    "run_collective",
     "CollectiveRun",
     "ThreadedTransport",
     "execute_threaded",
-    "run_collective_threaded",
     "Session",
     "Comm",
 ]

@@ -21,7 +21,6 @@ Message-size convention (matches the paper's cost models): ``count`` is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -32,7 +31,6 @@ from ..errors import ExecutionError
 from .ops import SUM, ReduceOp
 
 __all__ = [
-    "CollectiveData",
     "make_inputs",
     "initial_buffers",
     "reference_result",
@@ -43,17 +41,6 @@ __all__ = [
 #: Fill value for undefined buffer slots; chosen to poison reductions and
 #: comparisons loudly (NaN would be better for floats but breaks int dtypes).
 GARBAGE = -(2**31) + 11
-
-
-@dataclass
-class CollectiveData:
-    """Bundle of inputs, working buffers and the reference oracle."""
-
-    collective: str
-    count: int
-    inputs: List[np.ndarray]
-    buffers: List[np.ndarray]
-    expected: Dict[int, np.ndarray]  # rank -> full expected buffer
 
 
 def make_inputs(
@@ -159,6 +146,22 @@ def initial_buffers(
     else:
         raise ExecutionError(f"unknown collective {coll!r}")
     return bufs
+
+
+def buffer_count(schedule: Schedule, buffers: Sequence[np.ndarray]) -> int:
+    """The length every one of ``buffers`` has: both backends refuse
+    anything but one buffer per rank, all of one length."""
+    if len(buffers) != schedule.nranks:
+        raise ExecutionError(
+            f"need {schedule.nranks} buffers, got {len(buffers)}"
+        )
+    count = len(buffers[0])
+    for r, buf in enumerate(buffers):
+        if len(buf) != count:
+            raise ExecutionError(
+                f"rank {r} buffer has {len(buf)} elements, rank 0 has {count}"
+            )
+    return count
 
 
 def reference_result(

@@ -2,14 +2,15 @@
 
 :func:`execute` runs a schedule's compiled tables under the cooperative
 lockstep loop (:func:`repro.compile.run_compiled_lockstep`), giving real
-data movement with nonblocking-send snapshot semantics.  The
-high-level entry point :func:`run_collective` builds, executes, and
-checks a collective in one call — the quickest way to see an algorithm move actual bytes:
+data movement with nonblocking-send snapshot semantics.  The one
+pipeline from a request to checked buffers — build, make inputs, run
+either backend, check against the NumPy reference — is
+:func:`repro.execute`, the quickest way to see an algorithm move actual
+bytes:
 
->>> import numpy as np
->>> from repro.runtime.executor import run_collective
->>> out = run_collective("allreduce", "recursive_multiplying", p=9, k=3,
-...                      count=17)
+>>> import numpy as np, repro
+>>> out = repro.execute("allreduce", "recursive_multiplying", p=9, k=3,
+...                     count=17)
 >>> bool(np.array_equal(out.buffers[0], out.expected[0]))
 True
 """
@@ -22,19 +23,27 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..compile import get_or_compile, run_compiled_lockstep
-from ..core.registry import build_schedule
 from ..core.schedule import Schedule
 from ..errors import ExecutionError
+from ..faults.plan import FaultPlan
 from ..obs import Obs, get_obs
 from .buffers import (
+    buffer_count,
     check_outputs,
     initial_buffers,
-    make_inputs,
     reference_result,
 )
 from .ops import SUM, ReduceOp
+from .threaded import execute_threaded
 
-__all__ = ["execute", "run_collective", "CollectiveRun"]
+__all__ = ["execute", "CollectiveRun", "BACKENDS"]
+
+#: Execution backends: the lockstep loop here, or one thread per rank
+#: (:mod:`repro.runtime.threaded`).
+BACKENDS = ("lockstep", "threaded")
+
+#: The threaded backend's default deadlock timeout, in seconds.
+_TIMEOUT = 30.0
 
 
 def execute(
@@ -60,16 +69,7 @@ def execute(
     are bit-identical to the op-by-op reference interpreter the
     differential suite keeps as its oracle (``tests/oracle.py``).
     """
-    if len(buffers) != schedule.nranks:
-        raise ExecutionError(
-            f"need {schedule.nranks} buffers, got {len(buffers)}"
-        )
-    count = len(buffers[0])
-    for r, buf in enumerate(buffers):
-        if len(buf) != count:
-            raise ExecutionError(
-                f"rank {r} buffer has {len(buf)} elements, rank 0 has {count}"
-            )
+    count = buffer_count(schedule, buffers)
     if block_map is None:
         block_map = schedule.block_map(count)
     elif block_map.nblocks != schedule.nblocks:
@@ -101,7 +101,7 @@ def execute(
 
 @dataclass
 class CollectiveRun:
-    """Everything :func:`run_collective` produced, for inspection."""
+    """Everything :func:`repro.execute` produced, for inspection."""
 
     schedule: Schedule
     inputs: List[np.ndarray]
@@ -109,32 +109,59 @@ class CollectiveRun:
     expected: Dict[int, np.ndarray]
 
 
-def run_collective(
-    collective: str,
-    algorithm: str,
-    p: int,
+def _check_backend(
+    backend: str, *, timeout: float, faults: Optional[FaultPlan]
+) -> None:
+    """Refuse a ``backend`` that is not one of :data:`BACKENDS`, and
+    ``faults`` or a ``timeout`` on the lockstep one (it has no wire to
+    lose messages on and cannot deadlock on a peer)."""
+    if backend not in BACKENDS:
+        raise ExecutionError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
+    if backend == "lockstep":
+        if faults is not None:
+            raise ExecutionError(
+                "faults require backend='threaded' (the lockstep engine "
+                "has no wire to lose messages on)"
+            )
+        if timeout != _TIMEOUT:
+            raise ExecutionError(
+                "timeout applies only to backend='threaded'"
+            )
+
+
+def _run_checked(
+    schedule: Schedule,
+    inputs: List[np.ndarray],
     count: int,
     *,
-    k: Optional[int] = None,
-    root: int = 0,
-    op: ReduceOp = SUM,
-    dtype: np.dtype = np.dtype(np.int64),
-    seed: int = 0,
-    check: bool = True,
-    rtol: float = 0.0,
-    atol: float = 0.0,
+    backend: str,
+    op: ReduceOp,
+    dtype: np.dtype,
+    check: bool,
+    rtol: float,
+    atol: float,
+    timeout: float,
+    faults: Optional[FaultPlan],
+    detector=None,
+    obs: Optional[Obs] = None,
 ) -> CollectiveRun:
-    """Build a schedule, run it on random data, and check the result.
-
-    This is the end-to-end correctness path the test suite leans on; see
-    :mod:`repro.runtime.buffers` for the buffer conventions.
-    """
-    schedule = build_schedule(collective, algorithm, p, k=k, root=root)
-    rng = np.random.default_rng(seed)
-    inputs = make_inputs(collective, p, count, dtype=dtype, root=root, rng=rng)
+    """Lay ``inputs`` into buffers, run ``schedule`` over them on
+    ``backend``, and check them against the NumPy reference (when
+    ``check``): the one round of :func:`repro.execute` and of every
+    :func:`repro.recovery.execute_with_recovery` round."""
     buffers = initial_buffers(schedule, inputs, count, dtype=dtype)
-    execute(schedule, buffers, op=op)
-    expected = reference_result(collective, inputs, count, op=op, root=root)
+    if backend == "lockstep":
+        execute(schedule, buffers, op=op, obs=obs)
+    else:
+        execute_threaded(
+            schedule, buffers, op=op, timeout=timeout, faults=faults,
+            detector=detector,
+        )
+    expected = reference_result(
+        schedule.collective, inputs, count, op=op, root=schedule.root or 0
+    )
     if check:
         check_outputs(schedule, buffers, expected, count, rtol=rtol, atol=atol)
     return CollectiveRun(

@@ -62,13 +62,10 @@ from ..faults.channel import (
 )
 from ..faults.plan import FaultPlan
 from ..obs import OBS
+from .buffers import buffer_count
 from .ops import SUM, ReduceOp
 
-__all__ = [
-    "ThreadedTransport",
-    "execute_threaded",
-    "run_collective_threaded",
-]
+__all__ = ["ThreadedTransport", "execute_threaded"]
 
 
 @dataclass
@@ -267,11 +264,8 @@ class ThreadedTransport:
     ) -> List[np.ndarray]:
         """Run the schedule over ``buffers`` (mutated in place)."""
         sched = self.schedule
-        if len(buffers) != sched.nranks:
-            raise ExecutionError(
-                f"need {sched.nranks} buffers, got {len(buffers)}"
-            )
-        bound = get_or_compile(sched).bind(sched.block_map(len(buffers[0])))
+        count = buffer_count(sched, buffers)
+        bound = get_or_compile(sched).bind(sched.block_map(count))
         faults = self.faults
         dtype = buffers[0].dtype
         steps = bound.raw_steps
@@ -502,47 +496,3 @@ def execute_threaded(
         )
     return buffers
 
-
-def run_collective_threaded(
-    collective: str,
-    algorithm: str,
-    p: int,
-    count: int,
-    *,
-    k: Optional[int] = None,
-    root: int = 0,
-    op: ReduceOp = SUM,
-    seed: int = 0,
-    timeout: float = 30.0,
-    faults: Optional[FaultPlan] = None,
-    check: bool = True,
-) -> List[np.ndarray]:
-    """End-to-end: build a schedule, run it over real threads on random
-    data, and check the result against the NumPy reference.
-
-    The threaded counterpart of
-    :func:`repro.runtime.executor.run_collective`, and the one-call way to
-    exercise a :class:`~repro.faults.plan.FaultPlan`: injected loss is
-    recovered by ack/retry (results stay element-exact), unmaskable
-    faults raise a structured :class:`~repro.errors.PartialFailure`.
-    """
-    from ..core.registry import build_schedule
-    from .buffers import (
-        check_outputs,
-        initial_buffers,
-        make_inputs,
-        reference_result,
-    )
-
-    schedule = build_schedule(collective, algorithm, p, k=k, root=root)
-    rng = np.random.default_rng(seed)
-    inputs = make_inputs(collective, p, count, root=root, rng=rng)
-    buffers = initial_buffers(schedule, inputs, count)
-    execute_threaded(
-        schedule, buffers, op=op, timeout=timeout, faults=faults,
-    )
-    if check:
-        expected = reference_result(collective, inputs, count, op=op,
-                                    root=root)
-        check_outputs(schedule, buffers, expected, count)
-    return buffers

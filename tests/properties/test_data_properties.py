@@ -9,8 +9,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.registry import GENERALIZED_ALGORITHMS, build_schedule, info
-from repro.runtime.executor import run_collective
 from repro.runtime.ops import MAX, SUM
 from repro.simnet.machines import reference
 from repro.simnet.simulate import simulate
@@ -33,9 +33,9 @@ def data_configs(draw):
 @settings(max_examples=60, deadline=None)
 @given(data_configs())
 def test_generalized_algorithms_move_real_data_correctly(cfg):
-    """run_collective raises on any mismatch against the NumPy oracle."""
+    """repro.execute raises on any mismatch against the NumPy oracle."""
     coll, alg, p, k, count, root, seed = cfg
-    run_collective(coll, alg, p, count, k=k, root=root, seed=seed)
+    repro.execute(coll, alg, p=p, count=count, k=k, root=root, seed=seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -45,7 +45,8 @@ def test_sum_and_max_agree_with_oracle(cfg):
     if coll not in ("reduce", "allreduce"):
         return
     for op in (SUM, MAX):
-        run_collective(coll, alg, p, count, k=k, root=root, seed=seed, op=op)
+        repro.execute(coll, alg, p=p, count=count, k=k, root=root, seed=seed,
+                      op=op)
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,7 +90,7 @@ def test_simulation_is_deterministic(p, nbytes, seed):
 )
 def test_bcast_is_idempotent_on_result(p, count, seed):
     """Broadcasting twice produces the same buffers as broadcasting once."""
-    run1 = run_collective("bcast", "binomial", p, count, seed=seed)
+    run1 = repro.execute("bcast", "binomial", p=p, count=count, seed=seed)
     sched = run1.schedule
     from repro.runtime.executor import execute
 

@@ -77,7 +77,7 @@ class TestSeededDeterminism:
         rebuilt must not."""
         runs = [
             execute_with_recovery(
-                "allreduce", "knomial", p=8, count=32, k=2,
+                "allreduce", "knomial", p=8, count=32, k=2, backend="threaded",
                 recovery="shrink", faults=plan, timeout=5.0,
             )
             for _ in range(2)
@@ -96,7 +96,7 @@ class TestSeededDeterminism:
         plan = FaultPlan(seed=7, crashes=(Crash(rank=1, step=1),),
                          retry=FAST)
         run = execute_with_recovery(
-            "allreduce", "knomial", p=8, count=32, k=2,
+            "allreduce", "knomial", p=8, count=32, k=2, backend="threaded",
             recovery="shrink", faults=plan, timeout=5.0,
         )
         res = simulate_with_recovery(

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core.alltoall import alltoall_block, bruck_alltoall, pairwise_alltoall
 from repro.core.primitives import ilog
 from repro.core.validate import verify
 from repro.errors import ScheduleError
-from repro.runtime.executor import run_collective
 from repro.runtime.session import Session
 from oracle import SendOp, programs_of
 
@@ -30,7 +30,7 @@ class TestPairwise:
 
     @pytest.mark.parametrize("p", [2, 5, 8, 13])
     def test_moves_real_data(self, p):
-        run_collective("alltoall", "pairwise", p, 2 * p * p + 3)
+        repro.execute("alltoall", "pairwise", p=p, count=2 * p * p + 3)
 
     def test_each_block_moves_exactly_once(self):
         p = 8
@@ -64,7 +64,7 @@ class TestBruck:
     @pytest.mark.parametrize("p", [2, 5, 8, 13])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_moves_real_data(self, p, k):
-        run_collective("alltoall", "bruck", p, 2 * p * p + 3, k=k)
+        repro.execute("alltoall", "bruck", p=p, count=2 * p * p + 3, k=k)
 
     def test_round_count_is_log_k_p(self):
         for p, k in [(16, 2), (16, 4), (13, 3), (100, 10)]:

@@ -3,7 +3,9 @@ pre-facade spellings."""
 
 from __future__ import annotations
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,51 @@ import pytest
 import repro
 from repro.core.schedule import Schedule
 from repro.errors import ExecutionError
+from repro.faults.plan import FaultPlan
+from repro.recovery import execute_with_recovery
 from repro.runtime.executor import CollectiveRun
+
+PACKAGE = Path(repro.__file__).resolve().parent
+
+#: The build → run → check copies that ``repro.execute`` replaced.
+REMOVED_PIPELINES = ("run_collective", "run_collective_threaded")
+
+#: ``(keywords, the one refusal both entries give)``; both entries
+#: default to the lockstep backend.
+ARGUMENT_CHECKS = [
+    pytest.param(
+        {"backend": "quantum"},
+        "unknown backend 'quantum'; expected one of ('lockstep', 'threaded')",
+        id="unknown-backend",
+    ),
+    pytest.param(
+        {"faults": FaultPlan(seed=0, drop_rate=0.1)},
+        "faults require backend='threaded' (the lockstep engine has no "
+        "wire to lose messages on)",
+        id="faults-on-lockstep",
+    ),
+    pytest.param(
+        {"timeout": 5.0},
+        "timeout applies only to backend='threaded'",
+        id="timeout-on-lockstep",
+    ),
+]
+
+
+def _spelled(node: ast.AST) -> list:
+    """What ``node`` defines, imports, names, reads or spells as a
+    string (``__all__`` entries and ``getattr`` names are strings)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [n for alias in node.names for n in (alias.name, alias.asname)]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Constant):
+        return [node.value]
+    return []
 
 
 class TestBuild:
@@ -83,17 +129,22 @@ class TestExecute:
         for x, y in zip(a.buffers, b.buffers):
             assert np.array_equal(x, y)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ExecutionError, match="backend"):
-            repro.execute("bcast", "knomial", p=4, count=8,
-                          backend="quantum")
+    @pytest.mark.parametrize("keywords,message", ARGUMENT_CHECKS)
+    @pytest.mark.parametrize("recovery", [None, "shrink"])
+    def test_one_argument_check(self, keywords, message, recovery):
+        with pytest.raises(ExecutionError) as info:
+            repro.execute("allreduce", "knomial", p=4, count=8, k=2,
+                          recovery=recovery, **keywords)
+        assert str(info.value) == message
 
-    def test_faults_require_threaded(self):
-        from repro.faults.plan import FaultPlan
-
-        with pytest.raises(ExecutionError, match="threaded"):
-            repro.execute("bcast", "knomial", p=4, count=8,
-                          faults=FaultPlan(seed=0, drop_rate=0.1))
+    @pytest.mark.parametrize("keywords,message", ARGUMENT_CHECKS)
+    def test_recovery_entry_checks_alike(self, keywords, message):
+        """``execute_with_recovery`` defaults to the lockstep backend, as
+        ``repro.execute`` does, and refuses what it refuses."""
+        with pytest.raises(ExecutionError) as info:
+            execute_with_recovery("allreduce", "knomial", p=4, count=8,
+                                  k=2, **keywords)
+        assert str(info.value) == message
 
     def test_p_count_keyword_only(self):
         with pytest.raises(TypeError):
@@ -117,14 +168,17 @@ class TestLegacyRemoval:
         with pytest.raises((TypeError, repro.ReproError)):
             repro.execute(sched, buffers)
 
-    def test_implementation_modules_still_work(self):
-        from repro.runtime.executor import run_collective
-        from repro.runtime.threaded import run_collective_threaded
-
-        run = run_collective("bcast", "knomial", 4, 8, k=2)
-        assert np.array_equal(run.buffers[1], run.expected[1])
-        bufs = run_collective_threaded("bcast", "knomial", 4, 8, k=2)
-        assert len(bufs) == 4
+    def test_no_module_names_the_removed_pipelines(self):
+        """``repro.execute`` is the one build → run → check pipeline: no
+        module of the package defines, imports, exports or names the
+        two helpers that copied it."""
+        found = [
+            f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            for name in _spelled(node) if name in REMOVED_PIPELINES
+        ]
+        assert not found, "\n".join(found)
 
     def test_collect_timeline_shim_warns_once(self):
         """The last shim is gone too: the facade's ``collect_timeline=``
@@ -145,14 +199,14 @@ class TestLegacyRemoval:
         assert res.timeline is not None
 
     def test_implementation_modules_do_not_warn(self):
-        from repro.runtime.executor import run_collective
+        from repro.runtime import execute as runtime_execute
         from repro.simnet import simulate as simnet_simulate
         from repro.simnet.machines import reference
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_collective("bcast", "knomial", 4, 8, k=2)
             sched = repro.build("bcast", "knomial", p=4, k=2)
+            runtime_execute(sched, [np.zeros(8, np.int64) for _ in range(4)])
             simnet_simulate(sched, reference(4), 64, collect_timeline=True)
         assert not [w for w in caught
                     if issubclass(w.category, DeprecationWarning)]

@@ -2,12 +2,12 @@
 
 import pytest
 
+import repro
 from repro.core.bruck import bruck_allgather, bruck_window, dissemination_barrier
 from repro.core.primitives import dualize_allgather, ilog
 from repro.core.registry import build_schedule
 from repro.core.validate import verify
 from repro.errors import ScheduleError
-from repro.runtime.executor import run_collective
 from oracle import programs_of
 
 
@@ -34,7 +34,7 @@ class TestBruckAllgather:
     @pytest.mark.parametrize("p", [2, 5, 7, 9, 13, 16, 17])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_moves_real_data(self, p, k):
-        run_collective("allgather", "bruck", p, 3 * p + 1, k=k)
+        repro.execute("allgather", "bruck", p=p, count=3 * p + 1, k=k)
 
     def test_round_count_is_ceil_log_k_p(self):
         """The Bruck structural advantage: exactly ⌈log_k p⌉ rounds for

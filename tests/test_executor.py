@@ -9,9 +9,11 @@ checked against NumPy oracles — the Python equivalent of the paper's
 import numpy as np
 import pytest
 
+import repro
 from repro.core.registry import COLLECTIVES, algorithms_for, info
 from repro.errors import ExecutionError
-from repro.runtime.executor import execute, run_collective
+from repro.runtime.executor import execute
+from repro.runtime.threaded import execute_threaded
 from repro.runtime.ops import BXOR, MAX, MIN, PROD, SUM
 
 
@@ -42,30 +44,30 @@ class TestEveryAlgorithmMovesDataCorrectly:
                 ks = sorted({entry.min_k, 3, 4, p})
                 ks = [k for k in ks if k >= entry.min_k]
             for k in ks:
-                run_collective(coll, alg, p, count=3 * p + 1, k=k)
+                repro.execute(coll, alg, p=p, count=3 * p + 1, k=k)
 
     def test_count_smaller_than_ranks(self):
         """Zero-size blocks (count < p) must not corrupt anything."""
         for coll, alg, entry in all_algorithm_cases():
             k = entry.default_k if entry.takes_k else None
-            run_collective(coll, alg, 8, count=3, k=k)
+            repro.execute(coll, alg, p=8, count=3, k=k)
 
     def test_single_element(self):
-        run_collective("allreduce", "recursive_multiplying", 9, count=1, k=3)
+        repro.execute("allreduce", "recursive_multiplying", p=9, count=1, k=3)
 
     def test_single_rank(self):
         for coll in ("bcast", "allreduce", "allgather", "reduce"):
             alg = sorted(algorithms_for(coll))[0]
             k = info(coll, alg).default_k if info(coll, alg).takes_k else None
-            run_collective(coll, alg, 1, count=5, k=k)
+            repro.execute(coll, alg, p=1, count=5, k=k)
 
 
 class TestOperators:
     @pytest.mark.parametrize("op", [SUM, PROD, MAX, MIN, BXOR], ids=lambda o: o.name)
     def test_allreduce_with_every_operator(self, op):
         # PROD overflows fast: keep values tiny via a custom run
-        run = run_collective(
-            "allreduce", "recursive_multiplying", 6, count=8, k=3, op=op,
+        run = repro.execute(
+            "allreduce", "recursive_multiplying", p=6, count=8, k=3, op=op,
             check=False,
         )
         from repro.runtime.buffers import check_outputs, reference_result
@@ -76,18 +78,18 @@ class TestOperators:
     def test_noncommutative_order_is_deterministic(self):
         """Two identical runs must produce bit-identical results (receive
         application order is fixed)."""
-        a = run_collective("allreduce", "kring", 7, count=9, k=3, seed=5)
-        b = run_collective("allreduce", "kring", 7, count=9, k=3, seed=5)
+        a = repro.execute("allreduce", "kring", p=7, count=9, k=3, seed=5)
+        b = repro.execute("allreduce", "kring", p=7, count=9, k=3, seed=5)
         for x, y in zip(a.buffers, b.buffers):
             assert np.array_equal(x, y)
 
 
 class TestDtypes:
     def test_float64_with_tolerance(self):
-        run_collective(
+        repro.execute(
             "allreduce",
             "reduce_scatter_allgather",
-            8,
+            p=8,
             count=16,
             dtype=np.dtype(np.float64),
             rtol=1e-12,
@@ -95,13 +97,13 @@ class TestDtypes:
         )
 
     def test_int32(self):
-        run_collective(
-            "allgather", "ring", 6, count=12, dtype=np.dtype(np.int32)
+        repro.execute(
+            "allgather", "ring", p=6, count=12, dtype=np.dtype(np.int32)
         )
 
     def test_float32(self):
-        run_collective(
-            "bcast", "knomial", 9, count=10, k=3,
+        repro.execute(
+            "bcast", "knomial", p=9, count=10, k=3,
             dtype=np.dtype(np.float32),
         )
 
@@ -132,11 +134,38 @@ class TestExecuteAPI:
             execute(sched, [np.zeros(4), np.zeros(5)])
 
     def test_root_rotation_moves_result(self):
-        run = run_collective("reduce", "knomial", 7, count=7, k=3, root=4)
+        run = repro.execute("reduce", "knomial", p=7, count=7, k=3, root=4)
         assert 4 in run.expected
         assert np.array_equal(run.buffers[4], run.expected[4])
 
     def test_run_result_exposes_schedule(self):
-        run = run_collective("bcast", "binomial", 4, count=4)
+        run = repro.execute("bcast", "binomial", p=4, count=4)
         assert run.schedule.collective == "bcast"
         assert len(run.inputs) == 4
+
+
+class TestOneBufferCheck:
+    """Both backends refuse what is not one buffer per rank, all of one
+    length, with one message."""
+
+    @staticmethod
+    def _refusals(buffers):
+        sched = repro.build("allreduce", "recursive_doubling", p=4)
+        texts = []
+        for run in (execute, execute_threaded):
+            with pytest.raises(ExecutionError) as info:
+                run(sched, [buf.copy() for buf in buffers])
+            texts.append(str(info.value))
+        return texts
+
+    @pytest.mark.parametrize("length", [12, 4], ids=["longer", "shorter"])
+    def test_unequal_lengths(self, length):
+        buffers = [np.zeros(8, np.int64) for _ in range(4)]
+        buffers[2] = np.zeros(length, np.int64)
+        assert self._refusals(buffers) == [
+            f"rank 2 buffer has {length} elements, rank 0 has 8"
+        ] * 2
+
+    def test_buffer_count(self):
+        buffers = [np.zeros(8, np.int64) for _ in range(3)]
+        assert self._refusals(buffers) == ["need 4 buffers, got 3"] * 2

@@ -6,7 +6,7 @@ from repro.core.pipeline import chain_bcast, optimal_segments
 from repro.core.validate import verify
 from repro.errors import ScheduleError
 from repro.models import ModelParams, chain_bcast_time
-from repro.runtime.executor import run_collective
+import repro
 from repro.simnet import reference, simulate
 from oracle import programs_of
 
@@ -21,8 +21,8 @@ class TestSchedule:
     @pytest.mark.parametrize("p", [2, 5, 9])
     @pytest.mark.parametrize("segments", [1, 3, 8])
     def test_moves_real_data(self, p, segments):
-        run_collective("bcast", "pipelined_chain", p, 2 * segments + 3,
-                       k=segments, root=p - 1)
+        repro.execute("bcast", "pipelined_chain", p=p,
+                      count=2 * segments + 3, k=segments, root=p - 1)
 
     def test_chain_structure(self):
         """Rank r only ever talks to r-1 and r+1 (relative to the root)."""

@@ -225,7 +225,7 @@ class TestShrinkPlumbing:
 class TestThreadedRecovery:
     def test_shrink_heals_a_crash_bitwise_exact(self):
         run = execute_with_recovery(
-            "allreduce", "knomial", p=8, count=64, k=2,
+            "allreduce", "knomial", p=8, count=64, k=2, backend="threaded",
             recovery="shrink", faults=crash_plan(rank=1), timeout=5.0,
         )
         assert isinstance(run, RecoveryRun)
@@ -243,7 +243,7 @@ class TestThreadedRecovery:
 
     def test_spare_substitutes_and_keeps_group_size(self):
         run = execute_with_recovery(
-            "allreduce", "knomial", p=8, count=32, k=2,
+            "allreduce", "knomial", p=8, count=32, k=2, backend="threaded",
             recovery=RecoveryPolicy(mode="spare", spares=2),
             faults=crash_plan(rank=1), timeout=5.0,
         )
@@ -256,7 +256,7 @@ class TestThreadedRecovery:
     def test_abort_policy_raises_with_report(self):
         with pytest.raises(RecoveryError) as info:
             execute_with_recovery(
-                "allreduce", "knomial", p=8, count=32, k=2,
+                "allreduce", "knomial", p=8, count=32, k=2, backend="threaded",
                 recovery="abort", faults=crash_plan(rank=1), timeout=5.0,
             )
         report = info.value.report
@@ -267,14 +267,14 @@ class TestThreadedRecovery:
     def test_dead_bcast_root_unrecoverable_by_shrink(self):
         with pytest.raises(RecoveryError, match="spare"):
             execute_with_recovery(
-                "bcast", "knomial", p=8, count=32, k=2,
+                "bcast", "knomial", p=8, count=32, k=2, backend="threaded",
                 recovery="shrink", faults=crash_plan(rank=0, step=1),
                 timeout=5.0,
             )
 
     def test_dead_bcast_root_healed_by_spare(self):
         run = execute_with_recovery(
-            "bcast", "knomial", p=8, count=32, k=2,
+            "bcast", "knomial", p=8, count=32, k=2, backend="threaded",
             recovery=RecoveryPolicy(mode="spare", spares=1),
             faults=crash_plan(rank=0, step=1), timeout=5.0,
         )
@@ -294,13 +294,42 @@ class TestThreadedRecovery:
 
     def test_clean_run_is_one_round(self):
         run = execute_with_recovery(
-            "allreduce", "knomial", p=8, count=64, k=2,
+            "allreduce", "knomial", p=8, count=64, k=2, backend="threaded",
             recovery="shrink", timeout=5.0,
         )
         assert run.report.recovered
         assert run.report.nrounds == 1
         assert run.report.time_to_recovery == 0.0
 
+
+
+class TestRecoveryRoundIsThePlainRun:
+    """A fault-free recovered run is one round of ``repro.execute``'s
+    own pipeline: same schedule, inputs, buffers and reference."""
+
+    @pytest.mark.parametrize("backend", repro.BACKENDS)
+    @pytest.mark.parametrize("coll,alg,k,root", [
+        ("allreduce", "knomial", 3, 0),
+        ("bcast", "knomial", 2, 4),
+        ("gather", "binomial", None, 1),
+        ("reduce_scatter", "kring", 2, 0),
+    ])
+    def test_fault_free_recovery_equals_plain(self, backend, coll, alg, k,
+                                              root):
+        kwargs = dict(p=6, count=23, k=k, root=root, backend=backend,
+                      seed=11)
+        plain = repro.execute(coll, alg, **kwargs)
+        healed = execute_with_recovery(coll, alg, recovery="shrink",
+                                       **kwargs)
+        assert healed.report.nrounds == 1
+        assert healed.schedule == plain.schedule
+        for got, want in zip(healed.inputs, plain.inputs):
+            assert np.array_equal(got, want)
+        for got, want in zip(healed.buffers, plain.buffers):
+            assert np.array_equal(got, want)
+        assert healed.expected.keys() == plain.expected.keys()
+        for rank, want in plain.expected.items():
+            assert np.array_equal(healed.expected[rank], want)
 
 class TestSimRecovery:
     def test_crash_heals_and_charges_detection(self):

@@ -100,7 +100,7 @@ class TestSchedules:
     def test_round_count_power_of_k(self):
         """On k^m ranks every rank runs exactly m butterfly steps."""
         sched = recursive_multiplying_allreduce(27, 3)
-        assert sched.meta["radices"] == (3, 3, 3)
+        assert sched.meta["radices"] == [3, 3, 3]
         for prog in programs_of(sched):
             assert len(prog.steps) == 3
 
@@ -108,7 +108,7 @@ class TestSchedules:
         """p = 17, k = 4: core 16, one folded rank → core partner gains a
         fold and an unfold step; the folded rank has exactly 2 steps."""
         sched = recursive_multiplying_allreduce(17, 4)
-        assert sched.meta == {"core": 16, "folded": 1, "radices": (4, 4)}
+        assert sched.meta == {"core": 16, "folded": 1, "radices": [4, 4]}
         folded_prog = programs_of(sched)[16]
         assert len(folded_prog.steps) == 2  # fold send + unfold recv
         partner_prog = programs_of(sched)[0]

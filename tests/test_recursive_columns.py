@@ -116,7 +116,7 @@ def reference_recursive_multiplying_allreduce(p: int, k: int) -> Schedule:
         nblocks=1,
         programs=programs,
         k=k,
-        meta={"core": q, "folded": p - q, "radices": radix_schedule(q, k)},
+        meta={"core": q, "folded": p - q, "radices": list(radix_schedule(q, k))},
     )
 
 
@@ -189,7 +189,7 @@ def reference_recursive_multiplying_allgather(p: int, k: int) -> Schedule:
         nblocks=p,
         programs=programs,
         k=k,
-        meta={"core": q, "folded": p - q, "radices": radix_schedule(q, k)},
+        meta={"core": q, "folded": p - q, "radices": list(radix_schedule(q, k))},
     )
 
 

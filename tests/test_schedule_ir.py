@@ -302,6 +302,20 @@ class TestSealed:
         with pytest.raises(ScheduleError, match="labels only"):
             sched.relabel(nranks=7)
 
+    @pytest.mark.parametrize("root", [9, 4, -1])
+    def test_relabel_refuses_a_root_that_is_no_rank(self, root):
+        sched = build_schedule("bcast", "binomial", 4)
+        with pytest.raises(ScheduleError, match=f"root {root} is not a rank"):
+            sched.relabel(root=root)
+        assert sched.relabel(root=3).root == 3
+
+    @pytest.mark.parametrize("root", [2, -1])
+    def test_from_columns_refuses_a_root_that_is_no_rank(self, root):
+        sched = two_rank_schedule()
+        with pytest.raises(ScheduleError, match=f"root {root} is not a rank"):
+            Schedule.from_columns("bcast", "test", 2, 1, sched.columns(),
+                                  root=root)
+
     def test_construction_keeps_none_of_the_builders_objects(self):
         p0, p1 = RankProgram(rank=0), RankProgram(rank=1)
         p0.add(SendOp(peer=1, blocks=(0,)))
