@@ -38,6 +38,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core.cache import global_schedule_cache
 from .core.registry import build_schedule as _build_schedule
 from .core.schedule import Schedule
 from .errors import ExecutionError
@@ -128,7 +129,7 @@ def execute(
     check: bool = True,
     rtol: float = 0.0,
     atol: float = 0.0,
-    timeout: float = 30.0,
+    timeout: Optional[float] = None,
     faults=None,
     recovery=None,
     adapt=None,
@@ -142,11 +143,14 @@ def execute(
     The package's one build → run → check pipeline, on either backend:
     ``backend="lockstep"`` runs the deterministic matching engine
     in-process, ``backend="threaded"`` runs one real thread per rank over
-    channels (``timeout`` and ``faults`` apply only there; anything else
-    is an :class:`~repro.errors.ExecutionError`, with or without
-    ``recovery``).  Inputs are seeded (``seed``) so runs are reproducible;
-    ``check=True`` verifies every rank's output against the collective's
-    reference semantics.  Returns a
+    channels (``timeout`` and ``faults`` apply only there: the threaded
+    backend waits 30 s when ``timeout`` is None, and any ``timeout`` or
+    ``faults`` on lockstep is an :class:`~repro.errors.ExecutionError`,
+    with or without ``recovery``).  The schedule comes from the
+    process-global schedule cache, so repeated calls share one built
+    (and compiled) schedule.  Inputs are seeded (``seed``) so runs are
+    reproducible; ``check=True`` verifies every rank's output against the
+    collective's reference semantics.  Returns a
     :class:`~repro.runtime.executor.CollectiveRun` with the schedule,
     inputs, final buffers, and expected outputs.
 
@@ -276,7 +280,9 @@ def execute(
             timeout=timeout,
             faults=faults,
         )
-    schedule = build(collective, algorithm, p=p, k=k, root=root)
+    schedule, _ = global_schedule_cache().get_or_build(
+        collective, algorithm, p, k=k, root=root
+    )
     rng = np.random.default_rng(seed)
     inputs = make_inputs(collective, p, count, dtype=dtype, root=root, rng=rng)
     return _run_checked(

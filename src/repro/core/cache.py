@@ -12,10 +12,11 @@ is a pure function of its key, so its result can be reused verbatim.
   kind of value rides a disk store.
 * :func:`schedule_key` — the canonical schedule cache key.  Defaults are
   normalized through the registry (``k=None`` on a generalized algorithm
-  resolves to its ``default_k``; ``root`` collapses to 0 for unrooted
-  collectives), so every parameter spelling of the same content maps to
-  one key.  The key *is* the content address: two equal keys always name
-  step-for-step identical schedules, which
+  resolves to its ``default_k``; a ``root`` other than 0 on an unrooted
+  algorithm is refused, as the builder refuses it), so every parameter
+  spelling of the same content maps to one key.  The key *is* the
+  content address: two equal keys always name step-for-step identical
+  schedules, which
   ``tests/properties/test_schedule_cache.py`` pins down via
   :meth:`~repro.core.schedule.Schedule.fingerprint`.
 * :class:`ScheduleCache` / :func:`cached_build_schedule` — built
@@ -70,15 +71,18 @@ def schedule_key(
 ) -> ScheduleKey:
     """Canonical cache key for a schedule build request.
 
-    Mirrors :meth:`AlgorithmInfo.build`'s parameter handling exactly, so
-    a key never aliases two different schedules and never splits one
-    schedule across two keys:
+    Mirrors :meth:`AlgorithmInfo.build`'s parameter handling exactly —
+    its defaults and its refusals, with the same texts — so a key never
+    aliases two different schedules, never splits one schedule across
+    two keys, and a warm cache refuses what a cold one refuses:
 
     >>> schedule_key("allreduce", "knomial", 8) == \\
     ...     schedule_key("allreduce", "knomial", 8, k=2)
     True
-    >>> schedule_key("allreduce", "ring", 8, root=5)[4]
-    0
+    >>> schedule_key("allreduce", "ring", 8, root=5)
+    Traceback (most recent call last):
+    ...
+    repro.errors.ScheduleError: allreduce/ring does not take a root (got root=5)
     """
     entry = info(collective, algorithm)
     if p < 1:
@@ -95,8 +99,11 @@ def schedule_key(
         raise ScheduleError(
             f"{collective}/{algorithm} does not take a radix (got k={k})"
         )
-    root = int(root) if entry.takes_root else 0
-    return (collective, algorithm, int(p), k, root)
+    if not entry.takes_root and root != 0:
+        raise ScheduleError(
+            f"{collective}/{algorithm} does not take a root (got root={root})"
+        )
+    return (collective, algorithm, int(p), k, int(root))
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from ..errors import ExecutionError, PartialFailure, RecoveryError
 from ..faults.plan import FaultPlan
 from ..obs import OBS
 from ..runtime.buffers import make_inputs
-from ..runtime.executor import _check_backend, _run_checked
+from ..runtime.executor import _TIMEOUT, _check_backend, _run_checked
 from ..runtime.ops import SUM, ReduceOp
 from .detect import (
     HeartbeatDetector,
@@ -205,7 +205,7 @@ def execute_with_recovery(
     check: bool = True,
     rtol: float = 0.0,
     atol: float = 0.0,
-    timeout: float = 30.0,
+    timeout: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
     cache: Optional[ScheduleCache] = None,
 ) -> RecoveryRun:
@@ -228,6 +228,7 @@ def execute_with_recovery(
             "use repro.execute for the unrecovered path"
         )
     _check_backend(backend, timeout=timeout, faults=faults)
+    timeout = _TIMEOUT if timeout is None else timeout
     cache = cache or global_schedule_cache()
     rng = np.random.default_rng(seed)
     inputs = make_inputs(collective, p, count, dtype=dtype, root=root, rng=rng)

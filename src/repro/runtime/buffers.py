@@ -62,9 +62,8 @@ def make_inputs(
     blocks = BlockMap(count, p)
 
     def draw(n: int) -> np.ndarray:
-        if np.issubdtype(dtype, np.integer):
-            return rng.integers(0, 100, size=n).astype(dtype)
-        return rng.integers(0, 100, size=n).astype(dtype)  # exact in floats
+        # Exact in floats too; no copy when dtype is the draw's int64.
+        return rng.integers(0, 100, size=n).astype(dtype, copy=False)
 
     if collective in ("bcast", "scatter"):
         return [
@@ -95,14 +94,25 @@ def initial_buffers(
     """Lay ``inputs`` into per-rank working arrays of ``count`` elements.
 
     Undefined slots get the :data:`GARBAGE` fill (clipped into the dtype's
-    range for narrow types).
+    range for narrow types); a buffer the inputs overwrite whole (every
+    reduce-family rank, the bcast/scatter root) gets no fill at all.
     """
     p = schedule.nranks
     coll = schedule.collective
     root = schedule.root
     blocks = BlockMap(count, p)
     garbage = np.array(GARBAGE).astype(dtype)
-    bufs = [np.full(count, garbage, dtype=dtype) for _ in range(p)]
+    if coll in ("reduce", "allreduce", "reduce_scatter"):
+        whole = range(p)
+    elif coll in ("bcast", "scatter"):
+        whole = (root,)
+    else:
+        whole = ()
+    bufs = [
+        np.empty(count, dtype=dtype) if r in whole
+        else np.full(count, garbage, dtype=dtype)
+        for r in range(p)
+    ]
 
     if coll in ("bcast", "scatter"):
         assert root is not None

@@ -42,7 +42,7 @@ __all__ = ["execute", "CollectiveRun", "BACKENDS"]
 #: (:mod:`repro.runtime.threaded`).
 BACKENDS = ("lockstep", "threaded")
 
-#: The threaded backend's default deadlock timeout, in seconds.
+#: The threaded backend's deadlock timeout, in seconds, when none is given.
 _TIMEOUT = 30.0
 
 
@@ -110,10 +110,10 @@ class CollectiveRun:
 
 
 def _check_backend(
-    backend: str, *, timeout: float, faults: Optional[FaultPlan]
+    backend: str, *, timeout: Optional[float], faults: Optional[FaultPlan]
 ) -> None:
     """Refuse a ``backend`` that is not one of :data:`BACKENDS`, and
-    ``faults`` or a ``timeout`` on the lockstep one (it has no wire to
+    ``faults`` or any ``timeout`` on the lockstep one (it has no wire to
     lose messages on and cannot deadlock on a peer)."""
     if backend not in BACKENDS:
         raise ExecutionError(
@@ -125,7 +125,7 @@ def _check_backend(
                 "faults require backend='threaded' (the lockstep engine "
                 "has no wire to lose messages on)"
             )
-        if timeout != _TIMEOUT:
+        if timeout is not None:
             raise ExecutionError(
                 "timeout applies only to backend='threaded'"
             )
@@ -142,7 +142,7 @@ def _run_checked(
     check: bool,
     rtol: float,
     atol: float,
-    timeout: float,
+    timeout: Optional[float],
     faults: Optional[FaultPlan],
     detector=None,
     obs: Optional[Obs] = None,
@@ -150,14 +150,16 @@ def _run_checked(
     """Lay ``inputs`` into buffers, run ``schedule`` over them on
     ``backend``, and check them against the NumPy reference (when
     ``check``): the one round of :func:`repro.execute` and of every
-    :func:`repro.recovery.execute_with_recovery` round."""
+    :func:`repro.recovery.execute_with_recovery` round.  The threaded
+    backend waits :data:`_TIMEOUT` seconds when ``timeout`` is None."""
     buffers = initial_buffers(schedule, inputs, count, dtype=dtype)
     if backend == "lockstep":
         execute(schedule, buffers, op=op, obs=obs)
     else:
         execute_threaded(
-            schedule, buffers, op=op, timeout=timeout, faults=faults,
-            detector=detector,
+            schedule, buffers, op=op,
+            timeout=_TIMEOUT if timeout is None else timeout,
+            faults=faults, detector=detector,
         )
     expected = reference_result(
         schedule.collective, inputs, count, op=op, root=schedule.root or 0

@@ -44,8 +44,11 @@ class ReduceOp:
     name:
         MPI-style name (``"sum"``, ``"max"``, ...).
     fn:
-        ``fn(acc, incoming)`` combining two arrays elementwise into a new
-        or in-place result; executors always call it as
+        ``fn(acc, incoming)`` combining two arrays elementwise.
+        :meth:`apply` calls a NumPy ufunc in place, as
+        ``fn(acc, incoming, out=acc, casting="unsafe")`` (no temporary;
+        the unsafe cast is the one ``acc[...] = fn(acc, incoming)`` would
+        make for mixed dtypes), and any other callable as
         ``acc[...] = fn(acc, incoming)``.
     idempotent:
         True if ``fn(x, x) == x`` — double-counting is harmless.
@@ -59,7 +62,9 @@ class ReduceOp:
     integer_only: bool = False
 
     def apply(self, acc: np.ndarray, incoming: np.ndarray) -> None:
-        """Combine ``incoming`` into ``acc`` in place."""
+        """Combine ``incoming`` into ``acc`` in place: a ufunc writes
+        straight into ``acc``'s buffer, like MPI's local reduction into
+        the receive buffer."""
         if acc.shape != incoming.shape:
             raise ExecutionError(
                 f"reduce {self.name}: shape mismatch {acc.shape} vs "
@@ -70,7 +75,10 @@ class ReduceOp:
                 f"reduce {self.name} is only defined on integer dtypes, "
                 f"got {acc.dtype}"
             )
-        acc[...] = self.fn(acc, incoming)
+        if isinstance(self.fn, np.ufunc):
+            self.fn(acc, incoming, out=acc, casting="unsafe")
+        else:
+            acc[...] = self.fn(acc, incoming)
 
     def reduce_all(self, contributions: Tuple[np.ndarray, ...]) -> np.ndarray:
         """Reference reduction over a tuple of arrays, in rank order.

@@ -42,6 +42,7 @@ from repro.core.registry import GENERALIZED_ALGORITHMS, info
 from repro.core.ring import kring_allreduce
 from repro.core.schedule import Schedule
 from repro.core.serialize import dumps_blob
+from repro.errors import ScheduleError
 from repro.faults.plan import FaultPlan
 from repro.simnet.machines import reference
 from oracle import programs_of
@@ -126,17 +127,39 @@ def test_phases_belong_to_the_cache_that_builds():
 @settings(max_examples=60, deadline=None)
 @given(cache_configs())
 def test_schedule_key_normalization_matches_builder(cfg):
-    """Keys collapse exactly the configs the builder treats as equal:
-    the default radix and the explicit one, and every root of an
-    unrooted collective."""
+    """Keys collapse exactly the configs the builder treats as equal
+    (the default radix and the explicit one) and refuse what it refuses,
+    in its words (a nonzero root on an unrooted algorithm)."""
     coll, alg, p, k, root = cfg
     entry = info(coll, alg)
     key = schedule_key(coll, alg, p, k=k, root=root)
     assert key == schedule_key(coll, alg, p, k=k, root=root)
-    if not entry.takes_root:
-        assert key == schedule_key(coll, alg, p, k=k, root=p - 1)
+    if not entry.takes_root and p > 1:
+        with pytest.raises(ScheduleError) as keyed:
+            schedule_key(coll, alg, p, k=k, root=p - 1)
+        with pytest.raises(ScheduleError) as built:
+            entry.build(p, k=k, root=p - 1)
+        assert str(keyed.value) == str(built.value)
     if entry.default_k is not None and k == entry.default_k:
         assert key == schedule_key(coll, alg, p, k=None, root=root)
+
+
+#: The builder's refusal of a root on an unrooted algorithm.
+ROOT_REFUSAL = "allreduce/ring does not take a root (got root=5)"
+
+
+def test_warm_cache_refuses_a_root_the_builder_refuses():
+    """A cold lookup and a lookup after the root-0 schedule is cached
+    both refuse ``root=5`` on an unrooted algorithm, in the builder's
+    words — a private cache and the process-global one alike."""
+    for cache in (ScheduleCache(), global_schedule_cache()):
+        with pytest.raises(ScheduleError) as cold:
+            cache.get_or_build("allreduce", "ring", 8, root=5)
+        assert str(cold.value) == ROOT_REFUSAL
+        cache.get_or_build("allreduce", "ring", 8, root=0)
+        with pytest.raises(ScheduleError) as warm:
+            cache.get_or_build("allreduce", "ring", 8, root=5)
+        assert str(warm.value) == ROOT_REFUSAL
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,7 @@ import pytest
 
 import repro
 from repro.core.schedule import Schedule
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ScheduleError
 from repro.faults.plan import FaultPlan
 from repro.recovery import execute_with_recovery
 from repro.runtime.executor import CollectiveRun
@@ -40,6 +40,11 @@ ARGUMENT_CHECKS = [
         {"timeout": 5.0},
         "timeout applies only to backend='threaded'",
         id="timeout-on-lockstep",
+    ),
+    pytest.param(
+        {"timeout": 30.0},
+        "timeout applies only to backend='threaded'",
+        id="threaded-default-timeout-on-lockstep",
     ),
 ]
 
@@ -149,6 +154,31 @@ class TestExecute:
     def test_p_count_keyword_only(self):
         with pytest.raises(TypeError):
             repro.execute("bcast", "knomial", 4, 8)
+
+    @pytest.mark.parametrize("backend", repro.BACKENDS)
+    def test_identical_calls_share_one_schedule(self, backend):
+        """The schedule comes from the schedule cache: a second identical
+        call reuses the first one's and moves the same bytes."""
+        kwargs = dict(p=6, count=29, k=3, root=4, seed=11, backend=backend)
+        first = repro.execute("reduce", "knomial", **kwargs)
+        second = repro.execute("reduce", "knomial", **kwargs)
+        assert second.schedule is first.schedule
+        for a, b in zip(first.inputs, second.inputs):
+            assert np.array_equal(a, b)
+        for a, b in zip(first.buffers, second.buffers):
+            assert np.array_equal(a, b)
+
+    def test_root_on_an_unrooted_algorithm_is_refused_warm_or_cold(self):
+        """The cached build refuses what the builder refuses, before and
+        after the root-0 schedule is in the cache."""
+        message = "allreduce/ring does not take a root (got root=5)"
+        with pytest.raises(ScheduleError) as cold:
+            repro.execute("allreduce", "ring", p=11, count=8, root=5)
+        assert str(cold.value) == message
+        repro.execute("allreduce", "ring", p=11, count=8)
+        with pytest.raises(ScheduleError) as warm:
+            repro.execute("allreduce", "ring", p=11, count=8, root=5)
+        assert str(warm.value) == message
 
 
 class TestLegacyRemoval:

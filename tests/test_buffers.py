@@ -1,11 +1,16 @@
 """Tests for buffer conventions (:mod:`repro.runtime.buffers`)."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.core.registry import build_schedule
+from repro.core.blocks import BlockMap
+from repro.core.registry import build_schedule, info
 from repro.errors import ExecutionError
 from repro.runtime.buffers import (
+    GARBAGE,
     check_outputs,
     checked_slots,
     initial_buffers,
@@ -13,6 +18,45 @@ from repro.runtime.buffers import (
     reference_result,
 )
 from repro.runtime.ops import MAX, SUM
+
+
+COLLECTIVES = ("bcast", "scatter", "gather", "allgather", "reduce",
+               "allreduce", "reduce_scatter", "alltoall")
+
+#: sha256 of every draw over :data:`COLLECTIVES` x p in {1, 4, 7} x
+#: count in {0, 17, 64} x {int64, int32, float64} x seeds {0, 1}, root
+#: p - 1; recorded while ``make_inputs`` still copied every int64 draw
+#: through ``astype``, so the stream and its casts are pinned.
+INPUTS_SHA256 = (
+    "fa3c6c8f7b46ac2cff755e7b4cc435fd396bd53721e1833e5d8e8d0a7619695e"
+)
+
+#: One registry algorithm per collective for the buffer-layout tests.
+LAYOUT_ALGORITHMS = {
+    "bcast": "binomial", "scatter": "binomial", "gather": "binomial",
+    "allgather": "ring", "reduce": "binomial", "allreduce": "ring",
+    "reduce_scatter": "ring", "alltoall": "pairwise",
+}
+
+
+def _defined(coll: str, p: int, count: int, root: int) -> np.ndarray:
+    """``(p, count)`` mask of the slots the inputs define: the root's
+    buffer (bcast/scatter), each rank's own block (gather family), every
+    slot (reduce family), each rank's own row (alltoall)."""
+    mask = np.zeros((p, count), dtype=bool)
+    blocks = BlockMap(count, p)
+    grid = BlockMap(count, p * p)
+    for r in range(p):
+        if coll in ("bcast", "scatter"):
+            mask[r] = r == root
+        elif coll in ("gather", "allgather"):
+            mask[r, slice(*blocks.range_of(r))] = True
+        elif coll in ("reduce", "allreduce", "reduce_scatter"):
+            mask[r] = True
+        else:
+            for d in range(p):
+                mask[r, slice(*grid.range_of(r * p + d))] = True
+    return mask
 
 
 class TestMakeInputs:
@@ -42,15 +86,46 @@ class TestMakeInputs:
         with pytest.raises(ExecutionError):
             make_inputs("alltoallw", 2, 4)
 
+    def test_draws_are_pinned(self):
+        """The data did not move: same calls, same stream, same casts."""
+        digest = hashlib.sha256()
+        for coll, p, count, dtype, seed in itertools.product(
+            COLLECTIVES, (1, 4, 7), (0, 17, 64),
+            ("int64", "int32", "float64"), (0, 1),
+        ):
+            for x in make_inputs(coll, p, count, dtype=np.dtype(dtype),
+                                 root=p - 1,
+                                 rng=np.random.default_rng(seed)):
+                digest.update(f"{x.dtype.str}{x.shape}".encode())
+                digest.update(x.tobytes())
+        assert digest.hexdigest() == INPUTS_SHA256
+
 
 class TestInitialBuffers:
     def test_undefined_slots_are_poisoned(self):
-        sched = build_schedule("bcast", "binomial", 4)
-        inputs = make_inputs("bcast", 4, 8)
-        bufs = initial_buffers(sched, inputs, 8)
-        # non-root buffers hold the garbage fill, not zeros
-        assert not np.array_equal(bufs[1], np.zeros(8, dtype=np.int64))
-        assert len(set(bufs[1].tolist())) == 1  # uniform sentinel
+        """On every collective, each slot the inputs leave undefined holds
+        the :data:`GARBAGE` fill (wrapped into narrow dtypes), the defined
+        slots hold the rank's input in order, and a reduce-family buffer
+        is its input."""
+        p, count, root = 5, 23, 3
+        for coll, dtype in itertools.product(
+            COLLECTIVES, (np.dtype(np.int64), np.dtype(np.int8))
+        ):
+            alg = LAYOUT_ALGORITHMS[coll]
+            sched = build_schedule(
+                coll, alg, p, root=root if info(coll, alg).takes_root else 0
+            )
+            inputs = make_inputs(coll, p, count, dtype=dtype, root=root)
+            bufs = initial_buffers(sched, inputs, count, dtype=dtype)
+            defined = _defined(coll, p, count, root)
+            garbage = np.array(GARBAGE).astype(dtype)
+            for r, buf in enumerate(bufs):
+                where = (coll, dtype.name, r)
+                assert buf.dtype == dtype and len(buf) == count, where
+                assert (buf[~defined[r]] == garbage).all(), where
+                assert np.array_equal(buf[defined[r]], inputs[r]), where
+                if coll in ("reduce", "allreduce", "reduce_scatter"):
+                    assert np.array_equal(buf, inputs[r]), where
 
     def test_allgather_blocks_placed(self):
         sched = build_schedule("allgather", "ring", 4)

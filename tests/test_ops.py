@@ -1,5 +1,7 @@
 """Tests for reduction operators (:mod:`repro.runtime.ops`)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,100 @@ class TestApply:
         acc = np.array([0.5])
         SUM.apply(acc, np.array([0.25]))
         assert acc[0] == 0.75
+
+
+DTYPES = ("int8", "int32", "int64", "uint8", "float32", "float64")
+
+#: Every operator on every dtype it is defined on.
+OP_DTYPES = [
+    pytest.param(op, np.dtype(dt), id=f"{op.name}-{dt}")
+    for op in ALL_OPS
+    for dt in DTYPES
+    if not (op.integer_only and dt.startswith("float"))
+]
+
+#: ``(op, acc dtype, incoming dtype)`` where the result needs a cast
+#: back into ``acc``: wrapping narrow integers and a rounded float.
+MIXED = [
+    pytest.param(op, np.dtype(a), np.dtype(b), id=f"{op.name}-{a}-{b}")
+    for op in ALL_OPS
+    for a, b in (("int32", "int64"), ("uint8", "int64"),
+                 ("float32", "float64"))
+    if not (op.integer_only and a.startswith("float"))
+]
+
+#: 1 MiB accumulators for the operators :meth:`ReduceOp.apply` runs as
+#: an in-place ufunc (LAND and LOR keep the assignment form).
+UFUNC_CASES = [
+    pytest.param(op, np.dtype(dt), id=f"{op.name}-{dt}")
+    for op in ALL_OPS
+    if isinstance(op.fn, np.ufunc)
+    for dt in ("int64", "float64")
+    if not (op.integer_only and dt == "float64")
+]
+
+
+def _draw(dtype: np.dtype, n: int, seed: int) -> np.ndarray:
+    """Values across an integer dtype's whole range (sums and products
+    wrap), or moderate floats (no overflow)."""
+    rng = np.random.default_rng(seed)
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        return rng.integers(info.min, info.max, size=n, endpoint=True,
+                            dtype=dtype)
+    return (rng.standard_normal(n) * 1e3).astype(dtype)
+
+
+def _assigned(op, acc, incoming):
+    """The assignment form ``apply`` used to run: a temporary, then a
+    copy back into the accumulator."""
+    out = acc.copy()
+    out[...] = op.fn(out, incoming)
+    return out
+
+
+class TestInPlace:
+    """``apply`` reduces into ``acc``'s own buffer and leaves exactly what
+    ``acc[...] = fn(acc, incoming)`` left."""
+
+    @pytest.mark.parametrize("op,dtype", OP_DTYPES)
+    def test_equals_the_assignment_form(self, op, dtype):
+        acc = _draw(dtype, 257, seed=1)
+        incoming = _draw(dtype, 257, seed=2)
+        want = _assigned(op, acc, incoming)
+        where = acc.__array_interface__["data"][0]
+        op.apply(acc, incoming)
+        assert acc.dtype == dtype
+        assert acc.__array_interface__["data"][0] == where
+        assert acc.tobytes() == want.tobytes()
+
+    def test_integer_overflow_wraps(self):
+        acc = np.array([127, -128, 100], dtype=np.int8)
+        SUM.apply(acc, np.array([1, -1, 100], dtype=np.int8))
+        assert acc.tolist() == [-128, 127, -56]
+        PROD.apply(acc, np.array([2, 2, 3], dtype=np.int8))
+        assert acc.tolist() == [0, -2, 88]
+
+    @pytest.mark.parametrize("op,acc_dtype,in_dtype", MIXED)
+    def test_incoming_of_another_dtype(self, op, acc_dtype, in_dtype):
+        acc = _draw(acc_dtype, 257, seed=3)
+        incoming = _draw(in_dtype, 257, seed=4)
+        want = _assigned(op, acc, incoming)
+        op.apply(acc, incoming)
+        assert acc.dtype == acc_dtype
+        assert acc.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op,dtype", UFUNC_CASES)
+    def test_allocates_nothing_of_acc_size(self, op, dtype):
+        acc = _draw(dtype, (1 << 20) // dtype.itemsize, seed=5)
+        incoming = _draw(dtype, acc.size, seed=6)
+        tracemalloc.start()
+        try:
+            op.apply(acc, incoming)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < acc.nbytes, (peak, acc.nbytes)
 
 
 class TestAlgebra:

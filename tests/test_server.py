@@ -194,6 +194,21 @@ def test_index_entry_that_builds_another_schedule_is_a_404(tmp_path):
     assert exc.value.status == 404
 
 
+def test_schedule_refuses_a_root_warm_or_cold(served):
+    """``/schedule`` refuses a root on an unrooted algorithm with the
+    builder's text whether or not the root-0 schedule is cached."""
+    _, client, _ = served
+    message = "ScheduleError: allreduce/ring does not take a root (got root=5)"
+    params = dict(collective="allreduce", algorithm="ring", p=P - 1)
+    with pytest.raises(ServerError) as cold:
+        client.schedule(**params, root=5)
+    assert str(cold.value) == message
+    client.schedule(**params)
+    with pytest.raises(ServerError) as warm:
+        client.schedule(**params, root=5)
+    assert str(warm.value) == message
+
+
 def test_schedule_unknown_fingerprint_is_a_server_error(served):
     _, client, _ = served
     with pytest.raises(ServerError, match="fingerprint"):
