@@ -54,7 +54,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..compile.cache import get_or_compile
 from ..core.cache import (
     ContentCache,
     ScheduleCache,
@@ -227,15 +226,15 @@ def _table_key(schedule, nbytes: int) -> Tuple:
     :data:`_SIM_MEMO` key.
 
     Why it is exact.  A materialized run reads the schedule only through
-    its compiled artifact's :class:`~repro.compile.program.SimPlan` and
-    the block sizes: :func:`~repro.simnet.simulate._route` reads
-    ``src`` / ``dst``; :func:`~repro.faults.sim.analyze` the endpoints,
-    ``seq``, each message's send and receive step and the per-rank step
-    counts (all fixed by ``ops``);
+    its :meth:`~repro.core.schedule.Schedule.sim_plan` and the block
+    sizes: :func:`~repro.simnet.simulate._route` reads ``src`` /
+    ``dst``; :func:`~repro.faults.sim.analyze` the endpoints, ``seq``,
+    each message's send and receive step and the per-rank step counts
+    (all fixed by ``codes`` / ``bounds`` / ``first``);
     :func:`~repro.simnet.simulate.cost_columns` the message sizes,
     ``reduce``, the step counts and ``(src, dst, seq)``; and
-    :func:`~repro.simnet.kernel.run` ``ops`` / ``src`` / ``dst`` plus
-    those columns (the plan's contention hint aside: it only decides
+    :func:`~repro.simnet.kernel.run` ``codes`` / ``bounds`` / ``first``
+    / ``src`` / ``dst`` plus those columns (the plan's contention hint aside: it only decides
     whether the kernel tries its certified shortcut, never a result).
     Everything else they read is the machine, the noise model and the
     fault plan — the rest of the key.  So two points with
@@ -246,13 +245,15 @@ def _table_key(schedule, nbytes: int) -> Tuple:
     cores are bit-identical.  ``tests/test_sim_memo.py`` checks
     over the registry grid that equal keys mean equal kernel arguments.
 
-    A lazy generator schedule (:mod:`repro.core.lazy`) keys on its own
-    content fingerprint and block sizes, without materializing it.
+    The plan is the schedule's own memo: keying a point hashes no
+    schedule text and looks nothing up in the compiled cache.  A lazy
+    generator schedule (:mod:`repro.core.lazy`) keys on its own content
+    fingerprint and block sizes, without materializing it.
     """
     sizes = schedule.block_map(nbytes).sizes
     if getattr(schedule, "is_lazy", False):
         return schedule.fingerprint(), _size_digest(sizes)
-    plan = get_or_compile(schedule).sim_plan()
+    plan = schedule.sim_plan()
     return plan.digest(), _size_digest(plan.message_bytes(sizes))
 
 
@@ -272,8 +273,8 @@ def simulate_point(
 ) -> SweepPointResult:
     """Simulate one point, reusing cached schedules and memoized results.
 
-    A reusing point looks its schedule up in the schedule cache, its
-    tables in the compiled cache, then its kernel table in the memo
+    A reusing point looks its schedule up in the schedule cache, then
+    its kernel table (the schedule's own plan) in the memo
     (:func:`_table_key`); only a memo miss runs the simulator.
     ``reuse=False`` bypasses both the schedule cache and the simulation
     memo (a fresh build and a fresh run) — the perf-regression benchmark

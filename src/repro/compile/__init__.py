@@ -10,8 +10,9 @@ representation any production path walks: the lockstep runner walks
 bound action tuples cooperatively, one blocking per-rank walker
 (:func:`run_compiled_rank`) serves every thread of the threaded
 transport and every :class:`~repro.runtime.session.Session` collective
-call, and the simulator's kernel walks the matched-message plan
-(:meth:`~repro.compile.program.CompiledSchedule.sim_plan`).
+call.  The simulator's kernel walks no compiled table: its plan is the
+schedule's own (:meth:`~repro.core.schedule.Schedule.sim_plan`); only a
+class plan comes from here.
 
 Pipeline::
 
@@ -22,13 +23,15 @@ Pipeline::
                                       │
                     executors' tight loops
 
-    CompiledSchedule ──.sim_plan()──▶ SimPlan (matched messages, cached)
+    Schedule ─────────.sim_plan()───▶ SimPlan (ranks; memo, never pickled)
+    CompiledSchedule ──classify──▶ RankClasses
     RankClasses ──────.plan─────────▶ SimPlan (class representatives)
                                       │
                               simulator kernel's table
 
-Both plans come from one builder, :func:`~repro.compile.program.
-build_sim_plan`.
+Both plans come from one builder, :func:`~repro.core.schedule.
+build_sim_plan`, whose actor programs are CSR arrays (``codes``,
+``bounds``, ``first``).
 
 Guarantees, in order of importance:
 

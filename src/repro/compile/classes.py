@@ -43,9 +43,9 @@ the MPICH partition), so cached partitions are keyed by that residue,
 the source schedule's fingerprint, and the machine's link profile — see
 :func:`partition_key` and :func:`repro.compile.cache.get_or_classify`,
 which caches them in process only.  The class plan — the
-:class:`~repro.compile.program.SimPlan` over the class representatives
+:class:`~repro.core.schedule.SimPlan` over the class representatives
 that :func:`repro.simnet.simulate.simulate` runs, made by the same
-:func:`~repro.compile.program.build_sim_plan` as the per-rank plan —
+:func:`~repro.core.schedule.build_sim_plan` as the per-rank plan —
 is built from the partition the first time it is read: a caller that
 only counts classes (``engine="auto"`` refusing a degenerate partition)
 never builds one.
@@ -59,11 +59,10 @@ from typing import (
 
 import numpy as np
 
+from ..core.schedule import SimPlan, build_sim_plan
 from ..errors import ClassAnalysisError
 from ..simnet.machine import LINK_GLOBAL, LINK_INTER, LINK_INTRA, MachineSpec
-from .program import (
-    OP_COPY, OP_SEND, CompiledSchedule, SimPlan, build_sim_plan,
-)
+from .program import OP_COPY, OP_SEND, CompiledSchedule
 
 __all__ = [
     "LINK_INTRA",
@@ -162,7 +161,7 @@ class RankClasses:
 
     @property
     def plan(self) -> SimPlan:
-        """A :class:`~repro.compile.program.SimPlan` whose actors are the
+        """A :class:`~repro.core.schedule.SimPlan` whose actors are the
         class representatives in class order: message ``i`` is the
         ``i``-th representative send (class order, then program order),
         delivered to its counterpart receive in the receiver class's

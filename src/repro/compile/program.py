@@ -25,11 +25,8 @@ block mismatches derive from :meth:`CompiledSchedule.messages`.
 :class:`~repro.core.blocks.BlockMap` into per-step action tuples of plain
 Python ints (slice starts/stops, payload sizes) — adjacent blocks merge
 into single slices — which is what the executors' tight loops consume.
-The simulator takes its own view of the same tables,
-:meth:`CompiledSchedule.sim_plan`: the schedule's FIFO matching
-(:meth:`CompiledSchedule.messages`) as flat per-message columns plus
-per-rank op codes (:class:`SimPlan`) — a runtime cache like the bound
-schedules, rebuilt on demand and never persisted.
+The simulator reads none of this: its kernel table is the schedule's
+own :meth:`~repro.core.schedule.Schedule.sim_plan`.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from ..core.schedule import (
     Messages,
     match_fifo,
 )
-from ..errors import ClassAnalysisError, ExecutionError, MachineError
+from ..errors import ExecutionError
 
 __all__ = [
     "OP_SEND",
@@ -65,8 +62,6 @@ __all__ = [
     "BoundSchedule",
     "StagingPlan",
     "StagingPool",
-    "SimPlan",
-    "build_sim_plan",
 ]
 
 
@@ -247,9 +242,6 @@ class CompiledSchedule:
     )
     _bind_cache: Dict[tuple, BoundSchedule] = field(
         default_factory=dict, init=False, repr=False, compare=False
-    )
-    _sim_plan: Optional["SimPlan"] = field(
-        default=None, init=False, repr=False, compare=False
     )
     _fingerprint: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
@@ -454,30 +446,9 @@ class CompiledSchedule:
             sizes=tuple(sorted(sizes)),
         )
 
-    # ------------------------------------------------------------------
-    # Simulator plan
-    # ------------------------------------------------------------------
-
-    def sim_plan(self) -> "SimPlan":
-        """The matched-message table the DES kernel walks (cached).
-
-        A runtime cache like the bound schedules: rebuilt from the
-        tables on demand, never pickled, stored or sent.
-        """
-        plan = self._sim_plan
-        if plan is None:
-            cols, fifo = self.columns, self.messages()
-            lone = fifo.unmatched(cols)
-            if lone is not None:
-                raise MachineError(f"{self.describe()}: {lone}")
-            plan = self._sim_plan = build_sim_plan(
-                cols, fifo.recv_op, fifo.seq[fifo.send_op]
-            )
-        return plan
-
     def messages(self) -> Messages:
-        """The FIFO matching of the columns, runtime-only like
-        :meth:`sim_plan`: lowering hands over the schedule's own
+        """The FIFO matching of the columns, runtime-only like the bound
+        schedules: lowering hands over the schedule's own
         :meth:`~repro.core.schedule.Schedule.messages`, an artifact from
         disk or the wire derives it with the same
         :func:`~repro.core.schedule.match_fifo`."""
@@ -486,151 +457,3 @@ class CompiledSchedule:
             fifo = self._messages = match_fifo(self.columns)
         return fifo
 
-
-#: Cap on per-plan route entries (distinct machine geometries).
-_ROUTE_CACHE_MAX = 8
-
-
-@dataclass
-class SimPlan:
-    """What the simulator needs of a schedule, as flat columns.
-
-    The actors are the schedule's ranks (:meth:`CompiledSchedule.
-    sim_plan`: message ``i`` is message ``i`` of the schedule's
-    :class:`~repro.core.schedule.Messages` — the ``i``-th send in rank
-    order, program order, and the receive it matches) or, in a *class
-    plan* (:attr:`repro.compile.classes.RankClasses.plan`), the class
-    representatives in class order, each send delivered to its
-    counterpart receive in the receiver class's representative.  Per
-    message: the endpoints ``src`` / ``dst``, the channel sequence
-    number ``seq``, whether the receive reduces, and the block ids it
-    carries (CSR: ``blk_ids[blk_ptr[i]:blk_ptr[i + 1]]``).  Per actor
-    and step, ``ops`` holds the op codes ``msg << 1 | is_recv`` in
-    program order, copies dropped (the simulator models them as free).
-    ``link`` is set on a class plan only: each message's link class,
-    fixed by the real ranks it stands for.  ``routes`` memoizes, per
-    machine geometry, what the simulator derives from the endpoints
-    (link classes, held resources, flattened and as tuples) and the
-    kernel's contention hint, and ``_digest`` the :meth:`digest`; both
-    are runtime-only.  Numbers only — never a per-message object.
-    Built only by :func:`build_sim_plan`.
-    """
-
-    src: List[int]
-    dst: List[int]
-    seq: List[int]
-    reduce: np.ndarray
-    blk_ptr: np.ndarray
-    blk_ids: np.ndarray
-    ops: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    link: Optional[np.ndarray] = None
-    routes: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
-    _digest: Optional[bytes] = field(default=None, repr=False)
-
-    def digest(self) -> bytes:
-        """A 16-byte blake2b over everything of the plan the kernel reads
-        (memoized): ``ops`` with its actor and step boundaries, ``src``,
-        ``dst``, ``seq``, ``reduce`` and a class plan's ``link``, each
-        framed by its length.
-
-        The bytes are little-endian NumPy ``int64`` / ``(u)int8`` buffers,
-        never a pickle, so equal tables digest equally however they were
-        made — lowered fresh, or loaded from a store or the wire.
-        """
-        d = self._digest
-        if d is None:
-            steps = [codes for rank in self.ops for codes in rank]
-            h = hashlib.blake2b(digest_size=16)
-            for col in (
-                [len(rank) for rank in self.ops],
-                [len(codes) for codes in steps],
-                [c for codes in steps for c in codes],
-                self.src, self.dst, self.seq,
-            ):
-                arr = np.asarray(col, dtype="<i8")
-                h.update(len(arr).to_bytes(8, "little"))
-                h.update(arr.tobytes())
-            h.update(np.asarray(self.reduce, dtype=np.uint8).tobytes())
-            if self.link is not None:
-                h.update(np.asarray(self.link, dtype=np.int8).tobytes())
-            d = self._digest = h.digest()
-        return d
-
-    def message_bytes(self, block_sizes: Sequence[int]) -> np.ndarray:
-        """Per-message byte counts under per-block ``block_sizes``: one
-        segment sum over the block-size vector."""
-        sizes = np.asarray(block_sizes, dtype=np.int64)
-        csum = np.concatenate(([0], np.cumsum(sizes[self.blk_ids])))
-        return csum[self.blk_ptr[1:]] - csum[self.blk_ptr[:-1]]
-
-    def route(self, key: tuple, make) -> tuple:
-        """``make()`` memoized under ``key`` (bounded, oldest out)."""
-        entry = self.routes.get(key)
-        if entry is None:
-            if len(self.routes) >= _ROUTE_CACHE_MAX:
-                self.routes.pop(next(iter(self.routes)))
-            entry = self.routes[key] = make()
-        return entry
-
-
-def build_sim_plan(
-    cols: Columns,
-    recv_at: np.ndarray,
-    seq: np.ndarray,
-    link: Optional[np.ndarray] = None,
-) -> SimPlan:
-    """The one way a :class:`SimPlan` is made: actor programs plus where
-    each send is delivered.
-
-    ``cols`` holds one program per actor, actor-major (a schedule's
-    ranks, or the class representatives, :meth:`Columns.take`).
-    Message ``i`` is its ``i``-th send in program order, delivered to
-    op ``recv_at[i]``, with channel sequence number ``seq[i]`` and, on
-    a class plan, link class ``link[i]``.  Every receive must be the
-    target of exactly one send and nothing else a target, or
-    :class:`~repro.errors.ClassAnalysisError` names the first op that
-    is not.
-    """
-    kinds, actor = cols.kinds, cols.ranks()
-    recv_at = np.asarray(recv_at, dtype=np.int64)
-    send_at = np.flatnonzero(kinds == OP_SEND)
-    is_recv = (kinds == OP_RECV) | (kinds == OP_REDUCE_RECV)
-    bad = np.flatnonzero(np.bincount(recv_at, minlength=len(kinds)) != is_recv)
-    if len(bad):
-        g = int(bad[0])
-        a = int(actor[g])
-        where = f"actor {a} op {g - int(cols.op_ptr[a])}"
-        if not is_recv[g]:
-            raise ClassAnalysisError(
-                f"{where} is not a receive but a send targets it"
-            )
-        raise ClassAnalysisError(
-            f"{where}: {int(np.sum(recv_at == g))} sends deliver to this "
-            f"receive, not one"
-        )
-    msg = np.full(len(kinds), -1, dtype=np.int64)
-    msg[send_at] = msg[recv_at] = np.arange(len(send_at))
-
-    # Op codes per actor per step, copies dropped.
-    moves = kinds != OP_COPY
-    codes = tuple(((msg << 1) | is_recv)[moves].tolist())
-    before = np.concatenate(([0], np.cumsum(moves)))
-    cut = before[cols.step_starts()[0]].tolist()
-    bounds = cols.step_ptr.tolist()
-    ops = tuple(
-        tuple([codes[a:b] for a, b in zip(cut[lo:hi], cut[lo + 1:hi])])
-        for lo, hi in zip(bounds, bounds[1:])
-    )
-
-    # CSR of the sends' block ids, gathered out of the segment table.
-    blk_len = np.diff(cols.seg_bounds)[send_at]
-    return SimPlan(
-        src=actor[send_at].tolist(),
-        dst=actor[recv_at].tolist(),
-        seq=np.asarray(seq).tolist(),
-        reduce=kinds[recv_at] == OP_REDUCE_RECV,
-        blk_ptr=np.concatenate(([0], np.cumsum(blk_len))),
-        blk_ids=cols.gather(send_at),
-        ops=ops,
-        link=link,
-    )

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..errors import ClassAnalysisError, ScheduleError
 from .blocks import BlockMap
-from .schedule import Columns
+from .schedule import Columns, build_sim_plan
 
 __all__ = ["LazySchedule", "lookup", "LAZY_FAMILIES"]
 
@@ -161,7 +161,7 @@ class LazySchedule:
         :class:`~repro.errors.ClassAnalysisError` on any violation, which
         the engine dispatcher converts into a materialized fallback.
         The class plan is built here, from rank 0's tables, by the same
-        :func:`~repro.compile.program.build_sim_plan` as every plan.
+        :func:`~repro.core.schedule.build_sim_plan` as every plan.
         """
         from ..compile.classes import (
             LINK_INTER,
@@ -169,7 +169,6 @@ class LazySchedule:
             link_profile,
             machine_asymmetry,
         )
-        from ..compile.program import build_sim_plan
 
         p = self.nranks
         reason = machine_asymmetry(machine)
@@ -254,7 +253,7 @@ class LazySchedule:
         same at every class member, so the collapsed core can deliver
         it to the representative's own receive op.  That the targets
         cover rank 0's receives exactly once is checked by
-        :func:`~repro.compile.program.build_sim_plan`.
+        :func:`~repro.core.schedule.build_sim_plan`.
         """
         kinds = t0.kinds.tolist()
         peers = t0.peers.tolist()

@@ -56,7 +56,7 @@ is a :meth:`Schedule.relabel` copy, not an edit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
@@ -64,12 +64,13 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
 import numpy as np
 
-from ..errors import ScheduleError
+from ..errors import ClassAnalysisError, MachineError, ScheduleError
 from .blocks import BlockMap
 
 __all__ = [
@@ -77,9 +78,11 @@ __all__ = [
     "ScheduleStats",
     "Columns",
     "Messages",
+    "SimPlan",
     "assemble",
     "spans",
     "match_fifo",
+    "build_sim_plan",
     "step_rounds",
     "step_levels",
     "OP_SEND",
@@ -299,6 +302,163 @@ def match_fifo(cols: Columns) -> Messages:
     for arr in fifo:
         arr.setflags(write=False)
     return fifo
+
+
+#: Cap on per-plan route entries (distinct machine geometries).
+_ROUTE_CACHE_MAX = 8
+
+
+@dataclass
+class SimPlan:
+    """What the simulator needs of a schedule, as flat columns.
+
+    The actors are the schedule's ranks (:meth:`Schedule.sim_plan`:
+    message ``i`` is message ``i`` of the schedule's :class:`Messages` —
+    the ``i``-th send in rank order, program order, and the receive it
+    matches) or, in a *class plan*
+    (:attr:`repro.compile.classes.RankClasses.plan`), the class
+    representatives in class order, each send delivered to its
+    counterpart receive in the receiver class's representative.  Per
+    message: the endpoints ``src`` / ``dst``, the channel sequence
+    number ``seq``, whether the receive reduces, and the block ids it
+    carries (CSR: ``blk_ids[blk_ptr[i]:blk_ptr[i + 1]]``).  The actors'
+    programs are CSR too, copies dropped (the simulator models them as
+    free): ``codes`` holds every op's ``msg << 1 | is_recv``,
+    actor-major in program order; global step ``g`` is
+    ``codes[bounds[g]:bounds[g + 1]]``, and actor ``a`` owns global
+    steps ``first[a]:first[a + 1]``.  ``link`` is set on a class plan
+    only: each message's link class, fixed by the real ranks it stands
+    for.  ``routes`` memoizes, per machine geometry, what the simulator
+    derives from the endpoints (link classes, held resources, flattened
+    and as tuples) and the kernel's contention hint, and ``_digest``
+    the :meth:`digest`; both are runtime-only.  Numbers only — never a
+    per-message or per-step object.  Built only by
+    :func:`build_sim_plan`.
+    """
+
+    src: List[int]
+    dst: List[int]
+    seq: List[int]
+    reduce: np.ndarray
+    blk_ptr: np.ndarray
+    blk_ids: np.ndarray
+    codes: np.ndarray
+    bounds: np.ndarray
+    first: np.ndarray
+    link: Optional[np.ndarray] = None
+    routes: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
+    _digest: Optional[bytes] = field(default=None, repr=False)
+
+    @property
+    def nactors(self) -> int:
+        """Number of actors (ranks, or class representatives)."""
+        return len(self.first) - 1
+
+    def digest(self) -> bytes:
+        """A 16-byte blake2b over everything of the plan the kernel reads
+        (memoized): ``codes``, ``bounds``, ``first``, ``src``, ``dst``
+        and ``seq``, each framed by its length, then ``reduce`` and a
+        class plan's ``link``.
+
+        The bytes are little-endian NumPy ``int64`` / ``(u)int8`` buffers,
+        never a pickle, so equal tables digest equally however they were
+        made — from a schedule built fresh, or loaded from a store or
+        the wire.
+        """
+        d = self._digest
+        if d is None:
+            h = hashlib.blake2b(digest_size=16)
+            for col in (self.codes, self.bounds, self.first,
+                        self.src, self.dst, self.seq):
+                arr = np.asarray(col, dtype="<i8")
+                h.update(len(arr).to_bytes(8, "little"))
+                h.update(arr.tobytes())
+            h.update(np.asarray(self.reduce, dtype=np.uint8).tobytes())
+            if self.link is not None:
+                h.update(np.asarray(self.link, dtype=np.int8).tobytes())
+            d = self._digest = h.digest()
+        return d
+
+    def message_bytes(self, block_sizes: Sequence[int]) -> np.ndarray:
+        """Per-message byte counts under per-block ``block_sizes``: one
+        segment sum over the block-size vector."""
+        sizes = np.asarray(block_sizes, dtype=np.int64)
+        csum = np.concatenate(([0], np.cumsum(sizes[self.blk_ids])))
+        return csum[self.blk_ptr[1:]] - csum[self.blk_ptr[:-1]]
+
+    def route(self, key: tuple, make) -> tuple:
+        """``make()`` memoized under ``key`` (bounded, oldest out)."""
+        entry = self.routes.get(key)
+        if entry is None:
+            if len(self.routes) >= _ROUTE_CACHE_MAX:
+                self.routes.pop(next(iter(self.routes)))
+            entry = self.routes[key] = make()
+        return entry
+
+
+def build_sim_plan(
+    cols: Columns,
+    recv_at: np.ndarray,
+    seq: np.ndarray,
+    link: Optional[np.ndarray] = None,
+) -> SimPlan:
+    """The one way a :class:`SimPlan` is made: actor programs plus where
+    each send is delivered.
+
+    ``cols`` holds one program per actor, actor-major (a schedule's
+    ranks, or the class representatives, :meth:`Columns.take`).
+    Message ``i`` is its ``i``-th send in program order, delivered to
+    op ``recv_at[i]``, with channel sequence number ``seq[i]`` and, on
+    a class plan, link class ``link[i]``.  Every receive must be the
+    target of exactly one send and nothing else a target, or
+    :class:`~repro.errors.ClassAnalysisError` names the first op that
+    is not.
+    """
+    kinds, actor = cols.kinds, cols.ranks()
+    recv_at = np.asarray(recv_at, dtype=np.int64)
+    send_at = np.flatnonzero(kinds == OP_SEND)
+    is_recv = (kinds == OP_RECV) | (kinds == OP_REDUCE_RECV)
+    bad = np.flatnonzero(np.bincount(recv_at, minlength=len(kinds)) != is_recv)
+    if len(bad):
+        g = int(bad[0])
+        a = int(actor[g])
+        where = f"actor {a} op {g - int(cols.op_ptr[a])}"
+        if not is_recv[g]:
+            raise ClassAnalysisError(
+                f"{where} is not a receive but a send targets it"
+            )
+        raise ClassAnalysisError(
+            f"{where}: {int(np.sum(recv_at == g))} sends deliver to this "
+            f"receive, not one"
+        )
+    msg = np.full(len(kinds), -1, dtype=np.int64)
+    msg[send_at] = msg[recv_at] = np.arange(len(send_at))
+
+    # Op codes, copies dropped; each step boundary re-counted in them.
+    # A rank's boundaries run from 0 to its op count, so its closing
+    # boundary is the next rank's opening one.
+    moves = kinds != OP_COPY
+    code_t = np.int32 if 2 * len(send_at) < 1 << 31 else np.int64
+    codes = ((msg << 1) | is_recv)[moves].astype(code_t)
+    before = np.zeros(len(kinds) + 1, dtype=np.int64)
+    np.cumsum(moves, out=before[1:])
+    starts, opens = cols.step_starts()
+    bounds = np.append(before[starts[opens]], len(codes))
+
+    # CSR of the sends' block ids, gathered out of the segment table.
+    blk_len = np.diff(cols.seg_bounds)[send_at]
+    return SimPlan(
+        src=actor[send_at].tolist(),
+        dst=actor[recv_at].tolist(),
+        seq=np.asarray(seq).tolist(),
+        reduce=kinds[recv_at] == OP_REDUCE_RECV,
+        blk_ptr=np.concatenate(([0], np.cumsum(blk_len))),
+        blk_ids=cols.gather(send_at),
+        codes=codes,
+        bounds=bounds,
+        first=cols.step_ptr - np.arange(len(cols.step_ptr)),
+        link=link,
+    )
 
 
 def step_rounds(
@@ -781,8 +941,8 @@ class Schedule:
         How a builder derives a renamed variant of a schedule it already
         has: nothing is copied and only a new ``root`` is checked again.
         The copy's fingerprint is its own (labels are part of the digest)
-        while its :meth:`messages` are this schedule's (labels do not
-        change the traffic).
+        while its :meth:`messages` and :meth:`sim_plan` are this
+        schedule's (labels do not change the traffic).
         """
         unknown = set(labels) - _LABELS
         if unknown:
@@ -831,6 +991,27 @@ class Schedule:
         memo = self.__dict__.get("_messages")
         if memo is None:
             memo = self.__dict__["_messages"] = match_fifo(self.columns())
+        return memo
+
+    def sim_plan(self) -> SimPlan:
+        """The kernel table the simulator walks (:class:`SimPlan`, one
+        actor per rank), built from :meth:`messages`.
+
+        Computed at most once per object and never pickled, like
+        :meth:`messages`; a :meth:`relabel` copy made after the first
+        call shares it.  Unmatched traffic (only a malformed hand-built
+        schedule has any) raises :class:`~repro.errors.MachineError`
+        naming the first unmatched op.
+        """
+        memo = self.__dict__.get("_sim_plan")
+        if memo is None:
+            cols, fifo = self.columns(), self.messages()
+            lone = fifo.unmatched(cols)
+            if lone is not None:
+                raise MachineError(f"{self.describe()}: {lone}")
+            memo = self.__dict__["_sim_plan"] = build_sim_plan(
+                cols, fifo.recv_op, fifo.seq[fifo.send_op]
+            )
         return memo
 
     def fingerprint(self) -> str:

@@ -102,16 +102,8 @@ MIN = ReduceOp("min", np.minimum, idempotent=True)
 BAND = ReduceOp("band", np.bitwise_and, idempotent=True, integer_only=True)
 BOR = ReduceOp("bor", np.bitwise_or, idempotent=True, integer_only=True)
 BXOR = ReduceOp("bxor", np.bitwise_xor, integer_only=True)
-LAND = ReduceOp(
-    "land",
-    lambda a, b: (a.astype(bool) & b.astype(bool)).astype(a.dtype),
-    idempotent=True,
-)
-LOR = ReduceOp(
-    "lor",
-    lambda a, b: (a.astype(bool) | b.astype(bool)).astype(a.dtype),
-    idempotent=True,
-)
+LAND = ReduceOp("land", np.logical_and, idempotent=True)
+LOR = ReduceOp("lor", np.logical_or, idempotent=True)
 
 ALL_OPS: Tuple[ReduceOp, ...] = (SUM, PROD, MAX, MIN, BAND, BOR, BXOR, LAND, LOR)
 

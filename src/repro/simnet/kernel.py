@@ -7,11 +7,13 @@ lost, which messages never arrive.  So the kernel owns no objects: a
 *message* is a row index into flat per-message columns, a *resource* is
 an index into ``in_use[]`` / ``capacity[]`` / a FIFO deque of parked
 message ids, an *actor* (a rank, or a rank-class representative) is four
-integers ``(step, op, outstanding, waiting)``, and a heap record is a
+integers ``(step, op, outstanding, waiting)`` — its step and op are
+global indices into the flat step and op tables, so its cursor runs
+straight through its steps — and a heap record is a
 ``(time, seq, kind, id)`` tuple of plain numbers dispatched by one
 ``if``/``elif`` over six kinds.  One caller feeds it,
 :func:`repro.simnet.simulate.simulate`, from one kind of table — a
-:class:`~repro.compile.program.SimPlan`, whose actors are the ranks or,
+:class:`~repro.core.schedule.SimPlan`, whose actors are the ranks or,
 in a class plan, the rank classes' representatives.
 
 A message's life: both endpoints *post* it (each post costs the poster
@@ -70,7 +72,9 @@ _GAMMA = 5       # the receive-side reduction is done
 
 def run(
     *,
-    ops: Sequence[Sequence[Sequence[int]]],
+    codes: Sequence[int],
+    bounds: Sequence[int],
+    first: Sequence[int],
     limit: Sequence[int],
     inject: Sequence[float],
     src: Sequence[int],
@@ -92,9 +96,11 @@ def run(
 ) -> Tuple[float, List[float], int, Optional[List[Tuple[int, float, float]]]]:
     """Run one simulation to completion.
 
-    Per actor: ``ops[a][s]`` are step ``s``'s op codes ``msg << 1 |
-    is_recv`` in program order, ``limit[a]`` the number of steps it posts
-    and ``inject[a]`` what each post costs it.  Per message: the actors
+    The actors' programs are CSR: global step ``g`` posts the op codes
+    ``codes[bounds[g]:bounds[g + 1]]`` (``msg << 1 | is_recv``) in
+    program order, and actor ``a`` owns global steps ``first[a]:first[a
+    + 1]``, of which it posts the first ``limit[a]``, paying
+    ``inject[a]`` for each post.  Per message: the actors
     ``src`` / ``dst``, the resource ids ``held`` (acquired in tuple
     order, released in reverse), the phase costs ``hold`` (a lost
     attempt) / ``final_hold`` (the surviving one) / ``alpha`` /
@@ -122,7 +128,8 @@ def run(
         key = tuple(capacity)
         if contended is None or key not in contended:
             makespan, times, certified = capacity_free(
-                ops=ops, limit=limit, inject=inject, src=src, dst=dst,
+                codes=codes, bounds=bounds, first=first, limit=limit,
+                inject=inject, src=src, dst=dst,
                 held=held, capacity=capacity, final_hold=final_hold,
                 alpha=alpha, gamma_t=gamma_t, held_ids=held_ids,
             )
@@ -132,7 +139,7 @@ def run(
                 return makespan, times, 0, None
             if contended is not None:
                 contended.add(key)
-    nact = len(ops)
+    nact = len(first) - 1
     nmsg = len(src)
     now = 0.0
     heap: list = []
@@ -140,8 +147,10 @@ def run(
     pop = heapq.heappop
     seq = count(1).__next__
 
-    step = [0] * nact            # actor: current step ...
-    opi = [0] * nact             # ... and next op inside it
+    step = first[:-1]            # actor: current global step, ...
+    opi = [bounds[g] for g in step]  # ... its next op in ``codes`` ...
+    upto = [0] * nact            # ... and, waiting to inject, its step's end
+    stop = [g + n for g, n in zip(step, limit)]  # the step it stops at
     outstanding = [0] * nact     # posted this step, not yet completed
     waiting = [False] * nact     # parked at the end of its step
     times: List[Optional[float]] = [None] * nact
@@ -203,8 +212,7 @@ def run(
         """Post actor ``a``'s ops from where it stopped, paying
         ``inject[a]`` before each (``paid``: the next one's just
         elapsed), until it must wait for the clock or for its step."""
-        steps = ops[a]
-        lim = limit[a]
+        lim = stop[a]
         o = inject[a]
         s = step[a]
         j = opi[a]
@@ -212,12 +220,12 @@ def run(
         # count stays in a local until the actor stops.
         out = outstanding[a]
         while s < lim:
-            codes = steps[s]
-            n = len(codes)
+            n = bounds[s + 1]
             while j < n:
                 if o and not paid:
                     step[a] = s
                     opi[a] = j
+                    upto[a] = n
                     outstanding[a] = out
                     push(heap, (now + o, seq(), _INJECT, a))
                     return
@@ -237,8 +245,7 @@ def run(
                 outstanding[a] = out
                 waiting[a] = True
                 return
-            s += 1
-            j = 0
+            s += 1  # ``j`` is already the next step's first op
         step[a] = s
         outstanding[a] = 0
         times[a] = now
@@ -260,7 +267,6 @@ def run(
         if kind == _INJECT:
             # advance(x, True) up to its next stop: post the op the
             # injection paid for, then pay for the next one of the step.
-            codes = ops[x][step[x]]
             j = opi[x]
             i = codes[j] >> 1
             j += 1
@@ -272,7 +278,7 @@ def run(
                     acquire(i)
                 else:
                     state[i] = 1
-            if j < len(codes):
+            if j < upto[x]:
                 push(heap, (now + inject[x], seq(), _INJECT, x))
             else:
                 advance(x, False)
@@ -341,7 +347,7 @@ def run(
             for i in range(nmsg)
             if state[i] != 3 and not doomed[i]
         ] + [
-            f"rank{a} (step {step[a]})"
+            f"rank{a} (step {step[a] - first[a]})"
             for a in range(nact) if times[a] is None
         ]
         shown = ", ".join(blocked[:16])
@@ -382,7 +388,9 @@ def flatten_held(held: Sequence[Tuple[int, ...]]) -> np.ndarray:
 
 def capacity_free(
     *,
-    ops: Sequence[Sequence[Sequence[int]]],
+    codes: Sequence[int],
+    bounds: Sequence[int],
+    first: Sequence[int],
     limit: Sequence[int],
     inject: Sequence[float],
     src: Sequence[int],
@@ -415,14 +423,14 @@ def capacity_free(
     Returns ``(makespan, times, certified)``, or ``(0.0, None, False)``
     when some actor never finishes (the loop raises the deadlock).
     """
-    nact = len(ops)
+    nact = len(first) - 1
     nmsg = len(src)
-    first: List[Optional[float]] = [None] * nmsg  # the first post's time
+    posted: List[Optional[float]] = [None] * nmsg  # the first post's time
     owner = [0] * nmsg          # the actor that posted first
     start = [0.0] * nmsg
     sent = [0.0] * nmsg         # send completion
     reductions: List[Tuple[int, float, float]] = []  # (receiver, from, to)
-    step = [0] * nact
+    step = first[:-1]           # global step
     pending = [0] * nact        # ops of the current step not yet matched
     end = [0.0] * nact          # the current step's latest completion yet
     parked = [False] * nact
@@ -430,8 +438,7 @@ def capacity_free(
     work = list(range(nact - 1, -1, -1))
     while work:
         a = work.pop()
-        steps = ops[a]
-        lim = limit[a]
+        lim = first[a] + limit[a]
         o = inject[a]
         s = step[a]
         t = 0.0
@@ -439,20 +446,23 @@ def capacity_free(
             parked[a] = False
             t = end[a]
             s += 1
+        j = bounds[s]  # the global op cursor runs straight through
         while s < lim:
-            codes = steps[s]
-            if not codes:
+            hi = bounds[s + 1]
+            if j == hi:
                 s += 1
                 continue
             end[a] = e = 0.0
             out = 0  # first posts: ops that complete when matched
-            for c in codes:
+            while j < hi:
+                c = codes[j]
+                j += 1
                 if o:
                     t = t + o
                 i = c >> 1
-                p = first[i]
+                p = posted[i]
                 if p is None:
-                    first[i] = t
+                    posted[i] = t
                     owner[i] = a
                     out += 1
                     continue

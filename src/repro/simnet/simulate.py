@@ -2,9 +2,9 @@
 
 Builds the tables the DES kernel (:mod:`repro.simnet.kernel`) walks, in
 three layers, each computed once for what it depends on: a
-:class:`~repro.compile.program.SimPlan` — the compiled artifact's
+:class:`~repro.core.schedule.SimPlan` — the schedule's own
 matched-message plan
-(:meth:`~repro.compile.program.CompiledSchedule.sim_plan`, one actor per
+(:meth:`~repro.core.schedule.Schedule.sim_plan`, one actor per
 rank) or, where the ranks collapse into equivalence classes, the class
 plan (:attr:`~repro.compile.classes.RankClasses.plan`, one actor per
 class representative) — then per machine geometry the link class and
@@ -212,8 +212,8 @@ def simulate(
     host-side Perfetto trace.  Instrumentation never changes a simulated
     cost (pinned by ``tests/properties/test_obs_transparency.py``).
 
-    The ranks walk the cached compiled program's matched-message plan
-    (:meth:`repro.compile.program.CompiledSchedule.sim_plan`): raw step
+    The ranks walk the schedule's matched-message plan
+    (:meth:`repro.core.schedule.Schedule.sim_plan`): raw step
     boundaries, IR op order, copies dropped (modeled as free — an
     intra-GPU memcpy is off the critical path at collective
     granularity).  The plan and :func:`repro.faults.sim.match_messages`
@@ -329,9 +329,7 @@ def simulate(
             scope.metrics.counter(
                 "repro_engine_fallbacks_total", reason=refused
             ).inc()
-        from ..compile import get_or_compile
-
-        plan = get_or_compile(schedule).sim_plan()
+        plan = schedule.sim_plan()
     blocks = schedule.block_map(nbytes) if block_map is None else block_map
     link, held, held_ids, contended = _route(plan, machine)
     sizes = plan.message_bytes(blocks.sizes)
@@ -348,7 +346,7 @@ def simulate(
         analyze(schedule, faults, match_messages(schedule))
         if faults is not None else None
     )
-    nsteps = [len(steps) for steps in plan.ops]
+    nsteps = np.diff(plan.first).tolist()
     costs = cost_columns(
         machine, sizes, link, plan.reduce, nsteps,
         noise=noise, faults=faults, statics=statics,
@@ -380,7 +378,8 @@ def simulate(
         **attrs,
     ):
         makespan, actor_times, retransmissions, rows = kernel.run(
-            ops=plan.ops, src=plan.src, dst=plan.dst, held=held,
+            codes=plan.codes.tolist(), bounds=plan.bounds.tolist(),
+            first=plan.first.tolist(), src=plan.src, dst=plan.dst, held=held,
             held_ids=held_ids, capacity=_capacity(machine, plan),
             contended=contended, collect=collect_timeline, obs=scope,
             **costs,
@@ -466,7 +465,7 @@ def _route(
         # A class plan: each representative is a node of its own (the
         # partition needs one rank per node and no channel pools), and
         # the plan carries the link classes of the real messages.
-        nodes, npg, pools, fabric = len(plan.ops), 0, False, False
+        nodes, npg, pools, fabric = plan.nactors, 0, False, False
 
     def make() -> Tuple[np.ndarray, List[tuple], np.ndarray, Set[tuple]]:
         sn = np.asarray(plan.src, dtype=np.int64)
@@ -507,7 +506,7 @@ def _capacity(machine: MachineSpec, plan) -> list:
     """Units per resource id, in :func:`_route`'s numbering: a class
     plan's representatives own one send and one receive port pool each."""
     if plan.link is not None:
-        return [machine.nic_ports] * (2 * len(plan.ops))
+        return [machine.nic_ports] * (2 * plan.nactors)
     nodes = machine.nodes
     capacity = [machine.nic_ports] * (2 * nodes)
     capacity += [machine.intra_channels] * nodes

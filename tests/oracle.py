@@ -54,7 +54,7 @@ from repro.runtime.ops import SUM, ReduceOp
 
 __all__ = [
     "SendOp", "RecvOp", "CopyOp", "Op", "Step", "RankProgram",
-    "walk", "from_programs", "programs_of",
+    "walk", "from_programs", "programs_of", "kernel_csr",
     "DataModel", "RunResult", "run_schedule", "NumpyModel", "empty_programs",
     "relative_rank", "absolute_rank", "all_blocks",
 ]
@@ -286,6 +286,24 @@ def programs_of(schedule: Schedule) -> Tuple[RankProgram, ...]:
         ))
         for r, (lo, hi) in enumerate(zip(step_ptr, step_ptr[1:]))
     )
+
+
+def kernel_csr(ops: Sequence[Sequence[Sequence[int]]]) -> Dict[str, List[int]]:
+    """Op codes written per actor, per step, as the kernel's flat
+    ``codes`` / ``bounds`` / ``first`` keywords
+    (:class:`~repro.core.schedule.SimPlan`'s layout).
+
+    >>> kernel_csr([[[0], [2, 4]], [], [[1, 3, 5]]])
+    {'codes': [0, 2, 4, 1, 3, 5], 'bounds': [0, 1, 3, 6], 'first': [0, 2, 2, 3]}
+    """
+    steps = [codes for actor in ops for codes in actor]
+    bounds, first = [0], [0]
+    for codes in steps:
+        bounds.append(bounds[-1] + len(codes))
+    for actor in ops:
+        first.append(first[-1] + len(actor))
+    return {"codes": [c for codes in steps for c in codes],
+            "bounds": bounds, "first": first}
 
 
 def empty_programs(p: int) -> List[RankProgram]:

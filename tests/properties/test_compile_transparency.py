@@ -38,7 +38,6 @@ from hypothesis import strategies as st
 
 import repro.api as api
 from repro.check import check_model, has_model
-from repro.compile import get_or_compile
 from repro.core.registry import (
     COLLECTIVES,
     algorithms_for,
@@ -121,12 +120,19 @@ def _ir_feed(schedule):
 
 def _assert_plan_matches_ir(schedule, label: str) -> None:
     """``sim_plan()`` against ``match_messages`` and the IR op stream."""
-    plan = get_or_compile(schedule).sim_plan()
+    plan = schedule.sim_plan()
     metas = match_messages(schedule)
+    codes, bounds, first = (
+        plan.codes.tolist(), plan.bounds.tolist(), plan.first.tolist()
+    )
+    nested = [
+        [codes[bounds[g]:bounds[g + 1]] for g in range(lo, hi)]
+        for lo, hi in zip(first, first[1:])
+    ]
     # Where each message sits in its endpoints' programs, read off the
     # op codes: {msg: step} for the send side and the receive side.
     step_of = ({}, {})
-    for steps in plan.ops:
+    for steps in nested:
         for s, codes in enumerate(steps):
             for code in codes:
                 assert step_of[code & 1].setdefault(code >> 1, s) == s
@@ -153,7 +159,7 @@ def _assert_plan_matches_ir(schedule, label: str) -> None:
             )
             for codes in steps
         ]
-        for steps in plan.ops
+        for steps in nested
     ]
     assert decoded == _ir_feed(schedule), (
         f"{label}: simulator op codes != IR op stream"

@@ -31,6 +31,7 @@ from repro.simnet import kernel
 from repro.simnet.machines import frontier, reference
 from repro.simnet.noise import NoiseModel
 from repro.simnet.simulate import simulate
+from oracle import kernel_csr
 from test_golden_costs import (
     CORNER_CASES,
     CORNER_PS,
@@ -39,8 +40,9 @@ from test_golden_costs import (
 )
 
 #: What :func:`~repro.simnet.kernel.capacity_free` reads of a kernel call.
-_PASS_ARGS = ("ops", "limit", "inject", "src", "dst", "held", "capacity",
-              "final_hold", "alpha", "gamma_t", "held_ids")
+_PASS_ARGS = ("codes", "bounds", "first", "limit", "inject", "src", "dst",
+              "held", "capacity", "final_hold", "alpha", "gamma_t",
+              "held_ids")
 
 
 def _pass(kw: dict):
@@ -149,8 +151,8 @@ def _table(ops, msgs, *, capacity=(), o=0.0, gamma_t=None):
     rows and actors ``ops`` (per actor, per step, ``(msg, is_recv)``
     pairs)."""
     return {
-        "ops": [[tuple(i << 1 | r for i, r in step) for step in actor]
-                for actor in ops],
+        **kernel_csr([[[i << 1 | r for i, r in step] for step in actor]
+                      for actor in ops]),
         "limit": [len(actor) for actor in ops],
         "inject": [o] * len(ops),
         "src": [m[0] for m in msgs],

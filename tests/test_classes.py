@@ -20,6 +20,7 @@ from repro.compile.classes import classify, machine_asymmetry
 from repro.core.registry import build_schedule
 from repro.errors import ClassAnalysisError
 from repro.simnet.machines import frontier, reference
+from oracle import kernel_csr
 
 
 def _classify(coll, alg, p, *, k=None, nbytes=4096):
@@ -243,15 +244,15 @@ def reference_classify(compiled, machine, nbytes, forged=None):
     ops = []
     for c, rep in enumerate(reps):
         kinds, bounds = programs[rep].kinds, programs[rep].steps_raw
-        ops.append(tuple(
-            tuple(
+        ops.append([
+            [
                 out_row[c, i] << 1 if kinds[i] == OP_SEND
                 else in_row[c, i] << 1 | 1
                 for i in range(lo, hi) if kinds[i] != OP_COPY
-            )
+            ]
             for lo, hi in zip(bounds.tolist(), bounds.tolist()[1:])
-        ))
-    want["ops"] = tuple(ops)
+        ])
+    want.update(kernel_csr(ops))
     return want
 
 
@@ -270,7 +271,9 @@ def plan_columns(classes):
         "blocks": [tuple(plan.blk_ids[a:b].tolist())
                    for a, b in zip(ptr, ptr[1:])],
         "link": plan.link.tolist(),
-        "ops": plan.ops,
+        "codes": plan.codes.tolist(),
+        "bounds": plan.bounds.tolist(),
+        "first": plan.first.tolist(),
     }
 
 
@@ -401,13 +404,14 @@ class TestPlanBuilder:
          "actor 0 op 0 is not a receive but a send targets it"),
     ])
     def test_refusal_texts(self, damage, text):
-        from repro.compile.program import build_sim_plan
+        from repro.core.schedule import build_sim_plan
 
-        compiled = compile_schedule(build_schedule("allgather", "ring", 4))
+        schedule = build_schedule("allgather", "ring", 4)
+        compiled = compile_schedule(schedule)
         fifo = compiled.messages()
         plan = build_sim_plan(compiled.columns, fifo.recv_op,
                               fifo.seq[fifo.send_op])
-        assert plan.digest() == compiled.sim_plan().digest()
+        assert plan.digest() == schedule.sim_plan().digest()
         with pytest.raises(ClassAnalysisError, match=f"^{re.escape(text)}$"):
             build_sim_plan(compiled.columns, damage(fifo.recv_op),
                            fifo.seq[fifo.send_op])

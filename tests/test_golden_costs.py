@@ -37,6 +37,12 @@ engine the flat kernel (:mod:`repro.simnet.kernel`) replaced.  It is the
 record of that engine's answers: it is ``frozen`` — compared, never
 rewritten, even under ``--update-golden`` — because a difference there
 is a bug in the kernel.
+
+Last, the end of the pipeline: a cold ``tune`` on three small machines
+must serialize to the same selection-config bytes (sha256 prefixes in
+:data:`TUNE_SHA256`).  The document holds a timing row for every
+simulated point, so a time that moves anywhere in a sweep moves its
+hash.
 """
 
 from __future__ import annotations
@@ -51,8 +57,9 @@ from repro.compile import compile_schedule
 from repro.core.registry import build_schedule, info
 from repro.faults.plan import Crash, FaultPlan, LinkFault, RetryPolicy, Straggler
 from repro.models import ModelParams, model_time
+from repro.selection.tuner import tune
 from repro.simnet import DragonflySpec, NoiseModel, frontier, polaris
-from repro.simnet.machines import reference
+from repro.simnet.machines import reference, resolve
 from repro.simnet.simulate import simulate
 from oracle import SendOp, programs_of
 
@@ -253,3 +260,21 @@ def test_frozen_golden_survives_update(tmp_path):
     with pytest.raises(AssertionError, match="frozen"):
         pinned.check({"a": 2})
     assert pinned.path.read_text() == '{"a": 1}\n'
+
+
+#: sha256 prefix of ``tune(machine, (8, 65536, 1 << 20)).to_json()``.
+TUNE_SHA256 = {
+    "frontier-4x4": "bf0b7a72f8240e90",
+    "frontier-8x4": "4a6f9df5c9dfb2bb",
+    "polaris-4x2": "fc1147b2f597f8c7",
+}
+
+
+@pytest.mark.parametrize("machine", sorted(TUNE_SHA256))
+def test_cold_tune_document_pinned(machine):
+    """A cold tune (empty simulation memo) serializes to the pinned
+    selection-config bytes."""
+    clear_sim_memo()
+    doc = tune(resolve(machine), (8, 65536, 1 << 20)).to_json()
+    digest = hashlib.sha256(doc.encode()).hexdigest()[:16]
+    assert digest == TUNE_SHA256[machine]

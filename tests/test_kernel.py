@@ -14,7 +14,7 @@ import pytest
 from repro.errors import MachineError
 from repro.obs import Obs
 from repro.simnet import kernel, reference, simulate
-from oracle import RankProgram, RecvOp, SendOp, from_programs
+from oracle import RankProgram, RecvOp, SendOp, from_programs, kernel_csr
 
 
 def _run(ops, msgs, *, capacity=(), o=0.0, obs=None, **extra):
@@ -32,8 +32,8 @@ def _run(ops, msgs, *, capacity=(), o=0.0, obs=None, **extra):
     }
     cols.update(extra)
     return kernel.run(
-        ops=[[tuple(i << 1 | r for i, r in step) for step in actor]
-             for actor in ops],
+        **kernel_csr([[[i << 1 | r for i, r in step] for step in actor]
+                      for actor in ops]),
         limit=[len(actor) for actor in ops],
         inject=[o] * len(ops),
         capacity=list(capacity),
@@ -153,4 +153,13 @@ class TestDeadlock:
         ops = [[[(0, 0)], [(1, 0)]], [[(0, 1)]]]
         msgs = [(0, 1, (), 1.0, 1.0), (0, 1, (), 1.0, 1.0)]
         with pytest.raises(MachineError, match=r"2 process.*blocked at t=2"):
+            _run(ops, msgs)
+
+    def test_blocked_step_is_the_actors_own(self):
+        """A blocked actor is named with its step in its own program, not
+        its index among all actors' steps: actor 1 waits in its step 1
+        (the table's third step)."""
+        ops = [[[(0, 1)]], [[(0, 0)], [(1, 0)]]]
+        msgs = [(1, 0, (), 1.0, 1.0), (1, 0, (), 1.0, 1.0)]
+        with pytest.raises(MachineError, match=r"rank1 \(step 1\)"):
             _run(ops, msgs)

@@ -90,12 +90,11 @@ MIXED = [
     if not (op.integer_only and a.startswith("float"))
 ]
 
-#: 1 MiB accumulators for the operators :meth:`ReduceOp.apply` runs as
-#: an in-place ufunc (LAND and LOR keep the assignment form).
-UFUNC_CASES = [
+#: 1 MiB accumulators for every operator: :meth:`ReduceOp.apply` runs
+#: each, the logical ones included, as an in-place ufunc.
+ALLOCATION_CASES = [
     pytest.param(op, np.dtype(dt), id=f"{op.name}-{dt}")
     for op in ALL_OPS
-    if isinstance(op.fn, np.ufunc)
     for dt in ("int64", "float64")
     if not (op.integer_only and dt == "float64")
 ]
@@ -151,7 +150,31 @@ class TestInPlace:
         assert acc.dtype == acc_dtype
         assert acc.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("op,dtype", UFUNC_CASES)
+    @pytest.mark.parametrize("op", [LAND, LOR], ids=lambda op: op.name)
+    @pytest.mark.parametrize("acc_dtype,in_dtype", [
+        (a, b) for a in DTYPES + ("bool",) for b in ("int64", "float64", a)
+    ])
+    def test_logical_ops_equal_their_former_casts(self, op, acc_dtype,
+                                                  in_dtype):
+        """LAND / LOR were ``(a.astype(bool) OP b.astype(bool))`` cast
+        back to ``a``'s dtype: the ufuncs leave the same bytes, zeros,
+        NaN and −0.0 included."""
+        former = {
+            "land": lambda a, b: (a.astype(bool) & b.astype(bool)),
+            "lor": lambda a, b: (a.astype(bool) | b.astype(bool)),
+        }[op.name]
+        acc = _draw(np.dtype(acc_dtype), 257, seed=7)
+        incoming = _draw(np.dtype(in_dtype), 257, seed=8)
+        acc[::5] = 0
+        incoming[::3] = 0
+        if np.issubdtype(acc.dtype, np.floating):
+            acc[1], acc[2] = np.nan, -0.0
+        want = former(acc, incoming).astype(acc.dtype)
+        op.apply(acc, incoming)
+        assert acc.dtype == np.dtype(acc_dtype)
+        assert acc.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op,dtype", ALLOCATION_CASES)
     def test_allocates_nothing_of_acc_size(self, op, dtype):
         acc = _draw(dtype, (1 << 20) // dtype.itemsize, seed=5)
         incoming = _draw(dtype, acc.size, seed=6)

@@ -567,7 +567,6 @@ class TestMessages:
     def test_readers_name_the_first_starved_receive(self):
         # (1, 0) starves on its second receive, (2, 0) on its only one,
         # which comes first in program order: every reader names (2, 0).
-        from repro.compile import compile_schedule
         from repro.core.analysis import dependency_rounds
         from repro.errors import MachineError
         from repro.faults.sim import match_messages
@@ -580,7 +579,7 @@ class TestMessages:
         with pytest.raises(MachineError, match=r"channel \(2, 0\)$"):
             match_messages(schedule)
         with pytest.raises(MachineError, match=r"channel \(2, 0\)$"):
-            compile_schedule(schedule).sim_plan()
+            schedule.sim_plan()
         with pytest.raises(
             ScheduleError, match=r"\(2, 0\) has 1 recvs but only 0 sends"
         ):

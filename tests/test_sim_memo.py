@@ -19,8 +19,6 @@ import pytest
 
 from repro.bench import sweep as sweep_mod
 from repro.bench.sweep import SweepPoint, clear_sim_memo, simulate_point
-from repro.compile import compile_schedule
-from repro.compile.cache import open_compiled_store
 from repro.core.cache import global_schedule_cache
 from repro.core.lazy import LazySchedule
 from repro.core.registry import _REGISTRY, build_schedule
@@ -30,6 +28,7 @@ from repro.simnet import kernel
 from repro.simnet.machines import frontier, polaris, reference, resolve
 from repro.simnet.noise import NoiseModel
 from repro.simnet.simulate import simulate
+from repro.store.schedules import open_schedule_store
 
 
 @pytest.fixture
@@ -169,11 +168,12 @@ def test_equal_keys_mean_equal_kernel_inputs(kernel_calls, p):
     assert shared  # degenerate radices alias at every p
 
 
-def test_reloaded_artifact_digests_like_a_fresh_compile(tmp_path):
-    schedule = build_schedule("allreduce", "kring", 16, k=4)
-    fresh = compile_schedule(schedule)
-    open_compiled_store(tmp_path).get_or_compile(schedule)
-    loaded, hit = open_compiled_store(tmp_path).get_or_compile(schedule)
+def test_reloaded_schedule_digests_like_a_fresh_build(tmp_path):
+    fresh = build_schedule("allreduce", "kring", 16, k=4)
+    open_schedule_store(tmp_path).get_or_build("allreduce", "kring", 16, k=4)
+    loaded, hit = open_schedule_store(tmp_path).get_or_build(
+        "allreduce", "kring", 16, k=4
+    )
     assert hit and loaded is not fresh
     assert loaded.sim_plan() is not fresh.sim_plan()
     assert loaded.sim_plan().digest() == fresh.sim_plan().digest()
