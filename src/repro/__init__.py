@@ -52,67 +52,102 @@ removed after their five-release deprecation window; ``repro.execute``
 is the one build → run → check pipeline.
 """
 
-from .api import (
-    BACKENDS,
-    ENGINES,
-    build,
-    execute,
-    simulate,
-)
-from .bench import (
-    ALL_EXPERIMENTS,
-    default_sizes,
-    osu_latency,
-    radix_latency_sweep,
-    run_experiment,
-    speedup_curves,
-)
-from .core import (
-    COLLECTIVES,
-    GENERALIZED_ALGORITHMS,
-    Schedule,
-    algorithms_for,
-    verify,
-)
-from .errors import (
-    ExecutionError,
-    MachineError,
-    ModelError,
-    ObsError,
-    RecoveryError,
-    ReproError,
-    ScheduleError,
-    SelectionError,
-    TraceError,
-    ValidationError,
-)
-from .models import ModelParams, model_time, optimal_radix
-from .obs import OBS, Obs
-from .recovery import (
-    RecoveryPolicy,
-    RecoveryReport,
-    RecoveryRun,
-    SimRecoveryResult,
-    execute_with_recovery,
-    simulate_with_recovery,
-)
-from .runtime import SUM, Comm, ReduceOp, Session
-from .selection import (
-    SelectionTable,
-    fixed_policy,
-    mpich_policy,
-    tune,
-    vendor_policy,
-)
-from .simnet import (
-    MachineSpec,
-    NoiseModel,
-    frontier,
-    polaris,
-    reference,
-    traffic_summary,
-)
-from .simnet.machines import get as machine, resolve as resolve_machine
+import importlib as _importlib
+
+
+def _lazy_exports(package, namespace, table):
+    """The ``(__getattr__, __dir__)`` pair of a lazy package (PEP 562).
+
+    ``package`` is the package's ``__name__``, ``namespace`` its
+    ``globals()``, and ``table`` maps each exported name to the relative
+    module that defines it (``".api"``, ``"..errors"``), followed by
+    ``":attr"`` where the defining name differs.  Importing the package
+    runs no submodule; the first access to a name imports its module and
+    stores the value in ``namespace``, so later lookups — and ``from pkg
+    import name`` — are plain dictionary hits.  An attribute that names a
+    submodule imports it; any other name raises :class:`AttributeError`.
+    """
+
+    def __getattr__(name):
+        target = table.get(name)
+        if target is None:
+            if name.isidentifier() and not name.startswith("__"):
+                qualified = f"{package}.{name}"
+                try:
+                    return _importlib.import_module(qualified)
+                except ModuleNotFoundError as exc:
+                    if exc.name != qualified:
+                        raise
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}", name=name
+            )
+        module, _, attr = target.partition(":")
+        value = getattr(_importlib.import_module(module, package), attr or name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *table})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    "BACKENDS": ".runtime.executor",
+    "ENGINES": ".simnet.simulate",
+    "build": ".api",
+    "execute": ".api",
+    "simulate": ".api",
+    "ALL_EXPERIMENTS": ".bench.experiments",
+    "default_sizes": ".bench.osu",
+    "osu_latency": ".bench.osu",
+    "radix_latency_sweep": ".bench.sweep",
+    "run_experiment": ".bench.experiments",
+    "speedup_curves": ".bench.speedup",
+    "COLLECTIVES": ".core.registry",
+    "GENERALIZED_ALGORITHMS": ".core.registry",
+    "Schedule": ".core.schedule",
+    "algorithms_for": ".core.registry",
+    "verify": ".core.validate",
+    "ExecutionError": ".errors",
+    "MachineError": ".errors",
+    "ModelError": ".errors",
+    "ObsError": ".errors",
+    "RecoveryError": ".errors",
+    "ReproError": ".errors",
+    "ScheduleError": ".errors",
+    "SelectionError": ".errors",
+    "TraceError": ".errors",
+    "ValidationError": ".errors",
+    "ModelParams": ".models.params",
+    "model_time": ".models",
+    "optimal_radix": ".models.optimal",
+    "OBS": ".obs",
+    "Obs": ".obs",
+    "RecoveryPolicy": ".recovery.policy",
+    "RecoveryReport": ".recovery.policy",
+    "RecoveryRun": ".recovery.execute",
+    "SimRecoveryResult": ".recovery.sim",
+    "execute_with_recovery": ".recovery.execute",
+    "simulate_with_recovery": ".recovery.sim",
+    "SUM": ".runtime.ops",
+    "Comm": ".runtime.session",
+    "ReduceOp": ".runtime.ops",
+    "Session": ".runtime.session",
+    "SelectionTable": ".selection.table",
+    "fixed_policy": ".selection.defaults",
+    "mpich_policy": ".selection.defaults",
+    "tune": ".selection.tuner",
+    "vendor_policy": ".selection.defaults",
+    "MachineSpec": ".simnet.machine",
+    "NoiseModel": ".simnet.noise",
+    "frontier": ".simnet.machines",
+    "polaris": ".simnet.machines",
+    "reference": ".simnet.machines",
+    "traffic_summary": ".simnet.simulate",
+    "machine": ".simnet.machines:get",
+    "resolve_machine": ".simnet.machines:resolve",
+})
 
 __version__ = "1.2.0"
 

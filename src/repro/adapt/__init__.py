@@ -29,18 +29,26 @@ any ``--jobs`` — and with ``adapt`` off, no code in this package runs at
 all.
 """
 
-from .loop import AdaptiveRun, AdaptReport, RoundRecord, run_adaptive
-from .monitor import ConditionChange, HealthMonitor
-from .scenarios import (
-    SCENARIOS,
-    AdaptScenario,
-    calm_scenario,
-    contention_scenario,
-    flap_scenario,
-    get_scenario,
-    migrate_scenario,
-)
-from .selector import DEFAULT_POLICY, AdaptPolicy, OnlineSelector
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    "AdaptiveRun": ".loop",
+    "AdaptReport": ".loop",
+    "RoundRecord": ".loop",
+    "run_adaptive": ".loop",
+    "ConditionChange": ".monitor",
+    "HealthMonitor": ".monitor",
+    "SCENARIOS": ".scenarios",
+    "AdaptScenario": ".scenarios",
+    "calm_scenario": ".scenarios",
+    "contention_scenario": ".scenarios",
+    "flap_scenario": ".scenarios",
+    "get_scenario": ".scenarios",
+    "migrate_scenario": ".scenarios",
+    "DEFAULT_POLICY": ".selector",
+    "AdaptPolicy": ".selector",
+    "OnlineSelector": ".selector",
+})
 
 __all__ = [
     "AdaptPolicy",

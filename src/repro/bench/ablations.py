@@ -19,8 +19,7 @@ from ..core.registry import build_schedule
 from ..simnet.machine import us
 from ..simnet.machines import frontier
 from ..simnet.simulate import simulate
-from .experiments import ExperimentResult
-from .report import format_size, format_table, speedup_str
+from .report import ExperimentResult, format_size, format_table, speedup_str
 from .sweep import radix_latency_sweep
 
 __all__ = [

@@ -19,7 +19,6 @@ scale since tree algorithms stay cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,8 +42,15 @@ from ..selection.tuner import tune
 from ..simnet.machines import frontier, polaris, reference
 from ..simnet.noise import NoiseModel
 from ..simnet.simulate import simulate, traffic_summary
+from .ablations import ABLATIONS
 from .osu import default_sizes
-from .report import format_size, format_table, geomean, speedup_str
+from .report import (
+    ExperimentResult,
+    format_size,
+    format_table,
+    geomean,
+    speedup_str,
+)
 from .speedup import speedup_curves
 from .sweep import RadixSweep, radix_latency_sweep
 
@@ -69,33 +75,6 @@ __all__ = [
     "selection_config",
     "fig_diagrams",
 ]
-
-
-@dataclass
-class ExperimentResult:
-    """Output of one reproduced experiment."""
-
-    exp_id: str
-    title: str
-    paper_claim: str
-    text: str
-    data: Dict[str, object] = field(default_factory=dict)
-    checks: List[Tuple[str, bool, str]] = field(default_factory=list)
-
-    def check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, bool(ok), detail))
-
-    @property
-    def all_ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def summary(self) -> str:
-        lines = [f"== {self.exp_id}: {self.title} ==",
-                 f"paper: {self.paper_claim}", "", self.text, ""]
-        for name, ok, detail in self.checks:
-            mark = "PASS" if ok else "DIVERGES"
-            lines.append(f"[{mark}] {name}" + (f" — {detail}" if detail else ""))
-        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -960,12 +939,6 @@ def fig_diagrams() -> ExperimentResult:
     return res
 
 
-def _ablation_entries() -> Dict[str, Callable[[], ExperimentResult]]:
-    from .ablations import ABLATIONS  # late import: ablations import us
-
-    return dict(ABLATIONS)
-
-
 ALL_EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "table1": table1_capability,
     "figdiagrams": fig_diagrams,
@@ -987,8 +960,8 @@ ALL_EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "models": models_vs_sim,
     "variance": variance_study,
     "selection": selection_config,
+    **ABLATIONS,
 }
-ALL_EXPERIMENTS.update(_ablation_entries())
 
 
 def run_experiment(exp_id: str) -> ExperimentResult:

@@ -2,15 +2,25 @@
 
 The benchmark harness prints the same rows/series the paper's figures
 plot; these helpers keep that output aligned, unit-labeled, and diffable
-(fixed column widths, deterministic ordering).
+(fixed column widths, deterministic ordering).  :class:`ExperimentResult`,
+the record every experiment and ablation returns, lives here too, so
+:mod:`repro.bench.experiments` (which registers the ablations) and
+:mod:`repro.bench.ablations` both import it from a leaf module.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["format_size", "format_table", "geomean", "speedup_str"]
+__all__ = [
+    "ExperimentResult",
+    "format_size",
+    "format_table",
+    "geomean",
+    "speedup_str",
+]
 
 _UNITS = ["B", "KiB", "MiB", "GiB"]
 
@@ -97,3 +107,30 @@ def geomean(values: Sequence[float]) -> float:
 def speedup_str(ratio: float) -> str:
     """Format a speedup ratio the way the paper quotes them ("1.4x")."""
     return f"{ratio:.2f}x"
+
+
+@dataclass
+class ExperimentResult:
+    """Output of one reproduced experiment."""
+
+    exp_id: str
+    title: str
+    paper_claim: str
+    text: str
+    data: Dict[str, object] = field(default_factory=dict)
+    checks: List[Tuple[str, bool, str]] = field(default_factory=list)
+
+    def check(self, name: str, ok: bool, detail: str = "") -> None:
+        self.checks.append((name, bool(ok), detail))
+
+    @property
+    def all_ok(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
+
+    def summary(self) -> str:
+        lines = [f"== {self.exp_id}: {self.title} ==",
+                 f"paper: {self.paper_claim}", "", self.text, ""]
+        for name, ok, detail in self.checks:
+            mark = "PASS" if ok else "DIVERGES"
+            lines.append(f"[{mark}] {name}" + (f" — {detail}" if detail else ""))
+        return "\n".join(lines)

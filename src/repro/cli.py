@@ -106,14 +106,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional
 
-from .bench.experiments import ALL_EXPERIMENTS, run_experiment
-from .bench.osu import default_sizes
-from .core.registry import COLLECTIVES, algorithms_for, build_schedule, info
-from .core.validate import verify
+# Each verb imports what it runs inside its own functions: a console
+# script (and its --help) loads only its own subsystems.
 from .errors import MachineError, ReproError
-from .selection.tuner import DEFAULT_COLLECTIVES, tune
-from .simnet.machines import by_name, get as machine_by_name
-from .simnet.simulate import ENGINES
 
 __all__ = [
     "main_bench",
@@ -166,6 +161,8 @@ def _machine(args: argparse.Namespace):
     """The machine :func:`_machine_flags` names: a registry name with a
     ``-`` pins its own geometry (:func:`repro.simnet.machines.get`); a
     base name takes ``--nodes``, or ``--p`` split into whole nodes."""
+    from .simnet.machines import by_name, get as machine_by_name
+
     if args.ppn < 1:
         raise MachineError(f"ppn must be >= 1, got {args.ppn}")
     nodes = getattr(args, "nodes", None)
@@ -196,6 +193,8 @@ def _size_flags(parser: argparse.ArgumentParser, max_bytes: int) -> None:
 def _tuning_sizes(args: argparse.Namespace) -> List[int]:
     """Tuning every power of two is slow in simulation; every other one
     (plus ``--max-bytes``) bounds the sweep while keeping cutoffs tight."""
+    from .bench.osu import default_sizes
+
     sizes = default_sizes(args.min_bytes, args.max_bytes)
     return sizes[::2] + [sizes[-1]]
 
@@ -260,6 +259,8 @@ def main_bench(argv: Optional[List[str]] = None) -> int:
 
 
 def _bench(args: argparse.Namespace) -> int:
+    from .bench.experiments import ALL_EXPERIMENTS, run_experiment
+
     if args.list or args.experiment is None:
         for exp_id in sorted(ALL_EXPERIMENTS):
             print(exp_id)
@@ -311,6 +312,8 @@ def main_tune(argv: Optional[List[str]] = None) -> int:
 
 
 def _tune(args: argparse.Namespace) -> int:
+    from .selection.tuner import tune
+
     with _metrics_out(args.metrics_out):
         config = tune(_machine(args), _tuning_sizes(args), jobs=args.jobs,
                       check=args.check)
@@ -325,6 +328,8 @@ def _tune(args: argparse.Namespace) -> int:
 
 def main_validate(argv: Optional[List[str]] = None) -> int:
     """``repro-validate``: symbolic verification sweep."""
+    from .core.registry import COLLECTIVES
+
     parser = argparse.ArgumentParser(
         prog="repro-validate",
         description="Symbolically verify collective schedules across a "
@@ -346,6 +351,9 @@ def main_validate(argv: Optional[List[str]] = None) -> int:
 
 
 def _validate(args: argparse.Namespace) -> int:
+    from .core.registry import COLLECTIVES, algorithms_for, build_schedule, info
+    from .core.validate import verify
+
     if args.dump:
         if not (args.collective and args.algorithm):
             raise ReproError("--dump needs --collective and --algorithm")
@@ -493,6 +501,8 @@ def _chaos(args: argparse.Namespace) -> int:
 
 def main_recover(argv: Optional[List[str]] = None) -> int:
     """``repro-recover``: self-healing demo and recovery sweep."""
+    from .core.registry import COLLECTIVES
+
     parser = argparse.ArgumentParser(
         prog="repro-recover",
         description="Heal a seeded mid-schedule rank crash through "
@@ -646,6 +656,8 @@ def _bench_perf(args: argparse.Namespace) -> int:
 
 def main_trace(argv: Optional[List[str]] = None) -> int:
     """``repro-trace``: one collective under full observability."""
+    from .core.registry import COLLECTIVES
+
     parser = argparse.ArgumentParser(
         prog="repro-trace",
         description="Trace one collective point end to end: a size sweep "
@@ -734,6 +746,9 @@ def _trace(args: argparse.Namespace) -> int:
 
 def main_check(argv: Optional[List[str]] = None) -> int:
     """``repro-check``: static schedule analysis (no simulator)."""
+    from .core.registry import COLLECTIVES
+    from .simnet.simulate import ENGINES
+
     parser = argparse.ArgumentParser(
         prog="repro-check",
         description="Statically analyze collective schedules: deadlock "
@@ -835,6 +850,7 @@ def _check(args: argparse.Namespace) -> int:
                   + (summary["warnings"] if args.strict else 0))
     else:
         from .check import run_checks
+        from .core.registry import build_schedule
 
         if not (args.schedule or (args.collective and args.algorithm)):
             raise ReproError("name a (collective, algorithm) pair, or use "
@@ -868,6 +884,8 @@ def _check(args: argparse.Namespace) -> int:
 
 def main_sweep(argv: Optional[List[str]] = None) -> int:
     """``repro-sweep``: crash-safe, resumable radix sweep."""
+    from .core.registry import COLLECTIVES
+
     parser = argparse.ArgumentParser(
         prog="repro-sweep",
         description="Simulate an (algorithm x k x size) grid on a "
@@ -927,6 +945,8 @@ def _sweep(args: argparse.Namespace) -> int:
         sweep_fingerprint,
         sweep_stats,
     )
+    from .bench.osu import default_sizes
+    from .core.registry import algorithms_for, info
     from .selection.tuner import radix_grid
 
     if args.resume and not args.journal:
@@ -989,6 +1009,7 @@ def _sweep(args: argparse.Namespace) -> int:
 def main_adapt(argv: Optional[List[str]] = None) -> int:
     """``repro-adapt``: online adaptive selection under drift."""
     from .adapt.scenarios import SCENARIOS
+    from .core.registry import COLLECTIVES
 
     parser = argparse.ArgumentParser(
         prog="repro-adapt",
@@ -1108,6 +1129,8 @@ def _adapt(args: argparse.Namespace) -> int:
 
 def main_serve(argv: Optional[List[str]] = None) -> int:
     """``repro-serve``: run the schedule-tuning HTTP service."""
+    from .core.registry import COLLECTIVES
+
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description="Boot the schedule-tuning service (repro.server): "
@@ -1155,6 +1178,7 @@ def _serve(args: argparse.Namespace) -> int:
     import signal
 
     from .obs import OBS
+    from .selection.tuner import DEFAULT_COLLECTIVES
     from .server import TuningService
 
     # The service's own request counters record unconditionally, but

@@ -63,36 +63,36 @@ Guarantees, in order of importance:
   and quarantine on failure.
 """
 
-from ..errors import ClassAnalysisError, CompileError
-from .cache import (
-    CompiledCache,
-    compiled_store_key,
-    get_or_classify,
-    get_or_compile,
-    global_compiled_cache,
-    open_compiled_store,
-)
-from .classes import (
-    RankClasses,
-    classify,
-    machine_asymmetry,
-    partition_key,
-)
-from .lower import compile_schedule
-from .program import (
-    OP_COPY,
-    OP_NAMES,
-    OP_RECV,
-    OP_REDUCE_RECV,
-    OP_SEND,
-    BoundSchedule,
-    CompiledProgram,
-    CompiledSchedule,
-    StagingPlan,
-    StagingPool,
-)
-from .runner import run_compiled_lockstep, run_compiled_rank
-from .verify import verify_compiled
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    "ClassAnalysisError": "..errors",
+    "CompileError": "..errors",
+    "CompiledCache": ".cache",
+    "compiled_store_key": ".cache",
+    "get_or_classify": ".cache",
+    "get_or_compile": ".cache",
+    "global_compiled_cache": ".cache",
+    "open_compiled_store": ".cache",
+    "RankClasses": ".classes",
+    "classify": ".classes",
+    "machine_asymmetry": ".classes",
+    "partition_key": ".classes",
+    "compile_schedule": ".lower",
+    "OP_COPY": "..core.schedule",
+    "OP_RECV": "..core.schedule",
+    "OP_REDUCE_RECV": "..core.schedule",
+    "OP_SEND": "..core.schedule",
+    "OP_NAMES": ".program",
+    "BoundSchedule": ".program",
+    "CompiledProgram": ".program",
+    "CompiledSchedule": ".program",
+    "StagingPlan": ".program",
+    "StagingPool": ".program",
+    "run_compiled_lockstep": ".runner",
+    "run_compiled_rank": ".runner",
+    "verify_compiled": ".verify",
+})
 
 __all__ = [
     "OP_SEND",

@@ -60,6 +60,13 @@ class AlgorithmInfo:
     default_k: Optional[int] = None
     kernel: Optional[str] = None  # base communication kernel (Table I row)
     min_k: int = 2
+    #: The name a built schedule reports instead of ``name`` where its
+    #: builder relabels it: ``(alias, when)``, ``when(p, k)`` true at
+    #: exactly those parameters (k-nomial at k = 2 reports ``binomial``,
+    #: k-ring at k = 1 or k = p reports ``ring``).  Store keys carry the
+    #: reported name; the tuning service inverts this to map them back
+    #: to the entry that rebuilds the schedule.
+    alias: Optional[Tuple[str, Callable[[int, int], bool]]] = None
 
     def build(self, p: int, *, k: Optional[int] = None, root: int = 0) -> Schedule:
         """Build a schedule, validating and defaulting parameters."""
@@ -123,6 +130,16 @@ def _knomial(fn: Callable[..., Schedule]) -> Callable[..., Schedule]:
     return build
 
 
+def _at(radix: int) -> Callable[[int, int], bool]:
+    """An alias that applies at exactly one radix."""
+    return lambda p, k: k == radix
+
+
+_BINOMIAL = ("binomial", _at(2))
+_RECURSIVE_DOUBLING = ("recursive_doubling", _at(2))
+_RING = ("ring", lambda p, k: not 1 < k < p)
+_BRUCK_KPORT = ("bruck_kport", lambda p, k: k != 2)
+
 _REGISTRY: Dict[Tuple[str, str], AlgorithmInfo] = {}
 
 
@@ -140,14 +157,15 @@ _register(AlgorithmInfo("bcast", "binomial", _binomial(knomial.knomial_bcast),
                         takes_root=True, kernel="binomial"))
 _register(AlgorithmInfo("bcast", "knomial", _knomial(knomial.knomial_bcast),
                         takes_k=True, takes_root=True, generalized=True,
-                        default_k=2, kernel="binomial"))
+                        default_k=2, kernel="binomial", alias=_BINOMIAL))
 _register(AlgorithmInfo("bcast", "recursive_doubling",
                         recursive.recursive_doubling_bcast, takes_root=True,
                         kernel="recursive_doubling"))
 _register(AlgorithmInfo("bcast", "recursive_multiplying",
                         _knomial(recursive.recursive_multiplying_bcast),
                         takes_k=True, takes_root=True, generalized=True,
-                        default_k=2, kernel="recursive_doubling"))
+                        default_k=2, kernel="recursive_doubling",
+                        alias=_RECURSIVE_DOUBLING))
 _register(AlgorithmInfo("bcast", "scatter_allgather",
                         baselines.scatter_allgather_bcast, takes_root=True,
                         kernel="ring"))
@@ -155,14 +173,14 @@ _register(AlgorithmInfo("bcast", "ring", ring.ring_bcast, takes_root=True,
                         kernel="ring"))
 _register(AlgorithmInfo("bcast", "kring", _knomial(ring.kring_bcast),
                         takes_k=True, takes_root=True, generalized=True,
-                        default_k=1, kernel="ring", min_k=1))
+                        default_k=1, kernel="ring", min_k=1, alias=_RING))
 # Extension beyond Table I: the segmented chain pipeline; its "radix" is
 # the segment count (see repro.core.pipeline).
 _register(AlgorithmInfo("bcast", "pipelined_chain",
                         lambda p, *, k, root=0:
                         pipeline.chain_bcast(p, k, root=root),
                         takes_k=True, takes_root=True, default_k=1,
-                        kernel="chain", min_k=1))
+                        kernel="chain", min_k=1, alias=("chain", _at(1))))
 
 # --- reduce ------------------------------------------------------------
 _register(AlgorithmInfo("reduce", "linear", baselines.linear_reduce,
@@ -172,7 +190,7 @@ _register(AlgorithmInfo("reduce", "binomial",
                         kernel="binomial"))
 _register(AlgorithmInfo("reduce", "knomial", _knomial(knomial.knomial_reduce),
                         takes_k=True, takes_root=True, generalized=True,
-                        default_k=2, kernel="binomial"))
+                        default_k=2, kernel="binomial", alias=_BINOMIAL))
 _register(AlgorithmInfo("reduce", "reduce_scatter_gather",
                         baselines.reduce_scatter_gather_reduce,
                         takes_root=True, kernel="recursive_doubling"))
@@ -185,7 +203,7 @@ _register(AlgorithmInfo("gather", "binomial",
                         kernel="binomial"))
 _register(AlgorithmInfo("gather", "knomial", _knomial(knomial.knomial_gather),
                         takes_k=True, takes_root=True, generalized=True,
-                        default_k=2, kernel="binomial"))
+                        default_k=2, kernel="binomial", alias=_BINOMIAL))
 _register(AlgorithmInfo("scatter", "linear", baselines.linear_scatter,
                         takes_root=True, kernel="linear"))
 _register(AlgorithmInfo("scatter", "binomial",
@@ -194,7 +212,7 @@ _register(AlgorithmInfo("scatter", "binomial",
 _register(AlgorithmInfo("scatter", "knomial",
                         _knomial(knomial.knomial_scatter), takes_k=True,
                         takes_root=True, generalized=True, default_k=2,
-                        kernel="binomial"))
+                        kernel="binomial", alias=_BINOMIAL))
 
 # --- allgather ----------------------------------------------------------
 _register(AlgorithmInfo("allgather", "binomial",
@@ -202,24 +220,27 @@ _register(AlgorithmInfo("allgather", "binomial",
                         kernel="binomial"))
 _register(AlgorithmInfo("allgather", "knomial",
                         _knomial(knomial.knomial_allgather), takes_k=True,
-                        generalized=True, default_k=2, kernel="binomial"))
+                        generalized=True, default_k=2, kernel="binomial",
+                        alias=_BINOMIAL))
 _register(AlgorithmInfo("allgather", "recursive_doubling",
                         recursive.recursive_doubling_allgather,
                         kernel="recursive_doubling"))
 _register(AlgorithmInfo("allgather", "recursive_multiplying",
                         _knomial(recursive.recursive_multiplying_allgather),
                         takes_k=True, generalized=True, default_k=2,
-                        kernel="recursive_doubling"))
+                        kernel="recursive_doubling",
+                        alias=_RECURSIVE_DOUBLING))
 _register(AlgorithmInfo("allgather", "ring", ring.ring_allgather,
                         kernel="ring"))
 _register(AlgorithmInfo("allgather", "kring", _knomial(ring.kring_allgather),
                         takes_k=True, generalized=True, default_k=1,
-                        kernel="ring", min_k=1))
+                        kernel="ring", min_k=1, alias=_RING))
 # Extension beyond Table I: the rotation-based Bruck exchange, generalized
 # over its port count — handles any p with no fold/unfold (see
 # repro.core.bruck).
 _register(AlgorithmInfo("allgather", "bruck", _knomial(bruck.bruck_allgather),
-                        takes_k=True, default_k=2, kernel="bruck"))
+                        takes_k=True, default_k=2, kernel="bruck",
+                        alias=_BRUCK_KPORT))
 
 # --- allreduce ----------------------------------------------------------
 _register(AlgorithmInfo("allreduce", "binomial",
@@ -227,19 +248,21 @@ _register(AlgorithmInfo("allreduce", "binomial",
                         kernel="binomial"))
 _register(AlgorithmInfo("allreduce", "knomial",
                         _knomial(knomial.knomial_allreduce), takes_k=True,
-                        generalized=True, default_k=2, kernel="binomial"))
+                        generalized=True, default_k=2, kernel="binomial",
+                        alias=_BINOMIAL))
 _register(AlgorithmInfo("allreduce", "recursive_doubling",
                         recursive.recursive_doubling_allreduce,
                         kernel="recursive_doubling"))
 _register(AlgorithmInfo("allreduce", "recursive_multiplying",
                         _knomial(recursive.recursive_multiplying_allreduce),
                         takes_k=True, generalized=True, default_k=2,
-                        kernel="recursive_doubling"))
+                        kernel="recursive_doubling",
+                        alias=_RECURSIVE_DOUBLING))
 _register(AlgorithmInfo("allreduce", "ring", ring.ring_allreduce,
                         kernel="ring"))
 _register(AlgorithmInfo("allreduce", "kring", _knomial(ring.kring_allreduce),
                         takes_k=True, generalized=True, default_k=1,
-                        kernel="ring", min_k=1))
+                        kernel="ring", min_k=1, alias=_RING))
 _register(AlgorithmInfo("allreduce", "reduce_scatter_allgather",
                         baselines.reduce_scatter_allgather_allreduce,
                         kernel="recursive_doubling"))
@@ -251,19 +274,22 @@ _register(AlgorithmInfo("reduce_scatter", "recursive_halving",
 _register(AlgorithmInfo("reduce_scatter", "recursive_multiplying",
                         _recursive_multiplying_reduce_scatter, takes_k=True,
                         generalized=True, default_k=2,
-                        kernel="recursive_doubling"))
+                        kernel="recursive_doubling",
+                        alias=("recursive_halving", _at(2))))
 _register(AlgorithmInfo("reduce_scatter", "ring", ring.ring_reduce_scatter,
                         kernel="ring"))
 _register(AlgorithmInfo("reduce_scatter", "kring",
                         _knomial(ring.kring_reduce_scatter), takes_k=True,
-                        generalized=True, default_k=1, kernel="ring", min_k=1))
+                        generalized=True, default_k=1, kernel="ring", min_k=1,
+                        alias=_RING))
 
 # --- alltoall (extension: the Fan et al. [12] generalized-Bruck lineage) -
 _register(AlgorithmInfo("alltoall", "pairwise", alltoall.pairwise_alltoall,
                         kernel="pairwise"))
 _register(AlgorithmInfo("alltoall", "bruck",
                         lambda p, *, k: alltoall.bruck_alltoall(p, k),
-                        takes_k=True, default_k=2, kernel="bruck"))
+                        takes_k=True, default_k=2, kernel="bruck",
+                        alias=_BRUCK_KPORT))
 
 # --- barrier (extension: Hoefler's n-way dissemination, cited as [19]) --
 _register(AlgorithmInfo("barrier", "dissemination",
@@ -271,7 +297,8 @@ _register(AlgorithmInfo("barrier", "dissemination",
                         kernel="dissemination"))
 _register(AlgorithmInfo("barrier", "k_dissemination",
                         _knomial(bruck.dissemination_barrier), takes_k=True,
-                        default_k=2, kernel="dissemination"))
+                        default_k=2, kernel="dissemination",
+                        alias=("dissemination", _at(2))))
 
 
 #: Paper Table I — the ten generalized implementations.

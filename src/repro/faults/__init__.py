@@ -11,28 +11,28 @@ The chaos harness lives in :mod:`repro.faults.chaos` (imported lazily to
 keep this package free of backend dependencies).
 """
 
-from .channel import (
-    POLL_SLICE,
-    ChannelAborted,
-    ChannelBroken,
-    ChannelFailure,
-    ChannelMonitor,
-    ChannelTimeout,
-    LossyChannel,
-)
-from .plan import (
-    BackgroundJob,
-    ContentionModel,
-    Crash,
-    FaultPhase,
-    FaultPlan,
-    LinkFault,
-    PhasedFaultPlan,
-    RetryPolicy,
-    Straggler,
-    combine_plans,
-)
-from .rng import derive_rng
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    "POLL_SLICE": ".channel",
+    "ChannelAborted": ".channel",
+    "ChannelBroken": ".channel",
+    "ChannelFailure": ".channel",
+    "ChannelMonitor": ".channel",
+    "ChannelTimeout": ".channel",
+    "LossyChannel": ".channel",
+    "BackgroundJob": ".plan",
+    "ContentionModel": ".plan",
+    "Crash": ".plan",
+    "FaultPhase": ".plan",
+    "FaultPlan": ".plan",
+    "LinkFault": ".plan",
+    "PhasedFaultPlan": ".plan",
+    "RetryPolicy": ".plan",
+    "Straggler": ".plan",
+    "combine_plans": ".plan",
+    "derive_rng": ".rng",
+})
 
 __all__ = [
     "FaultPlan",

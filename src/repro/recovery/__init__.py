@@ -27,25 +27,32 @@ See DESIGN.md §11 for the recovery model (detector semantics, shrink
 protocol, resume-state invariants).
 """
 
-from .detect import (
-    HeartbeatDetector,
-    LinkDegraded,
-    RankFailure,
-    failures_from,
-    simulated_failures,
-    suspects_of,
-)
-from .execute import RecoveryRun, execute_with_recovery
-from .policy import (
-    RECOVERY_MODES,
-    RecoveryPolicy,
-    RecoveryReport,
-    RoundRecord,
-    normalize_policy,
-)
-from .retune import degraded_plan, retune_degraded
-from .shrink import elect_root, shrink_machine, shrink_plan, substitute_plan
-from .sim import SimRecoveryResult, detection_timeout, simulate_with_recovery
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    "HeartbeatDetector": ".detect",
+    "LinkDegraded": ".detect",
+    "RankFailure": ".detect",
+    "failures_from": ".detect",
+    "simulated_failures": ".detect",
+    "suspects_of": ".detect",
+    "RecoveryRun": ".execute",
+    "execute_with_recovery": ".execute",
+    "RECOVERY_MODES": ".policy",
+    "RecoveryPolicy": ".policy",
+    "RecoveryReport": ".policy",
+    "RoundRecord": ".policy",
+    "normalize_policy": ".policy",
+    "degraded_plan": ".retune",
+    "retune_degraded": ".retune",
+    "elect_root": ".shrink",
+    "shrink_machine": ".shrink",
+    "shrink_plan": ".shrink",
+    "substitute_plan": ".shrink",
+    "SimRecoveryResult": ".sim",
+    "detection_timeout": ".sim",
+    "simulate_with_recovery": ".sim",
+})
 
 __all__ = [
     "HeartbeatDetector",

@@ -34,7 +34,6 @@ from .buffers import (
     reference_result,
 )
 from .ops import SUM, ReduceOp
-from .threaded import execute_threaded
 
 __all__ = ["execute", "CollectiveRun", "BACKENDS"]
 
@@ -156,6 +155,10 @@ def _run_checked(
     if backend == "lockstep":
         execute(schedule, buffers, op=op, obs=obs)
     else:
+        # Deferred: one thread per rank (and its lossy channels) is the
+        # opt-in backend, so build/simulate/lockstep never load it.
+        from .threaded import execute_threaded
+
         execute_threaded(
             schedule, buffers, op=op,
             timeout=_TIMEOUT if timeout is None else timeout,

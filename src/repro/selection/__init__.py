@@ -1,31 +1,29 @@
 """Algorithm selection — MPICH-style tuning tables, the selection-config
 document, default policies, and the exhaustive tuner (paper §VI-G)."""
 
-from .defaults import (
-    ALLGATHER_CUTOFF,
-    ALLREDUCE_SHORT_CUTOFF,
-    BCAST_MEDIUM_CUTOFF,
-    BCAST_SHORT_CUTOFF,
-    REDUCE_SHORT_CUTOFF,
-    fixed_policy,
-    mpich_policy,
-    vendor_policy,
-)
-from .table import (
-    CONFIG_FORMAT,
-    CONFIG_VERSION,
-    Choice,
-    Rule,
-    SelectionConfig,
-    SelectionTable,
-)
-from .tuner import (
-    SweepEntry,
-    config_from_sweeps,
-    radix_grid,
-    sweep_collective,
-    tune,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    "ALLGATHER_CUTOFF": ".defaults",
+    "ALLREDUCE_SHORT_CUTOFF": ".defaults",
+    "BCAST_MEDIUM_CUTOFF": ".defaults",
+    "BCAST_SHORT_CUTOFF": ".defaults",
+    "REDUCE_SHORT_CUTOFF": ".defaults",
+    "fixed_policy": ".defaults",
+    "mpich_policy": ".defaults",
+    "vendor_policy": ".defaults",
+    "CONFIG_FORMAT": ".table",
+    "CONFIG_VERSION": ".table",
+    "Choice": ".table",
+    "Rule": ".table",
+    "SelectionConfig": ".table",
+    "SelectionTable": ".table",
+    "SweepEntry": ".tuner",
+    "config_from_sweeps": ".tuner",
+    "radix_grid": ".tuner",
+    "sweep_collective": ".tuner",
+    "tune": ".tuner",
+})
 
 __all__ = [
     "Choice",

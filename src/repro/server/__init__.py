@@ -20,10 +20,14 @@ Two modules:
   ``execute(..., select="http://...")`` speak through.
 """
 
-from __future__ import annotations
+from .. import _lazy_exports
 
-from .app import ServerHandle, TuningService, serve_background
-from .client import TuningClient
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    "ServerHandle": ".app",
+    "TuningService": ".app",
+    "serve_background": ".app",
+    "TuningClient": ".client",
+})
 
 __all__ = [
     "TuningService",

@@ -61,7 +61,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..compile.cache import (
@@ -70,7 +70,7 @@ from ..compile.cache import (
     open_compiled_store,
 )
 from ..core.cache import ScheduleCache
-from ..core.registry import info
+from ..core.registry import COLLECTIVES, algorithms_for, info
 from ..core.schedule import Schedule
 from ..core.serialize import dumps_blob
 from ..errors import ReproError, SelectionError, ServerError
@@ -226,27 +226,11 @@ class TuningService:
         """
         if self.schedules.store is None:
             return
+        aliases = _registry_aliases()
         for _path, key in self.schedules.store.keys_on_disk():
-            if not key:
-                continue
-            parts = key.split("/")
-            if len(parts) != 7 or parts[0] != "compiled":
-                continue
-            try:
-                params: _ScheduleParams = (
-                    parts[1],
-                    parts[2],
-                    int(parts[3][len("p="):]),
-                    None if parts[4] == "k=None"
-                    else int(parts[4][len("k="):]),
-                    # Non-rooted schedules record root=None in the key;
-                    # their builders take root=0.
-                    0 if parts[5] == "root=None"
-                    else int(parts[5][len("root="):]),
-                )
-            except ValueError:
-                continue
-            self._fingerprints[parts[6]] = params
+            params = _params_from_key(key, aliases) if key else None
+            if params is not None:
+                self._fingerprints[key.rsplit("/", 1)[1]] = params
 
     def _register(self, schedule, params: _ScheduleParams) -> str:
         """Index a served schedule under its full and prefix fingerprints.
@@ -337,8 +321,8 @@ class TuningService:
         asked = query.get("fingerprint")
         if asked is not None and asked not in (fp, fp[:16]):
             # The index resolved to parameters that build another
-            # schedule (store keys carry self-reported names): say so
-            # rather than serve it.
+            # schedule (a store written before a builder changed): say
+            # so rather than serve it.
             raise _HttpReply(
                 404, "ServerError",
                 f"fingerprint {asked!r} is indexed as "
@@ -655,6 +639,54 @@ def serve_background(machine, sizes: Sequence[int], **kwargs) -> ServerHandle:
 # ----------------------------------------------------------------------
 # Wire helpers
 # ----------------------------------------------------------------------
+
+
+#: (collective, reported name) → [(registry name, when(p, k)), …].
+_Aliases = Dict[Tuple[str, str], List[Tuple[str, Callable[[int, int], bool]]]]
+
+
+def _registry_aliases() -> _Aliases:
+    """The registry's declared aliases
+    (:attr:`~repro.core.registry.AlgorithmInfo.alias`), inverted."""
+    table: _Aliases = {}
+    for collective in COLLECTIVES:
+        for name in algorithms_for(collective):
+            alias = info(collective, name).alias
+            if alias is not None:
+                table.setdefault((collective, alias[0]), []).append(
+                    (name, alias[1])
+                )
+    return table
+
+
+def _params_from_key(key: str, aliases: _Aliases) -> Optional[_ScheduleParams]:
+    """The registry parameters that rebuild the schedule a
+    ``compiled/…`` store key names; None for any other key.
+
+    A key carries the names its schedule reports of itself, and builders
+    relabel at degenerate radices (``allgather/bruck`` at k ≥ 3 reports
+    ``bruck_kport``, k-ring at k ∈ {1, p} reports ``ring``): ``aliases``
+    maps such a name back to the entry that built it.
+    """
+    parts = key.split("/")
+    if len(parts) != 7 or parts[0] != "compiled":
+        return None
+    collective, reported = parts[1], parts[2]
+    try:
+        p = int(parts[3][len("p="):])
+        k = None if parts[4] == "k=None" else int(parts[4][len("k="):])
+        # Non-rooted schedules record root=None in the key; their
+        # builders take root=0.
+        root = 0 if parts[5] == "root=None" else int(parts[5][len("root="):])
+    except ValueError:
+        return None
+    algorithm = reported
+    if k is not None:
+        for name, when in aliases.get((collective, reported), ()):
+            if when(p, k):
+                algorithm = name
+                break
+    return collective, algorithm, p, k, root
 
 
 def _require(query: Dict[str, str], name: str) -> str:

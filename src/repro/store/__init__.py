@@ -29,12 +29,21 @@ error** — a corrupted entry or torn journal line costs a rebuild or a
 re-run of one point, never a crashed run.
 """
 
-from __future__ import annotations
+from .. import _lazy_exports
 
-from .disk import FORMAT_VERSION, DiskStore, StoreStats
-from .journal import LINE_VERSION, JournalWriter, journal_header, read_journal
-from .locking import FileLock, have_flock
-from .schedules import open_schedule_store, schedule_store_key
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    "FORMAT_VERSION": ".disk",
+    "DiskStore": ".disk",
+    "StoreStats": ".disk",
+    "LINE_VERSION": ".journal",
+    "JournalWriter": ".journal",
+    "journal_header": ".journal",
+    "read_journal": ".journal",
+    "FileLock": ".locking",
+    "have_flock": ".locking",
+    "open_schedule_store": ".schedules",
+    "schedule_store_key": "..core.cache",
+})
 
 __all__ = [
     "FORMAT_VERSION",

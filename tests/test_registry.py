@@ -107,3 +107,37 @@ class TestMaxRadix:
     def test_fixed_algorithm_has_no_radix(self):
         with pytest.raises(ScheduleError):
             max_radix("bcast", "binomial", 16)
+
+
+def registry_grid(p):
+    """Every registry entry × radix × root a sweep can ask for at ``p``."""
+    for coll in COLLECTIVES:
+        for alg in algorithms_for(coll):
+            entry = info(coll, alg)
+            ks = (range(entry.min_k, max_radix(coll, alg, p) + 1)
+                  if entry.takes_k else [None])
+            roots = [0, 1] if entry.takes_root else [0]
+            for k in ks:
+                for root in roots:
+                    yield entry, k, root
+
+
+class TestAliases:
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_declared_alias_is_the_name_a_build_reports(self, p):
+        """``AlgorithmInfo.alias`` predicts every relabelling builder
+        exactly, so the table cannot drift from the builders it
+        describes (the tuning service inverts it to read store keys)."""
+        for entry, k, root in registry_grid(p):
+            sched = entry.build(p, k=k, root=root)
+            declared = (entry.alias[0]
+                        if entry.alias is not None and entry.alias[1](p, k)
+                        else entry.name)
+            assert sched.algorithm == declared, (entry.collective,
+                                                 entry.name, p, k)
+
+    def test_only_radix_entries_alias(self):
+        for coll in COLLECTIVES:
+            for alg in algorithms_for(coll):
+                entry = info(coll, alg)
+                assert entry.alias is None or entry.takes_k, (coll, alg)

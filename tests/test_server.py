@@ -173,10 +173,10 @@ def test_a_slow_schedule_build_leaves_select_answering(monkeypatch):
 
 
 def test_index_entry_that_builds_another_schedule_is_a_404(tmp_path):
-    """The boot-time index comes from store keys, which carry the
-    schedule's self-reported names: for k-ring at k = 1 they resolve to
-    registry ``ring``.  Served is never silently different from asked —
-    the reply is a structured 404 naming both."""
+    """An index entry whose parameters now build another schedule — a
+    store key written before a builder changed, here registry ``ring``
+    standing in for k-ring at k = 1 — is never served silently: the
+    reply is a structured 404 naming both."""
     from repro.server.app import _HttpReply
 
     first = TuningService(
@@ -189,9 +189,67 @@ def test_index_entry_that_builds_another_schedule_is_a_404(tmp_path):
     second = TuningService(
         MACHINE, SIZES, collectives=("allreduce",), store=tmp_path
     )
+    assert second._fingerprints[fp[:16]] == ("allgather", "kring", P, 1, 0)
+    second._fingerprints[fp[:16]] = ("allgather", "ring", P, None, 0)
     with pytest.raises(_HttpReply, match="not serving a different") as exc:
         second._ep_schedule({"fingerprint": fp[:16]})
     assert exc.value.status == 404
+
+
+#: Builds that report another name than the one asked for (the registry
+#: declares these as ``AlgorithmInfo.alias``), at p = 16.
+SELF_RENAMED = (
+    ("allgather", "bruck", 3),
+    ("alltoall", "bruck", 4),
+    ("allgather", "kring", 1),
+    ("allgather", "kring", 16),
+    ("bcast", "pipelined_chain", 1),
+)
+
+
+def test_self_renamed_schedules_resolve_after_restart(tmp_path):
+    """Schedules filed under the names they report of themselves are
+    fetchable by fingerprint from a *fresh* service over the same
+    store: the boot index maps each store key back to the registry
+    entry that rebuilds it, loading no artifact."""
+    first = TuningService(
+        MACHINE, SIZES, collectives=("allreduce",), store=tmp_path
+    )
+    fps = []
+    for collective, algorithm, k in SELF_RENAMED:
+        payload = first._ep_schedule({"collective": collective,
+                                      "algorithm": algorithm,
+                                      "p": "16", "k": str(k)})
+        assert payload["algorithm"] != algorithm
+        fps.append(payload["source_fingerprint"])
+
+    second = TuningService(
+        MACHINE, SIZES, collectives=("allreduce",), store=tmp_path
+    )
+    for fp in fps:
+        assert second._ep_schedule(
+            {"fingerprint": fp}
+        )["source_fingerprint"] == fp
+
+
+@pytest.mark.parametrize("p", [8, 16])
+def test_every_store_key_resolves_to_its_own_schedule(p):
+    """Over the whole registry grid, the boot index's reading of each
+    compiled store key rebuilds the very schedule that wrote it."""
+    from repro.compile.cache import compiled_store_key
+    from repro.core.registry import info
+    from repro.server.app import _params_from_key, _registry_aliases
+    from test_registry import registry_grid
+
+    aliases = _registry_aliases()
+    for entry, k, root in registry_grid(p):
+        sched = entry.build(p, k=k, root=root)
+        c, a, q, kk, r = _params_from_key(compiled_store_key(sched), aliases)
+        if kk is not None and not info(c, a).takes_k:
+            kk = None  # as the service normalizes
+        again = build_schedule(c, a, q, k=kk, root=r)
+        assert again.fingerprint() == sched.fingerprint(), (
+            entry.collective, entry.name, p, k, root)
 
 
 def test_schedule_refuses_a_root_warm_or_cold(served):
