@@ -232,19 +232,20 @@ def _check_chunk(points: Sequence[CheckPoint]) -> List[CheckRecord]:
 def _classify_point(pt: CheckPoint) -> int:
     """Class count for one grid point on a symmetric reference machine.
 
-    Purely static: :func:`repro.compile.get_or_classify` verifies the
-    peer-relabeling bijection invariants while partitioning, so a point
-    that survives this call is proven safe for the collapsed simulation
-    core — without ever running it.
+    Purely static: :func:`repro.compile.classes.rank_classes` (the
+    lookup a collapsed ``simulate`` makes) verifies the peer-relabeling
+    bijection invariants while partitioning, so a point that survives
+    this call is proven safe for the collapsed simulation core —
+    without ever running it.
     """
-    from ..compile import get_or_classify
+    from ..compile.classes import rank_classes
     from ..core.cache import global_schedule_cache
     from ..simnet.machines import reference
 
     schedule, _ = global_schedule_cache().get_or_build(
         pt.collective, pt.algorithm, pt.p, k=pt.k, root=0
     )
-    return get_or_classify(schedule, reference(pt.p), pt.nbytes).nclasses
+    return rank_classes(schedule, reference(pt.p), pt.nbytes).nclasses
 
 
 def run_check_sweep(

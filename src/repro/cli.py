@@ -328,7 +328,7 @@ def _tune(args: argparse.Namespace) -> int:
 
 def main_validate(argv: Optional[List[str]] = None) -> int:
     """``repro-validate``: symbolic verification sweep."""
-    from .core.registry import COLLECTIVES
+    from .names import COLLECTIVES
 
     parser = argparse.ArgumentParser(
         prog="repro-validate",
@@ -501,7 +501,7 @@ def _chaos(args: argparse.Namespace) -> int:
 
 def main_recover(argv: Optional[List[str]] = None) -> int:
     """``repro-recover``: self-healing demo and recovery sweep."""
-    from .core.registry import COLLECTIVES
+    from .names import COLLECTIVES
 
     parser = argparse.ArgumentParser(
         prog="repro-recover",
@@ -656,7 +656,7 @@ def _bench_perf(args: argparse.Namespace) -> int:
 
 def main_trace(argv: Optional[List[str]] = None) -> int:
     """``repro-trace``: one collective under full observability."""
-    from .core.registry import COLLECTIVES
+    from .names import COLLECTIVES
 
     parser = argparse.ArgumentParser(
         prog="repro-trace",
@@ -746,8 +746,7 @@ def _trace(args: argparse.Namespace) -> int:
 
 def main_check(argv: Optional[List[str]] = None) -> int:
     """``repro-check``: static schedule analysis (no simulator)."""
-    from .core.registry import COLLECTIVES
-    from .simnet.simulate import ENGINES
+    from .names import COLLECTIVES, ENGINES
 
     parser = argparse.ArgumentParser(
         prog="repro-check",
@@ -884,7 +883,7 @@ def _check(args: argparse.Namespace) -> int:
 
 def main_sweep(argv: Optional[List[str]] = None) -> int:
     """``repro-sweep``: crash-safe, resumable radix sweep."""
-    from .core.registry import COLLECTIVES
+    from .names import COLLECTIVES
 
     parser = argparse.ArgumentParser(
         prog="repro-sweep",
@@ -1009,7 +1008,7 @@ def _sweep(args: argparse.Namespace) -> int:
 def main_adapt(argv: Optional[List[str]] = None) -> int:
     """``repro-adapt``: online adaptive selection under drift."""
     from .adapt.scenarios import SCENARIOS
-    from .core.registry import COLLECTIVES
+    from .names import COLLECTIVES
 
     parser = argparse.ArgumentParser(
         prog="repro-adapt",
@@ -1129,7 +1128,7 @@ def _adapt(args: argparse.Namespace) -> int:
 
 def main_serve(argv: Optional[List[str]] = None) -> int:
     """``repro-serve``: run the schedule-tuning HTTP service."""
-    from .core.registry import COLLECTIVES
+    from .names import COLLECTIVES
 
     parser = argparse.ArgumentParser(
         prog="repro-serve",

@@ -10,9 +10,10 @@ representation any production path walks: the lockstep runner walks
 bound action tuples cooperatively, one blocking per-rank walker
 (:func:`run_compiled_rank`) serves every thread of the threaded
 transport and every :class:`~repro.runtime.session.Session` collective
-call.  The simulator's kernel walks no compiled table: its plan is the
-schedule's own (:meth:`~repro.core.schedule.Schedule.sim_plan`); only a
-class plan comes from here.
+call.  The simulator reads no compiled table: its plan is the
+schedule's own (:meth:`~repro.core.schedule.Schedule.sim_plan`), and a
+class plan comes from :mod:`repro.compile.classes`, which classifies
+the schedule itself.
 
 Pipeline::
 
@@ -24,7 +25,7 @@ Pipeline::
                     executors' tight loops
 
     Schedule ─────────.sim_plan()───▶ SimPlan (ranks; memo, never pickled)
-    CompiledSchedule ──classify──▶ RankClasses
+    Schedule ──────────classify─────▶ RankClasses (cached by columns digest)
     RankClasses ──────.plan─────────▶ SimPlan (class representatives)
                                       │
                               simulator kernel's table

@@ -10,10 +10,13 @@ Both are instances of the one cache shape
   loaded from disk is verified column by column against the schedule
   it is fetched for: what fails is quarantined and recompiled, never
   executed.  The process-global instance backs every
-  executor and the simulator, so lowering is paid once per distinct
-  schedule per process.
-* the class-partition cache behind :func:`get_or_classify`, in process
-  only.
+  executor, so lowering is paid once per distinct schedule per
+  process.  The simulator reads none of it.
+* the class-partition cache, in process only.  It lives with the
+  partition lookup (:func:`repro.compile.classes.rank_classes`, keyed
+  by :func:`~repro.compile.classes.partition_key`) and is re-exported
+  here, with :func:`get_or_classify` and :func:`clear_class_cache`,
+  for callers that predate that lookup.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Tuple, Union
 
 from ..core.cache import ContentCache, StoreTier
 from ..core.schedule import Schedule
+from .classes import _class_entries, rank_classes
 from .lower import compile_schedule
 from .program import CompiledSchedule
 
@@ -105,28 +109,19 @@ def get_or_compile(schedule: Schedule) -> CompiledSchedule:
     return _GLOBAL.get_or_compile(schedule)[0]
 
 
-#: Rank-equivalence partitions by
-#: :func:`~repro.compile.classes.partition_key` (source schedule
-#: fingerprint, machine link profile, byte residue).  ``perfbench/``
-#: takes ``len()`` of this name.
-_class_entries = ContentCache("classes", 256)
-
-
 def get_or_classify(schedule: Schedule, machine, nbytes: int):
-    """The rank-equivalence partition for one run, via the global caches.
+    """Warm the compiled cache for ``schedule``, then return the
+    partition :func:`~repro.compile.classes.rank_classes` serves —
+    the very object a later collapsed ``simulate`` finds cached.
 
-    Compiles (or fetches) the schedule's flat tables, then returns the
-    cached :class:`~repro.compile.classes.RankClasses` for
-    ``(schedule fingerprint, machine link profile, nbytes % nblocks)``
-    — classifying on a miss.
+    A shim: classification reads the schedule, not its compiled
+    artifact, so nothing in ``src/`` calls this.  It stays for the
+    frozen benchmark, whose staged ``scale_sim`` times compile and
+    classify apart and whose cache test expects a warm compiled cache
+    (ROADMAP item 15(b) retires it).
     """
-    from .classes import classify, partition_key
-
-    compiled = _GLOBAL.get_or_compile(schedule)[0]
-    return _class_entries.get_or_make(
-        partition_key(compiled, machine, nbytes),
-        lambda: classify(compiled, machine, nbytes),
-    )[0]
+    _GLOBAL.get_or_compile(schedule)
+    return rank_classes(schedule, machine, nbytes)
 
 
 def clear_class_cache() -> None:

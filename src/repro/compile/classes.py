@@ -1,4 +1,4 @@
-"""Rank-equivalence-class analysis over compiled program tables.
+"""Rank-equivalence-class analysis over a schedule's flat columns.
 
 In symmetric topologies most ranks of a collective schedule execute
 *isomorphic* programs: the same op kinds in the same step structure,
@@ -11,8 +11,8 @@ the discrete-event cost track the *class count* instead of ``p``.
 
 This module computes that partition by classic partition refinement,
 as a handful of whole-table passes over the schedule's flat columns
-(:attr:`~repro.compile.program.CompiledSchedule.columns`) — no NumPy
-call per rank:
+(:meth:`~repro.core.schedule.Schedule.columns`) — no NumPy call per
+rank, and nothing compiled:
 
 1. **Base signature** — everything about a rank's program that is
    invariant under peer relabeling: op kinds, raw step boundaries, the
@@ -22,7 +22,7 @@ call per rank:
    (intra / inter / group-crossing), and the per-op *matched counterpart
    op index* — the position, in the peer's program, of the send/recv
    this op pairs with, read from the schedule's one FIFO matching
-   (:meth:`~repro.compile.program.CompiledSchedule.messages`).  Each is
+   (:meth:`~repro.core.schedule.Schedule.messages`).  Each is
    one pass over all ops, packed into one per-op record table; a rank's
    key is its byte slice of that table plus its slice of ``steps_raw``.
 2. **Refinement** — re-split every class on the class labels of each
@@ -40,9 +40,13 @@ call per rank:
 The partition depends on the total byte count only through
 ``nbytes % nblocks`` (which blocks land in the one-byte-larger prefix of
 the MPICH partition), so cached partitions are keyed by that residue,
-the source schedule's fingerprint, and the machine's link profile — see
-:func:`partition_key` and :func:`repro.compile.cache.get_or_classify`,
-which caches them in process only.  The class plan — the
+a digest of exactly what :func:`classify` reads of the schedule
+(:meth:`~repro.core.schedule.Schedule.columns_digest`), and the
+machine's link profile — see :func:`partition_key`.
+:func:`rank_classes` is the one lookup: it checks the machine first
+(:func:`check_machine` — the key leaves out what those checks read),
+then serves the in-process cache, classifying on a miss.  The class
+plan — the
 :class:`~repro.core.schedule.SimPlan` over the class representatives
 that :func:`repro.simnet.simulate.simulate` runs, made by the same
 :func:`~repro.core.schedule.build_sim_plan` as the per-rank plan —
@@ -59,10 +63,12 @@ from typing import (
 
 import numpy as np
 
-from ..core.schedule import SimPlan, build_sim_plan
+from ..core.cache import ContentCache
+from ..core.schedule import (
+    OP_COPY, OP_SEND, Columns, Messages, Schedule, SimPlan, build_sim_plan,
+)
 from ..errors import ClassAnalysisError
 from ..simnet.machine import LINK_GLOBAL, LINK_INTER, LINK_INTRA, MachineSpec
-from .program import OP_COPY, OP_SEND, CompiledSchedule
 
 __all__ = [
     "LINK_INTRA",
@@ -70,6 +76,8 @@ __all__ = [
     "LINK_GLOBAL",
     "RankClasses",
     "classify",
+    "rank_classes",
+    "check_machine",
     "link_profile",
     "partition_key",
     "machine_asymmetry",
@@ -96,6 +104,20 @@ def machine_asymmetry(machine: MachineSpec) -> Optional[str]:
     return None
 
 
+def check_machine(machine: MachineSpec, nranks: int) -> None:
+    """Refuse a machine that cannot host a class-collapsed run of an
+    ``nranks``-rank schedule: :func:`machine_asymmetry`, then the rank
+    count.  Raises :class:`~repro.errors.ClassAnalysisError`."""
+    reason = machine_asymmetry(machine)
+    if reason is not None:
+        raise ClassAnalysisError(f"{machine.name}: {reason}")
+    if machine.nranks != nranks:
+        raise ClassAnalysisError(
+            f"{machine.name} hosts {machine.nranks} ranks but the "
+            f"schedule needs {nranks}"
+        )
+
+
 def link_profile(machine: MachineSpec) -> Tuple[int, int]:
     """The part of a machine that determines per-op link classes.
 
@@ -110,29 +132,60 @@ def link_profile(machine: MachineSpec) -> Tuple[int, int]:
 
 
 def partition_key(
-    compiled: CompiledSchedule, machine: MachineSpec, nbytes: int
-) -> Tuple[str, Tuple[int, int], int]:
-    """Cache key under which a schedule's partition is stable.
+    schedule: Schedule, machine: MachineSpec, nbytes: int
+) -> Tuple[bytes, Tuple[int, int], int]:
+    """Cache key under which a schedule's partition is stable, on a
+    machine that passed :func:`check_machine`.
 
-    The partition reads the compiled tables, the machine's link profile,
-    and the *shape* of the byte partition — which depends on ``nbytes``
-    only through ``nbytes % nblocks`` (the count of one-byte-larger
-    blocks in the MPICH partition).  Two simulations differing only in
-    total bytes with the same residue share a partition.  The tables
-    are their schedule's columns (DESIGN.md §14; an artifact loaded from
-    bytes is checked against its schedule before use), so the source
-    fingerprint — already computed as the compiled-cache key — names
-    them, and nothing here hashes the tables again.
+    :func:`classify` reads the schedule's columns, their FIFO matching
+    (a function of the columns), ``nranks`` and ``nblocks`` —
+    :meth:`~repro.core.schedule.Schedule.columns_digest` hashes exactly
+    those, so labels and fingerprint stay out of it.  Of the machine it
+    reads the link profile, once the checks have passed (the checks
+    read what the profile leaves out, so they run before every lookup,
+    :func:`rank_classes`).  Of the byte count it reads the *shape* of
+    the block partition, which depends on ``nbytes`` only through
+    ``nbytes % nblocks`` (the count of one-byte-larger blocks in the
+    MPICH partition): two runs differing only in total bytes with the
+    same residue share a partition.
     """
     return (
-        compiled.source_fingerprint,
+        schedule.columns_digest(),
         link_profile(machine),
-        nbytes % compiled.nblocks,
+        nbytes % schedule.nblocks,
     )
 
 
+#: Rank-equivalence partitions by :func:`partition_key`, in process
+#: only.  ``perfbench/`` takes ``len()`` of this cache as
+#: ``repro.compile.cache._class_entries``.
+_class_entries = ContentCache("classes", 256)
+
+
+def rank_classes(schedule, machine: MachineSpec, nbytes: int) -> "RankClasses":
+    """The partition a collapsed run of ``schedule`` uses — the one
+    lookup :func:`repro.simnet.simulate.simulate` makes, for built and
+    lazy schedules alike.
+
+    The machine checks (:func:`check_machine`) run first, cached or
+    not, so a warm cache refuses what a cold ``classify`` refuses.  A
+    built schedule's partition is then served from the in-process
+    cache under :func:`partition_key`, classified on a miss; a lazy one
+    (``is_lazy``) keeps its own, per residue
+    (:meth:`~repro.core.lazy.LazySchedule.classes`).  Nothing here
+    compiles or fingerprints the schedule.
+    """
+    check_machine(machine, schedule.nranks)
+    if getattr(schedule, "is_lazy", False):
+        return schedule.classes(machine, nbytes)
+    return _class_entries.get_or_make(
+        partition_key(schedule, machine, nbytes),
+        lambda: classify(schedule, machine, nbytes),
+    )[0]
+
+
 class RankClasses:
-    """The rank partition of one compiled schedule on one machine.
+    """The rank partition of one schedule on one machine.
 
     ``labels[r]`` is the dense class id of rank ``r``; class ids are
     ordered by representative (lowest member) rank, so ``labels[0] ==
@@ -189,12 +242,14 @@ class RankClasses:
         )
 
 
-def _counterparts(compiled: CompiledSchedule, rank: np.ndarray) -> np.ndarray:
+def _counterparts(
+    cols: Columns, fifo: Messages, rank: np.ndarray
+) -> np.ndarray:
     """Per op: the index of its FIFO-matched op in the peer's program
     (``-1`` for copies).  Unmatched traffic raises
     :class:`~repro.errors.ClassAnalysisError`: the collapsed engine
     trusts this map."""
-    cols, fifo, p = compiled.columns, compiled.messages(), compiled.nranks
+    p = len(cols.op_ptr) - 1
     lone = np.concatenate((fifo.unmatched_sends, fifo.unmatched_recvs))
     if len(lone):
         is_send = cols.kinds == OP_SEND
@@ -216,34 +271,28 @@ def _counterparts(compiled: CompiledSchedule, rank: np.ndarray) -> np.ndarray:
 
 
 def classify(
-    compiled: CompiledSchedule, machine: MachineSpec, nbytes: int
+    schedule: Schedule, machine: MachineSpec, nbytes: int
 ) -> RankClasses:
     """Partition the schedule's ranks into timing-equivalence classes.
 
-    See the module docstring for the algorithm.  The machine must pass
-    :func:`machine_asymmetry` (one rank per node, no shared global
-    channel pools); violations raise
+    See the module docstring for the algorithm.  It reads the
+    schedule's :meth:`~repro.core.schedule.Schedule.columns`,
+    :meth:`~repro.core.schedule.Schedule.messages`, ``nranks`` and
+    ``nblocks``, nothing else.  The machine must pass
+    :func:`check_machine` (one rank per node, no shared global channel
+    pools, the schedule's rank count); violations raise
     :class:`~repro.errors.ClassAnalysisError`, as does any schedule whose
     computed partition breaks the class↔class bijection invariant.
 
-    >>> from repro.compile import compile_schedule
     >>> from repro.core.registry import build_schedule
     >>> from repro.simnet.machines import reference
-    >>> c = classify(compile_schedule(build_schedule("allgather", "ring", 8)),
-    ...              reference(8), 1024)
+    >>> c = classify(build_schedule("allgather", "ring", 8), reference(8), 1024)
     >>> c.nclasses, c.labels.tolist()
     (1, [0, 0, 0, 0, 0, 0, 0, 0])
     """
-    reason = machine_asymmetry(machine)
-    if reason is not None:
-        raise ClassAnalysisError(f"{machine.name}: {reason}")
-    if machine.nranks != compiled.nranks:
-        raise ClassAnalysisError(
-            f"{machine.name} hosts {machine.nranks} ranks but the "
-            f"schedule needs {compiled.nranks}"
-        )
-    p, cols = compiled.nranks, compiled.columns
-    extra = nbytes % compiled.nblocks
+    check_machine(machine, schedule.nranks)
+    p, cols, fifo = schedule.nranks, schedule.columns(), schedule.messages()
+    extra = nbytes % schedule.nblocks
     _, npg = link_profile(machine)
     kinds, peers, bounds = cols.kinds, cols.peers, cols.seg_bounds
     op_ptr = cols.op_ptr
@@ -261,7 +310,7 @@ def classify(
     if npg:
         link[peers // npg != rank // npg] = LINK_GLOBAL
     link[kinds == OP_COPY] = -1
-    cops = _counterparts(compiled, rank)
+    cops = _counterparts(cols, fifo, rank)
     record = np.stack((kinds, nblk, nlarge, link, cops), axis=1).astype("<i4")
     labels = _dense_labels(zip(
         _cut(record.tobytes(), ops, 20),
@@ -323,13 +372,13 @@ def classify(
         return build_sim_plan(
             actors,
             actors.op_ptr[dst[mine]] + cops[at],
-            compiled.messages().seq[at],
+            fifo.seq[at],
             link[at],
         )
 
     return RankClasses(
         nranks=p,
-        nblocks=compiled.nblocks,
+        nblocks=schedule.nblocks,
         residue=extra,
         labels=labels,
         sizes=counts,

@@ -259,7 +259,7 @@ class CompiledSchedule:
         """Rebuild from the content; the decoded columns become read-only,
         like the sealed ones lowering hands over."""
         self.__init__(**state)
-        for arr in self.columns[:-1]:
+        for arr in self.columns:
             arr.setflags(write=False)
 
     def describe(self) -> str:

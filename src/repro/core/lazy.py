@@ -153,7 +153,8 @@ class LazySchedule:
     def classes(self, machine, nbytes: int):
         """Single-class :class:`~repro.compile.classes.RankClasses`.
 
-        Verifies eligibility (:func:`machine_asymmetry`, no dragonfly
+        Verifies eligibility
+        (:func:`~repro.compile.classes.check_machine`, no dragonfly
         grouping — group boundaries would give boundary ranks different
         link classes), uniform block sizes (``nbytes % nblocks == 0`` —
         otherwise members move different byte counts per op), and the
@@ -166,19 +167,12 @@ class LazySchedule:
         from ..compile.classes import (
             LINK_INTER,
             RankClasses,
+            check_machine,
             link_profile,
-            machine_asymmetry,
         )
 
         p = self.nranks
-        reason = machine_asymmetry(machine)
-        if reason is not None:
-            raise ClassAnalysisError(f"{machine.name}: {reason}")
-        if machine.nranks != p:
-            raise ClassAnalysisError(
-                f"{machine.name} hosts {machine.nranks} ranks but the "
-                f"schedule needs {p}"
-            )
+        check_machine(machine, p)
         _, npg = link_profile(machine)
         if npg:
             raise ClassAnalysisError(
@@ -207,7 +201,6 @@ class LazySchedule:
             steps_raw=t0.steps_raw,
             op_ptr=np.array([0, nops]),
             step_ptr=np.array([0, nbounds]),
-            signatures=frozenset(),
         )
         out = RankClasses(
             nranks=p,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ScheduleError
+from ..names import COLLECTIVES
 from . import alltoall, baselines, bruck, knomial, pipeline, recursive, ring
 from .primitives import dualize_allgather, shared_phase
 from .schedule import Schedule
@@ -31,18 +32,6 @@ __all__ = [
     "build_schedule",
     "max_radix",
 ]
-
-COLLECTIVES = (
-    "bcast",
-    "reduce",
-    "gather",
-    "scatter",
-    "allgather",
-    "allreduce",
-    "reduce_scatter",
-    "alltoall",
-    "barrier",
-)
 
 ROOTED_COLLECTIVES = ("bcast", "reduce", "gather", "scatter")
 

@@ -126,8 +126,20 @@ class Columns(NamedTuple):
     steps_raw: np.ndarray
     op_ptr: np.ndarray  #: int64 ``[nranks + 1]``
     step_ptr: np.ndarray  #: int64 ``[nranks + 1]``
-    #: Distinct send block tuples (the staging plan's payload signatures).
-    signatures: FrozenSet[Tuple[int, ...]]
+
+    @property
+    def signatures(self) -> FrozenSet[Tuple[int, ...]]:
+        """The distinct block tuples of the sends (the staging plan's
+        payload signatures), derived on every read: only the compiled
+        artifact's staging plan and the tests read them, so no build or
+        load pays one tuple per send for them."""
+        sends = np.flatnonzero(self.kinds == OP_SEND)
+        blocks, bounds = self.seg_blocks.tolist(), self.seg_bounds
+        return frozenset(
+            tuple(blocks[lo:hi]) for lo, hi in zip(
+                bounds[sends].tolist(), bounds[sends + 1].tolist()
+            )
+        )
 
     def ranks(self) -> np.ndarray:
         """int64 per op: the rank whose program holds it."""
@@ -188,7 +200,7 @@ class Columns(NamedTuple):
 
     def take(self, ranks: np.ndarray) -> "Columns":
         """The programs of ``ranks`` alone, in that order (peers keep
-        their rank numbers; no staging signatures)."""
+        their rank numbers)."""
         lo, hi = self.op_ptr[ranks], self.op_ptr[ranks + 1]
         s0, s1 = self.step_ptr[ranks], self.step_ptr[ranks + 1]
         ops = spans(lo, hi)
@@ -202,7 +214,6 @@ class Columns(NamedTuple):
             steps_raw=self.steps_raw[spans(s0, s1)],
             op_ptr=np.concatenate(([0], np.cumsum(hi - lo))),
             step_ptr=np.concatenate(([0], np.cumsum(s1 - s0))),
-            signatures=frozenset(),
         )
 
 
@@ -551,8 +562,8 @@ def assemble(
     """:class:`Columns` from their content, everything rank-major in
     program order: per op its code, peer and block count, the ops'
     block ids concatenated, the op count of every step, and the step
-    count of every rank.  The pointers and the payload signatures
-    follow; nothing is checked (:class:`Schedule` checks ranges).
+    count of every rank.  The pointers follow; nothing is checked
+    (:class:`Schedule` checks ranges).
     """
     p = len(nsteps)
     seg_bounds = np.zeros(len(kinds) + 1, dtype=np.int64)
@@ -575,20 +586,6 @@ def assemble(
         steps_raw=steps_raw,
         op_ptr=op_ptr,
         step_ptr=step_ptr,
-        signatures=_signatures(kinds, seg_bounds, seg_blocks),
-    )
-
-
-def _signatures(
-    kinds: np.ndarray, seg_bounds: np.ndarray, seg_blocks: np.ndarray
-) -> FrozenSet[Tuple[int, ...]]:
-    """The distinct block tuples of the sends."""
-    sends = np.flatnonzero(kinds == OP_SEND)
-    blocks = seg_blocks.tolist()
-    return frozenset(
-        tuple(blocks[lo:hi]) for lo, hi in zip(
-            seg_bounds[sends].tolist(), seg_bounds[sends + 1].tolist()
-        )
     )
 
 
@@ -738,9 +735,7 @@ def _loaded_columns(state: object, nranks: int) -> Columns:
     copies = kinds == OP_COPY
     if (np.diff(seg_bounds)[copies] != 2).any() or (peers[copies] != -1).any():
         raise damaged("a copy is not [src, dst] with peer -1")
-    return Columns(
-        **arrays, signatures=_signatures(kinds, seg_bounds, seg_blocks)
-    )
+    return Columns(**arrays)
 
 
 #: The fields :meth:`Schedule.relabel` may change: labels, not content
@@ -871,7 +866,7 @@ class Schedule:
             peers=columns.peers.astype(np.int32, copy=False),
             seg_blocks=columns.seg_blocks.astype(np.int32, copy=False),
         )
-        for arr in columns[:-1]:
+        for arr in columns:
             arr.setflags(write=False)
         self.__dict__.update(
             collective=collective, algorithm=algorithm, nranks=nranks,
@@ -901,7 +896,7 @@ class Schedule:
             and self.meta == other.meta
             and all(
                 np.array_equal(a, b)
-                for a, b in zip(self.columns()[:-1], other.columns()[:-1])
+                for a, b in zip(self.columns(), other.columns())
             )
         )
 
@@ -913,8 +908,7 @@ class Schedule:
                 self.root, self.k)
 
     def __getstate__(self) -> Dict[str, object]:
-        # Labels, meta and the column arrays; the payload signatures and
-        # the memos are rederived.
+        # Labels, meta and the column arrays; the memos are rederived.
         cols = self.columns()
         return {
             "collective": self.collective, "algorithm": self.algorithm,
@@ -1012,6 +1006,31 @@ class Schedule:
             memo = self.__dict__["_sim_plan"] = build_sim_plan(
                 cols, fifo.recv_op, fifo.seq[fifo.send_op]
             )
+        return memo
+
+    def columns_digest(self) -> bytes:
+        """A 16-byte blake2b over the content alone: ``nranks``,
+        ``nblocks`` and every column, as the little-endian dtypes a
+        pickle carries (:data:`_ARRAYS`), each framed by its length.
+
+        Everything class analysis reads of a schedule
+        (:func:`repro.compile.classes.classify`: the columns, their FIFO
+        matching and the two sizes) is a function of these bytes, so it
+        is the schedule's part of the partition cache key.  Labels are
+        not content: a :meth:`relabel` copy shares the digest, while
+        :meth:`fingerprint` tells it apart.  Computed at most once per
+        object and never pickled, like :meth:`sim_plan`.
+        """
+        memo = self.__dict__.get("_columns_digest")
+        if memo is None:
+            cols = self.columns()
+            h = hashlib.blake2b(digest_size=16)
+            h.update(np.array([self.nranks, self.nblocks], dtype="<i8"))
+            for name, dtype in _ARRAYS.items():
+                arr = np.ascontiguousarray(getattr(cols, name), dtype=dtype)
+                h.update(len(arr).to_bytes(8, "little"))
+                h.update(arr)
+            memo = self.__dict__["_columns_digest"] = h.digest()
         return memo
 
     def fingerprint(self) -> str:

@@ -16,7 +16,10 @@ same factor sequences.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["derive_rng", "uniform", "bernoulli"]
 
@@ -30,6 +33,10 @@ def derive_rng(seed: int, *counters: int) -> np.random.Generator:
     generators producing identical streams, regardless of call order or
     thread.  Not cryptographic — just well-spread for simulation use.
     """
+    # NumPy is imported here, not at the top: a FaultPlan is built
+    # without it (``repro-adapt --help`` lists its drift scenarios).
+    import numpy as np
+
     mix = seed << 32
     for i, c in enumerate(counters):
         mix ^= ((c * _KNUTH) % 2**31) << (31 * i)

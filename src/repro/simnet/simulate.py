@@ -53,6 +53,7 @@ from ..errors import ClassAnalysisError, MachineError
 from ..faults.plan import FaultPlan
 from ..obs import Obs, get_obs
 from ..faults.sim import FaultStatics, analyze, match_messages
+from ..names import ENGINES
 from . import kernel
 from .machine import (
     LINK_GLOBAL,
@@ -65,12 +66,6 @@ from .noise import NoiseModel
 
 __all__ = ["SimResult", "simulate", "traffic_summary", "TrafficSummary",
            "ENGINES"]
-
-#: Valid values for ``simulate(engine=...)``, the one place a simulation
-#: core is chosen: every sweep, tuner, adapt loop, chaos run and service
-#: above it runs ``auto``.  ``repro-check --engine`` reuses the names for
-#: its static class count (it never simulates).
-ENGINES = ("auto", "materialized", "collapsed")
 
 #: Why a run ``simulate()`` considered collapsing ran materialized: the
 #: ``reason`` label of ``repro_engine_fallbacks_total``.  The first five
@@ -242,6 +237,10 @@ def simulate(
     (e.g. ``"dragonfly-1024"``) — resolved via
     :func:`repro.simnet.machines.get`.
 
+    The partition comes from one lookup for built and lazy schedules
+    alike (:func:`repro.compile.classes.rank_classes`): the machine
+    checks first, then the in-process partition cache, keyed by a digest
+    of the schedule's columns — nothing is compiled or fingerprinted.
     Lazy generator schedules (:mod:`repro.core.lazy`, marked
     ``is_lazy``) are classified directly without materializing per-rank
     step lists; when such a schedule must take the materialized path it
@@ -297,13 +296,10 @@ def simulate(
         elif engine == "auto" and not lazy and p < _AUTO_COLLAPSE_MIN_RANKS:
             refused = "small_p"  # policy choice, not a SimResult.fallback
         else:
-            try:
-                if lazy:
-                    classes = schedule.classes(machine, nbytes)
-                else:
-                    from ..compile.cache import get_or_classify
+            from ..compile.classes import rank_classes
 
-                    classes = get_or_classify(schedule, machine, nbytes)
+            try:
+                classes = rank_classes(schedule, machine, nbytes)
                 # Auto policy: when the partition is degenerate (every
                 # rank its own class — butterfly exchanges whose partner
                 # *order* is rank-dependent), the class plan would just

@@ -25,7 +25,7 @@ from oracle import kernel_csr
 
 def _classify(coll, alg, p, *, k=None, nbytes=4096):
     schedule = build_schedule(coll, alg, p, k=k)
-    return classify(compile_schedule(schedule), reference(p), nbytes)
+    return classify(schedule, reference(p), nbytes)
 
 
 class TestPartitionShape:
@@ -110,16 +110,15 @@ class TestMachinePreconditions:
         m = frontier(4, 2)
         assert machine_asymmetry(m) is not None
         with pytest.raises(ClassAnalysisError):
-            classify(compile_schedule(build_schedule("allgather", "ring", 8)),
-                     m, 4096)
+            classify(build_schedule("allgather", "ring", 8), m, 4096)
 
     def test_reference_is_symmetric(self):
         assert machine_asymmetry(reference(8)) is None
 
     def test_rank_count_mismatch_rejected(self):
         with pytest.raises(ClassAnalysisError):
-            classify(compile_schedule(build_schedule("allgather", "ring", 8)),
-                     reference(16), 4096)
+            classify(build_schedule("allgather", "ring", 8), reference(16),
+                     4096)
 
 
 # ----------------------------------------------------------------------
@@ -340,10 +339,13 @@ class TestWholeTableDifferential:
                 (_dragonfly(p), 64 * nb + 1),
             ):
                 assert plan_columns(
-                    classify(compiled, machine, nbytes)
+                    classify(schedule, machine, nbytes)
                 ) == reference_classify(compiled, machine, nbytes)
 
     def test_artifact_from_the_wire_derives_its_columns_once(self):
+        """A lowered artifact is its schedule's columns, one decoded from
+        bytes read-only copies of them; a schedule decoded from bytes
+        classifies exactly like the one it was pickled from."""
         import pickle
 
         schedule = build_schedule("allreduce", "knomial", 12, k=3)
@@ -356,9 +358,10 @@ class TestWholeTableDifferential:
             assert not column.flags.writeable, name
             assert np.array_equal(column,
                                   getattr(schedule.columns(), name)), name
+        loaded = pickle.loads(pickle.dumps(schedule))
         for machine in (reference(12), _dragonfly(12)):
-            got = classify(clone, machine, 4099)
-            want = classify(lowered, machine, 4099)
+            got = classify(loaded, machine, 4099)
+            want = classify(schedule, machine, 4099)
             assert plan_columns(got) == plan_columns(want)
             assert got.plan.digest() == want.plan.digest()
 
@@ -386,7 +389,7 @@ class TestWholeTableDifferential:
             lambda keys: np.array(forged, dtype=np.int32),
         )
         with pytest.raises(ClassAnalysisError, match=exact):
-            classify(compiled, machine, 64)
+            classify(schedule, machine, 64)
 
 
 class TestPlanBuilder:
@@ -497,23 +500,26 @@ class TestScaleSimDoesNothingTwice:
         assert counts.count(256) == 1, counts
 
     def test_partition_of_a_fresh_artifact_serves_its_blob_round_trip(self):
+        """A schedule decoded from a store or wire blob keys like the
+        fresh build it was encoded from, so it is served that build's
+        partition."""
         from repro.compile.cache import _class_entries, clear_class_cache
         from repro.compile.classes import partition_key
-        from repro.compile.program import CompiledSchedule
+        from repro.core.schedule import Schedule
         from repro.core.serialize import dumps_blob, loads_blob
 
-        lowered = compile_schedule(
-            build_schedule("allreduce", "recursive_multiplying", 12, k=3)
-        )
+        fresh_build = build_schedule("allreduce", "recursive_multiplying", 12,
+                                     k=3)
         machine = reference(12)
         clear_class_cache()
         try:
             fresh, hit = _class_entries.get_or_make(
-                partition_key(lowered, machine, 4099),
-                lambda: classify(lowered, machine, 4099),
+                partition_key(fresh_build, machine, 4099),
+                lambda: classify(fresh_build, machine, 4099),
             )
             assert not hit
-            clone = loads_blob(dumps_blob(lowered), CompiledSchedule)
+            clone = loads_blob(dumps_blob(fresh_build), Schedule)
+            assert clone.columns() is not fresh_build.columns()
             cached, hit = _class_entries.get_or_make(
                 partition_key(clone, machine, 4099),
                 lambda: classify(clone, machine, 4099),

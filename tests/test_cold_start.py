@@ -16,8 +16,9 @@ These tests pin what that buys and what it must not break:
   eager_namespace.json`` records the eager tree; it is compared, never
   regenerated);
 * each console script's parser is unchanged (``tests/golden/
-  cli_help.json``), and the tuning and checking verbs' ``--help`` load
-  no experiment definitions.
+  cli_help.json``), every console script's ``--help`` loads no NumPy
+  (the parsers' choices come from the leaf :mod:`repro.names`), and the
+  tuning and checking verbs' ``--help`` load no experiment definitions.
 
 Import state is per process, so everything that depends on it runs in a
 fresh interpreter.
@@ -228,17 +229,29 @@ def test_cli_parsers_unchanged(golden, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("verb", ["tune", "check"])
-def test_help_loads_no_experiments(verb):
-    loaded = fresh(
+def _help_loads(entry: str) -> list:
+    """What a fresh interpreter has loaded after ``entry(['--help'])``."""
+    return fresh(
         "import contextlib, io\n"
-        f"from repro.cli import main_{verb}\n"
+        f"from repro.cli import {entry}\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    try:\n"
-        f"        main_{verb}(['--help'])\n"
+        f"        {entry}(['--help'])\n"
         "    except SystemExit:\n"
         "        pass\n"
         + LOADED
     )
+
+
+@pytest.mark.parametrize("verb", ["tune", "check"])
+def test_help_loads_no_experiments(verb):
+    loaded = _help_loads(f"main_{verb}")
     assert "repro.cli" in loaded
     assert "repro.bench.experiments" not in loaded
+
+
+@pytest.mark.parametrize("entry", importlib.import_module("repro.cli").__all__)
+def test_help_loads_no_numpy(entry):
+    loaded = _help_loads(entry)
+    assert "repro.cli" in loaded
+    assert "numpy" not in loaded

@@ -374,7 +374,7 @@ def assert_same(got: Schedule, want: Schedule) -> None:
                                  want.k), where
     assert got.meta == want.meta, where
     a, b = got.columns(), want.columns()
-    for name in Columns._fields[:-1]:
+    for name in Columns._fields:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), (where, name)
     assert a.signatures == b.signatures, where

@@ -303,6 +303,43 @@ def test_older_compiled_entry_is_a_quarantined_miss_and_rebuilds(
     assert hit
 
 
+def test_compiled_entry_with_pickled_signatures_is_remade(tmp_path,
+                                                          monkeypatch):
+    """An entry written while ``Columns`` carried the send payload
+    signatures as an eighth field no longer decodes (the signatures are
+    derived on read now): a counted, quarantined miss, remade with the
+    same compiled fingerprint."""
+    import collections
+    import dataclasses
+
+    import repro.core.schedule as schedule_mod
+
+    schedule = _allreduce("kring", 8, 2)
+    made, _ = open_compiled_store(tmp_path).get_or_compile(schedule)
+    old_columns = collections.namedtuple(
+        "Columns", [*schedule_mod.Columns._fields, "signatures"]
+    )
+    old_columns.__module__ = schedule_mod.__name__
+    old = dataclasses.replace(made, columns=old_columns(
+        *made.columns, made.columns.signatures
+    ))
+    with monkeypatch.context() as patch:
+        # Pickled under the name the old layout had.
+        patch.setattr(schedule_mod, "Columns", old_columns)
+        open_compiled_store(tmp_path).put(schedule.fingerprint(), old,
+                                          schedule)
+
+    fresh = open_compiled_store(tmp_path)
+    remade, hit = fresh.get_or_compile(schedule)
+    assert not hit
+    assert fresh.disk_stats().corruptions == 1
+    assert any("semantic" in p.name for p in fresh.store.quarantined())
+    assert remade.columns is schedule.columns()
+    assert remade.fingerprint() == made.fingerprint()
+    _, hit = open_compiled_store(tmp_path).get_or_compile(schedule)
+    assert hit
+
+
 @pytest.mark.parametrize("version", OLDER_FORMATS)
 def test_service_boots_cold_over_an_older_store(tmp_path, version):
     """``repro-serve --store`` over a store an older format wrote:
@@ -343,7 +380,7 @@ def test_a_disk_tier_hit_is_read_only(tmp_path):
     assert hit and loaded.columns is not schedule.columns()
     with pytest.raises(ValueError, match="read-only"):
         loaded.columns.peers[0] = 1
-    for column in loaded.columns[:-1]:
+    for column in loaded.columns:
         assert not column.flags.writeable
     for prog in loaded.programs:
         with pytest.raises(ValueError, match="read-only"):
