@@ -72,10 +72,7 @@ class CompiledCache(ContentCache):
         # Identity plus column equality, against the schedule the
         # artifact is being fetched for.
         check=lambda compiled, schedule: compiled.verify(schedule),
-        audit=lambda compiled, key: {
-            "source_fingerprint": key,
-            "compiled_fingerprint": compiled.fingerprint(),
-        },
+        audit=lambda compiled, key: {"source_fingerprint": key},
     )
 
     def __init__(self, maxsize: int = 256, *, store=None) -> None:

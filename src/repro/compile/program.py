@@ -31,7 +31,6 @@ own :meth:`~repro.core.schedule.Schedule.sim_plan`.
 
 from __future__ import annotations
 
-import hashlib
 import queue
 import threading
 from dataclasses import dataclass, field, fields
@@ -100,8 +99,8 @@ class CompiledProgram:
     def table_bytes(self) -> bytes:
         """Canonical little-endian byte serialization of every table.
 
-        The content the schedule-level fingerprint hashes; platform
-        independent so golden fingerprints are portable.
+        What the golden compiled-program test hashes; platform
+        independent so that golden stays portable.
         """
         parts = [np.ascontiguousarray(self.kinds, dtype="<i1").tobytes()]
         for arr in (self.peers, self.tags, self.seg_bounds,
@@ -224,9 +223,7 @@ class CompiledSchedule:
     Produced by :func:`repro.compile.compile_schedule`; content-addressed
     by the source schedule's
     :meth:`~repro.core.schedule.Schedule.fingerprint` in the compiled
-    cache, and carrying its own :meth:`fingerprint` over the per-rank
-    tables (pinned by the golden compiled-program test).  The rest is
-    derived on first use and never pickled.
+    cache.  The rest is derived on first use and never pickled.
     """
 
     collective: str
@@ -242,9 +239,6 @@ class CompiledSchedule:
     )
     _bind_cache: Dict[tuple, BoundSchedule] = field(
         default_factory=dict, init=False, repr=False, compare=False
-    )
-    _fingerprint: Optional[str] = field(
-        default=None, init=False, repr=False, compare=False
     )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
@@ -321,33 +315,6 @@ class CompiledSchedule:
             zip(rank.tolist(), (recv - cols.op_ptr[rank]).tolist()),
             zip(cols.blocks_of(send), cols.blocks_of(recv)),
         ))
-
-    def fingerprint(self) -> str:
-        """Stable content hash over the per-rank tables and staging plan.
-
-        Distinct from :attr:`source_fingerprint` (the IR hash): this pins
-        the *lowering* — a change to table layout or the staging plan
-        moves it even when the source IR is unchanged.
-        The 8-rank k-nomial golden in ``tests/golden`` watches it.
-        Computed at most once per object, runtime-only like
-        :meth:`messages` (never pickled).
-        """
-        memo = self._fingerprint
-        if memo is not None:
-            return memo
-        h = hashlib.sha256()
-        h.update(
-            f"{self.collective}|{self.algorithm}|{self.nranks}|"
-            f"{self.nblocks}|{self.root}|{self.k}|"
-            f"{self.source_fingerprint}".encode()
-        )
-        for prog in self.programs:
-            h.update(b"|P")
-            h.update(prog.table_bytes())
-        for sig in self.staging_plan.signatures:
-            h.update(("|G" + ",".join(map(str, sig))).encode())
-        self._fingerprint = memo = h.hexdigest()
-        return memo
 
     def verify(self, schedule) -> None:
         """Check an artifact that arrived as bytes against its schedule.

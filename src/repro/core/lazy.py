@@ -134,16 +134,29 @@ class LazySchedule:
 
     # -- Explicit IR (small p) ---------------------------------------------
 
-    def materialize(self):
+    def materialize(self, *, nbytes: Optional[int] = None,
+                    refusal: Optional[str] = None):
         """The equivalent explicit :class:`Schedule`, via the registry
-        builder — refused above ``_MATERIALIZE_MAX_OPS`` total ops."""
+        builder — refused above ``_MATERIALIZE_MAX_OPS`` total ops.
+
+        The refusal names the cap and, when the caller passes them, why
+        the collapsed engine did not run (``refusal``) or would not run
+        (``nbytes`` that is not a multiple of ``nblocks``).  It advises
+        the collapsed engine only when neither stands in the way.
+        """
         t = self._tables(0)
         est = len(t.kinds) * self.nranks
         if est > _MATERIALIZE_MAX_OPS:
-            raise ScheduleError(
-                f"{self.describe()}: ~{est} ops is too large to "
-                f"materialize; use the collapsed engine"
-            )
+            text = (f"{self.describe()}: ~{est} ops is over the "
+                    f"{_MATERIALIZE_MAX_OPS}-op cap on materializing")
+            if refusal is not None:
+                text += f"; the collapsed engine refused it: {refusal}"
+            elif nbytes is not None and nbytes % self.nblocks:
+                text += (f"; the collapsed engine needs nbytes to be a "
+                         f"multiple of {self.nblocks} blocks, not {nbytes}")
+            else:
+                text += "; use the collapsed engine"
+            raise ScheduleError(text)
         from .registry import build_schedule
 
         return build_schedule(self.collective, self.algorithm, self.nranks)

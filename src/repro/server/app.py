@@ -337,7 +337,6 @@ class TuningService:
             "k": schedule.k,
             "root": schedule.root or 0,
             "source_fingerprint": fp,
-            "compiled_fingerprint": compiled.fingerprint(),
             "store_key": compiled_store_key(schedule),
             "schedule_pickle": dumps_blob(schedule),
             "compiled_pickle": dumps_blob(compiled),

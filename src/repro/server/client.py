@@ -212,8 +212,9 @@ class TuningClient:
         Query by build parameters (``collective`` + ``algorithm``, with
         ``p``/``k``/``root`` optional) or content-addressed by
         ``fingerprint`` (full source fingerprint or its 16-hex store
-        prefix).  The payload carries both fingerprints and the two
-        blobs; :meth:`compiled_schedule` decodes and reverifies them.
+        prefix).  The payload carries the source fingerprint, the store
+        key and the two blobs; :meth:`compiled_schedule` decodes and
+        reverifies them.
         """
         if fingerprint is not None:
             query = f"/schedule?fingerprint={fingerprint}"

@@ -280,6 +280,7 @@ def simulate(
     classes = None
     fallback: Optional[str] = None
     refused: Optional[str] = None  # repro_engine_fallbacks_total's reason
+    why: Optional[str] = None  # the words of a collapse refusal
     if engine in ("auto", "collapsed"):
         blocker = _collapse_blockers(
             schedule,
@@ -290,9 +291,9 @@ def simulate(
             block_map=block_map,
         )
         if blocker is not None:
-            refused, text = blocker
+            refused, why = blocker
             if engine == "collapsed":
-                fallback = text
+                fallback = why
         elif engine == "auto" and not lazy and p < _AUTO_COLLAPSE_MIN_RANKS:
             refused = "small_p"  # policy choice, not a SimResult.fallback
         else:
@@ -316,11 +317,12 @@ def simulate(
             except ClassAnalysisError as exc:
                 classes = None
                 refused, fallback = "class_analysis", str(exc)
+                why = fallback
 
     scope = get_obs(obs)
     if classes is None:
         if lazy:
-            schedule = schedule.materialize()
+            schedule = schedule.materialize(nbytes=nbytes, refusal=why)
         if refused is not None and scope.enabled:
             scope.metrics.counter(
                 "repro_engine_fallbacks_total", reason=refused

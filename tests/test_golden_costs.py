@@ -120,14 +120,38 @@ def test_simulated_costs_pinned(golden):
     golden("simulated_costs").check(actual)
 
 
+def lowering_fingerprint(compiled) -> str:
+    """A sha256 over what lowering produces: the labels and source
+    fingerprint, ``|P`` + every rank program's ``table_bytes()``, then
+    ``|G`` + every staging-plan signature.
+
+    The artifact carries no hash of its own (nothing that serves or
+    stores it read one); this is the pin's, byte for byte the digest the
+    golden file was written with.
+    """
+    h = hashlib.sha256()
+    h.update(
+        f"{compiled.collective}|{compiled.algorithm}|{compiled.nranks}|"
+        f"{compiled.nblocks}|{compiled.root}|{compiled.k}|"
+        f"{compiled.source_fingerprint}".encode()
+    )
+    for prog in compiled.programs:
+        h.update(b"|P")
+        h.update(prog.table_bytes())
+    for sig in compiled.staging_plan.signatures:
+        h.update(("|G" + ",".join(map(str, sig))).encode())
+    return h.hexdigest()
+
+
 def test_compiled_program_fingerprint_pinned(golden):
     """The 8-rank k-nomial's compiled artifact, frozen shape and all.
 
-    The fingerprint hashes every program table (peers, offsets, sizes,
-    op codes, tags, step boundaries), so any lowering change — a
-    reordered op, a re-encoded offset, a shifted step boundary —
-    changes it even when execution results survive.  Table counts are
-    pinned alongside as the human-readable part of the diff.
+    :func:`lowering_fingerprint` hashes every program table (peers,
+    offsets, sizes, op codes, tags, step boundaries) and the staging
+    plan, so any lowering change — a reordered op, a re-encoded offset,
+    a shifted step boundary — changes it even when execution results
+    survive.  Table counts are pinned alongside as the human-readable
+    part of the diff.
     """
     actual = {}
     for coll in ("bcast", "reduce"):
@@ -135,7 +159,7 @@ def test_compiled_program_fingerprint_pinned(golden):
             schedule = build_schedule(coll, "knomial", 8, k=k)
             compiled = compile_schedule(schedule)
             key = f"{coll}/knomial/p8/k{k}"
-            actual[f"{key}/fingerprint"] = compiled.fingerprint()
+            actual[f"{key}/fingerprint"] = lowering_fingerprint(compiled)
             actual[f"{key}/total_ops"] = compiled.total_ops()
             actual[f"{key}/nsteps"] = max(
                 prog.nsteps for prog in compiled.programs

@@ -110,6 +110,39 @@ class TestMaterialize:
         with pytest.raises(ScheduleError):
             lazy.materialize()
 
+    # allreduce/ring at p = 1024 is ~4.19M ops, just over the cap; 65537
+    # bytes is not a multiple of its 1024 blocks, so collapse refuses it.
+    # ``None`` marks a run that succeeds collapsed; otherwise the
+    # refusal's own words, after the cap, and whether it may advise the
+    # collapsed engine.
+    @pytest.mark.parametrize("engine,nbytes,reason,advise", [
+        ("collapsed", 65536, None, None),
+        ("auto", 65536, None, None),
+        ("materialized", 65536, "", True),
+        ("collapsed", 65537,
+         "the collapsed engine refused it: nbytes=65537 is not a "
+         "multiple of 1024 blocks", False),
+        ("auto", 65537,
+         "the collapsed engine refused it: nbytes=65537 is not a "
+         "multiple of 1024 blocks", False),
+        ("materialized", 65537,
+         "the collapsed engine needs nbytes to be a multiple of 1024 "
+         "blocks, not 65537", False),
+    ])
+    def test_refusal_names_the_cause(self, engine, nbytes, reason, advise):
+        lazy = lookup("allreduce", "ring", 1024)
+        machine = reference(1024)
+        if reason is None:
+            res = simulate(lazy, machine, nbytes, engine=engine)
+            assert res.engine == "collapsed" and res.nclasses == 1
+            return
+        with pytest.raises(ScheduleError) as err:
+            simulate(lazy, machine, nbytes, engine=engine)
+        text = str(err.value)
+        assert f"over the {_MATERIALIZE_MAX_OPS}-op cap" in text
+        assert reason in text
+        assert ("use the collapsed engine" in text) is advise
+
     def test_symmetry_probes_allocate_nothing_of_size_p(self):
         # Seven probe ranks are picked without a p-element set: at
         # p = 2^20 the only O(p) allocation left is the partition's

@@ -768,8 +768,52 @@ def test_store_backed_fingerprint_index_survives_restart(tmp_path):
     )
     again = second._ep_schedule({"fingerprint": fp[:16]})
     assert again["source_fingerprint"] == fp
-    assert again["compiled_fingerprint"] == payload["compiled_fingerprint"]
+    assert again["compiled_pickle"] == payload["compiled_pickle"]
     assert again["schedule_pickle"] == payload["schedule_pickle"]
+
+
+#: Every member of a ``/schedule`` reply.  The compiled artifact has no
+#: hash of its own: the source fingerprint addresses it, and a client
+#: re-verifies the decoded columns against the decoded schedule.
+SCHEDULE_REPLY = {"collective", "algorithm", "p", "k", "root",
+                  "source_fingerprint", "store_key", "schedule_pickle",
+                  "compiled_pickle"}
+
+
+def test_schedule_reply_carries_no_compiled_fingerprint(served):
+    _, client, _ = served
+    payload = client.schedule(
+        collective="allreduce", algorithm="recursive_multiplying", p=P, k=4
+    )
+    assert set(payload) == SCHEDULE_REPLY
+
+
+def test_serving_a_stored_artifact_builds_no_program_views(tmp_path):
+    """A cold ``GET /schedule?fingerprint=`` over a populated store
+    reads, checks and ships the compiled artifact: it never builds the
+    per-rank ``programs`` views or the ``staging_plan`` (the executors'
+    derived state), so neither is in the served artifact's ``__dict__``."""
+    query = {"collective": "allreduce",
+             "algorithm": "recursive_multiplying", "k": "4"}
+    fp = TuningService(
+        MACHINE, SIZES, collectives=("allreduce",), store=tmp_path
+    )._ep_schedule(query)["source_fingerprint"]
+
+    with serve_background(
+        MACHINE, SIZES, collectives=("allreduce",), store=tmp_path
+    ) as handle:
+        payload = TuningClient(handle.url).schedule(fingerprint=fp[:16])
+        service = handle.service
+        schedule, _ = service.schedules.get_or_build(
+            "allreduce", "recursive_multiplying", P, k=4
+        )
+        served, hit = service.compiled_cache.get_or_compile(schedule)
+        disk = service.compiled_cache.disk_stats()
+    assert hit and disk.hits == 1 and not disk.corruptions
+    assert served.source_fingerprint == fp
+    assert "programs" not in vars(served)
+    assert "staging_plan" not in vars(served)
+    assert set(payload) == SCHEDULE_REPLY
 
 
 def test_boot_over_a_damaged_store_entry(tmp_path):
@@ -791,7 +835,7 @@ def test_boot_over_a_damaged_store_entry(tmp_path):
         MACHINE, SIZES, collectives=("allreduce",), store=tmp_path
     )
     again = second._ep_schedule(query)
-    assert again["compiled_fingerprint"] == payload["compiled_fingerprint"]
+    assert again["compiled_pickle"] == payload["compiled_pickle"]
     assert any(
         "unreadable" in p.name
         for p in second.compiled_cache.store.quarantined()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,9 +188,27 @@ def _allreduce(algorithm, p, k=None):
     return build_schedule("allreduce", algorithm, p, k=k)
 
 
+def assert_same_compiled(got, want):
+    """Equal compiled artifacts: equal labels, source fingerprint and
+    every column, values and dtype.  FIFO tags and staging signatures
+    derive from the columns, so they are equal too."""
+    for name in ("collective", "algorithm", "nranks", "nblocks", "root",
+                 "k", "source_fingerprint"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.columns._fields == want.columns._fields
+    for name, a, b in zip(got.columns._fields, got.columns, want.columns):
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+def assert_same_schedule(got, want):
+    assert got.fingerprint() == want.fingerprint()
+
+
 #: One disk-backed cache kind behind a uniform surface: ``open(root)``,
 #: ``fetch(cache, algorithm, p, k) → (value, hit)``, the ``store_key``
-#: the value is filed under, and ``make`` — the cold reference.
+#: the value is filed under, ``make`` — the cold reference — and
+#: ``same(got, want)``, which asserts two values are one artifact.
 TIERS = [
     pytest.param(SimpleNamespace(
         open=open_schedule_store,
@@ -198,6 +217,7 @@ TIERS = [
         store_key=lambda alg, p, k=None:
             schedule_store_key(schedule_key("allreduce", alg, p, k=k)),
         make=_allreduce,
+        same=assert_same_schedule,
     ), id="schedule"),
     pytest.param(SimpleNamespace(
         open=open_compiled_store,
@@ -206,6 +226,7 @@ TIERS = [
         store_key=lambda alg, p, k=None:
             compiled_store_key(_allreduce(alg, p, k)),
         make=lambda alg, p, k=None: compile_schedule(_allreduce(alg, p, k)),
+        same=assert_same_compiled,
     ), id="compiled"),
 ]
 
@@ -222,7 +243,7 @@ def test_persistent_cache_serves_and_heals(tmp_path, tier):
     warm = tier.open(tmp_path / "store")
     served, hit = tier.fetch(warm, "knomial", 8, 3)
     assert hit
-    assert served.fingerprint() == made.fingerprint()
+    tier.same(served, made)
 
     # Damage the entry: the next fresh cache quarantines and remakes.
     blob = bytearray(path.read_bytes())
@@ -231,7 +252,7 @@ def test_persistent_cache_serves_and_heals(tmp_path, tier):
     healed_cache = tier.open(tmp_path / "store")
     remade, hit = tier.fetch(healed_cache, "knomial", 8, 3)
     assert not hit
-    assert remade.fingerprint() == made.fingerprint()
+    tier.same(remade, made)
     assert healed_cache.store.quarantined()
     # ... and the write-through healed the entry for the next reader.
     again = tier.open(tmp_path / "store")
@@ -259,7 +280,7 @@ def test_semantic_mismatch_quarantines(tmp_path, tier):
     value, hit = tier.fetch(fresh, "ring", 4)
     assert not hit  # remade, not served the wrong artifact
     assert value.nranks == 4
-    assert value.fingerprint() == tier.make("ring", 4).fingerprint()
+    tier.same(value, tier.make("ring", 4))
     assert any("semantic" in p.name for p in fresh.store.quarantined())
 
 
@@ -297,7 +318,7 @@ def test_older_compiled_entry_is_a_quarantined_miss_and_rebuilds(
     rebuilt, hit = open_compiled_store(tmp_path).get_or_compile(schedule)
     assert not hit
     assert rebuilt.columns is schedule.columns()
-    assert rebuilt.fingerprint() == made.fingerprint()
+    assert_same_compiled(rebuilt, made)
     # ... and the write-through filed a current-format entry.
     _, hit = open_compiled_store(tmp_path).get_or_compile(schedule)
     assert hit
@@ -308,7 +329,7 @@ def test_compiled_entry_with_pickled_signatures_is_remade(tmp_path,
     """An entry written while ``Columns`` carried the send payload
     signatures as an eighth field no longer decodes (the signatures are
     derived on read now): a counted, quarantined miss, remade with the
-    same compiled fingerprint."""
+    same columns."""
     import collections
     import dataclasses
 
@@ -335,7 +356,7 @@ def test_compiled_entry_with_pickled_signatures_is_remade(tmp_path,
     assert fresh.disk_stats().corruptions == 1
     assert any("semantic" in p.name for p in fresh.store.quarantined())
     assert remade.columns is schedule.columns()
-    assert remade.fingerprint() == made.fingerprint()
+    assert_same_compiled(remade, made)
     _, hit = open_compiled_store(tmp_path).get_or_compile(schedule)
     assert hit
 
@@ -360,7 +381,7 @@ def test_service_boots_cold_over_an_older_store(tmp_path, version):
     again = second._ep_schedule(
         {"fingerprint": payload["source_fingerprint"][:16]}
     )
-    assert again["compiled_fingerprint"] == payload["compiled_fingerprint"]
+    assert again["compiled_pickle"] == payload["compiled_pickle"]
     quarantined = [
         p.name for p in second.compiled_cache.store.quarantined()
     ]
@@ -369,6 +390,47 @@ def test_service_boots_cold_over_an_older_store(tmp_path, version):
         second.compiled_cache.store.path_for(payload["store_key"]).read_text()
     )
     assert current["format"] == FORMAT_VERSION == 5
+
+
+def test_compiled_entry_audits_its_source_fingerprint_alone(tmp_path):
+    """Nothing hashes the compiled artifact itself: its entry files the
+    source fingerprint beside the blob, and no ``compiled_fingerprint``."""
+    schedule = _allreduce("kring", 8, 2)
+    open_compiled_store(tmp_path).get_or_compile(schedule)
+    payload = DiskStore(tmp_path).get(compiled_store_key(schedule))
+    assert set(payload) == {"source_fingerprint", "compiled_pickle"}
+    assert payload["source_fingerprint"] == schedule.fingerprint()
+
+
+def test_entry_with_the_old_audit_field_is_a_hit(tmp_path):
+    """An older writer filed a ``compiled_fingerprint`` (a sha256 over
+    the artifact's tables) beside each compiled blob, under the current
+    format version.  Readers ignore audit fields, so such an entry
+    loads as a hit — no quarantine, no remake, no write — in the cache
+    and through the service."""
+    machine, sizes = reference(8), [256, 4096]
+    query = {"collective": "allreduce",
+             "algorithm": "recursive_multiplying", "k": "4"}
+    payload = TuningService(
+        machine, sizes, collectives=("allreduce",), store=tmp_path
+    )._ep_schedule(query)
+    store, key = DiskStore(tmp_path), payload["store_key"]
+    store.put(key, {**store.get(key), "compiled_fingerprint": "5e" * 32})
+    assert json.loads(store.path_for(key).read_text())["format"] == (
+        FORMAT_VERSION
+    )
+
+    service = TuningService(
+        machine, sizes, collectives=("allreduce",), store=tmp_path
+    )
+    again = service._ep_schedule(
+        {"fingerprint": payload["source_fingerprint"][:16]}
+    )
+    assert again["compiled_pickle"] == payload["compiled_pickle"]
+    stats = service.compiled_cache.disk_stats()
+    assert (stats.hits, stats.writes, stats.corruptions) == (1, 0, 0)
+    assert not service.compiled_cache.store.quarantined()
+    assert "compiled_fingerprint" in store.get(key)  # left as it was
 
 
 def test_a_disk_tier_hit_is_read_only(tmp_path):
