@@ -2,27 +2,29 @@
 
 Interpreting the schedule IR per executed op (``isinstance`` dispatch,
 per-block offset arithmetic, per-payload allocation) is the dominant cost
-of small-message execution.  This package lowers a built
-:class:`~repro.core.schedule.Schedule` into flat, preresolved tables —
-the schedule's own sealed op/peer/segment/step columns, with FIFO tags
-and a pooled staging-buffer plan derived from them — which are the only
-representation any production path walks: the lockstep runner walks
-bound action tuples cooperatively, one blocking per-rank walker
-(:func:`run_compiled_rank`) serves every thread of the threaded
-transport and every :class:`~repro.runtime.session.Session` collective
-call.  The simulator reads no compiled table: its plan is the
-schedule's own (:meth:`~repro.core.schedule.Schedule.sim_plan`), and a
-class plan comes from :mod:`repro.compile.classes`, which classifies
-the schedule itself.
+of small-message execution.  A built
+:class:`~repro.core.schedule.Schedule` is already flat, preresolved
+tables — its sealed op/peer/segment/step columns — and binding it
+against a block geometry (:meth:`~repro.core.schedule.Schedule.bind`,
+a memo on the schedule) gives the action tuples that are the only
+representation any data path walks: the lockstep runner walks them
+cooperatively, one blocking per-rank walker (:func:`run_compiled_rank`)
+serves every thread of the threaded transport and every
+:class:`~repro.runtime.session.Session` collective call.  The simulator
+reads no compiled table either: its plan is the schedule's own
+(:meth:`~repro.core.schedule.Schedule.sim_plan`), and a class plan comes
+from :mod:`repro.compile.classes`, which classifies the schedule itself.
+What is left of the compiled artifact (:class:`CompiledSchedule`, the
+schedule's columns under its labels) is the tuning service's wire
+payload and the compiled store tier.
 
 Pipeline::
 
-    Schedule ──compile_schedule──▶ CompiledSchedule     (tables, cached)
-                                      │ .bind(block_map)
-                                      ▼
-                                  BoundSchedule          (action tuples)
+    Schedule ──.bind(block_map)──▶ BoundSchedule (tuples; memo, never pickled)
                                       │
-                    executors' tight loops
+                        executors' tight loops
+
+    Schedule ──compile_schedule──▶ CompiledSchedule (wire + store tier only)
 
     Schedule ─────────.sim_plan()───▶ SimPlan (ranks; memo, never pickled)
     Schedule ──────────classify─────▶ RankClasses (cached by columns digest)
@@ -43,8 +45,7 @@ Guarantees, in order of importance:
   suite
   (``tests/properties/test_compile_transparency.py``) across the full
   registry grid and under fault injection.  Both read one FIFO matching,
-  :meth:`~repro.core.schedule.Schedule.messages`, which lowering hands
-  to the artifact (:meth:`CompiledSchedule.messages`, runtime-only).
+  :meth:`~repro.core.schedule.Schedule.messages`.
 * **One table layout.**  A lowered artifact *is* its schedule's
   read-only :class:`~repro.core.schedule.Columns` — nothing is copied,
   so nothing can drift.  An artifact that arrives as bytes (a disk-tier
@@ -61,7 +62,7 @@ Guarantees, in order of importance:
 * **Content-addressed caching.**  Artifacts are cached in process and
   (optionally) on disk next to their schedules (:mod:`repro.compile.cache`),
   keyed by the source schedule's fingerprint; disk loads are verified
-  and quarantine on failure.
+  and quarantine on failure.  No executor looks an artifact up.
 """
 
 from .. import _lazy_exports
@@ -85,10 +86,9 @@ __getattr__, __dir__ = _lazy_exports(__name__, globals(), {
     "OP_REDUCE_RECV": "..core.schedule",
     "OP_SEND": "..core.schedule",
     "OP_NAMES": ".program",
-    "BoundSchedule": ".program",
+    "BoundSchedule": "..core.schedule",
     "CompiledProgram": ".program",
     "CompiledSchedule": ".program",
-    "StagingPlan": ".program",
     "StagingPool": ".program",
     "run_compiled_lockstep": ".runner",
     "run_compiled_rank": ".runner",
@@ -104,7 +104,6 @@ __all__ = [
     "CompiledProgram",
     "CompiledSchedule",
     "BoundSchedule",
-    "StagingPlan",
     "StagingPool",
     "compile_schedule",
     "verify_compiled",

@@ -9,9 +9,10 @@ Both are instances of the one cache shape
   entries next to their ``schedule/…`` siblings, and every artifact
   loaded from disk is verified column by column against the schedule
   it is fetched for: what fails is quarantined and recompiled, never
-  executed.  The process-global instance backs every
-  executor, so lowering is paid once per distinct schedule per
-  process.  The simulator reads none of it.
+  executed.  The tuning service fills one for its wire payload and
+  store tier; no executor and no simulator looks an artifact up (they
+  bind or plan the schedule they hold).  The process-global instance
+  is a shim for the frozen benchmark.
 * the class-partition cache, in process only.  It lives with the
   partition lookup (:func:`repro.compile.classes.rank_classes`, keyed
   by :func:`~repro.compile.classes.partition_key`) and is re-exported
@@ -95,14 +96,16 @@ _GLOBAL = CompiledCache()
 def global_compiled_cache() -> CompiledCache:
     """The process-global compiled-program cache.
 
-    Backs every execution and simulation; sweep worker processes each
-    grow their own, exactly like the schedule cache.
+    A shim: executors bind the schedule and the simulator plans it;
+    only the frozen benchmark's staged traces look it up (ROADMAP item
+    15(b) retires it).
     """
     return _GLOBAL
 
 
 def get_or_compile(schedule: Schedule) -> CompiledSchedule:
-    """The compiled artifact for ``schedule``, via the global cache."""
+    """The compiled artifact for ``schedule``, via the global cache (a
+    shim for the frozen benchmark, like :func:`global_compiled_cache`)."""
     return _GLOBAL.get_or_compile(schedule)[0]
 
 

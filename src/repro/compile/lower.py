@@ -2,11 +2,12 @@
 
 Lowering walks nothing and copies nothing: a sealed
 :class:`~repro.core.schedule.Schedule` already holds every op as flat
-read-only :class:`~repro.core.schedule.Columns` and its FIFO matching as
-:meth:`~repro.core.schedule.Schedule.messages`, and the artifact is
-those two under the schedule's labels.  It is not verified — that would
-compare the columns with themselves; :mod:`repro.compile.verify` runs
-where an artifact arrives as bytes.
+read-only :class:`~repro.core.schedule.Columns`, and the artifact is
+those columns under the schedule's labels, with the schedule itself as
+its runtime-only source (its FIFO matching and its
+:meth:`~repro.core.schedule.Schedule.bind` memo are the schedule's).
+It is not verified — that would compare the columns with themselves;
+:mod:`repro.compile.verify` runs where an artifact arrives as bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def _lower(schedule: Schedule) -> CompiledSchedule:
         k=schedule.k,
         source_fingerprint=schedule.fingerprint(),
         columns=schedule.columns(),
-        _messages=schedule.messages(),
+        _source=schedule,
     )
 
 

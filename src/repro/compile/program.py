@@ -2,10 +2,8 @@
 
 A :class:`CompiledSchedule` *is* its schedule's sealed, read-only
 :class:`~repro.core.schedule.Columns` under the schedule's labels — one
-table layout, nothing copied — so the hot loops walk preresolved
-integers instead of re-interpreting the IR op by op.  Each rank's
-:class:`CompiledProgram` is a read-only view of it, one row per op in
-program order:
+table layout, nothing copied.  Each rank's :class:`CompiledProgram` is a
+read-only view of it, one row per op in program order:
 
 ==============  =====  =====================================================
 table           dtype  contents (one entry per op, flat program order)
@@ -19,23 +17,22 @@ table           dtype  contents (one entry per op, flat program order)
 ``steps_raw``   int32  ``[nsteps+1]`` — the schedule's step boundaries
 ==============  =====  =====================================================
 
-Only the columns are stored; ``tags``, the staging plan and the FIFO
-block mismatches derive from :meth:`CompiledSchedule.messages`.
-*Binding* resolves the tables against a concrete
-:class:`~repro.core.blocks.BlockMap` into per-step action tuples of plain
-Python ints (slice starts/stops, payload sizes) — adjacent blocks merge
-into single slices — which is what the executors' tight loops consume.
-The simulator reads none of this: its kernel table is the schedule's
-own :meth:`~repro.core.schedule.Schedule.sim_plan`.
+Only the columns are stored; ``tags`` derive from
+:meth:`CompiledSchedule.messages`.  The executors read none of this:
+they bind the schedule they hold
+(:meth:`~repro.core.schedule.Schedule.bind`), and the simulator walks
+the schedule's own :meth:`~repro.core.schedule.Schedule.sim_plan`.  The
+artifact is what the tuning service ships and the compiled store tier
+files; its :meth:`~CompiledSchedule.bind` is a shim onto the source
+schedule's.
 """
 
 from __future__ import annotations
 
 import queue
-import threading
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,11 +41,13 @@ from ..core.schedule import (
     OP_RECV,
     OP_REDUCE_RECV,
     OP_SEND,
+    BoundSchedule,
     Columns,
     Messages,
+    Schedule,
     match_fifo,
 )
-from ..errors import ExecutionError
+from ..errors import CompileError
 
 __all__ = [
     "OP_SEND",
@@ -58,8 +57,6 @@ __all__ = [
     "OP_NAMES",
     "CompiledProgram",
     "CompiledSchedule",
-    "BoundSchedule",
-    "StagingPlan",
     "StagingPool",
 ]
 
@@ -67,9 +64,6 @@ __all__ = [
 #: Human names for op codes, used in verification diagnostics.
 OP_NAMES = {OP_SEND: "send", OP_RECV: "recv",
             OP_REDUCE_RECV: "reduce-recv", OP_COPY: "copy"}
-
-#: Cap on per-schedule bind-cache entries (distinct block geometries).
-_BIND_CACHE_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -109,23 +103,10 @@ class CompiledProgram:
         return b"|".join(parts)
 
 
-@dataclass(frozen=True)
-class StagingPlan:
-    """The pooled, reusable staging-buffer plan for one compiled schedule.
-
-    ``signatures`` is the sorted set of distinct send-payload block
-    tuples across every rank.  Under any block map, two sends with the
-    same signature need byte-identical staging buffers, so the runtime
-    :class:`StagingPool` pre-registers exactly one free-list per distinct
-    bound payload size and recycles buffers across sends instead of
-    allocating per message.
-    """
-
-    signatures: Tuple[Tuple[int, ...], ...]
-
-
 class StagingPool:
-    """Free-lists of reusable NumPy staging buffers, keyed by size.
+    """Free-lists of reusable NumPy staging buffers, keyed by size
+    (one per distinct send size of a
+    :class:`~repro.core.schedule.BoundSchedule`, or none).
 
     Thread-safe (each free-list is a :class:`queue.SimpleQueue`; the
     size→queue dict is frozen at construction so worker threads only
@@ -161,69 +142,15 @@ class StagingPool:
 
 
 @dataclass
-class BoundSchedule:
-    """Tables resolved against one block geometry: executable step tuples.
-
-    Per rank and per step the executors consume three flat tuples of
-    plain-Python ints (no NumPy scalars, no IR objects):
-
-    * sends — ``(peer, ranges, total)``
-    * copies — ``(src_start, src_stop, dst_start, dst_stop)``
-    * recvs — ``(peer, reduce, ranges, total, blocks, mismatch)``
-
-    where ``ranges`` is a tuple of ``(start, stop)`` buffer slices with
-    adjacent blocks merged, ``blocks`` keeps the original block ids for
-    diagnostics, and ``mismatch`` is the statically-precomputed FIFO
-    blocks disagreement the lockstep runner reports exactly like the
-    interpreter would (or ``None``).  ``raw_steps[rank][i]`` is step
-    ``i`` of the schedule's own rank program — the numbering crash
-    steps, heartbeats and progress counts are expressed in — and
-    ``needs[rank][i]`` the ``(peer, count)`` messages that step waits
-    for.
-    """
-
-    describe_str: str
-    nranks: int
-    raw_steps: List[List[Tuple[tuple, tuple, tuple]]]
-    needs: List[List[Tuple[Tuple[int, int], ...]]]
-    sizes: Tuple[int, ...]
-
-    def staging_pool(self, dtype: np.dtype) -> StagingPool:
-        """A fresh :class:`StagingPool` covering every send size."""
-        return StagingPool(self.sizes, dtype)
-
-
-def _merge_ranges(
-    block_ids: Sequence[int],
-    starts: Sequence[int],
-    stops: Sequence[int],
-) -> Tuple[Tuple[Tuple[int, int], ...], int]:
-    """Collapse a block-id sequence into merged (start, stop) slices.
-
-    Blocks are gathered in tuple order; adjacent buffer ranges merge into
-    one slice (pure concatenation — bit-identical to per-block copies).
-    Returns ``(ranges, total_elements)``.
-    """
-    ranges: List[Tuple[int, int]] = []
-    total = 0
-    for b in block_ids:
-        a, z = starts[b], stops[b]
-        total += z - a
-        if ranges and ranges[-1][1] == a:
-            ranges[-1] = (ranges[-1][0], z)
-        else:
-            ranges.append((a, z))
-    return tuple(ranges), total
-
-
-@dataclass
 class CompiledSchedule:
     """A schedule lowered to flat tables: its labels and its columns.
 
     Produced by :func:`repro.compile.compile_schedule`; content-addressed
     by the source schedule's
     :meth:`~repro.core.schedule.Schedule.fingerprint` in the compiled
-    cache.  The rest is derived on first use and never pickled.
+    cache.  ``_source`` is the schedule lowering read, runtime-only (a
+    decoded artifact has none); the rest is derived on first use and
+    never pickled.
     """
 
     collective: str
@@ -234,14 +161,8 @@ class CompiledSchedule:
     k: Optional[int]
     source_fingerprint: str
     columns: Columns
-    _messages: Optional[Messages] = field(
+    _source: Optional[Schedule] = field(
         default=None, repr=False, compare=False
-    )
-    _bind_cache: Dict[tuple, BoundSchedule] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
     )
 
     def __getstate__(self):
@@ -255,15 +176,6 @@ class CompiledSchedule:
         self.__init__(**state)
         for arr in self.columns:
             arr.setflags(write=False)
-
-    def describe(self) -> str:
-        """One-line human description (matches the source schedule's)."""
-        bits = [self.collective, self.algorithm, f"p={self.nranks}"]
-        if self.k is not None:
-            bits.append(f"k={self.k}")
-        if self.root is not None:
-            bits.append(f"root={self.root}")
-        return " ".join(bits)
 
     def total_ops(self) -> int:
         """Total op count across every rank's tables."""
@@ -291,31 +203,6 @@ class CompiledSchedule:
             ))
         return tuple(views)
 
-    @cached_property
-    def staging_plan(self) -> StagingPlan:
-        """The distinct send payload signatures, sorted."""
-        return StagingPlan(signatures=tuple(sorted(self.columns.signatures)))
-
-    @cached_property
-    def fifo_mismatches(
-        self,
-    ) -> Dict[Tuple[int, int], Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """(rank, op index in that rank's program) → (in-flight message
-        blocks, recv op blocks) for receives whose FIFO-matched message
-        carries different blocks — so the compiled lockstep runner
-        raises exactly where the interpreter would.  Only a malformed,
-        hand-built schedule has any."""
-        cols, fifo = self.columns, self.messages()
-        if not len(fifo.mismatched):
-            return {}
-        bad = fifo.mismatched[np.argsort(fifo.recv_op[fifo.mismatched])]
-        recv, send = fifo.recv_op[bad], fifo.send_op[bad]
-        rank = cols.ranks()[recv]
-        return dict(zip(
-            zip(rank.tolist(), (recv - cols.op_ptr[rank]).tolist()),
-            zip(cols.blocks_of(send), cols.blocks_of(recv)),
-        ))
-
     def verify(self, schedule) -> None:
         """Check an artifact that arrived as bytes against its schedule.
 
@@ -327,100 +214,26 @@ class CompiledSchedule:
 
         verify_compiled(self, schedule)
 
-    # ------------------------------------------------------------------
-    # Binding: tables × block geometry → executable action tuples
-    # ------------------------------------------------------------------
-
     def bind(self, block_map) -> BoundSchedule:
-        """Resolve the tables against ``block_map`` (cached per geometry)."""
-        nb = self.nblocks
-        if block_map.nblocks != nb:
-            raise ExecutionError(
-                f"block map has {block_map.nblocks} blocks but the "
-                f"compiled schedule uses {nb}"
+        """The source schedule's :meth:`~repro.core.schedule.Schedule.
+        bind`, one memo (a shim for the frozen benchmark, ROADMAP item
+        15(b)); a decoded artifact has no source and refuses."""
+        if self._source is None:
+            raise CompileError(
+                "a decoded compiled artifact cannot be bound — bind the "
+                "Schedule it was verified against (schedule.bind(block_map))"
             )
-        stops = tuple(block_map.range_of(b)[1] for b in range(nb))
-        key = (block_map.total, stops)
-        with self._lock:
-            bound = self._bind_cache.get(key)
-        if bound is not None:
-            return bound
-        bound = self._bind(block_map, stops)
-        with self._lock:
-            if len(self._bind_cache) >= _BIND_CACHE_MAX:
-                self._bind_cache.pop(next(iter(self._bind_cache)))
-            self._bind_cache[key] = bound
-        return bound
-
-    def _bind(self, block_map, stops: Tuple[int, ...]) -> BoundSchedule:
-        starts = tuple(block_map.range_of(b)[0] for b in range(self.nblocks))
-        raw_steps: List[List[Tuple[tuple, tuple, tuple]]] = []
-        needs: List[List[Tuple[Tuple[int, int], ...]]] = []
-        sizes = set()
-        mismatches = self.fifo_mismatches
-        for prog in self.programs:
-            rank = prog.rank
-            kinds = prog.kinds.tolist()
-            peers = prog.peers.tolist()
-            seg_bounds = prog.seg_bounds.tolist()
-            seg_blocks = prog.seg_blocks.tolist()
-            bounds = prog.steps_raw.tolist()
-            steps = []
-            step_needs = []
-            for lo, hi in zip(bounds, bounds[1:]):
-                sends: List[tuple] = []
-                copies: List[tuple] = []
-                recvs: List[tuple] = []
-                per_peer: Dict[int, int] = {}
-                for i in range(lo, hi):
-                    kind = kinds[i]
-                    blocks = seg_blocks[seg_bounds[i]:seg_bounds[i + 1]]
-                    if kind == OP_COPY:
-                        src, dst = blocks
-                        s0, s1 = starts[src], stops[src]
-                        d0, d1 = starts[dst], stops[dst]
-                        if s1 - s0 != d1 - d0:
-                            raise ExecutionError(
-                                f"rank {rank}: copy between blocks of "
-                                f"different sizes ({src}→{dst})"
-                            )
-                        copies.append((s0, s1, d0, d1))
-                        continue
-                    ranges, total = _merge_ranges(blocks, starts, stops)
-                    peer = peers[i]
-                    if kind == OP_SEND:
-                        sends.append((peer, ranges, total))
-                        sizes.add(total)
-                    else:
-                        recvs.append((
-                            peer,
-                            kind == OP_REDUCE_RECV,
-                            ranges,
-                            total,
-                            tuple(blocks),
-                            mismatches.get((rank, i)),
-                        ))
-                        per_peer[peer] = per_peer.get(peer, 0) + 1
-                steps.append((tuple(sends), tuple(copies), tuple(recvs)))
-                step_needs.append(tuple(per_peer.items()))
-            raw_steps.append(steps)
-            needs.append(step_needs)
-        return BoundSchedule(
-            describe_str=self.describe(),
-            nranks=self.nranks,
-            raw_steps=raw_steps,
-            needs=needs,
-            sizes=tuple(sorted(sizes)),
-        )
+        return self._source.bind(block_map)
 
     def messages(self) -> Messages:
-        """The FIFO matching of the columns, runtime-only like the bound
-        schedules: lowering hands over the schedule's own
-        :meth:`~repro.core.schedule.Schedule.messages`, an artifact from
-        disk or the wire derives it with the same
-        :func:`~repro.core.schedule.match_fifo`."""
-        fifo = self._messages
-        if fifo is None:
-            fifo = self._messages = match_fifo(self.columns)
-        return fifo
+        """The FIFO matching of the columns, runtime-only: the source
+        schedule's own :meth:`~repro.core.schedule.Schedule.messages`
+        after lowering; an artifact from disk or the wire derives it
+        with the same :func:`~repro.core.schedule.match_fifo`."""
+        if self._source is not None:
+            return self._source.messages()
+        return self._decoded_messages
 
+    @cached_property
+    def _decoded_messages(self) -> Messages:
+        return match_fifo(self.columns)

@@ -1,9 +1,9 @@
-"""The two data walkers over bound compiled programs.
+"""The two data walkers over a bound schedule.
 
-Both walk the same action tuples,
-:attr:`BoundSchedule.raw_steps <repro.compile.program.BoundSchedule>`
-(preresolved slices, merged ranges; one entry per step of the schedule's
-own rank program), instead of interpreting the IR, and both are pinned
+Both walk the same action tuples, :meth:`Schedule.bind
+<repro.core.schedule.Schedule.bind>`'s ``raw_steps`` (preresolved slices,
+merged ranges; one entry per step of the schedule's own rank program),
+instead of interpreting the IR, and both are pinned
 bit-identical to the op-by-op reference interpreter the differential
 suite keeps as its oracle (``tests/oracle.py``):
 
@@ -16,9 +16,9 @@ suite keeps as its oracle (``tests/oracle.py``):
   :class:`~repro.runtime.session.Comm` collective call runs.
 
 Either way a FIFO-matched message whose blocks disagree with the receive
-op raises the interpreter's diagnosis (precomputed at lowering time,
-reported when the message would be consumed), and a payload of the wrong
-size raises before it is applied.
+op raises the interpreter's diagnosis (precomputed by the bind, reported
+when the message would be consumed), and a payload of the wrong size
+raises before it is applied.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import numpy as np
 
 from ..errors import ExecutionError, FaultError
 from ..faults.channel import ChannelAborted, ChannelBroken, ChannelTimeout
-from .program import BoundSchedule, StagingPool
+from ..core.schedule import BoundSchedule
+from .program import StagingPool
 
 __all__ = ["run_compiled_lockstep", "run_compiled_rank"]
 

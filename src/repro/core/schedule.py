@@ -56,6 +56,7 @@ is a :meth:`Schedule.relabel` copy, not an edit.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -70,7 +71,12 @@ from typing import (
 
 import numpy as np
 
-from ..errors import ClassAnalysisError, MachineError, ScheduleError
+from ..errors import (
+    ClassAnalysisError,
+    ExecutionError,
+    MachineError,
+    ScheduleError,
+)
 from .blocks import BlockMap
 
 __all__ = [
@@ -79,6 +85,7 @@ __all__ = [
     "Columns",
     "Messages",
     "SimPlan",
+    "BoundSchedule",
     "assemble",
     "spans",
     "match_fifo",
@@ -129,10 +136,9 @@ class Columns(NamedTuple):
 
     @property
     def signatures(self) -> FrozenSet[Tuple[int, ...]]:
-        """The distinct block tuples of the sends (the staging plan's
-        payload signatures), derived on every read: only the compiled
-        artifact's staging plan and the tests read them, so no build or
-        load pays one tuple per send for them."""
+        """The distinct block tuples of the sends (the payload
+        signatures), derived on every read: only the tests read them, so
+        no build or load pays one tuple per send for them."""
         sends = np.flatnonzero(self.kinds == OP_SEND)
         blocks, bounds = self.seg_blocks.tolist(), self.seg_bounds
         return frozenset(
@@ -470,6 +476,68 @@ def build_sim_plan(
         first=cols.step_ptr - np.arange(len(cols.step_ptr)),
         link=link,
     )
+
+
+#: Cap on per-schedule bind memo entries (distinct block geometries).
+_BIND_CACHE_MAX = 8
+
+#: Guards the eviction and insertion of every schedule's bind memo: a
+#: :class:`~repro.runtime.session.Session`'s rank threads bind one shared
+#: schedule at once.  The binding itself runs outside it.
+_BIND_LOCK = threading.Lock()
+
+
+@dataclass
+class BoundSchedule:
+    """A schedule resolved against one block geometry
+    (:meth:`Schedule.bind`): executable step tuples.
+
+    Per rank and per step the executors consume three flat tuples of
+    plain-Python ints (no NumPy scalars, no IR objects):
+
+    * sends — ``(peer, ranges, total)``
+    * copies — ``(src_start, src_stop, dst_start, dst_stop)``
+    * recvs — ``(peer, reduce, ranges, total, blocks, mismatch)``
+
+    where ``ranges`` is a tuple of ``(start, stop)`` buffer slices with
+    adjacent blocks merged, ``blocks`` keeps the original block ids for
+    diagnostics, and ``mismatch`` is the statically-precomputed FIFO
+    blocks disagreement the lockstep runner reports exactly like the
+    interpreter would (or ``None``).  ``raw_steps[rank][i]`` is step
+    ``i`` of the schedule's own rank program — the numbering crash
+    steps, heartbeats and progress counts are expressed in — and
+    ``needs[rank][i]`` the ``(peer, count)`` messages that step waits
+    for.  ``sizes`` are the distinct send payload sizes, sorted.
+    """
+
+    describe_str: str
+    nranks: int
+    raw_steps: List[List[Tuple[tuple, tuple, tuple]]]
+    needs: List[List[Tuple[Tuple[int, int], ...]]]
+    sizes: Tuple[int, ...]
+
+
+def _merge_ranges(
+    block_ids: Sequence[int],
+    starts: Sequence[int],
+    stops: Sequence[int],
+) -> Tuple[Tuple[Tuple[int, int], ...], int]:
+    """Collapse a block-id sequence into merged (start, stop) slices.
+
+    Blocks are gathered in tuple order; adjacent buffer ranges merge into
+    one slice (pure concatenation — bit-identical to per-block copies).
+    Returns ``(ranges, total_elements)``.
+    """
+    ranges: List[Tuple[int, int]] = []
+    total = 0
+    for b in block_ids:
+        a, z = starts[b], stops[b]
+        total += z - a
+        if ranges and ranges[-1][1] == a:
+            ranges[-1] = (ranges[-1][0], z)
+        else:
+            ranges.append((a, z))
+    return tuple(ranges), total
 
 
 def step_rounds(
@@ -934,9 +1002,10 @@ class Schedule:
 
         How a builder derives a renamed variant of a schedule it already
         has: nothing is copied and only a new ``root`` is checked again.
-        The copy's fingerprint is its own (labels are part of the digest)
-        while its :meth:`messages` and :meth:`sim_plan` are this
-        schedule's (labels do not change the traffic).
+        The copy's fingerprint and :meth:`bind` memo are its own (labels
+        are part of the digest and of the bound tuples) while its
+        :meth:`messages` and :meth:`sim_plan` are this schedule's (labels
+        do not change the traffic).
         """
         unknown = set(labels) - _LABELS
         if unknown:
@@ -947,7 +1016,8 @@ class Schedule:
         labels.setdefault("meta", dict(self.meta))
         twin = object.__new__(Schedule)
         twin.__dict__.update(self.__dict__, **labels)
-        twin.__dict__.pop("_fingerprint", None)
+        for memo in ("_fingerprint", "_bound"):
+            twin.__dict__.pop(memo, None)
         return twin
 
     # ------------------------------------------------------------------
@@ -1007,6 +1077,106 @@ class Schedule:
                 cols, fifo.recv_op, fifo.seq[fifo.send_op]
             )
         return memo
+
+    def bind(self, block_map: BlockMap) -> BoundSchedule:
+        """The schedule resolved against ``block_map``: the step tuples
+        every data walker runs (:class:`BoundSchedule`).
+
+        Memoised per block geometry, at most :data:`_BIND_CACHE_MAX`
+        geometries (the oldest goes first), and never pickled, like
+        :meth:`sim_plan`; a :meth:`relabel` copy binds anew.  Threads
+        may bind one schedule at once: a race binds twice and keeps one.
+        """
+        nb = self.nblocks
+        if block_map.nblocks != nb:
+            raise ExecutionError(
+                f"block map has {block_map.nblocks} blocks but the "
+                f"compiled schedule uses {nb}"
+            )
+        stops = tuple(block_map.range_of(b)[1] for b in range(nb))
+        key = (block_map.total, stops)
+        memo = self.__dict__.setdefault("_bound", {})
+        bound = memo.get(key)
+        if bound is None:
+            bound = self._bind(block_map, stops)
+            with _BIND_LOCK:
+                if key not in memo and len(memo) >= _BIND_CACHE_MAX:
+                    memo.pop(next(iter(memo)))
+                bound = memo.setdefault(key, bound)
+        return bound
+
+    def _bind(self, block_map: BlockMap,
+              stops: Tuple[int, ...]) -> BoundSchedule:
+        """One pass over the columns, rank by rank and step by step:
+        blocks become merged buffer slices."""
+        cols, fifo = self.columns(), self.messages()
+        starts = tuple(block_map.range_of(b)[0] for b in range(self.nblocks))
+        # The FIFO-mismatch table: receive op → (in-flight message blocks,
+        # its own blocks), so the runners raise where the interpreter
+        # would.  Only a malformed, hand-built schedule has any.
+        mismatches = {}
+        if len(fifo.mismatched):
+            send, recv = (fifo.send_op[fifo.mismatched],
+                          fifo.recv_op[fifo.mismatched])
+            mismatches = dict(zip(recv.tolist(), zip(cols.blocks_of(send),
+                                                     cols.blocks_of(recv))))
+        kinds, peers = cols.kinds.tolist(), cols.peers.tolist()
+        seg_bounds = cols.seg_bounds.tolist()
+        seg_blocks = cols.seg_blocks.tolist()
+        first = cols.step_starts()[0].tolist()
+        step_ptr = cols.step_ptr.tolist()
+        raw_steps: List[List[Tuple[tuple, tuple, tuple]]] = []
+        needs: List[List[Tuple[Tuple[int, int], ...]]] = []
+        sizes = set()
+        for rank in range(self.nranks):
+            bounds = first[step_ptr[rank]:step_ptr[rank + 1]]
+            steps = []
+            step_needs = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                sends: List[tuple] = []
+                copies: List[tuple] = []
+                recvs: List[tuple] = []
+                per_peer: Dict[int, int] = {}
+                for i in range(lo, hi):
+                    kind = kinds[i]
+                    blocks = seg_blocks[seg_bounds[i]:seg_bounds[i + 1]]
+                    if kind == OP_COPY:
+                        src, dst = blocks
+                        s0, s1 = starts[src], stops[src]
+                        d0, d1 = starts[dst], stops[dst]
+                        if s1 - s0 != d1 - d0:
+                            raise ExecutionError(
+                                f"rank {rank}: copy between blocks of "
+                                f"different sizes ({src}→{dst})"
+                            )
+                        copies.append((s0, s1, d0, d1))
+                        continue
+                    ranges, total = _merge_ranges(blocks, starts, stops)
+                    peer = peers[i]
+                    if kind == OP_SEND:
+                        sends.append((peer, ranges, total))
+                        sizes.add(total)
+                    else:
+                        recvs.append((
+                            peer,
+                            kind == OP_REDUCE_RECV,
+                            ranges,
+                            total,
+                            tuple(blocks),
+                            mismatches.get(i),
+                        ))
+                        per_peer[peer] = per_peer.get(peer, 0) + 1
+                steps.append((tuple(sends), tuple(copies), tuple(recvs)))
+                step_needs.append(tuple(per_peer.items()))
+            raw_steps.append(steps)
+            needs.append(step_needs)
+        return BoundSchedule(
+            describe_str=self.describe(),
+            nranks=self.nranks,
+            raw_steps=raw_steps,
+            needs=needs,
+            sizes=tuple(sorted(sizes)),
+        )
 
     def columns_digest(self) -> bytes:
         """A 16-byte blake2b over the content alone: ``nranks``,

@@ -1,6 +1,7 @@
 """Deterministic NumPy executor for collective schedules.
 
-:func:`execute` runs a schedule's compiled tables under the cooperative
+:func:`execute` runs a schedule's bound step tuples
+(:meth:`~repro.core.schedule.Schedule.bind`) under the cooperative
 lockstep loop (:func:`repro.compile.run_compiled_lockstep`), giving real
 data movement with nonblocking-send snapshot semantics.  The one
 pipeline from a request to checked buffers — build, make inputs, run
@@ -22,7 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..compile import get_or_compile, run_compiled_lockstep
+from ..compile import run_compiled_lockstep
 from ..core.schedule import Schedule
 from ..errors import ExecutionError
 from ..faults.plan import FaultPlan
@@ -63,10 +64,11 @@ def execute(
     (gatherv/scatterv) are exactly tree schedules under an uneven map.
     Returns the (mutated) buffer list.
 
-    The schedule is lowered to flat per-rank tables (:mod:`repro.compile`,
-    cached by fingerprint) and run by the tight lockstep loop; results
-    are bit-identical to the op-by-op reference interpreter the
-    differential suite keeps as its oracle (``tests/oracle.py``).
+    The schedule is bound to the block map (``schedule.bind``, memoised
+    on the schedule per block geometry: no hash, no compiled artifact)
+    and run by the tight lockstep loop; results are bit-identical to the
+    op-by-op reference interpreter the differential suite keeps as its
+    oracle (``tests/oracle.py``).
     """
     count = buffer_count(schedule, buffers)
     if block_map is None:
@@ -82,7 +84,7 @@ def execute(
             f"hold {count}"
         )
     o = get_obs(obs)
-    bound = get_or_compile(schedule).bind(block_map)
+    bound = schedule.bind(block_map)
     if o.enabled:
         with o.span(
             "execute", schedule=schedule.describe(), backend="lockstep",

@@ -24,11 +24,12 @@ tuned table changes every collective underneath the application — the
 paper's "one environment variable" user experience.
 
 Implementation notes: schedules are deterministic functions of
-``(collective, algorithm, p, k, root)``; the session builds and compiles
-each one once and shares it, so no coordination is needed beyond the
-message channels themselves (per-(src, dst) FIFO queues shared through
-the session).  Each rank walks only its own compiled program — with
-:func:`repro.compile.run_compiled_rank`, the same body the threaded
+``(collective, algorithm, p, k, root)``; the session builds each one once
+and shares it, so no coordination is needed beyond the message channels
+themselves (per-(src, dst) FIFO queues shared through the session).
+Each rank binds the shared schedule (its bind memo is the schedule's, so
+the ranks share one set of step tuples) and walks only its own rank's
+with :func:`repro.compile.run_compiled_rank`, the same body the threaded
 transport's rank threads run; collective calls across ranks match up
 because MPI semantics already require all ranks to issue collectives in
 the same order.
@@ -42,12 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..compile import (
-    CompiledSchedule,
-    StagingPool,
-    get_or_compile,
-    run_compiled_rank,
-)
+from ..compile import StagingPool, run_compiled_rank
 from ..core.blocks import BlockMap
 from ..core.registry import build_schedule, info
 from ..core.schedule import Schedule
@@ -104,7 +100,7 @@ class _Shared:
         # touches its own slot (crash/straggler faults index by call).
         self.call_counts = [0] * nranks
         self.channels = _ChannelMap(self.faults)
-        self._schedules: Dict[Tuple, Tuple[Schedule, CompiledSchedule]] = {}
+        self._schedules: Dict[Tuple, Schedule] = {}
         self._schedule_lock = threading.Lock()
         self.abort = threading.Event()
         # Rendezvous state for Comm.split: per (comm-id, call-index), the
@@ -139,23 +135,18 @@ class _Shared:
 
     def schedule(
         self, key: Tuple, build: Callable[[], Schedule]
-    ) -> Tuple[Schedule, CompiledSchedule]:
-        """The shared ``(schedule, compiled tables)`` pair for ``key``.
-
-        Built and compiled once per key, not per rank per call: sharing
-        keeps memory flat for large sessions, and the compiled cache is
-        addressed by ``Schedule.fingerprint()``, an O(ops) hash.
+    ) -> Schedule:
+        """The shared schedule for ``key``, built once per key, not per
+        rank per call: memory stays flat for large sessions, and every
+        rank's :meth:`~repro.core.schedule.Schedule.bind` hits one memo.
         """
-        entry = self._schedules.get(key)
-        if entry is None:
+        sched = self._schedules.get(key)
+        if sched is None:
             with self._schedule_lock:
-                entry = self._schedules.get(key)
-                if entry is None:
-                    sched = build()
-                    entry = self._schedules[key] = (
-                        sched, get_or_compile(sched)
-                    )
-        return entry
+                sched = self._schedules.get(key)
+                if sched is None:
+                    sched = self._schedules[key] = build()
+        return sched
 
 
 class Comm:
@@ -482,8 +473,8 @@ class Comm:
                 sched = remap_ranks(sched, members, shared.nranks)
             return sched
 
-        sched, compiled = shared.schedule(key, build)
-        bound = compiled.bind(
+        sched = shared.schedule(key, build)
+        bound = sched.bind(
             block_map if block_map is not None
             else sched.block_map(len(buf))
         )

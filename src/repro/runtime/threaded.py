@@ -28,9 +28,10 @@ under real asynchrony.  (Timing fidelity is the simulator's job.)
 
 Every rank thread runs the same body — :func:`repro.compile.
 run_compiled_rank` over the schedule's preresolved
-:attr:`BoundSchedule.raw_steps <repro.compile.program.BoundSchedule>`
-action tuples, the schedule's own steps — and the transport only chooses
-what carries the payloads.  Fault-free and detector-free: lean
+:attr:`BoundSchedule.raw_steps <repro.core.schedule.BoundSchedule>`
+action tuples (:meth:`Schedule.bind <repro.core.schedule.Schedule.bind>`,
+the schedule's own steps) — and the transport only chooses what carries
+the payloads.  Fault-free and detector-free: lean
 counter-only channels and recycled staging buffers.  Under a fault plan
 or a detector: the full lossy channel machinery and fresh payload
 arrays.  Rank bodies are dispatched to a persistent
@@ -50,7 +51,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..compile import StagingPool, get_or_compile, run_compiled_rank
+from ..compile import StagingPool, run_compiled_rank
 from ..core.schedule import Schedule
 from ..errors import ExecutionError, FaultError, PartialFailure
 from ..faults.channel import (
@@ -214,6 +215,10 @@ def _worker_pool(n: int) -> _WorkerPool:
 class ThreadedTransport:
     """Executes a schedule with one thread per rank.
 
+    Each :meth:`run` binds the schedule it holds
+    (:meth:`~repro.core.schedule.Schedule.bind`) and, fault-free, pools
+    staging buffers over the bound send sizes.
+
     Parameters
     ----------
     schedule:
@@ -265,7 +270,7 @@ class ThreadedTransport:
         """Run the schedule over ``buffers`` (mutated in place)."""
         sched = self.schedule
         count = buffer_count(sched, buffers)
-        bound = get_or_compile(sched).bind(sched.block_map(count))
+        bound = sched.bind(sched.block_map(count))
         faults = self.faults
         dtype = buffers[0].dtype
         steps = bound.raw_steps
@@ -273,7 +278,7 @@ class ThreadedTransport:
         if reliable:
             # Every payload has exactly one consumer, so channels need no
             # loss/ack/retry machinery and staging buffers are recycled.
-            pool = bound.staging_pool(dtype)
+            pool = StagingPool(bound.sizes, dtype)
         else:
             # A lossy channel's duplicate aliases the payload object, so
             # payloads stay immortal: a pool with no sizes recycles

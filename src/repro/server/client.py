@@ -235,10 +235,11 @@ class TuningClient:
         """The decoded ``(schedule, compiled)`` pair for one query.
 
         Same query surface as :meth:`schedule`; the compiled artifact's
-        columns are compared with its source schedule's after decoding,
-        so a corrupt wire payload can never execute
+        columns are compared with its source schedule's after decoding
         (:class:`~repro.errors.CompileError` on mismatch — the same
-        check the disk store applies).
+        check the disk store applies).  Execute the *schedule*
+        (``schedule.bind(block_map)``): a decoded artifact has no source
+        schedule, so its ``bind`` refuses.
         """
         payload = self.schedule(**kwargs)
         try:

@@ -123,7 +123,7 @@ def test_simulated_costs_pinned(golden):
 def lowering_fingerprint(compiled) -> str:
     """A sha256 over what lowering produces: the labels and source
     fingerprint, ``|P`` + every rank program's ``table_bytes()``, then
-    ``|G`` + every staging-plan signature.
+    ``|G`` + every send payload signature, sorted.
 
     The artifact carries no hash of its own (nothing that serves or
     stores it read one); this is the pin's, byte for byte the digest the
@@ -138,7 +138,7 @@ def lowering_fingerprint(compiled) -> str:
     for prog in compiled.programs:
         h.update(b"|P")
         h.update(prog.table_bytes())
-    for sig in compiled.staging_plan.signatures:
+    for sig in sorted(compiled.columns.signatures):
         h.update(("|G" + ",".join(map(str, sig))).encode())
     return h.hexdigest()
 
@@ -147,10 +147,10 @@ def test_compiled_program_fingerprint_pinned(golden):
     """The 8-rank k-nomial's compiled artifact, frozen shape and all.
 
     :func:`lowering_fingerprint` hashes every program table (peers,
-    offsets, sizes, op codes, tags, step boundaries) and the staging
-    plan, so any lowering change — a reordered op, a re-encoded offset,
-    a shifted step boundary — changes it even when execution results
-    survive.  Table counts are pinned alongside as the human-readable
+    offsets, sizes, op codes, tags, step boundaries) and the send
+    payload signatures, so any lowering change — a reordered op, a
+    re-encoded offset, a shifted step boundary — changes it even when
+    execution results survive.  Table counts are pinned alongside as the human-readable
     part of the diff.
     """
     actual = {}

@@ -608,7 +608,7 @@ class TestMessages:
             assert not prog.tags.flags.writeable
         # An artifact from disk or the wire derives the same table.
         clone = pickle.loads(pickle.dumps(compiled))
-        assert clone._messages is None
+        assert clone._source is None
         for got, want in zip(clone.messages(), sched.messages()):
             assert got.tolist() == want.tolist()
 
@@ -691,7 +691,7 @@ def assert_lowers_like_the_reference(schedule):
             assert getattr(prog, name).tolist() == column, (
                 schedule.describe(), prog.rank, name
             )
-    assert compiled.staging_plan.signatures == signatures
+    assert tuple(sorted(compiled.columns.signatures)) == signatures
 
 
 class TestReferenceLowering:

@@ -791,8 +791,8 @@ def test_schedule_reply_carries_no_compiled_fingerprint(served):
 def test_serving_a_stored_artifact_builds_no_program_views(tmp_path):
     """A cold ``GET /schedule?fingerprint=`` over a populated store
     reads, checks and ships the compiled artifact: it never builds the
-    per-rank ``programs`` views or the ``staging_plan`` (the executors'
-    derived state), so neither is in the served artifact's ``__dict__``."""
+    per-rank ``programs`` views, so they are not in the served
+    artifact's ``__dict__``."""
     query = {"collective": "allreduce",
              "algorithm": "recursive_multiplying", "k": "4"}
     fp = TuningService(
@@ -812,7 +812,6 @@ def test_serving_a_stored_artifact_builds_no_program_views(tmp_path):
     assert hit and disk.hits == 1 and not disk.corruptions
     assert served.source_fingerprint == fp
     assert "programs" not in vars(served)
-    assert "staging_plan" not in vars(served)
     assert set(payload) == SCHEDULE_REPLY
 
 

@@ -46,9 +46,13 @@ def kernel_calls(monkeypatch) -> List[dict]:
         return real(**kw)
 
     monkeypatch.setattr(kernel, "run", spy)
-    clear_sim_memo()
+    # An empty schedule cache too: the hit tests read ``cache_hit``.
+    clears = (clear_sim_memo, global_schedule_cache().clear)
+    for clear in clears:
+        clear()
     yield calls
-    clear_sim_memo()
+    for clear in clears:
+        clear()
 
 
 def _run(machine, *points, **kw):
