@@ -29,10 +29,9 @@ schedule's.
 
 from __future__ import annotations
 
-import queue
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,37 +107,42 @@ class StagingPool:
     (one per distinct send size of a
     :class:`~repro.core.schedule.BoundSchedule`, or none).
 
-    Thread-safe (each free-list is a :class:`queue.SimpleQueue`; the
-    size→queue dict is frozen at construction so worker threads only
-    read it).  Recycling is only legal on the fault-free path: a
+    Thread-safe: each free-list is a ``list``, whose ``append`` and
+    ``pop`` are atomic, and the size→list dict is frozen at construction
+    so worker threads only read it.  An empty free-list costs a truth
+    test, not a raised exception: the lockstep walker acquires most
+    payloads of a pass before any is released.  Recycling is only legal
+    on the fault-free path: a
     :class:`~repro.faults.channel.LossyChannel` duplicate enqueues the
     *same* payload object twice, so under a fault plan payloads must
     stay immortal and the executors bypass the pool.
     """
 
     def __init__(self, sizes: Sequence[int], dtype: np.dtype) -> None:
-        self._pools: Dict[int, "queue.SimpleQueue"] = {
-            int(s): queue.SimpleQueue() for s in set(sizes)
+        self._free: Dict[int, List[np.ndarray]] = {
+            int(s): [] for s in set(sizes)
         }
         self.dtype = dtype
         self.allocations = 0
 
     def acquire(self, size: int) -> np.ndarray:
         """A buffer of exactly ``size`` elements (recycled when possible)."""
-        q = self._pools.get(size)
-        if q is not None:
+        free = self._free.get(size)
+        if free:
             try:
-                return q.get_nowait()
-            except queue.Empty:
+                return free.pop()
+            except IndexError:  # another thread took the last one
                 pass
         self.allocations += 1
         return np.empty(size, dtype=self.dtype)
 
     def release(self, buf: np.ndarray) -> None:
-        """Return a fully-consumed buffer to its free-list."""
-        q = self._pools.get(buf.size)
-        if q is not None:
-            q.put(buf)
+        """Return a fully-consumed buffer to its free-list.  An array
+        that does not own its data (a view of a rank buffer) is never
+        taken: recycling it would hand a rank's memory out as staging."""
+        free = self._free.get(buf.size)
+        if free is not None and buf.base is None:
+            free.append(buf)
 
 
 @dataclass

@@ -19,6 +19,15 @@ Either way a FIFO-matched message whose blocks disagree with the receive
 op raises the interpreter's diagnosis (precomputed by the bind, reported
 when the message would be consumed), and a payload of the wrong size
 raises before it is applied.
+
+Payloads: a send the bind flags as a view (:attr:`BoundSchedule.views
+<repro.core.schedule.BoundSchedule>` — one slice its rank never writes
+again) travels as ``buf[a:b]``; every other send is a snapshot taken
+from a :class:`~repro.compile.program.StagingPool` and released to it
+once applied.  A view owns no data, so the pool never takes it back.
+:class:`~repro.runtime.session.Comm` passes no views: its rank returns
+to the caller before the peers have read its sends, and the caller may
+then overwrite the buffer.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from itertools import repeat
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,18 +48,22 @@ from .program import StagingPool
 __all__ = ["run_compiled_lockstep", "run_compiled_rank"]
 
 
-def _gather(buf: np.ndarray, ranges: tuple, total: int) -> np.ndarray:
-    """Snapshot the named ranges into a fresh payload array."""
-    if len(ranges) == 1:
+def _payload(
+    buf: np.ndarray, ranges: tuple, total: int, view: bool,
+    pool: StagingPool,
+) -> np.ndarray:
+    """What a send puts on the wire: ``buf[a:b]`` itself for a view,
+    else the named ranges snapshotted into a pool buffer."""
+    if view:
         a, b = ranges[0]
-        return buf[a:b].copy()
-    out = np.empty(total, dtype=buf.dtype)
+        return buf[a:b]
+    payload = pool.acquire(total)
     pos = 0
     for a, b in ranges:
         n = b - a
-        out[pos:pos + n] = buf[a:b]
+        payload[pos:pos + n] = buf[a:b]
         pos += n
-    return out
+    return payload
 
 
 def _apply_recv(
@@ -96,7 +110,9 @@ def run_compiled_lockstep(
     p = bound.nranks
     steps = bound.raw_steps
     needs = bound.needs
+    views = bound.views
     desc = bound.describe_str
+    pool = StagingPool(bound.sizes, buffers[0].dtype)
     channels: Dict[Tuple[int, int], Deque[np.ndarray]] = {}
     pc = [0] * p
     posted = [False] * p
@@ -112,11 +128,12 @@ def run_compiled_lockstep(
             sends, copies, recvs = rank_steps[i]
             buf = buffers[rank]
             if not posted[rank]:
-                for peer, ranges, total in sends:
+                for (peer, ranges, total), view in zip(sends,
+                                                       views[rank][i]):
                     ch = channels.get((rank, peer))
                     if ch is None:
                         ch = channels[(rank, peer)] = deque()
-                    ch.append(_gather(buf, ranges, total))
+                    ch.append(_payload(buf, ranges, total, view, pool))
                     moved += total
                 for s0, s1, d0, d1 in copies:
                     buf[d0:d1] = buf[s0:s1]
@@ -139,6 +156,7 @@ def run_compiled_lockstep(
                 _apply_recv(
                     buf, payload, ranges, total, reduce, op, rank, blocks
                 )
+                pool.release(payload)
             pc[rank] += 1
             posted[rank] = False
             changed = True
@@ -183,6 +201,7 @@ def run_compiled_rank(
     timeout: float,
     abort: threading.Event,
     *,
+    views: Optional[Sequence[Tuple[bool, ...]]] = None,
     crash_at: Optional[int] = None,
     straggle: Optional[float] = None,
     heartbeat=None,
@@ -200,10 +219,14 @@ def run_compiled_rank(
       :class:`~repro.faults.channel.ChannelAborted` /
       :class:`~repro.faults.channel.ChannelBroken`.  A missing channel
       is diagnosed as a receive with no matching send.
-    * ``pool`` — the payload source.  A pool registered for the bound
+    * ``pool`` — the snapshot source.  A pool registered for the bound
       send sizes recycles consumed payloads; one with no sizes hands out
       fresh arrays and ignores releases, which is mandatory on lossy
       channels (a duplicate delivery aliases the payload object).
+    * ``views`` — this rank's ``bound.views[rank]``: a flagged send
+      travels as a view of ``buf`` instead of a snapshot.  ``None``
+      snapshots every send, which a caller must pass when ``buf`` may
+      be overwritten before the peers have read it.
     * ``crash_at`` (raise an injected-crash
       :class:`~repro.errors.FaultError` before that step), ``straggle``
       (seconds slept before every step) and ``heartbeat`` (called as
@@ -230,14 +253,11 @@ def run_compiled_rank(
             )
         if straggle is not None:
             time.sleep(straggle)
-        for peer, ranges, total in sends:
-            payload = pool.acquire(total)
-            pos = 0
-            for a, b in ranges:
-                n = b - a
-                payload[pos:pos + n] = buf[a:b]
-                pos += n
-            channels[(rank, peer)].send(payload)
+        flags = repeat(False) if views is None else views[i]
+        for (peer, ranges, total), view in zip(sends, flags):
+            channels[(rank, peer)].send(
+                _payload(buf, ranges, total, view, pool)
+            )
             moved += total
         for s0, s1, d0, d1 in copies:
             buf[d0:d1] = buf[s0:s1]

@@ -508,6 +508,20 @@ class BoundSchedule:
     steps, heartbeats and progress counts are expressed in — and
     ``needs[rank][i]`` the ``(peer, count)`` messages that step waits
     for.  ``sizes`` are the distinct send payload sizes, sorted.
+
+    ``views[rank][i]`` holds one bool per send of that step, in order: a
+    send is a *view* when its ranges merge into one slice that its rank
+    never writes again from step ``i`` on (no copy destination and no
+    receive of step ``i`` or later touches its blocks).  The data walkers
+    hand such a send to the receiver as ``buf[a:b]`` instead of a staged
+    snapshot: nothing can change those elements before, or after, the
+    receiver reads them, so the bytes delivered are the same.  That holds
+    only while the walker that runs the rank's later steps is the one
+    that sent, over buffers no other rank writes (which
+    :func:`~repro.runtime.buffers.buffer_count` enforces); a
+    :class:`~repro.runtime.session.Session` rank returns to its caller
+    before its peers have read its sends, so ``Comm`` snapshots every
+    send and never reads this field.
     """
 
     describe_str: str
@@ -515,6 +529,7 @@ class BoundSchedule:
     raw_steps: List[List[Tuple[tuple, tuple, tuple]]]
     needs: List[List[Tuple[Tuple[int, int], ...]]]
     sizes: Tuple[int, ...]
+    views: List[List[Tuple[bool, ...]]]
 
 
 def _merge_ranges(
@@ -1091,7 +1106,7 @@ class Schedule:
         if block_map.nblocks != nb:
             raise ExecutionError(
                 f"block map has {block_map.nblocks} blocks but the "
-                f"compiled schedule uses {nb}"
+                f"schedule uses {nb}"
             )
         stops = tuple(block_map.range_of(b)[1] for b in range(nb))
         key = (block_map.total, stops)
@@ -1108,7 +1123,9 @@ class Schedule:
     def _bind(self, block_map: BlockMap,
               stops: Tuple[int, ...]) -> BoundSchedule:
         """One pass over the columns, rank by rank and step by step:
-        blocks become merged buffer slices."""
+        blocks become merged buffer slices.  Each rank's pass also keeps
+        the last step that writes each block, and a one-slice send is a
+        view when none of its blocks is written at its step or later."""
         cols, fifo = self.columns(), self.messages()
         starts = tuple(block_map.range_of(b)[0] for b in range(self.nblocks))
         # The FIFO-mismatch table: receive op → (in-flight message blocks,
@@ -1127,12 +1144,17 @@ class Schedule:
         step_ptr = cols.step_ptr.tolist()
         raw_steps: List[List[Tuple[tuple, tuple, tuple]]] = []
         needs: List[List[Tuple[Tuple[int, int], ...]]] = []
+        views: List[List[Tuple[bool, ...]]] = []
         sizes = set()
         for rank in range(self.nranks):
             bounds = first[step_ptr[rank]:step_ptr[rank + 1]]
             steps = []
             step_needs = []
-            for lo, hi in zip(bounds, bounds[1:]):
+            # block -> the last step of this rank that writes it, and the
+            # one-slice sends as (step, position, blocks).
+            last_write: Dict[int, int] = {}
+            slices: List[Tuple[int, int, List[int]]] = []
+            for step, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
                 sends: List[tuple] = []
                 copies: List[tuple] = []
                 recvs: List[tuple] = []
@@ -1150,13 +1172,18 @@ class Schedule:
                                 f"different sizes ({src}→{dst})"
                             )
                         copies.append((s0, s1, d0, d1))
+                        last_write[dst] = step
                         continue
                     ranges, total = _merge_ranges(blocks, starts, stops)
                     peer = peers[i]
                     if kind == OP_SEND:
+                        if len(ranges) == 1:
+                            slices.append((step, len(sends), blocks))
                         sends.append((peer, ranges, total))
                         sizes.add(total)
                     else:
+                        for b in blocks:
+                            last_write[b] = step
                         recvs.append((
                             peer,
                             kind == OP_REDUCE_RECV,
@@ -1168,14 +1195,21 @@ class Schedule:
                         per_peer[peer] = per_peer.get(peer, 0) + 1
                 steps.append((tuple(sends), tuple(copies), tuple(recvs)))
                 step_needs.append(tuple(per_peer.items()))
+            flags = [[False] * len(sends) for sends, _, _ in steps]
+            for step, j, blocks in slices:
+                flags[step][j] = all(
+                    last_write.get(b, -1) < step for b in blocks
+                )
             raw_steps.append(steps)
             needs.append(step_needs)
+            views.append([tuple(f) for f in flags])
         return BoundSchedule(
             describe_str=self.describe(),
             nranks=self.nranks,
             raw_steps=raw_steps,
             needs=needs,
             sizes=tuple(sorted(sizes)),
+            views=views,
         )
 
     def columns_digest(self) -> bytes:

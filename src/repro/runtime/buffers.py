@@ -25,6 +25,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+try:
+    from numpy.lib.array_utils import byte_bounds
+except ImportError:  # NumPy < 2
+    from numpy import byte_bounds
+
 from ..core.blocks import BlockMap
 from ..core.schedule import Schedule
 from ..errors import ExecutionError
@@ -93,9 +98,13 @@ def initial_buffers(
 ) -> List[np.ndarray]:
     """Lay ``inputs`` into per-rank working arrays of ``count`` elements.
 
-    Undefined slots get the :data:`GARBAGE` fill (clipped into the dtype's
-    range for narrow types); a buffer the inputs overwrite whole (every
-    reduce-family rank, the bcast/scatter root) gets no fill at all.
+    The arrays are the rows of one ``(p, count)`` block: one allocation
+    per call, which the allocator can serve from warm memory, where p
+    separate arrays are returned to the OS and faulted in again on every
+    call.  Undefined slots get the :data:`GARBAGE` fill (clipped into the
+    dtype's range for narrow types); a row the inputs overwrite whole
+    (every reduce-family rank, the bcast/scatter root) gets no fill at
+    all.
     """
     p = schedule.nranks
     coll = schedule.collective
@@ -108,11 +117,9 @@ def initial_buffers(
         whole = (root,)
     else:
         whole = ()
-    bufs = [
-        np.empty(count, dtype=dtype) if r in whole
-        else np.full(count, garbage, dtype=dtype)
-        for r in range(p)
-    ]
+    block = np.empty((p, count), dtype=dtype)
+    block[[r for r in range(p) if r not in whole]] = garbage
+    bufs = list(block)
 
     if coll in ("bcast", "scatter"):
         assert root is not None
@@ -160,7 +167,15 @@ def initial_buffers(
 
 def buffer_count(schedule: Schedule, buffers: Sequence[np.ndarray]) -> int:
     """The length every one of ``buffers`` has: both backends refuse
-    anything but one buffer per rank, all of one length."""
+    anything but one buffer per rank, all of one length, no two of them
+    overlapping in memory.
+
+    The walkers hand a send its rank never writes again to the receiver
+    as a view of the sender's buffer (:attr:`BoundSchedule.views
+    <repro.core.schedule.BoundSchedule>`), which is sound only while each
+    buffer is written by its own rank alone.  Overlap is judged on each
+    buffer's byte extent (:func:`byte_bounds`), sorted once.
+    """
     if len(buffers) != schedule.nranks:
         raise ExecutionError(
             f"need {schedule.nranks} buffers, got {len(buffers)}"
@@ -171,6 +186,19 @@ def buffer_count(schedule: Schedule, buffers: Sequence[np.ndarray]) -> int:
             raise ExecutionError(
                 f"rank {r} buffer has {len(buf)} elements, rank 0 has {count}"
             )
+    if count:
+        extents = sorted(
+            (*byte_bounds(np.asarray(buf)), r) for r, buf in enumerate(buffers)
+        )
+        reach, owner = extents[0][1], extents[0][2]
+        for low, high, r in extents[1:]:
+            if low < reach:
+                a, b = sorted((owner, r))
+                raise ExecutionError(
+                    f"rank {a} and rank {b} buffers overlap in memory"
+                )
+            if high > reach:
+                reach, owner = high, r
     return count
 
 

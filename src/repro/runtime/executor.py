@@ -73,11 +73,6 @@ def execute(
     count = buffer_count(schedule, buffers)
     if block_map is None:
         block_map = schedule.block_map(count)
-    elif block_map.nblocks != schedule.nblocks:
-        raise ExecutionError(
-            f"block map has {block_map.nblocks} blocks but the schedule "
-            f"uses {schedule.nblocks}"
-        )
     elif block_map.total != count:
         raise ExecutionError(
             f"block map covers {block_map.total} elements but buffers "

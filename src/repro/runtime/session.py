@@ -478,7 +478,10 @@ class Comm:
             block_map if block_map is not None
             else sched.block_map(len(buf))
         )
-        # Session channels may be lossy, so payloads are never recycled.
+        # Session channels may be lossy, so payloads are never recycled;
+        # and no send is a view (no ``views``): this rank returns before
+        # its peers have read its sends, and the caller may then reuse
+        # the buffer.
         done = run_compiled_rank(
             self.global_rank, bound.raw_steps[self.global_rank], buf, op,
             shared.channels, StagingPool((), buf.dtype),

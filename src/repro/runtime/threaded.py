@@ -31,10 +31,11 @@ run_compiled_rank` over the schedule's preresolved
 :attr:`BoundSchedule.raw_steps <repro.core.schedule.BoundSchedule>`
 action tuples (:meth:`Schedule.bind <repro.core.schedule.Schedule.bind>`,
 the schedule's own steps) — and the transport only chooses what carries
-the payloads.  Fault-free and detector-free: lean
-counter-only channels and recycled staging buffers.  Under a fault plan
-or a detector: the full lossy channel machinery and fresh payload
-arrays.  Rank bodies are dispatched to a persistent
+the payloads.  Either way a send the bind flags as a view travels as a
+slice of its rank's buffer.  Fault-free and detector-free: lean
+counter-only channels and recycled staging buffers for the other sends.
+Under a fault plan or a detector: the full lossy channel machinery and
+fresh snapshot arrays.  Rank bodies are dispatched to a persistent
 worker-thread pool when possible (thread spawn costs ~20× a pool
 dispatch here).  Results are bit-identical to the reference interpreter
 either way (pinned by the differential suite).
@@ -172,6 +173,9 @@ class _WorkerPool:
             try:
                 fn()
             finally:
+                # A parked worker must not pin the finished run: its task
+                # holds a rank buffer, a row of the caller's one block.
+                del fn
                 self._done.put(None)
 
     def run(self, fns, timeout: float) -> bool:
@@ -216,8 +220,10 @@ class ThreadedTransport:
     """Executes a schedule with one thread per rank.
 
     Each :meth:`run` binds the schedule it holds
-    (:meth:`~repro.core.schedule.Schedule.bind`) and, fault-free, pools
-    staging buffers over the bound send sizes.
+    (:meth:`~repro.core.schedule.Schedule.bind`), sends what the bind
+    flags as views straight out of the rank buffers, and, fault-free,
+    pools the staging buffers of the other sends over the bound send
+    sizes.
 
     Parameters
     ----------
@@ -281,8 +287,8 @@ class ThreadedTransport:
             pool = StagingPool(bound.sizes, dtype)
         else:
             # A lossy channel's duplicate aliases the payload object, so
-            # payloads stay immortal: a pool with no sizes recycles
-            # nothing.
+            # snapshots stay immortal: a pool with no sizes recycles
+            # nothing.  Views stay sound: their elements never change.
             pool = StagingPool((), dtype)
         for rank, rank_steps in enumerate(steps):
             for sends, _, _ in rank_steps:
@@ -303,7 +309,8 @@ class ThreadedTransport:
 
         workers = [
             (lambda rank=rank: self._worker(
-                rank, steps[rank], buffers[rank], op, pool
+                rank, steps[rank], bound.views[rank], buffers[rank], op,
+                pool,
             ))
             for rank in range(sched.nranks)
         ]
@@ -438,7 +445,7 @@ class ThreadedTransport:
             ) from first.error
 
     def _worker(
-        self, rank: int, steps, buf: np.ndarray, op: ReduceOp,
+        self, rank: int, steps, views, buf: np.ndarray, op: ReduceOp,
         pool: StagingPool,
     ) -> None:
         """One rank: walk its steps, record how it ended."""
@@ -455,6 +462,7 @@ class ThreadedTransport:
             moved = run_compiled_rank(
                 rank, steps, buf, op, self._channels, pool,
                 self.timeout, self._abort,
+                views=views,
                 crash_at=crash_at,
                 straggle=straggle,
                 heartbeat=(

@@ -35,7 +35,9 @@ from repro.core.cache import global_schedule_cache
 from repro.core.registry import build_schedule
 from repro.core.schedule import Schedule
 from repro.errors import CompileError, ExecutionError
+from repro.runtime.executor import execute
 from repro.runtime.session import Session
+from repro.selection import fixed_policy
 from test_cold_start import LOADED, fresh
 
 
@@ -216,11 +218,33 @@ class TestMemo:
         assert len(vars(sched)["_bound"]) <= schedule_mod._BIND_CACHE_MAX
 
     def test_a_block_map_of_other_blocks_keeps_its_text(self):
+        """The one block-count refusal every data path reaches."""
         sched = build_schedule("allgather", "ring", 4)
         with pytest.raises(ExecutionError, match=(
-            "block map has 2 blocks but the compiled schedule uses 4"
+            "block map has 2 blocks but the schedule uses 4"
         )):
             sched.bind(ExplicitBlockMap((3, 3)))
+
+    def test_execute_and_a_session_call_refuse_with_one_text(self):
+        """A map of other block count reaches the bind's one check from
+        ``execute`` and from a ``Session`` collective alike."""
+        block_map = ExplicitBlockMap((3, 3))
+        sched = build_schedule("allgather", "ring", 4)
+        with pytest.raises(ExecutionError) as direct:
+            execute(sched, [np.zeros(6, np.int64) for _ in range(4)],
+                    block_map=block_map)
+
+        def worker(comm):
+            comm._run("allgather", np.zeros(6, np.int64),
+                      block_map=block_map)
+
+        with pytest.raises(ExecutionError) as session:
+            Session(nranks=4, table=fixed_policy("allgather", "ring")).run(
+                worker
+            )
+        text = "block map has 2 blocks but the schedule uses 4"
+        assert str(direct.value) == text
+        assert str(session.value.__cause__) == text
 
 
 class TestShim:

@@ -127,6 +127,21 @@ class TestInitialBuffers:
                 if coll in ("reduce", "allreduce", "reduce_scatter"):
                     assert np.array_equal(buf, inputs[r]), where
 
+    def test_rows_share_one_block(self):
+        """One ``(p, count)`` allocation per call: every rank buffer is a
+        row of it, in rank order, on every collective."""
+        p, count = 5, 23
+        for coll in COLLECTIVES:
+            sched = build_schedule(coll, LAYOUT_ALGORITHMS[coll], p)
+            bufs = initial_buffers(sched, make_inputs(coll, p, count),
+                                   count)
+            block = bufs[0].base
+            assert block.shape == (p, count), coll
+            assert block.flags.c_contiguous, coll
+            for r, buf in enumerate(bufs):
+                assert buf.base is block, (coll, r)
+                assert np.shares_memory(buf, block[r]), (coll, r)
+
     def test_allgather_blocks_placed(self):
         sched = build_schedule("allgather", "ring", 4)
         inputs = make_inputs("allgather", 4, 8)

@@ -169,3 +169,37 @@ class TestOneBufferCheck:
     def test_buffer_count(self):
         buffers = [np.zeros(8, np.int64) for _ in range(3)]
         assert self._refusals(buffers) == ["need 4 buffers, got 3"] * 2
+
+    @staticmethod
+    def _overlap_refusals(buffers):
+        """Buffers as given, not copied: the refusal is about memory."""
+        sched = repro.build("allreduce", "recursive_doubling", p=4)
+        texts = []
+        for run in (execute, execute_threaded):
+            with pytest.raises(ExecutionError) as info:
+                run(sched, buffers)
+            texts.append(str(info.value))
+        return texts
+
+    def test_the_same_array_twice(self):
+        buffers = [np.zeros(8, np.int64) for _ in range(4)]
+        buffers[3] = buffers[1]
+        assert self._overlap_refusals(buffers) == [
+            "rank 1 and rank 3 buffers overlap in memory"
+        ] * 2
+
+    def test_overlapping_slices_of_one_array(self):
+        flat = np.zeros(40, np.int64)
+        buffers = [flat[0:8], flat[20:28], flat[8:16], flat[26:34]]
+        assert self._overlap_refusals(buffers) == [
+            "rank 1 and rank 3 buffers overlap in memory"
+        ] * 2
+
+    def test_adjacent_slices_of_one_array_run(self):
+        flat = np.zeros(32, np.int64)
+        buffers = [flat[8 * r:8 * r + 8] for r in range(4)]
+        for buf in buffers:
+            buf[:] = 1
+        execute(repro.build("allreduce", "recursive_doubling", p=4),
+                buffers)
+        assert (flat == 4).all()

@@ -97,13 +97,15 @@ class TestExecutorOverride:
         sched = build_schedule("gather", "binomial", 4)
         bm = ExplicitBlockMap((2, 2))  # wrong nblocks
         with pytest.raises(ExecutionError, match="blocks"):
-            execute(sched, [np.zeros(4, dtype=np.int64)] * 4, block_map=bm)
+            execute(sched, [np.zeros(4, dtype=np.int64) for _ in range(4)],
+                    block_map=bm)
 
     def test_total_mismatch_rejected(self):
         sched = build_schedule("gather", "binomial", 2)
         bm = ExplicitBlockMap((2, 2))
         with pytest.raises(ExecutionError, match="covers"):
-            execute(sched, [np.zeros(9, dtype=np.int64)] * 2, block_map=bm)
+            execute(sched, [np.zeros(9, dtype=np.int64) for _ in range(2)],
+                    block_map=bm)
 
 
 class TestSimulatorOverride:

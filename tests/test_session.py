@@ -1,5 +1,7 @@
 """Tests for the MPI-style session facade (:mod:`repro.runtime.session`)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,38 @@ class TestCollectives:
         p = 4
         results = Session(p).run(worker)
         assert results == [p + sum(range(p))] * p
+
+
+class TestBufferReuse:
+    """A rank may overwrite the buffer a collective returned the moment
+    it returns: its peers may still be reading its sends, so the session
+    snapshots every send (no send travels as a view of the buffer)."""
+
+    def test_bcast_root_overwrites_before_its_peers_receive(self):
+        def worker(comm: Comm):
+            if comm.rank == 0:
+                out = comm.bcast(np.arange(64, dtype=np.int64), root=0)
+                got = out.tolist()
+                out[:] = -1
+                return got
+            time.sleep(0.05)  # the root has returned and overwritten
+            return comm.bcast(np.zeros(64, dtype=np.int64), root=0).tolist()
+
+        table = fixed_policy("bcast", "knomial", 4)
+        results = Session(8, table=table).run(worker)
+        assert results == [list(range(64))] * 8
+
+    @pytest.mark.parametrize("algorithm,k", [("kring", 2), ("ring", None)])
+    def test_allreduce_ranks_overwrite_on_return(self, algorithm, k):
+        def worker(comm: Comm):
+            out = comm.allreduce(np.full(48, comm.rank, dtype=np.int64))
+            got = out.tolist()
+            out[:] = -1
+            return got
+
+        table = fixed_policy("allreduce", algorithm, k)
+        for _ in range(5):
+            assert Session(8, table=table).run(worker) == [[28] * 48] * 8
 
 
 class TestSelectionIntegration:
